@@ -8,6 +8,7 @@ return chain so no return ever spans a gap.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,11 @@ class ReturnSeries:
 
     series_id: str
     points: tuple[tuple[int, int, float], ...]
+
+    @cached_property
+    def by_month(self) -> dict[int, float]:
+        """Returns keyed by month index, built on first use and shared: read only."""
+        return {_month_index(y, m): r for y, m, r in self.points}
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,7 @@ def beta_for_year(firm: ReturnSeries, market: ReturnSeries, year: int,
     """
     end = _month_index(year, 12)
     start = end - window_months + 1
-    firm_map = {_month_index(y, m): r for y, m, r in firm.points}
-    market_map = {_month_index(y, m): r for y, m, r in market.points}
+    firm_map, market_map = firm.by_month, market.by_month
     paired = [i for i in range(start, end + 1) if i in firm_map and i in market_map]
 
     n = len(paired)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from .errors import ConstantSeries, SpecMismatch, TooFewGroups, TooShort
 
@@ -89,19 +89,17 @@ def mackinnon_crit(nobs: int) -> dict[str, float]:
     return out
 
 
+def _mackinnon_pvalues(stat: np.ndarray) -> np.ndarray:
+    c, d = _P_SMALL, _P_LARGE
+    small = c[0] + c[1] * stat + c[2] * stat**2
+    large = d[0] + d[1] * stat + d[2] * stat**2 + d[3] * stat**3
+    p = special.ndtr(np.where(stat <= _P_TAU_STAR, small, large))
+    return np.where(stat <= _P_TAU_MIN, 0.0, np.where(stat >= _P_TAU_MAX, 1.0, p))
+
+
 def mackinnon_pvalue(stat: float) -> float:
     """Approximate asymptotic p-value for the constant-only ADF t statistic."""
-    if stat <= _P_TAU_MIN:
-        return 0.0
-    if stat >= _P_TAU_MAX:
-        return 1.0
-    if stat <= _P_TAU_STAR:
-        c = _P_SMALL
-        z = c[0] + c[1] * stat + c[2] * stat**2
-    else:
-        c = _P_LARGE
-        z = c[0] + c[1] * stat + c[2] * stat**2 + c[3] * stat**3
-    return float(stats.norm.cdf(z))
+    return float(_mackinnon_pvalues(np.asarray(stat, dtype=float)))
 
 
 def _pvalue_bracket(stat: float, crit: dict[str, float]) -> str:
@@ -115,44 +113,47 @@ def _pvalue_bracket(stat: float, crit: dict[str, float]) -> str:
 
 
 def _adf_stat(y: np.ndarray, lags: int) -> tuple[float, int]:
-    """t statistic on the lagged level in the ADF regression with a constant."""
+    """t statistic on the lagged level in the ADF regression with a constant.
+
+    One QR of [1, dy_{t-1}, ..., dy_{t-lags}, y_{t-1}, dy_t]. With the lagged
+    level as the last regressor, its coefficient is r[-2, -1] / r[-2, -2], its
+    standard error sigma / |r[-2, -2]|, and sigma = |r[-1, -1]| / sqrt(df).
+    """
     dy = np.diff(y)
-    t_start = lags + 1
-    nobs = len(dy) - lags
-    rows = np.arange(t_start, len(y))
-    cols = [y[rows - 1]]
-    for j in range(1, lags + 1):
-        cols.append(dy[rows - 1 - j])
-    cols.append(np.ones(nobs))
-    X = np.column_stack(cols)
-    beta, _, _, _ = np.linalg.lstsq(X, dy[rows - 1], rcond=None)
-    resid = dy[rows - 1] - X @ beta
-    df = nobs - X.shape[1]
-    sigma2 = float(resid @ resid) / df
-    xtx_inv = np.linalg.pinv(X.T @ X)
-    se = math.sqrt(max(sigma2 * xtx_inv[0, 0], 0.0))
-    if se == 0.0:
+    rows = np.arange(lags + 1, len(y))
+    nobs = len(rows)
+    df = nobs - (lags + 2)
+    if df <= 0:
+        raise TooShort(f"{nobs} observations for {lags + 2} ADF regressors")
+    cols = [np.ones(nobs)] + [dy[rows - 1 - j] for j in range(1, lags + 1)]
+    cols += [y[rows - 1], dy[rows - 1]]
+    r = np.linalg.qr(np.column_stack(cols), mode="r")
+    level, resid = r[-2, -2], r[-1, -1]
+    if level == 0.0 or resid == 0.0:
         raise ConstantSeries("degenerate ADF regression")
-    return float(beta[0] / se), nobs
+    return float(np.sign(level) * r[-2, -1] * math.sqrt(df) / abs(resid)), nobs
 
 
 def _adf_aic_lag(y: np.ndarray, max_lags: int) -> int:
-    """AIC lag choice on the common sample implied by ``max_lags``."""
+    """AIC lag choice on the common sample implied by ``max_lags``.
+
+    One QR of [1, y_{t-1}, dy_{t-1}, ..., dy_{t-max_lags}, dy_t] serves every
+    nested regression: the RSS on the first m columns is the squared norm of
+    the last column of R below row m.
+    """
     dy = np.diff(y)
-    t_start = max_lags + 1
-    rows = np.arange(t_start, len(y))
+    rows = np.arange(max_lags + 1, len(y))
     nobs = len(rows)
-    target = dy[rows - 1]
+    cols = [np.ones(nobs), y[rows - 1]]
+    cols += [dy[rows - 1 - j] for j in range(1, max_lags + 1)]
+    cols.append(dy[rows - 1])
+    r = np.linalg.qr(np.column_stack(cols), mode="r")
+    tail = np.zeros(len(cols))    # a saturated fit (fewer rows than columns) leaves 0
+    tail[:r.shape[0]] = r[:, -1] ** 2
+    rss_from = np.cumsum(tail[::-1])[::-1]
     best_lag, best_aic = 0, math.inf
     for p in range(max_lags + 1):
-        cols = [y[rows - 1]]
-        for j in range(1, p + 1):
-            cols.append(dy[rows - 1 - j])
-        cols.append(np.ones(nobs))
-        X = np.column_stack(cols)
-        beta, _, _, _ = np.linalg.lstsq(X, target, rcond=None)
-        resid = target - X @ beta
-        rss = float(resid @ resid)
+        rss = float(rss_from[p + 2])
         if rss <= 0:
             return p
         aic = nobs * math.log(rss / nobs) + 2 * (p + 2)
@@ -225,26 +226,52 @@ def panel_stationarity(variable_panels: dict[str, list[np.ndarray]],
     return out
 
 
+def _lag0_adf_stats(series: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Lag-0 ADF t statistics of many series at once, from segment sums.
+
+    Per series, dy_t is regressed on [y_{t-1}, 1]; with x = y_{t-1} and d = dy_t
+    centred per series, beta = Sxd / Sxx and se^2 = RSS / ((n - 2) Sxx).
+    Returns the statistics and a mask of the usable ones: the lagged level
+    must vary (Sxx above 1e-24 sum x^2) and the fit must not be exact (RSS
+    above 1e-24 sum d^2), because an exact fit leaves only rounding residue.
+    """
+    n_obs = np.array([len(s) - 1 for s in series])
+    codes = np.repeat(np.arange(len(series)), n_obs)
+    x = np.concatenate([s[:-1] for s in series])
+    d = np.concatenate([np.diff(s) for s in series])
+
+    def sums(v):
+        return np.bincount(codes, weights=v, minlength=len(series))
+
+    xc = x - (sums(x) / n_obs)[codes]
+    dc = d - (sums(d) / n_obs)[codes]
+    sxx = sums(xc * xc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = sums(xc * dc) / sxx
+        resid = dc - beta[codes] * xc
+        rss = sums(resid * resid)
+        stat = beta / np.sqrt(rss / (n_obs - 2) / sxx)
+    usable = (sxx > 1e-24 * sums(x * x)) & (rss > 1e-24 * sums(d * d))
+    return stat, usable
+
+
 def _fisher_combination(name: str, series_list) -> TestResult | None:
     """Combine per-firm ADF p-values: -2 sum(ln p_i) ~ chi2(2G).
 
     Per-firm series are short, so lag 0 is forced and the approximate
-    MacKinnon p-values are used; the result is labelled approximate.
+    MacKinnon p-values are used; the result is labelled approximate. Firms
+    with fewer than 8 values, a constant lagged level or an exactly fitting
+    regression (an exact trend such as age) are skipped and counted.
     """
-    pvalues = []
-    skipped = 0
-    for s in series_list:
-        s = np.asarray(s, dtype=float)
-        if len(s) < 8 or float(np.std(s)) == 0.0:
-            skipped += 1
-            continue
-        try:
-            stat, _ = _adf_stat(s, 0)
-        except ConstantSeries:
-            skipped += 1
-            continue
-        pvalues.append(min(max(mackinnon_pvalue(stat), 1e-6), 1 - 1e-6))
-    if not pvalues:
+    series = [np.asarray(s, dtype=float) for s in series_list]
+    long_enough = [s for s in series if len(s) >= 8]
+    skipped = len(series) - len(long_enough)
+    if not long_enough:
+        return None
+    stat, usable = _lag0_adf_stats(long_enough)
+    skipped += int(np.count_nonzero(~usable))
+    pvalues = np.clip(_mackinnon_pvalues(stat[usable]), 1e-6, 1 - 1e-6)
+    if len(pvalues) == 0:
         return None
     statistic = -2.0 * float(np.sum(np.log(pvalues)))
     df = 2 * len(pvalues)
@@ -305,32 +332,31 @@ def lr_heteroskedasticity(residuals, groups) -> TestResult:
     labels = [g[0] if isinstance(g, tuple) else g for g in groups]
     if len(labels) != len(residuals):
         raise ValueError("groups must align with residuals")
-    by_group: dict[str, list[int]] = {}
-    for i, label in enumerate(labels):
-        by_group.setdefault(label, []).append(i)
-    if len(by_group) < 2:
-        raise TooFewGroups(f"need at least 2 groups, got {len(by_group)}")
-    small = [g for g, idx in by_group.items() if len(idx) < 3]
+    first_seen: dict = {}
+    codes = np.array([first_seen.setdefault(label, len(first_seen)) for label in labels],
+                     dtype=np.intp)
+    g = len(first_seen)
+    if g < 2:
+        raise TooFewGroups(f"need at least 2 groups, got {g}")
+    sizes = np.bincount(codes, minlength=g)
+    small = [label for label, size in zip(first_seen, sizes) if size < 3]
     if small:
         raise TooFewGroups(f"groups with fewer than 3 residuals: {small}")
 
     n = len(residuals)
     pooled = float(residuals @ residuals) / n
-    g = len(by_group)
     if pooled == 0.0:
         statistic = 0.0
     else:
-        statistic = n * math.log(pooled)
-        degenerate = False
-        for idx in by_group.values():
-            e = residuals[np.asarray(idx)]
-            s2 = float(e @ e) / len(e)
-            if s2 == 0.0:
-                degenerate = True
-                break
-            statistic -= len(e) * math.log(s2)
-        if degenerate:
+        s2 = np.bincount(codes, weights=residuals * residuals, minlength=g) / sizes
+        if np.any(s2 == 0.0):
             statistic = math.inf
+        else:
+            # a small difference of large sums, so its last digits depend on the
+            # order of the additions: subtract group by group, in order of first
+            # appearance
+            terms = np.concatenate([[n * math.log(pooled)], sizes * np.log(s2)])
+            statistic = float(np.subtract.reduce(terms))
     df = g - 1
     p = float(stats.chi2.sf(statistic, df)) if math.isfinite(statistic) else 0.0
     decision = "reject" if p < 0.05 else "fail_to_reject"

@@ -24,10 +24,6 @@ _VARIANT_COLUMN = {"sales_ratio": "Marin", "assets_ratio": "MarinAssets",
                    "log_level": "MarinLog"}
 INTERACTION_NAME = "OW*Marin"
 
-# paper-style row labels per model family, used by report emission
-VALUE_TABLE_ROWS = ("C", "X", "Marin", "AGE", "Size", "Lev", "OW", "OW*Marin")
-RISK_TABLE_ROWS = ("C", "Marin", "AGE", "SIZ", "LEVR", "OW", "OW*Marin")
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -175,7 +171,7 @@ def _drop_within_degenerate(X: DesignMatrix, y):
         return X, ()
     values = X.values[:, keep]
     names = tuple(X.column_names[j] for j in keep)
-    return DesignMatrix(values, names, row_index=X.row_index), tuple(dropped)
+    return DesignMatrix(values, names, X.row_index, X.codes), tuple(dropped)
 
 
 def estimate(panel: DerivedPanel, spec: ModelSpec, center: bool = False) -> EstimationReport:

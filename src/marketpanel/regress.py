@@ -7,7 +7,7 @@ Inference uses the t distribution at all sample sizes.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -21,17 +21,81 @@ RANK_TOL_FACTOR = 1e-10
 INTERCEPT_NAME = "C"
 
 
+def _size_blocks(codes: np.ndarray, n_groups: int):
+    """For each distinct group size m: the groups of that size and their
+    (groups, m) row numbers, each group's rows in row order."""
+    sizes = np.bincount(codes, minlength=n_groups)
+    order = np.argsort(codes, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    blocks = []
+    for m in np.unique(sizes):
+        groups = np.flatnonzero(sizes == m)
+        blocks.append((groups, order[starts[groups][:, None] + np.arange(m)]))
+    return tuple(blocks)
+
+
+@dataclass(frozen=True)
+class PanelCodes:
+    """Integer firm and period codes of a panel row index, derived once.
+
+    Row ``i`` belongs to firm ``firm_ids[firm[i]]`` (sorted ids) and to
+    period ``years[period[i]]`` (years in order of first appearance).
+    ``firm_sizes`` counts the rows of each firm. The blocks group firms, and
+    periods, of equal size m with their (groups, m) row numbers, so that one
+    numpy call reduces every group of that size.
+    """
+
+    firm_ids: tuple[str, ...]
+    firm: np.ndarray
+    firm_sizes: np.ndarray
+    firm_blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    years: np.ndarray
+    period: np.ndarray
+    period_blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def from_labels(cls, firms: list[str], years: list[int]) -> "PanelCodes":
+        """Codes for rows labelled ``(firms[i], years[i])``."""
+        firm_ids, firm = np.unique(np.array(firms, dtype=str), return_inverse=True)
+        years, first, period = np.unique(np.array(years, dtype=np.int64),
+                                         return_index=True, return_inverse=True)
+        appearance = np.argsort(first)
+        rank = np.empty_like(appearance)
+        rank[appearance] = np.arange(len(appearance))
+        period = rank[period]
+        return cls(firm_ids=tuple(firm_ids.tolist()), firm=firm,
+                   firm_sizes=np.bincount(firm, minlength=len(firm_ids)),
+                   firm_blocks=_size_blocks(firm, len(firm_ids)),
+                   years=years[appearance], period=period,
+                   period_blocks=_size_blocks(period, len(years)))
+
+    def firm_means(self, values: np.ndarray) -> np.ndarray:
+        """Per-firm means of a vector (G,) or of each matrix column (G, k).
+
+        A block's ``mean(axis=1)`` adds each firm's values in the order
+        ``values[rows].mean(axis=0)`` does, so the means equal a loop over
+        firms bit for bit.
+        """
+        out = np.empty((len(self.firm_ids),) + values.shape[1:])
+        for firms, rows in self.firm_blocks:
+            out[firms] = values[rows].mean(axis=1)
+        return out
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """An n x k regressor stack with named columns and an optional panel index.
 
     ``row_index`` holds (firm_id, year) per row and is required by the panel
-    transformations and the period-clustered covariance.
+    transformations and the period-clustered covariance. ``codes`` is derived
+    from it on construction; a transformed copy of the same rows passes its
+    source's ``codes`` along instead of deriving them again.
     """
 
     values: np.ndarray
     column_names: tuple[str, ...]
     row_index: tuple[tuple[str, int], ...] | None = None
+    codes: PanelCodes | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(np.asarray(self.values, dtype=float))
@@ -48,11 +112,18 @@ class DesignMatrix:
             bad = [names[j] for j in range(values.shape[1])
                    if not np.all(np.isfinite(values[:, j]))]
             raise ValueError(f"non-finite values in columns: {bad}")
-        if self.row_index is not None:
-            index = tuple((str(f), int(y)) for f, y in self.row_index)
-            if len(index) != values.shape[0]:
+        if self.row_index is None:
+            if self.codes is not None:
+                raise ValueError("codes require a row_index")
+        elif self.codes is None:
+            firms = [str(f) for f, _ in self.row_index]
+            years = [int(y) for _, y in self.row_index]
+            if len(firms) != values.shape[0]:
                 raise ValueError("row_index length does not match matrix height")
-            object.__setattr__(self, "row_index", index)
+            object.__setattr__(self, "row_index", tuple(zip(firms, years)))
+            object.__setattr__(self, "codes", PanelCodes.from_labels(firms, years))
+        elif len(self.codes.firm) != values.shape[0]:
+            raise ValueError("codes length does not match matrix height")
 
     @property
     def n(self) -> int:
@@ -198,13 +269,6 @@ def ols_fit(X: DesignMatrix, y, intercept: bool = True) -> FitResult:
                      effects="none", cov_kind="classical", residuals=residuals)
 
 
-def _group_slices(row_index):
-    groups: dict[str, list[int]] = {}
-    for i, (firm_id, _) in enumerate(row_index):
-        groups.setdefault(firm_id, []).append(i)
-    return groups
-
-
 def within_transform(X: DesignMatrix, y, warn: bool = True) -> tuple[DesignMatrix, np.ndarray]:
     """Demean every column and y by its firm-group mean.
 
@@ -215,19 +279,15 @@ def within_transform(X: DesignMatrix, y, warn: bool = True) -> tuple[DesignMatri
     if X.row_index is None:
         raise ValueError("within transform requires a row_index")
     y = np.asarray(y, dtype=float)
-    groups = _group_slices(X.row_index)
-    singletons = [g for g, idx in groups.items() if len(idx) == 1]
+    codes = X.codes
+    singletons = [codes.firm_ids[g] for g in np.flatnonzero(codes.firm_sizes == 1)]
     if singletons and warn:
         warnings.warn(f"groups with one row contribute no within variation: {singletons}",
                       SingletonGroupWarning, stacklevel=2)
 
-    values = X.values.copy()
-    y_out = y.copy()
-    for idx in groups.values():
-        idx = np.asarray(idx)
-        values[idx] -= values[idx].mean(axis=0)
-        y_out[idx] -= y_out[idx].mean()
-    return DesignMatrix(values, X.column_names, X.row_index), y_out
+    values = X.values - codes.firm_means(X.values)[codes.firm]
+    y_out = y - codes.firm_means(y)[codes.firm]
+    return DesignMatrix(values, X.column_names, X.row_index, codes), y_out
 
 
 def robust_cov_white_cross_section(X: DesignMatrix, residuals) -> np.ndarray:
@@ -241,19 +301,19 @@ def robust_cov_white_cross_section(X: DesignMatrix, residuals) -> np.ndarray:
         raise ValueError("white cross-section covariance requires a row_index")
     residuals = np.asarray(residuals, dtype=float)
     n, k = X.values.shape
-    periods: dict[int, list[int]] = {}
-    for i, (_, year) in enumerate(X.row_index):
-        periods.setdefault(year, []).append(i)
-    if len(periods) < 2:
-        raise TooFewClusters(f"need at least 2 periods, got {len(periods)}")
+    codes = X.codes
+    if len(codes.years) < 2:
+        raise TooFewClusters(f"need at least 2 periods, got {len(codes.years)}")
 
     xtx = X.values.T @ X.values
     bread = np.linalg.pinv(xtx)
-    meat = np.zeros((k, k))
-    for idx in periods.values():
-        idx = np.asarray(idx)
-        score = X.values[idx].T @ residuals[idx]
-        meat += np.outer(score, score)
+    # period scores X_t' e_t, one matrix-vector product per period as a stack
+    scores = np.empty((len(codes.years), k))
+    for periods, rows in codes.period_blocks:
+        scores[periods] = np.matmul(X.values[rows].transpose(0, 2, 1),
+                                    residuals[rows][..., None])[..., 0]
+    # sum_t s_t s_t', added period by period in order of first appearance
+    meat = np.add.reduce(scores[:, :, None] * scores[:, None, :], axis=0)
     cov = bread @ meat @ bread
     if n > k:
         cov *= n / (n - k)
@@ -262,25 +322,19 @@ def robust_cov_white_cross_section(X: DesignMatrix, residuals) -> np.ndarray:
 
 def _trend_collinearity_check(Xw: DesignMatrix):
     """Warn when a demeaned column is nearly a common linear trend."""
-    years = np.array([y for _, y in Xw.row_index], dtype=float)
-    trend = years.copy()
-    for idx in _group_slices(Xw.row_index).values():
-        idx = np.asarray(idx)
-        trend[idx] -= trend[idx].mean()
+    codes = Xw.codes
+    years = codes.years[codes.period].astype(float)
+    trend = years - codes.firm_means(years)[codes.firm]
     t_norm = np.linalg.norm(trend)
     if t_norm == 0:
         return
-    for j, name in enumerate(Xw.column_names):
-        col = Xw.values[:, j]
-        c_norm = np.linalg.norm(col)
-        if c_norm == 0:
-            continue
-        corr = abs(float(col @ trend)) / (c_norm * t_norm)
-        if corr > 0.999:
-            warnings.warn(
-                f"column {name!r} is within-collinear with a common linear trend "
-                f"(|corr|={corr:.6f}); estimable only because no time effects are included",
-                CollinearityProximityWarning, stacklevel=3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = np.abs(trend @ Xw.values) / (np.linalg.norm(Xw.values, axis=0) * t_norm)
+    for j in np.flatnonzero(corr > 0.999):
+        warnings.warn(
+            f"column {Xw.column_names[j]!r} is within-collinear with a common linear trend "
+            f"(|corr|={corr[j]:.6f}); estimable only because no time effects are included",
+            CollinearityProximityWarning, stacklevel=3)
 
 
 def fe_fit(X: DesignMatrix, y, cov_kind: str = "classical") -> FitResult:
@@ -298,8 +352,8 @@ def fe_fit(X: DesignMatrix, y, cov_kind: str = "classical") -> FitResult:
     _trend_collinearity_check(Xw)
 
     n, k = Xw.values.shape
-    groups = _group_slices(Xw.row_index)
-    g = len(groups)
+    codes = Xw.codes
+    g = len(codes.firm_ids)
     df_resid = n - k - g
     if df_resid <= 0:
         raise TooFewObservations(f"n={n}, k={k}, groups={g}: no residual degrees of freedom")
@@ -333,10 +387,8 @@ def fe_fit(X: DesignMatrix, y, cov_kind: str = "classical") -> FitResult:
     r2 = _r_squared(yw, residuals, centered=True)
     f_stat, f_p = _f_statistic(r2, k, df_resid)
 
-    effects_by_firm = {}
-    for firm_id, idx in groups.items():
-        idx = np.asarray(idx)
-        effects_by_firm[firm_id] = float(y[idx].mean() - X.values[idx].mean(axis=0) @ beta)
+    effects = codes.firm_means(y) - codes.firm_means(X.values) @ beta
+    effects_by_firm = dict(zip(codes.firm_ids, effects.tolist()))
 
     return FitResult(coefficients=coefficients, covariance=covariance, std_errors=std,
                      t_stats=t, p_values=p, column_names=names,
@@ -357,8 +409,8 @@ def re_fit(X: DesignMatrix, y) -> FitResult:
         raise ValueError("random effects requires a row_index")
     y = np.asarray(y, dtype=float)
     n, k = X.values.shape
-    groups = _group_slices(X.row_index)
-    g = len(groups)
+    codes = X.codes
+    g = len(codes.firm_ids)
 
     # within step
     Xw, yw = within_transform(X, y, warn=False)
@@ -369,11 +421,11 @@ def re_fit(X: DesignMatrix, y) -> FitResult:
         raise TooFewObservations(f"n={n}, k={k}, groups={g}: within step has no df")
     sigma2_e = float(resid_w @ resid_w) / df_within
 
-    # between step on group means
-    group_ids = sorted(groups)
-    xbar = np.vstack([X.values[groups[f]].mean(axis=0) for f in group_ids])
-    ybar = np.array([y[groups[f]].mean() for f in group_ids])
-    t_sizes = np.array([len(groups[f]) for f in group_ids], dtype=float)
+    # between step on group means, intercept included
+    names = (INTERCEPT_NAME,) + X.column_names
+    xbar = np.column_stack([np.ones(g), codes.firm_means(X.values)])
+    ybar = codes.firm_means(y)
+    t_sizes = codes.firm_sizes.astype(float)
     t_bar = n / g
 
     df_between = g - k - 1
@@ -382,9 +434,8 @@ def re_fit(X: DesignMatrix, y) -> FitResult:
                       NegativeVarianceComponentWarning, stacklevel=2)
         sigma2_u = 0.0
     else:
-        xb = np.column_stack([np.ones(g), xbar])
-        beta_b, _ = _pivoted_qr_solve(xb, ybar, (INTERCEPT_NAME,) + X.column_names)
-        resid_b = ybar - xb @ beta_b
+        beta_b, _ = _pivoted_qr_solve(xbar, ybar, names)
+        resid_b = ybar - xbar @ beta_b
         sigma2_b = float(resid_b @ resid_b) / df_between
         sigma2_u = sigma2_b - sigma2_e / t_bar
         if sigma2_u < 0:
@@ -396,13 +447,8 @@ def re_fit(X: DesignMatrix, y) -> FitResult:
 
     # quasi-demeaning, intercept included
     values = np.column_stack([np.ones(n), X.values])
-    names = (INTERCEPT_NAME,) + X.column_names
-    y_star = y.copy()
-    v_star = values.copy()
-    for theta_i, firm_id in zip(theta_by_group, group_ids):
-        idx = np.asarray(groups[firm_id])
-        y_star[idx] -= theta_i * y[idx].mean()
-        v_star[idx] -= theta_i * values[idx].mean(axis=0)
+    y_star = y - (theta_by_group * ybar)[codes.firm]
+    v_star = values - (theta_by_group[:, None] * xbar)[codes.firm]
 
     kk = k + 1
     if n <= kk:
@@ -426,13 +472,3 @@ def re_fit(X: DesignMatrix, y) -> FitResult:
                      effects="random", cov_kind="classical", residuals=residuals,
                      theta=float(theta_by_group.mean()))
 
-
-def normal_equations_oracle(X: DesignMatrix, y, intercept: bool = True) -> np.ndarray:
-    """Test oracle: solve (X'X) beta = X'y directly. Not for production use."""
-    y = np.asarray(y, dtype=float)
-    values = X.values
-    if intercept:
-        values = np.column_stack([np.ones(X.n), values])
-    xtx = values.T @ values
-    xty = values.T @ y
-    return np.linalg.solve(xtx, xty)

@@ -77,3 +77,12 @@ def panel_design(n_firms=6, n_years=5, k=3, seed=0, beta=None, effect_sd=1.0,
                   for t in range(n_years))
     names = tuple(f"x{j + 1}" for j in range(k))
     return DesignMatrix(x, names, row_index=index), y, beta
+
+
+def normal_equations_oracle(X, y, intercept: bool = True) -> np.ndarray:
+    """Test oracle: solve (X'X) beta = X'y directly."""
+    y = np.asarray(y, dtype=float)
+    values = X.values
+    if intercept:
+        values = np.column_stack([np.ones(X.n), values])
+    return np.linalg.solve(values.T @ values, values.T @ y)

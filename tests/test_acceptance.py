@@ -18,10 +18,9 @@ from marketpanel.beta import ReturnSeries, beta_for_year
 from marketpanel.cli import main
 from marketpanel.diagnostics import adf_test, hausman_test
 from marketpanel.errors import InsufficientWindow
-from marketpanel.regress import (DesignMatrix, fe_fit, normal_equations_oracle,
-                                 ols_fit, re_fit)
+from marketpanel.regress import DesignMatrix, fe_fit, ols_fit, re_fit
 
-from conftest import panel_design
+from conftest import normal_equations_oracle, panel_design
 
 warnings.filterwarnings("ignore")
 

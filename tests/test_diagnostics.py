@@ -87,6 +87,17 @@ class TestPanelStationarity:
         assert rows[0].order in ("I(1)", "I(2+)")
         assert rows[0].difference is not None
 
+    def test_exact_per_firm_trends_are_skipped(self):
+        """An exact trend (firm age) fits its lag-0 ADF regression exactly: no p-value."""
+        trends = [np.arange(10.0) + 3.0 * i + 0.1 for i in range(20)]
+        rows = panel_stationarity({"Age": trends})
+        assert rows[0].fisher is None
+
+        rng = np.random.default_rng(6)
+        noise = [rng.normal(0, 1, 10) for _ in range(12)]
+        rows = panel_stationarity({"V": noise + trends[:5]})
+        assert rows[0].fisher.detail.startswith("V: Fisher chi2(24) over 12 firms (5 skipped)")
+
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         panels = {"V": [rng.normal(0, 1, 10) for _ in range(10)]}

@@ -8,11 +8,10 @@ import pytest
 from marketpanel.errors import (NegativeVarianceComponentWarning, RankDeficient,
                                 SingletonGroupWarning, TooFewClusters,
                                 TooFewObservations)
-from marketpanel.regress import (DesignMatrix, fe_fit, normal_equations_oracle,
-                                 ols_fit, re_fit, robust_cov_white_cross_section,
-                                 within_transform)
+from marketpanel.regress import (DesignMatrix, fe_fit, ols_fit, re_fit,
+                                 robust_cov_white_cross_section, within_transform)
 
-from conftest import panel_design
+from conftest import normal_equations_oracle, panel_design
 
 
 def random_system(n, k, seed):
@@ -142,6 +141,20 @@ class TestWithinTransform:
         X = DesignMatrix(values, ("x",), index)
         with pytest.warns(SingletonGroupWarning):
             within_transform(X, np.zeros(5))
+
+    def test_codes_follow_the_row_index(self):
+        index = (("B", 2001), ("A", 2001), ("B", 2000), ("A", 2003))
+        X = DesignMatrix(np.arange(4.0).reshape(-1, 1), ("x",), index)
+        assert X.codes.firm_ids == ("A", "B")
+        assert X.codes.firm.tolist() == [1, 0, 1, 0]
+        assert X.codes.years.tolist() == [2001, 2000, 2003]
+        assert X.codes.period.tolist() == [0, 0, 1, 2]
+        Xw, _ = within_transform(X, np.zeros(4))
+        assert Xw.codes is X.codes
+        with pytest.raises(ValueError):
+            DesignMatrix(np.zeros((3, 1)), ("x",), index[:3], X.codes)
+        with pytest.raises(ValueError):
+            DesignMatrix(np.zeros((4, 1)), ("x",), None, X.codes)
 
 
 class TestFeFit:
