@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 analytical failure, 2 usage/config/input error.
 """
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -17,7 +18,6 @@ import logging
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -27,7 +27,7 @@ from .errors import (CollinearityProximityWarning, DuplicateKey, DuplicateMonth,
                      EmptyInput, InfeasibleTargets, InvariantViolation, IoFailure,
                      MarketPanelError, MissingRiskFree, NonPositivePrice,
                      RateOutOfRange, SchemaMismatch, UnknownMarket)
-from .panel_core import build_dataset
+from .panel_core import PanelDataset, build_dataset
 
 log = logging.getLogger("marketpanel")
 
@@ -45,7 +45,7 @@ _VARIANT_ALIASES = {"sales": "sales_ratio", "assets": "assets_ratio", "log": "lo
                     "log_level": "log_level"}
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     """Effective configuration of one pipeline run."""
 
@@ -73,13 +73,8 @@ class RunConfig:
     def effective(self) -> dict:
         # analytical configuration only; the output location is a deployment
         # detail and would break byte-reproducibility across destinations
-        return {
-            "data": self.data, "synth": self.synth, "seed": self.seed,
-            "marin_variant": self.marin_variant,
-            "center": self.center, "constrain_book_unit": self.constrain_book_unit,
-            "beta_window": self.beta_window, "beta_min": self.beta_min,
-            "n_firms": self.n_firms, "n_years": self.n_years,
-        }
+        return {key: value for key, value in dataclasses.asdict(self).items()
+                if key not in ("out", "run_id")}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -167,18 +162,29 @@ def _load_inputs(cfg: RunConfig):
             _read(os.path.join(base, "riskfree.csv")))
 
 
-def _pipeline(cfg: RunConfig) -> tuple[report.ReportBundle, dict]:
-    fundamentals_csv, prices_csv, riskfree_csv = _load_inputs(cfg)
+@dataclasses.dataclass
+class _BaseRun:
+    """The pipeline up to the four base estimates: all that ``verify`` recomputes."""
 
+    dataset: PanelDataset
+    ingest_report: ingest.IngestReport
+    beta_exclusions: list
+    panel: variables.DerivedPanel
+    estimates: list[models.EstimationReport]
+
+
+def _dataset(fundamentals_csv: str, prices_csv: str, riskfree_csv: str):
     observations, ingest_report = ingest.parse_fundamentals(fundamentals_csv)
     for line_no, reason in ingest_report.rejections:
         log.warning("fundamentals line %d rejected: %s", line_no, reason)
     price_series = ingest.parse_prices(prices_csv)
-    rf_series = ingest.parse_riskfree(riskfree_csv)
-    dataset = build_dataset(observations, rf_series)
+    dataset = build_dataset(observations, ingest.parse_riskfree(riskfree_csv))
     log.info("dataset: %d observations, %d firms, years %d-%d",
              len(dataset), len(dataset.firms), dataset.years[0], dataset.years[-1])
+    return dataset, price_series, ingest_report
 
+
+def _betas(cfg: RunConfig, dataset: PanelDataset, price_series):
     returns = {s.series_id: beta.monthly_returns(s) for s in price_series
                if len(s.points) >= 2}
     firm_market = {obs.firm_id: obs.market_id for obs in dataset.observations.values()}
@@ -189,62 +195,77 @@ def _pipeline(cfg: RunConfig) -> tuple[report.ReportBundle, dict]:
         window_months=cfg.beta_window, min_months=cfg.beta_min)
     for firm_id, year, reason in beta_exclusions:
         log.warning("beta excluded for (%s, %d): %s", firm_id, year, reason)
+    return betas, beta_exclusions
 
+
+def _derived_panel(dataset: PanelDataset, betas) -> variables.DerivedPanel:
     panel = variables.derive_all(dataset, betas)
     for firm_id, year, reason in panel.exclusions:
         log.warning("row excluded (%s, %d): %s", firm_id, year, reason)
     log.info("derived panel: %d rows (%d excluded)", len(panel), len(panel.exclusions))
+    return panel
 
-    _, desc_columns = variables.panel_columns(panel, variables.DESCRIPTIVES_ORDER)
-    descriptives_table = diagnostics.descriptives(desc_columns)
-    _, corr_columns = variables.panel_columns(panel, variables.CORRELATION_ORDER)
-    correlation_table = diagnostics.correlation_matrix(corr_columns,
-                                                       variables.CORRELATION_ORDER)
-    stationarity_panels = {name: list(variables.firm_series(panel, name).values())
-                           for name in variables.STATIONARITY_ORDER}
-    stationarity_table = diagnostics.panel_stationarity(stationarity_panels)
 
-    estimation_tables = []
+def _base_estimates(cfg: RunConfig, panel) -> list[models.EstimationReport]:
+    estimates = []
     for model_id in models.MODEL_IDS:
         spec = models.spec_for(model_id, marin_variant=cfg.marin_variant,
                                constrain_book_unit=cfg.constrain_book_unit)
         est = models.estimate(panel, spec, center=cfg.center)
         log.info("%s: nobs=%d, R2(%s)=%.4f, hausman=%s", model_id, est.nobs,
                  est.r_squared_label, est.fit.r_squared, est.hausman_decision)
-        estimation_tables.append(est)
-    robustness_tables = models.robustness_suite(
-        panel, center=cfg.center, constrain_book_unit=cfg.constrain_book_unit)
+        estimates.append(est)
+    return estimates
 
+
+def _run_to_base_estimates(cfg: RunConfig) -> _BaseRun:
+    dataset, price_series, ingest_report = _dataset(*_load_inputs(cfg))
+    betas, beta_exclusions = _betas(cfg, dataset, price_series)
+    panel = _derived_panel(dataset, betas)
+    return _BaseRun(dataset, ingest_report, beta_exclusions, panel,
+                    _base_estimates(cfg, panel))
+
+
+def _diagnostics_and_robustness(cfg: RunConfig, panel) -> dict:
+    """The tables of a run besides the base estimates, as ``ReportBundle`` fields."""
+    _, desc_columns = variables.panel_columns(panel, variables.DESCRIPTIVES_ORDER)
+    _, corr_columns = variables.panel_columns(panel, variables.CORRELATION_ORDER)
+    stationarity_panels = {name: list(variables.firm_series(panel, name).values())
+                           for name in variables.STATIONARITY_ORDER}
+    return {
+        "descriptives_table": diagnostics.descriptives(desc_columns),
+        "correlation_table": diagnostics.correlation_matrix(
+            corr_columns, variables.CORRELATION_ORDER),
+        "stationarity_table": diagnostics.panel_stationarity(stationarity_panels),
+        "robustness_tables": models.robustness_suite(
+            panel, center=cfg.center, constrain_book_unit=cfg.constrain_book_unit),
+    }
+
+
+def _bundle(cfg: RunConfig, base: _BaseRun) -> report.ReportBundle:
+    tables = _diagnostics_and_robustness(cfg, base.panel)
     effective = cfg.effective()
     config_hash = _config_hash(effective)
-    run_id = cfg.run_id or f"run-{config_hash[:12]}"
-    baseline_nobs = {r.model_id: r.nobs for r in estimation_tables}
     metadata = {
-        "run_id": run_id,
+        "run_id": cfg.run_id or f"run-{config_hash[:12]}",
         "config_hash": config_hash,
         "timestamp": _timestamp(),
         "versions": {"marketpanel": __version__,
                      "python": ".".join(map(str, sys.version_info[:3])),
                      "numpy": np.__version__, "scipy": scipy.__version__},
         "effective_config": effective,
-        "n_observations": len(dataset),
-        "n_derived_rows": len(panel),
-        "ingest_rejections": list(ingest_report.rejections),
-        "derive_exclusions": len(panel.exclusions),
-        "beta_exclusions": len(beta_exclusions),
-        "baseline_nobs": baseline_nobs,
+        "n_observations": len(base.dataset),
+        "n_derived_rows": len(base.panel),
+        "ingest_rejections": list(base.ingest_report.rejections),
+        "derive_exclusions": len(base.panel.exclusions),
+        "beta_exclusions": len(base.beta_exclusions),
+        "baseline_nobs": {r.model_id: r.nobs for r in base.estimates},
         "robustness_nobs": {report.robustness_table_name(r): r.nobs
-                            for r in robustness_tables},
-        "notes": panel.notes,
+                            for r in tables["robustness_tables"]},
+        "notes": base.panel.notes,
     }
-    bundle = report.ReportBundle(
-        descriptives_table=descriptives_table,
-        correlation_table=correlation_table,
-        stationarity_table=stationarity_table,
-        estimation_tables=estimation_tables,
-        robustness_tables=robustness_tables,
-        metadata=metadata)
-    return bundle, metadata
+    return report.ReportBundle(estimation_tables=base.estimates, metadata=metadata,
+                               **tables)
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -274,20 +295,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest_check(args) -> int:
-    fundamentals = _read(os.path.join(args.data, "fundamentals.csv"))
-    prices = _read(os.path.join(args.data, "prices.csv"))
-    riskfree = _read(os.path.join(args.data, "riskfree.csv"))
-    observations, rep = ingest.parse_fundamentals(fundamentals)
-    price_series = ingest.parse_prices(prices)
-    rf = ingest.parse_riskfree(riskfree)
-    build_dataset(observations, rf)
+    dataset, price_series, rep = _dataset(*_load_inputs(RunConfig(data=args.data)))
     summary = {
         "command": "ingest-check",
         "rows_accepted": rep.rows_accepted,
         "rows_rejected": rep.rows_rejected,
         "rejections": [list(r) for r in rep.rejections],
         "price_series": len(price_series),
-        "riskfree_series": len(rf),
+        "riskfree_series": len(dataset.risk_free),
     }
     print(json.dumps(summary, sort_keys=True))
     return 0 if rep.rows_rejected == 0 else 1
@@ -295,7 +310,8 @@ def cmd_ingest_check(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _resolve_run_config(args)
-    bundle, metadata = _pipeline(cfg)
+    bundle = _bundle(cfg, _run_to_base_estimates(cfg))
+    metadata = bundle.metadata
     out_dir = os.path.join(cfg.out, metadata["run_id"])
     written = []
     for fmt in ("json", "csv", "markdown"):
@@ -314,42 +330,28 @@ def cmd_verify(args) -> int:
     """Two-stage verification of an emitted run against its truth record.
 
     Stage 1 recomputes the four base tables from the data and compares every
-    coefficient cell against the emitted reports (tamper detection). Stage 2
-    re-derives the panel with the planted true betas and runs the truth check
-    on both moderated models, the shapes the generator actually planted; the
-    direct models are misspecified subsets by design and are only covered by
-    stage 1.
+    coefficient cell against the emitted reports (tamper detection); it runs
+    the pipeline only up to those estimates, so the descriptives, correlations,
+    stationarity and robustness tables are neither recomputed nor checked.
+    Stage 2 re-derives the panel of the same dataset with the planted true
+    betas and runs the truth check on both moderated models, the shapes the
+    generator actually planted; the direct models are misspecified subsets by
+    design and are only covered by stage 1.
     """
-    truth_path = os.path.join(args.data, "truth.json")
-    if not os.path.exists(truth_path):
-        raise IoFailure(f"truth record not found: {truth_path}")
-    truth = synth.TruthRecord.from_json(_read(truth_path))
-
-    emitted = {}
-    for model_id in models.MODEL_IDS:
-        table_path = os.path.join(args.run, f"{model_id}.json")
-        if not os.path.exists(table_path):
-            raise IoFailure(f"report table not found: {table_path}")
-        emitted[model_id] = json.loads(_read(table_path))
-
-    manifest_path = os.path.join(args.run, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise IoFailure(f"manifest not found: {manifest_path}")
-    effective = json.loads(_read(manifest_path)).get("effective_config", {})
-
-    cfg = RunConfig(data=args.data, synth=False,
-                    seed=int(effective.get("seed", 0)),
-                    marin_variant=effective.get("marin_variant", "sales_ratio"),
-                    center=bool(effective.get("center", False)),
-                    constrain_book_unit=bool(effective.get("constrain_book_unit", False)),
-                    beta_window=int(effective.get("beta_window",
-                                                  beta.DEFAULT_WINDOW_MONTHS)),
-                    beta_min=int(effective.get("beta_min", beta.DEFAULT_MIN_MONTHS)))
+    # a missing file fails in _read, naming the path (exit 2)
+    truth = synth.TruthRecord.from_json(_read(os.path.join(args.data, "truth.json")))
+    emitted = {model_id: json.loads(_read(os.path.join(args.run, f"{model_id}.json")))
+               for model_id in models.MODEL_IDS}
+    effective = json.loads(_read(os.path.join(args.run, "manifest.json"))
+                           ).get("effective_config", {})
+    recorded = {key: _CONFIG_KEYS[key](value) for key, value in effective.items()
+                if key in _CONFIG_KEYS and key not in ("data", "synth")}
+    cfg = RunConfig(data=args.data, **recorded)
     cfg.validate()
 
     failures = []
-    bundle, _ = _pipeline(cfg)
-    recomputed = {r.model_id: r for r in bundle.estimation_tables}
+    base = _run_to_base_estimates(cfg)
+    recomputed = {r.model_id: r for r in base.estimates}
     for model_id, table in emitted.items():
         expected = {v: (c, recomputed[model_id].fit.std_error(v), p)
                     for v, c, p in recomputed[model_id].table}
@@ -365,11 +367,7 @@ def cmd_verify(args) -> int:
                     failures.append(f"{model_id}/{name}/{cell}: reported "
                                     f"{got:.6g}, recomputed {want:.6g}")
 
-    observations, _ = ingest.parse_fundamentals(
-        _read(os.path.join(args.data, "fundamentals.csv")))
-    rf = ingest.parse_riskfree(_read(os.path.join(args.data, "riskfree.csv")))
-    dataset = build_dataset(observations, rf)
-    panel = variables.derive_all(dataset, truth.betas_true)
+    panel = variables.derive_all(base.dataset, truth.betas_true)
     checks = {}
     for model_id in ("value_moderated", "risk_moderated"):
         # raw parameterization: the planted coefficients are uncentered

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import ConstantSeries, SpecMismatch, TooFewGroups, TooShort
 
@@ -275,7 +275,7 @@ def _fisher_combination(name: str, series_list) -> TestResult | None:
         return None
     statistic = -2.0 * float(np.sum(np.log(pvalues)))
     df = 2 * len(pvalues)
-    p = float(stats.chi2.sf(statistic, df))
+    p = float(special.chdtrc(df, statistic))
     decision = "reject" if p < 0.05 else "fail_to_reject"
     detail = (f"{name}: Fisher chi2({df}) over {len(pvalues)} firms "
               f"({skipped} skipped), approximate small-sample p-values")
@@ -312,7 +312,7 @@ def hausman_test(fe, re) -> TestResult:
     statistic = float(d @ pinv @ d)
     df = int(np.linalg.matrix_rank(v_diff, tol=1e-12 * scale))
     df = max(df, 1)
-    p = float(stats.chi2.sf(max(statistic, 0.0), df))
+    p = float(special.chdtrc(df, max(statistic, 0.0)))
     decision = "reject" if p < 0.05 else "fail_to_reject"
     detail = f"df={df}, slopes={names}"
     if not psd:
@@ -358,7 +358,9 @@ def lr_heteroskedasticity(residuals, groups) -> TestResult:
             terms = np.concatenate([[n * math.log(pooled)], sizes * np.log(s2)])
             statistic = float(np.subtract.reduce(terms))
     df = g - 1
-    p = float(stats.chi2.sf(statistic, df)) if math.isfinite(statistic) else 0.0
+    # equal group variances can leave a statistic just below 0, where the
+    # ufunc has no value: clamp the argument only
+    p = float(special.chdtrc(df, max(statistic, 0.0))) if math.isfinite(statistic) else 0.0
     decision = "reject" if p < 0.05 else "fail_to_reject"
     return TestResult(name="lr_heteroskedasticity", statistic=statistic, p_value=p,
                       critical_values=None, decision=decision,
@@ -422,6 +424,6 @@ def correlation_matrix(columns: dict[str, np.ndarray],
                 pij = 0.0
             else:
                 t = rij * math.sqrt((n - 2) / (1.0 - rij * rij))
-                pij = 2.0 * float(stats.t.sf(abs(t), n - 2))
+                pij = 2.0 * float(special.stdtr(n - 2, -abs(t)))
             p[i, j] = p[j, i] = min(pij, 1.0)
     return CorrelationResult(variables=names, r=r, p=p, n=n_mat)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy import stats
+from scipy import special
 
 from .errors import (CollinearityProximityWarning, NegativeVarianceComponentWarning,
                      RankDeficient, SingletonGroupWarning, TooFewClusters,
@@ -201,7 +201,7 @@ def _t_inference(beta, covariance, df_resid):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(std > 0, beta / std, np.inf * np.sign(beta))
     t = np.where((std == 0) & (beta == 0), 0.0, t)
-    p = 2.0 * stats.t.sf(np.abs(t), df_resid)
+    p = 2.0 * special.stdtr(df_resid, -np.abs(t))
     return std, t, np.clip(p, 0.0, 1.0)
 
 
@@ -223,7 +223,7 @@ def _f_statistic(r2, k_model, df_resid):
     if r2 >= 1.0:
         return np.inf, 0.0
     f = (r2 / k_model) / ((1.0 - r2) / df_resid)
-    return float(f), float(stats.f.sf(f, k_model, df_resid))
+    return float(f), float(special.fdtrc(k_model, df_resid, f))
 
 
 def ols_fit(X: DesignMatrix, y, intercept: bool = True) -> FitResult:

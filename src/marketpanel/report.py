@@ -86,14 +86,14 @@ def _test_dict(test: TestResult | None):
 
 # --- per-table builders -------------------------------------------------------
 
-def _descriptives_json(rows: list[VariableSummary]) -> dict:
-    return {
+def _descriptives_json(rows: list[VariableSummary]) -> str:
+    return _json_text({
         "schema_version": SCHEMA_VERSION,
         "table": "descriptives",
         "rows": [{"variable": r.name, "n": r.n, "minimum": _num(r.minimum),
                   "maximum": _num(r.maximum), "mean": _num(r.mean),
                   "std": _num(r.std), "flag": r.flag} for r in rows],
-    }
+    })
 
 
 def _descriptives_csv(rows: list[VariableSummary]) -> str:
@@ -114,15 +114,15 @@ def _descriptives_md(rows: list[VariableSummary]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _correlations_json(c: CorrelationResult) -> dict:
-    return {
+def _correlations_json(c: CorrelationResult) -> str:
+    return _json_text({
         "schema_version": SCHEMA_VERSION,
         "table": "correlations",
         "variables": list(c.variables),
         "r": [[_num(v) for v in row] for row in c.r],
         "p": [[_num(v) for v in row] for row in c.p],
         "n": [[int(v) for v in row] for row in c.n],
-    }
+    })
 
 
 def _correlations_csv(c: CorrelationResult) -> str:
@@ -154,8 +154,8 @@ def _correlations_md(c: CorrelationResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stationarity_json(rows: list[StationarityRow]) -> dict:
-    return {
+def _stationarity_json(rows: list[StationarityRow]) -> str:
+    return _json_text({
         "schema_version": SCHEMA_VERSION,
         "table": "stationarity",
         "rows": [{"variable": r.variable,
@@ -163,7 +163,7 @@ def _stationarity_json(rows: list[StationarityRow]) -> dict:
                   "difference": _test_dict(r.difference),
                   "order": r.order,
                   "fisher": _test_dict(r.fisher)} for r in rows],
-    }
+    })
 
 
 def _stationarity_csv(rows: list[StationarityRow]) -> str:
@@ -198,14 +198,14 @@ def _stationarity_md(rows: list[StationarityRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _estimation_json(report: EstimationReport, name: str) -> dict:
+def _estimation_json(report: EstimationReport, name: str, companion=None) -> str:
     fit = report.fit
     rows = []
     for variable, coefficient, prob in report.table:
         rows.append({"variable": variable, "coefficient": _num(coefficient),
                      "std_error": _num(fit.std_error(variable)), "prob": _num(prob)})
     diagnostics = {t.name: _test_dict(t) for t in report.diagnostics}
-    return {
+    return _json_text({
         "schema_version": SCHEMA_VERSION,
         "table": name,
         "model_id": report.model_id,
@@ -222,10 +222,10 @@ def _estimation_json(report: EstimationReport, name: str) -> dict:
         "diagnostics": diagnostics,
         "notes": list(report.notes),
         "rows": rows,
-    }
+    })
 
 
-def _estimation_csv(report: EstimationReport) -> str:
+def _estimation_csv(report: EstimationReport, name: str, companion=None) -> str:
     fit = report.fit
     out = [["variable", "coefficient", "std_error", "prob"]]
     for variable, coefficient, prob in report.table:
@@ -241,10 +241,8 @@ def _labels_for(report: EstimationReport) -> tuple[dict, tuple]:
     return _RISK_LABELS, _RISK_ROW_ORDER
 
 
-def _estimation_md(report: EstimationReport, title: str,
-                   companion: EstimationReport | None = None,
-                   companion_title: str = "Direct Model",
-                   main_title: str = "Moderating Model") -> str:
+def _estimation_md(report: EstimationReport, name: str,
+                   companion: EstimationReport | None = None) -> str:
     """Markdown estimation table in Coefficient/Prob column pairs.
 
     When a companion (direct) report is supplied the table mirrors the
@@ -254,10 +252,10 @@ def _estimation_md(report: EstimationReport, title: str,
     main = {v: (c, p) for v, c, p in report.table}
     other = {v: (c, p) for v, c, p in companion.table} if companion else None
 
-    lines = [f"# {title}", ""]
+    lines = [f"# {_MD_TITLES.get(name, name)}", ""]
     if other is not None:
-        lines += [f"| Variable | {companion_title} Coefficient | {companion_title} Prob. "
-                  f"| {main_title} Coefficient | {main_title} Prob. |",
+        lines += ["| Variable | Direct Model Coefficient | Direct Model Prob. "
+                  "| Moderating Model Coefficient | Moderating Model Prob. |",
                   "| --- | --- | --- | --- | --- |"]
     else:
         lines += ["| Variable | Coefficient | Prob. |", "| --- | --- | --- |"]
@@ -310,16 +308,22 @@ def robustness_table_name(report: EstimationReport) -> str:
     return f"robustness_{family}_{variant}"
 
 
+_COMPANIONS = {"value_moderated": "value_direct", "risk_moderated": "risk_direct"}
+
+
 def _bundle_files(bundle: ReportBundle) -> dict[str, tuple]:
+    """File name -> (table kind, builder arguments)."""
     files: dict[str, tuple] = {
-        "descriptives": ("descriptives", bundle.descriptives_table),
-        "correlations": ("correlations", bundle.correlation_table),
-        "stationarity": ("stationarity", bundle.stationarity_table),
+        "descriptives": ("descriptives", (bundle.descriptives_table,)),
+        "correlations": ("correlations", (bundle.correlation_table,)),
+        "stationarity": ("stationarity", (bundle.stationarity_table,)),
     }
-    for report in bundle.estimation_tables:
-        files[report.model_id] = ("estimation", report)
-    for report in bundle.robustness_tables:
-        files[robustness_table_name(report)] = ("estimation", report)
+    by_model = {r.model_id: r for r in bundle.estimation_tables}
+    named = [(r.model_id, r) for r in bundle.estimation_tables]
+    named += [(robustness_table_name(r), r) for r in bundle.robustness_tables]
+    for name, report in named:
+        companion = by_model.get(_COMPANIONS.get(report.model_id))
+        files[name] = ("estimation", (report, name, companion))
     return files
 
 
@@ -334,6 +338,16 @@ _MD_TITLES = {
     "robustness_risk_log": "Systematic risk, second alternative (ln marketing)",
 }
 
+# format -> (position in a builder triple, file extension)
+_FORMATS = {"json": (0, "json"), "csv": (1, "csv"), "markdown": (2, "md")}
+# table kind -> (json, csv, markdown) builder
+_BUILDERS = {
+    "descriptives": (_descriptives_json, _descriptives_csv, _descriptives_md),
+    "correlations": (_correlations_json, _correlations_csv, _correlations_md),
+    "stationarity": (_stationarity_json, _stationarity_csv, _stationarity_md),
+    "estimation": (_estimation_json, _estimation_csv, _estimation_md),
+}
+
 
 def emit(bundle: ReportBundle, format: str, path: str) -> list[str]:
     """Write one file per table in ``format`` ('json', 'csv' or 'markdown').
@@ -341,40 +355,15 @@ def emit(bundle: ReportBundle, format: str, path: str) -> list[str]:
     Returns the written paths. Emission is deterministic: identical bundles
     produce byte-identical files.
     """
-    if format not in ("json", "csv", "markdown"):
+    if format not in _FORMATS:
         raise ValueError(f"unknown format {format!r}")
-    ext = {"json": "json", "csv": "csv", "markdown": "md"}[format]
-    by_model = {r.model_id: r for r in bundle.estimation_tables}
+    column, ext = _FORMATS[format]
 
     written = []
     try:
         os.makedirs(path, exist_ok=True)
-        for name, (kind, payload) in sorted(_bundle_files(bundle).items()):
-            if kind == "descriptives":
-                text = {"json": lambda: _json_text(_descriptives_json(payload)),
-                        "csv": lambda: _descriptives_csv(payload),
-                        "markdown": lambda: _descriptives_md(payload)}[format]()
-            elif kind == "correlations":
-                text = {"json": lambda: _json_text(_correlations_json(payload)),
-                        "csv": lambda: _correlations_csv(payload),
-                        "markdown": lambda: _correlations_md(payload)}[format]()
-            elif kind == "stationarity":
-                text = {"json": lambda: _json_text(_stationarity_json(payload)),
-                        "csv": lambda: _stationarity_csv(payload),
-                        "markdown": lambda: _stationarity_md(payload)}[format]()
-            else:
-                if format == "json":
-                    text = _json_text(_estimation_json(payload, name))
-                elif format == "csv":
-                    text = _estimation_csv(payload)
-                else:
-                    title = _MD_TITLES.get(name, name)
-                    companion = None
-                    if payload.model_id == "value_moderated":
-                        companion = by_model.get("value_direct")
-                    elif payload.model_id == "risk_moderated":
-                        companion = by_model.get("risk_direct")
-                    text = _estimation_md(payload, title, companion=companion)
+        for name, (kind, args) in sorted(_bundle_files(bundle).items()):
+            text = _BUILDERS[kind][column](*args)
             file_path = os.path.join(path, f"{name}.{ext}")
             with open(file_path, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)

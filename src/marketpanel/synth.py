@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy import special
 
 from .errors import InfeasibleTargets, ModelMismatch
 from .ingest import (fundamentals_to_csv, parse_fundamentals, parse_riskfree,
@@ -262,7 +262,7 @@ def _stratified_normal(rng, n, mean, sd):
     # quantiles clipped to the inner 99%: keeps firm-level draws bounded so
     # the planted linear price equation retains positive support
     q = np.clip((rng.permutation(n) + rng.random(n)) / n, 0.005, 0.995)
-    return mean + sd * norm.ppf(q)
+    return mean + sd * special.ndtri(q)
 
 
 def _reflect(values, low, high):
@@ -283,11 +283,9 @@ def _fold_mean_lift(center, half, low, high, sd) -> float:
     if sd <= 0:
         return 0.0
     mu = np.linspace(center - half, center + half, 201)
-    z_lo = (mu - low) / sd
-    z_hi = (high - mu) / sd
-    lift_lo = 2.0 * sd * (norm.pdf(z_lo) - z_lo * norm.cdf(-z_lo))
-    lift_hi = 2.0 * sd * (norm.pdf(z_hi) - z_hi * norm.cdf(-z_hi))
-    return float(np.mean(lift_lo - lift_hi))
+    z = np.stack([(mu - low) / sd, (high - mu) / sd])
+    lift = 2.0 * sd * (np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) - z * special.ndtr(-z))
+    return float(np.mean(lift[0] - lift[1]))
 
 
 def _ar1_deviations(rng, rho, sd, n):

@@ -7,7 +7,9 @@ derived panel feeding all regressions.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -103,7 +105,10 @@ def lagged_book_value(ds: PanelDataset, firm_id: str, year: int) -> float:
 
 @dataclass
 class DerivedPanel:
-    """Derived rows keyed by (firm, year), plus per-row exclusions and notes."""
+    """Derived rows keyed by (firm, year), plus per-row exclusions and notes.
+
+    The first column read fixes ``rows`` into read-only float columns.
+    """
 
     rows: dict[tuple[str, int], DerivedRow]
     exclusions: list[tuple[str, int, str]] = field(default_factory=list)
@@ -111,6 +116,17 @@ class DerivedPanel:
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def _columns(self) -> tuple[list[tuple[str, int]], dict[str, np.ndarray]]:
+        keys = sorted(self.rows)
+        get = operator.attrgetter(*COLUMN_ATTRS.values())
+        # None (the log variant on zero-expense rows) becomes NaN
+        table = np.array([get(self.rows[k]) for k in keys], dtype=float)
+        # one contiguous read-only row per column
+        table = table.reshape(len(keys), len(COLUMN_ATTRS)).T.copy()
+        table.flags.writeable = False
+        return keys, dict(zip(COLUMN_ATTRS, table))
 
 
 def derive_all(ds: PanelDataset, betas: dict[tuple[str, int], float]) -> DerivedPanel:
@@ -162,29 +178,22 @@ def derive_all(ds: PanelDataset, betas: dict[tuple[str, int], float]) -> Derived
 
 
 def panel_columns(panel: DerivedPanel, names) -> tuple[list[tuple[str, int]], dict[str, np.ndarray]]:
-    """Extract named columns as float arrays aligned to sorted (firm, year) keys.
+    """Named columns as read-only float arrays aligned to sorted (firm, year) keys.
 
     ``None`` values (the log variant on zero-expense rows) become NaN.
     """
-    keys = sorted(panel.rows)
-    columns: dict[str, np.ndarray] = {}
+    keys, columns = panel._columns
     for name in names:
-        attr = COLUMN_ATTRS.get(name)
-        if attr is None:
+        if name not in columns:
             raise KeyError(f"unknown panel column {name!r}")
-        values = [getattr(panel.rows[k], attr) for k in keys]
-        columns[name] = np.array([math.nan if v is None else float(v) for v in values])
-    return keys, columns
+    return list(keys), {name: columns[name] for name in names}
 
 
 def firm_series(panel: DerivedPanel, name: str) -> dict[str, np.ndarray]:
-    """Per-firm year-ordered vectors of one derived variable."""
-    attr = COLUMN_ATTRS[name]
-    by_firm: dict[str, list[tuple[int, float]]] = {}
-    for (firm_id, year), row in panel.rows.items():
-        value = getattr(row, attr)
-        if value is None:
-            continue
-        by_firm.setdefault(firm_id, []).append((year, float(value)))
-    return {f: np.array([v for _, v in sorted(points)])
-            for f, points in sorted(by_firm.items())}
+    """Per-firm year-ordered vectors of one derived variable, NaNs left out."""
+    keys, columns = panel._columns
+    by_firm: dict[str, list[float]] = {}
+    for (firm_id, _), value in zip(keys, columns[name].tolist()):
+        if not math.isnan(value):
+            by_firm.setdefault(firm_id, []).append(value)
+    return {f: np.array(values) for f, values in by_firm.items()}

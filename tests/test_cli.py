@@ -189,6 +189,32 @@ class TestVerifyCommand:
                    for f in summary["failures"])
 
 
+    def test_recomputes_only_the_base_estimates(self, data_dir, run_dir, capsys,
+                                                 monkeypatch):
+        from marketpanel import diagnostics, ingest, models, variables
+
+        def unchecked(*args, **kwargs):
+            raise AssertionError("verify recomputed a table it does not check")
+
+        for module, name in ((diagnostics, "panel_stationarity"),
+                             (diagnostics, "descriptives"),
+                             (diagnostics, "correlation_matrix"),
+                             (variables, "firm_series"), (models, "robustness_suite")):
+            monkeypatch.setattr(module, name, unchecked)
+        calls = {"parse_fundamentals": 0, "parse_riskfree": 0, "estimate": 0}
+        for module, name in ((ingest, "parse_fundamentals"), (ingest, "parse_riskfree"),
+                             (models, "estimate")):
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        code, out = run_cli("verify", "--data", str(data_dir), "--run",
+                            str(run_dir), capsys=capsys)
+        assert code == 0 and json.loads(out)["passed"] is True
+        # one parse of each input; four base estimates and two truth checks
+        assert calls == {"parse_fundamentals": 1, "parse_riskfree": 1, "estimate": 6}
+
+
 class TestReportDiff:
     def test_identical_trees_pass(self, data_dir, run_dir, tmp_path, capsys):
         out2 = tmp_path / "dup"

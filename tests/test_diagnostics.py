@@ -169,6 +169,16 @@ class TestLrHeteroskedasticity:
         assert result.statistic == pytest.approx(0.0, abs=1e-12)
         assert result.decision == "fail_to_reject"
 
+    def test_equal_group_variances_give_p_one(self):
+        # each firm holds the same residuals in the same order, so the group
+        # variances equal the pooled one and the statistic rounds below 0
+        residuals = np.tile([0.3, -0.1, 0.7, 0.2], 5)
+        groups = list(np.repeat([f"F{i}" for i in range(5)], 4))
+        result = lr_heteroskedasticity(residuals, groups)
+        assert -1e-12 < result.statistic < 0.0
+        assert result.p_value == 1.0
+        assert result.decision == "fail_to_reject"
+
     def test_variance_outlier_group(self):
         rng = np.random.default_rng(0)
         residuals = np.concatenate([rng.normal(0, 1, 30),

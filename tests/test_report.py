@@ -68,6 +68,17 @@ class TestEmit:
                 assert f"{stem}.{ext}" in names
         assert "manifest.json" in names
 
+    def test_moderated_tables_pair_with_their_direct_model(self, bundle, tmp_path):
+        emit_all(bundle, tmp_path)
+        paired = "| Variable | Direct Model Coefficient | Direct Model Prob. |"
+        for stem in ("value_moderated", "risk_moderated", "robustness_value_assets",
+                     "robustness_value_log", "robustness_risk_assets",
+                     "robustness_risk_log"):
+            assert (tmp_path / f"{stem}.md").read_text().splitlines()[2].startswith(paired)
+        for stem in ("value_direct", "risk_direct"):
+            assert (tmp_path / f"{stem}.md").read_text().splitlines()[2] == \
+                "| Variable | Coefficient | Prob. |"
+
     def test_value_table_rows_match_layout(self, bundle, tmp_path):
         """The value-model table carries exactly the published row set."""
         emit_all(bundle, tmp_path)

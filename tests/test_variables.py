@@ -207,3 +207,40 @@ class TestPanelColumns:
         series = variables.firm_series(panel, "Age")
         assert set(series) == {"F1", "F2"}
         assert np.all(np.diff(series["F1"]) == 1.0)
+
+    def test_columns_equal_a_per_row_read(self):
+        obs = [make_observation(firm_id="Z9", year=2011, sga=5.0, rd=5.0,
+                                book_value_prev=1.0),
+               make_observation(firm_id="Z9", year=2012)]
+        from marketpanel.panel_core import RiskFreeSeries, build_dataset
+        ds = build_dataset(obs + list(make_panel(n_firms=3, n_years=4).observations.values()),
+                           [RiskFreeSeries("M1", {y: 0.03 for y in range(2011, 2015)})])
+        panel = derive_all(ds, {k: 0.7 + 0.01 * k[1] for k in ds.observations})
+        keys, cols = variables.panel_columns(panel, list(variables.COLUMN_ATTRS))
+        assert keys == sorted(panel.rows)
+        for name, attr in variables.COLUMN_ATTRS.items():
+            values = [getattr(panel.rows[k], attr) for k in keys]
+            want = np.array([math.nan if v is None else float(v) for v in values])
+            assert np.array_equal(cols[name], want, equal_nan=True), name
+        for name in variables.COLUMN_ATTRS:
+            series = variables.firm_series(panel, name)
+            by_firm = {}
+            for (firm, year), row in sorted(panel.rows.items()):
+                value = getattr(row, variables.COLUMN_ATTRS[name])
+                if value is not None:
+                    by_firm.setdefault(firm, []).append(float(value))
+            assert list(series) == sorted(by_firm)
+            for firm, values in by_firm.items():
+                assert np.array_equal(series[firm], np.array(values)), (name, firm)
+
+    def test_callers_cannot_change_the_panel(self):
+        ds = make_panel(n_firms=2, n_years=3)
+        panel = derive_all(ds, {k: 0.5 for k in ds.observations})
+        keys, cols = variables.panel_columns(panel, ["P", "Age"])
+        with pytest.raises(ValueError):
+            cols["P"][0] = 99.0
+        keys.clear()
+        cols.clear()
+        again_keys, again = variables.panel_columns(panel, ["P"])
+        assert again_keys == sorted(panel.rows)
+        assert again["P"][0] == panel.rows[again_keys[0]].price
