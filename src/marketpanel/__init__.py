@@ -10,7 +10,7 @@ emits publication-style report tables.
 
 __version__ = "0.1.0"
 
-from .beta import (BetaEstimate, PriceSeries, ReturnSeries, all_betas, beta_for_year,
+from .beta import (BetaEstimate, PriceTable, ReturnPanel, all_betas, beta_for_year,
                    monthly_returns)
 from .diagnostics import (CorrelationResult, TestResult, VariableSummary, adf_test,
                           correlation_matrix, descriptives, hausman_test,
@@ -29,7 +29,7 @@ from .variables import (DerivedPanel, abnormal_earnings, control_variables, deri
 
 __all__ = [
     "__version__",
-    "BetaEstimate", "PriceSeries", "ReturnSeries", "all_betas", "beta_for_year",
+    "BetaEstimate", "PriceTable", "ReturnPanel", "all_betas", "beta_for_year",
     "monthly_returns",
     "CorrelationResult", "TestResult", "VariableSummary", "adf_test",
     "correlation_matrix", "descriptives", "hausman_test", "lr_heteroskedasticity",

@@ -18,37 +18,57 @@ DEFAULT_WINDOW_MONTHS = 60
 DEFAULT_MIN_MONTHS = 48
 
 
-@dataclass(frozen=True)
-class PriceSeries:
-    """Monthly closing prices for one firm or market index.
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
 
-    ``points`` is sorted by (year, month) with unique months; closes are
-    positive.
+
+@dataclass(frozen=True)
+class PriceTable:
+    """Monthly closing prices of firms and market indices, one row per close.
+
+    ``codes`` index ``series_ids``; ``months`` are month indices
+    ``year * 12 + month - 1``; closes are positive. Rows are sorted by
+    (code, month) with unique months within a series. The arrays are
+    read-only.
     """
 
-    series_id: str
-    points: tuple[tuple[int, int, float], ...]
+    series_ids: tuple[str, ...]
+    codes: np.ndarray
+    months: np.ndarray
+    closes: np.ndarray
 
-    def month_gaps(self) -> tuple[tuple[int, int], ...]:
-        """Months missing between the first and last observed month."""
-        if len(self.points) < 2:
-            return ()
-        have = {_month_index(y, m) for y, m, _ in self.points}
-        lo, hi = min(have), max(have)
-        return tuple(_index_month(i) for i in range(lo, hi + 1) if i not in have)
+    def __post_init__(self):
+        _read_only(self.codes, self.months, self.closes)
 
 
 @dataclass(frozen=True)
-class ReturnSeries:
-    """Monthly simple returns; points sorted, unique, each return > -1."""
+class ReturnPanel:
+    """Simple monthly returns as a dense series x month matrix.
 
-    series_id: str
-    points: tuple[tuple[int, int, float], ...]
+    ``values[s, j]`` is the return of ``series_ids[s]`` in month index
+    ``months[j]``, NaN where the series has none. ``months`` is sorted and
+    holds every month in which some series has a return. Read-only.
+    """
+
+    series_ids: tuple[str, ...]
+    months: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self.months, self.values)
 
     @cached_property
-    def by_month(self) -> dict[int, float]:
-        """Returns keyed by month index, built on first use and shared: read only."""
-        return {_month_index(y, m): r for y, m, r in self.points}
+    def series_index(self) -> dict[str, int]:
+        """Row of each series id."""
+        return {series_id: row for row, series_id in enumerate(self.series_ids)}
+
+    def window(self, rows, year: int, window_months: int) -> tuple[np.ndarray, int]:
+        """The rows' returns in the window ending Dec ``year``, and its first column."""
+        end = _month_index(year, 12)
+        lo = int(np.searchsorted(self.months, end - window_months + 1, side="left"))
+        hi = int(np.searchsorted(self.months, end, side="right"))
+        return self.values[rows, lo:hi], lo
 
 
 @dataclass(frozen=True)
@@ -68,27 +88,37 @@ def _index_month(index: int) -> tuple[int, int]:
     return index // 12, index % 12 + 1
 
 
-def monthly_returns(prices: PriceSeries) -> ReturnSeries:
+def monthly_returns(prices: PriceTable) -> ReturnPanel:
     """Convert closes to simple monthly returns.
 
-    return(t) = close(t)/close(t-1) - 1 for consecutive months only; a gap
-    in months breaks the chain. Raises :class:`TooShort` for fewer than two
-    observations.
+    return(t) = close(t)/close(t-1) - 1 for consecutive months of one series
+    only; a gap in months breaks the chain. A series with fewer than two
+    closes has no return series and is left out of the panel.
     """
-    if len(prices.points) < 2:
-        raise TooShort(f"{prices.series_id}: need at least 2 months, got {len(prices.points)}")
-    out = []
-    prev_idx = None
-    prev_close = None
-    for year, month, close in prices.points:
-        idx = _month_index(year, month)
-        if prev_idx is not None and idx == prev_idx + 1:
-            out.append((year, month, close / prev_close - 1.0))
-        prev_idx, prev_close = idx, close
-    return ReturnSeries(series_id=prices.series_id, points=tuple(out))
+    codes, months, closes = prices.codes, prices.months, prices.closes
+    counts = np.bincount(codes, minlength=len(prices.series_ids))
+    kept = np.flatnonzero(counts >= 2)
+    row_of_code = np.full(len(prices.series_ids), -1, dtype=np.int64)
+    row_of_code[kept] = np.arange(len(kept))
+
+    chained = (codes[1:] == codes[:-1]) & (months[1:] == months[:-1] + 1)
+    return_months = months[1:][chained]
+    axis = np.unique(return_months)
+    values = np.full((len(kept), len(axis)), np.nan)
+    values[row_of_code[codes[1:][chained]], np.searchsorted(axis, return_months)] = (
+        closes[1:][chained] / closes[:-1][chained] - 1.0)
+    return ReturnPanel(series_ids=tuple(prices.series_ids[c] for c in kept),
+                       months=axis, values=values)
 
 
-def beta_for_year(firm: ReturnSeries, market: ReturnSeries, year: int,
+def _row(returns: ReturnPanel, series_id: str, error, what: str) -> int:
+    row = returns.series_index.get(series_id)
+    if row is None:
+        raise error(f"{what} {series_id} has no return series")
+    return row
+
+
+def beta_for_year(returns: ReturnPanel, firm_id: str, market_id: str, year: int,
                   window_months: int = DEFAULT_WINDOW_MONTHS,
                   min_months: int = DEFAULT_MIN_MONTHS) -> BetaEstimate:
     """Slope of firm returns on market returns over the window ending Dec ``year``.
@@ -97,54 +127,106 @@ def beta_for_year(firm: ReturnSeries, market: ReturnSeries, year: int,
     applies to the paired months that remain. beta = cov(R_i, R_m)/var(R_m),
     the OLS slope with intercept.
     """
-    end = _month_index(year, 12)
-    start = end - window_months + 1
-    firm_map, market_map = firm.by_month, market.by_month
-    paired = [i for i in range(start, end + 1) if i in firm_map and i in market_map]
+    rows = [_row(returns, firm_id, TooShort, "firm"),
+            _row(returns, market_id, UnknownMarket, "market")]
+    (firm, market), lo = returns.window(rows, year, window_months)
+    paired = ~np.isnan(firm) & ~np.isnan(market)
 
-    n = len(paired)
+    n = int(paired.sum())
     if n < min_months:
         raise InsufficientWindow(
-            f"{firm.series_id}, year {year}: {n} paired months < required {min_months}")
+            f"{firm_id}, year {year}: {n} paired months < required {min_months}")
 
-    ri = np.array([firm_map[i] for i in paired], dtype=float)
-    rm = np.array([market_map[i] for i in paired], dtype=float)
+    ri, rm = firm[paired], market[paired]
     rm_centered = rm - rm.mean()
     var_m = float(rm_centered @ rm_centered)
     # relative guard: a constant series leaves only rounding residue behind
     if var_m <= 1e-24 * max(float(rm @ rm), 1e-300):
-        raise ZeroMarketVariance(f"{market.series_id}: market returns constant in window")
+        raise ZeroMarketVariance(f"{market_id}: market returns constant in window")
     beta = float(rm_centered @ (ri - ri.mean())) / var_m
 
-    return BetaEstimate(firm_id=firm.series_id, year=year, beta=beta,
-                        n_months=n, window_start=_index_month(paired[0]))
+    start = int(returns.months[lo + int(np.argmax(paired))])
+    return BetaEstimate(firm_id=firm_id, year=year, beta=beta,
+                        n_months=n, window_start=_index_month(start))
 
 
-def all_betas(firms: list[ReturnSeries], markets: list[ReturnSeries],
-              years, firm_market: dict[str, str],
+def _batched_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # one (1, n) @ (n, 1) product per row: BLAS ddot, as ``a[g] @ b[g]``
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _window_betas(firm: np.ndarray, market: np.ndarray, min_months: int):
+    """Every firm's window estimate at once, in the arithmetic of ``beta_for_year``.
+
+    Windows are grouped by paired-month count, so each group is a dense
+    (windows, months) block whose row means and dot products reduce in the
+    same order as one window's. Returns which windows are estimated, their
+    betas, paired-month counts and the column of their first paired month.
+    """
+    paired = ~np.isnan(firm) & ~np.isnan(market)
+    counts = paired.sum(axis=1)
+    estimated = np.zeros(len(firm), dtype=bool)
+    betas = np.zeros(len(firm))
+    first = np.zeros(len(firm), dtype=np.int64)
+    # an empty window is never estimated (its market variance is zero)
+    for n in np.unique(counts[counts >= max(min_months, 1)]):
+        group = np.flatnonzero(counts == n)
+        mask = paired[group]
+        ri = firm[group][mask].reshape(len(group), n)
+        rm = market[group][mask].reshape(len(group), n)
+        rm_centered = rm - rm.mean(axis=1, keepdims=True)
+        var_m = _batched_dot(rm_centered, rm_centered)
+        varies = ~(var_m <= 1e-24 * np.maximum(_batched_dot(rm, rm), 1e-300))
+        cov = _batched_dot(rm_centered, ri - ri.mean(axis=1, keepdims=True))
+        betas[group[varies]] = cov[varies] / var_m[varies]
+        estimated[group] = varies
+        first[group] = np.argmax(mask, axis=1)
+    return estimated, betas, counts, first
+
+
+def all_betas(returns: ReturnPanel, firms, years, firm_market: dict[str, str],
               window_months: int = DEFAULT_WINDOW_MONTHS,
               min_months: int = DEFAULT_MIN_MONTHS,
               ) -> tuple[dict[tuple[str, int], BetaEstimate], list[tuple[str, int, str]]]:
     """Estimate betas for every (firm, year); report the rest as exclusions.
 
-    ``firm_market`` maps each firm to its market index id. Output is
-    deterministic under permutation of the inputs.
+    ``firms`` are series ids of ``returns``; ``firm_market`` maps each firm
+    to its market index id. Each estimate equals ``beta_for_year``'s bit for
+    bit, and a window it rejects (too few paired months, constant market) is
+    an exclusion. Output is deterministic under permutation of the inputs.
     """
-    market_by_id = {m.series_id: m for m in markets}
-    betas: dict[tuple[str, int], BetaEstimate] = {}
-    exclusions: list[tuple[str, int, str]] = []
-    for firm in sorted(firms, key=lambda s: s.series_id):
-        market_id = firm_market.get(firm.series_id)
+    firms = sorted(firms)
+    firm_rows, market_rows = [], []
+    for firm_id in firms:
+        market_id = firm_market.get(firm_id)
         if market_id is None:
-            raise UnknownMarket(f"firm {firm.series_id} has no market mapping")
-        if market_id not in market_by_id:
-            raise UnknownMarket(f"market {market_id} (firm {firm.series_id}) has no return series")
-        market = market_by_id[market_id]
-        for year in years:
-            try:
-                est = beta_for_year(firm, market, year, window_months, min_months)
-            except (InsufficientWindow, ZeroMarketVariance):
-                exclusions.append((firm.series_id, year, "insufficient return history"))
+            raise UnknownMarket(f"firm {firm_id} has no market mapping")
+        if market_id not in returns.series_index:
+            raise UnknownMarket(f"market {market_id} (firm {firm_id}) has no return series")
+        firm_rows.append(_row(returns, firm_id, TooShort, "firm"))
+        market_rows.append(returns.series_index[market_id])
+    if not firms:
+        return {}, []
+
+    years = list(years)
+    by_year = []   # per year: firm position -> (beta, paired months, first month)
+    for year in years:
+        (firm, market), lo = returns.window([firm_rows, market_rows], year, window_months)
+        estimated, betas, counts, first = _window_betas(firm, market, min_months)
+        starts = returns.months[lo + first[estimated]]
+        by_year.append(dict(zip(np.flatnonzero(estimated).tolist(),
+                                zip(betas[estimated].tolist(), counts[estimated].tolist(),
+                                    starts.tolist()))))
+
+    estimates: dict[tuple[str, int], BetaEstimate] = {}
+    exclusions: list[tuple[str, int, str]] = []
+    for i, firm_id in enumerate(firms):
+        for year, found in zip(years, by_year):
+            if i not in found:
+                exclusions.append((firm_id, year, "insufficient return history"))
                 continue
-            betas[(firm.series_id, year)] = est
-    return betas, exclusions
+            beta, n, start = found[i]
+            estimates[(firm_id, year)] = BetaEstimate(
+                firm_id=firm_id, year=year, beta=beta, n_months=n,
+                window_start=_index_month(start))
+    return estimates, exclusions

@@ -40,6 +40,7 @@ _CONFIG_KEYS = {
     "marin_variant": str, "center": bool, "constrain_book_unit": bool,
     "beta_window": int, "beta_min": int, "n_firms": int, "n_years": int,
 }
+_INPUT_FILES = ("fundamentals.csv", "prices.csv", "riskfree.csv")
 _VARIANT_ALIASES = {"sales": "sales_ratio", "assets": "assets_ratio", "log": "log_level",
                     "sales_ratio": "sales_ratio", "assets_ratio": "assets_ratio",
                     "log_level": "log_level"}
@@ -71,10 +72,11 @@ class RunConfig:
             raise InfeasibleTargets("beta window must satisfy max >= min >= 12")
 
     def effective(self) -> dict:
-        # analytical configuration only; the output location is a deployment
-        # detail and would break byte-reproducibility across destinations
+        # analytical configuration only; input and output locations are
+        # deployment details and would break byte-reproducibility across
+        # directories (the inputs enter the run id through their digests)
         return {key: value for key, value in dataclasses.asdict(self).items()
-                if key not in ("out", "run_id")}
+                if key not in ("data", "out", "run_id")}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -128,9 +130,12 @@ def _resolve_run_config(args) -> RunConfig:
     return cfg
 
 
-def _config_hash(effective: dict) -> str:
-    text = json.dumps(effective, sort_keys=True)
+def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _config_hash(effective: dict, inputs: dict) -> str:
+    return _sha256(json.dumps({"config": effective, "inputs": inputs}, sort_keys=True))
 
 
 def _timestamp() -> str | None:
@@ -150,22 +155,21 @@ def _read(path: str) -> str:
         raise IoFailure(f"cannot read {path}: {exc}")
 
 
-def _load_inputs(cfg: RunConfig):
+def _load_inputs(cfg: RunConfig) -> tuple[str, str, str]:
+    """The texts of fundamentals.csv, prices.csv and riskfree.csv."""
     if cfg.synth:
         log.info("generating synthetic panel (seed=%d)", cfg.seed)
         result = synth.generate_panel(synth.DGPConfig(
             seed=cfg.seed, n_firms=cfg.n_firms, n_years=cfg.n_years))
         return (result.fundamentals_csv, result.prices_csv, result.riskfree_csv)
-    base = cfg.data
-    return (_read(os.path.join(base, "fundamentals.csv")),
-            _read(os.path.join(base, "prices.csv")),
-            _read(os.path.join(base, "riskfree.csv")))
+    return tuple(_read(os.path.join(cfg.data, name)) for name in _INPUT_FILES)
 
 
 @dataclasses.dataclass
 class _BaseRun:
     """The pipeline up to the four base estimates: all that ``verify`` recomputes."""
 
+    inputs: dict[str, str]   # input file name -> SHA-256 of its text
     dataset: PanelDataset
     ingest_report: ingest.IngestReport
     beta_exclusions: list
@@ -177,21 +181,20 @@ def _dataset(fundamentals_csv: str, prices_csv: str, riskfree_csv: str):
     observations, ingest_report = ingest.parse_fundamentals(fundamentals_csv)
     for line_no, reason in ingest_report.rejections:
         log.warning("fundamentals line %d rejected: %s", line_no, reason)
-    price_series = ingest.parse_prices(prices_csv)
+    prices = ingest.parse_prices(prices_csv)
     dataset = build_dataset(observations, ingest.parse_riskfree(riskfree_csv))
     log.info("dataset: %d observations, %d firms, years %d-%d",
              len(dataset), len(dataset.firms), dataset.years[0], dataset.years[-1])
-    return dataset, price_series, ingest_report
+    return dataset, prices, ingest_report
 
 
-def _betas(cfg: RunConfig, dataset: PanelDataset, price_series):
-    returns = {s.series_id: beta.monthly_returns(s) for s in price_series
-               if len(s.points) >= 2}
+def _betas(cfg: RunConfig, dataset: PanelDataset, prices: beta.PriceTable):
+    returns = beta.monthly_returns(prices)
     firm_market = {obs.firm_id: obs.market_id for obs in dataset.observations.values()}
-    firm_returns = [returns[f] for f in dataset.firms if f in returns]
-    market_returns = [returns[m] for m in dataset.markets if m in returns]
+    # a firm with fewer than two closes has no window at all, hence no exclusions
+    firms = [f for f in dataset.firms if f in returns.series_index]
     betas, beta_exclusions = beta.all_betas(
-        firm_returns, market_returns, dataset.years, firm_market,
+        returns, firms, dataset.years, firm_market,
         window_months=cfg.beta_window, min_months=cfg.beta_min)
     for firm_id, year, reason in beta_exclusions:
         log.warning("beta excluded for (%s, %d): %s", firm_id, year, reason)
@@ -218,11 +221,19 @@ def _base_estimates(cfg: RunConfig, panel) -> list[models.EstimationReport]:
     return estimates
 
 
+def _inputs_and_betas(cfg: RunConfig):
+    # the CSV texts and the price table die on return, before the estimates
+    texts = _load_inputs(cfg)
+    dataset, prices, ingest_report = _dataset(*texts)
+    betas, beta_exclusions = _betas(cfg, dataset, prices)
+    return (dict(zip(_INPUT_FILES, map(_sha256, texts))), dataset, ingest_report,
+            betas, beta_exclusions)
+
+
 def _run_to_base_estimates(cfg: RunConfig) -> _BaseRun:
-    dataset, price_series, ingest_report = _dataset(*_load_inputs(cfg))
-    betas, beta_exclusions = _betas(cfg, dataset, price_series)
+    inputs, dataset, ingest_report, betas, beta_exclusions = _inputs_and_betas(cfg)
     panel = _derived_panel(dataset, betas)
-    return _BaseRun(dataset, ingest_report, beta_exclusions, panel,
+    return _BaseRun(inputs, dataset, ingest_report, beta_exclusions, panel,
                     _base_estimates(cfg, panel))
 
 
@@ -245,7 +256,7 @@ def _diagnostics_and_robustness(cfg: RunConfig, panel) -> dict:
 def _bundle(cfg: RunConfig, base: _BaseRun) -> report.ReportBundle:
     tables = _diagnostics_and_robustness(cfg, base.panel)
     effective = cfg.effective()
-    config_hash = _config_hash(effective)
+    config_hash = _config_hash(effective, base.inputs)
     metadata = {
         "run_id": cfg.run_id or f"run-{config_hash[:12]}",
         "config_hash": config_hash,
@@ -254,6 +265,7 @@ def _bundle(cfg: RunConfig, base: _BaseRun) -> report.ReportBundle:
                      "python": ".".join(map(str, sys.version_info[:3])),
                      "numpy": np.__version__, "scipy": scipy.__version__},
         "effective_config": effective,
+        "inputs": base.inputs,
         "n_observations": len(base.dataset),
         "n_derived_rows": len(base.panel),
         "ingest_rejections": list(base.ingest_report.rejections),
@@ -295,13 +307,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest_check(args) -> int:
-    dataset, price_series, rep = _dataset(*_load_inputs(RunConfig(data=args.data)))
+    dataset, prices, rep = _dataset(*_load_inputs(RunConfig(data=args.data)))
     summary = {
         "command": "ingest-check",
         "rows_accepted": rep.rows_accepted,
         "rows_rejected": rep.rows_rejected,
         "rejections": [list(r) for r in rep.rejections],
-        "price_series": len(price_series),
+        "price_series": len(prices.series_ids),
         "riskfree_series": len(dataset.risk_free),
     }
     print(json.dumps(summary, sort_keys=True))

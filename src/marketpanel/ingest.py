@@ -11,7 +11,9 @@ import io
 import math
 from dataclasses import dataclass
 
-from .beta import PriceSeries
+import numpy as np
+
+from .beta import PriceTable
 from .errors import (DuplicateMonth, InvariantViolation, NonPositivePrice,
                      RateOutOfRange, SchemaMismatch)
 from .panel_core import FirmYearObservation, RiskFreeSeries, validate_observation
@@ -22,6 +24,9 @@ FUNDAMENTALS_COLUMNS = ("firm_id", "market_id", "year", "price", "book_value", "
 OPTIONAL_FUNDAMENTALS_COLUMN = "book_value_2009"
 PRICES_COLUMNS = ("series_id", "year", "month", "close")
 RISKFREE_COLUMNS = ("market_id", "year", "rate")
+_PRICE_ROW = np.dtype([("series_id", object), ("year", np.int64), ("month", np.int64),
+                       ("close", np.float64)])
+_MAX_YEAR = np.iinfo(np.int64).max // 12 - 1   # beyond it the month index overflows
 
 
 @dataclass(frozen=True)
@@ -139,42 +144,107 @@ def _reason(exc: Exception) -> str:
     return str(exc)
 
 
-def parse_prices(csv_text: str) -> list[PriceSeries]:
-    """Parse prices.csv into per-series monthly close vectors.
+def _blank_row(line: str) -> bool:
+    """Whether csv reads ``line`` as a row whose cells are all blank."""
+    return not any(cell.strip() for cell in next(csv.reader([line]), []))
 
-    Rows may arrive out of order; each series is sorted by (year, month).
-    Duplicated months or non-positive closes fail hard.
+
+def _load_price_rows(lines: list[str]) -> np.ndarray:
+    if not any(lines):
+        return np.empty(0, dtype=_PRICE_ROW)
+    return np.loadtxt(lines, dtype=_PRICE_ROW, delimiter=",", quotechar='"',
+                      comments=None, ndmin=1)
+
+
+def _read_price_rows(body: list[str]) -> tuple[np.ndarray, list[int], int | None]:
+    """The rows of prices.csv's body lines.
+
+    Returns the rows, the 1-based file line of each, and the index of the
+    first unreadable row (None if every row reads). A well-formed body is
+    read by one ``loadtxt`` call, which skips empty lines itself. Otherwise
+    the lines csv reads as all-blank rows are dropped and, as ``loadtxt``
+    reports no usable line number, what is left is bisected down to its
+    first unreadable line; the rows before it are returned.
     """
-    rows = _rows(csv_text)
-    if not rows:
+    try:
+        rows = _load_price_rows(body)
+        return rows, [n for n, line in enumerate(body, start=2) if line], None
+    except ValueError:
+        pass
+    line_nos = [n for n, line in enumerate(body, start=2) if not _blank_row(line)]
+    lines = [body[n - 2] for n in line_nos]
+    try:
+        return _load_price_rows(lines), line_nos, None
+    except ValueError:
+        pass
+    lo, hi = 0, len(lines)   # lines[:lo] read, lines[:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _load_price_rows(lines[lo:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    return _load_price_rows(lines[:lo]), line_nos, lo
+
+
+def _unreadable_reason(line: str) -> str:
+    cells = next(csv.reader([line]), [])
+    if len(cells) != len(PRICES_COLUMNS):
+        return f"expected {len(PRICES_COLUMNS)} fields, got {len(cells)}"
+    return f"year and month must be integers and close a number, got {line.strip()!r}"
+
+
+def parse_prices(csv_text: str) -> PriceTable:
+    """Parse prices.csv into one columnar :class:`PriceTable`.
+
+    Rows may arrive in any order; the table has sorted series ids and is
+    ordered by (series, month). Rows whose cells are all blank are skipped;
+    a quoted cell may not span lines. The rows are checked as arrays and the
+    first offending one fails hard, naming its 1-based file line: a row that
+    does not read as id, integer year, integer month, number, a non-finite
+    close or a month outside 1..12 raises :class:`SchemaMismatch`, a
+    non-positive close :class:`NonPositivePrice`, and a month the series
+    already has :class:`DuplicateMonth`.
+    """
+    if not csv_text:
         raise SchemaMismatch("prices: empty file")
-    _check_header(rows[0], PRICES_COLUMNS, "prices")
+    header, *body = csv_text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    _check_header(next(csv.reader([header]), []), PRICES_COLUMNS, "prices")
+    rows, line_nos, unreadable = _read_price_rows(body)
 
-    by_series: dict[str, dict[tuple[int, int], float]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(PRICES_COLUMNS):
-            raise SchemaMismatch(f"prices line {line_no}: expected {len(PRICES_COLUMNS)} fields")
-        series_id = row[0].strip()
-        year = _parse_int(row[1], "year")
-        month = _parse_int(row[2], "month")
-        close = _parse_float(row[3], "close")
-        if not 1 <= month <= 12:
-            raise SchemaMismatch(f"prices line {line_no}: month {month} outside 1..12")
-        if close <= 0:
-            raise NonPositivePrice(f"prices line {line_no}: close {close!r} not positive")
-        points = by_series.setdefault(series_id, {})
-        if (year, month) in points:
-            raise DuplicateMonth(f"prices: duplicate month ({series_id}, {year}, {month})")
-        points[(year, month)] = close
+    raw_ids = list(map(str.strip, rows["series_id"]))
+    series_ids = sorted(dict.fromkeys(raw_ids))
+    code_of = {series_id: code for code, series_id in enumerate(series_ids)}
+    codes = np.fromiter(map(code_of.__getitem__, raw_ids), dtype=np.int64, count=len(raw_ids))
+    years, calendar_months, closes = rows["year"], rows["month"], rows["close"]
+    months = years * 12 + (calendar_months - 1)
+    order = np.lexsort((months, codes))
+    duplicate = np.zeros(len(rows), dtype=bool)
+    # lexsort is stable: of two rows with one (series, month), the later line follows
+    duplicate[order[1:][(np.diff(codes[order]) == 0) & (np.diff(months[order]) == 0)]] = True
 
-    out = []
-    for series_id in sorted(by_series):
-        points = by_series[series_id]
-        ordered = tuple((y, m, points[(y, m)]) for y, m in sorted(points))
-        out.append(PriceSeries(series_id=series_id, points=ordered))
-    return out
+    checks = (
+        ((years < -_MAX_YEAR) | (years > _MAX_YEAR), SchemaMismatch,
+         "year {year} out of range"),
+        (~np.isfinite(closes), SchemaMismatch, "close {close!r} not a finite number"),
+        ((calendar_months < 1) | (calendar_months > 12), SchemaMismatch,
+         "month {month} outside 1..12"),
+        (closes <= 0, NonPositivePrice, "close {close!r} not positive"),
+        (duplicate, DuplicateMonth, "duplicate month ({series_id}, {year}, {month})"),
+    )
+    failed = np.logical_or.reduce([mask for mask, _, _ in checks])
+    if failed.any():
+        r = int(np.argmax(failed))
+        error, reason = next((error, reason) for mask, error, reason in checks if mask[r])
+        raise error(f"prices line {line_nos[r]}: " + reason.format(
+            series_id=raw_ids[r], year=int(years[r]), month=int(calendar_months[r]),
+            close=float(closes[r])))
+    if unreadable is not None:
+        raise SchemaMismatch(f"prices line {line_nos[unreadable]}: "
+                             f"{_unreadable_reason(body[line_nos[unreadable] - 2])}")
+    return PriceTable(series_ids=tuple(series_ids), codes=codes[order],
+                      months=months[order], closes=closes[order])
 
 
 def parse_riskfree(csv_text: str) -> list[RiskFreeSeries]:
@@ -191,8 +261,11 @@ def parse_riskfree(csv_text: str) -> list[RiskFreeSeries]:
         if len(row) != len(RISKFREE_COLUMNS):
             raise SchemaMismatch(f"riskfree line {line_no}: expected {len(RISKFREE_COLUMNS)} fields")
         market_id = row[0].strip()
-        year = _parse_int(row[1], "year")
-        rate = _parse_float(row[2], "rate")
+        try:
+            year = _parse_int(row[1], "year")
+            rate = _parse_float(row[2], "rate")
+        except ValueError as exc:
+            raise SchemaMismatch(f"riskfree line {line_no}: {exc}")
         if not 0 <= rate <= 0.5:
             raise RateOutOfRange(f"riskfree line {line_no}: rate {rate!r} outside [0, 0.5]")
         rates = by_market.setdefault(market_id, {})
@@ -228,11 +301,12 @@ def fundamentals_to_csv(observations: list[FirmYearObservation]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def prices_to_csv(series: list[PriceSeries]) -> str:
+def prices_to_csv(prices: PriceTable) -> str:
+    ids = prices.series_ids
     lines = [",".join(PRICES_COLUMNS)]
-    for s in series:
-        for year, month, close in s.points:
-            lines.append(f"{s.series_id},{year},{month},{_fmt(close)}")
+    for code, month, close in zip(prices.codes.tolist(), prices.months.tolist(),
+                                  prices.closes.tolist()):
+        lines.append(f"{ids[code]},{month // 12},{month % 12 + 1},{_fmt(close)}")
     return "\n".join(lines) + "\n"
 
 

@@ -27,7 +27,7 @@ from .ingest import (fundamentals_to_csv, parse_fundamentals, parse_riskfree,
                      prices_to_csv, riskfree_to_csv)
 from .models import EstimationReport
 from .panel_core import FirmYearObservation, PanelDataset, RiskFreeSeries, build_dataset
-from .beta import PriceSeries
+from .beta import PriceTable
 from .variables import ownership_concentration
 
 TRUTH_SCHEMA_VERSION = "1"
@@ -559,7 +559,6 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
 
     # monthly prices: firm returns follow the year's true beta
     betas_true: dict[tuple[str, int], float] = {}
-    price_rows: list[PriceSeries] = []
     firm_monthly: dict[str, np.ndarray] = {}
     for i, firm in enumerate(firm_ids):
         mkt = market_returns[firm_market[firm]]
@@ -570,16 +569,14 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
         for t, year in enumerate(years):
             betas_true[(firm, year)] = float(betas_true_mat[i, t])
 
-    def to_price_series(series_id: str, returns: np.ndarray) -> PriceSeries:
-        closes = 100.0 * np.cumprod(1.0 + returns)
-        points = tuple((month_years[j], j % 12 + 1, float(closes[j]))
-                       for j in range(n_months))
-        return PriceSeries(series_id=series_id, points=points)
-
-    for market in market_ids:
-        price_rows.append(to_price_series(market, market_returns[market]))
-    for firm in firm_ids:
-        price_rows.append(to_price_series(firm, firm_monthly[firm]))
+    # every series closes in every month, markets first, from 100 at the first month
+    price_ids = tuple(market_ids) + tuple(firm_ids)
+    paths = [market_returns[m] for m in market_ids] + [firm_monthly[f] for f in firm_ids]
+    prices = PriceTable(
+        series_ids=price_ids,
+        codes=np.repeat(np.arange(len(price_ids)), n_months),
+        months=np.tile(first_year * 12 + np.arange(n_months), len(price_ids)),
+        closes=np.concatenate([100.0 * np.cumprod(1.0 + r) for r in paths]))
 
     # exact window-implied beta: the noiseless target of the 60-month estimator
     betas_window: dict[tuple[str, int], float] = {}
@@ -595,7 +592,7 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
             betas_window[(firm, year)] = float((mc @ (b * m)) / (mc @ mc))
 
     fundamentals_csv = fundamentals_to_csv(observations)
-    prices_csv = prices_to_csv(price_rows)
+    prices_csv = prices_to_csv(prices)
     riskfree_csv = riskfree_to_csv(rf_series)
 
     parsed, report = parse_fundamentals(fundamentals_csv)

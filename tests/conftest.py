@@ -86,3 +86,35 @@ def normal_equations_oracle(X, y, intercept: bool = True) -> np.ndarray:
     if intercept:
         values = np.column_stack([np.ones(X.n), values])
     return np.linalg.solve(values.T @ values, values.T @ y)
+
+
+def price_table(points: dict):
+    """A PriceTable from {series_id: [(year, month, close), ...]}, codes in dict order."""
+    from marketpanel.beta import PriceTable
+
+    rows = np.array(sorted((code, year * 12 + month - 1, close)
+                           for code, pts in enumerate(points.values())
+                           for year, month, close in pts), dtype=float).reshape(-1, 3)
+    return PriceTable(series_ids=tuple(points), codes=rows[:, 0].astype(np.int64),
+                      months=rows[:, 1].astype(np.int64), closes=rows[:, 2].copy())
+
+
+def return_panel(points: dict):
+    """A ReturnPanel from {series_id: [(year, month, return), ...]}."""
+    from marketpanel.beta import ReturnPanel
+
+    months = sorted({year * 12 + month - 1
+                     for pts in points.values() for year, month, _ in pts})
+    column = {month: j for j, month in enumerate(months)}
+    values = np.full((len(points), len(months)), np.nan)
+    for row, pts in enumerate(points.values()):
+        for year, month, value in pts:
+            values[row, column[year * 12 + month - 1]] = value
+    return ReturnPanel(series_ids=tuple(points), months=np.array(months, dtype=np.int64),
+                       values=values)
+
+
+def monthly_points(start_year, start_month, values):
+    """[(year, month, value), ...] for consecutive months from (start_year, start_month)."""
+    start = start_year * 12 + start_month - 1
+    return [((start + i) // 12, (start + i) % 12 + 1, float(v)) for i, v in enumerate(values)]

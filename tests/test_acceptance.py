@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from marketpanel import beta, models, synth, variables
-from marketpanel.beta import ReturnSeries, beta_for_year
+from marketpanel.beta import beta_for_year
 from marketpanel.cli import main
 from marketpanel.diagnostics import adf_test, hausman_test
 from marketpanel.errors import InsufficientWindow
 from marketpanel.regress import DesignMatrix, fe_fit, ols_fit, re_fit
 
-from conftest import normal_equations_oracle, panel_design
+from conftest import monthly_points, normal_equations_oracle, panel_design, return_panel
 
 warnings.filterwarnings("ignore")
 
@@ -31,14 +31,11 @@ def report_line(number, name, passed, detail):
     assert passed, f"criterion {number} {name}: {detail}"
 
 
-def month_grid(start_year, n):
-    return [(start_year + i // 12, i % 12 + 1) for i in range(n)]
-
-
-def returns_series(series_id, start_year, values):
-    points = tuple((y, m, float(v))
-                   for (y, m), v in zip(month_grid(start_year, len(values)), values))
-    return ReturnSeries(series_id=series_id, points=points)
+def window_beta(firm_start_year, firm_values, market_start_year, market_values):
+    """beta_for_year of the window ending Dec 2014, on monthly returns from January."""
+    returns = return_panel({"F": monthly_points(firm_start_year, 1, firm_values),
+                            "M": monthly_points(market_start_year, 1, market_values)})
+    return beta_for_year(returns, "F", "M", 2014)
 
 
 def test_criterion_1_fe_equals_lsdv_oracle():
@@ -96,21 +93,17 @@ def test_criterion_3_beta_identities():
     """Self-beta, affine response, and the 48-month minimum."""
     rng = np.random.default_rng(303)
     m = rng.normal(0.008, 0.05, 60)
-    market = returns_series("M", 2010, m)
-    self_err = abs(beta_for_year(market, market, 2014).beta - 1.0)
+    self_err = abs(window_beta(2010, m, 2010, m).beta - 1.0)
 
     affine_err = 0.0
     for _ in range(20):
         a = float(rng.uniform(-3, 3))
         c = float(rng.uniform(-0.05, 0.05))
-        firm = returns_series("F", 2010, a * m + c)
-        affine_err = max(affine_err, abs(beta_for_year(firm, market, 2014).beta - a))
+        affine_err = max(affine_err, abs(window_beta(2010, a * m + c, 2010, m).beta - a))
 
     m47 = rng.normal(0.008, 0.05, 47)
-    market47 = returns_series("M", 2011, m47)
-    firm47 = returns_series("F", 2011, 1.1 * m47)
     try:
-        beta_for_year(firm47, market47, 2014)
+        window_beta(2011, 1.1 * m47, 2011, m47)
         window_enforced = False
     except InsufficientWindow:
         window_enforced = True
@@ -264,13 +257,10 @@ def test_criterion_10_calibration_fidelity():
     from marketpanel.ingest import parse_prices
 
     result = synth.generate_panel(synth.DGPConfig(seed=0))
-    series = parse_prices(result.prices_csv)
-    returns = {s.series_id: beta.monthly_returns(s) for s in series}
+    returns = beta.monthly_returns(parse_prices(result.prices_csv))
     ds = result.dataset
     firm_market = {o.firm_id: o.market_id for o in ds.observations.values()}
-    betas, _ = beta.all_betas([returns[f] for f in ds.firms],
-                              [returns[m] for m in ds.markets],
-                              ds.years, firm_market)
+    betas, _ = beta.all_betas(returns, ds.firms, ds.years, firm_market)
     panel = variables.derive_all(ds, betas)
     _, cols = variables.panel_columns(panel, ["Marin", "Bet", "OW"])
     marin_mean = float(cols["Marin"].mean())

@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line pipeline."""
 
+import hashlib
 import json
+import logging
 import os
+import shutil
 
 import pytest
 
@@ -158,6 +161,72 @@ class TestRunCommand:
     def test_bad_beta_window_exit_2(self, data_dir, tmp_path):
         assert main(["run", "--data", str(data_dir), "--out", str(tmp_path / "o3"),
                      "--beta-window", "24", "--beta-min", "48"]) == 2
+
+
+class TestInputErrors:
+    """Malformed numbers in prices.csv and riskfree.csv are input errors (exit 2)."""
+
+    @staticmethod
+    def _edited(data_dir, tmp_path, name, line, old, new):
+        edited = tmp_path / "edited"
+        shutil.copytree(data_dir, edited)
+        lines = (edited / name).read_text().splitlines()
+        assert old in lines[line - 1]
+        lines[line - 1] = lines[line - 1].replace(old, new, 1)
+        (edited / name).write_text("\n".join(lines) + "\n")
+        return edited
+
+    def test_malformed_month_in_prices(self, data_dir, tmp_path, caplog):
+        cells = (data_dir / "prices.csv").read_text().splitlines()[2].split(",")
+        edited = self._edited(data_dir, tmp_path, "prices.csv", 3,
+                              ",".join(cells[:3]), ",".join(cells[:2] + ["x"]))
+        with caplog.at_level(logging.ERROR, logger="marketpanel"):
+            assert main(["run", "--data", str(edited), "--out", str(tmp_path / "o")]) == 2
+            assert main(["ingest-check", "--data", str(edited)]) == 2
+        assert [r.getMessage()[:13] for r in caplog.records] == ["prices line 3"] * 2
+        assert not (tmp_path / "o").exists()
+
+    def test_malformed_rate_in_riskfree(self, data_dir, tmp_path, caplog):
+        rate = (data_dir / "riskfree.csv").read_text().splitlines()[1].split(",")[2]
+        edited = self._edited(data_dir, tmp_path, "riskfree.csv", 2, rate, "abc" + rate)
+        with caplog.at_level(logging.ERROR, logger="marketpanel"):
+            assert main(["run", "--data", str(edited), "--out", str(tmp_path / "o")]) == 2
+        assert "riskfree line 2" in caplog.records[-1].getMessage()
+
+
+class TestRunId:
+    """The run id hashes the effective configuration and the input contents."""
+
+    def test_same_inputs_in_another_directory_give_the_same_run(self, data_dir, run_dir,
+                                                                 tmp_path):
+        copy = tmp_path / "elsewhere" / "data"
+        shutil.copytree(data_dir, copy)
+        out = tmp_path / "out"
+        assert main(["run", "--data", str(copy), "--out", str(out)]) == 0
+        assert os.listdir(out) == [run_dir.name]
+        for name in os.listdir(run_dir):
+            assert (out / run_dir.name / name).read_bytes() == (run_dir / name).read_bytes()
+
+    def test_manifest_records_input_digests(self, data_dir, run_dir):
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert "data" not in manifest["effective_config"]
+        assert manifest["inputs"] == {
+            name: hashlib.sha256((data_dir / name).read_bytes()).hexdigest()
+            for name in ("fundamentals.csv", "prices.csv", "riskfree.csv")}
+        assert manifest["run_id"] == "run-" + manifest["config_hash"][:12]
+
+    def test_one_byte_edit_gives_a_new_run(self, data_dir, run_dir, tmp_path):
+        edited = tmp_path / "edited"
+        shutil.copytree(data_dir, edited)
+        with open(edited / "prices.csv", "a", encoding="utf-8") as handle:
+            handle.write("\n")   # one more blank line: same panel, other contents
+        out = tmp_path / "out"
+        assert main(["run", "--data", str(edited), "--out", str(out)]) == 0
+        (run_id,) = os.listdir(out)
+        assert run_id != run_dir.name
+        for name in os.listdir(run_dir):
+            if name != "manifest.json":
+                assert (out / run_id / name).read_bytes() == (run_dir / name).read_bytes()
 
 
 class TestVerifyCommand:

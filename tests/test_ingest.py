@@ -1,12 +1,13 @@
 """Tests for CSV parsing, soft-fail reporting and round-trip serialization."""
 
+import numpy as np
 import pytest
 
 from marketpanel import ingest
 from marketpanel.errors import (DuplicateMonth, NonPositivePrice, RateOutOfRange,
                                 SchemaMismatch)
 
-from conftest import make_panel
+from conftest import make_panel, price_table
 
 HEADER = ("firm_id,market_id,year,price,book_value,eps,sga,rd,sales,"
           "total_assets,total_equity,establishment_year,stakes")
@@ -88,11 +89,11 @@ class TestRoundTrip:
         assert parsed == original
 
     def test_prices_round_trip(self):
-        series = [ingest.PriceSeries("F1", ((2015, m, 100.0 + m / 7.0)
-                                            for m in range(1, 13)))]
-        series = [ingest.PriceSeries("F1", tuple(series[0].points))]
-        text = ingest.prices_to_csv(series)
-        assert ingest.parse_prices(text) == series
+        table = price_table({"F1": [(2015, m, 100.0 + m / 7.0) for m in range(1, 13)]})
+        parsed = ingest.parse_prices(ingest.prices_to_csv(table))
+        assert parsed.series_ids == table.series_ids
+        for column in ("codes", "months", "closes"):
+            assert np.array_equal(getattr(parsed, column), getattr(table, column))
 
     def test_riskfree_round_trip(self):
         from marketpanel.panel_core import RiskFreeSeries
@@ -108,9 +109,9 @@ class TestParsePrices:
         for year in range(2010, 2020):
             for month in range(1, 13):
                 lines.append(f"F1,{year},{month},{100 + month}")
-        series = ingest.parse_prices("\n".join(lines) + "\n")
-        assert len(series) == 1
-        assert len(series[0].points) == 120
+        table = ingest.parse_prices("\n".join(lines) + "\n")
+        assert table.series_ids == ("F1",)
+        assert len(table.closes) == 120
 
     def test_duplicate_month(self):
         text = "series_id,year,month,close\nF1,2015,3,100\nF1,2015,3,101\n"
@@ -120,8 +121,8 @@ class TestParsePrices:
     def test_out_of_order_months_sorted(self):
         text = ("series_id,year,month,close\n"
                 "F1,2015,3,103\nF1,2015,1,101\nF1,2015,2,102\n")
-        series = ingest.parse_prices(text)
-        assert [p[1] for p in series[0].points] == [1, 2, 3]
+        table = ingest.parse_prices(text)
+        assert [m % 12 + 1 for m in table.months.tolist()] == [1, 2, 3]
 
     def test_non_positive_close(self):
         with pytest.raises(NonPositivePrice):
@@ -130,8 +131,8 @@ class TestParsePrices:
     def test_interleaved_series_split(self):
         text = ("series_id,year,month,close\n"
                 "F1,2015,1,100\nM1,2015,1,50\nF1,2015,2,101\nM1,2015,2,51\n")
-        series = ingest.parse_prices(text)
-        assert [s.series_id for s in series] == ["F1", "M1"]
+        table = ingest.parse_prices(text)
+        assert table.series_ids == ("F1", "M1")
 
 
 class TestParseRiskfree:

@@ -160,13 +160,10 @@ class TestBetaRecovery:
 
     @staticmethod
     def _estimate(result):
-        series = ingest.parse_prices(result.prices_csv)
-        returns = {s.series_id: beta.monthly_returns(s) for s in series}
+        returns = beta.monthly_returns(ingest.parse_prices(result.prices_csv))
         ds = result.dataset
         firm_market = {o.firm_id: o.market_id for o in ds.observations.values()}
-        estimates, exclusions = beta.all_betas(
-            [returns[f] for f in ds.firms], [returns[m] for m in ds.markets],
-            ds.years, firm_market)
+        estimates, exclusions = beta.all_betas(returns, ds.firms, ds.years, firm_market)
         assert not exclusions
         return estimates
 
