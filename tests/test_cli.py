@@ -87,6 +87,53 @@ class TestIngestCheck:
     def test_missing_dir_exit_2(self, tmp_path):
         assert main(["ingest-check", "--data", str(tmp_path / "nope")]) == 2
 
+    def test_every_rejection_reason_golden(self, tmp_path, capsys):
+        """One line per rejection reason, blank lines between: the exact summary."""
+        good = "F1,M1,2015,2.0,1.5,0.2,12.0,2.0,40.0,100.0,55.0,2000,0.3;0.1,"
+        lines = [
+            "firm_id,market_id,year,price,book_value,eps,sga,rd,sales,total_assets,"
+            "total_equity,establishment_year,stakes,book_value_2009",
+            good,                                                               # 2
+            "",
+            "F2,M1,2015,2.0,1.5,0.2,12.0,2.0,40.0,100.0,55.0,2000",             # 4 fields
+            "F3,M1,2015.0,2.0,1.5,0.2,12.0,2.0,40.0,100.0,55.0,2000,0.3,",      # year
+            'F4,M1,2015,2.0,1.5,0.2,12.0,2.0,40.0,"1,000.0",55.0,2000,0.3,',    # thousands
+            " ,M1,2015,2.0,1.5,0.2,12.0,2.0,40.0,100.0,55.0,2000,0.3,",         # firm_id
+            "  ",
+            "F6,M1,2015,2.0,1.5,0.2,12.0,2.0,0.0,100.0,55.0,2000,0.3,",         # sales
+            "F7,M1,2015,2.0,1.5,0.2,5.0,6.0,40.0,100.0,55.0,2000,0.3,",         # R&D
+            "F8,M1,2015,2.0,1.5,0.2,12.0,2.0,40.0,50.0,60.0,2000,0.3,",         # equity
+            "F9,M1,2015,2.0,1.5,0.2,12.0,2.0,40.0,100.0,55.0,2000,1.2,",        # stake
+            "FA,M1,2015,2.0,1.5,0.2,12.0,2.0,40.0,100.0,55.0,2000,0.6;0.6,",    # stake sum
+            "FB,M1,2015,2.0,1.5,0.2,12.0,2.0,40.0,100.0,55.0,2016,0.3,",        # founded
+            "FC,M1,2015,2.0,1.5,0.2,12.0,2.0,40.0,100.0,55.0,2000,0.3,-1.0",    # 2009 book
+            "F1,M1,2016,2.1,1.6,0.2,12.0,2.0,40.0,100.0,55.0,2000,0.3;0.1,",    # 16
+        ]
+        data = tmp_path / "golden"
+        data.mkdir()
+        (data / "fundamentals.csv").write_text("\n".join(lines) + "\n")
+        (data / "prices.csv").write_text("series_id,year,month,close\n"
+                                         "F1,2015,1,10.0\nM1,2015,1,100.0\n")
+        (data / "riskfree.csv").write_text("market_id,year,rate\nM1,2015,0.03\n"
+                                           "M1,2016,0.031\n")
+        capsys.readouterr()
+        code = main(["ingest-check", "--data", str(data)])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            '{"command": "ingest-check", "price_series": 2, "rejections": ['
+            '[4, "expected 14 fields, got 12"], '
+            '[5, "year: not an integer"], '
+            '[6, "total_assets: thousands separators not accepted"], '
+            '[7, "firm_id and market_id must be non-empty"], '
+            '[9, "sales must be positive"], '
+            '[10, "SG&A minus R&D negative"], '
+            '[11, "total equity exceeds total assets"], '
+            '[12, "stake 1.2 outside (0, 1]"], '
+            '[13, "stakes sum exceeds 1"], '
+            '[14, "establishment year after observation year"], '
+            '[15, "lagged book value must be positive"]], '
+            '"riskfree_series": 1, "rows_accepted": 2, "rows_rejected": 11}\n')
+
 
 class TestRunCommand:
     def test_emits_full_table_tree(self, run_dir):
