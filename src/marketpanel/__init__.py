@@ -18,14 +18,14 @@ from .diagnostics import (CorrelationResult, TestResult, VariableSummary, adf_te
 from .ingest import (IngestReport, parse_fundamentals, parse_prices, parse_riskfree)
 from .models import (EstimationReport, ModelSpec, build_interaction, estimate,
                      robustness_suite, spec_for)
-from .panel_core import (DerivedRow, FirmYearObservation, PanelDataset, RiskFreeSeries,
+from .panel_core import (FundamentalsTable, PanelCodes, PanelDataset, RiskFreeSeries,
                          build_dataset)
 from .regress import (DesignMatrix, FitResult, fe_fit, ols_fit, re_fit,
                       robust_cov_white_cross_section, within_transform)
 from .report import ReportBundle, emit, golden_compare
 from .synth import DGPConfig, SynthResult, TruthRecord, generate_panel, truth_check
-from .variables import (DerivedPanel, abnormal_earnings, control_variables, derive_all,
-                        marin, marin_alt_assets, marin_alt_log, ownership_concentration)
+from .variables import (DerivedPanel, abnormal_earnings, derive_all, marin, marin_alt_assets,
+                        marin_alt_log, ownership_concentration)
 
 __all__ = [
     "__version__",
@@ -37,12 +37,11 @@ __all__ = [
     "IngestReport", "parse_fundamentals", "parse_prices", "parse_riskfree",
     "EstimationReport", "ModelSpec", "build_interaction", "estimate",
     "robustness_suite", "spec_for",
-    "DerivedRow", "FirmYearObservation", "PanelDataset", "RiskFreeSeries",
-    "build_dataset",
+    "FundamentalsTable", "PanelCodes", "PanelDataset", "RiskFreeSeries", "build_dataset",
     "DesignMatrix", "FitResult", "fe_fit", "ols_fit", "re_fit",
     "robust_cov_white_cross_section", "within_transform",
     "ReportBundle", "emit", "golden_compare",
     "DGPConfig", "SynthResult", "TruthRecord", "generate_panel", "truth_check",
-    "DerivedPanel", "abnormal_earnings", "control_variables", "derive_all",
-    "marin", "marin_alt_assets", "marin_alt_log", "ownership_concentration",
+    "DerivedPanel", "abnormal_earnings", "derive_all", "marin", "marin_alt_assets",
+    "marin_alt_log", "ownership_concentration",
 ]

@@ -99,7 +99,10 @@ def _parse_config_file(path: str) -> dict:
                         raise InfeasibleTargets(f"{path}:{line_no}: boolean expected")
                     values[key] = value.lower() in ("true", "1", "yes")
                 elif kind is int:
-                    values[key] = int(value)
+                    try:
+                        values[key] = int(value)
+                    except ValueError:
+                        raise InfeasibleTargets(f"{path}:{line_no}: integer expected")
                 else:
                     values[key] = value
     except OSError as exc:
@@ -178,11 +181,11 @@ class _BaseRun:
 
 
 def _dataset(fundamentals_csv: str, prices_csv: str, riskfree_csv: str):
-    observations, ingest_report = ingest.parse_fundamentals(fundamentals_csv)
+    table, ingest_report = ingest.parse_fundamentals(fundamentals_csv)
     for line_no, reason in ingest_report.rejections:
         log.warning("fundamentals line %d rejected: %s", line_no, reason)
     prices = ingest.parse_prices(prices_csv)
-    dataset = build_dataset(observations, ingest.parse_riskfree(riskfree_csv))
+    dataset = build_dataset(table, ingest.parse_riskfree(riskfree_csv))
     log.info("dataset: %d observations, %d firms, years %d-%d",
              len(dataset), len(dataset.firms), dataset.years[0], dataset.years[-1])
     return dataset, prices, ingest_report
@@ -190,11 +193,10 @@ def _dataset(fundamentals_csv: str, prices_csv: str, riskfree_csv: str):
 
 def _betas(cfg: RunConfig, dataset: PanelDataset, prices: beta.PriceTable):
     returns = beta.monthly_returns(prices)
-    firm_market = {obs.firm_id: obs.market_id for obs in dataset.observations.values()}
     # a firm with fewer than two closes has no window at all, hence no exclusions
     firms = [f for f in dataset.firms if f in returns.series_index]
     betas, beta_exclusions = beta.all_betas(
-        returns, firms, dataset.years, firm_market,
+        returns, firms, dataset.years, dataset.firm_markets(),
         window_months=cfg.beta_window, min_months=cfg.beta_min)
     for firm_id, year, reason in beta_exclusions:
         log.warning("beta excluded for (%s, %d): %s", firm_id, year, reason)
@@ -239,8 +241,8 @@ def _run_to_base_estimates(cfg: RunConfig) -> _BaseRun:
 
 def _diagnostics_and_robustness(cfg: RunConfig, panel) -> dict:
     """The tables of a run besides the base estimates, as ``ReportBundle`` fields."""
-    _, desc_columns = variables.panel_columns(panel, variables.DESCRIPTIVES_ORDER)
-    _, corr_columns = variables.panel_columns(panel, variables.CORRELATION_ORDER)
+    desc_columns = variables.panel_columns(panel, variables.DESCRIPTIVES_ORDER)
+    corr_columns = variables.panel_columns(panel, variables.CORRELATION_ORDER)
     stationarity_panels = {name: list(variables.firm_series(panel, name).values())
                            for name in variables.STATIONARITY_ORDER}
     return {

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConstantSeries, SpecMismatch, TooFewGroups, TooShort
+from .panel_core import appearance_codes
 
 # MacKinnon (2010) response-surface coefficients, constant-only regression,
 # one variable: cv = b0 + b1/T + b2/T^2 + b3/T^3
@@ -326,20 +327,18 @@ def lr_heteroskedasticity(residuals, groups) -> TestResult:
 
     LR = n ln(sigma2_pooled) - sum_g n_g ln(sigma2_g), compared to
     chi-squared with G-1 degrees of freedom. Group variances are maximum
-    likelihood second moments of the residuals.
+    likelihood second moments of the residuals. ``groups`` labels each
+    residual's firm; groups are numbered in order of first appearance.
     """
     residuals = np.asarray(residuals, dtype=float)
-    labels = [g[0] if isinstance(g, tuple) else g for g in groups]
-    if len(labels) != len(residuals):
+    if len(groups) != len(residuals):
         raise ValueError("groups must align with residuals")
-    first_seen: dict = {}
-    codes = np.array([first_seen.setdefault(label, len(first_seen)) for label in labels],
-                     dtype=np.intp)
-    g = len(first_seen)
+    labels, codes = appearance_codes(groups)
+    g = len(labels)
     if g < 2:
         raise TooFewGroups(f"need at least 2 groups, got {g}")
     sizes = np.bincount(codes, minlength=g)
-    small = [label for label, size in zip(first_seen, sizes) if size < 3]
+    small = [label for label, size in zip(labels.tolist(), sizes) if size < 3]
     if small:
         raise TooFewGroups(f"groups with fewer than 3 residuals: {small}")
 

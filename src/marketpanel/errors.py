@@ -53,10 +53,6 @@ class RateOutOfRange(MarketPanelError):
 
 # --- derived variables -------------------------------------------------------
 
-class MissingLag(MarketPanelError):
-    pass
-
-
 class NegativeNumerator(MarketPanelError):
     pass
 

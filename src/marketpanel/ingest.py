@@ -2,21 +2,22 @@
 
 The dialect is deliberately strict so the contract is bit-exact: comma
 separated, UTF-8, ``.`` decimal point, integer years/months, header required.
-Fundamentals rows soft-fail one by one into an :class:`IngestReport`; a
-missing or renamed column means the wrong file and fails hard.
+Fundamentals rows that fail a check are left out and reported in an
+:class:`IngestReport`; a missing or renamed column means the wrong file and
+fails hard.
 """
 
 import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .beta import PriceTable
-from .errors import (DuplicateMonth, InvariantViolation, NonPositivePrice,
-                     RateOutOfRange, SchemaMismatch)
-from .panel_core import FirmYearObservation, RiskFreeSeries, validate_observation
+from .errors import DuplicateMonth, NonPositivePrice, RateOutOfRange, SchemaMismatch
+from .panel_core import STAKE_SUM_TOL, FundamentalsTable, RiskFreeSeries, row_sums
 
 FUNDAMENTALS_COLUMNS = ("firm_id", "market_id", "year", "price", "book_value", "eps",
                         "sga", "rd", "sales", "total_assets", "total_equity",
@@ -55,13 +56,6 @@ def _parse_int(text: str, name: str) -> int:
         raise ValueError(f"{name}: not an integer")
 
 
-def _parse_stakes(text: str) -> tuple[float, ...]:
-    raw = text.strip()
-    if not raw:
-        return ()
-    return tuple(_parse_float(part, "stakes") for part in raw.split(";"))
-
-
 def _rows(csv_text: str):
     return list(csv.reader(io.StringIO(csv_text)))
 
@@ -80,68 +74,97 @@ def _check_header(header: list[str], expected: tuple[str, ...], what: str,
     return cleaned
 
 
-def parse_fundamentals(csv_text: str) -> tuple[list[FirmYearObservation], IngestReport]:
-    """Parse fundamentals.csv into observations, soft-failing per row.
+def _numbers(cells: list[str], name: str, kind: type) -> tuple[np.ndarray, dict[int, str]]:
+    """A column of number cells read as ``kind`` (float or int), and the reason
+    each cell that does not read as a finite number fails, by row."""
+    parse = _parse_float if kind is float else _parse_int
+    values = np.zeros(len(cells), dtype=np.float64 if kind is float else np.int64)
+    reasons = {}
+    for i, cell in enumerate(cells):
+        try:
+            values[i] = parse(cell, name)
+        except ValueError as exc:
+            reasons[i] = str(exc)
+        except OverflowError:
+            reasons[i] = f"{name}: out of range"
+    return values, reasons
 
-    Returns the accepted observations and an :class:`IngestReport` whose
-    ``rejections`` carry 1-based file line numbers and reasons. A schema
-    problem raises :class:`SchemaMismatch` instead.
+
+def _failing(mask: np.ndarray, reason: str) -> list[tuple[int, str]]:
+    return [(r, reason) for r in np.flatnonzero(mask).tolist()]
+
+
+def parse_fundamentals(csv_text: str) -> tuple[FundamentalsTable, IngestReport]:
+    """Parse fundamentals.csv into one columnar table, soft-failing per row.
+
+    Returns the accepted rows, in file order, and an :class:`IngestReport`
+    whose ``rejections`` carry 1-based file line numbers and reasons. Each
+    check runs once over whole columns; a rejected row reports the first it
+    fails: field count, a cell that is not a finite number (the lagged book
+    value first), empty ids, then the field invariants. Rows whose cells are
+    all blank are skipped. A schema problem raises :class:`SchemaMismatch`.
     """
     rows = _rows(csv_text)
     if not rows:
         raise SchemaMismatch("fundamentals: empty file")
     header = _check_header(rows[0], FUNDAMENTALS_COLUMNS, "fundamentals",
                            optional=(OPTIONAL_FUNDAMENTALS_COLUMN,))
-    has_prev = OPTIONAL_FUNDAMENTALS_COLUMN in header
+    width = len(header)
+    line_nos = [n for n, row in enumerate(rows[1:], start=2) if any(map(str.strip, row))]
+    body = [rows[n - 1] for n in line_nos]
+    # a row of the wrong width reads as zeros: its width is its first reason
+    columns = list(zip(*[row if len(row) == width else ("0",) * width for row in body]))
+    columns = columns or [()] * width
+    # each check lists (row, reason) for the rows it fails, in row order
+    checks = [[(r, f"expected {width} fields, got {len(row)}")
+               for r, row in enumerate(body) if len(row) != width]]
 
-    accepted: list[FirmYearObservation] = []
-    rejections: list[tuple[int, str]] = []
-    n_rows = 0
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        n_rows += 1
-        try:
-            if len(row) != len(header):
-                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-            prev = None
-            if has_prev and row[-1].strip():
-                prev = _parse_float(row[-1], OPTIONAL_FUNDAMENTALS_COLUMN)
-            obs = FirmYearObservation(
-                firm_id=row[0].strip(),
-                market_id=row[1].strip(),
-                year=_parse_int(row[2], "year"),
-                price=_parse_float(row[3], "price"),
-                book_value=_parse_float(row[4], "book_value"),
-                eps=_parse_float(row[5], "eps"),
-                sga=_parse_float(row[6], "sga"),
-                rd=_parse_float(row[7], "rd"),
-                sales=_parse_float(row[8], "sales"),
-                total_assets=_parse_float(row[9], "total_assets"),
-                total_equity=_parse_float(row[10], "total_equity"),
-                establishment_year=_parse_int(row[11], "establishment_year"),
-                controlling_stakes=_parse_stakes(row[12]),
-                book_value_prev=prev,
-            )
-            if not obs.firm_id or not obs.market_id:
-                raise ValueError("firm_id and market_id must be non-empty")
-            validate_observation(obs)
-        except (ValueError, InvariantViolation) as exc:
-            rejections.append((line_no, _reason(exc)))
-            continue
-        accepted.append(obs)
+    prev = np.full(len(body), np.nan)
+    if width > len(FUNDAMENTALS_COLUMNS):
+        given = [r for r, cell in enumerate(columns[-1]) if cell.strip()]
+        prev[given], reasons = _numbers([columns[-1][r] for r in given],
+                                        OPTIONAL_FUNDAMENTALS_COLUMN, float)
+        checks.append([(given[i], why) for i, why in reasons.items()])
+    parsed = {}
+    for j, name in enumerate(FUNDAMENTALS_COLUMNS[2:12], start=2):
+        parsed[name], reasons = _numbers(columns[j], name,
+                                         int if name.endswith("year") else float)
+        checks.append(reasons.items())
+    parts = [cell.strip().split(";") if cell.strip() else [] for cell in columns[12]]
+    counts = list(map(len, parts))
+    stakes, reasons = _numbers(list(chain.from_iterable(parts)), "stakes", float)
+    part_row = np.repeat(np.arange(len(body)), counts).tolist()
+    checks.append([(part_row[i], why) for i, why in reasons.items()])
 
-    report = IngestReport(rows_accepted=len(accepted),
-                          rows_rejected=len(rejections),
-                          rejections=tuple(rejections))
-    assert report.rows_accepted + report.rows_rejected == n_rows
-    return accepted, report
-
-
-def _reason(exc: Exception) -> str:
-    if isinstance(exc, InvariantViolation):
-        return exc.reason
-    return str(exc)
+    firms = np.array([cell.strip() for cell in columns[0]], dtype=str)
+    markets = np.array([cell.strip() for cell in columns[1]], dtype=str)
+    t = FundamentalsTable.from_labels(firms, markets, stakes, counts,
+                                      book_value_prev=prev, **parsed)
+    checks += [
+        _failing((firms == "") | (markets == ""), "firm_id and market_id must be non-empty"),
+        _failing(~(t.price > 0), "price must be positive"),
+        _failing(~(t.book_value > 0), "book value must be positive"),
+        _failing(~(t.total_assets > 0), "total assets must be positive"),
+        _failing(~(t.sales > 0), "sales must be positive"),
+        _failing(~(t.rd >= 0), "R&D must be non-negative"),
+        _failing(~(t.sga - t.rd >= 0), "SG&A minus R&D negative"),
+        # leverage (equity/assets) must land in [0, 1]
+        _failing(~(t.total_equity >= 0), "total equity must be non-negative"),
+        _failing(~(t.total_equity <= t.total_assets), "total equity exceeds total assets"),
+        _failing(~(t.establishment_year <= t.year), "establishment year after observation year"),
+        [(part_row[i], f"stake {float(t.stakes[i])!r} outside (0, 1]")
+         for i in np.flatnonzero(~((t.stakes > 0) & (t.stakes <= 1))).tolist()],
+        _failing(~(row_sums(t.stakes, t.stake_offsets) <= 1 + STAKE_SUM_TOL),
+                 "stakes sum exceeds 1"),
+        _failing(~np.isnan(prev) & ~(prev > 0), "lagged book value must be positive"),
+    ]
+    first = {}
+    for check in checks:
+        for r, why in check:
+            first.setdefault(r, why)
+    report = IngestReport(rows_accepted=len(body) - len(first), rows_rejected=len(first),
+                          rejections=tuple(sorted((line_nos[r], why) for r, why in first.items())))
+    return t.take([r for r in range(len(body)) if r not in first]), report
 
 
 def _blank_row(line: str) -> bool:
@@ -270,7 +293,8 @@ def parse_riskfree(csv_text: str) -> list[RiskFreeSeries]:
             raise RateOutOfRange(f"riskfree line {line_no}: rate {rate!r} outside [0, 0.5]")
         rates = by_market.setdefault(market_id, {})
         if year in rates:
-            raise SchemaMismatch(f"riskfree: duplicate (market, year) ({market_id}, {year})")
+            raise SchemaMismatch(f"riskfree line {line_no}: duplicate (market, year) "
+                                 f"({market_id}, {year})")
         rates[year] = rate
 
     return [RiskFreeSeries(market_id=m, rates=dict(sorted(by_market[m].items())))
@@ -284,21 +308,23 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def fundamentals_to_csv(observations: list[FirmYearObservation]) -> str:
-    include_prev = any(o.book_value_prev is not None for o in observations)
+def fundamentals_to_csv(table: FundamentalsTable) -> str:
+    prev = table.book_value_prev.tolist()
+    include_prev = not all(map(math.isnan, prev))
     header = list(FUNDAMENTALS_COLUMNS)
     if include_prev:
         header.append(OPTIONAL_FUNDAMENTALS_COLUMN)
-    lines = [",".join(header)]
-    for o in observations:
-        row = [o.firm_id, o.market_id, str(o.year), _fmt(o.price), _fmt(o.book_value),
-               _fmt(o.eps), _fmt(o.sga), _fmt(o.rd), _fmt(o.sales), _fmt(o.total_assets),
-               _fmt(o.total_equity), str(o.establishment_year),
-               ";".join(_fmt(s) for s in o.controlling_stakes)]
-        if include_prev:
-            row.append(_fmt(o.book_value_prev) if o.book_value_prev is not None else "")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    stakes = list(map(_fmt, table.stakes.tolist()))
+    offsets = table.stake_offsets.tolist()
+    columns = [map(table.firm_ids.__getitem__, table.firm.tolist()),
+               map(table.market_ids.__getitem__, table.market.tolist()),
+               map(str, table.year.tolist()),
+               *(map(_fmt, getattr(table, name).tolist()) for name in FUNDAMENTALS_COLUMNS[3:11]),
+               map(str, table.establishment_year.tolist()),
+               (";".join(stakes[a:b]) for a, b in zip(offsets, offsets[1:]))]
+    if include_prev:
+        columns.append("" if math.isnan(v) else _fmt(v) for v in prev)
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 
 
 def prices_to_csv(prices: PriceTable) -> str:

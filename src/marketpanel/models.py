@@ -34,8 +34,6 @@ class ModelSpec:
     regressors: tuple[str, ...]
     interaction: tuple[str, str] | None
     marin_variant: str = "sales_ratio"
-    effects: str = "entity"
-    cov_kind: str = "white_cross_section"
     constrain_book_unit: bool = False
 
     def __post_init__(self):
@@ -123,18 +121,17 @@ def _assemble_design(panel: DerivedPanel, spec: ModelSpec, center: bool):
     variant_col = _VARIANT_COLUMN[spec.marin_variant]
     resolved = {"Marin": variant_col}
     try:
-        keys, columns = panel_columns(panel, sorted({resolved.get(n, n) for n in needed}))
+        columns = panel_columns(panel, sorted({resolved.get(n, n) for n in needed}))
     except KeyError as exc:
         raise MissingVariable(str(exc))
 
     def col(name: str) -> np.ndarray:
         return columns[resolved.get(name, name)]
 
-    mask = np.ones(len(keys), dtype=bool)
+    mask = np.ones(len(panel), dtype=bool)
     for name in needed:
         mask &= np.isfinite(col(name))
     n_excluded = int((~mask).sum())
-    keys = [k for k, keep in zip(keys, mask) if keep]
 
     y = col(spec.dependent)[mask]
     if spec.constrain_book_unit and spec.dependent == "P":
@@ -149,7 +146,7 @@ def _assemble_design(panel: DerivedPanel, spec: ModelSpec, center: bool):
                                                    centering=center)
 
     values = np.column_stack([data[n] for n in spec.regressors])
-    X = DesignMatrix(values, spec.regressors, row_index=tuple(keys))
+    X = DesignMatrix(values, spec.regressors, panel.codes.select(mask))
     return X, y, n_excluded, len(mask)
 
 
@@ -171,7 +168,7 @@ def _drop_within_degenerate(X: DesignMatrix, y):
         return X, ()
     values = X.values[:, keep]
     names = tuple(X.column_names[j] for j in keep)
-    return DesignMatrix(values, names, X.row_index, X.codes), tuple(dropped)
+    return DesignMatrix(values, names, X.codes), tuple(dropped)
 
 
 def estimate(panel: DerivedPanel, spec: ModelSpec, center: bool = False) -> EstimationReport:
@@ -198,12 +195,12 @@ def estimate(panel: DerivedPanel, spec: ModelSpec, center: bool = False) -> Esti
         notes.append(f"hausman unavailable: {exc}")
 
     try:
-        diagnostics.append(lr_heteroskedasticity(fe_classical.residuals, X.row_index))
+        firms = np.array(X.codes.firm_ids)[X.codes.firm]
+        diagnostics.append(lr_heteroskedasticity(fe_classical.residuals, firms))
     except MarketPanelError as exc:
         notes.append(f"lr check unavailable: {exc}")
 
-    fit = regress.fe_fit(X, y, cov_kind=spec.cov_kind) \
-        if spec.cov_kind != "classical" else fe_classical
+    fit = regress.fe_fit(X, y, cov_kind="white_cross_section")
 
     table = [("C", fit.coefficient("C"), fit.p_value("C"))]
     for name in spec.regressors:

@@ -1,43 +1,177 @@
 """Domain types and the validated panel container consumed by every other module.
 
-A panel is a collection of firm-year fundamentals plus per-market risk-free
-rate series. Observations are validated field by field at construction; the
-dataset is immutable afterwards and safe to share across workers.
+A panel is a columnar table of firm-year fundamentals plus per-market
+risk-free rate series. Fundamentals rows are validated once, when they are
+parsed; the dataset sorts them by (firm, year), checks their keys and rates,
+and derives their firm and period codes once. It is immutable afterwards.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DuplicateKey, EmptyInput, InvariantViolation, MissingRiskFree
 
 STAKE_SUM_TOL = 1e-9
 
+# the per-row columns of a FundamentalsTable, besides the ragged stakes
+ROW_COLUMNS = ("firm", "market", "year", "price", "book_value", "eps", "sga", "rd", "sales",
+               "total_assets", "total_equity", "establishment_year", "book_value_prev")
+
+
+def row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per row, ``values[offsets[i]:offsets[i + 1]]`` added left to right.
+
+    The additions run in the order a loop over each row's items makes them,
+    so the sums equal that loop's bit for bit.
+    """
+    counts = np.diff(offsets)
+    sums = np.zeros(len(counts))
+    for j in range(int(counts.max(initial=0))):
+        rows = np.flatnonzero(counts > j)
+        sums[rows] += values[offsets[rows] + j]
+    return sums
+
 
 @dataclass(frozen=True)
-class FirmYearObservation:
-    """One firm-year row of raw fundamentals.
+class FundamentalsTable:
+    """Firm-year fundamentals as read-only columns, one row per observation.
 
-    Monetary fields are per share where noted, otherwise in the dataset
-    currency. ``controlling_stakes`` holds raw ownership fractions of all
-    reported shareholders; thresholding happens downstream.
-    ``book_value_prev`` optionally supplies the lagged book value for a
-    firm's first panel year.
+    ``firm`` and ``market`` are codes into the sorted ``firm_ids`` and
+    ``market_ids``, which hold only ids that have rows. ``book_value_prev``
+    is the optional lagged book value of a firm's first panel year, NaN where
+    not given. Row ``i`` holds the raw ownership fractions
+    ``stakes[stake_offsets[i]:stake_offsets[i + 1]]`` of all its reported
+    shareholders; thresholding happens downstream.
     """
 
-    firm_id: str
-    market_id: str
-    year: int
-    price: float
-    book_value: float
-    eps: float
-    sga: float
-    rd: float
-    sales: float
-    total_assets: float
-    total_equity: float
-    establishment_year: int
-    controlling_stakes: tuple[float, ...] = ()
-    book_value_prev: float | None = None
+    firm_ids: tuple[str, ...]
+    firm: np.ndarray
+    market_ids: tuple[str, ...]
+    market: np.ndarray
+    year: np.ndarray
+    price: np.ndarray
+    book_value: np.ndarray
+    eps: np.ndarray
+    sga: np.ndarray
+    rd: np.ndarray
+    sales: np.ndarray
+    total_assets: np.ndarray
+    total_equity: np.ndarray
+    establishment_year: np.ndarray
+    book_value_prev: np.ndarray
+    stakes: np.ndarray
+    stake_offsets: np.ndarray
+
+    def __post_init__(self):
+        for name in ROW_COLUMNS + ("stakes", "stake_offsets"):
+            getattr(self, name).flags.writeable = False
+
+    @classmethod
+    def from_labels(cls, firms, markets, stakes, stake_counts, **columns) -> "FundamentalsTable":
+        """A table whose row ``i`` belongs to firm ``firms[i]`` in market ``markets[i]``.
+
+        ``stakes`` concatenates the rows' stakes, ``stake_counts[i]`` of them
+        for row ``i``; ``columns`` gives the other columns by name.
+        """
+        firm_ids, firm = np.unique(np.asarray(firms, dtype=str), return_inverse=True)
+        market_ids, market = np.unique(np.asarray(markets, dtype=str), return_inverse=True)
+        return cls(firm_ids=tuple(firm_ids.tolist()), firm=firm,
+                   market_ids=tuple(market_ids.tolist()), market=market,
+                   stakes=np.asarray(stakes, dtype=float),
+                   stake_offsets=np.cumsum([0, *stake_counts], dtype=np.int64),
+                   **{name: np.asarray(values, dtype=np.int64 if name.endswith("year") else float)
+                      for name, values in columns.items()})
+
+    def __len__(self) -> int:
+        return len(self.year)
+
+    def take(self, rows) -> "FundamentalsTable":
+        """The table of ``rows`` (row numbers, in their order); ids left without rows drop out."""
+        rows = np.asarray(rows, dtype=np.int64)
+        columns = {name: getattr(self, name)[rows] for name in ROW_COLUMNS}
+        firms, columns["firm"] = np.unique(columns["firm"], return_inverse=True)
+        markets, columns["market"] = np.unique(columns["market"], return_inverse=True)
+        counts = np.diff(self.stake_offsets)[rows]
+        offsets = np.cumsum([0, *counts], dtype=np.int64)
+        items = np.repeat(self.stake_offsets[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
+        return FundamentalsTable(firm_ids=tuple(self.firm_ids[c] for c in firms.tolist()),
+                                 market_ids=tuple(self.market_ids[c] for c in markets.tolist()),
+                                 stakes=self.stakes[items], stake_offsets=offsets, **columns)
+
+
+def appearance_codes(labels) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct labels in order of first appearance, and each row's code into them."""
+    distinct, first, codes = np.unique(np.asarray(labels), return_index=True,
+                                       return_inverse=True)
+    appearance = np.argsort(first)
+    rank = np.empty_like(appearance)
+    rank[appearance] = np.arange(len(appearance))
+    return distinct[appearance], rank[codes]
+
+
+def _size_blocks(codes: np.ndarray, n_groups: int):
+    """For each distinct group size m: the groups of that size and their
+    (groups, m) row numbers, each group's rows in row order."""
+    sizes = np.bincount(codes, minlength=n_groups)
+    order = np.argsort(codes, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    blocks = []
+    for m in np.unique(sizes):
+        groups = np.flatnonzero(sizes == m)
+        blocks.append((groups, order[starts[groups][:, None] + np.arange(m)]))
+    return tuple(blocks)
+
+
+@dataclass(frozen=True)
+class PanelCodes:
+    """Integer firm and period codes of a panel's rows, derived once.
+
+    Row ``i`` belongs to firm ``firm_ids[firm[i]]`` (sorted ids) and to
+    period ``years[period[i]]`` (years in order of first appearance).
+    ``firm_sizes`` counts the rows of each firm. The blocks group firms, and
+    periods, of equal size m with their (groups, m) row numbers, so that one
+    numpy call reduces every group of that size.
+    """
+
+    firm_ids: tuple[str, ...]
+    firm: np.ndarray
+    firm_sizes: np.ndarray
+    firm_blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    years: np.ndarray
+    period: np.ndarray
+    period_blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def from_codes(cls, firm_ids, firm, row_years) -> "PanelCodes":
+        """Codes for rows of firm ``firm_ids[firm[i]]`` and year ``row_years[i]``.
+
+        ``firm_ids`` must be sorted; ids without rows drop out.
+        """
+        present, firm = np.unique(firm, return_inverse=True)
+        firm_ids = tuple(firm_ids[g] for g in present.tolist())
+        years, period = appearance_codes(np.asarray(row_years, dtype=np.int64))
+        return cls(firm_ids=firm_ids, firm=firm,
+                   firm_sizes=np.bincount(firm, minlength=len(firm_ids)),
+                   firm_blocks=_size_blocks(firm, len(firm_ids)),
+                   years=years, period=period,
+                   period_blocks=_size_blocks(period, len(years)))
+
+    def select(self, rows) -> "PanelCodes":
+        """The codes of ``rows`` (a mask or row numbers); firms left without rows drop out."""
+        return self.from_codes(self.firm_ids, self.firm[rows], self.years[self.period[rows]])
+
+    def firm_means(self, values: np.ndarray) -> np.ndarray:
+        """Per-firm means of a vector (G,) or of each matrix column (G, k).
+
+        A block's ``mean(axis=1)`` adds each firm's values in the order
+        ``values[rows].mean(axis=0)`` does, so the means equal a loop over
+        firms bit for bit.
+        """
+        out = np.empty((len(self.firm_ids),) + values.shape[1:])
+        for firms, rows in self.firm_blocks:
+            out[firms] = values[rows].mean(axis=1)
+        return out
 
 
 @dataclass(frozen=True)
@@ -49,122 +183,48 @@ class RiskFreeSeries:
 
 
 @dataclass(frozen=True)
-class DerivedRow:
-    """Per-observation regression variables.
-
-    ``marin_alt_log`` is ``None`` when marketing expense is non-positive; the
-    row is then excluded from the log robustness variant only. ``price``,
-    ``book_value`` and ``total_assets`` are carried through so reports and
-    value models do not need to re-join the raw panel.
-    """
-
-    x_abnormal: float
-    marin: float
-    marin_alt_assets: float
-    marin_alt_log: float | None
-    age: float
-    size: float
-    lev: float
-    ow: float
-    beta: float
-    pb_ratio: float
-    price: float
-    book_value: float
-    total_assets: float
-
-
-@dataclass(frozen=True)
 class PanelDataset:
-    """Validated panel keyed by (firm_id, year).
+    """Validated panel: ``table`` holds one row per (firm, year), sorted by firm then year.
 
-    Immutable after construction; balancedness is recorded, not required.
+    ``codes`` are the rows' firm and period codes and ``row_rates`` the
+    risk-free rate of each row's market and year. Immutable after
+    construction; balancedness is recorded, not required.
     """
 
-    observations: dict[tuple[str, int], FirmYearObservation]
+    table: FundamentalsTable
+    codes: PanelCodes
+    row_rates: np.ndarray
     risk_free: tuple[RiskFreeSeries, ...]
     years: tuple[int, ...]
     is_balanced: bool
     currency: str = "USD"
-    _rates: dict[tuple[str, int], float] = field(default_factory=dict, repr=False)
 
     @property
     def firms(self) -> tuple[str, ...]:
-        return tuple(sorted({f for f, _ in self.observations}))
+        return self.codes.firm_ids
 
-    @property
-    def markets(self) -> tuple[str, ...]:
-        return tuple(sorted({o.market_id for o in self.observations.values()}))
-
-    def rate(self, market_id: str, year: int) -> float:
-        try:
-            return self._rates[(market_id, year)]
-        except KeyError:
-            raise MissingRiskFree(f"no risk-free rate for market {market_id}, year {year}")
+    def firm_markets(self) -> dict[str, str]:
+        """Each firm's market, as recorded in its last panel year."""
+        last = np.cumsum(self.codes.firm_sizes) - 1
+        markets = self.table.market_ids
+        return dict(zip(self.firms, (markets[m] for m in self.table.market[last].tolist())))
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.table)
 
 
-def _check(condition: bool, field_name: str, reason: str, obs: FirmYearObservation) -> None:
-    if not condition:
-        raise InvariantViolation(field_name, reason, firm_id=obs.firm_id, year=obs.year)
-
-
-def validate_observation(obs: FirmYearObservation) -> None:
-    """Check every field-level invariant; raises :class:`InvariantViolation`.
-
-    The error message identifies firm, year and the offending field.
-    """
-    numeric = {
-        "price": obs.price,
-        "book_value": obs.book_value,
-        "eps": obs.eps,
-        "sga": obs.sga,
-        "rd": obs.rd,
-        "sales": obs.sales,
-        "total_assets": obs.total_assets,
-        "total_equity": obs.total_equity,
-    }
-    for name, value in numeric.items():
-        _check(isinstance(value, (int, float)) and math.isfinite(value),
-               name, "not a finite number", obs)
-
-    _check(obs.price > 0, "price", "price must be positive", obs)
-    _check(obs.book_value > 0, "book_value", "book value must be positive", obs)
-    _check(obs.total_assets > 0, "total_assets", "total assets must be positive", obs)
-    _check(obs.sales > 0, "sales", "sales must be positive", obs)
-    _check(obs.rd >= 0, "rd", "R&D must be non-negative", obs)
-    _check(obs.sga - obs.rd >= 0, "rd", "SG&A minus R&D negative", obs)
-    # leverage (equity/assets) must land in [0, 1]
-    _check(obs.total_equity >= 0, "total_equity", "total equity must be non-negative", obs)
-    _check(obs.total_equity <= obs.total_assets, "total_equity",
-           "total equity exceeds total assets", obs)
-    _check(obs.establishment_year <= obs.year, "establishment_year",
-           "establishment year after observation year", obs)
-
-    total = 0.0
-    for s in obs.controlling_stakes:
-        _check(isinstance(s, (int, float)) and math.isfinite(s), "stakes",
-               "stake not a finite number", obs)
-        _check(0 < s <= 1, "stakes", f"stake {s!r} outside (0, 1]", obs)
-        total += s
-    _check(total <= 1 + STAKE_SUM_TOL, "stakes", "stakes sum exceeds 1", obs)
-
-    if obs.book_value_prev is not None:
-        _check(math.isfinite(obs.book_value_prev) and obs.book_value_prev > 0,
-               "book_value_2009", "lagged book value must be positive", obs)
-
-
-def build_dataset(rows: list[FirmYearObservation],
+def build_dataset(table: FundamentalsTable,
                   rf: list[RiskFreeSeries],
                   currency: str = "USD") -> PanelDataset:
-    """Assemble and validate a :class:`PanelDataset`.
+    """Assemble a :class:`PanelDataset` from parsed, validated fundamentals.
 
-    Deterministic and order-independent: permuting ``rows`` yields an
-    identical dataset. Raises :class:`EmptyInput`, :class:`DuplicateKey`,
-    :class:`MissingRiskFree` or :class:`InvariantViolation`.
+    Deterministic and order-independent: permuting the table's rows yields
+    an identical dataset. Of the rows that repeat an earlier (firm, year) or
+    lack a risk-free rate, the first one raises :class:`DuplicateKey` or
+    :class:`MissingRiskFree`; a rate outside [0, 0.5] raises
+    :class:`InvariantViolation`, and an empty table :class:`EmptyInput`.
     """
-    if not rows:
+    if not len(table):
         raise EmptyInput("no observations supplied")
 
     rates: dict[tuple[str, int], float] = {}
@@ -175,23 +235,31 @@ def build_dataset(rows: list[FirmYearObservation],
                                          firm_id=series.market_id, year=year)
             rates[(series.market_id, year)] = rate
 
-    observations: dict[tuple[str, int], FirmYearObservation] = {}
-    for obs in rows:
-        validate_observation(obs)
-        key = (obs.firm_id, obs.year)
-        if key in observations:
-            raise DuplicateKey(f"duplicate observation for firm {obs.firm_id}, year {obs.year}")
-        if (obs.market_id, obs.year) not in rates:
-            raise MissingRiskFree(
-                f"no risk-free rate for market {obs.market_id}, year {obs.year} "
-                f"(firm {obs.firm_id})")
-        observations[key] = obs
+    order = np.lexsort((table.year, table.firm))
+    duplicate = np.zeros(len(table), dtype=bool)
+    # lexsort is stable: of two rows with one key, the later row follows
+    duplicate[order[1:][(np.diff(table.firm[order]) == 0)
+                        & (np.diff(table.year[order]) == 0)]] = True
+    pairs, pair_of_row = np.unique(np.stack([table.market, table.year]), axis=1,
+                                   return_inverse=True)
+    pair_rates = np.array([rates.get((table.market_ids[m], y), np.nan)
+                           for m, y in pairs.T.tolist()])
+    row_rates = pair_rates[pair_of_row.reshape(-1)]
+    failed = duplicate | np.isnan(row_rates)
+    if failed.any():
+        r = int(np.argmax(failed))
+        firm_id, year = table.firm_ids[table.firm[r]], int(table.year[r])
+        if duplicate[r]:
+            raise DuplicateKey(f"duplicate observation for firm {firm_id}, year {year}")
+        raise MissingRiskFree(f"no risk-free rate for market {table.market_ids[table.market[r]]}, "
+                              f"year {year} (firm {firm_id})")
 
-    ordered = {k: observations[k] for k in sorted(observations)}
-    years = tuple(sorted({y for _, y in ordered}))
-    firms = {f for f, _ in ordered}
-    balanced = all((f, y) in ordered for f in firms for y in years)
-
-    rf_sorted = tuple(sorted(rf, key=lambda s: s.market_id))
-    return PanelDataset(observations=ordered, risk_free=rf_sorted, years=years,
-                        is_balanced=balanced, currency=currency, _rates=rates)
+    table = table.take(order)
+    codes = PanelCodes.from_codes(table.firm_ids, table.firm, table.year)
+    years = tuple(np.unique(table.year).tolist())
+    row_rates = row_rates[order]
+    row_rates.flags.writeable = False
+    return PanelDataset(table=table, codes=codes, row_rates=row_rates,
+                        risk_free=tuple(sorted(rf, key=lambda s: s.market_id)), years=years,
+                        is_balanced=len(table) == len(codes.firm_ids) * len(years),
+                        currency=currency)

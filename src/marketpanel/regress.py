@@ -16,85 +16,23 @@ from scipy import special
 from .errors import (CollinearityProximityWarning, NegativeVarianceComponentWarning,
                      RankDeficient, SingletonGroupWarning, TooFewClusters,
                      TooFewObservations)
+from .panel_core import PanelCodes
 
 RANK_TOL_FACTOR = 1e-10
 INTERCEPT_NAME = "C"
 
 
-def _size_blocks(codes: np.ndarray, n_groups: int):
-    """For each distinct group size m: the groups of that size and their
-    (groups, m) row numbers, each group's rows in row order."""
-    sizes = np.bincount(codes, minlength=n_groups)
-    order = np.argsort(codes, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    blocks = []
-    for m in np.unique(sizes):
-        groups = np.flatnonzero(sizes == m)
-        blocks.append((groups, order[starts[groups][:, None] + np.arange(m)]))
-    return tuple(blocks)
-
-
-@dataclass(frozen=True)
-class PanelCodes:
-    """Integer firm and period codes of a panel row index, derived once.
-
-    Row ``i`` belongs to firm ``firm_ids[firm[i]]`` (sorted ids) and to
-    period ``years[period[i]]`` (years in order of first appearance).
-    ``firm_sizes`` counts the rows of each firm. The blocks group firms, and
-    periods, of equal size m with their (groups, m) row numbers, so that one
-    numpy call reduces every group of that size.
-    """
-
-    firm_ids: tuple[str, ...]
-    firm: np.ndarray
-    firm_sizes: np.ndarray
-    firm_blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
-    years: np.ndarray
-    period: np.ndarray
-    period_blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    @classmethod
-    def from_labels(cls, firms: list[str], years: list[int]) -> "PanelCodes":
-        """Codes for rows labelled ``(firms[i], years[i])``."""
-        firm_ids, firm = np.unique(np.array(firms, dtype=str), return_inverse=True)
-        years, first, period = np.unique(np.array(years, dtype=np.int64),
-                                         return_index=True, return_inverse=True)
-        appearance = np.argsort(first)
-        rank = np.empty_like(appearance)
-        rank[appearance] = np.arange(len(appearance))
-        period = rank[period]
-        return cls(firm_ids=tuple(firm_ids.tolist()), firm=firm,
-                   firm_sizes=np.bincount(firm, minlength=len(firm_ids)),
-                   firm_blocks=_size_blocks(firm, len(firm_ids)),
-                   years=years[appearance], period=period,
-                   period_blocks=_size_blocks(period, len(years)))
-
-    def firm_means(self, values: np.ndarray) -> np.ndarray:
-        """Per-firm means of a vector (G,) or of each matrix column (G, k).
-
-        A block's ``mean(axis=1)`` adds each firm's values in the order
-        ``values[rows].mean(axis=0)`` does, so the means equal a loop over
-        firms bit for bit.
-        """
-        out = np.empty((len(self.firm_ids),) + values.shape[1:])
-        for firms, rows in self.firm_blocks:
-            out[firms] = values[rows].mean(axis=1)
-        return out
-
-
 @dataclass(frozen=True)
 class DesignMatrix:
-    """An n x k regressor stack with named columns and an optional panel index.
+    """An n x k regressor stack with named columns and optional panel codes.
 
-    ``row_index`` holds (firm_id, year) per row and is required by the panel
-    transformations and the period-clustered covariance. ``codes`` is derived
-    from it on construction; a transformed copy of the same rows passes its
-    source's ``codes`` along instead of deriving them again.
+    ``codes`` give each row's firm and period; the panel transformations and
+    the period-clustered covariance require them. A transformed copy of the
+    same rows passes its source's ``codes`` along.
     """
 
     values: np.ndarray
     column_names: tuple[str, ...]
-    row_index: tuple[tuple[str, int], ...] | None = None
     codes: PanelCodes | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -112,17 +50,7 @@ class DesignMatrix:
             bad = [names[j] for j in range(values.shape[1])
                    if not np.all(np.isfinite(values[:, j]))]
             raise ValueError(f"non-finite values in columns: {bad}")
-        if self.row_index is None:
-            if self.codes is not None:
-                raise ValueError("codes require a row_index")
-        elif self.codes is None:
-            firms = [str(f) for f, _ in self.row_index]
-            years = [int(y) for _, y in self.row_index]
-            if len(firms) != values.shape[0]:
-                raise ValueError("row_index length does not match matrix height")
-            object.__setattr__(self, "row_index", tuple(zip(firms, years)))
-            object.__setattr__(self, "codes", PanelCodes.from_labels(firms, years))
-        elif len(self.codes.firm) != values.shape[0]:
+        if self.codes is not None and len(self.codes.firm) != values.shape[0]:
             raise ValueError("codes length does not match matrix height")
 
     @property
@@ -276,8 +204,8 @@ def within_transform(X: DesignMatrix, y, warn: bool = True) -> tuple[DesignMatri
     :class:`SingletonGroupWarning` (suppressed with ``warn=False`` for
     internal re-transforms).
     """
-    if X.row_index is None:
-        raise ValueError("within transform requires a row_index")
+    if X.codes is None:
+        raise ValueError("within transform requires panel codes")
     y = np.asarray(y, dtype=float)
     codes = X.codes
     singletons = [codes.firm_ids[g] for g in np.flatnonzero(codes.firm_sizes == 1)]
@@ -287,18 +215,18 @@ def within_transform(X: DesignMatrix, y, warn: bool = True) -> tuple[DesignMatri
 
     values = X.values - codes.firm_means(X.values)[codes.firm]
     y_out = y - codes.firm_means(y)[codes.firm]
-    return DesignMatrix(values, X.column_names, X.row_index, codes), y_out
+    return DesignMatrix(values, X.column_names, codes), y_out
 
 
 def robust_cov_white_cross_section(X: DesignMatrix, residuals) -> np.ndarray:
     """Period-clustered sandwich covariance (White cross-section).
 
     (X'X)^-1 (sum_t X_t' e_t e_t' X_t) (X'X)^-1 with periods taken from the
-    row index, scaled by n/(n - k). Robust to heteroskedasticity and to
+    panel codes, scaled by n/(n - k). Robust to heteroskedasticity and to
     contemporaneous cross-firm correlation.
     """
-    if X.row_index is None:
-        raise ValueError("white cross-section covariance requires a row_index")
+    if X.codes is None:
+        raise ValueError("white cross-section covariance requires panel codes")
     residuals = np.asarray(residuals, dtype=float)
     n, k = X.values.shape
     codes = X.codes
@@ -405,8 +333,8 @@ def re_fit(X: DesignMatrix, y) -> FitResult:
     regression; a negative between component is clamped to zero with a
     warning, which reduces the estimator to pooled OLS.
     """
-    if X.row_index is None:
-        raise ValueError("random effects requires a row_index")
+    if X.codes is None:
+        raise ValueError("random effects requires panel codes")
     y = np.asarray(y, dtype=float)
     n, k = X.values.shape
     codes = X.codes

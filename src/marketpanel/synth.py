@@ -26,7 +26,7 @@ from .errors import InfeasibleTargets, ModelMismatch
 from .ingest import (fundamentals_to_csv, parse_fundamentals, parse_riskfree,
                      prices_to_csv, riskfree_to_csv)
 from .models import EstimationReport
-from .panel_core import FirmYearObservation, PanelDataset, RiskFreeSeries, build_dataset
+from .panel_core import FundamentalsTable, PanelDataset, RiskFreeSeries, build_dataset
 from .beta import PriceTable
 from .variables import ownership_concentration
 
@@ -454,8 +454,8 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
     nfull = ny + _PRE_PANEL_YEARS
     marin_full = np.empty((n, nfull))
     lev_full = np.empty((n, nfull))
-    ow_full = np.empty((n, nfull))
-    stakes_path: list[list[tuple[float, ...]]] = []
+    stakes_full, stake_counts_full = [], []   # every firm-year, pre-panel years included
+    stakes, stake_counts = [], []             # the panel's firm-years
     size_full = np.empty((n, nfull))
     book_path = np.empty((n, ny))
     x_path = np.empty((n, ny))
@@ -471,15 +471,14 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
                                *_LEV_BOUNDS)
         dominant = _reflect(ow_base[i] + np.cumsum(rng.normal(0, _OW_WALK_SD, nfull)),
                             ow_lo, ow_hi)
-        firm_stakes = []
         for t in range(nfull):
             count = int(rng.integers(0, _OW_MINOR_MAX_COUNT + 1))
-            minors = tuple(rng.uniform(_OW_MINOR_LOW, _OW_MINOR_HIGH, size=count))
-            stakes = (float(dominant[t]),) + tuple(float(s) for s in minors)
+            firm_year = [dominant[t], *rng.uniform(_OW_MINOR_LOW, _OW_MINOR_HIGH, size=count)]
+            stakes_full += firm_year
+            stake_counts_full.append(len(firm_year))
             if t >= _PRE_PANEL_YEARS:
-                firm_stakes.append(stakes)
-            ow_full[i, t] = ownership_concentration(stakes)
-        stakes_path.append(firm_stakes)
+                stakes += firm_year
+                stake_counts.append(len(firm_year))
         size_full[i] = (ln_assets0[i]
                         + growth[i] * (np.arange(nfull) - _PRE_PANEL_YEARS)
                         + rng.normal(0, _LN_ASSETS_NOISE_SD, nfull))
@@ -489,6 +488,9 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
             book_path[i, t] = book
         x_path[i] = x_mu[i] + rng.normal(0, spreads["x_within_sd"], ny)
         age_full[i] = age0[i] + np.arange(nfull) - _PRE_PANEL_YEARS
+
+    offsets_full = np.concatenate([[0], np.cumsum(stake_counts_full)])
+    ow_full = ownership_concentration(stakes_full, offsets_full).reshape(n, nfull)
 
     panel_slice = slice(_PRE_PANEL_YEARS, nfull)
     marin_path = marin_full[:, panel_slice]
@@ -535,27 +537,23 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
                         "value equation cannot keep prices positive; "
                         "lower the noise scale or raise the price target")
 
-    # fundamentals rows
+    # fundamentals rows, firm by firm
     rf_by_market = {s.market_id: s.rates for s in rf_series}
-    observations = []
-    for i, firm in enumerate(firm_ids):
-        market = firm_market[firm]
-        for t, year in enumerate(years):
-            assets = float(np.exp(size_path[i, t]))
-            sales = assets * turnover[i]
-            rd = rd_share[i] * sales
-            sga = rd + marin_path[i, t] * sales
-            book_prev = book0[i] if t == 0 else book_path[i, t - 1]
-            eps = x_path[i, t] + rf_by_market[market][year] * book_prev
-            observations.append(FirmYearObservation(
-                firm_id=firm, market_id=market, year=year,
-                price=float(price_path[i, t]), book_value=float(book_path[i, t]),
-                eps=float(eps), sga=float(sga), rd=float(rd), sales=float(sales),
-                total_assets=assets, total_equity=float(lev_path[i, t] * assets),
-                establishment_year=int(year - age_path[i, t]),
-                controlling_stakes=stakes_path[i][t],
-                book_value_prev=float(book0[i]) if t == 0 else None,
-            ))
+    rates = np.array([[rf_by_market[firm_market[firm]][year] for year in years]
+                      for firm in firm_ids])
+    assets = np.exp(size_path)
+    sales = assets * turnover[:, None]
+    rd = rd_share[:, None] * sales
+    book_prev = np.column_stack([book0, book_path[:, :-1]])
+    table = FundamentalsTable.from_labels(
+        np.repeat(firm_ids, ny), np.repeat([firm_market[f] for f in firm_ids], ny),
+        stakes, stake_counts, year=np.tile(years, n),
+        price=price_path.ravel(), book_value=book_path.ravel(),
+        eps=(x_path + rates * book_prev).ravel(), sga=(rd + marin_path * sales).ravel(),
+        rd=rd.ravel(), sales=sales.ravel(), total_assets=assets.ravel(),
+        total_equity=(lev_path * assets).ravel(),
+        establishment_year=(np.array(years) - age_path).astype(np.int64).ravel(),
+        book_value_prev=np.where(np.arange(ny) == 0, book0[:, None], np.nan).ravel())
 
     # monthly prices: firm returns follow the year's true beta
     betas_true: dict[tuple[str, int], float] = {}
@@ -591,7 +589,7 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
             mc = m - m.mean()
             betas_window[(firm, year)] = float((mc @ (b * m)) / (mc @ mc))
 
-    fundamentals_csv = fundamentals_to_csv(observations)
+    fundamentals_csv = fundamentals_to_csv(table)
     prices_csv = prices_to_csv(prices)
     riskfree_csv = riskfree_to_csv(rf_series)
 

@@ -2,198 +2,169 @@
 
 Covers abnormal earnings, the marketing-investment ratio and its two
 robustness alternates, the control variables (age, size, leverage), the
-ownership-concentration measure, and the per-row join that produces the
-derived panel feeding all regressions.
+ownership-concentration measure, and the join of fundamentals, rates and
+betas into the columnar derived panel feeding all regressions. The formula
+helpers work elementwise on columns.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .errors import (MissingLag, NegativeNumerator, NonPositiveExpense, ZeroSales)
-from .panel_core import DerivedRow, FirmYearObservation, PanelDataset
+from .errors import NegativeNumerator, NonPositiveExpense, ZeroSales
+from .panel_core import PanelCodes, PanelDataset, row_sums
 
 OWNERSHIP_THRESHOLD = 0.05
 
 # canonical column names used by descriptives, correlations and model design
-COLUMN_ATTRS = {
-    "P": "price",
-    "B": "book_value",
-    "X": "x_abnormal",
-    "Marin": "marin",
-    "MarinAssets": "marin_alt_assets",
-    "MarinLog": "marin_alt_log",
-    "Age": "age",
-    "Size": "size",
-    "Lev": "lev",
-    "Bet": "beta",
-    "OW": "ow",
-    "P/B": "pb_ratio",
-    "TotalAssets": "total_assets",
-}
+COLUMNS = ("P", "B", "X", "Marin", "MarinAssets", "MarinLog", "Age", "Size", "Lev", "Bet",
+           "OW", "P/B", "TotalAssets")
 DESCRIPTIVES_ORDER = ("P", "B", "X", "Marin", "Age", "TotalAssets", "Lev", "Bet", "OW", "P/B")
 CORRELATION_ORDER = ("P", "X", "B", "Marin", "Bet", "Lev", "OW", "Size", "Age")
 STATIONARITY_ORDER = ("P", "X", "Marin", "Age", "Size", "Lev", "Bet", "OW")
 
 
-def abnormal_earnings(eps_t: float, r: float, book_prev: float) -> float:
+# math.log, not np.log: numpy's vectorised log can differ from the C
+# library's in the last bit, and the derived columns are byte-stable
+_log = np.vectorize(math.log, otypes=[float])
+
+
+def abnormal_earnings(eps_t, r, book_prev):
     """Earnings in excess of the normal return on lagged book value.
 
     Returns eps_t - r * book_prev.
     """
-    if r < 0:
-        raise ValueError(f"risk-free rate must be non-negative, got {r!r}")
-    if book_prev <= 0:
-        raise ValueError(f"lagged book value must be positive, got {book_prev!r}")
+    r, book_prev = np.asarray(r, dtype=float), np.asarray(book_prev, dtype=float)
+    if np.any(r < 0):
+        raise ValueError(f"risk-free rate must be non-negative, got {float(np.min(r))!r}")
+    if np.any(book_prev <= 0):
+        raise ValueError(f"lagged book value must be positive, got {float(np.min(book_prev))!r}")
     return eps_t - r * book_prev
 
 
-def marin(sga: float, rd: float, sales: float) -> float:
+def _expense_ratio(sga, rd, scale, what: str):
+    scale = np.asarray(scale, dtype=float)
+    if np.any(scale <= 0):
+        raise ZeroSales(f"{what} must be positive, got {float(np.min(scale))!r}")
+    expense = np.asarray(sga, dtype=float) - rd
+    if np.any(expense < 0):
+        raise NegativeNumerator("SG&A minus R&D negative")
+    return expense / scale
+
+
+def marin(sga, rd, sales):
     """Marketing investment as (SG&A - R&D) / sales."""
-    if sales <= 0:
-        raise ZeroSales(f"sales must be positive, got {sales!r}")
-    expense = sga - rd
-    if expense < 0:
-        raise NegativeNumerator("SG&A minus R&D negative")
-    return expense / sales
+    return _expense_ratio(sga, rd, sales, "sales")
 
 
-def marin_alt_assets(sga: float, rd: float, total_assets: float) -> float:
+def marin_alt_assets(sga, rd, total_assets):
     """Robustness alternate: marketing expense scaled by total assets."""
-    if total_assets <= 0:
-        raise ZeroSales(f"total assets must be positive, got {total_assets!r}")
-    expense = sga - rd
-    if expense < 0:
-        raise NegativeNumerator("SG&A minus R&D negative")
-    return expense / total_assets
+    return _expense_ratio(sga, rd, total_assets, "total assets")
 
 
-def marin_alt_log(sga: float, rd: float) -> float:
+def marin_alt_log(sga, rd):
     """Robustness alternate: natural log of the marketing expense level."""
-    expense = sga - rd
-    if expense <= 0:
-        raise NonPositiveExpense(f"marketing expense must be positive, got {expense!r}")
-    return math.log(expense)
+    expense = np.asarray(sga, dtype=float) - rd
+    if np.any(expense <= 0):
+        raise NonPositiveExpense(
+            f"marketing expense must be positive, got {float(np.min(expense))!r}")
+    return _log(expense)
 
 
-def control_variables(obs: FirmYearObservation) -> tuple[float, float, float]:
-    """(age, size, lev) = (years since establishment, ln assets, equity/assets)."""
-    age = float(obs.year - obs.establishment_year)
-    size = math.log(obs.total_assets)
-    lev = obs.total_equity / obs.total_assets
-    return age, size, lev
+def ownership_concentration(stakes, offsets, threshold: float = OWNERSHIP_THRESHOLD):
+    """Per row, the summed stakes of shareholders at or above the controlling threshold.
+
+    Row ``i`` holds ``stakes[offsets[i]:offsets[i + 1]]``.
+    """
+    stakes = np.asarray(stakes, dtype=float)
+    # adding 0.0 for a stake below the threshold leaves a sum unchanged
+    return row_sums(np.where(stakes >= threshold, stakes, 0.0), np.asarray(offsets))
 
 
-def ownership_concentration(stakes, threshold: float = OWNERSHIP_THRESHOLD) -> float:
-    """Summed stakes of shareholders at or above the controlling threshold."""
-    return float(sum(s for s in stakes if s >= threshold))
-
-
-def lagged_book_value(ds: PanelDataset, firm_id: str, year: int) -> float:
-    """Book value at t-1 from the prior-year row or the optional carry-in column."""
-    prev = ds.observations.get((firm_id, year - 1))
-    if prev is not None:
-        return prev.book_value
-    obs = ds.observations[(firm_id, year)]
-    if obs.book_value_prev is not None:
-        return obs.book_value_prev
-    raise MissingLag(f"firm {firm_id}, year {year}: no lagged book value")
-
-
-@dataclass
+@dataclass(frozen=True)
 class DerivedPanel:
-    """Derived rows keyed by (firm, year), plus per-row exclusions and notes.
+    """The derived variables of every usable firm-year, as read-only columns.
 
-    The first column read fixes ``rows`` into read-only float columns.
+    Rows are sorted by (firm, year) and ``codes`` are their firm and period
+    codes; ``columns`` maps each name in :data:`COLUMNS` to a float column.
+    MarinLog is NaN where the marketing expense is zero. ``exclusions``
+    lists the (firm, year, reason) of the observations left out.
     """
 
-    rows: dict[tuple[str, int], DerivedRow]
+    codes: PanelCodes
+    columns: dict[str, np.ndarray]
     exclusions: list[tuple[str, int, str]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    @cached_property
-    def _columns(self) -> tuple[list[tuple[str, int]], dict[str, np.ndarray]]:
-        keys = sorted(self.rows)
-        get = operator.attrgetter(*COLUMN_ATTRS.values())
-        # None (the log variant on zero-expense rows) becomes NaN
-        table = np.array([get(self.rows[k]) for k in keys], dtype=float)
-        # one contiguous read-only row per column
-        table = table.reshape(len(keys), len(COLUMN_ATTRS)).T.copy()
-        table.flags.writeable = False
-        return keys, dict(zip(COLUMN_ATTRS, table))
+        return len(self.codes.firm)
 
 
 def derive_all(ds: PanelDataset, betas: dict[tuple[str, int], float]) -> DerivedPanel:
-    """Join fundamentals, risk-free rates and betas into one row per observation.
+    """Join fundamentals, risk-free rates and betas into the derived panel.
 
-    Rows lacking a lagged book value or a beta are excluded with a reason;
-    the panel is never aborted by a per-row problem. ``betas`` maps
-    (firm, year) to a beta value or a :class:`~marketpanel.beta.BetaEstimate`.
-    Deterministic under permutation of the inputs.
+    The lagged book value is the previous row's if that is the firm's
+    previous year, else the carry-in ``book_value_prev``. Rows lacking a
+    lagged book value or a beta are excluded with a reason, never aborting
+    the panel. ``betas`` maps (firm, year) to a beta value or a
+    :class:`~marketpanel.beta.BetaEstimate`.
     """
-    rows: dict[tuple[str, int], DerivedRow] = {}
-    exclusions: list[tuple[str, int, str]] = []
-    notes: list[str] = []
+    t, codes = ds.table, ds.codes
+    firm_ids, firm, year = codes.firm_ids, codes.firm, t.year
+    follows = np.zeros(len(t), dtype=bool)
+    follows[1:] = (firm[1:] == firm[:-1]) & (year[1:] == year[:-1] + 1)
+    book_prev = t.book_value_prev.copy()
+    book_prev[follows] = t.book_value[:-1][follows[1:]]
+    found = list(map(betas.get, zip(map(firm_ids.__getitem__, firm.tolist()), year.tolist())))
+    has_beta = np.array([b is not None for b in found], dtype=bool)
+    beta = np.array([float(getattr(b, "beta", b)) for b in found if b is not None])
+    has_lag = ~np.isnan(book_prev)
+    keep = has_lag & has_beta
+    exclusions = [(firm_ids[f], y, "missing lagged book value" if not lag
+                   else "insufficient return history")
+                  for f, y, lag in zip(firm[~keep].tolist(), year[~keep].tolist(),
+                                       has_lag[~keep].tolist())]
 
-    for key in sorted(ds.observations):
-        firm_id, year = key
-        obs = ds.observations[key]
-        try:
-            book_prev = lagged_book_value(ds, firm_id, year)
-        except MissingLag:
-            exclusions.append((firm_id, year, "missing lagged book value"))
-            continue
-        beta_value = betas.get(key)
-        if beta_value is None:
-            exclusions.append((firm_id, year, "insufficient return history"))
-            continue
-        beta_value = getattr(beta_value, "beta", beta_value)
+    def kept(column):
+        return column[keep]
 
-        r = ds.rate(obs.market_id, year)
-        x_a = abnormal_earnings(obs.eps, r, book_prev)
-        m = marin(obs.sga, obs.rd, obs.sales)
-        if m == 0.0:
-            notes.append(f"firm {firm_id}, year {year}: zero marketing expense")
-        m_assets = marin_alt_assets(obs.sga, obs.rd, obs.total_assets)
-        try:
-            m_log = marin_alt_log(obs.sga, obs.rd)
-        except NonPositiveExpense:
-            m_log = None
-        age, size, lev = control_variables(obs)
-        ow = ownership_concentration(obs.controlling_stakes)
-
-        rows[key] = DerivedRow(
-            x_abnormal=x_a, marin=m, marin_alt_assets=m_assets, marin_alt_log=m_log,
-            age=age, size=size, lev=lev, ow=ow, beta=float(beta_value),
-            pb_ratio=obs.price / obs.book_value,
-            price=obs.price, book_value=obs.book_value, total_assets=obs.total_assets)
-
-    return DerivedPanel(rows=rows, exclusions=exclusions, notes=notes)
+    sga, rd = kept(t.sga), kept(t.rd)
+    total_assets, price, book_value = kept(t.total_assets), kept(t.price), kept(t.book_value)
+    m = marin(sga, rd, kept(t.sales))
+    spent = sga - rd > 0
+    m_log = np.full(len(m), np.nan)
+    m_log[spent] = marin_alt_log(sga[spent], rd[spent])
+    columns = {
+        "P": price, "B": book_value,
+        "X": abnormal_earnings(kept(t.eps), kept(ds.row_rates), kept(book_prev)),
+        "Marin": m, "MarinAssets": marin_alt_assets(sga, rd, total_assets), "MarinLog": m_log,
+        "Age": (kept(year) - kept(t.establishment_year)).astype(float),
+        "Size": _log(total_assets), "Lev": kept(t.total_equity) / total_assets,
+        "Bet": beta[has_lag[has_beta]],
+        "OW": kept(ownership_concentration(t.stakes, t.stake_offsets)),
+        "P/B": price / book_value, "TotalAssets": total_assets,
+    }
+    for column in columns.values():
+        column.flags.writeable = False
+    notes = [f"firm {firm_ids[f]}, year {y}: zero marketing expense"
+             for f, y in zip(kept(firm)[m == 0.0].tolist(), kept(year)[m == 0.0].tolist())]
+    return DerivedPanel(codes=codes.select(keep), columns=columns, exclusions=exclusions,
+                        notes=notes)
 
 
-def panel_columns(panel: DerivedPanel, names) -> tuple[list[tuple[str, int]], dict[str, np.ndarray]]:
-    """Named columns as read-only float arrays aligned to sorted (firm, year) keys.
-
-    ``None`` values (the log variant on zero-expense rows) become NaN.
-    """
-    keys, columns = panel._columns
+def panel_columns(panel: DerivedPanel, names) -> dict[str, np.ndarray]:
+    """Named columns as read-only float arrays aligned to the panel's rows."""
     for name in names:
-        if name not in columns:
+        if name not in panel.columns:
             raise KeyError(f"unknown panel column {name!r}")
-    return list(keys), {name: columns[name] for name in names}
+    return {name: panel.columns[name] for name in names}
 
 
 def firm_series(panel: DerivedPanel, name: str) -> dict[str, np.ndarray]:
     """Per-firm year-ordered vectors of one derived variable, NaNs left out."""
-    keys, columns = panel._columns
-    by_firm: dict[str, list[float]] = {}
-    for (firm_id, _), value in zip(keys, columns[name].tolist()):
-        if not math.isnan(value):
-            by_firm.setdefault(firm_id, []).append(value)
-    return {f: np.array(values) for f, values in by_firm.items()}
+    values = panel.columns[name]
+    present = ~np.isnan(values)
+    sizes = np.bincount(panel.codes.firm[present], minlength=len(panel.codes.firm_ids))
+    pieces = np.split(values[present], np.cumsum(sizes)[:-1])
+    return {f: piece for f, piece, size in zip(panel.codes.firm_ids, pieces, sizes) if size}

@@ -1,23 +1,52 @@
 """Shared builders for panel fixtures used across the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
-from marketpanel.panel_core import FirmYearObservation, RiskFreeSeries, build_dataset
+from marketpanel.panel_core import (FundamentalsTable, PanelCodes, RiskFreeSeries,
+                                    build_dataset)
+
+ROW_DEFAULTS = dict(firm_id="F1", market_id="M1", year=2015, price=2.0, book_value=1.5,
+                    eps=0.2, sga=12.0, rd=2.0, sales=40.0, total_assets=100.0,
+                    total_equity=55.0, establishment_year=2000, stakes=(0.30, 0.10),
+                    book_value_prev=None)
 
 
-def make_observation(firm_id="F1", market_id="M1", year=2015, price=2.0,
-                     book_value=1.5, eps=0.2, sga=12.0, rd=2.0, sales=40.0,
-                     total_assets=100.0, total_equity=55.0,
-                     establishment_year=2000, controlling_stakes=(0.30, 0.10),
-                     book_value_prev=None):
-    return FirmYearObservation(
-        firm_id=firm_id, market_id=market_id, year=year, price=price,
-        book_value=book_value, eps=eps, sga=sga, rd=rd, sales=sales,
-        total_assets=total_assets, total_equity=total_equity,
-        establishment_year=establishment_year,
-        controlling_stakes=tuple(controlling_stakes),
-        book_value_prev=book_value_prev)
+def make_row(**fields):
+    """One firm-year of raw fundamentals as a dict; ``None`` means no lagged book value."""
+    unknown = set(fields) - set(ROW_DEFAULTS)
+    assert not unknown, unknown
+    return {**ROW_DEFAULTS, **fields}
+
+
+def make_table(rows):
+    """A FundamentalsTable of ``rows`` (dicts from ``make_row``), in their order, unvalidated."""
+    columns = {name: [row[name] for row in rows] for name in ROW_DEFAULTS}
+    prev = [math.nan if v is None else v for v in columns.pop("book_value_prev")]
+    stakes = columns.pop("stakes")
+    return FundamentalsTable.from_labels(
+        columns.pop("firm_id"), columns.pop("market_id"),
+        [s for row in stakes for s in row], [len(row) for row in stakes],
+        book_value_prev=prev, **columns)
+
+
+def table_rows(table):
+    """A table's rows as ``make_row`` dicts, in row order."""
+    off = table.stake_offsets.tolist()
+    rows = []
+    for i in range(len(table)):
+        prev = float(table.book_value_prev[i])
+        rows.append(make_row(
+            firm_id=table.firm_ids[table.firm[i]], market_id=table.market_ids[table.market[i]],
+            year=int(table.year[i]), establishment_year=int(table.establishment_year[i]),
+            stakes=tuple(table.stakes[off[i]:off[i + 1]].tolist()),
+            book_value_prev=None if math.isnan(prev) else prev,
+            **{name: float(getattr(table, name)[i])
+               for name in ("price", "book_value", "eps", "sga", "rd", "sales",
+                            "total_assets", "total_equity")}))
+    return rows
 
 
 def make_panel(n_firms=4, n_years=5, start_year=2011, seed=0, market_id="M1"):
@@ -28,7 +57,7 @@ def make_panel(n_firms=4, n_years=5, start_year=2011, seed=0, market_id="M1"):
         firm = f"F{i + 1}"
         for t in range(n_years):
             year = start_year + t
-            rows.append(make_observation(
+            rows.append(make_row(
                 firm_id=firm, market_id=market_id, year=year,
                 price=float(1.0 + rng.uniform(0.2, 3.0)),
                 book_value=float(0.5 + rng.uniform(0.1, 2.0)),
@@ -38,11 +67,27 @@ def make_panel(n_firms=4, n_years=5, start_year=2011, seed=0, market_id="M1"):
                 total_assets=float(80.0 + rng.uniform(0, 60)),
                 total_equity=float(40.0 + rng.uniform(0, 30)),
                 establishment_year=1990 + i,
-                controlling_stakes=(0.25 + 0.02 * i, 0.08),
+                stakes=(0.25 + 0.02 * i, 0.08),
                 book_value_prev=1.0 if t == 0 else None))
     rf = [RiskFreeSeries(market_id=market_id,
                          rates={start_year + t: 0.03 for t in range(n_years)})]
-    return build_dataset(rows, rf)
+    return build_dataset(make_table(rows), rf)
+
+
+def panel_matrix(values, names, index):
+    """A DesignMatrix whose row i is labelled ``index[i] = (firm, year)``."""
+    from marketpanel.regress import DesignMatrix
+
+    firm_ids, firm = np.unique([f for f, _ in index], return_inverse=True)
+    codes = PanelCodes.from_codes(firm_ids.tolist(), firm, [y for _, y in index])
+    return DesignMatrix(values, names, codes)
+
+
+def row_labels(X):
+    """The (firm, year) label of each row of a panel DesignMatrix."""
+    codes = X.codes
+    return [(codes.firm_ids[f], int(codes.years[p]))
+            for f, p in zip(codes.firm.tolist(), codes.period.tolist())]
 
 
 @pytest.fixture
@@ -58,8 +103,6 @@ def panel_design(n_firms=6, n_years=5, k=3, seed=0, beta=None, effect_sd=1.0,
     effects toward the firm means of the first regressor, which makes random
     effects inconsistent (the Hausman alternative).
     """
-    from marketpanel.regress import DesignMatrix
-
     rng = np.random.default_rng(seed)
     if beta is None:
         beta = rng.normal(0, 1, k)
@@ -76,7 +119,7 @@ def panel_design(n_firms=6, n_years=5, k=3, seed=0, beta=None, effect_sd=1.0,
     index = tuple((f"F{i + 1}", 2000 + t) for i in range(n_firms)
                   for t in range(n_years))
     names = tuple(f"x{j + 1}" for j in range(k))
-    return DesignMatrix(x, names, row_index=index), y, beta
+    return panel_matrix(x, names, index), y, beta
 
 
 def normal_equations_oracle(X, y, intercept: bool = True) -> np.ndarray:

@@ -20,7 +20,8 @@ from marketpanel.diagnostics import adf_test, hausman_test
 from marketpanel.errors import InsufficientWindow
 from marketpanel.regress import DesignMatrix, fe_fit, ols_fit, re_fit
 
-from conftest import monthly_points, normal_equations_oracle, panel_design, return_panel
+from conftest import (monthly_points, normal_equations_oracle, panel_design, return_panel,
+                      row_labels)
 
 warnings.filterwarnings("ignore")
 
@@ -50,9 +51,10 @@ def test_criterion_1_fe_equals_lsdv_oracle():
         X, y, _ = panel_design(n_firms=n_firms, n_years=n_years, k=k,
                                seed=int(rng.integers(0, 2**31)))
         fe = fe_fit(X, y)
-        firms = sorted({f for f, _ in X.row_index})
+        labels = row_labels(X)
+        firms = sorted({f for f, _ in labels})
         dummies = np.column_stack([
-            np.array([1.0 if f == firm else 0.0 for f, _ in X.row_index])
+            np.array([1.0 if f == firm else 0.0 for f, _ in labels])
             for firm in firms[1:]])
         lsdv = ols_fit(DesignMatrix(np.column_stack([X.values, dummies]),
                                     X.column_names + tuple(f"d{j}" for j in
@@ -259,10 +261,10 @@ def test_criterion_10_calibration_fidelity():
     result = synth.generate_panel(synth.DGPConfig(seed=0))
     returns = beta.monthly_returns(parse_prices(result.prices_csv))
     ds = result.dataset
-    firm_market = {o.firm_id: o.market_id for o in ds.observations.values()}
+    firm_market = ds.firm_markets()
     betas, _ = beta.all_betas(returns, ds.firms, ds.years, firm_market)
     panel = variables.derive_all(ds, betas)
-    _, cols = variables.panel_columns(panel, ["Marin", "Bet", "OW"])
+    cols = variables.panel_columns(panel, ["Marin", "Bet", "OW"])
     marin_mean = float(cols["Marin"].mean())
     bet_mean = float(cols["Bet"].mean())
     ow = cols["OW"]

@@ -197,6 +197,15 @@ class TestRunCommand:
         assert manifest["effective_config"]["marin_variant"] == "sales_ratio"
         assert manifest["effective_config"]["center"] is True
 
+    @pytest.mark.parametrize("line", ["seed = abc", "beta_window = 6.5", "n_firms ="])
+    def test_config_file_non_integer_exit_2(self, data_dir, tmp_path, caplog, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {data_dir}\n\n{line}\n")
+        with caplog.at_level(logging.ERROR, logger="marketpanel"):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert caplog.records[-1].getMessage() == f"{cfg}:3: integer expected"
+        assert not (tmp_path / "o").exists()
+
     def test_data_and_synth_conflict(self, data_dir, tmp_path):
         assert main(["run", "--data", str(data_dir), "--synth",
                      "--out", str(tmp_path / "c")]) == 2

@@ -118,7 +118,7 @@ class TestHausman:
 
     def test_spec_mismatch(self):
         X, y, _ = panel_design(n_firms=8, n_years=5, k=2, seed=2)
-        X1 = X.__class__(X.values[:, :1], ("x1",), X.row_index)
+        X1 = X.__class__(X.values[:, :1], ("x1",), X.codes)
         fe = fe_fit(X1, y)
         re = re_fit(X, y)
         with pytest.raises(SpecMismatch):
@@ -204,12 +204,14 @@ class TestLrHeteroskedasticity:
         with pytest.raises(TooFewGroups):
             lr_heteroskedasticity(np.arange(5.0), ["A", "A", "A", "B", "B"])
 
-    def test_accepts_row_index_tuples(self):
-        residuals = np.arange(8.0) - 3.5
-        index = [("A", 2000 + t) for t in range(4)] + [("B", 2000 + t)
-                                                       for t in range(4)]
-        result = lr_heteroskedasticity(residuals, index)
-        assert result.name == "lr_heteroskedasticity"
+    def test_groups_in_order_of_first_appearance(self):
+        residuals = np.array([1.0, -1.0, 2.0, 3.0, -3.0, 1.0, 0.5, -2.0, 1.5])
+        labels = ["B", "A", "B", "A", "B", "A", "C", "C", "C"]
+        result = lr_heteroskedasticity(residuals, np.array(labels))
+        assert result.detail == "groups=3, df=2"
+        assert result.statistic == lr_heteroskedasticity(residuals, labels).statistic
+        with pytest.raises(TooFewGroups, match=r"\['C', 'B'\]"):
+            lr_heteroskedasticity(residuals[:7], np.array(["C", "B", "A", "A", "A", "B", "C"]))
 
 
 class TestDescriptives:

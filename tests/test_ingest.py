@@ -7,7 +7,7 @@ from marketpanel import ingest
 from marketpanel.errors import (DuplicateMonth, NonPositivePrice, RateOutOfRange,
                                 SchemaMismatch)
 
-from conftest import make_panel, price_table
+from conftest import make_panel, make_row, make_table, price_table, table_rows
 
 HEADER = ("firm_id,market_id,year,price,book_value,eps,sga,rd,sales,"
           "total_assets,total_equity,establishment_year,stakes")
@@ -16,16 +16,17 @@ ROW = "F1,M1,2015,2.0,1.5,0.2,12.0,2.0,40.0,100.0,55.0,2000,0.22;0.10;0.07"
 
 class TestParseFundamentals:
     def test_single_valid_row(self):
-        obs, report = ingest.parse_fundamentals(f"{HEADER}\n{ROW}\n")
-        assert len(obs) == 1
+        table, report = ingest.parse_fundamentals(f"{HEADER}\n{ROW}\n")
+        assert len(table) == 1
         assert report.rows_accepted == 1
         assert report.rows_rejected == 0
-        assert obs[0].controlling_stakes == (0.22, 0.10, 0.07)
+        assert table.stakes.tolist() == [0.22, 0.10, 0.07]
+        assert table_rows(table) == [make_row(stakes=(0.22, 0.10, 0.07))]
 
     def test_zero_sales_rejected(self):
         row = ROW.replace(",40.0,", ",0.0,")
-        obs, report = ingest.parse_fundamentals(f"{HEADER}\n{row}\n")
-        assert obs == []
+        table, report = ingest.parse_fundamentals(f"{HEADER}\n{row}\n")
+        assert len(table) == 0 and table.firm_ids == ()
         assert report.rows_rejected == 1
         line_no, reason = report.rejections[0]
         assert line_no == 2
@@ -53,9 +54,9 @@ class TestParseFundamentals:
 
     def test_optional_lagged_book_value_column(self):
         text = f"{HEADER},book_value_2009\n{ROW},1.25\n"
-        obs, report = ingest.parse_fundamentals(text)
+        table, report = ingest.parse_fundamentals(text)
         assert report.rows_rejected == 0
-        assert obs[0].book_value_prev == 1.25
+        assert table.book_value_prev.tolist() == [1.25]
 
     def test_count_invariant_on_mixed_input(self):
         rows = [ROW,
@@ -73,20 +74,82 @@ class TestParseFundamentals:
 
     def test_empty_stakes_allowed(self):
         row = ROW.rsplit(",", 1)[0] + ","
-        obs, report = ingest.parse_fundamentals(f"{HEADER}\n{row}\n")
+        table, report = ingest.parse_fundamentals(f"{HEADER}\n{row}\n")
         assert report.rows_accepted == 1
-        assert obs[0].controlling_stakes == ()
+        assert table.stakes.tolist() == [] and table.stake_offsets.tolist() == [0, 0]
+
+
+class TestRowChecks:
+    """Each field invariant rejects its row with the reason it names."""
+
+    @staticmethod
+    def _reasons(*rows):
+        _, report = ingest.parse_fundamentals(ingest.fundamentals_to_csv(make_table(rows)))
+        return list(report.rejections)
+
+    @pytest.mark.parametrize("field,value,fragment", [
+        ("price", 0.0, "price"),
+        ("price", -1.0, "price"),
+        ("book_value", 0.0, "book value"),
+        ("total_assets", 0.0, "total assets"),
+        ("sales", 0.0, "sales must be positive"),
+        ("rd", -0.5, "non-negative"),
+        ("eps", float("nan"), "finite"),
+        ("total_equity", -1.0, "total equity must be non-negative"),
+        ("book_value_prev", 0.0, "lagged book value must be positive"),
+    ])
+    def test_field_violations(self, field, value, fragment):
+        [(line_no, reason)] = self._reasons(make_row(**{field: value}))
+        assert line_no == 2 and fragment in reason
+
+    def test_rd_exceeding_sga(self):
+        assert self._reasons(make_row(sga=5.0, rd=6.0)) == [(2, "SG&A minus R&D negative")]
+
+    def test_establishment_after_observation_year(self):
+        assert self._reasons(make_row(year=2015, establishment_year=2016)) == [
+            (2, "establishment year after observation year")]
+
+    def test_equity_above_assets(self):
+        assert self._reasons(make_row(total_assets=50.0, total_equity=60.0)) == [
+            (2, "total equity exceeds total assets")]
+
+    def test_stake_bounds(self):
+        assert self._reasons(make_row(stakes=(0.3, 1.2, 1.5))) == [
+            (2, "stake 1.2 outside (0, 1]")]
+        assert self._reasons(make_row(stakes=(0.6, 0.6))) == [(2, "stakes sum exceeds 1")]
+        assert self._reasons(make_row(stakes=(0.5, 0.5 + 5e-10))) == []
+
+    def test_unreadable_stake_names_its_row(self):
+        text = ingest.fundamentals_to_csv(make_table([make_row(stakes=(0.1, 0.2, 0.3)),
+                                                      make_row(firm_id="F2")]))
+        lines = text.splitlines()
+        lines[2] = lines[2].replace("0.3;0.1", "0.3;x;2")
+        lines.append(lines[1].replace("F1", "F3").replace("0.1;0.2;0.3", "0.1;;0.3"))
+        _, report = ingest.parse_fundamentals("\n".join(lines))
+        assert list(report.rejections) == [(3, "could not convert string to float: 'x'"),
+                                           (4, "could not convert string to float: ''")]
+
+    def test_first_reason_of_a_row_wins(self):
+        assert self._reasons(make_row(price=0.0, sales=0.0, stakes=(2.0,))) == [
+            (2, "price must be positive")]
+
+    def test_rejection_names_the_line(self):
+        rows = [make_row(firm_id="F8"), make_row(firm_id="F9", year=2013, sales=0.0)]
+        assert self._reasons(*rows) == [(3, "sales must be positive")]
+
+    def test_valid_row_passes(self):
+        assert self._reasons(make_row()) == []
 
 
 class TestRoundTrip:
     def test_fundamentals_round_trip(self):
-        """Serializing accepted observations and re-parsing is the identity."""
+        """Serializing an accepted table and re-parsing is the identity."""
         ds = make_panel(n_firms=5, n_years=4, seed=11)
-        original = list(ds.observations.values())
-        text = ingest.fundamentals_to_csv(original)
+        text = ingest.fundamentals_to_csv(ds.table)
         parsed, report = ingest.parse_fundamentals(text)
         assert report.rows_rejected == 0
-        assert parsed == original
+        assert table_rows(parsed) == table_rows(ds.table)
+        assert ingest.fundamentals_to_csv(parsed) == text
 
     def test_prices_round_trip(self):
         table = price_table({"F1": [(2015, m, 100.0 + m / 7.0) for m in range(1, 13)]})
@@ -144,6 +207,12 @@ class TestParseRiskfree:
     def test_negative_rate(self):
         with pytest.raises(RateOutOfRange):
             ingest.parse_riskfree("market_id,year,rate\nQA,2015,-0.01\n")
+
+    def test_duplicate_market_year_names_its_line(self):
+        text = "market_id,year,rate\nQA,2015,0.03\n\nKW,2015,0.02\nQA,2015,0.031\n"
+        with pytest.raises(SchemaMismatch,
+                           match=r"riskfree line 5: duplicate \(market, year\) \(QA, 2015\)"):
+            ingest.parse_riskfree(text)
 
     def test_two_markets_interleaved(self):
         text = ("market_id,year,rate\n"

@@ -1,5 +1,6 @@
 """Tests for the declarative model layer and estimation driver."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -109,11 +110,22 @@ class TestEstimate:
         np.testing.assert_allclose(raw.fit.residuals, centered.fit.residuals,
                                    atol=1e-10)
 
+    def test_lr_note_names_firms_with_too_few_rows(self, panel):
+        """A firm left with two rows in the design is named in the LR note."""
+        codes = panel.codes
+        first = np.flatnonzero(codes.firm == 0)
+        x = panel.columns["X"].copy()
+        x[first[2:]] = np.nan
+        thinned = dataclasses.replace(panel, columns={**panel.columns, "X": x})
+        report = estimate(thinned, spec_for("value_direct"))
+        assert report.n_excluded == len(first) - 2
+        assert (f"lr check unavailable: groups with fewer than 3 residuals: "
+                f"['{codes.firm_ids[0]}']") in report.notes
+
     def test_zero_moderator_reproduces_direct_slopes(self, panel):
         """OW identically zero degrades the moderated model to the direct one."""
-        zeroed = variables.DerivedPanel(rows={
-            k: r.__class__(**{**r.__dict__, "ow": 0.0})
-            for k, r in panel.rows.items()})
+        zeroed = dataclasses.replace(
+            panel, columns={**panel.columns, "OW": np.zeros(len(panel))})
         direct = estimate(zeroed, spec_for("value_direct"))
         moderated = estimate(zeroed, spec_for("value_moderated"))
         assert set(moderated.dropped_columns) == {"OW", "OW*Marin"}

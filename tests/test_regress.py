@@ -11,7 +11,7 @@ from marketpanel.errors import (NegativeVarianceComponentWarning, RankDeficient,
 from marketpanel.regress import (DesignMatrix, fe_fit, ols_fit, re_fit,
                                  robust_cov_white_cross_section, within_transform)
 
-from conftest import normal_equations_oracle, panel_design
+from conftest import normal_equations_oracle, panel_design, panel_matrix, row_labels
 
 
 def random_system(n, k, seed):
@@ -113,8 +113,9 @@ class TestWithinTransform:
     def test_group_means_zero(self):
         X, y, _ = panel_design(n_firms=5, n_years=4, k=3, seed=1)
         Xw, yw = within_transform(X, y)
-        for firm in {f for f, _ in Xw.row_index}:
-            idx = [i for i, (f, _) in enumerate(Xw.row_index) if f == firm]
+        labels = row_labels(Xw)
+        for firm in {f for f, _ in labels}:
+            idx = [i for i, (f, _) in enumerate(labels) if f == firm]
             assert np.max(np.abs(Xw.values[idx].mean(axis=0))) < 1e-12
             assert abs(yw[idx].mean()) < 1e-12
 
@@ -122,7 +123,7 @@ class TestWithinTransform:
         X, y, _ = panel_design(n_firms=4, n_years=3, k=2, seed=2)
         const = np.repeat(np.arange(4.0), 3)
         X2 = DesignMatrix(np.column_stack([X.values, const]),
-                          X.column_names + ("establishment",), X.row_index)
+                          X.column_names + ("establishment",), X.codes)
         Xw, _ = within_transform(X2, y)
         assert np.max(np.abs(Xw.column("establishment"))) < 1e-12
 
@@ -131,20 +132,20 @@ class TestWithinTransform:
         values = np.concatenate([pattern + 10.0, pattern - 3.0]).reshape(-1, 1)
         index = tuple(("A", 2000 + t) for t in range(3)) + tuple(
             ("B", 2000 + t) for t in range(3))
-        X = DesignMatrix(values, ("x",), index)
+        X = panel_matrix(values, ("x",), index)
         Xw, _ = within_transform(X, np.zeros(6))
         np.testing.assert_allclose(Xw.values[:3], Xw.values[3:], atol=1e-12)
 
     def test_singleton_group_warning(self):
         values = np.arange(5.0).reshape(-1, 1)
         index = (("A", 2000), ("A", 2001), ("A", 2002), ("B", 2000), ("C", 2000))
-        X = DesignMatrix(values, ("x",), index)
+        X = panel_matrix(values, ("x",), index)
         with pytest.warns(SingletonGroupWarning):
             within_transform(X, np.zeros(5))
 
-    def test_codes_follow_the_row_index(self):
+    def test_codes_follow_the_row_labels(self):
         index = (("B", 2001), ("A", 2001), ("B", 2000), ("A", 2003))
-        X = DesignMatrix(np.arange(4.0).reshape(-1, 1), ("x",), index)
+        X = panel_matrix(np.arange(4.0).reshape(-1, 1), ("x",), index)
         assert X.codes.firm_ids == ("A", "B")
         assert X.codes.firm.tolist() == [1, 0, 1, 0]
         assert X.codes.years.tolist() == [2001, 2000, 2003]
@@ -152,9 +153,9 @@ class TestWithinTransform:
         Xw, _ = within_transform(X, np.zeros(4))
         assert Xw.codes is X.codes
         with pytest.raises(ValueError):
-            DesignMatrix(np.zeros((3, 1)), ("x",), index[:3], X.codes)
-        with pytest.raises(ValueError):
-            DesignMatrix(np.zeros((4, 1)), ("x",), None, X.codes)
+            DesignMatrix(np.zeros((3, 1)), ("x",), X.codes)
+        with pytest.raises(ValueError, match="requires panel codes"):
+            within_transform(DesignMatrix(np.zeros((4, 1)), ("x",)), np.zeros(4))
 
 
 class TestFeFit:
@@ -181,9 +182,9 @@ class TestFeFit:
     def test_per_firm_shift_invariance(self):
         X, y, _ = panel_design(n_firms=5, n_years=6, k=2, seed=3)
         fit = fe_fit(X, y)
-        shifts = {f: 10.0 * (i + 1) for i, f in
-                  enumerate(sorted({f for f, _ in X.row_index}))}
-        y2 = y + np.array([shifts[f] for f, _ in X.row_index])
+        labels = row_labels(X)
+        shifts = {f: 10.0 * (i + 1) for i, f in enumerate(sorted({f for f, _ in labels}))}
+        y2 = y + np.array([shifts[f] for f, _ in labels])
         fit2 = fe_fit(X, y2)
         for name in X.column_names:
             assert fit2.coefficient(name) == pytest.approx(fit.coefficient(name),
@@ -205,18 +206,19 @@ class TestFeFit:
     def test_entity_effects_recoverable(self):
         X, y, _ = panel_design(n_firms=4, n_years=8, k=1, seed=6)
         fit = fe_fit(X, y)
-        assert set(fit.entity_effects) == {f for f, _ in X.row_index}
+        labels = row_labels(X)
+        assert set(fit.entity_effects) == {f for f, _ in labels}
         # reconstructed fitted values reproduce y up to the within residuals
         slopes = np.array([fit.coefficient(n) for n in X.column_names])
         fitted = (X.values @ slopes
-                  + np.array([fit.entity_effects[f] for f, _ in X.row_index]))
+                  + np.array([fit.entity_effects[f] for f, _ in labels]))
         np.testing.assert_allclose(y - fitted, fit.residuals, atol=1e-10)
 
     def test_rank_deficient_after_within(self):
         X, y, _ = panel_design(n_firms=4, n_years=3, k=1, seed=7)
         const = np.repeat([1.0, 2.0, 3.0, 4.0], 3).reshape(-1, 1)
         X2 = DesignMatrix(np.column_stack([X.values, const]),
-                          ("x1", "firm_level"), X.row_index)
+                          ("x1", "firm_level"), X.codes)
         with pytest.raises(RankDeficient) as err:
             fe_fit(X2, y)
         assert "firm_level" in err.value.columns
@@ -224,9 +226,10 @@ class TestFeFit:
 
 def _lsdv_fit(X, y):
     """Oracle: OLS with an intercept and G-1 firm dummies."""
-    firms = sorted({f for f, _ in X.row_index})
+    labels = row_labels(X)
+    firms = sorted({f for f, _ in labels})
     dummies = np.column_stack([
-        np.array([1.0 if f == firm else 0.0 for f, _ in X.row_index])
+        np.array([1.0 if f == firm else 0.0 for f, _ in labels])
         for firm in firms[1:]])
     values = np.column_stack([X.values, dummies])
     names = X.column_names + tuple(f"d_{f}" for f in firms[1:])
@@ -306,7 +309,7 @@ class TestWhiteCrossSection:
     def test_too_few_periods(self):
         values = np.arange(6.0).reshape(-1, 1)
         index = tuple((f"F{i}", 2000) for i in range(6))
-        X = DesignMatrix(values, ("x",), index)
+        X = panel_matrix(values, ("x",), index)
         with pytest.raises(TooFewClusters):
             robust_cov_white_cross_section(X, np.ones(6))
 

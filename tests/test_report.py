@@ -19,8 +19,8 @@ def bundle():
         warnings.simplefilter("ignore")
         result = synth.generate_panel(synth.DGPConfig(seed=3))
         panel = variables.derive_all(result.dataset, result.truth.betas_true)
-        _, desc_cols = variables.panel_columns(panel, variables.DESCRIPTIVES_ORDER)
-        _, corr_cols = variables.panel_columns(panel, variables.CORRELATION_ORDER)
+        desc_cols = variables.panel_columns(panel, variables.DESCRIPTIVES_ORDER)
+        corr_cols = variables.panel_columns(panel, variables.CORRELATION_ORDER)
         stationarity = diagnostics.panel_stationarity(
             {name: list(variables.firm_series(panel, name).values())
              for name in variables.STATIONARITY_ORDER})

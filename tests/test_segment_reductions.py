@@ -16,8 +16,10 @@ from hypothesis import assume, given, settings, strategies as st
 from marketpanel.diagnostics import (_adf_aic_lag, _adf_stat, _lag0_adf_stats,
                                      lr_heteroskedasticity)
 from marketpanel.errors import SingletonGroupWarning
-from marketpanel.regress import (INTERCEPT_NAME, DesignMatrix, _pivoted_qr_solve, re_fit,
+from marketpanel.regress import (INTERCEPT_NAME, _pivoted_qr_solve, re_fit,
                                  robust_cov_white_cross_section, within_transform)
+
+from conftest import panel_matrix
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -30,7 +32,10 @@ def _groups(labels):
 
 
 def _panel(seed, n_firms, max_size, k, singletons=True):
-    """An unsorted, unbalanced panel: random firm sizes and years, shuffled rows."""
+    """An unsorted, unbalanced panel: random firm sizes and years, shuffled rows.
+
+    Returns the design, its response and the raw (firm, year) label of each
+    row, which the loop references group by independently of ``X.codes``."""
     rng = np.random.default_rng(seed)
     low = 1 if singletons else 2
     index = []
@@ -42,36 +47,36 @@ def _panel(seed, n_firms, max_size, k, singletons=True):
     scale = 10.0 ** rng.uniform(-3, 3, k)
     values = rng.normal(0, 1, (len(index), k)) * scale + rng.normal(0, 5, k)
     y = values @ rng.normal(0, 1, k) + rng.normal(0, 1, len(index)) + 40.0
-    return DesignMatrix(values, tuple(f"x{j}" for j in range(k)), tuple(index)), y
+    return panel_matrix(values, tuple(f"x{j}" for j in range(k)), index), y, index
 
 
 # --- loop references -------------------------------------------------------------------
 
-def loop_within(X, y):
+def loop_within(X, y, index):
     values, y_out = X.values.copy(), np.asarray(y, dtype=float).copy()
-    for idx in _groups([f for f, _ in X.row_index]).values():
+    for idx in _groups([f for f, _ in index]).values():
         values[idx] -= values[idx].mean(axis=0)
         y_out[idx] -= y_out[idx].mean()
     return values, y_out
 
 
-def loop_white_cross_section(X, residuals):
+def loop_white_cross_section(X, residuals, index):
     n, k = X.values.shape
     bread = np.linalg.pinv(X.values.T @ X.values)
     meat = np.zeros((k, k))
-    for idx in _groups([year for _, year in X.row_index]).values():
+    for idx in _groups([year for _, year in index]).values():
         score = X.values[idx].T @ residuals[idx]
         meat += np.outer(score, score)
     cov = bread @ meat @ bread * (n / (n - k))
     return (cov + cov.T) / 2.0
 
 
-def loop_re_coefficients(X, y):
+def loop_re_coefficients(X, y, index):
     """Swamy-Arora RE GLS as group loops: (coefficients, theta)."""
     n, k = X.values.shape
-    groups = _groups([f for f, _ in X.row_index])
+    groups = _groups([f for f, _ in index])
     g = len(groups)
-    wv, wy = loop_within(X, y)
+    wv, wy = loop_within(X, y, index)
     beta_w, _ = _pivoted_qr_solve(wv, wy, X.column_names)
     resid_w = wy - wv @ beta_w
     sigma2_e = float(resid_w @ resid_w) / (n - k - g)
@@ -128,28 +133,28 @@ def loop_aic_lag(y, max_lags):
 @given(seed=st.integers(0, 2**32 - 1), n_firms=st.integers(1, 12),
        max_size=st.integers(1, 20), k=st.integers(1, 5))
 def test_within_transform_equals_group_loop(seed, n_firms, max_size, k):
-    X, y = _panel(seed, n_firms, max_size, k)
-    has_singleton = any(len(idx) == 1 for idx in _groups([f for f, _ in X.row_index]).values())
+    X, y, index = _panel(seed, n_firms, max_size, k)
+    has_singleton = any(len(idx) == 1 for idx in _groups([f for f, _ in index]).values())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         Xw, yw = within_transform(X, y)
     raised = any(issubclass(w.category, SingletonGroupWarning) for w in caught)
     assert raised == has_singleton
-    values, y_out = loop_within(X, y)
+    values, y_out = loop_within(X, y, index)
     assert np.array_equal(Xw.values, values)
     assert np.array_equal(yw, y_out)
-    assert Xw.row_index == X.row_index
+    assert Xw.codes is X.codes
 
 
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), n_firms=st.integers(2, 12),
        max_size=st.integers(2, 15), k=st.integers(1, 4))
 def test_period_clustered_covariance_equals_period_loop(seed, n_firms, max_size, k):
-    X, y = _panel(seed, n_firms, max_size, k)
-    assume(len({year for _, year in X.row_index}) >= 2 and X.n > k)
+    X, y, index = _panel(seed, n_firms, max_size, k)
+    assume(len({year for _, year in index}) >= 2 and X.n > k)
     residuals = np.random.default_rng(seed).normal(0, 1, X.n)
     np.testing.assert_allclose(robust_cov_white_cross_section(X, residuals),
-                               loop_white_cross_section(X, residuals),
+                               loop_white_cross_section(X, residuals, index),
                                rtol=1e-12, atol=1e-14)
 
 
@@ -157,11 +162,11 @@ def test_period_clustered_covariance_equals_period_loop(seed, n_firms, max_size,
 @given(seed=st.integers(0, 2**32 - 1), n_firms=st.integers(5, 12),
        max_size=st.integers(3, 10), k=st.integers(1, 3))
 def test_random_effects_equals_group_loop(seed, n_firms, max_size, k):
-    X, y = _panel(seed, n_firms, max_size, k, singletons=False)
+    X, y, index = _panel(seed, n_firms, max_size, k, singletons=False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fit = re_fit(X, y)
-        beta, theta = loop_re_coefficients(X, y)
+        beta, theta = loop_re_coefficients(X, y, index)
     np.testing.assert_allclose(fit.coefficients, beta, rtol=1e-12, atol=1e-12)
     assert fit.theta == pytest.approx(theta, rel=1e-12, abs=1e-12)
 

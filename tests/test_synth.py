@@ -9,6 +9,8 @@ from marketpanel import beta, ingest, models, synth, variables
 from marketpanel.errors import InfeasibleTargets, ModelMismatch
 from marketpanel.synth import DGPConfig, TruthRecord, generate_panel, truth_check
 
+from conftest import table_rows
+
 
 @pytest.fixture(autouse=True)
 def _quiet_warnings():
@@ -34,7 +36,7 @@ class TestGeneratePanel:
         for seed in range(5):
             result = generate_panel(DGPConfig(seed=seed))
             panel = variables.derive_all(result.dataset, result.truth.betas_true)
-            _, cols = variables.panel_columns(panel, ["Marin"])
+            cols = variables.panel_columns(panel, ["Marin"])
             assert cols["Marin"].mean() == pytest.approx(0.2491, abs=0.03)
 
     def test_single_firm_infeasible(self):
@@ -59,7 +61,7 @@ class TestGeneratePanel:
         for name, cfg in (("wide", wide), ("narrow", narrow)):
             result = generate_panel(cfg)
             panel = variables.derive_all(result.dataset, result.truth.betas_true)
-            _, cols = variables.panel_columns(panel, ["Marin", "X"])
+            cols = variables.panel_columns(panel, ["Marin", "X"])
             stds[name] = (float(np.std(cols["Marin"], ddof=1)),
                           float(np.std(cols["X"], ddof=1)))
         assert stds["wide"][0] > stds["narrow"][0] * 1.4
@@ -93,12 +95,13 @@ class TestGeneratePanel:
 
     def test_validated_through_build_dataset(self, default_result):
         """The returned dataset equals a fresh parse of the emitted CSVs."""
-        obs, report = ingest.parse_fundamentals(default_result.fundamentals_csv)
+        table, report = ingest.parse_fundamentals(default_result.fundamentals_csv)
         assert report.rows_rejected == 0
         rf = ingest.parse_riskfree(default_result.riskfree_csv)
         from marketpanel.panel_core import build_dataset
-        rebuilt = build_dataset(obs, rf)
-        assert rebuilt.observations == default_result.dataset.observations
+        rebuilt = build_dataset(table, rf)
+        assert table_rows(rebuilt.table) == table_rows(default_result.dataset.table)
+        assert ingest.fundamentals_to_csv(table) == default_result.fundamentals_csv
 
     def test_truth_record_round_trip(self, default_result):
         text = default_result.truth.to_json()
@@ -110,7 +113,7 @@ class TestGeneratePanel:
         """Derived X^a averages to the planted firm-level targets."""
         panel = variables.derive_all(default_result.dataset,
                                      default_result.truth.betas_true)
-        _, cols = variables.panel_columns(panel, ["X"])
+        cols = variables.panel_columns(panel, ["X"])
         assert cols["X"].mean() == pytest.approx(0.1094, abs=0.03)
 
 
@@ -162,7 +165,7 @@ class TestBetaRecovery:
     def _estimate(result):
         returns = beta.monthly_returns(ingest.parse_prices(result.prices_csv))
         ds = result.dataset
-        firm_market = {o.firm_id: o.market_id for o in ds.observations.values()}
+        firm_market = ds.firm_markets()
         estimates, exclusions = beta.all_betas(returns, ds.firms, ds.years, firm_market)
         assert not exclusions
         return estimates

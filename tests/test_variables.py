@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketpanel import variables
+from marketpanel import beta, variables
 from marketpanel.errors import (NegativeNumerator, NonPositiveExpense, ZeroSales)
-from marketpanel.variables import (abnormal_earnings, control_variables, derive_all,
-                                   marin, marin_alt_assets, marin_alt_log,
-                                   ownership_concentration)
+from marketpanel.panel_core import RiskFreeSeries, build_dataset
+from marketpanel.variables import (abnormal_earnings, derive_all, marin, marin_alt_assets,
+                                   marin_alt_log, ownership_concentration)
 
-from conftest import make_observation, make_panel
+from conftest import make_panel, make_row, make_table, table_rows
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -85,162 +85,206 @@ class TestMarinAlternates:
 
 
 class TestControlVariables:
+    @staticmethod
+    def _derived(**fields):
+        rf = [RiskFreeSeries("M1", {2019: 0.03})]
+        ds = build_dataset(make_table([make_row(year=2019, book_value_prev=1.0, **fields)]), rf)
+        return derive_all(ds, {("F1", 2019): 1.0}).columns
+
     def test_age_minimum_scale(self):
-        obs = make_observation(year=2019, establishment_year=2016)
-        age, _, _ = control_variables(obs)
-        assert age == 3.0
+        assert self._derived(establishment_year=2016)["Age"].tolist() == [3.0]
 
     def test_unit_assets_size(self):
-        obs = make_observation(total_assets=1.0, total_equity=0.5)
-        _, size, _ = control_variables(obs)
-        assert size == 0.0
+        assert self._derived(total_assets=1.0, total_equity=0.5)["Size"].tolist() == [0.0]
 
     def test_all_equity_firm(self):
-        obs = make_observation(total_assets=70.0, total_equity=70.0)
-        _, _, lev = control_variables(obs)
-        assert lev == 1.0
+        assert self._derived(total_assets=70.0, total_equity=70.0)["Lev"].tolist() == [1.0]
+
+    def test_logs_are_the_math_log(self):
+        # numpy's vectorised log can miss the C library's by one ulp: put the
+        # values where it does on this machine through, and a spread of others
+        sample = np.random.default_rng(0).uniform(1.0, 1e6, 1_000_000)
+        differ = sample[np.log(sample) != [math.log(v) for v in sample.tolist()]]
+        assets = [1.5 * 10.0 ** k for k in range(-3, 12)] + differ[:40].tolist()
+        rows = [make_row(year=2000 + i, total_assets=a, total_equity=0.1, sga=a,
+                         rd=0.0, book_value_prev=1.0) for i, a in enumerate(assets)]
+        rf = [RiskFreeSeries("M1", {2000 + i: 0.03 for i in range(len(assets))})]
+        panel = derive_all(build_dataset(make_table(rows), rf),
+                           {("F1", 2000 + i): 1.0 for i in range(len(assets))})
+        logs = [math.log(a) for a in assets]
+        assert panel.columns["Size"].tolist() == logs
+        assert panel.columns["MarinLog"].tolist() == logs
+
+
+def _concentration(stakes, threshold=variables.OWNERSHIP_THRESHOLD):
+    """One row's ownership concentration."""
+    (value,) = ownership_concentration(stakes, [0, len(stakes)], threshold)
+    return value
 
 
 class TestOwnershipConcentration:
     def test_threshold_rule(self):
-        assert ownership_concentration([0.30, 0.10, 0.04]) == pytest.approx(0.40)
+        assert _concentration([0.30, 0.10, 0.04]) == pytest.approx(0.40)
 
     def test_empty(self):
-        assert ownership_concentration([]) == 0.0
+        assert _concentration([]) == 0.0
 
     def test_single_dominant(self):
-        assert ownership_concentration([0.90]) == pytest.approx(0.90)
+        assert _concentration([0.90]) == pytest.approx(0.90)
 
     @given(stakes=st.lists(st.floats(0.001, 0.3), max_size=6),
            extra=st.floats(0.05, 0.3))
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_qualifying_stakes(self, stakes, extra):
-        base = ownership_concentration(stakes)
-        assert ownership_concentration(stakes + [extra]) > base
+        base = _concentration(stakes)
+        assert _concentration(stakes + [extra]) > base
 
     @given(stakes=st.lists(st.floats(0.001, 0.3), max_size=6),
            extra=st.floats(0.001, 0.0499))
     @settings(max_examples=60, deadline=None)
     def test_sub_threshold_stake_ignored(self, stakes, extra):
-        base = ownership_concentration(stakes)
-        assert ownership_concentration(stakes + [extra]) == base
+        base = _concentration(stakes)
+        assert _concentration(stakes + [extra]) == base
+
+    @given(rows=st.lists(st.lists(st.floats(0.0, 1.0), max_size=7), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_a_loop_over_each_row(self, rows):
+        offsets = np.cumsum([0] + [len(r) for r in rows])
+        got = ownership_concentration([s for r in rows for s in r], offsets)
+        assert got.tolist() == [float(sum(s for s in r if s >= 0.05)) for r in rows]
 
 
 class TestDeriveAll:
     def test_full_history_yields_all_rows(self):
         ds = make_panel(n_firms=4, n_years=5)
-        betas = {k: 1.0 for k in ds.observations}
-        panel = derive_all(ds, betas)
+        panel = derive_all(ds, _betas(ds, 1.0))
         assert len(panel) == 20
         assert panel.exclusions == []
 
     def test_missing_lag_excluded(self):
         ds = make_panel(n_firms=2, n_years=3)
-        rows = [o.__class__(**{**o.__dict__, "book_value_prev": None})
-                for o in ds.observations.values()]
-        from marketpanel.panel_core import build_dataset
-        ds2 = build_dataset(rows, list(ds.risk_free))
-        betas = {k: 1.0 for k in ds2.observations}
-        panel = derive_all(ds2, betas)
+        rows = [{**r, "book_value_prev": None} for r in table_rows(ds.table)]
+        ds2 = build_dataset(make_table(rows), list(ds.risk_free))
+        panel = derive_all(ds2, _betas(ds2, 1.0))
         assert len(panel) == 4
         reasons = {(f, y): r for f, y, r in panel.exclusions}
         assert reasons[("F1", 2011)] == "missing lagged book value"
 
+    def test_gap_year_has_no_lag(self):
+        ds = make_panel(n_firms=1, n_years=4)
+        rows = [r for r in table_rows(ds.table) if r["year"] != 2012]
+        ds2 = build_dataset(make_table(rows), list(ds.risk_free))
+        panel = derive_all(ds2, _betas(ds2, 1.0))
+        assert panel.exclusions == [("F1", 2013, "missing lagged book value")]
+        assert _keys(panel) == [("F1", 2011), ("F1", 2014)]
+
     def test_missing_beta_excluded(self):
         ds = make_panel(n_firms=2, n_years=3)
-        betas = {k: 0.9 for k in ds.observations if k[0] != "F2"}
+        betas = {k: 0.9 for k in _betas(ds, 0.9) if k[0] != "F2"}
         panel = derive_all(ds, betas)
         assert all(f == "F2" for f, _, _ in panel.exclusions)
         assert all(r == "insufficient return history" for _, _, r in panel.exclusions)
+        assert panel.codes.firm_ids == ("F1",)
 
     def test_deterministic_under_permutation(self):
         ds = make_panel(n_firms=3, n_years=4, seed=5)
-        betas = {k: 0.8 for k in ds.observations}
+        betas = _betas(ds, 0.8)
         a = derive_all(ds, betas)
         import random
-        rows = list(ds.observations.values())
+        rows = table_rows(ds.table)
         random.Random(9).shuffle(rows)
-        from marketpanel.panel_core import build_dataset
-        b = derive_all(build_dataset(rows, list(ds.risk_free)), betas)
-        assert a.rows == b.rows
+        b = derive_all(build_dataset(make_table(rows), list(ds.risk_free)), betas)
+        assert _keys(a) == _keys(b)
+        for name in variables.COLUMNS:
+            assert np.array_equal(a.columns[name], b.columns[name], equal_nan=True), name
 
     def test_pb_ratio_identity(self):
         """pb_ratio * book_value reproduces price."""
         ds = make_panel(n_firms=5, n_years=4, seed=2)
-        panel = derive_all(ds, {k: 1.1 for k in ds.observations})
-        for key, row in panel.rows.items():
-            assert row.pb_ratio * row.book_value == pytest.approx(row.price, abs=1e-10)
+        cols = derive_all(ds, _betas(ds, 1.1)).columns
+        np.testing.assert_allclose(cols["P/B"] * cols["B"], cols["P"], atol=1e-10)
 
     def test_abnormal_earnings_use_market_rate(self):
         ds = make_panel(n_firms=1, n_years=2)
-        panel = derive_all(ds, {k: 1.0 for k in ds.observations})
-        obs = ds.observations[("F1", 2012)]
-        prev = ds.observations[("F1", 2011)]
-        expected = obs.eps - 0.03 * prev.book_value
-        assert panel.rows[("F1", 2012)].x_abnormal == pytest.approx(expected)
+        panel = derive_all(ds, _betas(ds, 1.0))
+        first, second = table_rows(ds.table)
+        expected = second["eps"] - 0.03 * first["book_value"]
+        assert panel.columns["X"][1] == pytest.approx(expected)
+
+    def test_beta_estimates_are_read_through(self):
+        ds = make_panel(n_firms=1, n_years=2)
+        estimates = {key: beta.BetaEstimate(firm_id=key[0], year=key[1], beta=0.25 * key[1],
+                                            n_months=60, window_start=(2000, 1))
+                     for key in _betas(ds, 0.0)}
+        assert derive_all(ds, estimates).columns["Bet"].tolist() == [0.25 * 2011, 0.25 * 2012]
 
     def test_zero_marketing_flagged(self):
-        obs1 = make_observation(year=2011, sga=5.0, rd=5.0, book_value_prev=1.0)
-        obs2 = make_observation(year=2012)
-        from marketpanel.panel_core import RiskFreeSeries, build_dataset
-        ds = build_dataset([obs1, obs2],
-                           [RiskFreeSeries("M1", {2011: 0.03, 2012: 0.03})])
-        panel = derive_all(ds, {k: 1.0 for k in ds.observations})
-        assert panel.rows[("F1", 2011)].marin == 0.0
-        assert panel.rows[("F1", 2011)].marin_alt_log is None
-        assert any("zero marketing expense" in n for n in panel.notes)
+        rows = [make_row(year=2011, sga=5.0, rd=5.0, book_value_prev=1.0),
+                make_row(year=2012)]
+        ds = build_dataset(make_table(rows), [RiskFreeSeries("M1", {2011: 0.03, 2012: 0.03})])
+        panel = derive_all(ds, _betas(ds, 1.0))
+        assert panel.columns["Marin"][0] == 0.0
+        assert np.isnan(panel.columns["MarinLog"][0])
+        assert panel.notes == ["firm F1, year 2011: zero marketing expense"]
+
+
+def _betas(ds, value):
+    return {(r["firm_id"], r["year"]): value for r in table_rows(ds.table)}
+
+
+def _keys(panel):
+    codes = panel.codes
+    return [(codes.firm_ids[f], int(codes.years[p]))
+            for f, p in zip(codes.firm.tolist(), codes.period.tolist())]
 
 
 class TestPanelColumns:
     def test_log_column_nan_for_zero_expense(self):
-        obs1 = make_observation(year=2011, sga=5.0, rd=5.0, book_value_prev=1.0)
-        from marketpanel.panel_core import RiskFreeSeries, build_dataset
-        ds = build_dataset([obs1], [RiskFreeSeries("M1", {2011: 0.03})])
+        rows = [make_row(year=2011, sga=5.0, rd=5.0, book_value_prev=1.0)]
+        ds = build_dataset(make_table(rows), [RiskFreeSeries("M1", {2011: 0.03})])
         panel = derive_all(ds, {("F1", 2011): 1.0})
-        _, cols = variables.panel_columns(panel, ["MarinLog", "Marin"])
+        cols = variables.panel_columns(panel, ["MarinLog", "Marin"])
         assert np.isnan(cols["MarinLog"][0])
         assert cols["Marin"][0] == 0.0
 
+    def test_unknown_column(self):
+        ds = make_panel(n_firms=2, n_years=2)
+        with pytest.raises(KeyError, match="Halo"):
+            variables.panel_columns(derive_all(ds, _betas(ds, 0.5)), ["P", "Halo"])
+
     def test_firm_series_year_order(self):
         ds = make_panel(n_firms=2, n_years=4)
-        panel = derive_all(ds, {k: 0.5 for k in ds.observations})
+        panel = derive_all(ds, _betas(ds, 0.5))
         series = variables.firm_series(panel, "Age")
         assert set(series) == {"F1", "F2"}
         assert np.all(np.diff(series["F1"]) == 1.0)
 
-    def test_columns_equal_a_per_row_read(self):
-        obs = [make_observation(firm_id="Z9", year=2011, sga=5.0, rd=5.0,
-                                book_value_prev=1.0),
-               make_observation(firm_id="Z9", year=2012)]
-        from marketpanel.panel_core import RiskFreeSeries, build_dataset
-        ds = build_dataset(obs + list(make_panel(n_firms=3, n_years=4).observations.values()),
+    def test_firm_series_equal_a_per_row_read(self):
+        rows = [make_row(firm_id="Z9", year=2011, sga=5.0, rd=5.0, book_value_prev=1.0),
+                make_row(firm_id="Z9", year=2012),
+                make_row(firm_id="A0", year=2013, sga=5.0, rd=5.0, book_value_prev=1.0)]
+        ds = build_dataset(make_table(rows + table_rows(make_panel(n_firms=3, n_years=4).table)),
                            [RiskFreeSeries("M1", {y: 0.03 for y in range(2011, 2015)})])
-        panel = derive_all(ds, {k: 0.7 + 0.01 * k[1] for k in ds.observations})
-        keys, cols = variables.panel_columns(panel, list(variables.COLUMN_ATTRS))
-        assert keys == sorted(panel.rows)
-        for name, attr in variables.COLUMN_ATTRS.items():
-            values = [getattr(panel.rows[k], attr) for k in keys]
-            want = np.array([math.nan if v is None else float(v) for v in values])
-            assert np.array_equal(cols[name], want, equal_nan=True), name
-        for name in variables.COLUMN_ATTRS:
+        panel = derive_all(ds, {k: 0.7 + 0.01 * k[1] for k in _betas(ds, 0.0)})
+        keys = _keys(panel)
+        assert keys == sorted(keys)
+        for name in variables.COLUMNS:
             series = variables.firm_series(panel, name)
             by_firm = {}
-            for (firm, year), row in sorted(panel.rows.items()):
-                value = getattr(row, variables.COLUMN_ATTRS[name])
-                if value is not None:
-                    by_firm.setdefault(firm, []).append(float(value))
+            for (firm, _), value in zip(keys, panel.columns[name].tolist()):
+                if not math.isnan(value):
+                    by_firm.setdefault(firm, []).append(value)
             assert list(series) == sorted(by_firm)
             for firm, values in by_firm.items():
                 assert np.array_equal(series[firm], np.array(values)), (name, firm)
+        assert "A0" not in variables.firm_series(panel, "MarinLog")
 
     def test_callers_cannot_change_the_panel(self):
         ds = make_panel(n_firms=2, n_years=3)
-        panel = derive_all(ds, {k: 0.5 for k in ds.observations})
-        keys, cols = variables.panel_columns(panel, ["P", "Age"])
+        panel = derive_all(ds, _betas(ds, 0.5))
+        cols = variables.panel_columns(panel, ["P", "Age"])
         with pytest.raises(ValueError):
             cols["P"][0] = 99.0
-        keys.clear()
+        price = cols["P"][0]
         cols.clear()
-        again_keys, again = variables.panel_columns(panel, ["P"])
-        assert again_keys == sorted(panel.rows)
-        assert again["P"][0] == panel.rows[again_keys[0]].price
+        assert variables.panel_columns(panel, ["P"])["P"][0] == price
