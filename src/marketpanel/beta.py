@@ -9,6 +9,7 @@ return chain so no return ever spans a gap.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, product
 
 import numpy as np
 
@@ -155,19 +156,17 @@ def _batched_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _window_betas(firm: np.ndarray, market: np.ndarray, min_months: int):
-    """Every firm's window estimate at once, in the arithmetic of ``beta_for_year``.
+def _window_betas(firm: np.ndarray, market: np.ndarray, min_months: int) -> np.ndarray:
+    """Every firm's window beta at once, in the arithmetic of ``beta_for_year``.
 
     Windows are grouped by paired-month count, so each group is a dense
     (windows, months) block whose row means and dot products reduce in the
-    same order as one window's. Returns which windows are estimated, their
-    betas, paired-month counts and the column of their first paired month.
+    same order as one window's. A window it rejects (too few paired months,
+    constant market) gets NaN.
     """
     paired = ~np.isnan(firm) & ~np.isnan(market)
     counts = paired.sum(axis=1)
-    estimated = np.zeros(len(firm), dtype=bool)
-    betas = np.zeros(len(firm))
-    first = np.zeros(len(firm), dtype=np.int64)
+    betas = np.full(len(firm), np.nan)
     # an empty window is never estimated (its market variance is zero)
     for n in np.unique(counts[counts >= max(min_months, 1)]):
         group = np.flatnonzero(counts == n)
@@ -179,21 +178,21 @@ def _window_betas(firm: np.ndarray, market: np.ndarray, min_months: int):
         varies = ~(var_m <= 1e-24 * np.maximum(_batched_dot(rm, rm), 1e-300))
         cov = _batched_dot(rm_centered, ri - ri.mean(axis=1, keepdims=True))
         betas[group[varies]] = cov[varies] / var_m[varies]
-        estimated[group] = varies
-        first[group] = np.argmax(mask, axis=1)
-    return estimated, betas, counts, first
+    return betas
 
 
 def all_betas(returns: ReturnPanel, firms, years, firm_market: dict[str, str],
               window_months: int = DEFAULT_WINDOW_MONTHS,
               min_months: int = DEFAULT_MIN_MONTHS,
-              ) -> tuple[dict[tuple[str, int], BetaEstimate], list[tuple[str, int, str]]]:
-    """Estimate betas for every (firm, year); report the rest as exclusions.
+              ) -> tuple[dict[tuple[str, int], float], list[tuple[str, int, str]]]:
+    """Estimate the beta of every (firm, year); report the rest as exclusions.
 
     ``firms`` are series ids of ``returns``; ``firm_market`` maps each firm
-    to its market index id. Each estimate equals ``beta_for_year``'s bit for
-    bit, and a window it rejects (too few paired months, constant market) is
-    an exclusion. Output is deterministic under permutation of the inputs.
+    to its market index id. Returns {(firm, year): beta} in firm then year
+    order, each value equal to ``beta_for_year(...).beta`` bit for bit, and
+    the (firm, year, reason) of every window it rejects (too few paired
+    months, constant market). Output is deterministic under permutation of
+    the inputs.
     """
     firms = sorted(firms)
     firm_rows, market_rows = [], []
@@ -209,24 +208,13 @@ def all_betas(returns: ReturnPanel, firms, years, firm_market: dict[str, str],
         return {}, []
 
     years = list(years)
-    by_year = []   # per year: firm position -> (beta, paired months, first month)
-    for year in years:
-        (firm, market), lo = returns.window([firm_rows, market_rows], year, window_months)
-        estimated, betas, counts, first = _window_betas(firm, market, min_months)
-        starts = returns.months[lo + first[estimated]]
-        by_year.append(dict(zip(np.flatnonzero(estimated).tolist(),
-                                zip(betas[estimated].tolist(), counts[estimated].tolist(),
-                                    starts.tolist()))))
+    betas = np.empty((len(firms), len(years)))
+    for j, year in enumerate(years):
+        (firm, market), _ = returns.window([firm_rows, market_rows], year, window_months)
+        betas[:, j] = _window_betas(firm, market, min_months)
 
-    estimates: dict[tuple[str, int], BetaEstimate] = {}
-    exclusions: list[tuple[str, int, str]] = []
-    for i, firm_id in enumerate(firms):
-        for year, found in zip(years, by_year):
-            if i not in found:
-                exclusions.append((firm_id, year, "insufficient return history"))
-                continue
-            beta, n, start = found[i]
-            estimates[(firm_id, year)] = BetaEstimate(
-                firm_id=firm_id, year=year, beta=beta, n_months=n,
-                window_start=_index_month(start))
-    return estimates, exclusions
+    keys, flat = list(product(firms, years)), betas.ravel()
+    estimated = ~np.isnan(flat)
+    exclusions = [(firm_id, year, "insufficient return history")
+                  for firm_id, year in compress(keys, ~estimated)]
+    return dict(zip(compress(keys, estimated), flat[estimated].tolist())), exclusions

@@ -243,13 +243,12 @@ def _diagnostics_and_robustness(cfg: RunConfig, panel) -> dict:
     """The tables of a run besides the base estimates, as ``ReportBundle`` fields."""
     desc_columns = variables.panel_columns(panel, variables.DESCRIPTIVES_ORDER)
     corr_columns = variables.panel_columns(panel, variables.CORRELATION_ORDER)
-    stationarity_panels = {name: list(variables.firm_series(panel, name).values())
-                           for name in variables.STATIONARITY_ORDER}
     return {
         "descriptives_table": diagnostics.descriptives(desc_columns),
         "correlation_table": diagnostics.correlation_matrix(
             corr_columns, variables.CORRELATION_ORDER),
-        "stationarity_table": diagnostics.panel_stationarity(stationarity_panels),
+        "stationarity_table": diagnostics.panel_stationarity(
+            variables.panel_columns(panel, variables.STATIONARITY_ORDER), panel.codes.firm),
         "robustness_tables": models.robustness_suite(
             panel, center=cfg.center, constrain_book_unit=cfg.constrain_book_unit),
     }

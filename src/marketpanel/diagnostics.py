@@ -194,55 +194,60 @@ def adf_test(series, max_lags: int | None = None, min_length: int | None = None)
                       critical_values=crit, decision=decision, detail=detail)
 
 
-def panel_stationarity(variable_panels: dict[str, list[np.ndarray]],
+def panel_stationarity(columns: dict[str, np.ndarray], firm: np.ndarray,
                        max_lags: int | None = None) -> list[StationarityRow]:
     """Unit-root battery per panel variable.
 
-    For each variable the per-firm series are concatenated into a pooled
-    series for a headline ADF statistic; a per-firm ADF (lag 0, relaxed
-    length) combined by Fisher's method is reported alongside. Variables
-    whose level test fails are retried in first differences and classified
-    I(1) when the differenced test rejects.
+    ``columns`` maps each variable to a column of panel rows and ``firm``
+    gives each row's firm code; a firm's rows are adjacent and in year
+    order. A variable's NaNs are left out. The rest of its column is the
+    pooled series for a headline ADF statistic; a per-firm ADF (lag 0,
+    relaxed length) combined by Fisher's method is reported alongside.
+    Variables whose level test fails are retried in first differences,
+    taken between adjacent values of one firm, and classified I(1) when the
+    differenced test rejects.
     """
     out = []
-    for name, series_list in variable_panels.items():
-        pooled = np.concatenate([np.asarray(s, dtype=float) for s in series_list])
-        level = adf_test(pooled, max_lags=max_lags)
+    for name, column in columns.items():
+        present = ~np.isnan(column)
+        y, groups = column[present], firm[present]
+        level = adf_test(y, max_lags=max_lags)
 
         difference = None
         order = "I(0)"
         if level.decision != "reject":
-            diffs = [np.diff(np.asarray(s, dtype=float)) for s in series_list
-                     if len(s) >= 2]
-            pooled_diff = np.concatenate(diffs)
             try:
-                difference = adf_test(pooled_diff, max_lags=max_lags)
+                difference = adf_test(np.diff(y)[groups[1:] == groups[:-1]],
+                                      max_lags=max_lags)
                 order = "I(1)" if difference.decision == "reject" else "I(2+)"
             except (TooShort, ConstantSeries):
                 order = "I(1?)"
 
-        fisher = _fisher_combination(name, series_list)
+        fisher = _fisher_combination(name, y, groups)
         out.append(StationarityRow(variable=name, level=level, difference=difference,
                                    order=order, fisher=fisher))
     return out
 
 
-def _lag0_adf_stats(series: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _lag0_adf_stats(y: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lag-0 ADF t statistics of many series at once, from segment sums.
 
+    ``y`` holds the series one after another and ``sizes`` their lengths.
     Per series, dy_t is regressed on [y_{t-1}, 1]; with x = y_{t-1} and d = dy_t
     centred per series, beta = Sxd / Sxx and se^2 = RSS / ((n - 2) Sxx).
     Returns the statistics and a mask of the usable ones: the lagged level
     must vary (Sxx above 1e-24 sum x^2) and the fit must not be exact (RSS
     above 1e-24 sum d^2), because an exact fit leaves only rounding residue.
     """
-    n_obs = np.array([len(s) - 1 for s in series])
-    codes = np.repeat(np.arange(len(series)), n_obs)
-    x = np.concatenate([s[:-1] for s in series])
-    d = np.concatenate([np.diff(s) for s in series])
+    series = np.repeat(np.arange(len(sizes)), sizes)
+    within = series[1:] == series[:-1]
+    codes = series[1:][within]
+    x = y[:-1][within]
+    d = np.diff(y)[within]
+    n_obs = sizes - 1
 
     def sums(v):
-        return np.bincount(codes, weights=v, minlength=len(series))
+        return np.bincount(codes, weights=v, minlength=len(sizes))
 
     xc = x - (sums(x) / n_obs)[codes]
     dc = d - (sums(d) / n_obs)[codes]
@@ -256,20 +261,23 @@ def _lag0_adf_stats(series: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return stat, usable
 
 
-def _fisher_combination(name: str, series_list) -> TestResult | None:
+def _fisher_combination(name: str, y: np.ndarray, firm: np.ndarray) -> TestResult | None:
     """Combine per-firm ADF p-values: -2 sum(ln p_i) ~ chi2(2G).
 
-    Per-firm series are short, so lag 0 is forced and the approximate
-    MacKinnon p-values are used; the result is labelled approximate. Firms
-    with fewer than 8 values, a constant lagged level or an exactly fitting
-    regression (an exact trend such as age) are skipped and counted.
+    ``y`` holds each firm's values one firm after another and ``firm`` their
+    firm codes. Per-firm series are short, so lag 0 is forced and the
+    approximate MacKinnon p-values are used; the result is labelled
+    approximate. Firms with fewer than 8 values, a constant lagged level or
+    an exactly fitting regression (an exact trend such as age) are skipped
+    and counted.
     """
-    series = [np.asarray(s, dtype=float) for s in series_list]
-    long_enough = [s for s in series if len(s) >= 8]
-    skipped = len(series) - len(long_enough)
-    if not long_enough:
+    starts = np.flatnonzero(np.r_[True, firm[1:] != firm[:-1]])
+    sizes = np.diff(np.r_[starts, len(firm)])
+    long_enough = sizes >= 8
+    skipped = len(sizes) - int(np.count_nonzero(long_enough))
+    if not long_enough.any():
         return None
-    stat, usable = _lag0_adf_stats(long_enough)
+    stat, usable = _lag0_adf_stats(y[np.repeat(long_enough, sizes)], sizes[long_enough])
     skipped += int(np.count_nonzero(~usable))
     pvalues = np.clip(_mackinnon_pvalues(stat[usable]), 1e-6, 1 - 1e-6)
     if len(pvalues) == 0:

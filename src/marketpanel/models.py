@@ -14,7 +14,7 @@ import numpy as np
 
 from . import regress
 from .diagnostics import TestResult, hausman_test, lr_heteroskedasticity
-from .errors import LengthMismatch, MarketPanelError, MissingVariable
+from .errors import LengthMismatch, MarketPanelError, MissingVariable, TooFewObservations
 from .regress import DesignMatrix, FitResult
 from .variables import DerivedPanel, panel_columns
 
@@ -175,9 +175,13 @@ def estimate(panel: DerivedPanel, spec: ModelSpec, center: bool = False) -> Esti
     """Estimate one model: Hausman record, LR check, FE fit with robust covariance.
 
     Per-row exclusions (missing variant values) never abort the panel; they
-    are counted on the report. Identical inputs produce identical reports.
+    are counted on the report. A design without rows raises
+    :class:`TooFewObservations`. Identical inputs produce identical reports.
     """
     X, y, n_excluded, n_input = _assemble_design(panel, spec, center)
+    if not len(y):
+        raise TooFewObservations(f"{spec.model_id}: no complete rows in the design "
+                                 f"({n_excluded} of {n_input} panel rows incomplete)")
     X, dropped = _drop_within_degenerate(X, y)
     notes = []
     if dropped:

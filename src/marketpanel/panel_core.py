@@ -197,7 +197,6 @@ class PanelDataset:
     risk_free: tuple[RiskFreeSeries, ...]
     years: tuple[int, ...]
     is_balanced: bool
-    currency: str = "USD"
 
     @property
     def firms(self) -> tuple[str, ...]:
@@ -213,9 +212,7 @@ class PanelDataset:
         return len(self.table)
 
 
-def build_dataset(table: FundamentalsTable,
-                  rf: list[RiskFreeSeries],
-                  currency: str = "USD") -> PanelDataset:
+def build_dataset(table: FundamentalsTable, rf: list[RiskFreeSeries]) -> PanelDataset:
     """Assemble a :class:`PanelDataset` from parsed, validated fundamentals.
 
     Deterministic and order-independent: permuting the table's rows yields
@@ -261,5 +258,4 @@ def build_dataset(table: FundamentalsTable,
     row_rates.flags.writeable = False
     return PanelDataset(table=table, codes=codes, row_rates=row_rates,
                         risk_free=tuple(sorted(rf, key=lambda s: s.market_id)), years=years,
-                        is_balanced=len(table) == len(codes.firm_ids) * len(years),
-                        currency=currency)
+                        is_balanced=len(table) == len(codes.firm_ids) * len(years))

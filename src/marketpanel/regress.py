@@ -81,7 +81,6 @@ class FitResult:
     f_pvalue: float
     nobs: int
     df_resid: int
-    effects: str
     cov_kind: str
     residuals: np.ndarray
     entity_effects: dict[str, float] | None = None
@@ -194,7 +193,7 @@ def ols_fit(X: DesignMatrix, y, intercept: bool = True) -> FitResult:
                      t_stats=t, p_values=p, column_names=names,
                      r_squared=r2, r_squared_kind="ordinary",
                      f_statistic=f_stat, f_pvalue=f_p, nobs=n, df_resid=df_resid,
-                     effects="none", cov_kind="classical", residuals=residuals)
+                     cov_kind="classical", residuals=residuals)
 
 
 def within_transform(X: DesignMatrix, y, warn: bool = True) -> tuple[DesignMatrix, np.ndarray]:
@@ -322,7 +321,7 @@ def fe_fit(X: DesignMatrix, y, cov_kind: str = "classical") -> FitResult:
                      t_stats=t, p_values=p, column_names=names,
                      r_squared=r2, r_squared_kind="within",
                      f_statistic=f_stat, f_pvalue=f_p, nobs=n, df_resid=df_resid,
-                     effects="entity", cov_kind=cov_kind, residuals=residuals,
+                     cov_kind=cov_kind, residuals=residuals,
                      entity_effects=effects_by_firm)
 
 
@@ -397,6 +396,6 @@ def re_fit(X: DesignMatrix, y) -> FitResult:
                      t_stats=t, p_values=p, column_names=names,
                      r_squared=r2, r_squared_kind="overall",
                      f_statistic=f_stat, f_pvalue=f_p, nobs=n, df_resid=df_resid,
-                     effects="random", cov_kind="classical", residuals=residuals,
+                     cov_kind="classical", residuals=residuals,
                      theta=float(theta_by_group.mean()))
 

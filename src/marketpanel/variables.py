@@ -3,8 +3,9 @@
 Covers abnormal earnings, the marketing-investment ratio and its two
 robustness alternates, the control variables (age, size, leverage), the
 ownership-concentration measure, and the join of fundamentals, rates and
-betas into the columnar derived panel feeding all regressions. The formula
-helpers work elementwise on columns.
+the (firm, year) -> beta mapping into the columnar derived panel. The
+regressions and the diagnostics read that panel's columns with its firm
+codes. The formula helpers work elementwise on columns.
 """
 
 import math
@@ -107,8 +108,9 @@ def derive_all(ds: PanelDataset, betas: dict[tuple[str, int], float]) -> Derived
     The lagged book value is the previous row's if that is the firm's
     previous year, else the carry-in ``book_value_prev``. Rows lacking a
     lagged book value or a beta are excluded with a reason, never aborting
-    the panel. ``betas`` maps (firm, year) to a beta value or a
-    :class:`~marketpanel.beta.BetaEstimate`.
+    the panel. ``betas`` maps (firm, year) to the firm-year's beta, as
+    :func:`~marketpanel.beta.all_betas` returns them; a NaN beta counts as
+    missing.
     """
     t, codes = ds.table, ds.codes
     firm_ids, firm, year = codes.firm_ids, codes.firm, t.year
@@ -116,9 +118,9 @@ def derive_all(ds: PanelDataset, betas: dict[tuple[str, int], float]) -> Derived
     follows[1:] = (firm[1:] == firm[:-1]) & (year[1:] == year[:-1] + 1)
     book_prev = t.book_value_prev.copy()
     book_prev[follows] = t.book_value[:-1][follows[1:]]
-    found = list(map(betas.get, zip(map(firm_ids.__getitem__, firm.tolist()), year.tolist())))
-    has_beta = np.array([b is not None for b in found], dtype=bool)
-    beta = np.array([float(getattr(b, "beta", b)) for b in found if b is not None])
+    beta = np.array([betas.get(key, math.nan) for key in
+                     zip(map(firm_ids.__getitem__, firm.tolist()), year.tolist())], dtype=float)
+    has_beta = ~np.isnan(beta)
     has_lag = ~np.isnan(book_prev)
     keep = has_lag & has_beta
     exclusions = [(firm_ids[f], y, "missing lagged book value" if not lag
@@ -141,7 +143,7 @@ def derive_all(ds: PanelDataset, betas: dict[tuple[str, int], float]) -> Derived
         "Marin": m, "MarinAssets": marin_alt_assets(sga, rd, total_assets), "MarinLog": m_log,
         "Age": (kept(year) - kept(t.establishment_year)).astype(float),
         "Size": _log(total_assets), "Lev": kept(t.total_equity) / total_assets,
-        "Bet": beta[has_lag[has_beta]],
+        "Bet": kept(beta),
         "OW": kept(ownership_concentration(t.stakes, t.stake_offsets)),
         "P/B": price / book_value, "TotalAssets": total_assets,
     }
@@ -159,12 +161,3 @@ def panel_columns(panel: DerivedPanel, names) -> dict[str, np.ndarray]:
         if name not in panel.columns:
             raise KeyError(f"unknown panel column {name!r}")
     return {name: panel.columns[name] for name in names}
-
-
-def firm_series(panel: DerivedPanel, name: str) -> dict[str, np.ndarray]:
-    """Per-firm year-ordered vectors of one derived variable, NaNs left out."""
-    values = panel.columns[name]
-    present = ~np.isnan(values)
-    sizes = np.bincount(panel.codes.firm[present], minlength=len(panel.codes.firm_ids))
-    pieces = np.split(values[present], np.cumsum(sizes)[:-1])
-    return {f: piece for f, piece, size in zip(panel.codes.firm_ids, pieces, sizes) if size}

@@ -122,6 +122,13 @@ def panel_design(n_firms=6, n_years=5, k=3, seed=0, beta=None, effect_sd=1.0,
     return panel_matrix(x, names, index), y, beta
 
 
+def stacked(series_list):
+    """Series laid end to end as one panel column, and each value's firm code."""
+    column = np.concatenate([np.asarray(s, dtype=float) for s in series_list])
+    firm = np.repeat(np.arange(len(series_list)), [len(s) for s in series_list])
+    return column, firm
+
+
 def normal_equations_oracle(X, y, intercept: bool = True) -> np.ndarray:
     """Test oracle: solve (X'X) beta = X'y directly."""
     y = np.asarray(y, dtype=float)

@@ -5,9 +5,13 @@ import json
 import logging
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import marketpanel
 from marketpanel.cli import main
 
 
@@ -250,6 +254,29 @@ class TestInputErrors:
         assert "riskfree line 2" in caplog.records[-1].getMessage()
 
 
+class TestEmptyDesign:
+    def test_no_usable_firm_year_is_a_typed_error(self, data_dir, tmp_path):
+        """Two months of prices give no firm-year a beta: exit 1 on one ERROR line."""
+        edited = tmp_path / "edited"
+        shutil.copytree(data_dir, edited)
+        header, *lines = (edited / "prices.csv").read_text().splitlines()
+        first = lines[0].split(",")[1]
+        kept = [line for line in lines if line.split(",")[1:3] in ([first, "1"], [first, "2"])]
+        (edited / "prices.csv").write_text("\n".join([header] + kept) + "\n")
+        src = str(Path(marketpanel.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "marketpanel.cli", "run", "--data", str(edited),
+             "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("ERROR")]
+        assert errors == ["ERROR value_direct: no complete rows in the design "
+                          "(0 of 0 panel rows incomplete)"]
+        assert not (tmp_path / "o").exists()
+
+
 class TestRunId:
     """The run id hashes the effective configuration and the input contents."""
 
@@ -324,7 +351,7 @@ class TestVerifyCommand:
         for module, name in ((diagnostics, "panel_stationarity"),
                              (diagnostics, "descriptives"),
                              (diagnostics, "correlation_matrix"),
-                             (variables, "firm_series"), (models, "robustness_suite")):
+                             (models, "robustness_suite")):
             monkeypatch.setattr(module, name, unchecked)
         calls = {"parse_fundamentals": 0, "parse_riskfree": 0, "estimate": 0}
         for module, name in ((ingest, "parse_fundamentals"), (ingest, "parse_riskfree"),

@@ -5,9 +5,9 @@ per-row code they replace.
 its price table, with the table's two error fixes (a malformed number raises
 ``SchemaMismatch`` naming its line, and a duplicate month names its line).
 ``reference_returns`` and ``reference_beta`` are the per-series return loop
-and the month-map window estimate that went with it. The batched
-``all_betas`` must equal both them and a loop of the textbook
-``beta_for_year`` bit for bit.
+and the month-map window estimate that went with it. A loop of the textbook
+``beta_for_year`` must equal them, and each beta of the batched ``all_betas``
+must equal that loop's bit for bit.
 """
 
 import csv
@@ -308,16 +308,18 @@ def test_batched_betas_equal_the_window_loops(panel):
     if not markets <= set(maps):
         return   # a market without returns fails the run; covered in test_beta
     firms = [f for f in firm_market if f in maps]
-    got = beta.all_betas(returns, list(reversed(firms)), years, firm_market,
-                         window, min_months)
-    assert got == loop_all_betas(returns, firms, years, firm_market, window, min_months)
+    estimates, exclusions = beta.all_betas(returns, list(reversed(firms)), years,
+                                           firm_market, window, min_months)
+    loop, loop_exclusions = loop_all_betas(returns, firms, years, firm_market, window,
+                                           min_months)
+    assert list(estimates.items()) == [(key, est.beta) for key, est in loop.items()]
+    assert exclusions == loop_exclusions
 
-    estimates, exclusions = got
     for firm_id in sorted(firms):
         for year in years:
             ref = reference_beta(maps[firm_id], maps[firm_market[firm_id]], year,
                                  window, min_months)
-            est = estimates.get((firm_id, year))
+            est = loop.get((firm_id, year))
             assert (ref is None) == (est is None)
             if est is not None:
                 assert (est.beta, est.n_months, est.window_start) == ref

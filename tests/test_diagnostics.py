@@ -13,7 +13,7 @@ from marketpanel.diagnostics import (adf_test, correlation_matrix, descriptives,
 from marketpanel.errors import ConstantSeries, SpecMismatch, TooFewGroups, TooShort
 from marketpanel.regress import fe_fit, re_fit
 
-from conftest import panel_design
+from conftest import panel_design, stacked
 
 
 class TestAdf:
@@ -72,8 +72,8 @@ class TestAdf:
 class TestPanelStationarity:
     def test_stationary_variable_classified_i0(self):
         rng = np.random.default_rng(3)
-        panels = {"V": [rng.normal(0, 1, 10) for _ in range(20)]}
-        rows = panel_stationarity(panels)
+        column, firm = stacked([rng.normal(0, 1, 10) for _ in range(20)])
+        rows = panel_stationarity({"V": column}, firm)
         assert rows[0].variable == "V"
         assert rows[0].order == "I(0)"
         assert rows[0].difference is None
@@ -81,28 +81,30 @@ class TestPanelStationarity:
 
     def test_random_walk_classified_i1(self):
         rng = np.random.default_rng(4)
-        panels = {"V": [np.cumsum(rng.normal(0, 1, 10)) + 100.0 * i
-                        for i in range(20)]}
-        rows = panel_stationarity(panels)
+        column, firm = stacked([np.cumsum(rng.normal(0, 1, 10)) + 100.0 * i
+                                for i in range(20)])
+        rows = panel_stationarity({"V": column}, firm)
         assert rows[0].order in ("I(1)", "I(2+)")
         assert rows[0].difference is not None
 
     def test_exact_per_firm_trends_are_skipped(self):
         """An exact trend (firm age) fits its lag-0 ADF regression exactly: no p-value."""
         trends = [np.arange(10.0) + 3.0 * i + 0.1 for i in range(20)]
-        rows = panel_stationarity({"Age": trends})
+        column, firm = stacked(trends)
+        rows = panel_stationarity({"Age": column}, firm)
         assert rows[0].fisher is None
 
         rng = np.random.default_rng(6)
         noise = [rng.normal(0, 1, 10) for _ in range(12)]
-        rows = panel_stationarity({"V": noise + trends[:5]})
+        column, firm = stacked(noise + trends[:5])
+        rows = panel_stationarity({"V": column}, firm)
         assert rows[0].fisher.detail.startswith("V: Fisher chi2(24) over 12 firms (5 skipped)")
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
-        panels = {"V": [rng.normal(0, 1, 10) for _ in range(10)]}
-        a = panel_stationarity(panels)
-        b = panel_stationarity(panels)
+        column, firm = stacked([rng.normal(0, 1, 10) for _ in range(10)])
+        a = panel_stationarity({"V": column}, firm)
+        b = panel_stationarity({"V": column}, firm)
         assert a[0].level.statistic == b[0].level.statistic
         assert a[0].fisher.statistic == b[0].fisher.statistic
 

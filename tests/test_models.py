@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from marketpanel import models, synth, variables
-from marketpanel.errors import LengthMismatch, MissingVariable
+from marketpanel.errors import LengthMismatch, MissingVariable, TooFewObservations
 from marketpanel.models import build_interaction, estimate, robustness_suite, spec_for
 
 
@@ -99,6 +99,14 @@ class TestEstimate:
                                   interaction=None)
         with pytest.raises(MissingVariable, match="Halo"):
             estimate(panel, broken)
+
+    def test_design_without_rows_is_a_typed_error(self, panel):
+        """Every row missing the variant's marketing measure leaves no design."""
+        blank = np.full(len(panel), np.nan)
+        thinned = dataclasses.replace(panel, columns={**panel.columns, "MarinLog": blank})
+        with pytest.raises(TooFewObservations,
+                           match=rf"^value_moderated: .*\({len(panel)} of {len(panel)} "):
+            estimate(thinned, spec_for("value_moderated", marin_variant="log_level"))
 
     def test_reparameterization_identity(self, panel):
         """Interaction t-statistic and fitted values are centering-invariant."""

@@ -19,6 +19,8 @@ from scipy import stats
 import marketpanel
 from marketpanel import diagnostics, regress, synth
 
+from conftest import stacked
+
 STATISTICS = np.array([-np.inf, -40.0, -1.0, -1e-13, -0.0, 0.0, 1e-300, 1e-8, 0.5, 1.0,
                        3.0, 12.5, 40.0, 1e3, 1e300, np.inf, np.nan])
 DEGREES = (0, 1, 2, 3, 7, 38, 1920, 10**6, 1e20)
@@ -92,7 +94,7 @@ def test_fisher_p_value_is_the_chi2_tail_of_its_statistic():
     for n_firms in (1, 3, 20, 500):
         series = [np.cumsum(rng.normal(size=10)) + 0.5 * rng.normal(size=10)
                   for _ in range(n_firms)]
-        result = diagnostics._fisher_combination("v", series)
+        result = diagnostics._fisher_combination("v", *stacked(series))
         df = int(result.detail.split("chi2(")[1].split(")")[0])
         assert same(result.p_value, stats.chi2.sf(result.statistic, df))
 

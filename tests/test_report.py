@@ -22,8 +22,7 @@ def bundle():
         desc_cols = variables.panel_columns(panel, variables.DESCRIPTIVES_ORDER)
         corr_cols = variables.panel_columns(panel, variables.CORRELATION_ORDER)
         stationarity = diagnostics.panel_stationarity(
-            {name: list(variables.firm_series(panel, name).values())
-             for name in variables.STATIONARITY_ORDER})
+            variables.panel_columns(panel, variables.STATIONARITY_ORDER), panel.codes.firm)
         estimation = [models.estimate(panel, models.spec_for(m))
                       for m in models.MODEL_IDS]
         robustness = models.robustness_suite(panel)

@@ -211,7 +211,7 @@ def test_batched_lag0_adf_equals_per_series_regressions(seed, n_series):
     series = [10.0 ** rng.uniform(-3, 3)
               * (np.cumsum(rng.normal(0, 1, int(rng.integers(8, 30)))) + rng.normal(0, 10))
               for _ in range(n_series)]
-    stat, usable = _lag0_adf_stats(series)
+    stat, usable = _lag0_adf_stats(np.concatenate(series), np.array([len(s) for s in series]))
     assert usable.all()
     reference = np.array([_adf_stat(s, 0)[0] for s in series])
     np.testing.assert_allclose(stat, reference, rtol=1e-9, atol=1e-9)

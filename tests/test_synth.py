@@ -122,9 +122,8 @@ class TestBetaRecovery:
         result = generate_panel(DGPConfig(seed=5, idio_vol=1e-14))
         estimates = self._estimate(result)
         for key, est in estimates.items():
-            assert est.beta == pytest.approx(result.truth.betas_window[key],
-                                             abs=1e-9)
-            assert abs(est.beta - result.truth.betas_true[key]) <= 0.35
+            assert est == pytest.approx(result.truth.betas_window[key], abs=1e-9)
+            assert abs(est - result.truth.betas_true[key]) <= 0.35
 
     def test_noiseless_recovery_constant_betas(self):
         """With firm-constant planted betas the per-year recovery is exact."""
@@ -136,19 +135,19 @@ class TestBetaRecovery:
                                           risk_effect_scale=0.3373))
         estimates = self._estimate(result)
         for key, est in estimates.items():
-            assert abs(est.beta - result.truth.betas_true[key]) <= 0.15
+            assert abs(est - result.truth.betas_true[key]) <= 0.15
 
     def test_realistic_noise_within_band(self):
         result = generate_panel(DGPConfig(seed=5))
         estimates = self._estimate(result)
-        errors = [abs(est.beta - result.truth.betas_true[key])
+        errors = [abs(est - result.truth.betas_true[key])
                   for key, est in estimates.items()]
         assert max(errors) <= 0.35
 
     def test_cross_firm_dispersion_near_target(self):
         result = generate_panel(DGPConfig(seed=5))
         estimates = self._estimate(result)
-        values = np.array([e.beta for e in estimates.values()])
+        values = np.array(list(estimates.values()))
         assert values.std(ddof=1) == pytest.approx(0.3373, abs=0.08)
 
     def test_estimates_in_plausible_band(self):
@@ -156,7 +155,7 @@ class TestBetaRecovery:
         for seed in range(3):
             result = generate_panel(DGPConfig(seed=seed))
             estimates = self._estimate(result)
-            values = np.array([e.beta for e in estimates.values()])
+            values = np.array(list(estimates.values()))
             assert 0.7 <= values.mean() <= 1.1
             assert values.min() >= -1.0
             assert values.max() <= 2.8

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketpanel import beta, variables
+from marketpanel import variables
 from marketpanel.errors import (NegativeNumerator, NonPositiveExpense, ZeroSales)
 from marketpanel.panel_core import RiskFreeSeries, build_dataset
 from marketpanel.variables import (abnormal_earnings, derive_all, marin, marin_alt_assets,
@@ -211,13 +211,6 @@ class TestDeriveAll:
         expected = second["eps"] - 0.03 * first["book_value"]
         assert panel.columns["X"][1] == pytest.approx(expected)
 
-    def test_beta_estimates_are_read_through(self):
-        ds = make_panel(n_firms=1, n_years=2)
-        estimates = {key: beta.BetaEstimate(firm_id=key[0], year=key[1], beta=0.25 * key[1],
-                                            n_months=60, window_start=(2000, 1))
-                     for key in _betas(ds, 0.0)}
-        assert derive_all(ds, estimates).columns["Bet"].tolist() == [0.25 * 2011, 0.25 * 2012]
-
     def test_zero_marketing_flagged(self):
         rows = [make_row(year=2011, sga=5.0, rd=5.0, book_value_prev=1.0),
                 make_row(year=2012)]
@@ -251,33 +244,6 @@ class TestPanelColumns:
         ds = make_panel(n_firms=2, n_years=2)
         with pytest.raises(KeyError, match="Halo"):
             variables.panel_columns(derive_all(ds, _betas(ds, 0.5)), ["P", "Halo"])
-
-    def test_firm_series_year_order(self):
-        ds = make_panel(n_firms=2, n_years=4)
-        panel = derive_all(ds, _betas(ds, 0.5))
-        series = variables.firm_series(panel, "Age")
-        assert set(series) == {"F1", "F2"}
-        assert np.all(np.diff(series["F1"]) == 1.0)
-
-    def test_firm_series_equal_a_per_row_read(self):
-        rows = [make_row(firm_id="Z9", year=2011, sga=5.0, rd=5.0, book_value_prev=1.0),
-                make_row(firm_id="Z9", year=2012),
-                make_row(firm_id="A0", year=2013, sga=5.0, rd=5.0, book_value_prev=1.0)]
-        ds = build_dataset(make_table(rows + table_rows(make_panel(n_firms=3, n_years=4).table)),
-                           [RiskFreeSeries("M1", {y: 0.03 for y in range(2011, 2015)})])
-        panel = derive_all(ds, {k: 0.7 + 0.01 * k[1] for k in _betas(ds, 0.0)})
-        keys = _keys(panel)
-        assert keys == sorted(keys)
-        for name in variables.COLUMNS:
-            series = variables.firm_series(panel, name)
-            by_firm = {}
-            for (firm, _), value in zip(keys, panel.columns[name].tolist()):
-                if not math.isnan(value):
-                    by_firm.setdefault(firm, []).append(value)
-            assert list(series) == sorted(by_firm)
-            for firm, values in by_firm.items():
-                assert np.array_equal(series[firm], np.array(values)), (name, firm)
-        assert "A0" not in variables.firm_series(panel, "MarinLog")
 
     def test_callers_cannot_change_the_panel(self):
         ds = make_panel(n_firms=2, n_years=3)
