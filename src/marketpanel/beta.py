@@ -13,7 +13,8 @@ from itertools import compress, product
 
 import numpy as np
 
-from .errors import InsufficientWindow, TooShort, UnknownMarket, ZeroMarketVariance
+from .errors import (InsufficientWindow, SchemaMismatch, TooShort, UnknownMarket,
+                     ZeroMarketVariance)
 
 DEFAULT_WINDOW_MONTHS = 60
 DEFAULT_MIN_MONTHS = 48
@@ -94,7 +95,8 @@ def monthly_returns(prices: PriceTable) -> ReturnPanel:
 
     return(t) = close(t)/close(t-1) - 1 for consecutive months of one series
     only; a gap in months breaks the chain. A series with fewer than two
-    closes has no return series and is left out of the panel.
+    closes has no return series and is left out of the panel. A close ratio
+    that overflows raises :class:`SchemaMismatch` naming the series and month.
     """
     codes, months, closes = prices.codes, prices.months, prices.closes
     counts = np.bincount(codes, minlength=len(prices.series_ids))
@@ -103,11 +105,17 @@ def monthly_returns(prices: PriceTable) -> ReturnPanel:
     row_of_code[kept] = np.arange(len(kept))
 
     chained = (codes[1:] == codes[:-1]) & (months[1:] == months[:-1] + 1)
-    return_months = months[1:][chained]
+    series, return_months = codes[1:][chained], months[1:][chained]
+    with np.errstate(over="ignore"):
+        returns = closes[1:][chained] / closes[:-1][chained] - 1.0
+    overflow = np.flatnonzero(~np.isfinite(returns))
+    if len(overflow):
+        year, month = _index_month(int(return_months[overflow[0]]))
+        raise SchemaMismatch(f"prices: the return of {prices.series_ids[series[overflow[0]]]} "
+                             f"in {year}-{month:02d} is not finite (the close ratio overflows)")
     axis = np.unique(return_months)
     values = np.full((len(kept), len(axis)), np.nan)
-    values[row_of_code[codes[1:][chained]], np.searchsorted(axis, return_months)] = (
-        closes[1:][chained] / closes[:-1][chained] - 1.0)
+    values[row_of_code[series], np.searchsorted(axis, return_months)] = returns
     return ReturnPanel(series_ids=tuple(prices.series_ids[c] for c in kept),
                        months=axis, values=values)
 

@@ -309,6 +309,7 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest_check(args) -> int:
     dataset, prices, rep = _dataset(*_load_inputs(RunConfig(data=args.data)))
+    beta.monthly_returns(prices)   # an overflowing close ratio fails here as in `run`
     summary = {
         "command": "ingest-check",
         "rows_accepted": rep.rows_accepted,

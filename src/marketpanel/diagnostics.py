@@ -16,6 +16,7 @@ from scipy import special
 
 from .errors import ConstantSeries, SpecMismatch, TooFewGroups, TooShort
 from .panel_core import appearance_codes
+from .regress import _tall_r
 
 # MacKinnon (2010) response-surface coefficients, constant-only regression,
 # one variable: cv = b0 + b1/T + b2/T^2 + b3/T^3
@@ -116,9 +117,10 @@ def _pvalue_bracket(stat: float, crit: dict[str, float]) -> str:
 def _adf_stat(y: np.ndarray, lags: int) -> tuple[float, int]:
     """t statistic on the lagged level in the ADF regression with a constant.
 
-    One QR of [1, dy_{t-1}, ..., dy_{t-lags}, y_{t-1}, dy_t]. With the lagged
-    level as the last regressor, its coefficient is r[-2, -1] / r[-2, -2], its
-    standard error sigma / |r[-2, -2]|, and sigma = |r[-1, -1]| / sqrt(df).
+    One QR of [1, dy_{t-1}, ..., dy_{t-lags}, y_{t-1}, dy_t], built from row
+    blocks by ``regress._tall_r``. With the lagged level as the last
+    regressor, its coefficient is r[-2, -1] / r[-2, -2], its standard error
+    sigma / |r[-2, -2]|, and sigma = |r[-1, -1]| / sqrt(df).
     """
     dy = np.diff(y)
     rows = np.arange(lags + 1, len(y))
@@ -128,7 +130,7 @@ def _adf_stat(y: np.ndarray, lags: int) -> tuple[float, int]:
         raise TooShort(f"{nobs} observations for {lags + 2} ADF regressors")
     cols = [np.ones(nobs)] + [dy[rows - 1 - j] for j in range(1, lags + 1)]
     cols += [y[rows - 1], dy[rows - 1]]
-    r = np.linalg.qr(np.column_stack(cols), mode="r")
+    r = _tall_r(np.column_stack(cols))
     level, resid = r[-2, -2], r[-1, -1]
     if level == 0.0 or resid == 0.0:
         raise ConstantSeries("degenerate ADF regression")
@@ -138,9 +140,10 @@ def _adf_stat(y: np.ndarray, lags: int) -> tuple[float, int]:
 def _adf_aic_lag(y: np.ndarray, max_lags: int) -> int:
     """AIC lag choice on the common sample implied by ``max_lags``.
 
-    One QR of [1, y_{t-1}, dy_{t-1}, ..., dy_{t-max_lags}, dy_t] serves every
-    nested regression: the RSS on the first m columns is the squared norm of
-    the last column of R below row m.
+    One QR of [1, y_{t-1}, dy_{t-1}, ..., dy_{t-max_lags}, dy_t], built from
+    row blocks by ``regress._tall_r``, serves every nested regression: the
+    RSS on the first m columns is the squared norm of the last column of R
+    below row m.
     """
     dy = np.diff(y)
     rows = np.arange(max_lags + 1, len(y))
@@ -148,7 +151,7 @@ def _adf_aic_lag(y: np.ndarray, max_lags: int) -> int:
     cols = [np.ones(nobs), y[rows - 1]]
     cols += [dy[rows - 1 - j] for j in range(1, max_lags + 1)]
     cols.append(dy[rows - 1])
-    r = np.linalg.qr(np.column_stack(cols), mode="r")
+    r = _tall_r(np.column_stack(cols))
     tail = np.zeros(len(cols))    # a saturated fit (fewer rows than columns) leaves 0
     tail[:r.shape[0]] = r[:, -1] ** 2
     rss_from = np.cumsum(tail[::-1])[::-1]

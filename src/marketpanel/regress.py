@@ -3,7 +3,11 @@ random-effects GLS, and covariance estimators.
 
 All solvers go through a rank-revealing column-pivoted QR factorization with
 tolerance 1e-10 * ||X||; raw normal equations exist only as a test oracle.
-Inference uses the t distribution at all sample sizes.
+The factorization takes two steps: an unpivoted QR of the tall [X y], built
+from small row blocks, leaves a (k+1) x (k+1) triangle, and the pivoted QR
+runs on that triangle only. No LAPACK call sees all n rows at once, so
+OpenBLAS keeps each one on the calling thread. Inference uses the t
+distribution at all sample sizes.
 """
 
 import warnings
@@ -20,6 +24,8 @@ from .panel_core import PanelCodes
 
 RANK_TOL_FACTOR = 1e-10
 INTERCEPT_NAME = "C"
+# elements per row block of _tall_r: blocks this small stay on one OpenBLAS thread
+_BLOCK_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -96,27 +102,54 @@ class FitResult:
         return float(self.p_values[self.column_names.index(name)])
 
 
+def _tall_r(a: np.ndarray) -> np.ndarray:
+    """R factor of ``a`` (n x k), equal to ``np.linalg.qr(a, mode="r")`` up to row signs.
+
+    Tall-skinny QR: one stacked QR of row blocks of max(2k, 4096 // k) rows
+    leaves one k x k triangle per block; the triangles and the leftover rows
+    are factored again the same way until at most one block remains
+    (Demmel, Grigori, Hoemmen & Langou 2012). Each block has at most 4096
+    elements for k <= 45.
+    """
+    n, k = a.shape
+    rows = max(2 * k, _BLOCK_ELEMENTS // k)
+    if n <= rows:
+        return np.linalg.qr(a, mode="r")
+    split = n - n % rows
+    stacked = np.linalg.qr(a[:split].reshape(-1, rows, k), mode="r")
+    return _tall_r(np.concatenate([stacked.reshape(-1, k), a[split:]]))
+
+
 def _pivoted_qr_solve(values: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     """Least-squares solve via column-pivoted QR; returns (beta, xtx_inv).
 
-    Raises :class:`RankDeficient` naming the dependent columns when the
-    numerical rank falls short of the column count.
+    ``_tall_r`` factors [X y] as Q [R Q'y]. The pivoted QR of the k x k R
+    then gives X P = (Q Q2) R2: residual column norms do not change under the
+    left orthogonal factor Q, so the greedy pivot order and |diag R2| are
+    those of a pivoted QR of X itself. The rank tolerance is 1e-10 ||R||_F,
+    which equals 1e-10 ||X||_F. Raises :class:`RankDeficient` naming the
+    dependent columns when the numerical rank falls short of the column
+    count.
     """
-    n, k = values.shape
-    q, r, piv = scipy.linalg.qr(values, mode="economic", pivoting=True)
+    k = values.shape[1]
+    r_xy = _tall_r(np.column_stack([values, y]))
+    r_x = r_xy[:k, :k]
+    q, r, piv = scipy.linalg.qr(r_x, pivoting=True)
     diag = np.abs(np.diag(r))
-    tol = RANK_TOL_FACTOR * np.linalg.norm(values)
+    tol = RANK_TOL_FACTOR * np.linalg.norm(r_x)
     rank = int(np.sum(diag > tol))
     if rank < k:
         dependent = [names[j] for j in piv[rank:]]
         raise RankDeficient(dependent)
 
-    qty = q.T @ y
+    qty = q.T @ r_xy[:k, k]
     beta_piv = scipy.linalg.solve_triangular(r, qty)
     beta = np.empty(k)
     beta[piv] = beta_piv
 
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(k))
+    # a triangular inverse, not a solve against eye(k): OpenBLAS runs even a
+    # k x k triangular solve with k right-hand sides on its thread pool
+    r_inv, _ = scipy.linalg.lapack.dtrtri(r)
     xtx_inv_piv = r_inv @ r_inv.T
     xtx_inv = np.empty((k, k))
     xtx_inv[np.ix_(piv, piv)] = xtx_inv_piv
@@ -252,11 +285,13 @@ def _trend_collinearity_check(Xw: DesignMatrix):
     codes = Xw.codes
     years = codes.years[codes.period].astype(float)
     trend = years - codes.firm_means(years)[codes.firm]
-    t_norm = np.linalg.norm(trend)
+    # norms by reduction: np.linalg.norm of a vector is a BLAS dot over all n rows
+    t_norm = np.sqrt(np.add.reduce(trend * trend))
     if t_norm == 0:
         return
+    x_norms = np.sqrt(np.add.reduce(Xw.values * Xw.values))
     with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.abs(trend @ Xw.values) / (np.linalg.norm(Xw.values, axis=0) * t_norm)
+        corr = np.abs(trend @ Xw.values) / (x_norms * t_norm)
     for j in np.flatnonzero(corr > 0.999):
         warnings.warn(
             f"column {Xw.column_names[j]!r} is within-collinear with a common linear trend "

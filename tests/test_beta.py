@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from marketpanel.beta import all_betas, beta_for_year, monthly_returns
-from marketpanel.errors import (InsufficientWindow, TooShort, UnknownMarket,
-                                ZeroMarketVariance)
+from marketpanel.errors import (InsufficientWindow, SchemaMismatch, TooShort,
+                                UnknownMarket, ZeroMarketVariance)
 
 from conftest import monthly_points, price_table, return_panel
 
@@ -46,6 +46,13 @@ class TestMonthlyReturns:
                                           "B": [(2015, 3, 50.0), (2015, 4, 55.0)]}))
         assert returned_months(rs, "A") == [(2015, 2)]
         assert returned_months(rs, "B") == [(2015, 4)]
+
+    def test_overflowing_close_ratio_is_a_data_error(self):
+        """1 -> 1e-300 is a -100% return; 1e-300 -> 1e300 overflows and names its month."""
+        prices = price_table({"F1": [(2015, 1, 100.0), (2015, 2, 110.0)],
+                              "M1": [(2015, 1, 1.0), (2015, 2, 1e-300), (2015, 3, 1e300)]})
+        with pytest.raises(SchemaMismatch, match=r"M1 in 2015-03 is not finite"):
+            monthly_returns(prices)
 
     def test_too_short(self):
         """A single close has no return series, so the firm cannot be estimated."""

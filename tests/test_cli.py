@@ -246,6 +246,24 @@ class TestInputErrors:
         assert [r.getMessage()[:13] for r in caplog.records] == ["prices line 3"] * 2
         assert not (tmp_path / "o").exists()
 
+    def test_overflowing_close_ratio_in_prices(self, data_dir, tmp_path, caplog):
+        edited = tmp_path / "edited"
+        shutil.copytree(data_dir, edited)
+        lines = (edited / "prices.csv").read_text().splitlines()
+        for line, close in zip((1, 2, 3), ("1", "1e-300", "1e300")):
+            series, year, month, _ = lines[line].split(",")
+            lines[line] = ",".join((series, year, month, close))
+        assert [row.split(",")[0] for row in lines[1:4]] == [series] * 3
+        (edited / "prices.csv").write_text("\n".join(lines) + "\n")
+        with caplog.at_level(logging.ERROR, logger="marketpanel"):
+            assert main(["run", "--data", str(edited), "--out", str(tmp_path / "o")]) == 2
+            assert main(["ingest-check", "--data", str(edited)]) == 2
+        year, month = lines[3].split(",")[1:3]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"prices: the return of {series} in {year}-{int(month):02d} is not finite "
+            "(the close ratio overflows)"] * 2
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_rate_in_riskfree(self, data_dir, tmp_path, caplog):
         rate = (data_dir / "riskfree.csv").read_text().splitlines()[1].split(",")[2]
         edited = self._edited(data_dir, tmp_path, "riskfree.csv", 2, rate, "abc" + rate)
