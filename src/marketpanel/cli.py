@@ -7,11 +7,19 @@ resolved) lands in the run manifest. Logs go to standard error; standard
 output carries machine-readable summaries only.
 
 Exit codes: 0 success, 1 analytical failure, 2 usage/config/input error.
+
+Run as a program (``python -m marketpanel.cli`` or the ``marketpanel``
+script, both ``main()`` without arguments), the CLI freezes the objects its
+imports left to the garbage collector, so neither its full collections nor
+the one at exit walk them again. ``main(argv)`` called from Python code does
+not freeze, because the caller's own pending garbage would be frozen too and
+never freed.
 """
 
 import argparse
 import dataclasses
 import datetime
+import gc
 import hashlib
 import json
 import logging
@@ -462,6 +470,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # the process is the CLI's: numpy's and scipy's import-time objects
+        # (tens of thousands) live until exit, and the shutdown collection
+        # would otherwise walk them all once more
+        gc.freeze()
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
     # the warning fires identically on every fit of the same panel

@@ -10,6 +10,7 @@ fails hard.
 import csv
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -77,8 +78,18 @@ def _check_header(header: list[str], expected: tuple[str, ...], what: str,
 def _numbers(cells: list[str], name: str, kind: type) -> tuple[np.ndarray, dict[int, str]]:
     """A column of number cells read as ``kind`` (float or int), and the reason
     each cell that does not read as a finite number fails, by row."""
+    dtype = np.float64 if kind is float else np.int64
+    try:
+        # numpy converts each str cell with Python's own float() or int(),
+        # which strip whitespace as the per-cell parsers do
+        values = np.array(cells, dtype=dtype)
+        if kind is int or np.isfinite(values).all():
+            return values, {}
+    except (ValueError, OverflowError):
+        pass
+    # some cell fails: convert cell by cell to give each its reason
     parse = _parse_float if kind is float else _parse_int
-    values = np.zeros(len(cells), dtype=np.float64 if kind is float else np.int64)
+    values = np.zeros(len(cells), dtype=dtype)
     reasons = {}
     for i, cell in enumerate(cells):
         try:
@@ -179,7 +190,7 @@ def _load_price_rows(lines: list[str]) -> np.ndarray:
                       comments=None, ndmin=1)
 
 
-def _read_price_rows(body: list[str]) -> tuple[np.ndarray, list[int], int | None]:
+def _read_price_rows(body: list[str]) -> tuple[np.ndarray, Sequence[int], int | None]:
     """The rows of prices.csv's body lines.
 
     Returns the rows, the 1-based file line of each, and the index of the
@@ -191,7 +202,9 @@ def _read_price_rows(body: list[str]) -> tuple[np.ndarray, list[int], int | None
     """
     try:
         rows = _load_price_rows(body)
-        return rows, [n for n, line in enumerate(body, start=2) if line], None
+        if "" in body:
+            return rows, [n for n, line in enumerate(body, start=2) if line], None
+        return rows, range(2, len(body) + 2), None
     except ValueError:
         pass
     line_nos = [n for n, line in enumerate(body, start=2) if not _blank_row(line)]
@@ -225,21 +238,27 @@ def parse_prices(csv_text: str) -> PriceTable:
     ordered by (series, month). Rows whose cells are all blank are skipped;
     a quoted cell may not span lines. The rows are checked as arrays and the
     first offending one fails hard, naming its 1-based file line: a row that
-    does not read as id, integer year, integer month, number, a non-finite
-    close or a month outside 1..12 raises :class:`SchemaMismatch`, a
+    does not read as id, integer year, integer month, number, an empty id, a
+    non-finite close or a month outside 1..12 raises :class:`SchemaMismatch`, a
     non-positive close :class:`NonPositivePrice`, and a month the series
     already has :class:`DuplicateMonth`.
     """
     if not csv_text:
         raise SchemaMismatch("prices: empty file")
-    header, *body = csv_text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in csv_text:
+        csv_text = csv_text.replace("\r\n", "\n").replace("\r", "\n")
+    header, *body = csv_text.split("\n")
+    if body and not body[-1]:
+        body.pop()   # the text's final newline
     _check_header(next(csv.reader([header]), []), PRICES_COLUMNS, "prices")
     rows, line_nos, unreadable = _read_price_rows(body)
 
-    raw_ids = list(map(str.strip, rows["series_id"]))
-    series_ids = sorted(dict.fromkeys(raw_ids))
+    raw_ids = rows["series_id"].tolist()
+    stripped = {raw: raw.strip() for raw in dict.fromkeys(raw_ids)}
+    series_ids = sorted(set(stripped.values()))
     code_of = {series_id: code for code, series_id in enumerate(series_ids)}
-    codes = np.fromiter(map(code_of.__getitem__, raw_ids), dtype=np.int64, count=len(raw_ids))
+    codes = np.fromiter(map(code_of.__getitem__, map(stripped.__getitem__, raw_ids)),
+                        dtype=np.int64, count=len(raw_ids))
     years, calendar_months, closes = rows["year"], rows["month"], rows["close"]
     months = years * 12 + (calendar_months - 1)
     order = np.lexsort((months, codes))
@@ -248,6 +267,7 @@ def parse_prices(csv_text: str) -> PriceTable:
     duplicate[order[1:][(np.diff(codes[order]) == 0) & (np.diff(months[order]) == 0)]] = True
 
     checks = (
+        (codes == code_of.get("", -1), SchemaMismatch, "empty series_id"),
         ((years < -_MAX_YEAR) | (years > _MAX_YEAR), SchemaMismatch,
          "year {year} out of range"),
         (~np.isfinite(closes), SchemaMismatch, "close {close!r} not a finite number"),
@@ -261,7 +281,7 @@ def parse_prices(csv_text: str) -> PriceTable:
         r = int(np.argmax(failed))
         error, reason = next((error, reason) for mask, error, reason in checks if mask[r])
         raise error(f"prices line {line_nos[r]}: " + reason.format(
-            series_id=raw_ids[r], year=int(years[r]), month=int(calendar_months[r]),
+            series_id=series_ids[codes[r]], year=int(years[r]), month=int(calendar_months[r]),
             close=float(closes[r])))
     if unreadable is not None:
         raise SchemaMismatch(f"prices line {line_nos[unreadable]}: "

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line pipeline."""
 
+import gc
 import hashlib
 import json
 import logging
@@ -25,6 +26,13 @@ def run_cli(*argv, capsys=None):
         lines = capsys.readouterr().out.strip().splitlines()
         out = lines[-1] if lines else ""
     return code, out
+
+
+def src_env():
+    """The environment with this checkout's package first on the import path."""
+    src = str(Path(marketpanel.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +272,16 @@ class TestInputErrors:
             "(the close ratio overflows)"] * 2
         assert not (tmp_path / "o").exists()
 
+    def test_empty_series_id_in_prices(self, data_dir, tmp_path, caplog):
+        series = (data_dir / "prices.csv").read_text().splitlines()[2].split(",")[0]
+        edited = self._edited(data_dir, tmp_path, "prices.csv", 3, series + ",", ",")
+        with caplog.at_level(logging.ERROR, logger="marketpanel"):
+            assert main(["run", "--data", str(edited), "--out", str(tmp_path / "o")]) == 2
+            assert main(["ingest-check", "--data", str(edited)]) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "prices line 3: empty series_id"] * 2
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_rate_in_riskfree(self, data_dir, tmp_path, caplog):
         rate = (data_dir / "riskfree.csv").read_text().splitlines()[1].split(",")[2]
         edited = self._edited(data_dir, tmp_path, "riskfree.csv", 2, rate, "abc" + rate)
@@ -281,18 +299,41 @@ class TestEmptyDesign:
         first = lines[0].split(",")[1]
         kept = [line for line in lines if line.split(",")[1:3] in ([first, "1"], [first, "2"])]
         (edited / "prices.csv").write_text("\n".join([header] + kept) + "\n")
-        src = str(Path(marketpanel.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
         proc = subprocess.run(
             [sys.executable, "-m", "marketpanel.cli", "run", "--data", str(edited),
-             "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True, timeout=120)
+             "--out", str(tmp_path / "o")], env=src_env(), capture_output=True, text=True,
+            timeout=120)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if line.startswith("ERROR")]
         assert errors == ["ERROR value_direct: no complete rows in the design "
                           "(0 of 0 panel rows incomplete)"]
         assert not (tmp_path / "o").exists()
+
+
+class TestGcFreeze:
+    """Only a process the CLI owns freezes the objects its imports left."""
+
+    def test_in_process_main_does_not_freeze(self, run_dir):
+        before = gc.get_freeze_count()
+        assert main(["report-diff", str(run_dir), str(run_dir)]) == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("entry", [
+        "import runpy; runpy.run_module('marketpanel.cli', run_name='__main__')",  # -m
+        "from marketpanel.cli import main; sys.exit(main())",   # the console script
+    ])
+    def test_program_entry_freezes(self, run_dir, entry):
+        code = ("import atexit, gc, sys; "
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count())); "
+                f"sys.argv = ['marketpanel', 'report-diff', {str(run_dir)!r}, "
+                f"{str(run_dir)!r}]; {entry}")
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[0])["passed"] is True
+        label, count = proc.stdout.splitlines()[-1].split()
+        assert label == "frozen" and int(count) > 0
 
 
 class TestRunId:

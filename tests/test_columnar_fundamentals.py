@@ -16,7 +16,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from marketpanel import ingest, variables
 from marketpanel.errors import DuplicateKey, MissingRiskFree
@@ -281,6 +281,66 @@ def test_integers_beyond_int64_are_rejected(cell, reason):
     table, report = ingest.parse_fundamentals(f"{HEADER}\n{row}\n")
     assert list(report.rejections) == ([(2, reason)] if reason else [])
     assert table.year.tolist() == ([] if reason else [2015])
+
+
+def loop_numbers(cells, name, kind):
+    """``ingest._numbers`` as it was: one ``float()``/``int()`` call per cell."""
+    parse = _float if kind is float else _int
+    values = np.zeros(len(cells), dtype=np.float64 if kind is float else np.int64)
+    reasons = {}
+    for i, cell in enumerate(cells):
+        try:
+            values[i] = parse(cell, name)
+        except ValueError as exc:
+            reasons[i] = str(exc)
+        except OverflowError:
+            reasons[i] = f"{name}: out of range"
+    return values, reasons
+
+
+DIGITS = ("0123456789", "0123456789",
+          "".join(map(chr, range(0x0660, 0x066A))),            # Arabic-Indic
+          "".join(map(chr, range(0xFF10, 0xFF1A))),            # fullwidth
+          "0123" + "".join(map(chr, range(0x0966, 0x096A))))   # with Devanagari
+PADDING = ("", "", " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\x1c")
+ODD_CELLS = ("", " ", "inf", "-inf", " nan ", "Infinity", "1e400", "-1e400", "1e-400",
+             "9" * 20, "-9223372036854775809", "9223372036854775808", "9223372036854775807",
+             "1,000.5", "1,5", ",", "_1", "1__0", "1_", "1._5", "0x10", "1.5.2", "abc",
+             "5\x00", "+", "-", ".", "e5", "1e", "--1", "\u00bd", "\u2155")
+
+
+@st.composite
+def number_columns(draw):
+    """A number kind and a column of cells, most of them readable as that kind."""
+    kind = draw(st.sampled_from((float, int)))
+    cells = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            cells.append(draw(st.sampled_from(ODD_CELLS)))
+            continue
+        digits = st.text(draw(st.sampled_from(DIGITS)), min_size=1, max_size=3)
+        body = "_".join(draw(st.lists(digits, min_size=1, max_size=3)))   # digit groups
+        if kind is float:
+            body += draw(st.sampled_from(("", "", ".", ".5", "." + draw(digits))))
+            if draw(st.booleans()):
+                body += draw(st.sampled_from(("e", "E-", "e+"))) + draw(digits)
+        sign = draw(st.sampled_from(("", "", "-", "+")))
+        cells.append(draw(st.sampled_from(PADDING)) + sign + body
+                     + draw(st.sampled_from(PADDING)))
+    return kind, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(number_columns())
+@example((float, [" \u0661_2.5e+1\t", "-0", "1e-400"]))
+@example((float, ["5\x00", "1"]))      # numpy's own str dtype would drop the NUL
+@example((int, ["\u00a02_015 ", "9" * 20]))
+def test_bulk_numbers_equal_the_per_cell_loop(column):
+    kind, cells = column
+    got, got_reasons = ingest._numbers(cells, "x", kind)
+    want, want_reasons = loop_numbers(cells, "x", kind)
+    assert got_reasons == want_reasons
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()   # -0.0 and NaN too
 
 
 # --- dataset and derived columns --------------------------------------------------------

@@ -2,8 +2,9 @@
 per-row code they replace.
 
 ``reference_parse_prices`` is the per-row csv parser the package used before
-its price table, with the table's two error fixes (a malformed number raises
-``SchemaMismatch`` naming its line, and a duplicate month names its line).
+its price table, with the table's error fixes (a malformed number raises
+``SchemaMismatch`` naming its line, a duplicate month names its line, and an
+empty series id is a ``SchemaMismatch``).
 ``reference_returns`` and ``reference_beta`` are the per-series return loop
 and the month-map window estimate that went with it. A loop of the textbook
 ``beta_for_year`` must equal them, and each beta of the batched ``all_betas``
@@ -56,6 +57,8 @@ def reference_parse_prices(csv_text):
         if len(row) != 4:
             raise SchemaMismatch(f"prices line {line_no}: expected 4 fields")
         series_id = row[0].strip()
+        if not series_id:
+            raise SchemaMismatch(f"prices line {line_no}: empty series_id")
         year = _number(row[1], int, line_no)
         month = _number(row[2], int, line_no)
         close = _number(row[3], float, line_no)
@@ -136,7 +139,7 @@ ID_CHARS = "ABFMxz019 _-.#,'\""
 BLANK_LINES = ("", "   ", "\t", ",,,", " , ,", '"",""', ",")
 ERROR_KINDS = ("extra_field", "missing_field", "year_text", "month_text", "close_text",
                "close_thousands", "close_nonfinite", "month_range", "close_nonpositive",
-               "duplicate")
+               "duplicate", "empty_id")
 
 
 def _quoted(text):
@@ -194,6 +197,8 @@ def price_texts(draw):
             row[2] = draw(st.sampled_from(("0", "13", "-3")))
         elif kind == "close_nonpositive":
             row[3] = draw(st.sampled_from(("0", "-2.5", "-0.0")))
+        elif kind == "empty_id":
+            row[0] = draw(st.sampled_from(("", "  ")))
         if kind == "duplicate":
             rows.insert(draw(st.integers(at + 1, len(rows))), row[:3] + ["7.5"])
         else:
@@ -221,6 +226,7 @@ def test_parse_prices_equals_the_per_row_parser(text):
     ("F1,2015,2,inf", SchemaMismatch),      # close not finite
     ("F1,2015,13,1.0", SchemaMismatch),     # month out of range
     ("F1,2015,2,-1.0", NonPositivePrice),
+    (" ,2015,2,-1.0", SchemaMismatch),      # empty series id
     ("F1,2015,1,2.0", DuplicateMonth),      # line 2 has (F1, 2015, 1)
 ])
 def test_each_check_names_the_first_offending_line(bad, error, blank):
