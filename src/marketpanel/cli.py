@@ -1,12 +1,15 @@
 """Command-line pipeline: generate data, validate inputs, estimate, report.
 
 Subcommands: ``synth``, ``ingest-check``, ``run``, ``verify``,
-``report-diff``. Configuration comes from a flat key=value file with CLI
-flags taking precedence; the effective configuration (every default
-resolved) lands in the run manifest. Logs go to standard error; standard
-output carries machine-readable summaries only.
+``report-diff``. ``run`` reads fundamentals.csv, prices.csv and riskfree.csv
+from one directory (``synth`` writes them). Its configuration is
+:class:`RunConfig`: each field is a key of the flat key=value config file and
+a ``run`` flag, the flags taking precedence; the effective configuration
+(every default resolved) lands in the run manifest. Logs go to standard
+error; standard output carries machine-readable summaries only.
 
-Exit codes: 0 success, 1 analytical failure, 2 usage/config/input error.
+Exit codes: 0 success, 1 analytical failure, 2 usage/config/input error
+(:class:`~marketpanel.errors.InputError`).
 
 Run as a program (``python -m marketpanel.cli`` or the ``marketpanel``
 script, both ``main()`` without arguments), the CLI freezes the objects its
@@ -31,36 +34,24 @@ import numpy as np
 import scipy
 
 from . import __version__, beta, diagnostics, ingest, models, report, synth, variables
-from .errors import (CollinearityProximityWarning, DuplicateKey, DuplicateMonth,
-                     EmptyInput, InfeasibleTargets, InvariantViolation, IoFailure,
-                     MarketPanelError, MissingRiskFree, NonPositivePrice,
-                     RateOutOfRange, SchemaMismatch, UnknownMarket)
+from .errors import (CollinearityProximityWarning, InfeasibleTargets, InputError,
+                     IoFailure, MarketPanelError)
 from .panel_core import PanelDataset, build_dataset
 
 log = logging.getLogger("marketpanel")
 
-_INPUT_ERRORS = (SchemaMismatch, IoFailure, InfeasibleTargets, EmptyInput,
-                 DuplicateKey, MissingRiskFree, InvariantViolation, RateOutOfRange,
-                 NonPositivePrice, DuplicateMonth, UnknownMarket)
-
-_CONFIG_KEYS = {
-    "data": str, "synth": bool, "seed": int, "out": str, "run_id": str,
-    "marin_variant": str, "center": bool, "constrain_book_unit": bool,
-    "beta_window": int, "beta_min": int, "n_firms": int, "n_years": int,
-}
 _INPUT_FILES = ("fundamentals.csv", "prices.csv", "riskfree.csv")
-_VARIANT_ALIASES = {"sales": "sales_ratio", "assets": "assets_ratio", "log": "log_level",
-                    "sales_ratio": "sales_ratio", "assets_ratio": "assets_ratio",
-                    "log_level": "log_level"}
+_VARIANT_NAMES = {short: name for name, (short, _) in models.MARIN_VARIANTS.items()}
 
 
 @dataclasses.dataclass
 class RunConfig:
-    """Effective configuration of one pipeline run."""
+    """Effective configuration of one pipeline run.
+
+    Each field is a config-file key and the ``run`` flag of the same name.
+    """
 
     data: str | None = None
-    synth: bool = False
-    seed: int = 0
     out: str = "out"
     run_id: str | None = None
     marin_variant: str = "sales_ratio"
@@ -68,12 +59,10 @@ class RunConfig:
     constrain_book_unit: bool = False
     beta_window: int = beta.DEFAULT_WINDOW_MONTHS
     beta_min: int = beta.DEFAULT_MIN_MONTHS
-    n_firms: int = 20
-    n_years: int = 10
 
     def validate(self) -> None:
-        if bool(self.data) == bool(self.synth):
-            raise InfeasibleTargets("exactly one of --data and --synth must be given")
+        if not self.data:
+            raise InfeasibleTargets("no input directory: give --data or data = in --config")
         if self.marin_variant not in models.MARIN_VARIANTS:
             raise InfeasibleTargets(f"unknown marin variant {self.marin_variant!r}")
         if not (self.beta_window >= self.beta_min >= 12):
@@ -87,7 +76,14 @@ class RunConfig:
                 if key not in ("data", "out", "run_id")}
 
 
+def _config_kinds() -> dict[str, type]:
+    """Config key -> the type of its value; a ``str | None`` field takes a string."""
+    return {f.name: str if f.type == str | None else f.type
+            for f in dataclasses.fields(RunConfig)}
+
+
 def _parse_config_file(path: str) -> dict:
+    kinds = _config_kinds()
     values = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -99,9 +95,9 @@ def _parse_config_file(path: str) -> dict:
                     raise InfeasibleTargets(f"{path}:{line_no}: expected key = value")
                 key, _, value = line.partition("=")
                 key, value = key.strip(), value.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in kinds:
                     raise InfeasibleTargets(f"{path}:{line_no}: unknown key {key!r}")
-                kind = _CONFIG_KEYS[key]
+                kind = kinds[key]
                 if kind is bool:
                     if value.lower() not in ("true", "false", "1", "0", "yes", "no"):
                         raise InfeasibleTargets(f"{path}:{line_no}: boolean expected")
@@ -119,24 +115,12 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _resolve_run_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        for key, value in _parse_config_file(args.config).items():
-            if key == "marin_variant":
-                value = _VARIANT_ALIASES.get(value, value)
-            setattr(cfg, key, value)
-    overrides = {
-        "data": args.data, "synth": args.synth or None, "seed": args.seed,
-        "out": args.out, "run_id": args.run_id,
-        "marin_variant": (_VARIANT_ALIASES.get(args.marin_variant)
-                          if args.marin_variant else None),
-        "center": args.center or None,
-        "constrain_book_unit": args.constrain_book_unit or None,
-        "beta_window": args.beta_window, "beta_min": args.beta_min,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
+    values = _parse_config_file(args.config) if args.config else {}
+    for key in _config_kinds():
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    cfg = RunConfig(**values)
+    cfg.marin_variant = _VARIANT_NAMES.get(cfg.marin_variant, cfg.marin_variant)
     cfg.validate()
     return cfg
 
@@ -166,14 +150,9 @@ def _read(path: str) -> str:
         raise IoFailure(f"cannot read {path}: {exc}")
 
 
-def _load_inputs(cfg: RunConfig) -> tuple[str, str, str]:
-    """The texts of fundamentals.csv, prices.csv and riskfree.csv."""
-    if cfg.synth:
-        log.info("generating synthetic panel (seed=%d)", cfg.seed)
-        result = synth.generate_panel(synth.DGPConfig(
-            seed=cfg.seed, n_firms=cfg.n_firms, n_years=cfg.n_years))
-        return (result.fundamentals_csv, result.prices_csv, result.riskfree_csv)
-    return tuple(_read(os.path.join(cfg.data, name)) for name in _INPUT_FILES)
+def _load_inputs(data: str) -> tuple[str, str, str]:
+    """The texts of fundamentals.csv, prices.csv and riskfree.csv in ``data``."""
+    return tuple(_read(os.path.join(data, name)) for name in _INPUT_FILES)
 
 
 @dataclasses.dataclass
@@ -233,7 +212,7 @@ def _base_estimates(cfg: RunConfig, panel) -> list[models.EstimationReport]:
 
 def _inputs_and_betas(cfg: RunConfig):
     # the CSV texts and the price table die on return, before the estimates
-    texts = _load_inputs(cfg)
+    texts = _load_inputs(cfg.data)
     dataset, prices, ingest_report = _dataset(*texts)
     betas, beta_exclusions = _betas(cfg, dataset, prices)
     return (dict(zip(_INPUT_FILES, map(_sha256, texts))), dataset, ingest_report,
@@ -316,7 +295,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest_check(args) -> int:
-    dataset, prices, rep = _dataset(*_load_inputs(RunConfig(data=args.data)))
+    dataset, prices, rep = _dataset(*_load_inputs(args.data))
     beta.monthly_returns(prices)   # an overflowing close ratio fails here as in `run`
     summary = {
         "command": "ingest-check",
@@ -366,9 +345,10 @@ def cmd_verify(args) -> int:
                for model_id in models.MODEL_IDS}
     effective = json.loads(_read(os.path.join(args.run, "manifest.json"))
                            ).get("effective_config", {})
-    recorded = {key: _CONFIG_KEYS[key](value) for key, value in effective.items()
-                if key in _CONFIG_KEYS and key not in ("data", "synth")}
-    cfg = RunConfig(data=args.data, **recorded)
+    # keys that are no longer fields (a tree written by an older version) are ignored
+    kinds = _config_kinds()
+    recorded = {key: kinds[key](value) for key, value in effective.items() if key in kinds}
+    cfg = RunConfig(**{**recorded, "data": args.data})
     cfg.validate()
 
     failures = []
@@ -441,16 +421,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the full estimation pipeline")
     p_run.add_argument("--config", help="flat key=value config file")
     p_run.add_argument("--data", help="directory with fundamentals/prices/riskfree CSVs")
-    p_run.add_argument("--synth", action="store_true",
-                       help="generate the default synthetic panel instead of reading data")
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--run-id", default=None)
-    p_run.add_argument("--marin-variant", choices=sorted(_VARIANT_ALIASES),
+    p_run.add_argument("--marin-variant", choices=sorted([*_VARIANT_NAMES,
+                                                          *models.MARIN_VARIANTS]),
                        default=None, help="marketing measure for the baseline models")
-    p_run.add_argument("--center", action="store_true",
+    p_run.add_argument("--center", action="store_true", default=None,
                        help="mean-center the interaction inputs")
-    p_run.add_argument("--constrain-book-unit", action="store_true",
+    p_run.add_argument("--constrain-book-unit", action="store_true", default=None,
                        help="regress P - B instead of keeping B as a free regressor")
     p_run.add_argument("--beta-window", type=int, default=None)
     p_run.add_argument("--beta-min", type=int, default=None)
@@ -483,12 +461,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        log.error("%s", exc)
-        return 2
     except MarketPanelError as exc:
         log.error("%s", exc)
-        return 1
+        return 2 if isinstance(exc, InputError) else 1
 
 
 if __name__ == "__main__":

@@ -5,21 +5,28 @@ class MarketPanelError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InputError(MarketPanelError):
+    """Bad input, configuration or file access rather than an analytical failure.
+
+    The CLI exits with status 2 on these and with 1 on every other error.
+    """
+
+
 # --- dataset construction ---------------------------------------------------
 
-class EmptyInput(MarketPanelError):
+class EmptyInput(InputError):
     pass
 
 
-class DuplicateKey(MarketPanelError):
+class DuplicateKey(InputError):
     pass
 
 
-class MissingRiskFree(MarketPanelError):
+class MissingRiskFree(InputError):
     pass
 
 
-class InvariantViolation(MarketPanelError):
+class InvariantViolation(InputError):
     """A field-level invariant failed; identifies (firm, year, field)."""
 
     def __init__(self, field, reason, firm_id=None, year=None):
@@ -35,19 +42,19 @@ class InvariantViolation(MarketPanelError):
 
 # --- ingest ------------------------------------------------------------------
 
-class SchemaMismatch(MarketPanelError):
+class SchemaMismatch(InputError):
     pass
 
 
-class NonPositivePrice(MarketPanelError):
+class NonPositivePrice(InputError):
     pass
 
 
-class DuplicateMonth(MarketPanelError):
+class DuplicateMonth(InputError):
     pass
 
 
-class RateOutOfRange(MarketPanelError):
+class RateOutOfRange(InputError):
     pass
 
 
@@ -79,7 +86,7 @@ class ZeroMarketVariance(MarketPanelError):
     pass
 
 
-class UnknownMarket(MarketPanelError):
+class UnknownMarket(InputError):
     pass
 
 
@@ -127,7 +134,7 @@ class LengthMismatch(MarketPanelError):
 
 # --- synthetic generator ------------------------------------------------------------
 
-class InfeasibleTargets(MarketPanelError):
+class InfeasibleTargets(InputError):
     pass
 
 
@@ -137,7 +144,7 @@ class ModelMismatch(MarketPanelError):
 
 # --- reporting -----------------------------------------------------------------------
 
-class IoFailure(MarketPanelError):
+class IoFailure(InputError):
     pass
 
 

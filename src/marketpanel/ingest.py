@@ -304,6 +304,8 @@ def parse_riskfree(csv_text: str) -> list[RiskFreeSeries]:
         if len(row) != len(RISKFREE_COLUMNS):
             raise SchemaMismatch(f"riskfree line {line_no}: expected {len(RISKFREE_COLUMNS)} fields")
         market_id = row[0].strip()
+        if not market_id:
+            raise SchemaMismatch(f"riskfree line {line_no}: empty market_id")
         try:
             year = _parse_int(row[1], "year")
             rate = _parse_float(row[2], "rate")

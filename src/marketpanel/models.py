@@ -19,9 +19,11 @@ from .regress import DesignMatrix, FitResult
 from .variables import DerivedPanel, panel_columns
 
 MODEL_IDS = ("value_direct", "value_moderated", "risk_direct", "risk_moderated")
-MARIN_VARIANTS = ("sales_ratio", "assets_ratio", "log_level")
-_VARIANT_COLUMN = {"sales_ratio": "Marin", "assets_ratio": "MarinAssets",
-                   "log_level": "MarinLog"}
+# marketing measure -> (short name on the command line and in robustness
+# table names, derived panel column)
+MARIN_VARIANTS = {"sales_ratio": ("sales", "Marin"),
+                  "assets_ratio": ("assets", "MarinAssets"),
+                  "log_level": ("log", "MarinLog")}
 INTERACTION_NAME = "OW*Marin"
 
 
@@ -118,8 +120,7 @@ def _assemble_design(panel: DerivedPanel, spec: ModelSpec, center: bool):
     if spec.interaction is not None:
         needed.update(spec.interaction)
 
-    variant_col = _VARIANT_COLUMN[spec.marin_variant]
-    resolved = {"Marin": variant_col}
+    resolved = {"Marin": MARIN_VARIANTS[spec.marin_variant][1]}
     try:
         columns = panel_columns(panel, sorted({resolved.get(n, n) for n in needed}))
     except KeyError as exc:

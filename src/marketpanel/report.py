@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .diagnostics import CorrelationResult, StationarityRow, TestResult, VariableSummary
 from .errors import IoFailure, SchemaMismatch
-from .models import EstimationReport
+from .models import MARIN_VARIANTS, EstimationReport
 
 SCHEMA_VERSION = "1"
 
@@ -304,7 +304,7 @@ def _json_text(payload: dict) -> str:
 
 def robustness_table_name(report: EstimationReport) -> str:
     family = "value" if report.model_id.startswith("value") else "risk"
-    variant = {"assets_ratio": "assets", "log_level": "log"}[report.marin_variant]
+    variant = MARIN_VARIANTS[report.marin_variant][0]
     return f"robustness_{family}_{variant}"
 
 

@@ -88,7 +88,6 @@ class DGPConfig:
     n_firms: int = 20
     n_years: int = 10
     start_year: int = 2010
-    months_per_year: int = 12
     n_markets: int = 4
     value_coefficients: dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_VALUE_COEFFICIENTS))
@@ -111,8 +110,6 @@ class DGPConfig:
             raise InfeasibleTargets("panel estimation needs a cross-section (n_firms >= 2)")
         if self.n_firms * self.n_years < 30:
             raise InfeasibleTargets("n_firms * n_years must be at least 30")
-        if self.months_per_year != 12:
-            raise InfeasibleTargets("months_per_year must be 12")
         if self.n_markets < 1 or self.n_markets > self.n_firms:
             raise InfeasibleTargets("n_markets must be between 1 and n_firms")
         for name in ("effect_scale", "noise_scale", "risk_effect_scale",

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import marketpanel
+from marketpanel import errors, report
 from marketpanel.cli import main
 
 
@@ -180,12 +181,6 @@ class TestRunCommand:
         for name in names_a:
             assert (run_dir / name).read_bytes() == (other / name).read_bytes(), name
 
-    def test_synth_mode(self, tmp_path, capsys):
-        code, out = run_cli("run", "--synth", "--seed", "3", "--out",
-                            str(tmp_path / "o"), capsys=capsys)
-        assert code == 0
-        assert json.loads(out)["n_derived_rows"] == 200
-
     def test_log_variant_nobs_recorded(self, data_dir, tmp_path):
         out = tmp_path / "logout"
         assert main(["run", "--data", str(data_dir), "--out", str(out),
@@ -198,7 +193,7 @@ class TestRunCommand:
 
     def test_config_file_with_flag_override(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"data = {data_dir}\nseed = 7\nmarin_variant = assets\n"
+        cfg.write_text(f"data = {data_dir}\nmarin_variant = assets\n"
                        "# comment line\ncenter = true\n")
         out = tmp_path / "cfgout"
         code, text = run_cli("run", "--config", str(cfg), "--out", str(out),
@@ -209,7 +204,7 @@ class TestRunCommand:
         assert manifest["effective_config"]["marin_variant"] == "sales_ratio"
         assert manifest["effective_config"]["center"] is True
 
-    @pytest.mark.parametrize("line", ["seed = abc", "beta_window = 6.5", "n_firms ="])
+    @pytest.mark.parametrize("line", ["beta_min = abc", "beta_window = 6.5", "beta_min ="])
     def test_config_file_non_integer_exit_2(self, data_dir, tmp_path, caplog, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"data = {data_dir}\n\n{line}\n")
@@ -218,9 +213,33 @@ class TestRunCommand:
         assert caplog.records[-1].getMessage() == f"{cfg}:3: integer expected"
         assert not (tmp_path / "o").exists()
 
-    def test_data_and_synth_conflict(self, data_dir, tmp_path):
-        assert main(["run", "--data", str(data_dir), "--synth",
-                     "--out", str(tmp_path / "c")]) == 2
+    @pytest.mark.parametrize("key", ["synth", "seed", "n_firms", "n_years"])
+    def test_config_file_unknown_key_exit_2(self, data_dir, tmp_path, caplog, key):
+        """A key that is not a ``RunConfig`` field is a config error."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {data_dir}\n{key} = 9\n")
+        with caplog.at_level(logging.ERROR, logger="marketpanel"):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert caplog.records[-1].getMessage() == f"{cfg}:2: unknown key {key!r}"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config", [None, "center = true\n", "data =\n"])
+    def test_no_input_directory_exit_2(self, tmp_path, caplog, config):
+        argv = ["run", "--out", str(tmp_path / "o")]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        with caplog.at_level(logging.ERROR, logger="marketpanel"):
+            assert main(argv) == 2
+        assert caplog.records[-1].getMessage() == (
+            "no input directory: give --data or data = in --config")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [["--synth"], ["--seed", "5"]])
+    def test_removed_flags_are_usage_errors(self, data_dir, tmp_path, flags):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--data", str(data_dir), "--out", str(tmp_path / "o"), *flags])
+        assert err.value.code == 2
 
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["run", "--data", str(tmp_path / "missing"),
@@ -282,12 +301,56 @@ class TestInputErrors:
             "prices line 3: empty series_id"] * 2
         assert not (tmp_path / "o").exists()
 
+    def test_empty_market_id_in_riskfree(self, data_dir, tmp_path, caplog):
+        edited = tmp_path / "edited"
+        shutil.copytree(data_dir, edited)
+        with open(edited / "riskfree.csv", "a", encoding="utf-8") as handle:
+            handle.write(",2015,0.03\n")
+        line = len((edited / "riskfree.csv").read_text().splitlines())
+        with caplog.at_level(logging.ERROR, logger="marketpanel"):
+            assert main(["run", "--data", str(edited), "--out", str(tmp_path / "o")]) == 2
+            assert main(["ingest-check", "--data", str(edited)]) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"riskfree line {line}: empty market_id"] * 2
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_rate_in_riskfree(self, data_dir, tmp_path, caplog):
         rate = (data_dir / "riskfree.csv").read_text().splitlines()[1].split(",")[2]
         edited = self._edited(data_dir, tmp_path, "riskfree.csv", 2, rate, "abc" + rate)
         with caplog.at_level(logging.ERROR, logger="marketpanel"):
             assert main(["run", "--data", str(edited), "--out", str(tmp_path / "o")]) == 2
         assert "riskfree line 2" in caplog.records[-1].getMessage()
+
+
+class TestExitCodes:
+    """Exit 2 for exactly the input errors, 1 for every other package error."""
+
+    INPUT_ERRORS = {"SchemaMismatch", "IoFailure", "InfeasibleTargets", "EmptyInput",
+                    "DuplicateKey", "MissingRiskFree", "InvariantViolation",
+                    "RateOutOfRange", "NonPositivePrice", "DuplicateMonth",
+                    "UnknownMarket"}
+
+    def test_the_eleven_input_errors_are_input_errors(self):
+        subclasses = {name for name, obj in vars(errors).items()
+                      if isinstance(obj, type) and issubclass(obj, errors.MarketPanelError)}
+        assert {name for name in subclasses if issubclass(getattr(errors, name),
+                                                          errors.InputError)
+                } == self.INPUT_ERRORS | {"InputError"}
+
+    @pytest.mark.parametrize("error, code", [
+        (errors.SchemaMismatch("bad header"), 2),
+        (errors.InvariantViolation("sales", "must be positive"), 2),
+        (errors.RankDeficient(["B"]), 1),
+        (errors.TooFewObservations("no rows"), 1),
+    ])
+    def test_main_exit_code_by_error_type(self, monkeypatch, caplog, error, code):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(report, "golden_compare", failing)
+        with caplog.at_level(logging.ERROR, logger="marketpanel"):
+            assert main(["report-diff", "a", "b"]) == code
+        assert caplog.records[-1].getMessage() == str(error)
 
 
 class TestEmptyDesign:
@@ -375,6 +438,21 @@ class TestVerifyCommand:
     def test_clean_run_verifies(self, data_dir, run_dir, capsys):
         code, out = run_cli("verify", "--data", str(data_dir), "--run",
                             str(run_dir), capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
+    def test_manifest_with_removed_config_keys_verifies(self, data_dir, run_dir,
+                                                        tmp_path, capsys):
+        """An older tree whose manifest records keys that are not ``RunConfig``
+        fields still verifies."""
+        old = tmp_path / "old"
+        shutil.copytree(run_dir, old)
+        path = old / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["effective_config"].update(synth=False, seed=7, n_firms=20, n_years=10)
+        path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+        code, out = run_cli("verify", "--data", str(data_dir), "--run", str(old),
+                            capsys=capsys)
         assert code == 0
         assert json.loads(out)["passed"] is True
 
