@@ -31,11 +31,10 @@ import sys
 import warnings
 
 import numpy as np
-import scipy
 
-from . import __version__, beta, diagnostics, ingest, models, report, synth, variables
-from .errors import (CollinearityProximityWarning, InfeasibleTargets, InputError,
-                     IoFailure, MarketPanelError)
+from . import __version__, beta, diagnostics, ingest, models, report, variables
+from .errors import (CollinearityProximityWarning, ConfigError, InputError, IoFailure,
+                     MarketPanelError)
 from .panel_core import PanelDataset, build_dataset
 
 log = logging.getLogger("marketpanel")
@@ -62,11 +61,11 @@ class RunConfig:
 
     def validate(self) -> None:
         if not self.data:
-            raise InfeasibleTargets("no input directory: give --data or data = in --config")
+            raise ConfigError("no input directory: give --data or data = in --config")
         if self.marin_variant not in models.MARIN_VARIANTS:
-            raise InfeasibleTargets(f"unknown marin variant {self.marin_variant!r}")
+            raise ConfigError(f"unknown marin variant {self.marin_variant!r}")
         if not (self.beta_window >= self.beta_min >= 12):
-            raise InfeasibleTargets("beta window must satisfy max >= min >= 12")
+            raise ConfigError("beta window must satisfy max >= min >= 12")
 
     def effective(self) -> dict:
         # analytical configuration only; input and output locations are
@@ -92,21 +91,21 @@ def _parse_config_file(path: str) -> dict:
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise InfeasibleTargets(f"{path}:{line_no}: expected key = value")
+                    raise ConfigError(f"{path}:{line_no}: expected key = value")
                 key, _, value = line.partition("=")
                 key, value = key.strip(), value.strip()
                 if key not in kinds:
-                    raise InfeasibleTargets(f"{path}:{line_no}: unknown key {key!r}")
+                    raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
                 kind = kinds[key]
                 if kind is bool:
                     if value.lower() not in ("true", "false", "1", "0", "yes", "no"):
-                        raise InfeasibleTargets(f"{path}:{line_no}: boolean expected")
+                        raise ConfigError(f"{path}:{line_no}: boolean expected")
                     values[key] = value.lower() in ("true", "1", "yes")
                 elif kind is int:
                     try:
                         values[key] = int(value)
                     except ValueError:
-                        raise InfeasibleTargets(f"{path}:{line_no}: integer expected")
+                        raise ConfigError(f"{path}:{line_no}: integer expected")
                 else:
                     values[key] = value
     except OSError as exc:
@@ -251,7 +250,7 @@ def _bundle(cfg: RunConfig, base: _BaseRun) -> report.ReportBundle:
         "timestamp": _timestamp(),
         "versions": {"marketpanel": __version__,
                      "python": ".".join(map(str, sys.version_info[:3])),
-                     "numpy": np.__version__, "scipy": scipy.__version__},
+                     "numpy": np.__version__},
         "effective_config": effective,
         "inputs": base.inputs,
         "n_observations": len(base.dataset),
@@ -271,6 +270,7 @@ def _bundle(cfg: RunConfig, base: _BaseRun) -> report.ReportBundle:
 # --- subcommands -------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    from . import synth   # the generator and its scipy load only for this command
     cfg = synth.DGPConfig(seed=args.seed, n_firms=args.n_firms, n_years=args.n_years)
     result = synth.generate_panel(cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -339,6 +339,7 @@ def cmd_verify(args) -> int:
     generator actually planted; the direct models are misspecified subsets by
     design and are only covered by stage 1.
     """
+    from . import synth
     # a missing file fails in _read, naming the path (exit 2)
     truth = synth.TruthRecord.from_json(_read(os.path.join(args.data, "truth.json")))
     emitted = {model_id: json.loads(_read(os.path.join(args.run, f"{model_id}.json")))
@@ -449,9 +450,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     if argv is None:
-        # the process is the CLI's: numpy's and scipy's import-time objects
-        # (tens of thousands) live until exit, and the shutdown collection
-        # would otherwise walk them all once more
+        # the process is the CLI's: numpy's import-time objects (tens of
+        # thousands) live until exit, and the shutdown collection would
+        # otherwise walk them all once more
         gc.freeze()
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from . import _kernels
 from .errors import ConstantSeries, SpecMismatch, TooFewGroups, TooShort
 from .panel_core import appearance_codes
 from .regress import _tall_r
@@ -95,7 +95,8 @@ def _mackinnon_pvalues(stat: np.ndarray) -> np.ndarray:
     c, d = _P_SMALL, _P_LARGE
     small = c[0] + c[1] * stat + c[2] * stat**2
     large = d[0] + d[1] * stat + d[2] * stat**2 + d[3] * stat**3
-    p = special.ndtr(np.where(stat <= _P_TAU_STAR, small, large))
+    p = np.vectorize(_kernels._ndtr, otypes=[float])(
+        np.where(stat <= _P_TAU_STAR, small, large))
     return np.where(stat <= _P_TAU_MIN, 0.0, np.where(stat >= _P_TAU_MAX, 1.0, p))
 
 
@@ -287,7 +288,7 @@ def _fisher_combination(name: str, y: np.ndarray, firm: np.ndarray) -> TestResul
         return None
     statistic = -2.0 * float(np.sum(np.log(pvalues)))
     df = 2 * len(pvalues)
-    p = float(special.chdtrc(df, statistic))
+    p = _kernels._chdtrc(df, statistic)
     decision = "reject" if p < 0.05 else "fail_to_reject"
     detail = (f"{name}: Fisher chi2({df}) over {len(pvalues)} firms "
               f"({skipped} skipped), approximate small-sample p-values")
@@ -324,7 +325,7 @@ def hausman_test(fe, re) -> TestResult:
     statistic = float(d @ pinv @ d)
     df = int(np.linalg.matrix_rank(v_diff, tol=1e-12 * scale))
     df = max(df, 1)
-    p = float(special.chdtrc(df, max(statistic, 0.0)))
+    p = _kernels._chdtrc(df, max(statistic, 0.0))
     decision = "reject" if p < 0.05 else "fail_to_reject"
     detail = f"df={df}, slopes={names}"
     if not psd:
@@ -369,8 +370,8 @@ def lr_heteroskedasticity(residuals, groups) -> TestResult:
             statistic = float(np.subtract.reduce(terms))
     df = g - 1
     # equal group variances can leave a statistic just below 0, where the
-    # ufunc has no value: clamp the argument only
-    p = float(special.chdtrc(df, max(statistic, 0.0))) if math.isfinite(statistic) else 0.0
+    # tail has no value: clamp the argument only
+    p = _kernels._chdtrc(df, max(statistic, 0.0)) if math.isfinite(statistic) else 0.0
     decision = "reject" if p < 0.05 else "fail_to_reject"
     return TestResult(name="lr_heteroskedasticity", statistic=statistic, p_value=p,
                       critical_values=None, decision=decision,
@@ -434,6 +435,6 @@ def correlation_matrix(columns: dict[str, np.ndarray],
                 pij = 0.0
             else:
                 t = rij * math.sqrt((n - 2) / (1.0 - rij * rij))
-                pij = 2.0 * float(special.stdtr(n - 2, -abs(t)))
+                pij = 2.0 * _kernels._stdtr(n - 2, -abs(t))
             p[i, j] = p[j, i] = min(pij, 1.0)
     return CorrelationResult(variables=names, r=r, p=p, n=n_mat)

@@ -12,6 +12,10 @@ class InputError(MarketPanelError):
     """
 
 
+class ConfigError(InputError):
+    """A run configuration that cannot be used: a bad key, value or combination."""
+
+
 # --- dataset construction ---------------------------------------------------
 
 class EmptyInput(InputError):

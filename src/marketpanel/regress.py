@@ -14,9 +14,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy import special
 
+from . import _kernels
 from .errors import (CollinearityProximityWarning, NegativeVarianceComponentWarning,
                      RankDeficient, SingletonGroupWarning, TooFewClusters,
                      TooFewObservations)
@@ -134,25 +133,16 @@ def _pivoted_qr_solve(values: np.ndarray, y: np.ndarray, names: tuple[str, ...])
     k = values.shape[1]
     r_xy = _tall_r(np.column_stack([values, y]))
     r_x = r_xy[:k, :k]
-    q, r, piv = scipy.linalg.qr(r_x, pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = RANK_TOL_FACTOR * np.linalg.norm(r_x)
-    rank = int(np.sum(diag > tol))
+    r, qty, piv = _kernels._pivoted_qr(r_x, r_xy[:k, k])
+    rank = int(np.sum(np.abs(np.diag(r)) > RANK_TOL_FACTOR * np.linalg.norm(r_x)))
     if rank < k:
-        dependent = [names[j] for j in piv[rank:]]
-        raise RankDeficient(dependent)
+        raise RankDeficient([names[j] for j in piv[rank:]])
 
-    qty = q.T @ r_xy[:k, k]
-    beta_piv = scipy.linalg.solve_triangular(r, qty)
     beta = np.empty(k)
-    beta[piv] = beta_piv
-
-    # a triangular inverse, not a solve against eye(k): OpenBLAS runs even a
-    # k x k triangular solve with k right-hand sides on its thread pool
-    r_inv, _ = scipy.linalg.lapack.dtrtri(r)
-    xtx_inv_piv = r_inv @ r_inv.T
+    beta[piv] = _kernels._solve_upper(r, qty)
+    r_inv = _kernels._solve_upper(r, np.eye(k))
     xtx_inv = np.empty((k, k))
-    xtx_inv[np.ix_(piv, piv)] = xtx_inv_piv
+    xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
     return beta, xtx_inv
 
 
@@ -161,7 +151,7 @@ def _t_inference(beta, covariance, df_resid):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(std > 0, beta / std, np.inf * np.sign(beta))
     t = np.where((std == 0) & (beta == 0), 0.0, t)
-    p = 2.0 * special.stdtr(df_resid, -np.abs(t))
+    p = 2.0 * np.array([_kernels._stdtr(df_resid, -abs(v)) for v in t.tolist()])
     return std, t, np.clip(p, 0.0, 1.0)
 
 
@@ -183,7 +173,7 @@ def _f_statistic(r2, k_model, df_resid):
     if r2 >= 1.0:
         return np.inf, 0.0
     f = (r2 / k_model) / ((1.0 - r2) / df_resid)
-    return float(f), float(special.fdtrc(k_model, df_resid, f))
+    return float(f), _kernels._fdtrc(k_model, df_resid, f)
 
 
 def ols_fit(X: DesignMatrix, y, intercept: bool = True) -> FitResult:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import InfeasibleTargets, ModelMismatch
 from .ingest import (fundamentals_to_csv, parse_fundamentals, parse_riskfree,
@@ -256,6 +255,7 @@ def _stratified_uniform(rng, n, low, high):
 
 
 def _stratified_normal(rng, n, mean, sd):
+    from scipy import special   # here, not at import: `verify` loads this module
     # quantiles clipped to the inner 99%: keeps firm-level draws bounded so
     # the planted linear price equation retains positive support
     q = np.clip((rng.permutation(n) + rng.random(n)) / n, 0.005, 0.995)
@@ -277,6 +277,7 @@ def _fold_mean_lift(center, half, low, high, sd) -> float:
     a single fold at each bound shifts the mean by 2 E[(low - x)+] - 2 E[(x - high)+].
     Used to pre-compensate the grid center (analytic, seed independent).
     """
+    from scipy import special
     if sd <= 0:
         return 0.0
     mu = np.linspace(center - half, center + half, 201)

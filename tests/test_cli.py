@@ -249,6 +249,36 @@ class TestRunCommand:
         assert main(["run", "--data", str(data_dir), "--out", str(tmp_path / "o3"),
                      "--beta-window", "24", "--beta-min", "48"]) == 2
 
+    def test_config_errors_are_config_errors(self):
+        from marketpanel.cli import RunConfig
+        for cfg in (RunConfig(), RunConfig(data="d", marin_variant="x"),
+                    RunConfig(data="d", beta_window=24, beta_min=48)):
+            with pytest.raises(errors.ConfigError):
+                cfg.validate()
+
+    def test_beta_min_reaches_the_beta_exclusions(self, tmp_path):
+        """One firm listed a year late: --beta-min 60 drops its first firm-year's
+        beta, which --beta-min 48 keeps (48 months of history)."""
+        data = tmp_path / "data"
+        assert main(["synth", "--seed", "9", "--out", str(data)]) == 0
+        header, *lines = (data / "prices.csv").read_text().splitlines()
+        late = [line for line in lines if line.startswith("F001,")][:12]
+        kept = [line for line in lines if line not in set(late)]
+        (data / "prices.csv").write_text("\n".join([header] + kept) + "\n")
+        trees = {}
+        for beta_min in ("60", "48"):
+            out = tmp_path / f"min{beta_min}"
+            assert main(["run", "--data", str(data), "--out", str(out),
+                         "--beta-min", beta_min]) == 0
+            (run_id,) = os.listdir(out)
+            trees[beta_min] = {p.name: p.read_bytes() for p in (out / run_id).iterdir()}
+        manifest = json.loads(trees["60"]["manifest.json"])
+        assert manifest["beta_exclusions"] > 0
+        assert json.loads(trees["48"]["manifest.json"])["beta_exclusions"] == 0
+        changed = [name for name in trees["60"] if name != "manifest.json"
+                   and trees["60"][name] != trees["48"][name]]
+        assert changed, "no table depends on --beta-min"
+
 
 class TestInputErrors:
     """Malformed numbers in prices.csv and riskfree.csv are input errors (exit 2)."""
@@ -325,12 +355,12 @@ class TestInputErrors:
 class TestExitCodes:
     """Exit 2 for exactly the input errors, 1 for every other package error."""
 
-    INPUT_ERRORS = {"SchemaMismatch", "IoFailure", "InfeasibleTargets", "EmptyInput",
-                    "DuplicateKey", "MissingRiskFree", "InvariantViolation",
+    INPUT_ERRORS = {"SchemaMismatch", "IoFailure", "InfeasibleTargets", "ConfigError",
+                    "EmptyInput", "DuplicateKey", "MissingRiskFree", "InvariantViolation",
                     "RateOutOfRange", "NonPositivePrice", "DuplicateMonth",
                     "UnknownMarket"}
 
-    def test_the_eleven_input_errors_are_input_errors(self):
+    def test_the_twelve_input_errors_are_input_errors(self):
         subclasses = {name for name, obj in vars(errors).items()
                       if isinstance(obj, type) and issubclass(obj, errors.MarketPanelError)}
         assert {name for name in subclasses if issubclass(getattr(errors, name),
@@ -339,6 +369,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("error, code", [
         (errors.SchemaMismatch("bad header"), 2),
+        (errors.ConfigError("unknown marin variant 'x'"), 2),
         (errors.InvariantViolation("sales", "must be positive"), 2),
         (errors.RankDeficient(["B"]), 1),
         (errors.TooFewObservations("no rows"), 1),
@@ -432,6 +463,30 @@ class TestRunId:
         for name in os.listdir(run_dir):
             if name != "manifest.json":
                 assert (out / run_id / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+class TestWithoutScipy:
+    """``run`` and ``verify`` never import scipy, not even inside a function."""
+
+    def test_run_and_verify_with_scipy_unimportable(self, data_dir, run_dir, tmp_path):
+        def blocked(*argv):
+            code = ("import sys, runpy; sys.modules['scipy'] = None; "
+                    f"sys.argv = ['marketpanel', *{list(argv)!r}]; "
+                    "runpy.run_module('marketpanel.cli', run_name='__main__')")
+            return subprocess.run([sys.executable, "-c", code], env=src_env(),
+                                  capture_output=True, text=True, timeout=300)
+
+        out = tmp_path / "out"
+        proc = blocked("run", "--data", str(data_dir), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        run_id = json.loads(proc.stdout)["run_id"]
+        assert run_id == run_dir.name
+        assert sorted(os.listdir(out / run_id)) == sorted(os.listdir(run_dir))
+        for name in os.listdir(run_dir):
+            assert (out / run_id / name).read_bytes() == (run_dir / name).read_bytes(), name
+        proc = blocked("verify", "--data", str(data_dir), "--run", str(out / run_id))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["passed"] is True
 
 
 class TestVerifyCommand:

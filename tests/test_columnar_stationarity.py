@@ -14,9 +14,8 @@ import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from scipy import special
 
-from marketpanel import diagnostics
+from marketpanel import _kernels, diagnostics
 from marketpanel.diagnostics import (StationarityRow, _mackinnon_pvalues, adf_test,
                                      panel_stationarity)
 from marketpanel.errors import ConstantSeries, MarketPanelError, TooShort
@@ -84,7 +83,7 @@ def reference_fisher_combination(name, series_list):
         return None
     statistic = -2.0 * float(np.sum(np.log(pvalues)))
     df = 2 * len(pvalues)
-    p = float(special.chdtrc(df, statistic))
+    p = _kernels._chdtrc(df, statistic)
     decision = "reject" if p < 0.05 else "fail_to_reject"
     detail = (f"{name}: Fisher chi2({df}) over {len(pvalues)} firms "
               f"({skipped} skipped), approximate small-sample p-values")

@@ -1,8 +1,21 @@
-"""Oracle tests for the p-value and normal kernels taken from ``scipy.special``.
+"""Oracle tests for the p-value and normal kernels of ``marketpanel._kernels``.
 
-The package never imports ``scipy.stats``; these tests do, and compare every
-call site bit for bit (``np.array_equal``) with the distribution objects it
-replaced, on grids that include +-inf, nan, zero and large degrees of freedom.
+The package computes its p-values with numpy and ``math`` only. Every call
+site is held to scipy's distribution functions on grids that include +-inf,
+nan, zero and large degrees of freedom:
+
+- where scipy's value is an edge (nan, +-inf, 0 or 1) and is exact, the
+  kernel returns it exactly;
+- elsewhere the kernel is within ``floor(p)`` of the exact value (50-digit
+  mpmath) and of scipy's, unless scipy's own value is further than that from
+  the exact one, in which case the kernel must be the closer of the two.
+
+``floor(p)`` is relative error 1e-13, or 4 ulps of |ln p| below p = 1e-49:
+p = exp(L) with |L| up to 690 cannot be more exact than L, and a few
+roundings of a number near 690 move it by more than 1e-13.
+
+Hypothesis properties draw degrees of freedom from 1 to 30 000 and p-values
+from 1 down to 1e-300, with the same checks.
 """
 
 import math
@@ -12,23 +25,107 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings, strategies as st
+from scipy import special, stats
 
 import marketpanel
-from marketpanel import diagnostics, regress, synth
+from marketpanel import _kernels, diagnostics, regress, synth
 
 from conftest import stacked
 
 STATISTICS = np.array([-np.inf, -40.0, -1.0, -1e-13, -0.0, 0.0, 1e-300, 1e-8, 0.5, 1.0,
                        3.0, 12.5, 40.0, 1e3, 1e300, np.inf, np.nan])
 DEGREES = (0, 1, 2, 3, 7, 38, 1920, 10**6, 1e20)
+PROPERTY = settings(max_examples=60, deadline=None)
+mpmath.mp.dps = 60
 
 
 def same(a, b) -> bool:
     return np.array_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
                           equal_nan=True)
+
+
+def floor(p: float) -> float:
+    return max(1e-13, 4 * 2.0**-52 * abs(math.log(p)))
+
+
+def relative(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / abs(b) if b else math.inf
+
+
+def assert_p(got, want, exact):
+    """``got`` against scipy's ``want`` and the exact value, as the module says."""
+    got, want, exact = float(got), float(want), float(exact)
+    if math.isnan(want) or want in (0.0, 1.0, math.inf, -math.inf):
+        if same(want, exact):
+            assert same(got, want), (got, want)
+            return
+    assert not math.isnan(got), (got, exact)
+    if exact in (0.0, 1.0):
+        assert got == exact, (got, exact)
+        return
+    error = relative(got, exact)
+    assert error <= floor(exact), (got, exact, error)
+    assert relative(got, want) <= floor(exact) or error < relative(want, exact), (
+        got, want, exact)
+
+
+def mp_beta_cdf(a, b, x):
+    """I_x(a, b) at 50 digits: the continued fraction of Numerical Recipes 6.4,
+    on the side of the mean where it converges fast."""
+    a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+    if x == 0 or x == 1:
+        return x
+    if x > (a + 1) / (a + b + 2):
+        return 1 - mp_beta_cdf(b, a, 1 - x)
+    tiny = mpmath.mpf(10) ** -300
+    c, d = mpmath.mpf(1), 1 - (a + b) * x / (a + 1)
+    d = 1 / d
+    h = d
+    for m in range(1, 100_000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1 + num * d
+            d = 1 / (d if abs(d) > tiny else tiny)
+            c = 1 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1) < mpmath.mpf(10) ** -45:
+            break
+    log_front = (a * mpmath.log(x) + b * mpmath.log1p(-x) - mpmath.log(a)
+                 - (mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)))
+    return mpmath.exp(log_front) * h
+
+
+def mp_t_cdf(df, t):
+    if math.isnan(t) or not df > 0:
+        return math.nan
+    if t == 0.0:
+        return 0.5
+    if df > 1e15:   # the normal limit, exact to double precision
+        return mpmath.ncdf(t) if abs(t) < 1e3 else float(t > 0)
+    df, t = mpmath.mpf(df), mpmath.mpf(t)
+    tail = mp_beta_cdf(df / 2, 0.5, df / (df + t * t)) / 2
+    return tail if t < 0 else 1 - tail
+
+
+def mp_f_sf(dfn, dfd, f):
+    if math.isnan(f) or not (dfn > 0 and dfd > 0 and f >= 0):
+        return math.nan
+    if dfd > 1e15:   # the chi-square limit, exact to double precision
+        return mp_chi2_sf(dfn, dfn * f)
+    dfn, dfd, f = mpmath.mpf(dfn), mpmath.mpf(dfd), mpmath.mpf(f)
+    return mp_beta_cdf(dfd / 2, dfn / 2, dfd / (dfd + dfn * f))
+
+
+def mp_chi2_sf(df, x):
+    if math.isnan(x) or x < 0:
+        return math.nan
+    return mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf,
+                           regularized=True)
 
 
 def old_t_inference(beta, covariance, df_resid):
@@ -56,10 +153,12 @@ def test_t_inference_matches_the_t_distribution():
                                 [0.0, np.nan, 0.0, np.inf]])
     with np.errstate(invalid="ignore"):
         for df in DEGREES:
-            got = regress._t_inference(beta, np.diag(variances), df)
-            want = old_t_inference(beta, np.diag(variances), df)
-            for g, w in zip(got, want):
-                assert same(g, w), df
+            std, t, p = regress._t_inference(beta, np.diag(variances), df)
+            want_std, want_t, want_p = old_t_inference(beta, np.diag(variances), df)
+            assert same(std, want_std) and same(t, want_t), df
+            for ti, pi, wi in zip(t.tolist(), p.tolist(), want_p.tolist()):
+                exact = min(2 * mp_t_cdf(df, -abs(ti)), 1) if not math.isnan(ti) else ti
+                assert_p(pi, wi, exact)
 
 
 @pytest.mark.parametrize("k_model", [0, 1, 3, 9])
@@ -67,8 +166,10 @@ def test_f_statistic_matches_the_f_distribution(k_model):
     for r2 in (0.0, 1e-12, 0.05, 0.3, 0.5, 0.999, 1.0, np.nan):
         for df in DEGREES:
             with np.errstate(invalid="ignore"):
-                assert same(regress._f_statistic(r2, k_model, df),
-                            old_f_statistic(r2, k_model, df)), (r2, df)
+                got, want = regress._f_statistic(r2, k_model, df), old_f_statistic(r2, k_model, df)
+            assert same(got[0], want[0]), (r2, df)
+            exact = want[1] if k_model <= 0 or df <= 0 or r2 >= 1 else mp_f_sf(k_model, df, got[0])
+            assert_p(got[1], want[1], exact)
 
 
 def test_hausman_p_value_is_the_chi2_tail_of_its_statistic():
@@ -86,7 +187,8 @@ def test_hausman_p_value_is_the_chi2_tail_of_its_statistic():
                   for c, v in zip(coef, cov))
         result = diagnostics.hausman_test(fe, re)
         df = int(result.detail.split(",")[0].removeprefix("df="))
-        assert same(result.p_value, stats.chi2.sf(max(result.statistic, 0.0), df))
+        x = max(result.statistic, 0.0)
+        assert_p(result.p_value, stats.chi2.sf(x, df), mp_chi2_sf(df, x))
 
 
 def test_fisher_p_value_is_the_chi2_tail_of_its_statistic():
@@ -96,7 +198,8 @@ def test_fisher_p_value_is_the_chi2_tail_of_its_statistic():
                   for _ in range(n_firms)]
         result = diagnostics._fisher_combination("v", *stacked(series))
         df = int(result.detail.split("chi2(")[1].split(")")[0])
-        assert same(result.p_value, stats.chi2.sf(result.statistic, df))
+        assert_p(result.p_value, stats.chi2.sf(result.statistic, df),
+                 mp_chi2_sf(df, result.statistic))
 
 
 def test_lr_p_value_is_the_chi2_tail_of_its_statistic():
@@ -108,7 +211,9 @@ def test_lr_p_value_is_the_chi2_tail_of_its_statistic():
             residuals = (np.tile(rng.normal(size=5), g) if equal else
                          rng.normal(size=5 * g) * np.repeat(rng.uniform(0.5, 2.0, g), 5))
             result = diagnostics.lr_heteroskedasticity(residuals, groups)
-            assert same(result.p_value, stats.chi2.sf(result.statistic, g - 1))
+            x = max(result.statistic, 0.0)
+            assert_p(result.p_value, stats.chi2.sf(result.statistic, g - 1),
+                     mp_chi2_sf(g - 1, x))
 
 
 def test_correlation_p_values_follow_the_t_distribution():
@@ -123,7 +228,26 @@ def test_correlation_p_values_follow_the_t_distribution():
                 r = result.r[i, j]
                 t = r * math.sqrt((n - 2) / (1.0 - r * r))
                 want = min(2.0 * float(stats.t.sf(abs(t), n - 2)), 1.0)
-                assert same(result.p[i, j], want), (n, i, j)
+                assert_p(result.p[i, j], want, min(2 * mp_t_cdf(n - 2, -abs(t)), 1))
+
+
+def test_mackinnon_p_values_are_normal_cdf_values():
+    stat = np.concatenate([np.linspace(-20.0, 3.0, 461), [-18.83, -1.61, 2.74]])
+    c, d = diagnostics._P_SMALL, diagnostics._P_LARGE
+    z = np.where(stat <= diagnostics._P_TAU_STAR, c[0] + c[1] * stat + c[2] * stat**2,
+                 d[0] + d[1] * stat + d[2] * stat**2 + d[3] * stat**3)
+    want = np.where(stat <= diagnostics._P_TAU_MIN, 0.0,
+                    np.where(stat >= diagnostics._P_TAU_MAX, 1.0, special.ndtr(z)))
+    for got, w, zi in zip(diagnostics._mackinnon_pvalues(stat).tolist(), want.tolist(),
+                          z.tolist()):
+        assert_p(got, w, w if w in (0.0, 1.0) else mpmath.ncdf(zi))
+
+
+@pytest.mark.parametrize("x", [-np.inf, -40.0, -37.5, -8.0, -1.0, -0.7, -1e-300, -0.0, 0.0,
+                               0.3, 0.7071, 1.0, 5.0, 9.0, np.inf, np.nan])
+def test_ndtr_matches_the_normal_cdf(x):
+    exact = special.ndtr(x) if not np.isfinite(x) else mpmath.ncdf(x)
+    assert_p(_kernels._ndtr(x), special.ndtr(x), exact)
 
 
 def test_stratified_normal_matches_the_normal_quantiles():
@@ -155,12 +279,46 @@ def test_fold_mean_lift_matches_the_normal_density(sd):
                         old_fold_mean_lift(center, half, low, high, sd))
 
 
-def test_importing_the_cli_loads_no_scipy_stats():
+# --- properties: degrees of freedom 1 to 30 000, p-values down to 1e-300 -------------------
+
+degrees = st.one_of(st.integers(1, 40), st.integers(1, 30_000))
+log10_p = st.floats(-300.0, 0.0)
+
+
+@PROPERTY
+@given(degrees, log10_p)
+def test_t_tail_property(df, lp):
+    t = float(special.stdtrit(df, 10.0**lp / 2))   # the lower tail holding p/2
+    if math.isfinite(t):
+        for v in (t, -t):
+            assert_p(_kernels._stdtr(df, v), special.stdtr(df, v), mp_t_cdf(df, v))
+
+
+@PROPERTY
+@given(st.integers(1, 30), degrees, log10_p)
+def test_f_tail_property(dfn, dfd, lp):
+    x = float(special.betaincinv(dfd / 2, dfn / 2, 10.0**lp))   # I_x(dfd/2, dfn/2) = p
+    if 0.0 < x < 1.0:
+        f = (1.0 - x) / x * dfd / dfn
+        assert_p(_kernels._fdtrc(dfn, dfd, f), special.fdtrc(dfn, dfd, f),
+                 mp_f_sf(dfn, dfd, f))
+
+
+@PROPERTY
+@given(degrees, log10_p)
+def test_chi2_tail_property(df, lp):
+    x = float(special.chdtri(df, 10.0**lp))
+    if math.isfinite(x) and x > 0.0:
+        assert_p(_kernels._chdtrc(df, x), special.chdtrc(df, x), mp_chi2_sf(df, x))
+
+
+def test_importing_the_cli_loads_no_scipy_and_no_synth():
     src = str(Path(marketpanel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     code = ("import sys, marketpanel.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m == 'marketpanel.synth'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -4,9 +4,11 @@ pivoted QR built on it.
 ``reference_pivoted_qr`` is the full-matrix factorization the package used
 before: ``scipy.linalg.qr(values, pivoting=True)`` on all n rows with the rank
 tolerance 1e-10 ||X||_F. The blocked kernel must reproduce its pivot order,
-rank and ``RankDeficient`` names. The shape guard checks that no QR, norm or
-``scipy.linalg`` call of an estimate or of the unit-root battery sees all n
-rows.
+rank and ``RankDeficient`` names, and the package's own pivoted QR
+(``_kernels._pivoted_qr``) must pick the pivots and rank that LAPACK's does.
+The shape guard checks that no QR or norm call of an estimate or of the
+unit-root battery sees all n rows, and that only k x k arrays reach the
+kernels.
 """
 
 import types
@@ -18,7 +20,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from marketpanel import diagnostics, models, regress, variables
+from marketpanel import _kernels, diagnostics, models, regress, variables
 from marketpanel.errors import RankDeficient
 from marketpanel.panel_core import PanelCodes
 
@@ -104,13 +106,14 @@ def test_pivoted_qr_solve_keeps_the_full_matrix_rank_decisions(design):
     piv_ref, rank_ref, dependent_ref, solution = reference_pivoted_qr(values, y, names)
 
     seen = []
+    kernel_qr = _kernels._pivoted_qr
 
-    def recording_qr(a, *args, **kwargs):
-        out = SCIPY_QR(a, *args, **kwargs)
+    def recording_qr(*args):
+        out = kernel_qr(*args)
         seen.append(out[2].tolist())
         return out
 
-    with mock.patch.object(scipy.linalg, "qr", recording_qr):
+    with mock.patch.object(_kernels, "_pivoted_qr", recording_qr):
         try:
             beta, xtx_inv = regress._pivoted_qr_solve(values, y, names)
             dependent = ()
@@ -122,6 +125,46 @@ def test_pivoted_qr_solve_keeps_the_full_matrix_rank_decisions(design):
     if solution is not None:
         for have, want in zip((beta, xtx_inv), solution):
             assert np.allclose(have, want, rtol=1e-6, atol=1e-9 * np.abs(want).max())
+
+
+def rank_and_pivots(r, piv, scale):
+    rank = int(np.sum(np.abs(np.diag(r)) > regress.RANK_TOL_FACTOR * scale))
+    return rank, list(piv)
+
+
+@PROPERTY
+@given(collinear_designs())
+def test_pivoted_qr_kernel_picks_lapacks_pivots_and_rank(design):
+    """On the full design and on the triangle the fits hand it, the kernel's
+    pivot order and rank are those of ``scipy.linalg.qr(pivoting=True)``, its
+    R factors the pivoted columns (R'R = P'A'AP) and its Q'b satisfies
+    R'(Q'b) = P'A'b."""
+    values, y, _ = design
+    k = values.shape[1]
+    r_x = regress._tall_r(np.column_stack([values, y]))[:k, :k]
+    for a in (values, r_x):
+        b = y[:len(a)]
+        r, qtb, piv = _kernels._pivoted_qr(a, b)
+        r = r[:k]
+        _, r_ref, piv_ref = SCIPY_QR(a, mode="economic", pivoting=True)
+        scale = np.linalg.norm(a)
+        assert rank_and_pivots(r, piv, scale) == rank_and_pivots(r_ref, piv_ref, scale)
+        assert np.all(np.tril(r, -1) == 0.0)
+        ap = a[:, piv]
+        assert np.allclose(r.T @ r, ap.T @ ap, rtol=0.0, atol=1e-12 * scale**2)
+        assert np.allclose(r.T @ qtb[:k], ap.T @ b, rtol=0.0,
+                           atol=1e-12 * scale * np.linalg.norm(b))
+
+
+def test_solve_upper_inverts_a_triangle():
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 5, 9):
+        r = np.triu(rng.standard_normal((k, k))) + 3.0 * np.eye(k)
+        b = rng.standard_normal(k)
+        assert np.allclose(_kernels._solve_upper(r, b),
+                           scipy.linalg.solve_triangular(r, b), rtol=1e-13, atol=1e-14)
+        assert np.allclose(_kernels._solve_upper(r, np.eye(k)),
+                           scipy.linalg.lapack.dtrtri(r)[0], rtol=1e-13, atol=1e-14)
 
 
 # --- shape guard ----------------------------------------------------------------------
@@ -149,8 +192,8 @@ class ShapeSpy:
 
 @pytest.fixture
 def linalg_shapes(monkeypatch):
-    """Shapes passed to np.linalg.qr, np.linalg.norm and regress's scipy.linalg."""
-    shapes = {"qr": [], "norm": [], "scipy": []}
+    """Shapes passed to np.linalg.qr, np.linalg.norm and regress's kernels."""
+    shapes = {"qr": [], "norm": [], "kernels": []}
     for name in ("qr", "norm"):
         original = getattr(np.linalg, name)
 
@@ -158,7 +201,7 @@ def linalg_shapes(monkeypatch):
             shapes[_name].append(np.shape(a))
             return _original(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, spy)
-    monkeypatch.setattr(regress, "scipy", ShapeSpy(scipy, shapes["scipy"]))
+    monkeypatch.setattr(regress, "_kernels", ShapeSpy(_kernels, shapes["kernels"]))
     return shapes
 
 
@@ -186,8 +229,8 @@ def test_estimate_factors_no_call_over_all_rows(linalg_shapes):
     k = len(report.fit.column_names)
     assert report.nobs == N_FIRMS * N_YEARS
     assert_blocked_qr(linalg_shapes["qr"])
-    assert linalg_shapes["scipy"]
-    assert all(max(s) <= k for s in linalg_shapes["scipy"]), linalg_shapes["scipy"]
+    assert linalg_shapes["kernels"]
+    assert all(max(s) <= k for s in linalg_shapes["kernels"]), linalg_shapes["kernels"]
     assert all(s[0] <= k for s in linalg_shapes["norm"]), linalg_shapes["norm"]
 
 
