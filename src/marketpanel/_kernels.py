@@ -2,10 +2,10 @@
 
 These kernels keep scipy out of ``run`` and ``verify``. Every name is private,
 so the fit and diagnostics layers that call them keep their time. Each tail
-is summed on its own side, and its leading factor comes from Stirling's series
-and log1p, not from a difference of lgamma values, so p-values keep their
-relative accuracy at large df and far into the tail, down to rounding of a
-few ulps of |ln p| (Loader 2000; DiDonato & Morris 1992, ACM TOMS 708).
+is summed on its own side. The log L of its leading factor is a list of terms
+(exact products, logs to about 1e-19) that ``math.fsum`` adds exactly, so that
+p = exp(L) keeps its relative accuracy at large df and down to p = 1e-300,
+where |L| is near 690 (Dekker 1971; DiDonato & Morris 1992, ACM TOMS 708).
 """
 
 import math
@@ -14,65 +14,109 @@ import numpy as np
 
 _EPS = 2.0 ** -52
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# Stirling's series of lgamma(z) - ((z - 1/2) log z - z + log sqrt(2 pi)), z >= 15
-_STIRLING = (1.0 / 1188, -1.0 / 1680, 1.0 / 1260, -1.0 / 360, 1.0 / 12)
+# sqrt(1/2) and ln 2 as two doubles each; _LN2_HI has 32 bits, so e * _LN2_HI is exact
+_SQRT_HALF, _SQRT_HALF_LO = math.sqrt(0.5), -4.833646656726457e-17
+_LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10
 # past this a the chi-square limit of Beta(a, b) is exact to rounding (its
 # error is O(1/a^2)) and the continued fraction would take ~sqrt(a) steps
 _LARGE_A = 1e10
 
 
+def _prod_err(a: float, b: float, p: float) -> float:
+    """a b - p exactly, for p the rounded product a b: each factor is split
+    into two halves of 26 bits by Veltkamp's 2^27 + 1 trick."""
+    a1 = 134217729.0 * a - (134217729.0 * a - a)
+    b1 = 134217729.0 * b - (134217729.0 * b - b)
+    a2, b2 = a - a1, b - b1
+    return ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _mul(c: float, hi: float, lo: float) -> list[float]:
+    """Terms summing to c (hi + lo)."""
+    p = c * hi
+    return [p, _prod_err(c, hi, p), c * lo]
+
+
+def _dd(terms: list[float]) -> tuple[float, float]:
+    """The sum of terms as hi + lo, hi rounded to nearest."""
+    hi = math.fsum(terms)
+    return hi, math.fsum(terms + [-hi])
+
+
+def _exp_sum(terms: list[float]) -> float:
+    hi, lo = _dd(terms)
+    return math.exp(hi) * (1.0 + lo)
+
+
+def _log_dd(hi: float, lo: float = 0.0) -> list[float]:
+    """Terms summing to log(hi + lo) for hi > 0, |lo| about ulp(hi) or less:
+    e ln 2 + 2 atanh(u), hi + lo = m 2^e, u = (m - 1) / (m + 1), |u| < 0.18."""
+    m, e = math.frexp(hi)
+    if m < _SQRT_HALF:
+        m, e = 2.0 * m, e - 1
+    lo = math.ldexp(lo, -e)
+    den = 1.0 + m
+    u = (m - 1.0) / den
+    p = u * den
+    # u + u_lo = (m - 1 + lo) / (den + (m - (den - 1)) + lo); m - 1 - p is exact
+    u_lo = ((m - 1.0 - p) - _prod_err(u, den, p) + lo * (1.0 - u) - u * (m - (den - 1.0))) / den
+    w = u * u
+    series = sum(w ** i / (2 * i + 1) for i in range(1, 12))   # w^12 / 25 < 2e-20
+    return [e * _LN2_HI, e * _LN2_LO, 2.0 * u, 2.0 * u_lo / (1.0 - w), 2.0 * u * series]
+
+
+def _erfc(t: float, t_lo: float) -> float:
+    """erfc(t + t_lo) for t_lo within rounding of t > 0, by one Taylor step:
+    erfc's relative condition number there is about 2 t^2."""
+    return math.erfc(t) - t_lo * 1.1283791670955126 * math.exp(-t * t)   # 2 / sqrt(pi)
+
+
 def _ndtr(x: float) -> float:
     """Standard normal cdf, with the erf/erfc split of cephes' ``ndtr``."""
-    t = x * math.sqrt(0.5)
-    if abs(t) < math.sqrt(0.5):
+    t = x * _SQRT_HALF
+    if abs(t) < _SQRT_HALF or not abs(t) < 27.5:   # erfc(27.5) underflows
         return 0.5 + 0.5 * math.erf(t)
-    tail = 0.5 * math.erfc(abs(t))
+    t_lo = _prod_err(x, _SQRT_HALF, t) + x * _SQRT_HALF_LO
+    tail = 0.5 * _erfc(abs(t), t_lo if t > 0.0 else -t_lo)
     return 1.0 - tail if t > 0.0 else tail
 
 
 def _stirling_rest(z: float) -> float:
+    """lgamma(z) - ((z - 1/2) log z - z + log sqrt(2 pi)), by Stirling's series from 15."""
     if z < 15.0:
         return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _LOG_SQRT_2PI
-    total, w = 0.0, 1.0 / (z * z)
-    for c in _STIRLING:
-        total = total * w + c
-    return total / z
+    w = 1.0 / (z * z)
+    return (1.0 / 12 - w * (1.0 / 360 - w * (1.0 / 1260 - w * (1.0 / 1680 - w / 1188)))) / z
 
 
-def _log_poisson(s: float, lam: float) -> float:
-    """log(lam^s e^-lam / Gamma(s + 1)) for s >= 0 < lam."""
+def _log_poisson(s: float, lam: float, lam_lo: float) -> list[float]:
+    """Terms summing to log(l^s e^-l / Gamma(s + 1)), l = lam + lam_lo, s >= 0:
+    z log(l/z) - (l - z) - log(l/z) - log sqrt(2 pi z) - Stirling's rest, z = s + 1."""
     z = s + 1.0
-    diff = lam - z
-    if z <= 2.0 * lam <= 4.0 * z:
-        # z (log(lam/z) - diff/z) by log(lam/z) = 2 atanh(q), q = diff/(lam + z):
-        # diff is exact here, and no term cancels
-        q = diff / (lam + z)
-        term, total, j = 2.0 * z * q, -diff * q, 1
-        while abs(term) > _EPS * j * abs(total):
-            term *= q * q
-            j += 2
-            total += term / j
-    else:
-        total = z * math.log(lam / z) - diff
-    return total - math.log(lam / z) - _LOG_SQRT_2PI - 0.5 * math.log(z) - _stirling_rest(z)
+    w = lam / z
+    w_lo = ((lam - z * w) - _prod_err(z, w, z * w) + lam_lo) / z
+    log_w = _dd(_log_dd(w, w_lo))
+    return _mul(z, *log_w) + [z, -lam, -lam_lo, -log_w[0], -log_w[1], -_LOG_SQRT_2PI,
+                              -0.5 * math.log(z), -_stirling_rest(z)]
 
 
-def _chdtrc(df: int, x: float) -> float:
-    """P(chi2(df) > x) for a positive integer df, by the closed forms.
+def _chdtrc(df: int, x: float, x_lo: float = 0.0) -> float:
+    """P(chi2(df) > x + x_lo) for a positive integer df, by the closed forms.
 
     With a = df/2 and lam = x/2 the tail is the sum of the terms
     lam^s e^-lam / Gamma(s + 1) over s = a - 1, a - 2, ... >= 0, plus
     erfc(sqrt(lam)) when df is odd, and its complement the sum over s = a,
     a + 1, ... The smaller side is summed, in ratios to its largest term.
     """
-    lam = x / 2.0
-    if not lam > 0.0:
-        return math.nan if not x >= 0.0 else 1.0
-    if lam == math.inf:
-        return 0.0
+    lam, lam_lo = x / 2.0, x_lo / 2.0
+    if not 0.0 < lam < math.inf:
+        return math.nan if not x >= 0.0 else float(lam == 0.0)
     a = df / 2.0
     if lam > a - 1.0:
-        tail = math.erfc(math.sqrt(lam)) if df % 2 else 0.0
+        tail = 0.0
+        if df % 2:
+            t = math.sqrt(lam)
+            tail = _erfc(t, ((lam - t * t) - _prod_err(t, t, t * t) + lam_lo) / (2.0 * t))
         if a < 1.0:
             return tail
         s, ratio, total = a - 1.0, 1.0, 1.0
@@ -80,23 +124,24 @@ def _chdtrc(df: int, x: float) -> float:
             ratio *= s / lam
             total += ratio
             s -= 1.0
-        return math.exp(_log_poisson(a - 1.0, lam)) * total + tail
+        return _exp_sum(_log_poisson(a - 1.0, lam, lam_lo)) * total + tail
     s, ratio, total = a, 1.0, 1.0
     while ratio > _EPS * total:
         s += 1.0
         ratio *= lam / s
         total += ratio
-    return 1.0 - math.exp(_log_poisson(a, lam)) * total
+    return 1.0 - _exp_sum(_log_poisson(a, lam, lam_lo)) * total
 
 
-def _log_beta(a: float, b: float) -> float:
+def _log_beta(a: float, b: float) -> list[float]:
+    """Terms summing to log B(a, b)."""
     small, big = sorted((a, b))
     if big < 15.0:
-        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        return [math.lgamma(a), math.lgamma(b), -math.lgamma(a + b)]
     # lgamma(big) - lgamma(big + small) by Stirling's series, no cancellation
-    return (math.lgamma(small) - small * math.log(big) + small
-            - (big + small - 0.5) * math.log1p(small / big)
-            + _stirling_rest(big) - _stirling_rest(big + small))
+    return [math.lgamma(small), small, -(big + small - 0.5) * math.log1p(small / big),
+            _stirling_rest(big), -_stirling_rest(big + small)] + _mul(
+                -small, *_dd(_log_dd(big)))
 
 
 def _beta_fraction(a: float, b: float, x: float, y: float, lam: float) -> float:
@@ -120,21 +165,28 @@ def _beta_fraction(a: float, b: float, x: float, y: float, lam: float) -> float:
         an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0
 
 
-def _beta_cdf(a: float, b: float, r1: float, r2: float) -> float:
-    """I_x(a, b), the Beta(a, b) cdf at x = 1 / (1 + r1 r2), for r1 r2 >= 0.
+def _beta_cdf(a: float, b: float, p: float, q: float, d: float) -> float:
+    """I_x(a, b), the Beta(a, b) cdf at x = 1 / (1 + r), for odds r = p q / d >= 0.
 
-    The odds r = (1 - x) / x come as two factors so that neither x near 1
-    (log x = -log1p(r)) nor an r past the float range loses the answer.
-    """
-    r = r1 * r2
-    if r == 0.0 or math.isinf(r1) or math.isinf(r2):
+    The odds come as factors, so x near 1 and r past the float range keep
+    their digits: log r and log(1 + r) are exact to about 1e-19."""
+    r = p * q / d
+    if r == 0.0 or math.isinf(p) or math.isinf(q):
         return float(r == 0.0)
-    log_r = math.log(r) if r < math.inf else math.log(r1) + math.log(r2)
-    log_x = -math.log1p(r) if r < math.inf else -log_r
+    if r < 2.0 ** 53:
+        pq = p * q
+        r_lo = ((pq - r * d) - _prod_err(r, d, r * d) + _prod_err(p, q, pq)) / d
+        s = 1.0 + r
+        s_lo = ((1.0 - s) + r if r < 1.0 else (r - s) + 1.0) + r_lo
+        log_r, log_1r = _dd(_log_dd(r, r_lo)), _dd(_log_dd(s, s_lo))
+    else:   # 1 + r rounds to r, and r may overflow
+        log_r = _dd(_log_dd(p) + _log_dd(q) + [-v for v in _log_dd(d)])
+        log_1r = (log_r[0], log_r[1] + 1.0 / r)
     if a > _LARGE_A:
-        return _chdtrc(round(2.0 * b), -(2.0 * a + b - 1.0) * log_x)
-    x, y = (1.0 / (1.0 + r), r / (1.0 + r)) if r < math.inf else (math.exp(log_x), 1.0)
-    front = math.exp(a * log_x + b * (log_r + log_x) - _log_beta(a, b))
+        return _chdtrc(round(2.0 * b), *_dd(_mul(2.0 * a, *log_1r) + _mul(b - 1.0, *log_1r)))
+    x, y = (1.0 / (1.0 + r), r / (1.0 + r)) if r < math.inf else (math.exp(-log_r[0]), 1.0)
+    # x^a y^b / B(a, b)
+    front = _exp_sum(_mul(-(a + b), *log_1r) + _mul(b, *log_r) + [-v for v in _log_beta(a, b)])
     # the offset of y from the mean, from the smaller of x and y
     lam = (a + b) * y - b if y < 0.5 else a - (a + b) * x
     if lam >= 0.0:
@@ -146,7 +198,7 @@ def _stdtr(df: float, t: float) -> float:
     """Student t cdf with 0 < df < inf degrees of freedom."""
     if not df > 0.0 or math.isnan(t):
         return math.nan
-    tail = 0.5 * _beta_cdf(df / 2.0, 0.5, abs(t) / df, abs(t))
+    tail = 0.5 * _beta_cdf(df / 2.0, 0.5, abs(t), abs(t), df)
     return tail if t <= 0.0 else 1.0 - tail
 
 
@@ -154,21 +206,18 @@ def _fdtrc(dfn: int, dfd: float, f: float) -> float:
     """Upper tail of the F(dfn, dfd) distribution for an integer dfn > 0."""
     if not (dfn > 0 and dfd > 0.0 and f >= 0.0):
         return math.nan
-    return _beta_cdf(dfd / 2.0, dfn / 2.0, f, dfn / dfd)
+    return _beta_cdf(dfd / 2.0, dfn / 2.0, f, dfn, dfd)
 
 
-def _pivoted_qr(r: np.ndarray, b: np.ndarray):
-    """Householder QR of a small r with column pivoting (Businger & Golub 1965).
-
-    Returns (R, Q'b, piv) with r[:, piv] = Q R. Each step brings forward the
-    column of largest remaining norm, the first of equals, as LAPACK's
-    ``dgeqp3`` does; the norms are recomputed rather than downdated.
-    """
-    k = r.shape[1]
-    a = np.column_stack([r, b])
-    piv = np.arange(k)
-    for j in range(min(r.shape[0], k)):
-        norms = np.sqrt(np.add.reduce(a[j:, j:k] * a[j:, j:k]))
+def _qr_pivots(r: np.ndarray) -> np.ndarray:
+    """The column order of a Householder QR with column pivoting (Businger &
+    Golub 1965): each step brings forward the column of largest remaining
+    norm, the first of equals, as LAPACK's ``dgeqp3`` does; the norms are
+    recomputed rather than downdated."""
+    a = np.array(r, dtype=float)
+    piv = np.arange(a.shape[1])
+    for j in range(min(a.shape)):
+        norms = np.sqrt(np.add.reduce(a[j:, j:] * a[j:, j:]))
         p = j + int(np.argmax(norms))
         a[:, [j, p]], piv[[j, p]] = a[:, [p, j]], piv[[p, j]]
         if norms[p - j] == 0.0:
@@ -176,8 +225,7 @@ def _pivoted_qr(r: np.ndarray, b: np.ndarray):
         v = a[j:, j].copy()
         v[0] += math.copysign(norms[p - j], v[0])
         a[j:, j:] -= np.outer(v, (2.0 / (v @ v)) * (v @ a[j:, j:]))
-        a[j + 1:, j] = 0.0
-    return a[:, :k], a[:, k], piv
+    return piv
 
 
 def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -95,14 +95,13 @@ def _mackinnon_pvalues(stat: np.ndarray) -> np.ndarray:
     c, d = _P_SMALL, _P_LARGE
     small = c[0] + c[1] * stat + c[2] * stat**2
     large = d[0] + d[1] * stat + d[2] * stat**2 + d[3] * stat**3
-    p = np.vectorize(_kernels._ndtr, otypes=[float])(
-        np.where(stat <= _P_TAU_STAR, small, large))
+    p = [_kernels._ndtr(z) for z in np.where(stat <= _P_TAU_STAR, small, large).tolist()]
     return np.where(stat <= _P_TAU_MIN, 0.0, np.where(stat >= _P_TAU_MAX, 1.0, p))
 
 
 def mackinnon_pvalue(stat: float) -> float:
     """Approximate asymptotic p-value for the constant-only ADF t statistic."""
-    return float(_mackinnon_pvalues(np.asarray(stat, dtype=float)))
+    return float(_mackinnon_pvalues(np.array([stat], dtype=float))[0])
 
 
 def _pvalue_bracket(stat: float, crit: dict[str, float]) -> str:

@@ -1,5 +1,5 @@
-"""Estimation core: OLS, the within (entity fixed-effects) estimator,
-random-effects GLS, and covariance estimators.
+"""Estimation core: the least-squares solve, the within (entity fixed-effects)
+estimator, random-effects GLS, and covariance estimators.
 
 All solvers go through a rank-revealing column-pivoted QR factorization with
 tolerance 1e-10 * ||X||; raw normal equations exist only as a test oracle.
@@ -88,7 +88,6 @@ class FitResult:
     df_resid: int
     cov_kind: str
     residuals: np.ndarray
-    entity_effects: dict[str, float] | None = None
     theta: float | None = None
 
     def coefficient(self, name: str) -> float:
@@ -133,13 +132,15 @@ def _pivoted_qr_solve(values: np.ndarray, y: np.ndarray, names: tuple[str, ...])
     k = values.shape[1]
     r_xy = _tall_r(np.column_stack([values, y]))
     r_x = r_xy[:k, :k]
-    r, qty, piv = _kernels._pivoted_qr(r_x, r_xy[:k, k])
+    piv = _kernels._qr_pivots(r_x)
+    # LAPACK's QR of the reordered columns makes the reflections dgeqp3 makes
+    q, r = np.linalg.qr(r_x[:, piv])
     rank = int(np.sum(np.abs(np.diag(r)) > RANK_TOL_FACTOR * np.linalg.norm(r_x)))
     if rank < k:
         raise RankDeficient([names[j] for j in piv[rank:]])
 
     beta = np.empty(k)
-    beta[piv] = _kernels._solve_upper(r, qty)
+    beta[piv] = _kernels._solve_upper(r, q.T @ r_xy[:k, k])
     r_inv = _kernels._solve_upper(r, np.eye(k))
     xtx_inv = np.empty((k, k))
     xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
@@ -174,49 +175,6 @@ def _f_statistic(r2, k_model, df_resid):
         return np.inf, 0.0
     f = (r2 / k_model) / ((1.0 - r2) / df_resid)
     return float(f), _kernels._fdtrc(k_model, df_resid, f)
-
-
-def ols_fit(X: DesignMatrix, y, intercept: bool = True) -> FitResult:
-    """Ordinary least squares with classical covariance.
-
-    The intercept column is prepended under the name ``"C"`` when requested.
-    p-values are two-sided from the t distribution with ``n - k`` residual
-    degrees of freedom.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] != X.n:
-        raise ValueError("y must be a vector matching the design matrix height")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y contains non-finite values")
-
-    if intercept:
-        values = np.column_stack([np.ones(X.n), X.values])
-        names = (INTERCEPT_NAME,) + X.column_names
-    else:
-        values = X.values
-        names = X.column_names
-
-    n, k = values.shape
-    if n <= k:
-        raise TooFewObservations(f"n={n} observations for k={k} parameters")
-
-    beta, xtx_inv = _pivoted_qr_solve(values, y, names)
-    residuals = y - values @ beta
-    df_resid = n - k
-    sigma2 = float(residuals @ residuals) / df_resid
-    covariance = sigma2 * xtx_inv
-    covariance = (covariance + covariance.T) / 2.0
-
-    std, t, p = _t_inference(beta, covariance, df_resid)
-    r2 = _r_squared(y, residuals, centered=intercept)
-    k_model = k - 1 if intercept else k
-    f_stat, f_p = _f_statistic(r2, k_model, df_resid)
-
-    return FitResult(coefficients=beta, covariance=covariance, std_errors=std,
-                     t_stats=t, p_values=p, column_names=names,
-                     r_squared=r2, r_squared_kind="ordinary",
-                     f_statistic=f_stat, f_pvalue=f_p, nobs=n, df_resid=df_resid,
-                     cov_kind="classical", residuals=residuals)
 
 
 def within_transform(X: DesignMatrix, y, warn: bool = True) -> tuple[DesignMatrix, np.ndarray]:
@@ -339,15 +297,11 @@ def fe_fit(X: DesignMatrix, y, cov_kind: str = "classical") -> FitResult:
     r2 = _r_squared(yw, residuals, centered=True)
     f_stat, f_p = _f_statistic(r2, k, df_resid)
 
-    effects = codes.firm_means(y) - codes.firm_means(X.values) @ beta
-    effects_by_firm = dict(zip(codes.firm_ids, effects.tolist()))
-
     return FitResult(coefficients=coefficients, covariance=covariance, std_errors=std,
                      t_stats=t, p_values=p, column_names=names,
                      r_squared=r2, r_squared_kind="within",
                      f_statistic=f_stat, f_pvalue=f_p, nobs=n, df_resid=df_resid,
-                     cov_kind=cov_kind, residuals=residuals,
-                     entity_effects=effects_by_firm)
+                     cov_kind=cov_kind, residuals=residuals)
 
 
 def re_fit(X: DesignMatrix, y) -> FitResult:

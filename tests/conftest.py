@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from marketpanel import regress
+from marketpanel.errors import TooFewObservations
 from marketpanel.panel_core import (FundamentalsTable, PanelCodes, RiskFreeSeries,
                                     build_dataset)
 
@@ -127,6 +129,50 @@ def stacked(series_list):
     column = np.concatenate([np.asarray(s, dtype=float) for s in series_list])
     firm = np.repeat(np.arange(len(series_list)), [len(s) for s in series_list])
     return column, firm
+
+
+def ols_fit(X: regress.DesignMatrix, y, intercept: bool = True) -> regress.FitResult:
+    """Ordinary least squares with classical covariance, built on the package's
+    least-squares kernel. No command fits pooled OLS, so it lives with the tests.
+
+    The intercept column is prepended under the name ``"C"`` when requested.
+    p-values are two-sided from the t distribution with ``n - k`` residual
+    degrees of freedom.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or y.shape[0] != X.n:
+        raise ValueError("y must be a vector matching the design matrix height")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y contains non-finite values")
+
+    if intercept:
+        values = np.column_stack([np.ones(X.n), X.values])
+        names = (regress.INTERCEPT_NAME,) + X.column_names
+    else:
+        values = X.values
+        names = X.column_names
+
+    n, k = values.shape
+    if n <= k:
+        raise TooFewObservations(f"n={n} observations for k={k} parameters")
+
+    beta, xtx_inv = regress._pivoted_qr_solve(values, y, names)
+    residuals = y - values @ beta
+    df_resid = n - k
+    sigma2 = float(residuals @ residuals) / df_resid
+    covariance = sigma2 * xtx_inv
+    covariance = (covariance + covariance.T) / 2.0
+
+    std, t, p = regress._t_inference(beta, covariance, df_resid)
+    r2 = regress._r_squared(y, residuals, centered=intercept)
+    k_model = k - 1 if intercept else k
+    f_stat, f_p = regress._f_statistic(r2, k_model, df_resid)
+
+    return regress.FitResult(coefficients=beta, covariance=covariance, std_errors=std,
+                             t_stats=t, p_values=p, column_names=names,
+                             r_squared=r2, r_squared_kind="ordinary",
+                             f_statistic=f_stat, f_pvalue=f_p, nobs=n, df_resid=df_resid,
+                             cov_kind="classical", residuals=residuals)
 
 
 def normal_equations_oracle(X, y, intercept: bool = True) -> np.ndarray:

@@ -18,10 +18,10 @@ from marketpanel.beta import beta_for_year
 from marketpanel.cli import main
 from marketpanel.diagnostics import adf_test, hausman_test
 from marketpanel.errors import InsufficientWindow
-from marketpanel.regress import DesignMatrix, fe_fit, ols_fit, re_fit
+from marketpanel.regress import DesignMatrix, fe_fit, re_fit
 
-from conftest import (monthly_points, normal_equations_oracle, panel_design, return_panel,
-                      row_labels)
+from conftest import (monthly_points, normal_equations_oracle, ols_fit, panel_design,
+                      return_panel, row_labels)
 
 warnings.filterwarnings("ignore")
 

@@ -8,10 +8,10 @@ import pytest
 from marketpanel.errors import (NegativeVarianceComponentWarning, RankDeficient,
                                 SingletonGroupWarning, TooFewClusters,
                                 TooFewObservations)
-from marketpanel.regress import (DesignMatrix, fe_fit, ols_fit, re_fit,
-                                 robust_cov_white_cross_section, within_transform)
+from marketpanel.regress import (DesignMatrix, fe_fit, re_fit, robust_cov_white_cross_section,
+                                 within_transform)
 
-from conftest import normal_equations_oracle, panel_design, panel_matrix, row_labels
+from conftest import normal_equations_oracle, ols_fit, panel_design, panel_matrix, row_labels
 
 
 def random_system(n, k, seed):
@@ -207,11 +207,14 @@ class TestFeFit:
         X, y, _ = panel_design(n_firms=4, n_years=8, k=1, seed=6)
         fit = fe_fit(X, y)
         labels = row_labels(X)
-        assert set(fit.entity_effects) == {f for f, _ in labels}
-        # reconstructed fitted values reproduce y up to the within residuals
         slopes = np.array([fit.coefficient(n) for n in X.column_names])
+        # each firm's effect from the coefficients: its mean y less its mean x'b
+        rows = {f: [i for i, (g, _) in enumerate(labels) if g == f] for f, _ in labels}
+        effects = {f: y[i].mean() - X.values[i].mean(axis=0) @ slopes for f, i in rows.items()}
+        assert set(effects) == {f for f, _ in labels}
+        # reconstructed fitted values reproduce y up to the within residuals
         fitted = (X.values @ slopes
-                  + np.array([fit.entity_effects[f] for f, _ in labels]))
+                  + np.array([effects[f] for f, _ in labels]))
         np.testing.assert_allclose(y - fitted, fit.residuals, atol=1e-10)
 
     def test_rank_deficient_after_within(self):
