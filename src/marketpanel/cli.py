@@ -84,32 +84,28 @@ def _config_kinds() -> dict[str, type]:
 def _parse_config_file(path: str) -> dict:
     kinds = _config_kinds()
     values = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line_no, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{line_no}: expected key = value")
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if key not in kinds:
-                    raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-                kind = kinds[key]
-                if kind is bool:
-                    if value.lower() not in ("true", "false", "1", "0", "yes", "no"):
-                        raise ConfigError(f"{path}:{line_no}: boolean expected")
-                    values[key] = value.lower() in ("true", "1", "yes")
-                elif kind is int:
-                    try:
-                        values[key] = int(value)
-                    except ValueError:
-                        raise ConfigError(f"{path}:{line_no}: integer expected")
-                else:
-                    values[key] = value
-    except OSError as exc:
-        raise IoFailure(f"cannot read config file {path}: {exc}")
+    for line_no, raw in enumerate(ingest._read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key = value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in kinds:
+            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        kind = kinds[key]
+        if kind is bool:
+            if value.lower() not in ("true", "false", "1", "0", "yes", "no"):
+                raise ConfigError(f"{path}:{line_no}: boolean expected")
+            values[key] = value.lower() in ("true", "1", "yes")
+        elif kind is int:
+            try:
+                values[key] = int(value)
+            except ValueError:
+                raise ConfigError(f"{path}:{line_no}: integer expected")
+        else:
+            values[key] = value
     return values
 
 
@@ -121,6 +117,7 @@ def _resolve_run_config(args) -> RunConfig:
     cfg = RunConfig(**values)
     cfg.marin_variant = _VARIANT_NAMES.get(cfg.marin_variant, cfg.marin_variant)
     cfg.validate()
+    _timestamp()   # a malformed SOURCE_DATE_EPOCH fails here, before any input is read
     return cfg
 
 
@@ -137,21 +134,17 @@ def _timestamp() -> str | None:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is None:
         return None
-    moment = datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc)
-    return moment.isoformat()
-
-
-def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}")
+        moment = datetime.datetime.fromtimestamp(int(epoch), tz=datetime.timezone.utc)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ConfigError(f"SOURCE_DATE_EPOCH must be whole seconds since 1970, "
+                          f"got {epoch!r} ({exc})")
+    return moment.isoformat()
 
 
 def _load_inputs(data: str) -> tuple[str, str, str]:
     """The texts of fundamentals.csv, prices.csv and riskfree.csv in ``data``."""
-    return tuple(_read(os.path.join(data, name)) for name in _INPUT_FILES)
+    return tuple(ingest._read_text(os.path.join(data, name)) for name in _INPUT_FILES)
 
 
 @dataclasses.dataclass
@@ -340,11 +333,13 @@ def cmd_verify(args) -> int:
     design and are only covered by stage 1.
     """
     from . import synth
-    # a missing file fails in _read, naming the path (exit 2)
-    truth = synth.TruthRecord.from_json(_read(os.path.join(args.data, "truth.json")))
-    emitted = {model_id: json.loads(_read(os.path.join(args.run, f"{model_id}.json")))
+    # a missing or undecodable file fails in _read_text, naming the path (exit 2)
+    truth = synth.TruthRecord.from_json(
+        ingest._read_text(os.path.join(args.data, "truth.json")))
+    emitted = {model_id: json.loads(
+                   ingest._read_text(os.path.join(args.run, f"{model_id}.json")))
                for model_id in models.MODEL_IDS}
-    effective = json.loads(_read(os.path.join(args.run, "manifest.json"))
+    effective = json.loads(ingest._read_text(os.path.join(args.run, "manifest.json"))
                            ).get("effective_config", {})
     # keys that are no longer fields (a tree written by an older version) are ignored
     kinds = _config_kinds()

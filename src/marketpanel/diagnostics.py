@@ -114,36 +114,49 @@ def _pvalue_bracket(stat: float, crit: dict[str, float]) -> str:
     return ">=0.10"
 
 
+def _adf_t(r: np.ndarray, df: int) -> float:
+    """The ADF t statistic from the R factor of [..., y_{t-1}, dy_t].
+
+    With the lagged level as the last regressor, its coefficient is
+    r[-2, -1] / r[-2, -2], its standard error sigma / |r[-2, -2]|, and
+    sigma = |r[-1, -1]| / sqrt(df).
+    """
+    level, resid = r[-2, -2], r[-1, -1]
+    if level == 0.0 or resid == 0.0:
+        raise ConstantSeries("degenerate ADF regression")
+    return float(np.sign(level) * r[-2, -1] * math.sqrt(df) / abs(resid))
+
+
+def _adf_df(nobs: int, lags: int) -> int:
+    df = nobs - (lags + 2)
+    if df <= 0:
+        raise TooShort(f"{nobs} observations for {lags + 2} ADF regressors")
+    return df
+
+
 def _adf_stat(y: np.ndarray, lags: int) -> tuple[float, int]:
     """t statistic on the lagged level in the ADF regression with a constant.
 
     One QR of [1, dy_{t-1}, ..., dy_{t-lags}, y_{t-1}, dy_t], built from row
-    blocks by ``regress._tall_r``. With the lagged level as the last
-    regressor, its coefficient is r[-2, -1] / r[-2, -2], its standard error
-    sigma / |r[-2, -2]|, and sigma = |r[-1, -1]| / sqrt(df).
+    blocks by ``regress._tall_r``.
     """
     dy = np.diff(y)
     rows = np.arange(lags + 1, len(y))
     nobs = len(rows)
-    df = nobs - (lags + 2)
-    if df <= 0:
-        raise TooShort(f"{nobs} observations for {lags + 2} ADF regressors")
+    df = _adf_df(nobs, lags)
     cols = [np.ones(nobs)] + [dy[rows - 1 - j] for j in range(1, lags + 1)]
     cols += [y[rows - 1], dy[rows - 1]]
-    r = _tall_r(np.column_stack(cols))
-    level, resid = r[-2, -2], r[-1, -1]
-    if level == 0.0 or resid == 0.0:
-        raise ConstantSeries("degenerate ADF regression")
-    return float(np.sign(level) * r[-2, -1] * math.sqrt(df) / abs(resid)), nobs
+    return _adf_t(_tall_r(np.column_stack(cols)), df), nobs
 
 
-def _adf_aic_lag(y: np.ndarray, max_lags: int) -> int:
+def _adf_search(y: np.ndarray, max_lags: int) -> tuple[int, np.ndarray, np.ndarray]:
     """AIC lag choice on the common sample implied by ``max_lags``.
 
     One QR of [1, y_{t-1}, dy_{t-1}, ..., dy_{t-max_lags}, dy_t], built from
     row blocks by ``regress._tall_r``, serves every nested regression: the
     RSS on the first m columns is the squared norm of the last column of R
-    below row m.
+    below row m. Returns the lag, R (square, zero rows where a saturated fit
+    has fewer rows than columns) and the RSS on the first m columns by m.
     """
     dy = np.diff(y)
     rows = np.arange(max_lags + 1, len(y))
@@ -151,19 +164,58 @@ def _adf_aic_lag(y: np.ndarray, max_lags: int) -> int:
     cols = [np.ones(nobs), y[rows - 1]]
     cols += [dy[rows - 1 - j] for j in range(1, max_lags + 1)]
     cols.append(dy[rows - 1])
-    r = _tall_r(np.column_stack(cols))
-    tail = np.zeros(len(cols))    # a saturated fit (fewer rows than columns) leaves 0
-    tail[:r.shape[0]] = r[:, -1] ** 2
-    rss_from = np.cumsum(tail[::-1])[::-1]
+    r = np.zeros((len(cols), len(cols)))
+    tall = _tall_r(np.column_stack(cols))
+    r[:len(tall)] = tall
+    rss_from = np.cumsum(r[::-1, -1] ** 2)[::-1]
     best_lag, best_aic = 0, math.inf
     for p in range(max_lags + 1):
         rss = float(rss_from[p + 2])
         if rss <= 0:
-            return p
+            return p, r, rss_from
         aic = nobs * math.log(rss / nobs) + 2 * (p + 2)
         if aic < best_aic - 1e-12:
             best_aic, best_lag = aic, p
-    return best_lag
+    return best_lag, r, rss_from
+
+
+def _adf_aic_lag(y: np.ndarray, max_lags: int) -> int:
+    """The lag ``_adf_search`` chooses."""
+    return _adf_search(y, max_lags)[0]
+
+
+def _adf_searched_stat(y: np.ndarray, max_lags: int) -> tuple[int, float, int]:
+    """The lag AIC chooses, the ADF statistic at that lag and its nobs.
+
+    The statistic's regression adds, to the common sample of the lag search,
+    the max_lags - lag leading rows that sample dropped. Its R factor is that
+    of the search's R restricted to the chosen columns and dy_t, with the
+    square root of the RSS below them as dy_t's residual entry, stacked on
+    those rows (a QR row update, Golub & Van Loan, Matrix Computations 6.5):
+    one small QR in place of a second QR over every row. A fit whose residual
+    is below 1e-12 of |dy_t| is exact (an exact trend): its statistic is
+    rounding residue, whose value depends on the order of operations, so it
+    is taken from ``_adf_stat`` whichever route runs.
+    """
+    lags, r, rss_from = _adf_search(y, max_lags)
+    nobs = len(y) - 1 - lags
+    df = _adf_df(nobs, lags)
+    k = lags + 2   # the constant, y_{t-1} and the lags, in the search's order
+    search = np.zeros((k + 1, k + 1))
+    search[:k, :k] = r[:k, :k]
+    search[:k, k] = r[:k, -1]
+    search[k, k] = math.sqrt(rss_from[k])
+    dy = np.diff(y)
+    rows = np.arange(lags + 1, min(max_lags + 1, len(y)))
+    dropped = np.column_stack([np.ones(len(rows)), y[rows - 1],
+                               *(dy[rows - 1 - j] for j in range(1, lags + 1)),
+                               dy[rows - 1]])
+    # the order of _adf_stat: [1, dy lags, y_{t-1}, dy_t]
+    order = [0, *range(2, k), 1, k]
+    r = np.linalg.qr(np.vstack([search, dropped])[:, order], mode="r")
+    if r[-1, -1] ** 2 <= 1e-24 * float(r[:, -1] @ r[:, -1]):
+        return lags, *_adf_stat(y, lags)
+    return lags, _adf_t(r, df), nobs
 
 
 def adf_test(series, max_lags: int | None = None, min_length: int | None = None) -> TestResult:
@@ -187,8 +239,10 @@ def adf_test(series, max_lags: int | None = None, min_length: int | None = None)
     if float(np.std(y)) == 0.0:
         raise ConstantSeries("series has zero variance")
 
-    lags = _adf_aic_lag(y, max_lags) if max_lags > 0 else 0
-    stat, nobs = _adf_stat(y, lags)
+    if max_lags > 0:
+        lags, stat, nobs = _adf_searched_stat(y, max_lags)
+    else:
+        lags, (stat, nobs) = 0, _adf_stat(y, 0)
     crit = mackinnon_crit(nobs)
     decision = "reject" if stat < crit["5%"] else "fail_to_reject"
     detail = (f"lags={lags}, nobs={nobs}, p-bracket={_pvalue_bracket(stat, crit)}, "

@@ -17,7 +17,8 @@ from itertools import chain
 import numpy as np
 
 from .beta import PriceTable
-from .errors import DuplicateMonth, NonPositivePrice, RateOutOfRange, SchemaMismatch
+from .errors import (DuplicateMonth, IoFailure, NonPositivePrice, RateOutOfRange,
+                     SchemaMismatch)
 from .panel_core import STAKE_SUM_TOL, FundamentalsTable, RiskFreeSeries, row_sums
 
 FUNDAMENTALS_COLUMNS = ("firm_id", "market_id", "year", "price", "book_value", "eps",
@@ -29,6 +30,7 @@ RISKFREE_COLUMNS = ("market_id", "year", "rate")
 _PRICE_ROW = np.dtype([("series_id", object), ("year", np.int64), ("month", np.int64),
                        ("close", np.float64)])
 _MAX_YEAR = np.iinfo(np.int64).max // 12 - 1   # beyond it the month index overflows
+_MONEY_COLUMNS = range(3, 11)   # price .. total_equity in FUNDAMENTALS_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,27 @@ class IngestReport:
     rows_accepted: int
     rows_rejected: int
     rejections: tuple[tuple[int, str], ...]
+
+
+def _read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``, its newlines read as text mode reads them.
+
+    Raises :class:`IoFailure` naming the file when it cannot be read or is not
+    UTF-8, with the offset of the first byte that does not decode.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"{path} is not UTF-8 text: byte {data[exc.start]:#04x} "
+                        f"at offset {exc.start} ({exc.reason})")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _parse_float(text: str, name: str) -> float:
@@ -105,6 +128,61 @@ def _failing(mask: np.ndarray, reason: str) -> list[tuple[int, str]]:
     return [(r, reason) for r in np.flatnonzero(mask).tolist()]
 
 
+def _fundamentals_header(header: list[str]) -> list[str]:
+    return _check_header(header, FUNDAMENTALS_COLUMNS, "fundamentals",
+                         optional=(OPTIONAL_FUNDAMENTALS_COLUMN,))
+
+
+def _loadtxt_cells(csv_text: str):
+    """fundamentals.csv split by one ``loadtxt`` call, or None if the csv reader must split it.
+
+    Taken when the text has no quote and no carriage return, every non-empty
+    body line has the header's width, and every money cell reads as a finite
+    number in numpy's parser, which reads a subset of the stripped cells
+    ``float()`` reads, and to the same double. The other columns come as the
+    str cells ``csv.reader`` would give. Returns what ``_csv_cells`` returns.
+    """
+    if '"' in csv_text or "\r" in csv_text:
+        return None
+    head, _, body = csv_text.partition("\n")
+    width = len(_fundamentals_header(head.split(",")))
+    lines = body.split("\n")
+    if lines and not lines[-1]:
+        lines.pop()   # the text's final newline
+    line_nos = [n for n, line in enumerate(lines, start=2) if line]
+    if not line_nos:
+        return [], [[]] * width, []
+    dtype = np.dtype([(f"c{j}", np.float64 if j in _MONEY_COLUMNS else object)
+                      for j in range(width)])
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar=None,
+                          comments=None, ndmin=1)
+    except ValueError:
+        return None
+    columns = [rows[f"c{j}"] if j in _MONEY_COLUMNS else rows[f"c{j}"].tolist()
+               for j in range(width)]
+    if not all(np.isfinite(columns[j]).all() for j in _MONEY_COLUMNS):
+        return None
+    return line_nos, columns, []
+
+
+def _csv_cells(csv_text: str):
+    """fundamentals.csv split by ``csv.reader``.
+
+    Returns the 1-based file line of each row that has a non-blank cell, one
+    sequence of cells per column (a row of the wrong width reads as zeros),
+    and a (row, reason) for each row of the wrong width.
+    """
+    rows = _rows(csv_text)
+    width = len(_fundamentals_header(rows[0]))
+    line_nos = [n for n, row in enumerate(rows[1:], start=2) if any(map(str.strip, row))]
+    body = [rows[n - 1] for n in line_nos]
+    columns = list(zip(*[row if len(row) == width else ("0",) * width for row in body]))
+    widths = [(r, f"expected {width} fields, got {len(row)}")
+              for r, row in enumerate(body) if len(row) != width]
+    return line_nos, columns or [()] * width, widths
+
+
 def parse_fundamentals(csv_text: str) -> tuple[FundamentalsTable, IngestReport]:
     """Parse fundamentals.csv into one columnar table, soft-failing per row.
 
@@ -114,23 +192,21 @@ def parse_fundamentals(csv_text: str) -> tuple[FundamentalsTable, IngestReport]:
     fails: field count, a cell that is not a finite number (the lagged book
     value first), empty ids, then the field invariants. Rows whose cells are
     all blank are skipped. A schema problem raises :class:`SchemaMismatch`.
+    The body is split by one ``loadtxt`` call when ``_loadtxt_cells`` can
+    read it and by ``csv.reader`` otherwise; both give the same table.
     """
-    rows = _rows(csv_text)
-    if not rows:
+    if not csv_text:
         raise SchemaMismatch("fundamentals: empty file")
-    header = _check_header(rows[0], FUNDAMENTALS_COLUMNS, "fundamentals",
-                           optional=(OPTIONAL_FUNDAMENTALS_COLUMN,))
-    width = len(header)
-    line_nos = [n for n, row in enumerate(rows[1:], start=2) if any(map(str.strip, row))]
-    body = [rows[n - 1] for n in line_nos]
-    # a row of the wrong width reads as zeros: its width is its first reason
-    columns = list(zip(*[row if len(row) == width else ("0",) * width for row in body]))
-    columns = columns or [()] * width
-    # each check lists (row, reason) for the rows it fails, in row order
-    checks = [[(r, f"expected {width} fields, got {len(row)}")
-               for r, row in enumerate(body) if len(row) != width]]
+    return _fundamentals(*(_loadtxt_cells(csv_text) or _csv_cells(csv_text)))
 
-    prev = np.full(len(body), np.nan)
+
+def _fundamentals(line_nos: list[int], columns: list, widths: list[tuple[int, str]]
+                  ) -> tuple[FundamentalsTable, IngestReport]:
+    """The table and report of the body rows that ``line_nos`` and ``columns`` hold."""
+    n_rows, width = len(line_nos), len(columns)
+    # each check lists (row, reason) for the rows it fails, in row order
+    checks = [widths]
+    prev = np.full(n_rows, np.nan)
     if width > len(FUNDAMENTALS_COLUMNS):
         given = [r for r, cell in enumerate(columns[-1]) if cell.strip()]
         prev[given], reasons = _numbers([columns[-1][r] for r in given],
@@ -138,13 +214,14 @@ def parse_fundamentals(csv_text: str) -> tuple[FundamentalsTable, IngestReport]:
         checks.append([(given[i], why) for i, why in reasons.items()])
     parsed = {}
     for j, name in enumerate(FUNDAMENTALS_COLUMNS[2:12], start=2):
+        # a money column read by loadtxt is already a finite float array
         parsed[name], reasons = _numbers(columns[j], name,
                                          int if name.endswith("year") else float)
         checks.append(reasons.items())
     parts = [cell.strip().split(";") if cell.strip() else [] for cell in columns[12]]
     counts = list(map(len, parts))
     stakes, reasons = _numbers(list(chain.from_iterable(parts)), "stakes", float)
-    part_row = np.repeat(np.arange(len(body)), counts).tolist()
+    part_row = np.repeat(np.arange(n_rows), counts).tolist()
     checks.append([(part_row[i], why) for i, why in reasons.items()])
 
     firms = np.array([cell.strip() for cell in columns[0]], dtype=str)
@@ -173,9 +250,9 @@ def parse_fundamentals(csv_text: str) -> tuple[FundamentalsTable, IngestReport]:
     for check in checks:
         for r, why in check:
             first.setdefault(r, why)
-    report = IngestReport(rows_accepted=len(body) - len(first), rows_rejected=len(first),
+    report = IngestReport(rows_accepted=n_rows - len(first), rows_rejected=len(first),
                           rejections=tuple(sorted((line_nos[r], why) for r, why in first.items())))
-    return t.take([r for r in range(len(body)) if r not in first]), report
+    return t.take([r for r in range(n_rows) if r not in first]), report
 
 
 def _blank_row(line: str) -> bool:
@@ -253,12 +330,16 @@ def parse_prices(csv_text: str) -> PriceTable:
     _check_header(next(csv.reader([header]), []), PRICES_COLUMNS, "prices")
     rows, line_nos, unreadable = _read_price_rows(body)
 
-    raw_ids = rows["series_id"].tolist()
-    stripped = {raw: raw.strip() for raw in dict.fromkeys(raw_ids)}
-    series_ids = sorted(set(stripped.values()))
+    # a series' rows usually come together: code each run of one raw id once
+    raw_ids = rows["series_id"]
+    new_run = np.ones(len(raw_ids), dtype=bool)
+    new_run[1:] = raw_ids[1:] != raw_ids[:-1]
+    starts = np.flatnonzero(new_run)
+    run_ids = [raw.strip() for raw in raw_ids[starts].tolist()]
+    series_ids = sorted(set(run_ids))
     code_of = {series_id: code for code, series_id in enumerate(series_ids)}
-    codes = np.fromiter(map(code_of.__getitem__, map(stripped.__getitem__, raw_ids)),
-                        dtype=np.int64, count=len(raw_ids))
+    run_codes = np.array([code_of[series_id] for series_id in run_ids], dtype=np.int64)
+    codes = np.repeat(run_codes, np.diff(np.append(starts, len(raw_ids))))
     years, calendar_months, closes = rows["year"], rows["month"], rows["close"]
     months = years * 12 + (calendar_months - 1)
     order = np.lexsort((months, codes))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .diagnostics import CorrelationResult, StationarityRow, TestResult, VariableSummary
 from .errors import IoFailure, SchemaMismatch
+from .ingest import _read_text
 from .models import MARIN_VARIANTS, EstimationReport
 
 SCHEMA_VERSION = "1"
@@ -465,10 +466,8 @@ def golden_compare(a_dir: str, b_dir: str, rel_tol: float = 0.0) -> DiffReport:
         lines.append(f"{name}: present on one side only")
 
     for name in sorted(set(a_files) & set(b_files)):
-        with open(os.path.join(a_dir, name), encoding="utf-8") as fa:
-            a_text = fa.read()
-        with open(os.path.join(b_dir, name), encoding="utf-8") as fb:
-            b_text = fb.read()
+        a_text = _read_text(os.path.join(a_dir, name))
+        b_text = _read_text(os.path.join(b_dir, name))
         if name.endswith(".json"):
             a_obj, b_obj = json.loads(a_text), json.loads(b_text)
             va = a_obj.get("schema_version")

@@ -1,0 +1,73 @@
+"""Property test: ``adf_test``'s statistic from the lag search's R against a second QR.
+
+At the chosen lag, ``adf_test`` stacks the rows the lag search's common sample
+dropped under that search's R and factors the small result; the reference is
+the route that refits every row, ``_adf_stat(y, _adf_aic_lag(y, max_lags))``.
+Both must give the same lags, nobs, decision, p-bracket and exception, and
+statistics equal to rounding.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from marketpanel.diagnostics import (_adf_aic_lag, _adf_stat, _pvalue_bracket, adf_test,
+                                     mackinnon_crit)
+from marketpanel.errors import MarketPanelError
+
+
+def series(seed, length, kind):
+    rng = np.random.default_rng(seed)
+    shocks = rng.normal(0, 1, length)
+    if kind == "noise":
+        return shocks
+    if kind == "walk":
+        return np.cumsum(shocks)
+    if kind == "ar1":
+        phi = rng.uniform(-0.9, 0.98)
+        y = np.zeros(length)
+        for t in range(1, length):
+            y[t] = phi * y[t - 1] + shocks[t]
+        return y
+    if kind == "steps":   # constant integer differences: every value exact
+        return float(rng.integers(-50, 50)) + float(rng.integers(1, 5)) * np.arange(length)
+    return rng.uniform(-5, 5) + rng.uniform(0.1, 3) * np.arange(length)   # "trend"
+
+
+def two_qr(y, max_lags):
+    """(lags, statistic, nobs) from the lag search and a second QR over every row."""
+    lags = _adf_aic_lag(y, max_lags)
+    stat, nobs = _adf_stat(y, lags)
+    return lags, stat, nobs
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except MarketPanelError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.integers(12, 3000),
+       kind=st.sampled_from(["noise", "ar1", "walk", "steps", "trend"]),
+       lag_share=st.floats(0.0, 1.0))
+@example(seed=1, length=12, kind="noise", lag_share=0.0)    # max_lags 0
+@example(seed=2, length=12, kind="walk", lag_share=1.0)     # more lags than the rows carry
+@example(seed=3, length=40, kind="steps", lag_share=0.5)
+@example(seed=4, length=300, kind="trend", lag_share=0.2)
+def test_one_qr_statistic_equals_two(seed, length, kind, lag_share):
+    y = series(seed, length, kind)
+    max_lags = round(lag_share * min(length, 60))
+    want = outcome(lambda: two_qr(y, max_lags))
+    got = outcome(lambda: adf_test(y, max_lags=max_lags, min_length=0))
+    if isinstance(want, type):
+        assert got is want
+        return
+    lags, stat, nobs = want
+    crit = mackinnon_crit(nobs)
+    assert got.detail.startswith(f"lags={lags}, nobs={nobs}, "
+                                 f"p-bracket={_pvalue_bracket(stat, crit)}, ")
+    assert got.decision == ("reject" if stat < crit["5%"] else "fail_to_reject")
+    # a statistic near zero is a difference of nearly equal terms: its rounding is absolute
+    assert got.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12)

@@ -581,3 +581,77 @@ class TestReportDiff:
         assert code == 1
         assert any("descriptives" in line
                    for line in json.loads(out)["differences"])
+
+
+class TestUndecodableFiles:
+    """A file that is not UTF-8 is an input error naming the file and the byte (exit 2)."""
+
+    @staticmethod
+    def _cli(*argv, env=None):
+        proc = subprocess.run([sys.executable, "-m", "marketpanel.cli", *argv],
+                              env=env or src_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert "Traceback" not in proc.stderr
+        return proc
+
+    @staticmethod
+    def _with_ff(path, offset):
+        data = path.read_bytes()
+        path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+
+    @pytest.mark.parametrize("command", ["run", "ingest-check"])
+    def test_input_csv(self, command, data_dir, tmp_path):
+        bad = tmp_path / "bad"
+        shutil.copytree(data_dir, bad)
+        self._with_ff(bad / "riskfree.csv", 30)
+        argv = [command, "--data", str(bad)]
+        proc = self._cli(*argv, *(["--out", str(tmp_path / "o")] if command == "run" else []))
+        assert proc.returncode == 2
+        assert f"{bad / 'riskfree.csv'} is not UTF-8 text: byte 0xff at offset 30" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_config_file(self, data_dir, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"beta_min = 12\n# \xff\n")
+        proc = self._cli("run", "--config", str(config), "--data", str(data_dir),
+                         "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert f"{config} is not UTF-8 text: byte 0xff at offset 16" in proc.stderr
+
+    def test_verify_truth(self, data_dir, run_dir, tmp_path):
+        bad = tmp_path / "bad"
+        shutil.copytree(data_dir, bad)
+        self._with_ff(bad / "truth.json", 0)
+        proc = self._cli("verify", "--data", str(bad), "--run", str(run_dir))
+        assert proc.returncode == 2
+        assert "truth.json is not UTF-8 text: byte 0xff at offset 0" in proc.stderr
+
+    def test_report_diff(self, run_dir, tmp_path):
+        other = tmp_path / "other"
+        shutil.copytree(run_dir, other)
+        self._with_ff(other / "descriptives.md", 5)
+        proc = self._cli("report-diff", str(run_dir), str(other))
+        assert proc.returncode == 2
+        assert "descriptives.md is not UTF-8 text: byte 0xff at offset 5" in proc.stderr
+
+
+class TestSourceDateEpoch:
+    def test_recorded_in_the_manifest(self, data_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "86400")
+        code, out = run_cli("run", "--data", str(data_dir), "--out", str(tmp_path),
+                            capsys=capsys)
+        assert code == 0
+        manifest = json.loads((Path(json.loads(out)["out_dir"]) / "manifest.json").read_text())
+        assert manifest["timestamp"] == "1970-01-02T00:00:00+00:00"
+
+    @pytest.mark.parametrize("epoch", ["abc", "1.5", "", "9" * 30])
+    def test_malformed_fails_before_any_input_is_read(self, epoch, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "marketpanel.cli", "run", "--data", str(tmp_path / "none"),
+             "--out", str(tmp_path / "o")], env=dict(src_env(), SOURCE_DATE_EPOCH=epoch),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("ERROR")]
+        assert len(errors) == 1 and errors[0].startswith(
+            f"ERROR SOURCE_DATE_EPOCH must be whole seconds since 1970, got {epoch!r}")
