@@ -13,8 +13,7 @@ from itertools import compress, product
 
 import numpy as np
 
-from .errors import (InsufficientWindow, SchemaMismatch, TooShort, UnknownMarket,
-                     ZeroMarketVariance)
+from .errors import SchemaMismatch, TooShort, UnknownMarket
 
 DEFAULT_WINDOW_MONTHS = 60
 DEFAULT_MIN_MONTHS = 48
@@ -73,15 +72,6 @@ class ReturnPanel:
         return self.values[rows, lo:hi], lo
 
 
-@dataclass(frozen=True)
-class BetaEstimate:
-    firm_id: str
-    year: int
-    beta: float
-    n_months: int
-    window_start: tuple[int, int]
-
-
 def _month_index(year: int, month: int) -> int:
     return year * 12 + (month - 1)
 
@@ -127,45 +117,13 @@ def _row(returns: ReturnPanel, series_id: str, error, what: str) -> int:
     return row
 
 
-def beta_for_year(returns: ReturnPanel, firm_id: str, market_id: str, year: int,
-                  window_months: int = DEFAULT_WINDOW_MONTHS,
-                  min_months: int = DEFAULT_MIN_MONTHS) -> BetaEstimate:
-    """Slope of firm returns on market returns over the window ending Dec ``year``.
-
-    Months where either side is missing are dropped; the ``min_months`` rule
-    applies to the paired months that remain. beta = cov(R_i, R_m)/var(R_m),
-    the OLS slope with intercept.
-    """
-    rows = [_row(returns, firm_id, TooShort, "firm"),
-            _row(returns, market_id, UnknownMarket, "market")]
-    (firm, market), lo = returns.window(rows, year, window_months)
-    paired = ~np.isnan(firm) & ~np.isnan(market)
-
-    n = int(paired.sum())
-    if n < min_months:
-        raise InsufficientWindow(
-            f"{firm_id}, year {year}: {n} paired months < required {min_months}")
-
-    ri, rm = firm[paired], market[paired]
-    rm_centered = rm - rm.mean()
-    var_m = float(rm_centered @ rm_centered)
-    # relative guard: a constant series leaves only rounding residue behind
-    if var_m <= 1e-24 * max(float(rm @ rm), 1e-300):
-        raise ZeroMarketVariance(f"{market_id}: market returns constant in window")
-    beta = float(rm_centered @ (ri - ri.mean())) / var_m
-
-    start = int(returns.months[lo + int(np.argmax(paired))])
-    return BetaEstimate(firm_id=firm_id, year=year, beta=beta,
-                        n_months=n, window_start=_index_month(start))
-
-
 def _batched_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # one (1, n) @ (n, 1) product per row: BLAS ddot, as ``a[g] @ b[g]``
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _window_betas(firm: np.ndarray, market: np.ndarray, min_months: int) -> np.ndarray:
-    """Every firm's window beta at once, in the arithmetic of ``beta_for_year``.
+    """Every firm's window beta at once, in the arithmetic of ``beta_for_year`` (tests/conftest.py).
 
     Windows are grouped by paired-month count, so each group is a dense
     (windows, months) block whose row means and dot products reduce in the
@@ -197,10 +155,10 @@ def all_betas(returns: ReturnPanel, firms, years, firm_market: dict[str, str],
 
     ``firms`` are series ids of ``returns``; ``firm_market`` maps each firm
     to its market index id. Returns {(firm, year): beta} in firm then year
-    order, each value equal to ``beta_for_year(...).beta`` bit for bit, and
-    the (firm, year, reason) of every window it rejects (too few paired
-    months, constant market). Output is deterministic under permutation of
-    the inputs.
+    order, each value equal bit for bit to ``beta_for_year(...).beta`` (the
+    one-window reference in ``tests/conftest.py``), and the (firm, year,
+    reason) of every window it rejects (too few paired months, constant
+    market). Output is deterministic under permutation of the inputs.
     """
     firms = sorted(firms)
     firm_rows, market_rows = [], []

@@ -307,10 +307,7 @@ def cmd_run(args) -> int:
     bundle = _bundle(cfg, _run_to_base_estimates(cfg))
     metadata = bundle.metadata
     out_dir = os.path.join(cfg.out, metadata["run_id"])
-    written = []
-    for fmt in ("json", "csv", "markdown"):
-        written += report.emit(bundle, fmt, out_dir)
-    report.write_manifest(bundle, out_dir)
+    written = report.emit(bundle, out_dir)
     log.info("wrote %d table files to %s", len(written), out_dir)
     print(json.dumps({"command": "run", "run_id": metadata["run_id"],
                       "out_dir": out_dir, "config_hash": metadata["config_hash"],

@@ -179,11 +179,6 @@ def _adf_search(y: np.ndarray, max_lags: int) -> tuple[int, np.ndarray, np.ndarr
     return best_lag, r, rss_from
 
 
-def _adf_aic_lag(y: np.ndarray, max_lags: int) -> int:
-    """The lag ``_adf_search`` chooses."""
-    return _adf_search(y, max_lags)[0]
-
-
 def _adf_searched_stat(y: np.ndarray, max_lags: int) -> tuple[int, float, int]:
     """The lag AIC chooses, the ADF statistic at that lag and its nobs.
 
@@ -251,8 +246,7 @@ def adf_test(series, max_lags: int | None = None, min_length: int | None = None)
                       critical_values=crit, decision=decision, detail=detail)
 
 
-def panel_stationarity(columns: dict[str, np.ndarray], firm: np.ndarray,
-                       max_lags: int | None = None) -> list[StationarityRow]:
+def panel_stationarity(columns: dict[str, np.ndarray], firm: np.ndarray) -> list[StationarityRow]:
     """Unit-root battery per panel variable.
 
     ``columns`` maps each variable to a column of panel rows and ``firm``
@@ -268,14 +262,13 @@ def panel_stationarity(columns: dict[str, np.ndarray], firm: np.ndarray,
     for name, column in columns.items():
         present = ~np.isnan(column)
         y, groups = column[present], firm[present]
-        level = adf_test(y, max_lags=max_lags)
+        level = adf_test(y)
 
         difference = None
         order = "I(0)"
         if level.decision != "reject":
             try:
-                difference = adf_test(np.diff(y)[groups[1:] == groups[:-1]],
-                                      max_lags=max_lags)
+                difference = adf_test(np.diff(y)[groups[1:] == groups[:-1]])
                 order = "I(1)" if difference.decision == "reject" else "I(2+)"
             except (TooShort, ConstantSeries):
                 order = "I(1?)"

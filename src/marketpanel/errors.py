@@ -82,14 +82,6 @@ class TooShort(MarketPanelError):
     pass
 
 
-class InsufficientWindow(MarketPanelError):
-    pass
-
-
-class ZeroMarketVariance(MarketPanelError):
-    pass
-
-
 class UnknownMarket(InputError):
     pass
 

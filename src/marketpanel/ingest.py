@@ -42,6 +42,11 @@ class IngestReport:
     rejections: tuple[tuple[int, str], ...]
 
 
+def _text_newlines(text: str) -> str:
+    """``text`` with ``\\r\\n`` and a lone ``\\r`` read as ``\\n``, as text mode reads them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def _read_text(path: str) -> str:
     """The text of the UTF-8 file at ``path``, its newlines read as text mode reads them.
 
@@ -58,9 +63,7 @@ def _read_text(path: str) -> str:
     except UnicodeDecodeError as exc:
         raise IoFailure(f"{path} is not UTF-8 text: byte {data[exc.start]:#04x} "
                         f"at offset {exc.start} ({exc.reason})")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    return _text_newlines(text)
 
 
 def _parse_float(text: str, name: str) -> float:
@@ -136,13 +139,13 @@ def _fundamentals_header(header: list[str]) -> list[str]:
 def _loadtxt_cells(csv_text: str):
     """fundamentals.csv split by one ``loadtxt`` call, or None if the csv reader must split it.
 
-    Taken when the text has no quote and no carriage return, every non-empty
-    body line has the header's width, and every money cell reads as a finite
-    number in numpy's parser, which reads a subset of the stripped cells
-    ``float()`` reads, and to the same double. The other columns come as the
-    str cells ``csv.reader`` would give. Returns what ``_csv_cells`` returns.
+    Taken when the text has no quote, every non-empty body line has the
+    header's width, and every money cell reads as a finite number in numpy's
+    parser, which reads a subset of the stripped cells ``float()`` reads, and
+    to the same double. The other columns come as the str cells
+    ``csv.reader`` would give. Returns what ``_csv_cells`` returns.
     """
-    if '"' in csv_text or "\r" in csv_text:
+    if '"' in csv_text:
         return None
     head, _, body = csv_text.partition("\n")
     width = len(_fundamentals_header(head.split(",")))
@@ -197,6 +200,7 @@ def parse_fundamentals(csv_text: str) -> tuple[FundamentalsTable, IngestReport]:
     """
     if not csv_text:
         raise SchemaMismatch("fundamentals: empty file")
+    csv_text = _text_newlines(csv_text)
     return _fundamentals(*(_loadtxt_cells(csv_text) or _csv_cells(csv_text)))
 
 
@@ -322,9 +326,7 @@ def parse_prices(csv_text: str) -> PriceTable:
     """
     if not csv_text:
         raise SchemaMismatch("prices: empty file")
-    if "\r" in csv_text:
-        csv_text = csv_text.replace("\r\n", "\n").replace("\r", "\n")
-    header, *body = csv_text.split("\n")
+    header, *body = _text_newlines(csv_text).split("\n")
     if body and not body[-1]:
         body.pop()   # the text's final newline
     _check_header(next(csv.reader([header]), []), PRICES_COLUMNS, "prices")
@@ -373,7 +375,7 @@ def parse_prices(csv_text: str) -> PriceTable:
 
 def parse_riskfree(csv_text: str) -> list[RiskFreeSeries]:
     """Parse riskfree.csv into one :class:`RiskFreeSeries` per market."""
-    rows = _rows(csv_text)
+    rows = _rows(_text_newlines(csv_text))
     if not rows:
         raise SchemaMismatch("riskfree: empty file")
     _check_header(rows[0], RISKFREE_COLUMNS, "riskfree")

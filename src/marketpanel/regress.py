@@ -58,17 +58,6 @@ class DesignMatrix:
         if self.codes is not None and len(self.codes.firm) != values.shape[0]:
             raise ValueError("codes length does not match matrix height")
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[1]
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.column_names.index(name)]
-
 
 @dataclass(frozen=True)
 class FitResult:

@@ -1,6 +1,6 @@
 """Serialization of result tables to machine-readable and display formats.
 
-Each table is emitted once per requested format into the run directory:
+Each table is emitted in every format into the run directory:
 json and csv carry full round-trip precision and identical numbers, markdown
 displays four decimals and mirrors the publication layouts (descriptives,
 correlation matrix with probabilities underneath, unit-root table, and
@@ -14,7 +14,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .diagnostics import CorrelationResult, StationarityRow, TestResult, VariableSummary
+from .diagnostics import (CorrelationResult, StationarityRow, TestResult, VariableSummary,
+                          _pvalue_bracket)
 from .errors import IoFailure, SchemaMismatch
 from .ingest import _read_text
 from .models import MARIN_VARIANTS, EstimationReport
@@ -187,13 +188,9 @@ def _stationarity_md(rows: list[StationarityRow]) -> str:
              "| --- | --- | --- | --- |"]
     for r in rows:
         level = _fmt4(r.level.statistic)
-        bracket = ""
-        if r.level.detail:
-            parts = [p for p in r.level.detail.split(", ") if p.startswith("p-bracket=")]
-            if parts:
-                bracket = f" ({parts[0].split('=', 1)[1]})"
+        bracket = _pvalue_bracket(r.level.statistic, r.level.critical_values)
         diff = _fmt4(r.difference.statistic) if r.difference else "-"
-        lines.append(f"| {r.variable} | {level}{bracket} | {diff} | {r.order} |")
+        lines.append(f"| {r.variable} | {level} ({bracket}) | {diff} | {r.order} |")
     lines += ["", "Pooled per-firm series; Fisher combination reported in the "
               "machine-readable formats."]
     return "\n".join(lines) + "\n"
@@ -339,9 +336,7 @@ _MD_TITLES = {
     "robustness_risk_log": "Systematic risk, second alternative (ln marketing)",
 }
 
-# format -> (position in a builder triple, file extension)
-_FORMATS = {"json": (0, "json"), "csv": (1, "csv"), "markdown": (2, "md")}
-# table kind -> (json, csv, markdown) builder
+# table kind -> (json, csv, markdown) builder, writing .json, .csv and .md files
 _BUILDERS = {
     "descriptives": (_descriptives_json, _descriptives_csv, _descriptives_md),
     "correlations": (_correlations_json, _correlations_csv, _correlations_md),
@@ -350,40 +345,25 @@ _BUILDERS = {
 }
 
 
-def emit(bundle: ReportBundle, format: str, path: str) -> list[str]:
-    """Write one file per table in ``format`` ('json', 'csv' or 'markdown').
+def emit(bundle: ReportBundle, path: str) -> list[str]:
+    """Write every table as json, csv and markdown under ``path``, then ``manifest.json``.
 
-    Returns the written paths. Emission is deterministic: identical bundles
-    produce byte-identical files.
+    Returns the table paths, json then csv then markdown, each by name. Emission
+    is deterministic: identical bundles produce byte-identical files.
     """
-    if format not in _FORMATS:
-        raise ValueError(f"unknown format {format!r}")
-    column, ext = _FORMATS[format]
-
-    written = []
+    tables = sorted(_bundle_files(bundle).items())
+    texts = {os.path.join(path, f"{name}.{ext}"): _BUILDERS[kind][column](*args)
+             for column, ext in enumerate(("json", "csv", "md")) for name, (kind, args) in tables}
+    manifest = json.dumps({"schema_version": SCHEMA_VERSION, **bundle.metadata},
+                          sort_keys=True, indent=1) + "\n"
     try:
         os.makedirs(path, exist_ok=True)
-        for name, (kind, args) in sorted(_bundle_files(bundle).items()):
-            text = _BUILDERS[kind][column](*args)
-            file_path = os.path.join(path, f"{name}.{ext}")
+        for file_path, text in [*texts.items(), (os.path.join(path, "manifest.json"), manifest)]:
             with open(file_path, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
-            written.append(file_path)
     except OSError as exc:
         raise IoFailure(f"cannot write report files under {path}: {exc}")
-    return written
-
-
-def write_manifest(bundle: ReportBundle, path: str) -> str:
-    payload = {"schema_version": SCHEMA_VERSION, **bundle.metadata}
-    file_path = os.path.join(path, "manifest.json")
-    try:
-        os.makedirs(path, exist_ok=True)
-        with open(file_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write manifest under {path}: {exc}")
-    return file_path
+    return list(texts)
 
 
 # --- golden comparison -----------------------------------------------------------

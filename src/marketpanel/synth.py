@@ -553,8 +553,9 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
         establishment_year=(np.array(years) - age_path).astype(np.int64).ravel(),
         book_value_prev=np.where(np.arange(ny) == 0, book0[:, None], np.nan).ravel())
 
-    # monthly prices: firm returns follow the year's true beta
+    # firm returns follow the year's true beta; the window beta is the 60-month estimator's target
     betas_true: dict[tuple[str, int], float] = {}
+    betas_window: dict[tuple[str, int], float] = {}
     firm_monthly: dict[str, np.ndarray] = {}
     for i, firm in enumerate(firm_ids):
         mkt = market_returns[firm_market[firm]]
@@ -564,6 +565,10 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
         firm_monthly[firm] = alpha[i] + beta_by_month * mkt + idio
         for t, year in enumerate(years):
             betas_true[(firm, year)] = float(betas_true_mat[i, t])
+            end = (year - first_year + 1) * 12
+            m, b = mkt[end - 60:end], beta_by_month[end - 60:end]
+            mc = m - m.mean()
+            betas_window[(firm, year)] = float((mc @ (b * m)) / (mc @ mc))
 
     # every series closes in every month, markets first, from 100 at the first month
     price_ids = tuple(market_ids) + tuple(firm_ids)
@@ -573,19 +578,6 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
         codes=np.repeat(np.arange(len(price_ids)), n_months),
         months=np.tile(first_year * 12 + np.arange(n_months), len(price_ids)),
         closes=np.concatenate([100.0 * np.cumprod(1.0 + r) for r in paths]))
-
-    # exact window-implied beta: the noiseless target of the 60-month estimator
-    betas_window: dict[tuple[str, int], float] = {}
-    for i, firm in enumerate(firm_ids):
-        mkt = market_returns[firm_market[firm]]
-        beta_by_month = np.array([betas_full[i, y - first_year] for y in month_years])
-        for t, year in enumerate(years):
-            end = (year - first_year + 1) * 12
-            start = end - 60
-            m = mkt[start:end]
-            b = beta_by_month[start:end]
-            mc = m - m.mean()
-            betas_window[(firm, year)] = float((mc @ (b * m)) / (mc @ mc))
 
     fundamentals_csv = fundamentals_to_csv(table)
     prices_csv = prices_to_csv(prices)
@@ -616,29 +608,14 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
                        prices_csv=prices_csv, riskfree_csv=riskfree_csv, truth=truth)
 
 
-def truth_check(report, truth: TruthRecord, se_multiple: float = 3.0) -> TruthCheckResult:
+def truth_check(report: EstimationReport, truth: TruthRecord) -> TruthCheckResult:
     """Flag each reported slope pass/fail against the planted truth.
 
-    A coefficient passes when it lies within ``se_multiple`` robust standard
-    errors of its planted value. Works on an :class:`EstimationReport` or on
-    a parsed report-table dict with ``model_id``, ``marin_variant`` and rows
-    carrying ``variable``/``coefficient``/``std_error``. Only coefficients
-    present in both the report and the truth are compared; the intercept is
-    skipped.
+    A coefficient passes when it lies within 3 robust standard errors of its
+    planted value. Only coefficients present in both the report and the
+    truth are compared; the intercept is skipped.
     """
-    if isinstance(report, EstimationReport):
-        model_id = report.model_id
-        variant = report.marin_variant
-        rows = [(name, coef, report.fit.std_error(name))
-                for name, coef, _ in report.table]
-    elif isinstance(report, dict):
-        model_id = report.get("model_id", "")
-        variant = report.get("marin_variant", "")
-        rows = [(r["variable"], float(r["coefficient"]), float(r["std_error"]))
-                for r in report.get("rows", []) if r.get("std_error") is not None]
-    else:
-        raise ModelMismatch(f"unsupported report object: {type(report).__name__}")
-
+    model_id, variant = report.model_id, report.marin_variant
     if model_id.startswith("value"):
         planted = truth.value_coefficients
     elif model_id.startswith("risk"):
@@ -649,10 +626,11 @@ def truth_check(report, truth: TruthRecord, se_multiple: float = 3.0) -> TruthCh
         raise ModelMismatch(f"no planted truth for marketing variant {variant!r}")
 
     checks = []
-    for name, coef, se in rows:
+    for name, coef, _ in report.table:
         if name == "C" or name not in planted:
             continue
-        passed = abs(coef - planted[name]) <= se_multiple * se
+        se = report.fit.std_error(name)
+        passed = abs(coef - planted[name]) <= 3.0 * se
         checks.append(CoefficientCheck(variable=name, estimate=coef,
                                        truth=planted[name], std_error=se,
                                        passed=passed))

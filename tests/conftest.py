@@ -1,12 +1,15 @@
 """Shared builders for panel fixtures used across the test suite."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from marketpanel import regress
-from marketpanel.errors import TooFewObservations
+from marketpanel.beta import (DEFAULT_MIN_MONTHS, DEFAULT_WINDOW_MONTHS, ReturnPanel,
+                              _index_month, _row)
+from marketpanel.errors import MarketPanelError, TooFewObservations, TooShort, UnknownMarket
 from marketpanel.panel_core import (FundamentalsTable, PanelCodes, RiskFreeSeries,
                                     build_dataset)
 
@@ -140,13 +143,13 @@ def ols_fit(X: regress.DesignMatrix, y, intercept: bool = True) -> regress.FitRe
     degrees of freedom.
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] != X.n:
+    if y.ndim != 1 or y.shape[0] != len(X.values):
         raise ValueError("y must be a vector matching the design matrix height")
     if not np.all(np.isfinite(y)):
         raise ValueError("y contains non-finite values")
 
     if intercept:
-        values = np.column_stack([np.ones(X.n), X.values])
+        values = np.column_stack([np.ones(len(X.values)), X.values])
         names = (regress.INTERCEPT_NAME,) + X.column_names
     else:
         values = X.values
@@ -180,7 +183,7 @@ def normal_equations_oracle(X, y, intercept: bool = True) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     values = X.values
     if intercept:
-        values = np.column_stack([np.ones(X.n), values])
+        values = np.column_stack([np.ones(len(X.values)), values])
     return np.linalg.solve(values.T @ values, values.T @ y)
 
 
@@ -214,3 +217,54 @@ def monthly_points(start_year, start_month, values):
     """[(year, month, value), ...] for consecutive months from (start_year, start_month)."""
     start = start_year * 12 + start_month - 1
     return [((start + i) // 12, (start + i) % 12 + 1, float(v)) for i, v in enumerate(values)]
+
+
+# --- the one-window beta: the bit-identity reference of beta.all_betas ----------
+
+class InsufficientWindow(MarketPanelError):
+    pass
+
+
+class ZeroMarketVariance(MarketPanelError):
+    pass
+
+
+@dataclass(frozen=True)
+class BetaEstimate:
+    firm_id: str
+    year: int
+    beta: float
+    n_months: int
+    window_start: tuple[int, int]
+
+
+def beta_for_year(returns: ReturnPanel, firm_id: str, market_id: str, year: int,
+                  window_months: int = DEFAULT_WINDOW_MONTHS,
+                  min_months: int = DEFAULT_MIN_MONTHS) -> BetaEstimate:
+    """Slope of firm returns on market returns over the window ending Dec ``year``.
+
+    Months where either side is missing are dropped; the ``min_months`` rule
+    applies to the paired months that remain. beta = cov(R_i, R_m)/var(R_m),
+    the OLS slope with intercept.
+    """
+    rows = [_row(returns, firm_id, TooShort, "firm"),
+            _row(returns, market_id, UnknownMarket, "market")]
+    (firm, market), lo = returns.window(rows, year, window_months)
+    paired = ~np.isnan(firm) & ~np.isnan(market)
+
+    n = int(paired.sum())
+    if n < min_months:
+        raise InsufficientWindow(
+            f"{firm_id}, year {year}: {n} paired months < required {min_months}")
+
+    ri, rm = firm[paired], market[paired]
+    rm_centered = rm - rm.mean()
+    var_m = float(rm_centered @ rm_centered)
+    # relative guard: a constant series leaves only rounding residue behind
+    if var_m <= 1e-24 * max(float(rm @ rm), 1e-300):
+        raise ZeroMarketVariance(f"{market_id}: market returns constant in window")
+    beta = float(rm_centered @ (ri - ri.mean())) / var_m
+
+    start = int(returns.months[lo + int(np.argmax(paired))])
+    return BetaEstimate(firm_id=firm_id, year=year, beta=beta,
+                        n_months=n, window_start=_index_month(start))

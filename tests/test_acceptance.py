@@ -14,14 +14,12 @@ import numpy as np
 import pytest
 
 from marketpanel import beta, models, synth, variables
-from marketpanel.beta import beta_for_year
 from marketpanel.cli import main
 from marketpanel.diagnostics import adf_test, hausman_test
-from marketpanel.errors import InsufficientWindow
 from marketpanel.regress import DesignMatrix, fe_fit, re_fit
 
-from conftest import (monthly_points, normal_equations_oracle, ols_fit, panel_design,
-                      return_panel, row_labels)
+from conftest import (InsufficientWindow, beta_for_year, monthly_points,
+                      normal_equations_oracle, ols_fit, panel_design, return_panel, row_labels)
 
 warnings.filterwarnings("ignore")
 

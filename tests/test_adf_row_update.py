@@ -2,7 +2,7 @@
 
 At the chosen lag, ``adf_test`` stacks the rows the lag search's common sample
 dropped under that search's R and factors the small result; the reference is
-the route that refits every row, ``_adf_stat(y, _adf_aic_lag(y, max_lags))``.
+the route that refits every row, ``_adf_stat(y, _adf_search(y, max_lags)[0])``.
 Both must give the same lags, nobs, decision, p-bracket and exception, and
 statistics equal to rounding.
 """
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from marketpanel.diagnostics import (_adf_aic_lag, _adf_stat, _pvalue_bracket, adf_test,
+from marketpanel.diagnostics import (_adf_search, _adf_stat, _pvalue_bracket, adf_test,
                                      mackinnon_crit)
 from marketpanel.errors import MarketPanelError
 
@@ -36,7 +36,7 @@ def series(seed, length, kind):
 
 def two_qr(y, max_lags):
     """(lags, statistic, nobs) from the lag search and a second QR over every row."""
-    lags = _adf_aic_lag(y, max_lags)
+    lags = _adf_search(y, max_lags)[0]
     stat, nobs = _adf_stat(y, lags)
     return lags, stat, nobs
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from marketpanel.beta import all_betas, beta_for_year, monthly_returns
-from marketpanel.errors import (InsufficientWindow, SchemaMismatch, TooShort,
-                                UnknownMarket, ZeroMarketVariance)
+from marketpanel.beta import all_betas, monthly_returns
+from marketpanel.errors import SchemaMismatch, TooShort, UnknownMarket
 
-from conftest import monthly_points, price_table, return_panel
+from conftest import (InsufficientWindow, ZeroMarketVariance, beta_for_year, monthly_points,
+                      price_table, return_panel)
 
 
 def returned_months(returns, series_id):

@@ -384,6 +384,24 @@ class TestExitCodes:
         assert caplog.records[-1].getMessage() == str(error)
 
 
+class TestUnwritableOut:
+    def test_out_a_regular_file_is_an_input_error(self, data_dir, run_dir, tmp_path):
+        """The one writer of the run tree fails with exit 2 on one ERROR line."""
+        regular = tmp_path / "regular"
+        regular.write_text("not a directory\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "marketpanel.cli", "run", "--data", str(data_dir),
+             "--out", str(regular)], env=src_env(), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("ERROR")]
+        assert len(errors) == 1
+        assert errors[0].startswith("ERROR cannot write report files under "
+                                    f"{regular / run_dir.name}: ")
+        assert regular.read_text() == "not a directory\n"
+
+
 class TestEmptyDesign:
     def test_no_usable_firm_year_is_a_typed_error(self, data_dir, tmp_path):
         """Two months of prices give no firm-year a beta: exit 1 on one ERROR line."""
@@ -467,6 +485,14 @@ class TestRunId:
 
 class TestWithoutScipy:
     """``run`` and ``verify`` never import scipy, not even inside a function."""
+
+    def test_importing_the_cli_imports_neither_synth_nor_scipy(self):
+        code = ("import sys, marketpanel.cli; "
+                "print(sorted({'marketpanel.synth', 'scipy'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_run_and_verify_with_scipy_unimportable(self, data_dir, run_dir, tmp_path):
         def blocked(*argv):

@@ -10,6 +10,7 @@ values, the same errors, and derived columns equal bit for bit.
 """
 
 import csv
+import dataclasses
 import io
 import math
 import random
@@ -337,15 +338,20 @@ def clean_fundamentals_texts(draw):
 
 
 def assert_same_result(got, want):
-    """Equal reports, and tables equal column by column in dtype and bytes."""
-    (got_table, got_report), (want_table, want_report) = got, want
-    assert got_report == want_report
-    for name, value in vars(want_table).items():
-        if isinstance(value, np.ndarray):
-            other = getattr(got_table, name)
-            assert other.dtype == value.dtype and other.tobytes() == value.tobytes(), name
-        else:
-            assert getattr(got_table, name) == value, name
+    """Equal parser results: tuples item by item, dataclasses (tables, reports)
+    field by field, arrays in dtype and bytes, anything else by ``==``."""
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for got_item, want_item in zip(got, want):
+            assert_same_result(got_item, want_item)
+    elif dataclasses.is_dataclass(want):
+        assert type(got) is type(want)
+        for name, value in vars(want).items():
+            assert_same_result(getattr(got, name), value)
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    else:
+        assert got == want
 
 
 @PROPERTY
@@ -375,8 +381,6 @@ HANDED_OVER = {
     "1e400 in a money cell": _row_with("total_assets", "1e400"),
     "a quoted cell holding a comma": _row_with("sales", '"1,000.5"'),
     "a quoted cell spanning two lines": _row_with("firm_id", '"F\n1"'),
-    "CRLF line ends": GOOD_ROW + "\r\n" + _row_with("year", "2016"),
-    "lone CR line ends": GOOD_ROW + "\r" + _row_with("year", "2016"),
     "a line of only commas": GOOD_ROW + "\n" + "," * 12,
     "a line of only blanks": GOOD_ROW + "\n  \t",
     "a row of the wrong width": GOOD_ROW + "\n" + GOOD_ROW.rsplit(",", 1)[0],
@@ -392,24 +396,34 @@ READ_IN_ONE_CALL = {
 }
 
 
-def _outcome(parse, text):
-    try:
-        return parse(text)
-    except csv.Error as exc:   # a lone CR outside quotes, as csv.reader has always read it
-        return str(exc)
-
-
 @pytest.mark.parametrize("body", [*HANDED_OVER.values(), *READ_IN_ONE_CALL.values()],
                          ids=[*HANDED_OVER, *READ_IN_ONE_CALL])
 def test_what_the_csv_reader_must_read_keeps_its_reasons(body):
     text = f"{HEADER}\n{GOOD_ROW}\n{body}\n"
     assert (ingest._loadtxt_cells(text) is None) == (body in HANDED_OVER.values())
-    got = _outcome(ingest.parse_fundamentals, text)
-    want = _outcome(lambda t: ingest._fundamentals(*ingest._csv_cells(t)), text)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert_same_result(got, want)
+    want = ingest._fundamentals(*ingest._csv_cells(text))
+    assert_same_result(ingest.parse_fundamentals(text), want)
+
+
+# one text per parser (and per fundamentals reader), its lines ending in "\n"
+NEWLINE_TEXTS = {
+    "fundamentals in one loadtxt call": (ingest.parse_fundamentals, "\n".join(
+        [HEADER, GOOD_ROW, "", _row_with("price", "-1"), _row_with("year", "2016"), ""])),
+    "fundamentals through the csv reader": (ingest.parse_fundamentals, "\n".join(
+        [HEADER, GOOD_ROW, "", _row_with("sales", '"1,000.5"'), _row_with("year", "2016")])),
+    "prices": (ingest.parse_prices, "\n".join(
+        ["series_id,year,month,close", "F1,2015,2,11.5", "", "M1,2015,1,100.0",
+         "F1,2015,1,10.0", ""])),
+    "riskfree": (ingest.parse_riskfree, "\n".join(
+        ["market_id,year,rate", "M2,2016,0.031", "", "M1,2015,0.03", ""])),
+}
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "lone CR"])
+@pytest.mark.parametrize("text", NEWLINE_TEXTS)
+def test_each_parser_reads_carriage_returns_as_newlines(text, newline):
+    parse, lf_text = NEWLINE_TEXTS[text]
+    assert_same_result(parse(lf_text.replace("\n", newline)), parse(lf_text))
 
 
 def loop_numbers(cells, name, kind):

@@ -7,7 +7,7 @@ its price table, with the table's error fixes (a malformed number raises
 empty series id is a ``SchemaMismatch``).
 ``reference_returns`` and ``reference_beta`` are the per-series return loop
 and the month-map window estimate that went with it. A loop of the textbook
-``beta_for_year`` must equal them, and each beta of the batched ``all_betas``
+``beta_for_year`` (in ``conftest.py``) must equal them, and each beta of the batched ``all_betas``
 must equal that loop's bit for bit.
 """
 
@@ -21,8 +21,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from marketpanel import beta, ingest
-from marketpanel.errors import (DuplicateMonth, InsufficientWindow, NonPositivePrice,
-                                SchemaMismatch, ZeroMarketVariance)
+from marketpanel.errors import DuplicateMonth, NonPositivePrice, SchemaMismatch
+
+from conftest import InsufficientWindow, ZeroMarketVariance, beta_for_year
 
 PROPERTY = settings(max_examples=80, deadline=None)
 HEADER = "series_id,year,month,close"
@@ -108,7 +109,7 @@ def loop_all_betas(returns, firms, years, firm_market, window_months, min_months
     for firm_id in sorted(firms):
         for year in years:
             try:
-                estimates[(firm_id, year)] = beta.beta_for_year(
+                estimates[(firm_id, year)] = beta_for_year(
                     returns, firm_id, firm_market[firm_id], year, window_months, min_months)
             except (InsufficientWindow, ZeroMarketVariance):
                 exclusions.append((firm_id, year, "insufficient return history"))

@@ -26,11 +26,11 @@ PROPERTY = settings(max_examples=80, deadline=None)
 
 # --- per-firm list reference ------------------------------------------------------------
 
-def reference_panel_stationarity(variable_panels, max_lags=None):
+def reference_panel_stationarity(variable_panels):
     out = []
     for name, series_list in variable_panels.items():
         pooled = np.concatenate([np.asarray(s, dtype=float) for s in series_list])
-        level = adf_test(pooled, max_lags=max_lags)
+        level = adf_test(pooled)
 
         difference = None
         order = "I(0)"
@@ -39,7 +39,7 @@ def reference_panel_stationarity(variable_panels, max_lags=None):
                      if len(s) >= 2]
             pooled_diff = np.concatenate(diffs)
             try:
-                difference = adf_test(pooled_diff, max_lags=max_lags)
+                difference = adf_test(pooled_diff)
                 order = "I(1)" if difference.decision == "reject" else "I(2+)"
             except (TooShort, ConstantSeries):
                 order = "I(1?)"

@@ -10,7 +10,7 @@ import pytest
 
 from marketpanel import diagnostics, models, synth, variables
 from marketpanel.errors import SchemaMismatch
-from marketpanel.report import ReportBundle, emit, golden_compare, write_manifest
+from marketpanel.report import ReportBundle, emit, golden_compare
 
 
 @pytest.fixture(scope="module")
@@ -36,14 +36,6 @@ def bundle():
         metadata={"run_id": "test", "config_hash": "0" * 64, "timestamp": None})
 
 
-def emit_all(bundle, path):
-    files = []
-    for fmt in ("json", "csv", "markdown"):
-        files += emit(bundle, fmt, str(path))
-    write_manifest(bundle, str(path))
-    return files
-
-
 def md_table_rows(text):
     rows = []
     for line in text.splitlines():
@@ -55,7 +47,7 @@ def md_table_rows(text):
 
 class TestEmit:
     def test_file_set(self, bundle, tmp_path):
-        emit_all(bundle, tmp_path)
+        emit(bundle, str(tmp_path))
         names = sorted(os.listdir(tmp_path))
         expected_stems = ["correlations", "descriptives", "risk_direct",
                           "risk_moderated", "robustness_risk_assets",
@@ -68,7 +60,7 @@ class TestEmit:
         assert "manifest.json" in names
 
     def test_moderated_tables_pair_with_their_direct_model(self, bundle, tmp_path):
-        emit_all(bundle, tmp_path)
+        emit(bundle, str(tmp_path))
         paired = "| Variable | Direct Model Coefficient | Direct Model Prob. |"
         for stem in ("value_moderated", "risk_moderated", "robustness_value_assets",
                      "robustness_value_log", "robustness_risk_assets",
@@ -80,20 +72,20 @@ class TestEmit:
 
     def test_value_table_rows_match_layout(self, bundle, tmp_path):
         """The value-model table carries exactly the published row set."""
-        emit_all(bundle, tmp_path)
+        emit(bundle, str(tmp_path))
         text = (tmp_path / "value_moderated.md").read_text()
         rows = md_table_rows(text)
         assert rows == ["C", "X", "Marin", "AGE", "Size", "Lev", "OW",
                         "OW*Marin", "R-squared"]
 
     def test_risk_table_rows_match_layout(self, bundle, tmp_path):
-        emit_all(bundle, tmp_path)
+        emit(bundle, str(tmp_path))
         rows = md_table_rows((tmp_path / "risk_moderated.md").read_text())
         assert rows == ["C", "Marin", "AGE", "SIZ", "LEVR", "OW", "OW*Marin",
                         "R-squared"]
 
     def test_json_and_csv_numbers_identical(self, bundle, tmp_path):
-        emit_all(bundle, tmp_path)
+        emit(bundle, str(tmp_path))
         payload = json.loads((tmp_path / "value_direct.json").read_text())
         csv_lines = (tmp_path / "value_direct.csv").read_text().splitlines()
         by_var = {}
@@ -109,13 +101,13 @@ class TestEmit:
 
     def test_emission_deterministic(self, bundle, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        emit_all(bundle, a)
-        emit_all(bundle, b)
+        emit(bundle, str(a))
+        emit(bundle, str(b))
         for name in os.listdir(a):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_robustness_reports_labeled(self, bundle, tmp_path):
-        emit_all(bundle, tmp_path)
+        emit(bundle, str(tmp_path))
         seen = []
         for stem in ("robustness_value_assets", "robustness_value_log",
                      "robustness_risk_assets", "robustness_risk_log"):
@@ -127,7 +119,7 @@ class TestEmit:
                         ("risk_moderated", "log_level")]
 
     def test_markdown_four_decimals(self, bundle, tmp_path):
-        emit_all(bundle, tmp_path)
+        emit(bundle, str(tmp_path))
         text = (tmp_path / "descriptives.md").read_text()
         data_line = [l for l in text.splitlines() if l.startswith("| P ")][0]
         cells = [c.strip() for c in data_line.strip("|").split("|")][2:]
@@ -138,16 +130,16 @@ class TestEmit:
 class TestGoldenCompare:
     def test_identical_sets_empty_diff(self, bundle, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        emit_all(bundle, a)
-        emit_all(bundle, b)
+        emit(bundle, str(a))
+        emit(bundle, str(b))
         diff = golden_compare(str(a), str(b), rel_tol=0.0)
         assert diff.passed
         assert diff.lines == []
 
     def test_single_perturbed_cell_single_diff(self, bundle, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        emit_all(bundle, a)
-        emit_all(bundle, b)
+        emit(bundle, str(a))
+        emit(bundle, str(b))
         path = b / "value_direct.json"
         payload = json.loads(path.read_text())
         payload["rows"][1]["coefficient"] *= 1.5
@@ -160,8 +152,8 @@ class TestGoldenCompare:
 
     def test_tolerance_respected(self, bundle, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        emit_all(bundle, a)
-        emit_all(bundle, b)
+        emit(bundle, str(a))
+        emit(bundle, str(b))
         path = b / "descriptives.json"
         payload = json.loads(path.read_text())
         payload["rows"][0]["mean"] *= 1.0 + 1e-9
@@ -171,8 +163,8 @@ class TestGoldenCompare:
 
     def test_schema_version_mismatch(self, bundle, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        emit_all(bundle, a)
-        emit_all(bundle, b)
+        emit(bundle, str(a))
+        emit(bundle, str(b))
         path = b / "descriptives.json"
         payload = json.loads(path.read_text())
         payload["schema_version"] = "999"
@@ -191,8 +183,8 @@ class TestGoldenCompare:
 
     def test_missing_file_reported(self, bundle, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        emit_all(bundle, a)
-        emit_all(bundle, b)
+        emit(bundle, str(a))
+        emit(bundle, str(b))
         os.remove(b / "stationarity.csv")
         diff = golden_compare(str(a), str(b))
         assert not diff.passed

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from marketpanel.diagnostics import (_adf_aic_lag, _adf_stat, _lag0_adf_stats,
+from marketpanel.diagnostics import (_adf_search, _adf_stat, _lag0_adf_stats,
                                      lr_heteroskedasticity)
 from marketpanel.errors import SingletonGroupWarning
 from marketpanel.regress import (INTERCEPT_NAME, _pivoted_qr_solve, re_fit,
@@ -151,8 +151,8 @@ def test_within_transform_equals_group_loop(seed, n_firms, max_size, k):
        max_size=st.integers(2, 15), k=st.integers(1, 4))
 def test_period_clustered_covariance_equals_period_loop(seed, n_firms, max_size, k):
     X, y, index = _panel(seed, n_firms, max_size, k)
-    assume(len({year for _, year in index}) >= 2 and X.n > k)
-    residuals = np.random.default_rng(seed).normal(0, 1, X.n)
+    assume(len({year for _, year in index}) >= 2 and len(X.values) > k)
+    residuals = np.random.default_rng(seed).normal(0, 1, len(X.values))
     np.testing.assert_allclose(robust_cov_white_cross_section(X, residuals),
                                loop_white_cross_section(X, residuals, index),
                                rtol=1e-12, atol=1e-14)
@@ -199,7 +199,7 @@ def test_nested_qr_lag_choice_equals_per_lag_lstsq(seed, length, kind):
     else:
         y = shocks
     max_lags = min(int(rng.integers(0, 12)), (length - 1) // 2 - 2)
-    assert _adf_aic_lag(y, max_lags) == loop_aic_lag(y, max_lags)
+    assert _adf_search(y, max_lags)[0] == loop_aic_lag(y, max_lags)
 
 
 @PROPERTY

@@ -1,5 +1,6 @@
 """Tests for the synthetic generator and truth checking."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -218,18 +219,9 @@ class TestTruthCheck:
         with pytest.raises(ModelMismatch):
             truth_check(report, default_result.truth)
         with pytest.raises(ModelMismatch):
-            truth_check({"model_id": "hedonic", "marin_variant": "sales_ratio"},
+            truth_check(dataclasses.replace(report, model_id="hedonic",
+                                            marin_variant="sales_ratio"),
                         default_result.truth)
-
-    def test_accepts_parsed_table_dict(self, default_result):
-        table = {
-            "model_id": "value_moderated",
-            "marin_variant": "sales_ratio",
-            "rows": [{"variable": "Marin", "coefficient": 0.18, "std_error": 0.1}],
-        }
-        outcome = truth_check(table, default_result.truth)
-        assert outcome.passed
-        assert outcome.checks[0].variable == "Marin"
 
     def test_average_effect_fields(self, default_result):
         truth = default_result.truth
