@@ -213,31 +213,27 @@ def _adf_searched_stat(y: np.ndarray, max_lags: int) -> tuple[int, float, int]:
     return lags, _adf_t(r, df), nobs
 
 
-def adf_test(series, max_lags: int | None = None, min_length: int | None = None) -> TestResult:
+def adf_test(series) -> TestResult:
     """Augmented Dickey-Fuller unit-root test with a constant.
 
-    The lag count is chosen by AIC up to ``max_lags`` (default
-    floor(12 * (T/100)^0.25)). The statistic is compared to MacKinnon
-    finite-sample critical values; the decision is taken at 5%. p-values
-    appear only as interval brackets in ``detail``.
+    The lag count is chosen by AIC up to floor(12 * (T/100)^0.25). The
+    statistic is compared to MacKinnon finite-sample critical values; the
+    decision is taken at 5%. p-values appear only as interval brackets in
+    ``detail``.
     """
     y = np.asarray(series, dtype=float)
     if y.ndim != 1:
         raise ValueError("series must be one-dimensional")
     T = len(y)
-    if max_lags is None:
-        max_lags = int(math.floor(12.0 * (T / 100.0) ** 0.25))
-        max_lags = max(0, min(max_lags, (T - 1) // 2 - 2))
-    required = (20 + max_lags) if min_length is None else min_length
-    if T < required:
-        raise TooShort(f"series length {T} below required {required}")
+    max_lags = int(math.floor(12.0 * (T / 100.0) ** 0.25))
+    max_lags = max(0, min(max_lags, (T - 1) // 2 - 2))
+    # a series of 28 or more values passes, and has at least 8 lags to search
+    if T < 20 + max_lags:
+        raise TooShort(f"series length {T} below required {20 + max_lags}")
     if float(np.std(y)) == 0.0:
         raise ConstantSeries("series has zero variance")
 
-    if max_lags > 0:
-        lags, stat, nobs = _adf_searched_stat(y, max_lags)
-    else:
-        lags, (stat, nobs) = 0, _adf_stat(y, 0)
+    lags, stat, nobs = _adf_searched_stat(y, max_lags)
     crit = mackinnon_crit(nobs)
     decision = "reject" if stat < crit["5%"] else "fail_to_reject"
     detail = (f"lags={lags}, nobs={nobs}, p-bracket={_pvalue_bracket(stat, crit)}, "

@@ -30,20 +30,6 @@ class MissingRiskFree(InputError):
     pass
 
 
-class InvariantViolation(InputError):
-    """A field-level invariant failed; identifies (firm, year, field)."""
-
-    def __init__(self, field, reason, firm_id=None, year=None):
-        self.field = field
-        self.reason = reason
-        self.firm_id = firm_id
-        self.year = year
-        where = ""
-        if firm_id is not None or year is not None:
-            where = f" [firm={firm_id}, year={year}]"
-        super().__init__(f"{field}: {reason}{where}")
-
-
 # --- ingest ------------------------------------------------------------------
 
 class SchemaMismatch(InputError):

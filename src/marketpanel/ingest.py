@@ -1,16 +1,18 @@
 """CSV ingestion: fundamentals, monthly prices and risk-free rates.
 
-The dialect is deliberately strict so the contract is bit-exact: comma
-separated, UTF-8, ``.`` decimal point, integer years/months, header required.
-Fundamentals rows that fail a check are left out and reported in an
-:class:`IngestReport`; a missing or renamed column means the wrong file and
-fails hard.
+The dialect is strict so the contract is bit-exact: comma separated, UTF-8,
+header required, and in every file a number is what ``numpy.loadtxt`` reads
+(see ``_number``). One reader serves the three files, and a row fails with
+the first of its parser's checks it fails. Fundamentals rows that fail are
+left out and reported in an :class:`IngestReport`; in prices and risk-free
+rates the first failing row fails hard. A missing or renamed column means
+the wrong file and fails hard.
 """
 
 import csv
 import io
 import math
-from collections.abc import Sequence
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 
@@ -27,10 +29,16 @@ FUNDAMENTALS_COLUMNS = ("firm_id", "market_id", "year", "price", "book_value", "
 OPTIONAL_FUNDAMENTALS_COLUMN = "book_value_2009"
 PRICES_COLUMNS = ("series_id", "year", "month", "close")
 RISKFREE_COLUMNS = ("market_id", "year", "rate")
-_PRICE_ROW = np.dtype([("series_id", object), ("year", np.int64), ("month", np.int64),
-                       ("close", np.float64)])
+# per file: its columns, how the reader reads each (str cells as given, int as int64,
+# float as float64) and the optional trailing column, read as str
+_LAYOUTS = {
+    "fundamentals": (FUNDAMENTALS_COLUMNS, (str, str, int, *(float,) * 8, int, str),
+                     (OPTIONAL_FUNDAMENTALS_COLUMN,)),
+    "prices": (PRICES_COLUMNS, (str, int, int, float), ()),
+    "riskfree": (RISKFREE_COLUMNS, (str, int, float), ()),
+}
+_DTYPES = {str: object, int: np.int64, float: np.float64}
 _MAX_YEAR = np.iinfo(np.int64).max // 12 - 1   # beyond it the month index overflows
-_MONEY_COLUMNS = range(3, 11)   # price .. total_equity in FUNDAMENTALS_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -66,64 +74,49 @@ def _read_text(path: str) -> str:
     return _text_newlines(text)
 
 
-def _parse_float(text: str, name: str) -> float:
-    raw = text.strip()
-    if raw != raw.replace(",", ""):
+def _number(cell: str, name: str, kind: type):
+    """``cell`` read as ``kind`` (float or int); a ValueError gives the reason it does not read.
+
+    The stripped cell must be ASCII without ``_`` and read as ``float()`` or
+    ``int()`` reads it, which is what ``numpy.loadtxt`` reads; a float must
+    be finite and an int must fit 64 bits.
+    """
+    raw = cell.strip()
+    if kind is float and "," in raw:
         raise ValueError(f"{name}: thousands separators not accepted")
-    value = float(raw)
-    if not math.isfinite(value):
+    try:
+        value = kind(raw)
+    except ValueError as exc:
+        raise ValueError(str(exc) if kind is float else f"{name}: not an integer")
+    if not raw.isascii() or "_" in raw:
+        raise ValueError(f"{name}: digit separators and non-ASCII digits not accepted")
+    if kind is float and not math.isfinite(value):
         raise ValueError(f"{name}: not a finite number")
+    if kind is int and not -2**63 <= value < 2**63:
+        raise ValueError(f"{name}: out of range")
     return value
 
 
-def _parse_int(text: str, name: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ValueError(f"{name}: not an integer")
-
-
-def _rows(csv_text: str):
-    return list(csv.reader(io.StringIO(csv_text)))
-
-
-def _check_header(header: list[str], expected: tuple[str, ...], what: str,
-                  optional: tuple[str, ...] = ()) -> list[str]:
-    cleaned = [h.strip() for h in header]
-    base = cleaned[:len(expected)]
-    if tuple(base) != expected:
-        raise SchemaMismatch(f"{what}: expected header {','.join(expected)!r}, "
-                             f"got {','.join(cleaned)!r}")
-    extras = cleaned[len(expected):]
-    for col in extras:
-        if col not in optional:
-            raise SchemaMismatch(f"{what}: unexpected column {col!r}")
-    return cleaned
-
-
-def _numbers(cells: list[str], name: str, kind: type) -> tuple[np.ndarray, dict[int, str]]:
-    """A column of number cells read as ``kind`` (float or int), and the reason
-    each cell that does not read as a finite number fails, by row."""
-    dtype = np.float64 if kind is float else np.int64
-    try:
-        # numpy converts each str cell with Python's own float() or int(),
-        # which strip whitespace as the per-cell parsers do
-        values = np.array(cells, dtype=dtype)
-        if kind is int or np.isfinite(values).all():
-            return values, {}
-    except (ValueError, OverflowError):
-        pass
-    # some cell fails: convert cell by cell to give each its reason
-    parse = _parse_float if kind is float else _parse_int
-    values = np.zeros(len(cells), dtype=dtype)
-    reasons = {}
-    for i, cell in enumerate(cells):
+def _numbers(cells, name: str, kind: type) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """A column of cells read as ``kind`` by ``_number``, and (row, reason) for
+    each cell that does not read (its value left 0)."""
+    dtype = _DTYPES[kind]
+    text = "".join(cells)
+    if text.isascii() and "_" not in text:
         try:
-            values[i] = parse(cell, name)
+            # numpy converts each str cell with float() or int(), which strip it
+            values = np.array(cells, dtype=dtype)
+            if kind is int or np.isfinite(values).all():
+                return values, []
+        except (ValueError, OverflowError):
+            pass
+    values = np.zeros(len(cells), dtype=dtype)
+    reasons = []
+    for r, cell in enumerate(cells):
+        try:
+            values[r] = _number(cell, name, kind)
         except ValueError as exc:
-            reasons[i] = str(exc)
-        except OverflowError:
-            reasons[i] = f"{name}: out of range"
+            reasons.append((r, str(exc)))
     return values, reasons
 
 
@@ -131,59 +124,131 @@ def _failing(mask: np.ndarray, reason: str) -> list[tuple[int, str]]:
     return [(r, reason) for r in np.flatnonzero(mask).tolist()]
 
 
-def _fundamentals_header(header: list[str]) -> list[str]:
-    return _check_header(header, FUNDAMENTALS_COLUMNS, "fundamentals",
-                         optional=(OPTIONAL_FUNDAMENTALS_COLUMN,))
+def _check_header(header: list[str], expected: tuple[str, ...], what: str,
+                  optional: tuple[str, ...] = ()) -> list[str]:
+    cleaned = [h.strip() for h in header]
+    if tuple(cleaned[:len(expected)]) != expected:
+        raise SchemaMismatch(f"{what}: expected header {','.join(expected)!r}, "
+                             f"got {','.join(cleaned)!r}")
+    for col in cleaned[len(expected):]:
+        if col not in optional:
+            raise SchemaMismatch(f"{what}: unexpected column {col!r}")
+    return cleaned
 
 
-def _loadtxt_cells(csv_text: str):
-    """fundamentals.csv split by one ``loadtxt`` call, or None if the csv reader must split it.
+def _loadtxt_pass(body: str, names: list[str], kinds: tuple[type, ...]):
+    """The body read by one ``loadtxt`` call, or None if ``_csv_pass`` must read it.
 
-    Taken when the text has no quote, every non-empty body line has the
-    header's width, and every money cell reads as a finite number in numpy's
-    parser, which reads a subset of the stripped cells ``float()`` reads, and
-    to the same double. The other columns come as the str cells
-    ``csv.reader`` would give. Returns what ``_csv_cells`` returns.
+    Taken when the body is ASCII with no quote, has a non-empty line, and
+    every cell reads: each line has the header's width and each number cell
+    reads as its kind. Non-ASCII text is left to ``_csv_pass`` because
+    numpy's int parser reads some non-ASCII letters as digits ("Ǿ15" as
+    46215). Returns what ``_csv_pass`` returns.
     """
-    if '"' in csv_text:
+    if '"' in body or not body.isascii() or not body.strip("\n"):
         return None
-    head, _, body = csv_text.partition("\n")
-    width = len(_fundamentals_header(head.split(",")))
     lines = body.split("\n")
-    if lines and not lines[-1]:
+    if not lines[-1]:
         lines.pop()   # the text's final newline
-    line_nos = [n for n, line in enumerate(lines, start=2) if line]
-    if not line_nos:
-        return [], [[]] * width, []
-    dtype = np.dtype([(f"c{j}", np.float64 if j in _MONEY_COLUMNS else object)
-                      for j in range(width)])
+    # loadtxt skips empty lines, as csv.reader does
+    line_nos = [n for n, line in enumerate(lines, start=2) if line] if "" in lines \
+        else range(2, len(lines) + 2)
+    dtype = np.dtype([(f"c{j}", _DTYPES[kind]) for j, kind in enumerate(kinds)])
     try:
-        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar=None,
-                          comments=None, ndmin=1)
-    except ValueError:
+        with warnings.catch_warnings():
+            # numpy < 2 reads "2010.0" into an int column with only this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar=None,
+                              comments=None, ndmin=1)
+    except (ValueError, OverflowError, DeprecationWarning):
         return None
-    columns = [rows[f"c{j}"] if j in _MONEY_COLUMNS else rows[f"c{j}"].tolist()
-               for j in range(width)]
-    if not all(np.isfinite(columns[j]).all() for j in _MONEY_COLUMNS):
-        return None
-    return line_nos, columns, []
+    columns = [rows[f"c{j}"] for j in range(len(kinds))]
+    reasons = []
+    for name, kind, column in zip(names, kinds, columns):
+        bad = ~np.isfinite(column) if kind is float else np.zeros(len(column), dtype=bool)
+        column[bad] = 0   # as _numbers leaves a cell that does not read
+        reasons.append(_failing(bad, f"{name}: not a finite number"))
+    return line_nos, columns, [], reasons
 
 
-def _csv_cells(csv_text: str):
-    """fundamentals.csv split by ``csv.reader``.
+def _csv_pass(body: str, what: str, names: list[str], kinds: tuple[type, ...]):
+    """The body read by ``csv.reader``.
 
-    Returns the 1-based file line of each row that has a non-blank cell, one
-    sequence of cells per column (a row of the wrong width reads as zeros),
-    and a (row, reason) for each row of the wrong width.
+    Returns the line number of each row that has a non-blank cell (the
+    header is line 1; a row whose quoted cell spans lines counts as one);
+    one column per header name (str cells as an object array, numbers by
+    ``_numbers``; a row of the wrong width reads as zeros); a (row, reason)
+    for each row of the wrong width; and per column, a (row, reason) for
+    each number cell that does not read.
     """
-    rows = _rows(csv_text)
-    width = len(_fundamentals_header(rows[0]))
-    line_nos = [n for n, row in enumerate(rows[1:], start=2) if any(map(str.strip, row))]
-    body = [rows[n - 1] for n in line_nos]
-    columns = list(zip(*[row if len(row) == width else ("0",) * width for row in body]))
+    reader = csv.reader(io.StringIO(body))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise SchemaMismatch(f"{what} line {reader.line_num + 1}: {exc}")
+    line_nos = [n for n, row in enumerate(rows, start=2) if any(map(str.strip, row))]
+    body_rows = [rows[n - 2] for n in line_nos]
+    width = len(names)
     widths = [(r, f"expected {width} fields, got {len(row)}")
-              for r, row in enumerate(body) if len(row) != width]
-    return line_nos, columns or [()] * width, widths
+              for r, row in enumerate(body_rows) if len(row) != width]
+    cells = list(zip(*[row if len(row) == width else ("0",) * width for row in body_rows]))
+    read = [(np.array(column, dtype=object), []) if kind is str else _numbers(column, name, kind)
+            for name, kind, column in zip(names, kinds, cells or [()] * width)]
+    return line_nos, [values for values, _ in read], widths, [why for _, why in read]
+
+
+def _split(csv_text: str, what: str) -> tuple[str, list[str], tuple[type, ...]]:
+    """The body of the ``what`` file ``csv_text``, its header names and each column's kind."""
+    if not csv_text:
+        raise SchemaMismatch(f"{what}: empty file")
+    expected, kinds, optional = _LAYOUTS[what]
+    head, _, body = _text_newlines(csv_text).partition("\n")
+    names = _check_header(next(csv.reader([head]), []), expected, what, optional)
+    return body, names, kinds + (str,) * (len(names) - len(kinds))
+
+
+def _read(csv_text: str, what: str):
+    """What ``_loadtxt_pass`` or else ``_csv_pass`` reads of the ``what`` file ``csv_text``."""
+    body, names, kinds = _split(csv_text, what)
+    return _loadtxt_pass(body, names, kinds) or _csv_pass(body, what, names, kinds)
+
+
+def _first_failures(checks) -> dict[int, tuple[type | None, str]]:
+    """{row: (error, reason)} of each failing row's first failing check; ``checks``
+    lists (error class or None, [(row, reason), ...]) in the order they apply."""
+    first = {}
+    for error, failures in checks:
+        for r, why in failures:
+            first.setdefault(r, (error, why))
+    return first
+
+
+def _fail_hard(what: str, line_nos, checks) -> None:
+    """Raise the first failing row's error, naming its 1-based file line."""
+    first = _first_failures(checks)
+    if first:
+        r = min(first)
+        error, why = first[r]
+        raise error(f"{what} line {line_nos[r]}: {why}")
+
+
+def _keyed(raw_ids: np.ndarray, keys: np.ndarray):
+    """The sorted distinct stripped ids, each row's code into them, whether the row
+    repeats an earlier row's (id, key), and the rows in (id, key) order."""
+    # the rows of one id usually come together: code each run of one raw id once
+    new_run = np.ones(len(raw_ids), dtype=bool)
+    new_run[1:] = raw_ids[1:] != raw_ids[:-1]
+    starts = np.flatnonzero(new_run)
+    run_ids = [raw.strip() for raw in raw_ids[starts].tolist()]
+    ids = sorted(set(run_ids))
+    code_of = {id_: code for code, id_ in enumerate(ids)}
+    run_codes = np.array([code_of[id_] for id_ in run_ids], dtype=np.int64)
+    codes = np.repeat(run_codes, np.diff(np.append(starts, len(raw_ids))))
+    order = np.lexsort((keys, codes))
+    repeat = np.zeros(len(codes), dtype=bool)
+    # lexsort is stable: of two rows with one (id, key), the later line follows
+    repeat[order[1:][(np.diff(codes[order]) == 0) & (np.diff(keys[order]) == 0)]] = True
+    return tuple(ids), codes, repeat, order
 
 
 def parse_fundamentals(csv_text: str) -> tuple[FundamentalsTable, IngestReport]:
@@ -192,46 +257,30 @@ def parse_fundamentals(csv_text: str) -> tuple[FundamentalsTable, IngestReport]:
     Returns the accepted rows, in file order, and an :class:`IngestReport`
     whose ``rejections`` carry 1-based file line numbers and reasons. Each
     check runs once over whole columns; a rejected row reports the first it
-    fails: field count, a cell that is not a finite number (the lagged book
-    value first), empty ids, then the field invariants. Rows whose cells are
-    all blank are skipped. A schema problem raises :class:`SchemaMismatch`.
-    The body is split by one ``loadtxt`` call when ``_loadtxt_cells`` can
-    read it and by ``csv.reader`` otherwise; both give the same table.
+    fails: field count, a cell that is not a number (the lagged book value
+    first), empty ids, then the field invariants. Rows whose cells are all
+    blank are skipped. A schema problem raises :class:`SchemaMismatch`.
     """
-    if not csv_text:
-        raise SchemaMismatch("fundamentals: empty file")
-    csv_text = _text_newlines(csv_text)
-    return _fundamentals(*(_loadtxt_cells(csv_text) or _csv_cells(csv_text)))
-
-
-def _fundamentals(line_nos: list[int], columns: list, widths: list[tuple[int, str]]
-                  ) -> tuple[FundamentalsTable, IngestReport]:
-    """The table and report of the body rows that ``line_nos`` and ``columns`` hold."""
-    n_rows, width = len(line_nos), len(columns)
-    # each check lists (row, reason) for the rows it fails, in row order
+    line_nos, columns, widths, reasons = _read(csv_text, "fundamentals")
+    n_rows = len(line_nos)
     checks = [widths]
     prev = np.full(n_rows, np.nan)
-    if width > len(FUNDAMENTALS_COLUMNS):
+    if len(columns) > len(FUNDAMENTALS_COLUMNS):
         given = [r for r, cell in enumerate(columns[-1]) if cell.strip()]
-        prev[given], reasons = _numbers([columns[-1][r] for r in given],
-                                        OPTIONAL_FUNDAMENTALS_COLUMN, float)
-        checks.append([(given[i], why) for i, why in reasons.items()])
-    parsed = {}
-    for j, name in enumerate(FUNDAMENTALS_COLUMNS[2:12], start=2):
-        # a money column read by loadtxt is already a finite float array
-        parsed[name], reasons = _numbers(columns[j], name,
-                                         int if name.endswith("year") else float)
-        checks.append(reasons.items())
+        prev[given], why = _numbers([columns[-1][r] for r in given],
+                                    OPTIONAL_FUNDAMENTALS_COLUMN, float)
+        checks.append([(given[i], reason) for i, reason in why])
+    checks += reasons[2:12]
     parts = [cell.strip().split(";") if cell.strip() else [] for cell in columns[12]]
     counts = list(map(len, parts))
-    stakes, reasons = _numbers(list(chain.from_iterable(parts)), "stakes", float)
+    stakes, why = _numbers(list(chain.from_iterable(parts)), "stakes", float)
     part_row = np.repeat(np.arange(n_rows), counts).tolist()
-    checks.append([(part_row[i], why) for i, why in reasons.items()])
+    checks.append([(part_row[i], reason) for i, reason in why])
 
     firms = np.array([cell.strip() for cell in columns[0]], dtype=str)
     markets = np.array([cell.strip() for cell in columns[1]], dtype=str)
-    t = FundamentalsTable.from_labels(firms, markets, stakes, counts,
-                                      book_value_prev=prev, **parsed)
+    t = FundamentalsTable.from_labels(firms, markets, stakes, counts, book_value_prev=prev,
+                                      **dict(zip(FUNDAMENTALS_COLUMNS[2:12], columns[2:12])))
     checks += [
         _failing((firms == "") | (markets == ""), "firm_id and market_id must be non-empty"),
         _failing(~(t.price > 0), "price must be positive"),
@@ -250,160 +299,81 @@ def _fundamentals(line_nos: list[int], columns: list, widths: list[tuple[int, st
                  "stakes sum exceeds 1"),
         _failing(~np.isnan(prev) & ~(prev > 0), "lagged book value must be positive"),
     ]
-    first = {}
-    for check in checks:
-        for r, why in check:
-            first.setdefault(r, why)
+    first = _first_failures((None, check) for check in checks)
     report = IngestReport(rows_accepted=n_rows - len(first), rows_rejected=len(first),
-                          rejections=tuple(sorted((line_nos[r], why) for r, why in first.items())))
+                          rejections=tuple(sorted((line_nos[r], why)
+                                                  for r, (_, why) in first.items())))
     return t.take([r for r in range(n_rows) if r not in first]), report
-
-
-def _blank_row(line: str) -> bool:
-    """Whether csv reads ``line`` as a row whose cells are all blank."""
-    return not any(cell.strip() for cell in next(csv.reader([line]), []))
-
-
-def _load_price_rows(lines: list[str]) -> np.ndarray:
-    if not any(lines):
-        return np.empty(0, dtype=_PRICE_ROW)
-    return np.loadtxt(lines, dtype=_PRICE_ROW, delimiter=",", quotechar='"',
-                      comments=None, ndmin=1)
-
-
-def _read_price_rows(body: list[str]) -> tuple[np.ndarray, Sequence[int], int | None]:
-    """The rows of prices.csv's body lines.
-
-    Returns the rows, the 1-based file line of each, and the index of the
-    first unreadable row (None if every row reads). A well-formed body is
-    read by one ``loadtxt`` call, which skips empty lines itself. Otherwise
-    the lines csv reads as all-blank rows are dropped and, as ``loadtxt``
-    reports no usable line number, what is left is bisected down to its
-    first unreadable line; the rows before it are returned.
-    """
-    try:
-        rows = _load_price_rows(body)
-        if "" in body:
-            return rows, [n for n, line in enumerate(body, start=2) if line], None
-        return rows, range(2, len(body) + 2), None
-    except ValueError:
-        pass
-    line_nos = [n for n, line in enumerate(body, start=2) if not _blank_row(line)]
-    lines = [body[n - 2] for n in line_nos]
-    try:
-        return _load_price_rows(lines), line_nos, None
-    except ValueError:
-        pass
-    lo, hi = 0, len(lines)   # lines[:lo] read, lines[:hi] do not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _load_price_rows(lines[lo:mid])
-            lo = mid
-        except ValueError:
-            hi = mid
-    return _load_price_rows(lines[:lo]), line_nos, lo
-
-
-def _unreadable_reason(line: str) -> str:
-    cells = next(csv.reader([line]), [])
-    if len(cells) != len(PRICES_COLUMNS):
-        return f"expected {len(PRICES_COLUMNS)} fields, got {len(cells)}"
-    return f"year and month must be integers and close a number, got {line.strip()!r}"
 
 
 def parse_prices(csv_text: str) -> PriceTable:
     """Parse prices.csv into one columnar :class:`PriceTable`.
 
     Rows may arrive in any order; the table has sorted series ids and is
-    ordered by (series, month). Rows whose cells are all blank are skipped;
-    a quoted cell may not span lines. The rows are checked as arrays and the
-    first offending one fails hard, naming its 1-based file line: a row that
-    does not read as id, integer year, integer month, number, an empty id, a
-    non-finite close or a month outside 1..12 raises :class:`SchemaMismatch`, a
-    non-positive close :class:`NonPositivePrice`, and a month the series
-    already has :class:`DuplicateMonth`.
+    ordered by (series, month). Rows whose cells are all blank are skipped.
+    The rows are checked as arrays and the first offending one fails hard,
+    naming its 1-based file line: a wrong field count, an empty id, a year,
+    month or close that is not a number, a year whose month index overflows
+    or a month outside 1..12 raises :class:`SchemaMismatch`, a non-positive
+    close :class:`NonPositivePrice`, and a month the series already has
+    :class:`DuplicateMonth`.
     """
-    if not csv_text:
-        raise SchemaMismatch("prices: empty file")
-    header, *body = _text_newlines(csv_text).split("\n")
-    if body and not body[-1]:
-        body.pop()   # the text's final newline
-    _check_header(next(csv.reader([header]), []), PRICES_COLUMNS, "prices")
-    rows, line_nos, unreadable = _read_price_rows(body)
-
-    # a series' rows usually come together: code each run of one raw id once
-    raw_ids = rows["series_id"]
-    new_run = np.ones(len(raw_ids), dtype=bool)
-    new_run[1:] = raw_ids[1:] != raw_ids[:-1]
-    starts = np.flatnonzero(new_run)
-    run_ids = [raw.strip() for raw in raw_ids[starts].tolist()]
-    series_ids = sorted(set(run_ids))
-    code_of = {series_id: code for code, series_id in enumerate(series_ids)}
-    run_codes = np.array([code_of[series_id] for series_id in run_ids], dtype=np.int64)
-    codes = np.repeat(run_codes, np.diff(np.append(starts, len(raw_ids))))
-    years, calendar_months, closes = rows["year"], rows["month"], rows["close"]
+    line_nos, columns, widths, reasons = _read(csv_text, "prices")
+    raw_ids, years, calendar_months, closes = columns
     months = years * 12 + (calendar_months - 1)
-    order = np.lexsort((months, codes))
-    duplicate = np.zeros(len(rows), dtype=bool)
-    # lexsort is stable: of two rows with one (series, month), the later line follows
-    duplicate[order[1:][(np.diff(codes[order]) == 0) & (np.diff(months[order]) == 0)]] = True
+    series_ids, codes, duplicate, order = _keyed(raw_ids, months)
+    empty = series_ids.index("") if "" in series_ids else -1
 
-    checks = (
-        (codes == code_of.get("", -1), SchemaMismatch, "empty series_id"),
-        ((years < -_MAX_YEAR) | (years > _MAX_YEAR), SchemaMismatch,
-         "year {year} out of range"),
-        (~np.isfinite(closes), SchemaMismatch, "close {close!r} not a finite number"),
-        ((calendar_months < 1) | (calendar_months > 12), SchemaMismatch,
-         "month {month} outside 1..12"),
-        (closes <= 0, NonPositivePrice, "close {close!r} not positive"),
-        (duplicate, DuplicateMonth, "duplicate month ({series_id}, {year}, {month})"),
-    )
-    failed = np.logical_or.reduce([mask for mask, _, _ in checks])
-    if failed.any():
-        r = int(np.argmax(failed))
-        error, reason = next((error, reason) for mask, error, reason in checks if mask[r])
-        raise error(f"prices line {line_nos[r]}: " + reason.format(
-            series_id=series_ids[codes[r]], year=int(years[r]), month=int(calendar_months[r]),
-            close=float(closes[r])))
-    if unreadable is not None:
-        raise SchemaMismatch(f"prices line {line_nos[unreadable]}: "
-                             f"{_unreadable_reason(body[line_nos[unreadable] - 2])}")
-    return PriceTable(series_ids=tuple(series_ids), codes=codes[order],
-                      months=months[order], closes=closes[order])
+    def failing(mask, reason):
+        return [(r, reason.format(id=series_ids[codes[r]], year=int(years[r]),
+                                  month=int(calendar_months[r]), close=float(closes[r])))
+                for r in np.flatnonzero(mask).tolist()]
+
+    _fail_hard("prices", line_nos, [
+        (SchemaMismatch, widths),
+        (SchemaMismatch, failing(codes == empty, "empty series_id")),
+        *((SchemaMismatch, why) for why in reasons[1:]),
+        (SchemaMismatch, failing((years < -_MAX_YEAR) | (years > _MAX_YEAR),
+                                 "year {year} out of range")),
+        (SchemaMismatch, failing((calendar_months < 1) | (calendar_months > 12),
+                                 "month {month} outside 1..12")),
+        (NonPositivePrice, failing(closes <= 0, "close {close!r} not positive")),
+        (DuplicateMonth, failing(duplicate, "duplicate month ({id}, {year}, {month})")),
+    ])
+    return PriceTable(series_ids=series_ids, codes=codes[order], months=months[order],
+                      closes=closes[order])
 
 
 def parse_riskfree(csv_text: str) -> list[RiskFreeSeries]:
-    """Parse riskfree.csv into one :class:`RiskFreeSeries` per market."""
-    rows = _rows(_text_newlines(csv_text))
-    if not rows:
-        raise SchemaMismatch("riskfree: empty file")
-    _check_header(rows[0], RISKFREE_COLUMNS, "riskfree")
+    """Parse riskfree.csv into one :class:`RiskFreeSeries` per market.
 
-    by_market: dict[str, dict[int, float]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(RISKFREE_COLUMNS):
-            raise SchemaMismatch(f"riskfree line {line_no}: expected {len(RISKFREE_COLUMNS)} fields")
-        market_id = row[0].strip()
-        if not market_id:
-            raise SchemaMismatch(f"riskfree line {line_no}: empty market_id")
-        try:
-            year = _parse_int(row[1], "year")
-            rate = _parse_float(row[2], "rate")
-        except ValueError as exc:
-            raise SchemaMismatch(f"riskfree line {line_no}: {exc}")
-        if not 0 <= rate <= 0.5:
-            raise RateOutOfRange(f"riskfree line {line_no}: rate {rate!r} outside [0, 0.5]")
-        rates = by_market.setdefault(market_id, {})
-        if year in rates:
-            raise SchemaMismatch(f"riskfree line {line_no}: duplicate (market, year) "
-                                 f"({market_id}, {year})")
-        rates[year] = rate
+    Rows whose cells are all blank are skipped. The first offending row
+    fails hard, naming its 1-based file line: a wrong field count, an empty
+    id, a year or rate that is not a number or a repeated (market, year)
+    raises :class:`SchemaMismatch`, and a rate outside [0, 0.5]
+    :class:`RateOutOfRange`.
+    """
+    line_nos, (raw_ids, years, rates), widths, reasons = _read(csv_text, "riskfree")
+    market_ids, codes, duplicate, order = _keyed(raw_ids, years)
+    empty = market_ids.index("") if "" in market_ids else -1
 
-    return [RiskFreeSeries(market_id=m, rates=dict(sorted(by_market[m].items())))
-            for m in sorted(by_market)]
+    def failing(mask, reason):
+        return [(r, reason.format(id=market_ids[codes[r]], year=int(years[r]),
+                                  rate=float(rates[r])))
+                for r in np.flatnonzero(mask).tolist()]
+
+    _fail_hard("riskfree", line_nos, [
+        (SchemaMismatch, widths),
+        (SchemaMismatch, failing(codes == empty, "empty market_id")),
+        *((SchemaMismatch, why) for why in reasons[1:]),
+        (RateOutOfRange, failing(~((rates >= 0) & (rates <= 0.5)),
+                                 "rate {rate!r} outside [0, 0.5]")),
+        (SchemaMismatch, failing(duplicate, "duplicate (market, year) ({id}, {year})")),
+    ])
+    years, rates = years[order].tolist(), rates[order].tolist()
+    bounds = np.searchsorted(codes[order], np.arange(len(market_ids) + 1)).tolist()
+    return [RiskFreeSeries(market_id=m, rates=dict(zip(years[a:b], rates[a:b])))
+            for m, a, b in zip(market_ids, bounds, bounds[1:])]
 
 
 # --- serialization (round-trip partners of the parsers) -----------------------

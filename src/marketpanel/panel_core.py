@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateKey, EmptyInput, InvariantViolation, MissingRiskFree
+from .errors import DuplicateKey, EmptyInput, MissingRiskFree
 
 STAKE_SUM_TOL = 1e-9
 
@@ -218,19 +218,15 @@ def build_dataset(table: FundamentalsTable, rf: list[RiskFreeSeries]) -> PanelDa
     Deterministic and order-independent: permuting the table's rows yields
     an identical dataset. Of the rows that repeat an earlier (firm, year) or
     lack a risk-free rate, the first one raises :class:`DuplicateKey` or
-    :class:`MissingRiskFree`; a rate outside [0, 0.5] raises
-    :class:`InvariantViolation`, and an empty table :class:`EmptyInput`.
+    :class:`MissingRiskFree`, and an empty table :class:`EmptyInput`. The
+    rates are taken as given: ``ingest.parse_riskfree`` keeps them in
+    [0, 0.5].
     """
     if not len(table):
         raise EmptyInput("no observations supplied")
 
-    rates: dict[tuple[str, int], float] = {}
-    for series in rf:
-        for year, rate in series.rates.items():
-            if not (0 <= rate <= 0.5):
-                raise InvariantViolation("rate", f"rate {rate!r} outside [0, 0.5]",
-                                         firm_id=series.market_id, year=year)
-            rates[(series.market_id, year)] = rate
+    rates = {(series.market_id, year): rate for series in rf
+             for year, rate in series.rates.items()}
 
     order = np.lexsort((table.year, table.firm))
     duplicate = np.zeros(len(table), dtype=bool)

@@ -356,11 +356,10 @@ class TestExitCodes:
     """Exit 2 for exactly the input errors, 1 for every other package error."""
 
     INPUT_ERRORS = {"SchemaMismatch", "IoFailure", "InfeasibleTargets", "ConfigError",
-                    "EmptyInput", "DuplicateKey", "MissingRiskFree", "InvariantViolation",
-                    "RateOutOfRange", "NonPositivePrice", "DuplicateMonth",
-                    "UnknownMarket"}
+                    "EmptyInput", "DuplicateKey", "MissingRiskFree", "RateOutOfRange",
+                    "NonPositivePrice", "DuplicateMonth", "UnknownMarket"}
 
-    def test_the_twelve_input_errors_are_input_errors(self):
+    def test_the_eleven_input_errors_are_input_errors(self):
         subclasses = {name for name, obj in vars(errors).items()
                       if isinstance(obj, type) and issubclass(obj, errors.MarketPanelError)}
         assert {name for name in subclasses if issubclass(getattr(errors, name),
@@ -370,7 +369,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("error, code", [
         (errors.SchemaMismatch("bad header"), 2),
         (errors.ConfigError("unknown marin variant 'x'"), 2),
-        (errors.InvariantViolation("sales", "must be positive"), 2),
+        (errors.MissingRiskFree("no risk-free rate for market M1, year 2015 (firm F1)"), 2),
         (errors.RankDeficient(["B"]), 1),
         (errors.TooFewObservations("no rows"), 1),
     ])

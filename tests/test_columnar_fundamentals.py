@@ -6,7 +6,10 @@ by field, and the first failing check is the line's rejection reason.
 ``reference_build_dataset`` and ``reference_derive`` are the dict-keyed
 dataset and the per-row join that went with it. The table, the dataset and
 the derived columns must equal them: the same rejections, the same accepted
-values, the same errors, and derived columns equal bit for bit.
+values, the same errors, and derived columns equal bit for bit. The
+reader's two passes over each of the three files (one ``loadtxt`` call and
+``csv.reader``) must read alike, and a cell must read as the same number in
+every file, where ``numpy.loadtxt`` reads it, or in none.
 """
 
 import csv
@@ -14,13 +17,15 @@ import dataclasses
 import io
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from marketpanel import ingest, variables
-from marketpanel.errors import DuplicateKey, MissingRiskFree
+from marketpanel.errors import (DuplicateKey, DuplicateMonth, MissingRiskFree, NonPositivePrice,
+                               RateOutOfRange, SchemaMismatch)
 from marketpanel.panel_core import STAKE_SUM_TOL, RiskFreeSeries, build_dataset
 
 from conftest import ROW_DEFAULTS, make_row, make_table, table_rows
@@ -275,10 +280,13 @@ def test_parse_fundamentals_equals_the_per_row_parser(text):
     assert table.firm_ids == tuple(sorted({r["firm_id"] for r in expected_rows}))
 
 
+NEW_DIGITS_REASON = "digit separators and non-ASCII digits not accepted"
+
+
 @pytest.mark.parametrize("cell, reason", [
     ("99999999999999999999", "year: out of range"),
     ("-99999999999999999999", "year: out of range"),
-    ("2_015", None),
+    ("2_015", f"year: {NEW_DIGITS_REASON}"),
     (" +2015 ", None),
 ])
 def test_integers_beyond_int64_are_rejected(cell, reason):
@@ -291,22 +299,35 @@ def test_integers_beyond_int64_are_rejected(cell, reason):
 
 # --- the one-call reader against the csv reader -----------------------------------------
 
-# whitespace that numpy's parser and str.strip() both strip
-CLEAN_PADDING = ("", "", " ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85",
-                 "\u00a0", "\u2003", "\u2028", "\u3000")
+PRICES_HEADER = ",".join(ingest.PRICES_COLUMNS)
+RISKFREE_HEADER = ",".join(ingest.RISKFREE_COLUMNS)
+# ASCII whitespace that numpy's parser and str.strip() both strip
+CLEAN_PADDING = ("", "", " ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f")
 CHECK_FAILURES = ("price", "book_value", "total_assets", "sales", "rd", "rd_above_sga",
                   "equity_negative", "equity_above_assets", "founded_later", "stake_range",
-                  "stake_sum", "prev_nonpositive", "empty_id")
+                  "stake_sum", "prev_nonpositive", "empty_id", "nonfinite")
 
 
 def _padded(draw, text):
     return draw(st.sampled_from(CLEAN_PADDING)) + text + draw(st.sampled_from(CLEAN_PADDING))
 
 
+def _integer(draw, value):
+    return draw(st.sampled_from((str(value), str(value), f"+{value}", f"0{value}")))
+
+
+def _text(draw, rows):
+    """``rows`` as lines, with empty lines between them and maybe a final newline."""
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n")))
+
+
 @st.composite
 def clean_fundamentals_texts(draw):
-    """Files with no quote and no carriage return whose money cells all read as finite
-    numbers: the one-call reader takes them. Some rows fail a column check."""
+    """ASCII files with no quote and no carriage return whose cells all read:
+    the one-call reader takes them. Some rows fail a column check."""
     has_prev = draw(st.booleans())
     rows = []
     for _ in range(draw(st.integers(1, 10))):
@@ -317,11 +338,11 @@ def clean_fundamentals_texts(draw):
                  draw(st.floats(-10.0, 10.0)), rd + draw(st.floats(0.0, 100.0)), rd,
                  draw(st.floats(0.1, 1e6)), assets, assets * draw(st.floats(0.0, 1.0))]
         stakes = draw(st.lists(st.floats(0.001, 0.3), max_size=4))
-        cells = [_padded(draw, draw(st.sampled_from(("F1", "F2", "F10", "Z9", "ش1")))),
+        cells = [_padded(draw, draw(st.sampled_from(("F1", "F2", "F10", "Z9", "F 1")))),
                  _padded(draw, draw(st.sampled_from(("M1", "M2")))),
-                 _padded(draw, str(year)),
+                 _padded(draw, _integer(draw, year)),
                  *(_padded(draw, _number(draw, value)) for value in money),
-                 _padded(draw, str(year - draw(st.integers(0, 50)))),
+                 _padded(draw, _integer(draw, year - draw(st.integers(0, 50)))),
                  ";".join(_padded(draw, _number(draw, s)) for s in stakes)]
         if has_prev:
             cells.append(draw(st.sampled_from(
@@ -330,11 +351,57 @@ def clean_fundamentals_texts(draw):
     for kind, at in draw(st.lists(st.tuples(st.sampled_from(CHECK_FAILURES),
                                             st.integers(0, len(rows) - 1)), max_size=3)):
         _break(draw, rows[at], kind, has_prev)
-    lines = [",".join(row) for row in rows]
-    for _ in range(draw(st.integers(0, 3))):
-        lines.insert(draw(st.integers(0, len(lines))), "")
     header = HEADER + (",book_value_2009" if has_prev else "")
-    return "\n".join([header] + lines) + draw(st.sampled_from(("", "\n")))
+    return header + "\n" + _text(draw, rows)
+
+
+@st.composite
+def clean_price_texts(draw):
+    """Clean prices files, as ``clean_fundamentals_texts``; some rows fail a check."""
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        close = draw(st.one_of(st.floats(-1.0, 1e5).map(repr),
+                               st.sampled_from(("0", "nan", "inf", "-1e999"))))
+        rows.append([_padded(draw, draw(st.sampled_from(("F1", "F2", "M1", "x.y", "")))),
+                     _padded(draw, _integer(draw, draw(st.integers(2014, 2016)))),
+                     _padded(draw, _integer(draw, draw(st.integers(0, 13)))),
+                     _padded(draw, close)])
+    return PRICES_HEADER + "\n" + _text(draw, rows)
+
+
+@st.composite
+def clean_riskfree_texts(draw):
+    """Clean risk-free files, as ``clean_fundamentals_texts``; some rows fail a check."""
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        rate = draw(st.one_of(st.floats(-0.1, 0.7).map(repr), st.sampled_from(("nan", "0"))))
+        rows.append([_padded(draw, draw(st.sampled_from(("M1", "M2", "")))),
+                     _padded(draw, _integer(draw, draw(st.integers(2010, 2014)))),
+                     _padded(draw, rate)])
+    return RISKFREE_HEADER + "\n" + _text(draw, rows)
+
+
+def passes(what, text):
+    """The body of the ``what`` file ``text`` read by the loadtxt pass and by the csv pass."""
+    body, names, kinds = ingest._split(text, what)
+    return (ingest._loadtxt_pass(body, names, kinds),
+            ingest._csv_pass(body, what, names, kinds))
+
+
+def assert_same_read(got, want):
+    """Equal pass results: line numbers, widths and reasons, and columns equal in dtype
+    and in value (numbers bit for bit)."""
+    (got_lines, got_columns, got_widths, got_reasons) = got
+    (want_lines, want_columns, want_widths, want_reasons) = want
+    assert list(got_lines) == list(want_lines)
+    assert (got_widths, got_reasons) == (want_widths, want_reasons)
+    assert len(got_columns) == len(want_columns)
+    for got_column, want_column in zip(got_columns, want_columns):
+        assert got_column.dtype == want_column.dtype
+        if got_column.dtype == object:
+            assert got_column.tolist() == want_column.tolist()
+        else:
+            assert got_column.tobytes() == want_column.tobytes()
 
 
 def assert_same_result(got, want):
@@ -355,16 +422,18 @@ def assert_same_result(got, want):
 
 
 @PROPERTY
-@given(clean_fundamentals_texts())
-def test_one_loadtxt_call_reads_what_the_csv_reader_reads(text):
-    cells = ingest._loadtxt_cells(text)
-    assert cells is not None
-    got = ingest._fundamentals(*cells)
-    assert_same_result(got, ingest._fundamentals(*ingest._csv_cells(text)))
-    assert_same_result(ingest.parse_fundamentals(text), got)
+@given(st.one_of(clean_fundamentals_texts().map(lambda text: ("fundamentals", text)),
+                 clean_price_texts().map(lambda text: ("prices", text)),
+                 clean_riskfree_texts().map(lambda text: ("riskfree", text))))
+def test_one_loadtxt_call_reads_what_the_csv_reader_reads(case):
+    loaded, read = passes(*case)
+    assert loaded is not None
+    assert_same_read(loaded, read)
 
 
 GOOD_ROW = "F1,M1,2015,2.0,1.5,0.2,12.0,2.0,40.0,100.0,55.0,2000,0.3;0.1"
+GOOD_LINES = {"fundamentals": f"{HEADER}\n{GOOD_ROW}", "prices": f"{PRICES_HEADER}\nF1,2015,1,10.0",
+              "riskfree": f"{RISKFREE_HEADER}\nM1,2014,0.03"}
 
 
 def _row_with(column, cell):
@@ -373,36 +442,104 @@ def _row_with(column, cell):
     return ",".join(cells)
 
 
+PARSERS = {"fundamentals": ingest.parse_fundamentals, "prices": ingest.parse_prices,
+           "riskfree": ingest.parse_riskfree}
+
+
+def parsed(what, text):
+    """What the ``what`` parser returns, or the input error it raises as (class, message)."""
+    try:
+        return PARSERS[what](text)
+    except (SchemaMismatch, NonPositivePrice, RateOutOfRange, DuplicateMonth) as exc:
+        return type(exc), str(exc)
+
+
+# (file, line 3 of it, the fundamentals rejections or the error, None if the file
+# parses); the csv reader reads these
 HANDED_OVER = {
-    "digit underscores in a money cell": _row_with("price", "1_000"),
-    "Arabic-Indic digits in a money cell": _row_with("sales", "٤٠"),
-    "inf in a money cell": _row_with("eps", "inf"),
-    "nan in a money cell": _row_with("rd", "nan"),
-    "1e400 in a money cell": _row_with("total_assets", "1e400"),
-    "a quoted cell holding a comma": _row_with("sales", '"1,000.5"'),
-    "a quoted cell spanning two lines": _row_with("firm_id", '"F\n1"'),
-    "a line of only commas": GOOD_ROW + "\n" + "," * 12,
-    "a line of only blanks": GOOD_ROW + "\n  \t",
-    "a row of the wrong width": GOOD_ROW + "\n" + GOOD_ROW.rsplit(",", 1)[0],
+    "digit underscores in a money cell": (
+        "fundamentals", _row_with("price", "1_000"), [(3, f"price: {NEW_DIGITS_REASON}")]),
+    "Arabic-Indic digits in a money cell": (
+        "fundamentals", _row_with("sales", "٤٠"), [(3, f"sales: {NEW_DIGITS_REASON}")]),
+    "Arabic-Indic digits in a year": (
+        "fundamentals", _row_with("year", "٢٠١٠"), [(3, f"year: {NEW_DIGITS_REASON}")]),
+    # numpy's int parser reads this letter as a digit: "Ǿ15" as 46215
+    "a non-ASCII letter in a year": (
+        "fundamentals", _row_with("year", "Ǿ15"), [(3, "year: not an integer")]),
+    "a decimal year": ("fundamentals", _row_with("year", "2010.0"),
+                       [(3, "year: not an integer")]),
+    "digit underscores in a year": (
+        "fundamentals", _row_with("establishment_year", "1_990"),
+        [(3, f"establishment_year: {NEW_DIGITS_REASON}")]),
+    "a year beyond int64": ("fundamentals", _row_with("year", "99999999999999999999"),
+                            [(3, "year: out of range")]),
+    "a quoted cell holding a comma": (
+        "fundamentals", _row_with("sales", '"1,000.5"'),
+        [(3, "sales: thousands separators not accepted")]),
+    "a quoted cell spanning two lines": ("fundamentals", _row_with("firm_id", '"F\n1"'), []),
+    "a line of only commas": ("fundamentals", "," * 12, []),
+    "a line of only blanks": ("fundamentals", "  \t", []),
+    "a row of the wrong width": ("fundamentals", GOOD_ROW.rsplit(",", 1)[0],
+                                 [(3, "expected 13 fields, got 12")]),
+    "a quoted close": ("prices", 'F1,2015,2,"11.5"', None),
+    "digit underscores in a close": (
+        "prices", "F1,2015,2,1_000.5",
+        (SchemaMismatch, f"prices line 3: close: {NEW_DIGITS_REASON}")),
+    "a decimal month": ("prices", "F1,2015,2.0,1.5",
+                        (SchemaMismatch, "prices line 3: month: not an integer")),
+    "a prices line of only commas": ("prices", ",,,", None),
+    "a short prices row": ("prices", "F1,2015,2",
+                           (SchemaMismatch, "prices line 3: expected 4 fields, got 3")),
+    "digit underscores in a rate year": (
+        "riskfree", "M1,2_015,0.03",
+        (SchemaMismatch, f"riskfree line 3: year: {NEW_DIGITS_REASON}")),
+    "Arabic-Indic digits in a rate": (
+        "riskfree", "M1,2015,٠.٠٣",
+        (SchemaMismatch, f"riskfree line 3: rate: {NEW_DIGITS_REASON}")),
+    "a quoted rate": ("riskfree", 'M1,2015,"0.03"', None),
+    "a short riskfree row": ("riskfree", "M1,2015",
+                             (SchemaMismatch, "riskfree line 3: expected 3 fields, got 2")),
 }
-# year cells are text to both readers, so these read alike without a hand-over
+# the one loadtxt call reads these
 READ_IN_ONE_CALL = {
-    "Arabic-Indic digits in a year": _row_with("year", "٢٠١٠"),
-    "a decimal year": _row_with("year", "2010.0"),
-    "digit underscores in a year": _row_with("establishment_year", "1_990"),
-    "a year beyond int64": _row_with("year", "99999999999999999999"),
-    "twenty digits in a money cell": _row_with("total_assets", "99999999999999999999"),
-    "a file separator padding a money cell": _row_with("sga", "\x1c12.0"),
+    "inf in a money cell": ("fundamentals", _row_with("eps", "inf"),
+                            [(3, "eps: not a finite number")]),
+    "nan in a money cell": ("fundamentals", _row_with("rd", "nan"),
+                            [(3, "rd: not a finite number")]),
+    "1e400 in a money cell": ("fundamentals", _row_with("total_assets", "1e400"),
+                              [(3, "total_assets: not a finite number")]),
+    "twenty digits in a money cell": (
+        "fundamentals", _row_with("total_assets", "99999999999999999999"), []),
+    "a file separator padding a money cell": ("fundamentals", _row_with("sga", "\x1c12.0"), []),
+    "a signed year with a leading zero": ("fundamentals", _row_with("year", "+02015"), []),
+    "a non-finite close": ("prices", "F1,2015,2,inf",
+                           (SchemaMismatch, "prices line 3: close: not a finite number")),
+    "a month out of range": ("prices", "F1,2015,13,1.5",
+                             (SchemaMismatch, "prices line 3: month 13 outside 1..12")),
+    "a repeated month": ("prices", " F1 ,2015,01,2.5",
+                         (DuplicateMonth, "prices line 3: duplicate month (F1, 2015, 1)")),
+    "a NaN rate": ("riskfree", "M1,2015,nan",
+                   (SchemaMismatch, "riskfree line 3: rate: not a finite number")),
+    "a rate out of range": ("riskfree", "M1,2015,0.7",
+                            (RateOutOfRange, "riskfree line 3: rate 0.7 outside [0, 0.5]")),
+    "a repeated year": ("riskfree", "M1,2014,0.04",
+                        (SchemaMismatch, "riskfree line 3: duplicate (market, year) (M1, 2014)")),
 }
 
 
-@pytest.mark.parametrize("body", [*HANDED_OVER.values(), *READ_IN_ONE_CALL.values()],
-                         ids=[*HANDED_OVER, *READ_IN_ONE_CALL])
-def test_what_the_csv_reader_must_read_keeps_its_reasons(body):
-    text = f"{HEADER}\n{GOOD_ROW}\n{body}\n"
-    assert (ingest._loadtxt_cells(text) is None) == (body in HANDED_OVER.values())
-    want = ingest._fundamentals(*ingest._csv_cells(text))
-    assert_same_result(ingest.parse_fundamentals(text), want)
+@pytest.mark.parametrize("case", [*HANDED_OVER, *READ_IN_ONE_CALL])
+def test_what_the_csv_reader_must_read_keeps_its_reasons(case):
+    what, body, want = HANDED_OVER.get(case) or READ_IN_ONE_CALL[case]
+    text = f"{GOOD_LINES[what]}\n{body}\n"
+    loaded, read = passes(what, text)
+    assert (loaded is None) == (case in HANDED_OVER)
+    if loaded is not None:
+        assert_same_read(loaded, read)
+    got = parsed(what, text)
+    if what == "fundamentals":
+        assert list(got[1].rejections) == want
+    else:   # the table, or the error as (class, message)
+        assert (got if isinstance(got, tuple) else None) == want
 
 
 # one text per parser (and per fundamentals reader), its lines ending in "\n"
@@ -426,64 +563,126 @@ def test_each_parser_reads_carriage_returns_as_newlines(text, newline):
     assert_same_result(parse(lf_text.replace("\n", newline)), parse(lf_text))
 
 
-def loop_numbers(cells, name, kind):
-    """``ingest._numbers`` as it was: one ``float()``/``int()`` call per cell."""
-    parse = _float if kind is float else _int
-    values = np.zeros(len(cells), dtype=np.float64 if kind is float else np.int64)
-    reasons = {}
-    for i, cell in enumerate(cells):
-        try:
-            values[i] = parse(cell, name)
-        except ValueError as exc:
-            reasons[i] = str(exc)
-        except OverflowError:
-            reasons[i] = f"{name}: out of range"
-    return values, reasons
+def loadtxt_number(cell, kind):
+    """``cell`` as ``numpy.loadtxt`` reads it, quoted, into a column of ``kind``; None if it
+    does not read, or reads as a float that is not finite. A cell that is not ASCII once
+    stripped is no int: numpy's int parser reads some non-ASCII characters as digits
+    ("२" as 2360), which is why the loadtxt pass reads ASCII texts only."""
+    if kind is int and not cell.strip().isascii():
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            [value] = np.loadtxt([_quoted(cell)], dtype=np.float64 if kind is float else np.int64,
+                                 delimiter=",", quotechar='"', comments=None, ndmin=1).tolist()
+    except (ValueError, OverflowError, DeprecationWarning):
+        return None
+    return value if kind is int or math.isfinite(value) else None
 
 
 DIGITS = ("0123456789", "0123456789",
           "".join(map(chr, range(0x0660, 0x066A))),            # Arabic-Indic
           "".join(map(chr, range(0xFF10, 0xFF1A))),            # fullwidth
           "0123" + "".join(map(chr, range(0x0966, 0x096A))))   # with Devanagari
-PADDING = ("", "", " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\x1c")
+PADDING = ("", "", " ", "  ", "\t", "\n", " ", " ", "\x1c")
 ODD_CELLS = ("", " ", "inf", "-inf", " nan ", "Infinity", "1e400", "-1e400", "1e-400",
              "9" * 20, "-9223372036854775809", "9223372036854775808", "9223372036854775807",
              "1,000.5", "1,5", ",", "_1", "1__0", "1_", "1._5", "0x10", "1.5.2", "abc",
-             "5\x00", "+", "-", ".", "e5", "1e", "--1", "\u00bd", "\u2155")
+             "5\x00", "+", "-", ".", "e5", "1e", "--1", "½", "⅕")
+
+
+@st.composite
+def number_cells(draw, kind):
+    """A cell, most likely one that ``float()`` or ``int()`` reads as ``kind``."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(ODD_CELLS))
+    digits = st.text(draw(st.sampled_from(DIGITS)), min_size=1, max_size=3)
+    body = "_".join(draw(st.lists(digits, min_size=1, max_size=3)))   # digit groups
+    if kind is float:
+        body += draw(st.sampled_from(("", "", ".", ".5", "." + draw(digits))))
+        if draw(st.booleans()):
+            body += draw(st.sampled_from(("e", "E-", "e+"))) + draw(digits)
+    sign = draw(st.sampled_from(("", "", "-", "+")))
+    return draw(st.sampled_from(PADDING)) + sign + body + draw(st.sampled_from(PADDING))
 
 
 @st.composite
 def number_columns(draw):
     """A number kind and a column of cells, most of them readable as that kind."""
     kind = draw(st.sampled_from((float, int)))
-    cells = []
-    for _ in range(draw(st.integers(0, 8))):
-        if draw(st.integers(0, 5)) == 0:
-            cells.append(draw(st.sampled_from(ODD_CELLS)))
-            continue
-        digits = st.text(draw(st.sampled_from(DIGITS)), min_size=1, max_size=3)
-        body = "_".join(draw(st.lists(digits, min_size=1, max_size=3)))   # digit groups
-        if kind is float:
-            body += draw(st.sampled_from(("", "", ".", ".5", "." + draw(digits))))
-            if draw(st.booleans()):
-                body += draw(st.sampled_from(("e", "E-", "e+"))) + draw(digits)
-        sign = draw(st.sampled_from(("", "", "-", "+")))
-        cells.append(draw(st.sampled_from(PADDING)) + sign + body
-                     + draw(st.sampled_from(PADDING)))
-    return kind, cells
+    return kind, draw(st.lists(number_cells(kind), max_size=8))
 
 
 @settings(max_examples=300, deadline=None)
 @given(number_columns())
-@example((float, [" \u0661_2.5e+1\t", "-0", "1e-400"]))
+@example((float, [" ١_2.5e+1\t", "-0", "1e-400"]))
 @example((float, ["5\x00", "1"]))      # numpy's own str dtype would drop the NUL
-@example((int, ["\u00a02_015 ", "9" * 20]))
-def test_bulk_numbers_equal_the_per_cell_loop(column):
+@example((int, [" 2_015 ", "9" * 20, "२"]))
+def test_bulk_numbers_equal_what_loadtxt_reads(column):
     kind, cells = column
-    got, got_reasons = ingest._numbers(cells, "x", kind)
-    want, want_reasons = loop_numbers(cells, "x", kind)
-    assert got_reasons == want_reasons
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()   # -0.0 and NaN too
+    got, reasons = ingest._numbers(cells, "x", kind)
+    want = [loadtxt_number(cell, kind) for cell in cells]
+    assert [r for r, _ in reasons] == [r for r, value in enumerate(want) if value is None]
+    values = np.array([0 if value is None else value for value in want],
+                      dtype=np.float64 if kind is float else np.int64)
+    assert got.dtype == values.dtype and got.tobytes() == values.tobytes()   # -0.0 too
+
+
+def _in_file(cell):
+    """``cell`` as a csv writer puts it in a file."""
+    return _quoted(cell) if any(c in cell for c in '",\n') else cell
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((float, int)).flatmap(
+    lambda kind: st.tuples(st.just(kind), number_cells(kind))))
+@example((float, "1_000"))
+@example((float, " 1,000.5 "))
+@example((int, "2_010"))
+@example((int, "٢٠١٠"))
+@example((int, "२"))   # numpy's int parser reads it as 2360
+@example((int, "9223372036854775807"))
+def test_a_number_is_a_number_in_every_file_or_in_none(case):
+    """A cell reads as the same number in a float column of each file (a fundamentals
+    money cell, a close, a rate) and in an int column (the year), or in none; and it
+    reads where ``numpy.loadtxt`` reads it."""
+    kind, cell = case
+    value = loadtxt_number(cell, kind)
+    c = _in_file(cell)
+    if kind is float:
+        texts = (f"{HEADER}\n{_row_with('eps', c)}\n", f"{PRICES_HEADER}\nF1,2015,1,{c}\n",
+                 f"{RISKFREE_HEADER}\nM1,2015,{c}\n")
+    else:   # the establishment year too, so that it is not after the year
+        row = GOOD_ROW.split(",")
+        row[2] = row[11] = c
+        texts = (f"{HEADER}\n{','.join(row)}\n", f"{PRICES_HEADER}\nF1,{c},1,10.0\n",
+                 f"{RISKFREE_HEADER}\nM1,{c},0.03\n")
+    table, report = ingest.parse_fundamentals(texts[0])
+    prices, riskfree = parsed("prices", texts[1]), parsed("riskfree", texts[2])
+    if value is None:
+        [(line, reason)] = report.rejections
+        assert line == 2 and reason and len(table) == 0
+        assert prices[0] is SchemaMismatch and prices[1].startswith("prices line 2: ")
+        assert riskfree[0] is SchemaMismatch and riskfree[1].startswith("riskfree line 2: ")
+        return
+    assert report.rejections == ()
+    if kind is float:
+        assert repr(table.eps.tolist()[0]) == repr(value)
+        if value > 0:
+            assert repr(prices.closes.tolist()[0]) == repr(value)
+        else:
+            assert prices[0] is NonPositivePrice
+        if 0 <= value <= 0.5:
+            assert repr(riskfree[0].rates[2015]) == repr(value)
+        else:
+            assert riskfree[0] is RateOutOfRange
+    else:
+        assert table.year.tolist() == table.establishment_year.tolist() == [value]
+        if abs(value) <= ingest._MAX_YEAR:
+            assert prices.months.tolist() == [value * 12]
+        else:   # its month index would overflow
+            assert prices[0] is SchemaMismatch
+        assert riskfree[0].rates == {value: 0.03}
 
 
 # --- dataset and derived columns --------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from marketpanel.errors import DuplicateKey, EmptyInput, InvariantViolation, MissingRiskFree
+from marketpanel.errors import DuplicateKey, EmptyInput, MissingRiskFree
 from marketpanel.panel_core import PanelCodes, RiskFreeSeries, build_dataset, row_sums
 
 from conftest import make_panel, make_row, make_table, table_rows
@@ -35,10 +35,6 @@ class TestBuildDataset:
         rf = [RiskFreeSeries("M1", {2014: 0.03})]
         with pytest.raises(MissingRiskFree):
             build_dataset(make_table(rows), rf)
-
-    def test_rate_out_of_range(self):
-        with pytest.raises(InvariantViolation, match="rate"):
-            build_dataset(make_table([make_row()]), [RiskFreeSeries("M1", {2015: 0.7})])
 
     @pytest.mark.parametrize("rows, error, message", [
         # the first faulty row in table order decides, a repeat before a missing rate
