@@ -196,8 +196,8 @@ def _base_estimates(cfg: RunConfig, panel) -> list[models.EstimationReport]:
         spec = models.spec_for(model_id, marin_variant=cfg.marin_variant,
                                constrain_book_unit=cfg.constrain_book_unit)
         est = models.estimate(panel, spec, center=cfg.center)
-        log.info("%s: nobs=%d, R2(%s)=%.4f, hausman=%s", model_id, est.nobs,
-                 est.r_squared_label, est.fit.r_squared, est.hausman_decision)
+        log.info("%s: nobs=%d, R2(%s)=%.4f, hausman=%s", model_id, est.fit.nobs,
+                 est.fit.r_squared_kind, est.fit.r_squared, est.hausman_decision)
         estimates.append(est)
     return estimates
 
@@ -251,8 +251,8 @@ def _bundle(cfg: RunConfig, base: _BaseRun) -> report.ReportBundle:
         "ingest_rejections": list(base.ingest_report.rejections),
         "derive_exclusions": len(base.panel.exclusions),
         "beta_exclusions": len(base.beta_exclusions),
-        "baseline_nobs": {r.model_id: r.nobs for r in base.estimates},
-        "robustness_nobs": {report.robustness_table_name(r): r.nobs
+        "baseline_nobs": {r.model_id: r.fit.nobs for r in base.estimates},
+        "robustness_nobs": {report.robustness_table_name(r): r.fit.nobs
                             for r in tables["robustness_tables"]},
         "notes": base.panel.notes,
     }
@@ -348,8 +348,7 @@ def cmd_verify(args) -> int:
     base = _run_to_base_estimates(cfg)
     recomputed = {r.model_id: r for r in base.estimates}
     for model_id, table in emitted.items():
-        expected = {v: (c, recomputed[model_id].fit.std_error(v), p)
-                    for v, c, p in recomputed[model_id].table}
+        expected = {v: cells for v, *cells in recomputed[model_id].fit.rows()}
         for row in table.get("rows", []):
             name = row["variable"]
             if name not in expected:

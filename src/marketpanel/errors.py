@@ -48,20 +48,6 @@ class RateOutOfRange(InputError):
     pass
 
 
-# --- derived variables -------------------------------------------------------
-
-class NegativeNumerator(MarketPanelError):
-    pass
-
-
-class ZeroSales(MarketPanelError):
-    pass
-
-
-class NonPositiveExpense(MarketPanelError):
-    pass
-
-
 # --- beta estimation ----------------------------------------------------------
 
 class TooShort(MarketPanelError):
@@ -101,16 +87,6 @@ class SpecMismatch(MarketPanelError):
 
 
 class TooFewGroups(MarketPanelError):
-    pass
-
-
-# --- model layer ------------------------------------------------------------------
-
-class MissingVariable(MarketPanelError):
-    pass
-
-
-class LengthMismatch(MarketPanelError):
     pass
 
 

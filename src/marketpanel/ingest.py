@@ -9,6 +9,7 @@ rates the first failing row fails hard. A missing or renamed column means
 the wrong file and fails hard.
 """
 
+import contextlib
 import csv
 import io
 import math
@@ -39,6 +40,18 @@ _LAYOUTS = {
 }
 _DTYPES = {str: object, int: np.int64, float: np.float64}
 _MAX_YEAR = np.iinfo(np.int64).max // 12 - 1   # beyond it the month index overflows
+
+
+# Whether this numpy's loadtxt reads "2010.0" into an int column: numpy < 2 does, with
+# only a DeprecationWarning, and the loadtxt pass must then make that warning an error.
+# Decided once, as each exit from catch_warnings() clears every module's warning registry.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        np.loadtxt(["1.0"], dtype=np.int64)
+    _INTS_THROUGH_FLOATS = True
+except ValueError:
+    _INTS_THROUGH_FLOATS = False
 
 
 @dataclass(frozen=True)
@@ -155,9 +168,9 @@ def _loadtxt_pass(body: str, names: list[str], kinds: tuple[type, ...]):
         else range(2, len(lines) + 2)
     dtype = np.dtype([(f"c{j}", _DTYPES[kind]) for j, kind in enumerate(kinds)])
     try:
-        with warnings.catch_warnings():
-            # numpy < 2 reads "2010.0" into an int column with only this warning
-            warnings.simplefilter("error", DeprecationWarning)
+        with warnings.catch_warnings() if _INTS_THROUGH_FLOATS else contextlib.nullcontext():
+            if _INTS_THROUGH_FLOATS:
+                warnings.simplefilter("error", DeprecationWarning)
             rows = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar=None,
                               comments=None, ndmin=1)
     except (ValueError, OverflowError, DeprecationWarning):
@@ -174,20 +187,23 @@ def _loadtxt_pass(body: str, names: list[str], kinds: tuple[type, ...]):
 def _csv_pass(body: str, what: str, names: list[str], kinds: tuple[type, ...]):
     """The body read by ``csv.reader``.
 
-    Returns the line number of each row that has a non-blank cell (the
-    header is line 1; a row whose quoted cell spans lines counts as one);
+    Returns the file line on which each row that has a non-blank cell
+    starts (the header is line 1; a quoted cell may span lines);
     one column per header name (str cells as an object array, numbers by
     ``_numbers``; a row of the wrong width reads as zeros); a (row, reason)
     for each row of the wrong width; and per column, a (row, reason) for
     each number cell that does not read.
     """
     reader = csv.reader(io.StringIO(body))
+    line_nos, body_rows, last = [], [], 0
     try:
-        rows = list(reader)
+        for row in reader:
+            if any(map(str.strip, row)):
+                line_nos.append(last + 2)
+                body_rows.append(row)
+            last = reader.line_num
     except csv.Error as exc:
         raise SchemaMismatch(f"{what} line {reader.line_num + 1}: {exc}")
-    line_nos = [n for n, row in enumerate(rows, start=2) if any(map(str.strip, row))]
-    body_rows = [rows[n - 2] for n in line_nos]
     width = len(names)
     widths = [(r, f"expected {width} fields, got {len(row)}")
               for r, row in enumerate(body_rows) if len(row) != width]

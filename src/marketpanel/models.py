@@ -14,7 +14,7 @@ import numpy as np
 
 from . import regress
 from .diagnostics import TestResult, hausman_test, lr_heteroskedasticity
-from .errors import LengthMismatch, MarketPanelError, MissingVariable, TooFewObservations
+from .errors import MarketPanelError, TooFewObservations
 from .regress import DesignMatrix, FitResult
 from .variables import DerivedPanel, panel_columns
 
@@ -38,29 +38,15 @@ class ModelSpec:
     marin_variant: str = "sales_ratio"
     constrain_book_unit: bool = False
 
-    def __post_init__(self):
-        if self.model_id not in MODEL_IDS:
-            raise ValueError(f"unknown model_id {self.model_id!r}")
-        if self.marin_variant not in MARIN_VARIANTS:
-            raise ValueError(f"unknown marin_variant {self.marin_variant!r}")
-        moderated = self.model_id.endswith("_moderated")
-        if moderated != (self.interaction is not None):
-            raise ValueError("interaction present iff the model is moderated")
-        if self.dependent in self.regressors:
-            raise ValueError("dependent variable cannot be a regressor")
-
 
 @dataclass
 class EstimationReport:
-    """Publication-style record of one estimated model."""
+    """Publication-style record of one estimated model; its table is ``fit.rows()``."""
 
     model_id: str
     marin_variant: str
     fit: FitResult
     diagnostics: list[TestResult]
-    table: list[tuple[str, float, float]]  # (variable, coefficient, prob)
-    r_squared_label: str
-    nobs: int
     n_input_rows: int
     n_excluded: int
     dropped_columns: tuple[str, ...] = ()
@@ -71,24 +57,22 @@ class EstimationReport:
 def spec_for(model_id: str, marin_variant: str = "sales_ratio",
              constrain_book_unit: bool = False) -> ModelSpec:
     """Build the canonical specification for one of the four models."""
+    if model_id not in MODEL_IDS:
+        raise ValueError(f"unknown model_id {model_id!r}")
     if model_id.startswith("value"):
         dependent = "P"
         regressors = ["X", "Marin", "Age", "Size", "Lev"]
         if not constrain_book_unit:
             regressors.insert(0, "B")
-    elif model_id.startswith("risk"):
+    else:
         dependent = "Bet"
         regressors = ["Marin", "Age", "Size", "Lev"]
         constrain_book_unit = False
-    else:
-        raise ValueError(f"unknown model_id {model_id!r}")
 
     interaction = None
     if model_id.endswith("_moderated"):
         regressors += ["OW", INTERACTION_NAME]
         interaction = ("OW", "Marin")
-    elif not model_id.endswith("_direct"):
-        raise ValueError(f"unknown model_id {model_id!r}")
 
     return ModelSpec(model_id=model_id, dependent=dependent,
                      regressors=tuple(regressors), interaction=interaction,
@@ -104,8 +88,6 @@ def build_interaction(marin, ow, centering: bool = False) -> np.ndarray:
     """
     marin = np.asarray(marin, dtype=float)
     ow = np.asarray(ow, dtype=float)
-    if marin.shape != ow.shape:
-        raise LengthMismatch(f"lengths differ: {marin.shape} vs {ow.shape}")
     if centering:
         marin = marin - marin.mean()
         ow = ow - ow.mean()
@@ -115,16 +97,13 @@ def build_interaction(marin, ow, centering: bool = False) -> np.ndarray:
 def _assemble_design(panel: DerivedPanel, spec: ModelSpec, center: bool):
     base_names = [n for n in spec.regressors if n != INTERACTION_NAME]
     needed = set(base_names) | {spec.dependent}
-    if spec.constrain_book_unit and spec.dependent == "P":
+    if spec.constrain_book_unit:
         needed.add("B")
     if spec.interaction is not None:
         needed.update(spec.interaction)
 
     resolved = {"Marin": MARIN_VARIANTS[spec.marin_variant][1]}
-    try:
-        columns = panel_columns(panel, sorted({resolved.get(n, n) for n in needed}))
-    except KeyError as exc:
-        raise MissingVariable(str(exc))
+    columns = panel_columns(panel, sorted({resolved.get(n, n) for n in needed}))
 
     def col(name: str) -> np.ndarray:
         return columns[resolved.get(name, name)]
@@ -135,7 +114,7 @@ def _assemble_design(panel: DerivedPanel, spec: ModelSpec, center: bool):
     n_excluded = int((~mask).sum())
 
     y = col(spec.dependent)[mask]
-    if spec.constrain_book_unit and spec.dependent == "P":
+    if spec.constrain_book_unit:
         y = y - col("B")[mask]
 
     data = {}
@@ -205,17 +184,9 @@ def estimate(panel: DerivedPanel, spec: ModelSpec, center: bool = False) -> Esti
     except MarketPanelError as exc:
         notes.append(f"lr check unavailable: {exc}")
 
-    fit = regress.fe_fit(X, y, cov_kind="white_cross_section")
-
-    table = [("C", fit.coefficient("C"), fit.p_value("C"))]
-    for name in spec.regressors:
-        if name in fit.column_names:
-            table.append((name, fit.coefficient(name), fit.p_value(name)))
-
     return EstimationReport(
-        model_id=spec.model_id, marin_variant=spec.marin_variant, fit=fit,
-        diagnostics=diagnostics, table=table,
-        r_squared_label=fit.r_squared_kind, nobs=fit.nobs,
+        model_id=spec.model_id, marin_variant=spec.marin_variant,
+        fit=regress.fe_fit(X, y, cov_kind="white_cross_section"), diagnostics=diagnostics,
         n_input_rows=n_input, n_excluded=n_excluded,
         dropped_columns=dropped, hausman_decision=hausman_decision, notes=notes)
 

@@ -188,7 +188,7 @@ class PanelDataset:
 
     ``codes`` are the rows' firm and period codes and ``row_rates`` the
     risk-free rate of each row's market and year. Immutable after
-    construction; balancedness is recorded, not required.
+    construction; the panel need not be balanced.
     """
 
     table: FundamentalsTable
@@ -196,7 +196,6 @@ class PanelDataset:
     row_rates: np.ndarray
     risk_free: tuple[RiskFreeSeries, ...]
     years: tuple[int, ...]
-    is_balanced: bool
 
     @property
     def firms(self) -> tuple[str, ...]:
@@ -253,5 +252,4 @@ def build_dataset(table: FundamentalsTable, rf: list[RiskFreeSeries]) -> PanelDa
     row_rates = row_rates[order]
     row_rates.flags.writeable = False
     return PanelDataset(table=table, codes=codes, row_rates=row_rates,
-                        risk_free=tuple(sorted(rf, key=lambda s: s.market_id)), years=years,
-                        is_balanced=len(table) == len(codes.firm_ids) * len(years))
+                        risk_free=tuple(sorted(rf, key=lambda s: s.market_id)), years=years)

@@ -79,14 +79,10 @@ class FitResult:
     residuals: np.ndarray
     theta: float | None = None
 
-    def coefficient(self, name: str) -> float:
-        return float(self.coefficients[self.column_names.index(name)])
-
-    def std_error(self, name: str) -> float:
-        return float(self.std_errors[self.column_names.index(name)])
-
-    def p_value(self, name: str) -> float:
-        return float(self.p_values[self.column_names.index(name)])
+    def rows(self) -> list[tuple[str, float, float, float]]:
+        """(name, coefficient, std_error, p_value) of each column, in column order."""
+        return list(zip(self.column_names, self.coefficients.tolist(),
+                        self.std_errors.tolist(), self.p_values.tolist()))
 
 
 def _tall_r(a: np.ndarray) -> np.ndarray:

@@ -198,10 +198,9 @@ def _stationarity_md(rows: list[StationarityRow]) -> str:
 
 def _estimation_json(report: EstimationReport, name: str, companion=None) -> str:
     fit = report.fit
-    rows = []
-    for variable, coefficient, prob in report.table:
-        rows.append({"variable": variable, "coefficient": _num(coefficient),
-                     "std_error": _num(fit.std_error(variable)), "prob": _num(prob)})
+    rows = [{"variable": variable, "coefficient": _num(coefficient),
+             "std_error": _num(std_error), "prob": _num(prob)}
+            for variable, coefficient, std_error, prob in fit.rows()]
     diagnostics = {t.name: _test_dict(t) for t in report.diagnostics}
     return _json_text({
         "schema_version": SCHEMA_VERSION,
@@ -209,10 +208,10 @@ def _estimation_json(report: EstimationReport, name: str, companion=None) -> str
         "model_id": report.model_id,
         "marin_variant": report.marin_variant,
         "r_squared": _num(fit.r_squared),
-        "r_squared_label": report.r_squared_label,
+        "r_squared_label": fit.r_squared_kind,
         "f_statistic": _num(fit.f_statistic),
         "f_pvalue": _num(fit.f_pvalue),
-        "nobs": report.nobs,
+        "nobs": fit.nobs,
         "n_input_rows": report.n_input_rows,
         "n_excluded": report.n_excluded,
         "hausman_decision": report.hausman_decision,
@@ -226,9 +225,7 @@ def _estimation_json(report: EstimationReport, name: str, companion=None) -> str
 def _estimation_csv(report: EstimationReport, name: str, companion=None) -> str:
     fit = report.fit
     out = [["variable", "coefficient", "std_error", "prob"]]
-    for variable, coefficient, prob in report.table:
-        out.append([variable, _fmt_cell(coefficient),
-                    _fmt_cell(fit.std_error(variable)), _fmt_cell(prob)])
+    out += [[variable, *map(_fmt_cell, cells)] for variable, *cells in fit.rows()]
     out.append(["R-squared", _fmt_cell(fit.r_squared), "", ""])
     return _to_csv(out)
 
@@ -247,8 +244,8 @@ def _estimation_md(report: EstimationReport, name: str,
     two-model layout with blanks where the direct model has no row.
     """
     labels, row_order = _labels_for(report)
-    main = {v: (c, p) for v, c, p in report.table}
-    other = {v: (c, p) for v, c, p in companion.table} if companion else None
+    main = {v: (c, p) for v, c, _, p in report.fit.rows()}
+    other = {v: (c, p) for v, c, _, p in companion.fit.rows()} if companion else None
 
     lines = [f"# {_MD_TITLES.get(name, name)}", ""]
     if other is not None:
@@ -276,8 +273,8 @@ def _estimation_md(report: EstimationReport, name: str,
     else:
         lines.append(f"| R-squared | {r2} |  |")
 
-    notes = [f"R-squared is the {report.r_squared_label} R-squared; "
-             f"covariance: {report.fit.cov_kind}; nobs = {report.nobs}."]
+    notes = [f"R-squared is the {report.fit.r_squared_kind} R-squared; "
+             f"covariance: {report.fit.cov_kind}; nobs = {report.fit.nobs}."]
     if "B" in main:
         b_coef, b_prob = main["B"]
         notes.append(f"Book value entered as a free regressor: "

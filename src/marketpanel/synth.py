@@ -626,10 +626,9 @@ def truth_check(report: EstimationReport, truth: TruthRecord) -> TruthCheckResul
         raise ModelMismatch(f"no planted truth for marketing variant {variant!r}")
 
     checks = []
-    for name, coef, _ in report.table:
+    for name, coef, se, _ in report.fit.rows():
         if name == "C" or name not in planted:
             continue
-        se = report.fit.std_error(name)
         passed = abs(coef - planted[name]) <= 3.0 * se
         checks.append(CoefficientCheck(variable=name, estimate=coef,
                                        truth=planted[name], std_error=se,

@@ -13,14 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NegativeNumerator, NonPositiveExpense, ZeroSales
 from .panel_core import PanelCodes, PanelDataset, row_sums
 
 OWNERSHIP_THRESHOLD = 0.05
 
-# canonical column names used by descriptives, correlations and model design
-COLUMNS = ("P", "B", "X", "Marin", "MarinAssets", "MarinLog", "Age", "Size", "Lev", "Bet",
-           "OW", "P/B", "TotalAssets")
 DESCRIPTIVES_ORDER = ("P", "B", "X", "Marin", "Age", "TotalAssets", "Lev", "Bet", "OW", "P/B")
 CORRELATION_ORDER = ("P", "X", "B", "Marin", "Bet", "Lev", "OW", "Size", "Age")
 STATIONARITY_ORDER = ("P", "X", "Marin", "Age", "Size", "Lev", "Bet", "OW")
@@ -32,55 +28,33 @@ _log = np.vectorize(math.log, otypes=[float])
 
 
 def abnormal_earnings(eps_t, r, book_prev):
-    """Earnings in excess of the normal return on lagged book value.
-
-    Returns eps_t - r * book_prev.
-    """
-    r, book_prev = np.asarray(r, dtype=float), np.asarray(book_prev, dtype=float)
-    if np.any(r < 0):
-        raise ValueError(f"risk-free rate must be non-negative, got {float(np.min(r))!r}")
-    if np.any(book_prev <= 0):
-        raise ValueError(f"lagged book value must be positive, got {float(np.min(book_prev))!r}")
+    """Earnings in excess of the normal return on lagged book value: eps_t - r * book_prev."""
     return eps_t - r * book_prev
-
-
-def _expense_ratio(sga, rd, scale, what: str):
-    scale = np.asarray(scale, dtype=float)
-    if np.any(scale <= 0):
-        raise ZeroSales(f"{what} must be positive, got {float(np.min(scale))!r}")
-    expense = np.asarray(sga, dtype=float) - rd
-    if np.any(expense < 0):
-        raise NegativeNumerator("SG&A minus R&D negative")
-    return expense / scale
 
 
 def marin(sga, rd, sales):
     """Marketing investment as (SG&A - R&D) / sales."""
-    return _expense_ratio(sga, rd, sales, "sales")
+    return (sga - rd) / sales
 
 
 def marin_alt_assets(sga, rd, total_assets):
     """Robustness alternate: marketing expense scaled by total assets."""
-    return _expense_ratio(sga, rd, total_assets, "total assets")
+    return (sga - rd) / total_assets
 
 
 def marin_alt_log(sga, rd):
     """Robustness alternate: natural log of the marketing expense level."""
-    expense = np.asarray(sga, dtype=float) - rd
-    if np.any(expense <= 0):
-        raise NonPositiveExpense(
-            f"marketing expense must be positive, got {float(np.min(expense))!r}")
-    return _log(expense)
+    return _log(sga - rd)
 
 
-def ownership_concentration(stakes, offsets, threshold: float = OWNERSHIP_THRESHOLD):
+def ownership_concentration(stakes, offsets):
     """Per row, the summed stakes of shareholders at or above the controlling threshold.
 
     Row ``i`` holds ``stakes[offsets[i]:offsets[i + 1]]``.
     """
     stakes = np.asarray(stakes, dtype=float)
     # adding 0.0 for a stake below the threshold leaves a sum unchanged
-    return row_sums(np.where(stakes >= threshold, stakes, 0.0), np.asarray(offsets))
+    return row_sums(np.where(stakes >= OWNERSHIP_THRESHOLD, stakes, 0.0), np.asarray(offsets))
 
 
 @dataclass(frozen=True)
@@ -88,7 +62,9 @@ class DerivedPanel:
     """The derived variables of every usable firm-year, as read-only columns.
 
     Rows are sorted by (firm, year) and ``codes`` are their firm and period
-    codes; ``columns`` maps each name in :data:`COLUMNS` to a float column.
+    codes; ``columns`` maps each derived variable's name (P, B, X, Marin,
+    MarinAssets, MarinLog, Age, Size, Lev, Bet, OW, P/B, TotalAssets) to a
+    float column.
     MarinLog is NaN where the marketing expense is zero. ``exclusions``
     lists the (firm, year, reason) of the observations left out.
     """

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from marketpanel import regress
+from marketpanel import regress, variables
 from marketpanel.beta import (DEFAULT_MIN_MONTHS, DEFAULT_WINDOW_MONTHS, ReturnPanel,
                               _index_month, _row)
 from marketpanel.errors import MarketPanelError, TooFewObservations, TooShort, UnknownMarket
@@ -77,6 +77,30 @@ def make_panel(n_firms=4, n_years=5, start_year=2011, seed=0, market_id="M1"):
     rf = [RiskFreeSeries(market_id=market_id,
                          rates={start_year + t: 0.03 for t in range(n_years)})]
     return build_dataset(make_table(rows), rf)
+
+
+def derived_column_names() -> tuple[str, ...]:
+    """The names of the columns ``derive_all`` builds."""
+    ds = make_panel(n_firms=1, n_years=2)
+    betas = {(row["firm_id"], row["year"]): 1.0 for row in table_rows(ds.table)}
+    return tuple(variables.derive_all(ds, betas).columns)
+
+
+def fit_cells(fit: regress.FitResult, name: str) -> tuple[float, float, float]:
+    """The (coefficient, std_error, p_value) of ``fit``'s column ``name``, from ``fit.rows()``."""
+    return {column: (c, se, p) for column, c, se, p in fit.rows()}[name]
+
+
+def coefficient(fit: regress.FitResult, name: str) -> float:
+    return fit_cells(fit, name)[0]
+
+
+def std_error(fit: regress.FitResult, name: str) -> float:
+    return fit_cells(fit, name)[1]
+
+
+def p_value(fit: regress.FitResult, name: str) -> float:
+    return fit_cells(fit, name)[2]
 
 
 def panel_matrix(values, names, index):

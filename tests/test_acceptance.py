@@ -18,8 +18,8 @@ from marketpanel.cli import main
 from marketpanel.diagnostics import adf_test, hausman_test
 from marketpanel.regress import DesignMatrix, fe_fit, re_fit
 
-from conftest import (InsufficientWindow, beta_for_year, monthly_points,
-                      normal_equations_oracle, ols_fit, panel_design, return_panel, row_labels)
+from conftest import (InsufficientWindow, beta_for_year, coefficient, monthly_points,
+                      normal_equations_oracle, p_value, std_error, ols_fit, panel_design, return_panel, row_labels)
 
 warnings.filterwarnings("ignore")
 
@@ -58,7 +58,7 @@ def test_criterion_1_fe_equals_lsdv_oracle():
                                     X.column_names + tuple(f"d{j}" for j in
                                                            range(len(firms) - 1))), y)
         for name in X.column_names:
-            worst = max(worst, abs(fe.coefficient(name) - lsdv.coefficient(name)))
+            worst = max(worst, abs(coefficient(fe, name) - coefficient(lsdv, name)))
     elapsed = time.monotonic() - t0
     report_line(1, "fe-equals-lsdv", worst <= 1e-8 and elapsed < 10.0,
                 f"max |delta| = {worst:.2e}, {elapsed:.1f}s")
@@ -122,8 +122,8 @@ def test_criterion_4_value_model_recovery():
         result = synth.generate_panel(synth.DGPConfig(seed=seed))
         panel = variables.derive_all(result.dataset, result.truth.betas_true)
         report = models.estimate(panel, models.spec_for("value_moderated"))
-        est = report.fit.coefficient("Marin")
-        se = report.fit.std_error("Marin")
+        est = coefficient(report.fit, "Marin")
+        se = std_error(report.fit, "Marin")
         hits += abs(est - 0.18) <= 3 * se
     elapsed = time.monotonic() - t0
     report_line(4, "value-model-recovery", hits >= 90 and elapsed < 60.0,
@@ -145,8 +145,8 @@ def test_criterion_5_risk_model_sign_recovery():
         panel = variables.derive_all(result.dataset, result.truth.betas_true)
         report = models.estimate(panel, models.spec_for("risk_moderated"),
                                  center=True)
-        est = report.fit.coefficient("Marin")
-        p = report.fit.p_value("Marin")
+        est = coefficient(report.fit, "Marin")
+        p = p_value(report.fit, "Marin")
         hits += (est < 0) and (p < 0.05)
     report_line(5, "risk-model-sign-recovery", hits >= 80, f"{hits}/100 significant")
 

@@ -223,6 +223,18 @@ class TestRunCommand:
         assert caplog.records[-1].getMessage() == f"{cfg}:2: unknown key {key!r}"
         assert not (tmp_path / "o").exists()
 
+    def test_config_file_unknown_marin_variant_exit_2(self, data_dir, tmp_path):
+        """The run configuration is the one place an unknown marketing variant is refused."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {data_dir}\nmarin_variant = percent\n")
+        proc = subprocess.run([sys.executable, "-m", "marketpanel.cli", "run", "--config",
+                               str(cfg), "--out", str(tmp_path / "o")], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "ERROR unknown marin variant 'percent'" in proc.stderr.splitlines()
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("config", [None, "center = true\n", "data =\n"])
     def test_no_input_directory_exit_2(self, tmp_path, caplog, config):
         argv = ["run", "--out", str(tmp_path / "o")]

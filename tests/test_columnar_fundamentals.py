@@ -133,9 +133,10 @@ def reference_build_dataset(rows, rf):
     return {k: by_key[k] for k in sorted(by_key)}, rates
 
 
-def reference_derive(by_key, rates, betas):
-    """({column: values}, exclusions, notes) from one pass over the rows."""
-    columns = {name: [] for name in variables.COLUMNS}
+def reference_derive(by_key, rates, betas, names):
+    """({column: values} for the column ``names``, exclusions, notes) from one pass
+    over the rows; a column it computes outside ``names`` raises KeyError."""
+    columns = {name: [] for name in names}
     exclusions, notes = [], []
     for (firm_id, year), row in by_key.items():
         prev = by_key.get((firm_id, year - 1))
@@ -477,6 +478,10 @@ HANDED_OVER = {
         "fundamentals", _row_with("sales", '"1,000.5"'),
         [(3, "sales: thousands separators not accepted")]),
     "a quoted cell spanning two lines": ("fundamentals", _row_with("firm_id", '"F\n1"'), []),
+    # lines 3 and 4 hold one row, line 5 is blank and line 6 fails
+    "a bad row after a quoted cell spanning two lines": (
+        "fundamentals", _row_with("firm_id", '"F\n1"') + "\n\n" + _row_with("price", "-2"),
+        [(6, "price must be positive")]),
     "a line of only commas": ("fundamentals", "," * 12, []),
     "a line of only blanks": ("fundamentals", "  \t", []),
     "a row of the wrong width": ("fundamentals", GOOD_ROW.rsplit(",", 1)[0],
@@ -488,6 +493,9 @@ HANDED_OVER = {
     "a decimal month": ("prices", "F1,2015,2.0,1.5",
                         (SchemaMismatch, "prices line 3: month: not an integer")),
     "a prices line of only commas": ("prices", ",,,", None),
+    "a bad prices row after a quoted cell spanning two lines": (
+        "prices", '"F\n1",2015,1,10.0\n\nF1,2015,1,11.0',
+        (DuplicateMonth, "prices line 6: duplicate month (F1, 2015, 1)")),
     "a short prices row": ("prices", "F1,2015,2",
                            (SchemaMismatch, "prices line 3: expected 4 fields, got 3")),
     "digit underscores in a rate year": (
@@ -497,6 +505,9 @@ HANDED_OVER = {
         "riskfree", "M1,2015,٠.٠٣",
         (SchemaMismatch, f"riskfree line 3: rate: {NEW_DIGITS_REASON}")),
     "a quoted rate": ("riskfree", 'M1,2015,"0.03"', None),
+    "a bad riskfree row after a quoted cell spanning two lines": (
+        "riskfree", '"M\n1",2015,0.03\n\nM1,2015,0.9',
+        (RateOutOfRange, "riskfree line 6: rate 0.9 outside [0, 0.5]")),
     "a short riskfree row": ("riskfree", "M1,2015",
                              (SchemaMismatch, "riskfree line 3: expected 3 fields, got 2")),
 }
@@ -561,6 +572,25 @@ NEWLINE_TEXTS = {
 def test_each_parser_reads_carriage_returns_as_newlines(text, newline):
     parse, lf_text = NEWLINE_TEXTS[text]
     assert_same_result(parse(lf_text.replace("\n", newline)), parse(lf_text))
+
+
+def test_a_loadtxt_that_reads_ints_through_floats_hands_over_on_its_warning(monkeypatch):
+    """Where numpy's loadtxt reads "2010.0" into an int column with only a
+    DeprecationWarning (numpy < 2), that warning ends the loadtxt pass and the
+    csv reader reads the body, giving the "not an integer" reason."""
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "_INTS_THROUGH_FLOATS", True)
+    monkeypatch.setattr(ingest.np, "loadtxt", warning_loadtxt)
+    loaded, read = passes("riskfree", f"{GOOD_LINES['riskfree']}\nM1,2015,0.03\n")
+    assert loaded is None and read[0] == [2, 3]
+    assert parsed("riskfree", f"{GOOD_LINES['riskfree']}\nM1,2015.0,0.03\n") == (
+        SchemaMismatch, "riskfree line 3: year: not an integer")
 
 
 def loadtxt_number(cell, kind):
@@ -731,7 +761,7 @@ def test_dataset_and_derived_columns_equal_the_per_row_join(panel):
     assert table_rows(ds.table) == list(by_key.values())
     assert ds.firms == tuple(sorted({f for f, _ in by_key}))
     derived = variables.derive_all(ds, betas)
-    columns, exclusions, notes = reference_derive(by_key, rates, betas)
+    columns, exclusions, notes = reference_derive(by_key, rates, betas, derived.columns)
     assert derived.exclusions == exclusions
     assert derived.notes == notes
     for name, values in columns.items():

@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from marketpanel import models, synth, variables
-from marketpanel.errors import LengthMismatch, MissingVariable, TooFewObservations
+from marketpanel import synth, variables
+from marketpanel.errors import TooFewObservations
 from marketpanel.models import build_interaction, estimate, robustness_suite, spec_for
+
+from conftest import coefficient
 
 
 def derived_panel(seed=0, **cfg_kwargs):
@@ -55,8 +57,6 @@ class TestSpecFor:
     def test_invalid_ids(self):
         with pytest.raises(ValueError):
             spec_for("value_quadratic")
-        with pytest.raises(ValueError):
-            spec_for("value_direct", marin_variant="percent")
 
 
 class TestBuildInteraction:
@@ -68,37 +68,25 @@ class TestBuildInteraction:
         out = build_interaction([0.1, 0.2, 0.3], [0.4, 0.4, 0.4], centering=True)
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            build_interaction([0.1, 0.2], [0.5])
-
 
 class TestEstimate:
     def test_report_structure(self, panel):
         report = estimate(panel, spec_for("value_moderated"))
         assert report.model_id == "value_moderated"
-        assert [row[0] for row in report.table] == [
+        assert [row[0] for row in report.fit.rows()] == [
             "C", "B", "X", "Marin", "Age", "Size", "Lev", "OW", "OW*Marin"]
         assert report.fit.cov_kind == "white_cross_section"
-        assert report.r_squared_label == "within"
+        assert report.fit.r_squared_kind == "within"
         assert {t.name for t in report.diagnostics} == {"hausman",
                                                         "lr_heteroskedasticity"}
         assert report.hausman_decision in ("reject", "fail_to_reject")
-        assert all(0 <= row[2] <= 1 for row in report.table)
+        assert all(0 <= row[3] <= 1 for row in report.fit.rows())
 
     def test_deterministic(self, panel):
         a = estimate(panel, spec_for("risk_moderated"))
         b = estimate(panel, spec_for("risk_moderated"))
-        assert a.table == b.table
+        assert a.fit.rows() == b.fit.rows()
         np.testing.assert_array_equal(a.fit.covariance, b.fit.covariance)
-
-    def test_missing_variable(self, panel):
-        broken = models.ModelSpec(model_id="value_direct", dependent="P",
-                                  regressors=("B", "X", "Marin", "Age", "Size",
-                                              "Halo"),
-                                  interaction=None)
-        with pytest.raises(MissingVariable, match="Halo"):
-            estimate(panel, broken)
 
     def test_design_without_rows_is_a_typed_error(self, panel):
         """Every row missing the variant's marketing measure leaves no design."""
@@ -138,20 +126,20 @@ class TestEstimate:
         moderated = estimate(zeroed, spec_for("value_moderated"))
         assert set(moderated.dropped_columns) == {"OW", "OW*Marin"}
         for name in ("B", "X", "Marin", "Age", "Size", "Lev"):
-            assert moderated.fit.coefficient(name) == pytest.approx(
-                direct.fit.coefficient(name), abs=1e-8)
+            assert coefficient(moderated.fit, name) == pytest.approx(
+                coefficient(direct.fit, name), abs=1e-8)
 
     def test_constrain_book_unit_changes_dependent(self, panel):
         free = estimate(panel, spec_for("value_direct"))
         constrained = estimate(panel, spec_for("value_direct",
                                                constrain_book_unit=True))
-        assert "B" not in [row[0] for row in constrained.table]
-        assert constrained.nobs == free.nobs
+        assert "B" not in [row[0] for row in constrained.fit.rows()]
+        assert constrained.fit.nobs == free.fit.nobs
 
     def test_marin_variant_selects_column(self, panel):
         sales = estimate(panel, spec_for("risk_direct"))
         assets = estimate(panel, spec_for("risk_direct", marin_variant="assets_ratio"))
-        assert sales.fit.coefficient("Marin") != assets.fit.coefficient("Marin")
+        assert coefficient(sales.fit, "Marin") != coefficient(assets.fit, "Marin")
 
 
 class TestRobustnessSuite:
@@ -167,7 +155,7 @@ class TestRobustnessSuite:
         baseline = estimate(panel, spec_for("value_moderated"))
         reports = robustness_suite(panel)
         for r in reports:
-            assert r.nobs <= baseline.nobs
+            assert r.fit.nobs <= baseline.fit.nobs
 
     def test_sign_consistency_across_variants(self):
         """A genuine positive marketing effect keeps its sign under both alternates."""
@@ -179,8 +167,8 @@ class TestRobustnessSuite:
             panel = derived_panel(seed=seed, value_coefficients=coeffs)
             baseline = estimate(panel, spec_for("value_moderated"))
             reports = robustness_suite(panel)
-            signs = [np.sign(r.fit.coefficient("Marin")) for r in reports
+            signs = [np.sign(coefficient(r.fit, "Marin")) for r in reports
                      if r.model_id == "value_moderated"]
-            agree += all(s == np.sign(baseline.fit.coefficient("Marin"))
+            agree += all(s == np.sign(coefficient(baseline.fit, "Marin"))
                          for s in signs)
         assert agree >= n_seeds - 2

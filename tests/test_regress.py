@@ -11,7 +11,8 @@ from marketpanel.errors import (NegativeVarianceComponentWarning, RankDeficient,
 from marketpanel.regress import (DesignMatrix, fe_fit, re_fit, robust_cov_white_cross_section,
                                  within_transform)
 
-from conftest import normal_equations_oracle, ols_fit, panel_design, panel_matrix, row_labels
+from conftest import (coefficient, normal_equations_oracle, ols_fit, panel_design, panel_matrix,
+                      row_labels, std_error)
 
 
 def random_system(n, k, seed):
@@ -27,8 +28,8 @@ class TestOlsFit:
     def test_exact_fit(self):
         x = np.arange(1.0, 11.0).reshape(-1, 1)
         fit = ols_fit(DesignMatrix(x, ("x",)), 2.0 * x[:, 0])
-        assert fit.coefficient("x") == pytest.approx(2.0, abs=1e-12)
-        assert fit.coefficient("C") == pytest.approx(0.0, abs=1e-12)
+        assert coefficient(fit, "x") == pytest.approx(2.0, abs=1e-12)
+        assert coefficient(fit, "C") == pytest.approx(0.0, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0)
         assert np.max(np.abs(fit.residuals)) < 1e-10
 
@@ -36,8 +37,8 @@ class TestOlsFit:
         rng = np.random.default_rng(0)
         x = rng.normal(0, 1, (20, 1))
         fit = ols_fit(DesignMatrix(x, ("x",)), np.full(20, 3.25))
-        assert fit.coefficient("x") == pytest.approx(0.0, abs=1e-12)
-        assert fit.coefficient("C") == pytest.approx(3.25)
+        assert coefficient(fit, "x") == pytest.approx(0.0, abs=1e-12)
+        assert coefficient(fit, "C") == pytest.approx(3.25)
 
     def test_matches_normal_equations_oracle(self):
         """QR path agrees with the explicit normal-equations oracle."""
@@ -106,7 +107,7 @@ class TestOlsFit:
         x = np.arange(1.0, 9.0).reshape(-1, 1)
         fit = ols_fit(DesignMatrix(x, ("x",)), 3.0 * x[:, 0], intercept=False)
         assert fit.column_names == ("x",)
-        assert fit.coefficient("x") == pytest.approx(3.0)
+        assert coefficient(fit, "x") == pytest.approx(3.0)
 
 
 class TestWithinTransform:
@@ -167,7 +168,7 @@ class TestFeFit:
             X, y, beta = panel_design(n_firms=20, n_years=10, k=1, seed=seed,
                                       beta=[0.5], effect_sd=2.0, noise_sd=1.0)
             fit = fe_fit(X, y)
-            if abs(fit.coefficient("x1") - 0.5) <= 3 * fit.std_error("x1"):
+            if abs(coefficient(fit, "x1") - 0.5) <= 3 * std_error(fit, "x1"):
                 hits += 1
         assert hits >= 18
 
@@ -178,7 +179,7 @@ class TestFeFit:
             fit = fe_fit(X, y)
             lsdv = _lsdv_fit(X, y)
             for name in X.column_names:
-                assert fit.coefficient(name) == pytest.approx(lsdv[name], abs=1e-8)
+                assert coefficient(fit, name) == pytest.approx(lsdv[name], abs=1e-8)
 
     def test_per_firm_shift_invariance(self):
         X, y, _ = panel_design(n_firms=5, n_years=6, k=2, seed=3)
@@ -188,15 +189,15 @@ class TestFeFit:
         y2 = y + np.array([shifts[f] for f, _ in labels])
         fit2 = fe_fit(X, y2)
         for name in X.column_names:
-            assert fit2.coefficient(name) == pytest.approx(fit.coefficient(name),
+            assert coefficient(fit2, name) == pytest.approx(coefficient(fit, name),
                                                            abs=1e-10)
 
     def test_average_effect_intercept(self):
         X, y, _ = panel_design(n_firms=5, n_years=6, k=2, seed=4)
         fit = fe_fit(X, y)
-        slopes = np.array([fit.coefficient(n) for n in X.column_names])
+        slopes = np.array([coefficient(fit, n) for n in X.column_names])
         expected = y.mean() - X.values.mean(axis=0) @ slopes
-        assert fit.coefficient("C") == pytest.approx(expected, abs=1e-12)
+        assert coefficient(fit, "C") == pytest.approx(expected, abs=1e-12)
 
     def test_df_matches_lsdv(self):
         X, y, _ = panel_design(n_firms=7, n_years=4, k=2, seed=5)
@@ -208,7 +209,7 @@ class TestFeFit:
         X, y, _ = panel_design(n_firms=4, n_years=8, k=1, seed=6)
         fit = fe_fit(X, y)
         labels = row_labels(X)
-        slopes = np.array([fit.coefficient(n) for n in X.column_names])
+        slopes = np.array([coefficient(fit, n) for n in X.column_names])
         # each firm's effect from the coefficients: its mean y less its mean x'b
         rows = {f: [i for i, (g, _) in enumerate(labels) if g == f] for f, _ in labels}
         effects = {f: y[i].mean() - X.values[i].mean(axis=0) @ slopes for f, i in rows.items()}
@@ -238,7 +239,7 @@ def _lsdv_fit(X, y):
     values = np.column_stack([X.values, dummies])
     names = X.column_names + tuple(f"d_{f}" for f in firms[1:])
     fit = ols_fit(DesignMatrix(values, names), y)
-    return {name: fit.coefficient(name) for name in X.column_names}
+    return {name: coefficient(fit, name) for name in X.column_names}
 
 
 class TestReFit:
@@ -251,7 +252,7 @@ class TestReFit:
         pooled = ols_fit(X, y)
         assert re.theta == pytest.approx(0.0, abs=0.25)
         for name in X.column_names:
-            assert re.coefficient(name) == pytest.approx(pooled.coefficient(name),
+            assert coefficient(re, name) == pytest.approx(coefficient(pooled, name),
                                                          abs=0.05)
 
     def test_large_effect_variance_approaches_fe(self):
@@ -261,7 +262,7 @@ class TestReFit:
         fe = fe_fit(X, y)
         assert re.theta > 0.9
         for name in X.column_names:
-            assert re.coefficient(name) == pytest.approx(fe.coefficient(name),
+            assert coefficient(re, name) == pytest.approx(coefficient(fe, name),
                                                          abs=0.02)
 
     def test_monte_carlo_recovery(self):
@@ -270,8 +271,8 @@ class TestReFit:
             X, y, beta = panel_design(n_firms=20, n_years=8, k=2, seed=seed,
                                       beta=[1.0, -0.5], effect_sd=1.0, noise_sd=1.0)
             re = re_fit(X, y)
-            ok = all(abs(re.coefficient(f"x{j+1}") - beta[j])
-                     <= 3 * re.std_error(f"x{j+1}") for j in range(2))
+            ok = all(abs(coefficient(re, f"x{j+1}") - beta[j])
+                     <= 3 * std_error(re, f"x{j+1}") for j in range(2))
             hits += ok
         assert hits >= 18
 

@@ -30,7 +30,6 @@ class TestGeneratePanel:
         ds = default_result.dataset
         assert len(ds) == 200
         assert len(ds.firms) == 20
-        assert ds.is_balanced
         assert ds.years == tuple(range(2010, 2020))
 
     def test_marin_mean_near_target_across_seeds(self):

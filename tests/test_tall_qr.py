@@ -24,6 +24,8 @@ from marketpanel import _kernels, diagnostics, models, regress, variables
 from marketpanel.errors import RankDeficient
 from marketpanel.panel_core import PanelCodes
 
+from conftest import derived_column_names
+
 PROPERTY = settings(max_examples=100, deadline=None)
 SCIPY_QR = scipy.linalg.qr
 
@@ -203,7 +205,7 @@ def wide_panel(seed=0):
     firm = np.repeat(np.arange(N_FIRMS), N_YEARS)
     years = np.tile(np.arange(2010, 2010 + N_YEARS), N_FIRMS)
     codes = PanelCodes.from_codes([f"F{i:04d}" for i in range(N_FIRMS)], firm, years)
-    columns = {name: rng.standard_normal(len(firm)) for name in variables.COLUMNS}
+    columns = {name: rng.standard_normal(len(firm)) for name in derived_column_names()}
     columns["P"] = columns["X"] + 0.5 * columns["B"] + rng.standard_normal(len(firm))
     return variables.DerivedPanel(codes=codes, columns=columns)
 
@@ -220,7 +222,7 @@ def test_estimate_factors_no_call_over_all_rows(linalg_shapes):
         warnings.simplefilter("ignore")
         report = models.estimate(panel, models.spec_for("value_moderated"))
     k = len(report.fit.column_names)
-    assert report.nobs == N_FIRMS * N_YEARS
+    assert report.fit.nobs == N_FIRMS * N_YEARS
     assert_blocked_qr(linalg_shapes["qr"])
     assert linalg_shapes["kernels"]
     assert all(max(s) <= k for s in linalg_shapes["kernels"]), linalg_shapes["kernels"]

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketpanel import variables
-from marketpanel.errors import (NegativeNumerator, NonPositiveExpense, ZeroSales)
 from marketpanel.panel_core import RiskFreeSeries, build_dataset
 from marketpanel.variables import (abnormal_earnings, derive_all, marin, marin_alt_assets,
                                    marin_alt_log, ownership_concentration)
@@ -33,12 +32,6 @@ class TestAbnormalEarnings:
         shifted = abnormal_earnings(eps + delta, 0.04, 1.7)
         assert shifted - base == pytest.approx(delta, abs=1e-12)
 
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            abnormal_earnings(0.1, -0.01, 1.0)
-        with pytest.raises(ValueError):
-            abnormal_earnings(0.1, 0.03, 0.0)
-
 
 class TestMarin:
     def test_direct_ratio(self):
@@ -51,12 +44,6 @@ class TestMarin:
         # hand division: 5 / 11.563 = 0.43241...
         assert marin(5.0, 0.0, 11.563) == pytest.approx(5.0 / 11.563, rel=1e-15)
         assert round(marin(5.0, 0.0, 11.563), 4) == 0.4324
-
-    def test_errors(self):
-        with pytest.raises(ZeroSales):
-            marin(10.0, 2.0, 0.0)
-        with pytest.raises(NegativeNumerator):
-            marin(2.0, 3.0, 10.0)
 
     @given(sga=st.floats(1, 100), rd_frac=st.floats(0, 1), sales=st.floats(0.1, 1000),
            k=st.floats(1e-6, 1e6))
@@ -80,8 +67,6 @@ class TestMarinAlternates:
     def test_log_level(self):
         assert marin_alt_log(3.0, 2.0) == 0.0
         assert marin_alt_log(math.e + 1.0, 1.0) == pytest.approx(1.0)
-        with pytest.raises(NonPositiveExpense):
-            marin_alt_log(2.0, 2.0)
 
 
 class TestControlVariables:
@@ -116,9 +101,9 @@ class TestControlVariables:
         assert panel.columns["MarinLog"].tolist() == logs
 
 
-def _concentration(stakes, threshold=variables.OWNERSHIP_THRESHOLD):
+def _concentration(stakes):
     """One row's ownership concentration."""
-    (value,) = ownership_concentration(stakes, [0, len(stakes)], threshold)
+    (value,) = ownership_concentration(stakes, [0, len(stakes)])
     return value
 
 
@@ -195,7 +180,8 @@ class TestDeriveAll:
         random.Random(9).shuffle(rows)
         b = derive_all(build_dataset(make_table(rows), list(ds.risk_free)), betas)
         assert _keys(a) == _keys(b)
-        for name in variables.COLUMNS:
+        assert a.columns.keys() == b.columns.keys()
+        for name in a.columns:
             assert np.array_equal(a.columns[name], b.columns[name], equal_nan=True), name
 
     def test_pb_ratio_identity(self):
