@@ -320,22 +320,20 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     """Two-stage verification of an emitted run against its truth record.
 
-    Stage 1 recomputes the four base tables from the data and compares every
-    coefficient cell against the emitted reports (tamper detection); it runs
-    the pipeline only up to those estimates, so the descriptives, correlations,
-    stationarity and robustness tables are neither recomputed nor checked.
-    Stage 2 re-derives the panel of the same dataset with the planted true
-    betas and runs the truth check on both moderated models, the shapes the
-    generator actually planted; the direct models are misspecified subsets by
-    design and are only covered by stage 1.
+    Stage 1 runs the pipeline up to the four base estimates, renders their
+    json, csv and markdown tables in memory and compares them with the
+    emitted files through :func:`report.compare_tables` at 1e-12 (tamper
+    detection). The descriptives, correlations, stationarity and robustness
+    tables are neither recomputed nor checked; ``report-diff`` against a
+    fresh ``run`` covers them. Stage 2 re-derives the panel of the same
+    dataset with the planted true betas and runs the truth check on both
+    moderated models, the shapes the generator actually planted; the direct
+    models are misspecified subsets by design and are only covered by stage 1.
     """
     from . import synth
     # a missing or undecodable file fails in _read_text, naming the path (exit 2)
     truth = synth.TruthRecord.from_json(
         ingest._read_text(os.path.join(args.data, "truth.json")))
-    emitted = {model_id: json.loads(
-                   ingest._read_text(os.path.join(args.run, f"{model_id}.json")))
-               for model_id in models.MODEL_IDS}
     effective = json.loads(ingest._read_text(os.path.join(args.run, "manifest.json"))
                            ).get("effective_config", {})
     # keys that are no longer fields (a tree written by an older version) are ignored
@@ -344,22 +342,10 @@ def cmd_verify(args) -> int:
     cfg = RunConfig(**{**recorded, "data": args.data})
     cfg.validate()
 
-    failures = []
     base = _run_to_base_estimates(cfg)
-    recomputed = {r.model_id: r for r in base.estimates}
-    for model_id, table in emitted.items():
-        expected = {v: cells for v, *cells in recomputed[model_id].fit.rows()}
-        for row in table.get("rows", []):
-            name = row["variable"]
-            if name not in expected:
-                failures.append(f"{model_id}/{name}: unexpected row")
-                continue
-            for cell, want in zip(("coefficient", "std_error", "prob"),
-                                  expected[name]):
-                got = float(row[cell])
-                if abs(got - want) > 1e-9 * max(1.0, abs(want)):
-                    failures.append(f"{model_id}/{name}/{cell}: reported "
-                                    f"{got:.6g}, recomputed {want:.6g}")
+    recomputed = report.render(report.ReportBundle(base.estimates))
+    emitted = {name: ingest._read_text(os.path.join(args.run, name)) for name in recomputed}
+    failures = report.compare_tables(emitted, recomputed, rel_tol=1e-12).lines
 
     panel = variables.derive_all(base.dataset, truth.betas_true)
     checks = {}

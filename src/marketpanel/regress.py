@@ -238,7 +238,7 @@ def fe_fit(X: DesignMatrix, y, cov_kind: str = "classical") -> FitResult:
     OLS on firm-demeaned data; degrees of freedom are corrected for the
     estimated entity effects (df = n - k - G). The reported R-squared is the
     within R-squared. The intercept row ``"C"`` is the average effect
-    ybar - xbar' beta. Recovered entity effects are attached to the result.
+    ybar - xbar' beta.
     """
     if cov_kind not in ("classical", "white_cross_section"):
         raise ValueError(f"unknown cov_kind {cov_kind!r}")

@@ -9,6 +9,7 @@ estimation tables as Coefficient/Prob column pairs).
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -22,24 +23,22 @@ from .models import MARIN_VARIANTS, EstimationReport
 
 SCHEMA_VERSION = "1"
 
-# publication-style display labels per model family
+# publication-style display labels per model family, in the published row order
 _VALUE_LABELS = {"C": "C", "X": "X", "Marin": "Marin", "Age": "AGE",
                  "Size": "Size", "Lev": "Lev", "OW": "OW", "OW*Marin": "OW*Marin"}
 _RISK_LABELS = {"C": "C", "Marin": "Marin", "Age": "AGE", "Size": "SIZ",
                 "Lev": "LEVR", "OW": "OW", "OW*Marin": "OW*Marin"}
-_VALUE_ROW_ORDER = ("C", "X", "Marin", "Age", "Size", "Lev", "OW", "OW*Marin")
-_RISK_ROW_ORDER = ("C", "Marin", "Age", "Size", "Lev", "OW", "OW*Marin")
 
 
 @dataclass
 class ReportBundle:
-    """All tables of one pipeline run plus run metadata."""
+    """The tables of one pipeline run plus run metadata; a table left out is not rendered."""
 
-    descriptives_table: list[VariableSummary]
-    correlation_table: CorrelationResult
-    stationarity_table: list[StationarityRow]
     estimation_tables: list[EstimationReport]
-    robustness_tables: list[EstimationReport]
+    robustness_tables: list[EstimationReport] = field(default_factory=list)
+    descriptives_table: list[VariableSummary] | None = None
+    correlation_table: CorrelationResult | None = None
+    stationarity_table: list[StationarityRow] | None = None
     metadata: dict = field(default_factory=dict)
 
 
@@ -130,9 +129,7 @@ def _correlations_json(c: CorrelationResult) -> str:
 def _correlations_csv(c: CorrelationResult) -> str:
     out = [["variable_a", "variable_b", "r", "p", "n"]]
     for i, a in enumerate(c.variables):
-        for j, b in enumerate(c.variables):
-            if j > i:
-                continue
+        for j, b in enumerate(c.variables[:i + 1]):
             out.append([a, b, _fmt_cell(float(c.r[i, j])), _fmt_cell(float(c.p[i, j])),
                         str(int(c.n[i, j]))])
     return _to_csv(out)
@@ -143,16 +140,10 @@ def _correlations_md(c: CorrelationResult) -> str:
     sep = "| --- |" + " --- |" * len(c.variables)
     lines = ["# Variable correlation matrix", "", header, sep]
     for i, name in enumerate(c.variables):
-        r_cells, p_cells = [], []
-        for j in range(len(c.variables)):
-            if j > i:
-                r_cells.append("")
-                p_cells.append("")
-            else:
-                r_cells.append(_fmt4(float(c.r[i, j])))
-                p_cells.append(_fmt4(float(c.p[i, j])))
-        lines.append(f"| {name} | " + " | ".join(r_cells) + " |")
-        lines.append("|  | " + " | ".join(p_cells) + " |")
+        # the r row, then its probabilities under it; blank above the diagonal
+        for label, matrix in ((name, c.r), ("", c.p)):
+            cells = [_fmt4(float(matrix[i, j])) if j <= i else "" for j in range(len(c.variables))]
+            lines.append(f"| {label} | " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
 
@@ -230,12 +221,6 @@ def _estimation_csv(report: EstimationReport, name: str, companion=None) -> str:
     return _to_csv(out)
 
 
-def _labels_for(report: EstimationReport) -> tuple[dict, tuple]:
-    if report.model_id.startswith("value"):
-        return _VALUE_LABELS, _VALUE_ROW_ORDER
-    return _RISK_LABELS, _RISK_ROW_ORDER
-
-
 def _estimation_md(report: EstimationReport, name: str,
                    companion: EstimationReport | None = None) -> str:
     """Markdown estimation table in Coefficient/Prob column pairs.
@@ -243,7 +228,7 @@ def _estimation_md(report: EstimationReport, name: str,
     When a companion (direct) report is supplied the table mirrors the
     two-model layout with blanks where the direct model has no row.
     """
-    labels, row_order = _labels_for(report)
+    labels = _VALUE_LABELS if report.model_id.startswith("value") else _RISK_LABELS
     main = {v: (c, p) for v, c, _, p in report.fit.rows()}
     other = {v: (c, p) for v, c, _, p in companion.fit.rows()} if companion else None
 
@@ -255,10 +240,9 @@ def _estimation_md(report: EstimationReport, name: str,
     else:
         lines += ["| Variable | Coefficient | Prob. |", "| --- | --- | --- |"]
 
-    for key in row_order:
+    for key, label in labels.items():
         if key not in main and (other is None or key not in other):
             continue
-        label = labels[key]
         main_c, main_p = main.get(key, (None, None))
         if other is not None:
             oc, op = other.get(key, (None, None))
@@ -307,12 +291,11 @@ _COMPANIONS = {"value_moderated": "value_direct", "risk_moderated": "risk_direct
 
 
 def _bundle_files(bundle: ReportBundle) -> dict[str, tuple]:
-    """File name -> (table kind, builder arguments)."""
-    files: dict[str, tuple] = {
-        "descriptives": ("descriptives", (bundle.descriptives_table,)),
-        "correlations": ("correlations", (bundle.correlation_table,)),
-        "stationarity": ("stationarity", (bundle.stationarity_table,)),
-    }
+    """File name -> (table kind, builder arguments), for each table the bundle holds."""
+    diagnostic = {"descriptives": bundle.descriptives_table,
+                  "correlations": bundle.correlation_table,
+                  "stationarity": bundle.stationarity_table}
+    files = {name: (name, (table,)) for name, table in diagnostic.items() if table is not None}
     by_model = {r.model_id: r for r in bundle.estimation_tables}
     named = [(r.model_id, r) for r in bundle.estimation_tables]
     named += [(robustness_table_name(r), r) for r in bundle.robustness_tables]
@@ -342,15 +325,20 @@ _BUILDERS = {
 }
 
 
-def emit(bundle: ReportBundle, path: str) -> list[str]:
-    """Write every table as json, csv and markdown under ``path``, then ``manifest.json``.
-
-    Returns the table paths, json then csv then markdown, each by name. Emission
-    is deterministic: identical bundles produce byte-identical files.
-    """
+def render(bundle: ReportBundle) -> dict[str, str]:
+    """File name -> text of every table the bundle holds, json then csv then markdown,
+    each by name. Rendering is deterministic: identical bundles give identical texts."""
     tables = sorted(_bundle_files(bundle).items())
-    texts = {os.path.join(path, f"{name}.{ext}"): _BUILDERS[kind][column](*args)
-             for column, ext in enumerate(("json", "csv", "md")) for name, (kind, args) in tables}
+    return {f"{name}.{ext}": _BUILDERS[kind][column](*args)
+            for column, ext in enumerate(("json", "csv", "md")) for name, (kind, args) in tables}
+
+
+def emit(bundle: ReportBundle, path: str) -> list[str]:
+    """Write the rendered tables under ``path``, then ``manifest.json``.
+
+    Returns the table paths in :func:`render`'s order.
+    """
+    texts = {os.path.join(path, name): text for name, text in render(bundle).items()}
     manifest = json.dumps({"schema_version": SCHEMA_VERSION, **bundle.metadata},
                           sort_keys=True, indent=1) + "\n"
     try:
@@ -363,98 +351,118 @@ def emit(bundle: ReportBundle, path: str) -> list[str]:
     return list(texts)
 
 
-# --- golden comparison -----------------------------------------------------------
+# --- table comparison -------------------------------------------------------------
 
-def _rel_diff(a: float, b: float) -> float:
+# cells holding a probability: json keys (the correlations' ``p`` is a matrix) and csv columns
+_P_KEYS = frozenset({"prob", "p_value", "f_pvalue", "p"})
+_P_COLUMNS = frozenset({"prob", "p", "fisher_p"})
+
+
+def _close(a: float, b: float, rel_tol: float, is_p: bool) -> bool:
+    """Whether ``a`` and ``b`` differ by at most ``rel_tol`` times the larger magnitude.
+
+    A p cell's bound is widened by max(1, 2|ln p|), the condition number of a
+    t or normal tail at p: it passes when the statistic behind it moved by at
+    most ``rel_tol``, however far in the tail it lies.
+    """
     if a == b:
-        return 0.0
-    return abs(a - b) / max(abs(a), 1e-300)
+        return True
+    scale = max(abs(a), abs(b))
+    if is_p:
+        rel_tol *= max(1.0, 2.0 * abs(math.log(scale)))
+    return math.isfinite(a - b) and abs(a - b) <= rel_tol * scale
 
 
-def _compare_json(name: str, a, b, rel_tol: float, loc: str, lines: list[str]):
+def _compare_json(name: str, a, b, rel_tol: float, loc: str, key: str, lines: list[str]):
     if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(set(a) | set(b)):
-            if key not in a or key not in b:
-                lines.append(f"{name}:{loc}/{key}: present on one side only")
-                continue
-            _compare_json(name, a[key], b[key], rel_tol, f"{loc}/{key}", lines)
+        for k in sorted(set(a) | set(b)):
+            if k not in a or k not in b:
+                lines.append(f"{name}:{loc}/{k}: present on one side only")
+            else:
+                # the Hausman statistic inverts a difference of two covariance
+                # matrices, which magnifies last-bit moves in either fit
+                tol = rel_tol * 1e4 if k == "hausman" else rel_tol
+                _compare_json(name, a[k], b[k], tol, f"{loc}/{k}", k, lines)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) != len(b):
+        lines.append(f"{name}:{loc}: length {len(a)} vs {len(b)}")
     elif isinstance(a, list) and isinstance(b, list):
-        if len(a) != len(b):
-            lines.append(f"{name}:{loc}: length {len(a)} vs {len(b)}")
-            return
         for i, (ai, bi) in enumerate(zip(a, b)):
-            _compare_json(name, ai, bi, rel_tol, f"{loc}[{i}]", lines)
-    elif isinstance(a, bool) or isinstance(b, bool):
-        if a != b:
-            lines.append(f"{name}:{loc}: {a!r} vs {b!r}")
+            # a row that names its variable is located by it
+            label = ai["variable"] if isinstance(ai, dict) and "variable" in ai else i
+            _compare_json(name, ai, bi, rel_tol, f"{loc}[{label}]", key, lines)
     elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        if _rel_diff(float(a), float(b)) > rel_tol:
+        if not _close(float(a), float(b), rel_tol, key in _P_KEYS):
             lines.append(f"{name}:{loc}: {a!r} vs {b!r}")
-    else:
-        if a != b:
-            lines.append(f"{name}:{loc}: {a!r} vs {b!r}")
+    elif a != b:
+        lines.append(f"{name}:{loc}: {a!r} vs {b!r}")
 
 
 def _compare_csv(name: str, a_text: str, b_text: str, rel_tol: float, lines: list[str]):
-    a_rows = list(csv.reader(io.StringIO(a_text)))
-    b_rows = list(csv.reader(io.StringIO(b_text)))
+    a_rows, b_rows = (list(csv.reader(io.StringIO(text))) for text in (a_text, b_text))
     if len(a_rows) != len(b_rows):
         lines.append(f"{name}: row count {len(a_rows)} vs {len(b_rows)}")
         return
     header = a_rows[0] if a_rows else []
-    for i, (ra, rb) in enumerate(zip(a_rows, b_rows)):
+    # a row is located by its variable cells (two in the correlations)
+    keys = [j for j, column in enumerate(header) if column.startswith("variable")] or [0]
+    for ra, rb in zip(a_rows, b_rows):
+        loc = f"{name}:[{','.join(ra[j] for j in keys if j < len(ra))}]"
         if len(ra) != len(rb):
-            lines.append(f"{name}:row {i}: cell count differs")
+            lines.append(f"{loc}: cell count {len(ra)} vs {len(rb)}")
             continue
-        for j, (ca, cb) in enumerate(zip(ra, rb)):
-            if ca == cb:
-                continue
+        for column, ca, cb in zip(header, ra, rb):
             try:
-                fa, fb = float(ca), float(cb)
+                close = ca == cb or _close(float(ca), float(cb), rel_tol, column in _P_COLUMNS)
             except ValueError:
-                lines.append(f"{name}:row {i}/{_col(header, j)}: {ca!r} vs {cb!r}")
+                close = False
+            if not close:
+                lines.append(f"{loc}/{column}: {ca!r} vs {cb!r}")
+
+
+def compare_tables(a: dict[str, str], b: dict[str, str], rel_tol: float) -> DiffReport:
+    """Cell-by-cell comparison of two sets of table texts, each file name -> text.
+
+    json and csv numbers pass when :func:`_close` holds at ``rel_tol`` (the
+    Hausman entry at ``rel_tol`` * 1e4); markdown must be the same text. A
+    difference names its file and cell, or the first differing markdown line.
+    Differing json schema versions raise :class:`SchemaMismatch`.
+    """
+    lines = [f"{name}: present on one side only" for name in sorted(set(a) ^ set(b))]
+    for name in sorted(set(a) & set(b)):
+        a_text, b_text = a[name], b[name]
+        if name.endswith(".json"):
+            try:
+                a_obj, b_obj = json.loads(a_text), json.loads(b_text)
+            except json.JSONDecodeError as exc:
+                lines.append(f"{name}: not json ({exc})")
                 continue
-            if _rel_diff(fa, fb) > rel_tol:
-                lines.append(f"{name}:row {i}/{_col(header, j)}: {ca} vs {cb}")
-
-
-def _col(header, j) -> str:
-    return header[j] if j < len(header) else f"col {j}"
+            if not (isinstance(a_obj, dict) and isinstance(b_obj, dict)):
+                lines.append(f"{name}: not a json object on both sides")
+                continue
+            va, vb = a_obj.get("schema_version"), b_obj.get("schema_version")
+            if va != vb:
+                raise SchemaMismatch(f"{name}: schema version {va!r} vs {vb!r}")
+            _compare_json(name, a_obj, b_obj, rel_tol, "", "", lines)
+        elif name.endswith(".csv"):
+            _compare_csv(name, a_text, b_text, rel_tol, lines)
+        elif a_text != b_text:
+            pairs = itertools.zip_longest(a_text.split("\n"), b_text.split("\n"))
+            n = next(n for n, (la, lb) in enumerate(pairs, start=1) if la != lb)
+            lines.append(f"{name}:line {n}: differs")
+    return DiffReport(lines=lines, passed=not lines)
 
 
 def golden_compare(a_dir: str, b_dir: str, rel_tol: float = 0.0) -> DiffReport:
-    """Per-cell relative comparison of two emitted report file sets.
+    """:func:`compare_tables` over the table files of two run directories.
 
-    json and csv tables are compared numerically with tolerance ``rel_tol``;
-    markdown is compared textually. ``manifest.json`` is metadata and is
-    skipped. Differing schema versions raise :class:`SchemaMismatch`.
+    ``manifest.json`` is metadata and is skipped.
     """
-    def table_files(d):
+    def table_texts(d):
         try:
             names = sorted(os.listdir(d))
         except OSError as exc:
             raise IoFailure(f"cannot list {d}: {exc}")
-        return [f for f in names if f != "manifest.json"
-                and f.rsplit(".", 1)[-1] in ("json", "csv", "md")]
+        return {f: _read_text(os.path.join(d, f)) for f in names if f != "manifest.json"
+                and f.rsplit(".", 1)[-1] in ("json", "csv", "md")}
 
-    a_files, b_files = table_files(a_dir), table_files(b_dir)
-    lines: list[str] = []
-    for name in sorted(set(a_files) ^ set(b_files)):
-        lines.append(f"{name}: present on one side only")
-
-    for name in sorted(set(a_files) & set(b_files)):
-        a_text = _read_text(os.path.join(a_dir, name))
-        b_text = _read_text(os.path.join(b_dir, name))
-        if name.endswith(".json"):
-            a_obj, b_obj = json.loads(a_text), json.loads(b_text)
-            va = a_obj.get("schema_version")
-            vb = b_obj.get("schema_version")
-            if va != vb:
-                raise SchemaMismatch(f"{name}: schema version {va!r} vs {vb!r}")
-            _compare_json(name, a_obj, b_obj, rel_tol, "", lines)
-        elif name.endswith(".csv"):
-            _compare_csv(name, a_text, b_text, rel_tol, lines)
-        else:
-            if a_text != b_text:
-                lines.append(f"{name}: markdown differs")
-    return DiffReport(lines=lines, passed=not lines)
+    return compare_tables(table_texts(a_dir), table_texts(b_dir), rel_tol)

@@ -570,6 +570,52 @@ class TestVerifyCommand:
                    for f in summary["failures"])
 
 
+    @staticmethod
+    def _md_digit(text):
+        """One digit of the first table row changed."""
+        row = text.index("| C |")
+        at = next(i for i in range(row, len(text)) if text[i].isdigit())
+        return text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:]
+
+    @staticmethod
+    def _csv_prob(text):
+        lines = text.split("\n")
+        cells = lines[2].split(",")
+        cells[3] = repr(float(cells[3]) * 1.5)
+        lines[2] = ",".join(cells)
+        return "\n".join(lines)
+
+    @staticmethod
+    def _hausman_statistic(text):
+        table = json.loads(text)
+        table["diagnostics"]["hausman"]["statistic"] *= 1.01
+        return json.dumps(table, sort_keys=True, indent=1) + "\n"
+
+    @staticmethod
+    def _truncated(text):
+        return text[:len(text) // 2]
+
+    @staticmethod
+    def _json_list(text):
+        return "[]\n"
+
+    @pytest.mark.parametrize("name, edit", [("value_moderated.md", "_md_digit"),
+                                            ("risk_direct.csv", "_csv_prob"),
+                                            ("risk_moderated.json", "_hausman_statistic"),
+                                            ("value_direct.json", "_truncated"),
+                                            ("risk_direct.json", "_json_list")])
+    def test_tampering_outside_the_json_rows_detected(self, data_dir, run_dir, tmp_path,
+                                                      capsys, name, edit):
+        tampered = tmp_path / "tampered"
+        shutil.copytree(run_dir, tampered)
+        path = tampered / name
+        path.write_text(getattr(self, edit)(path.read_text()))
+        code, out = run_cli("verify", "--data", str(data_dir), "--run",
+                            str(tampered), capsys=capsys)
+        assert code == 1
+        failures = json.loads(out)["failures"]
+        assert len(failures) == 1 and failures[0].startswith(f"{name}:"), failures
+
     def test_recomputes_only_the_base_estimates(self, data_dir, run_dir, capsys,
                                                  monkeypatch):
         from marketpanel import diagnostics, ingest, models, variables

@@ -2,15 +2,22 @@
 
 import json
 import os
+import shutil
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from marketpanel import diagnostics, models, synth, variables
 from marketpanel.errors import SchemaMismatch
-from marketpanel.report import ReportBundle, emit, golden_compare
+from marketpanel.report import ReportBundle, compare_tables, emit, golden_compare
+
+# the committed seed-9 tree that tests/test_golden.py pins
+GOLDEN = Path(__file__).resolve().parent / "golden" / "balanced"
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +196,97 @@ class TestGoldenCompare:
         diff = golden_compare(str(a), str(b))
         assert not diff.passed
         assert any("stationarity.csv" in line for line in diff.lines)
+
+
+def _edited(tmp_path, name, edit):
+    """A copy of the golden tree whose json table ``name`` went through ``edit``."""
+    tree = tmp_path / "edited"
+    shutil.copytree(GOLDEN, tree)
+    path = tree / name
+    table = json.loads(path.read_text())
+    edit(table)
+    path.write_text(json.dumps(table))
+    return tree
+
+
+def _row(table, variable):
+    return next(r for r in table["rows"] if r["variable"] == variable)
+
+
+def _scaled(variable, cell, factor):
+    def edit(table):
+        _row(table, variable)[cell] *= factor
+    return edit
+
+
+# a (coefficient, prob) pair of table cells
+_CELL = st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.floats(0.0, 1.0))
+
+
+def _table_texts(cells):
+    """A json and a csv table text of ``cells``, (coefficient, prob) per variable."""
+    rows = [{"variable": f"v{i}", "coefficient": c, "prob": p} for i, (c, p) in enumerate(cells)]
+    csv_text = "variable,coefficient,prob\n" + "".join(
+        f"{r['variable']},{r['coefficient']!r},{r['prob']!r}\n" for r in rows)
+    return {"t.json": json.dumps({"schema_version": "1", "rows": rows}), "t.csv": csv_text}
+
+
+class TestComparisonRule:
+    def test_argument_order_does_not_matter(self):
+        one, two = _table_texts([(1.0, 0.5)]), _table_texts([(2.0, 0.5)])
+        assert compare_tables(one, two, 0.6).passed and compare_tables(two, one, 0.6).passed
+        assert not compare_tables(one, two, 0.4).passed
+        assert not compare_tables(two, one, 0.4).passed
+
+    @given(st.lists(st.tuples(_CELL, _CELL), min_size=1, max_size=4),
+           st.sampled_from([0.0, 1e-12, 1e-6, 0.6, 2.0]))
+    def test_swapping_the_trees_never_changes_the_result(self, pairs, rel_tol):
+        a, b = _table_texts([pa for pa, _ in pairs]), _table_texts([pb for _, pb in pairs])
+        forward, backward = compare_tables(a, b, rel_tol), compare_tables(b, a, rel_tol)
+        assert forward.passed == backward.passed
+        assert len(forward.lines) == len(backward.lines)
+
+    def test_mid_range_p_moved_1e_10_fails(self, tmp_path):
+        edit = _scaled("C", "prob", 1 + 1e-10)
+        table = json.loads((GOLDEN / "risk_moderated.json").read_text())
+        assert 0.28 < _row(table, "C")["prob"] < 0.31
+        diff = golden_compare(str(GOLDEN), str(_edited(tmp_path, "risk_moderated.json", edit)),
+                              rel_tol=1e-12)
+        assert diff.lines and diff.lines[0].startswith("risk_moderated.json:/rows[C]/prob:")
+
+    def test_far_tail_p_moved_1e_10_passes(self, tmp_path):
+        table = json.loads((GOLDEN / "value_direct.json").read_text())
+        assert _row(table, "X")["prob"] == pytest.approx(8.97e-51, rel=1e-3)
+        tree = _edited(tmp_path, "value_direct.json", _scaled("X", "prob", 1 + 1e-10))
+        assert golden_compare(str(GOLDEN), str(tree), rel_tol=1e-12).passed
+        assert not golden_compare(str(GOLDEN), str(tree), rel_tol=0).passed
+
+    def test_hausman_statistic_is_compared_1e4_looser(self, tmp_path):
+        def edit(table):
+            table["diagnostics"]["hausman"]["statistic"] *= 1 + 5e-9
+        tree = _edited(tmp_path, "risk_moderated.json", edit)
+        assert golden_compare(str(GOLDEN), str(tree), rel_tol=1e-12).passed
+        diff = golden_compare(str(GOLDEN), str(tree), rel_tol=0)
+        assert [line.split(": ")[0] for line in diff.lines] == \
+            ["risk_moderated.json:/diagnostics/hausman/statistic"]
+
+    def test_nudged_golden_coefficient_names_its_cell(self, tmp_path):
+        tree = _edited(tmp_path, "value_moderated.json", _scaled("Marin", "coefficient", 1 + 1e-9))
+        diff = golden_compare(str(GOLDEN), str(tree), rel_tol=1e-12)
+        assert len(diff.lines) == 1
+        assert diff.lines[0].startswith("value_moderated.json:/rows[Marin]/coefficient:")
+
+    def test_csv_and_markdown_differences_name_the_cell(self):
+        texts = {name: (GOLDEN / name).read_text()
+                 for name in ("risk_direct.csv", "correlations.csv", "value_moderated.md")}
+        edited = dict(texts)
+        edited["risk_direct.csv"] = texts["risk_direct.csv"].replace("\nMarin,", "\nMarin,9", 1)
+        lines = texts["correlations.csv"].split("\n")
+        lines[4] = lines[4].replace(",0.", ",1.", 1)
+        edited["correlations.csv"] = "\n".join(lines)
+        edited["value_moderated.md"] = texts["value_moderated.md"].replace("| X |", "| X | 9", 1)
+        diff = compare_tables(texts, edited, rel_tol=1e-12)
+        a, b = texts["correlations.csv"].split("\n")[4].split(",")[:2]
+        assert [line.split(": ")[0] for line in diff.lines] == [
+            f"correlations.csv:[{a},{b}]/r", "risk_direct.csv:[Marin]/coefficient",
+            "value_moderated.md:line 6"]
