@@ -410,7 +410,7 @@ def _compare_csv(name: str, a_text: str, b_text: str, rel_tol: float, lines: lis
         if len(ra) != len(rb):
             lines.append(f"{loc}: cell count {len(ra)} vs {len(rb)}")
             continue
-        for column, ca, cb in zip(header, ra, rb):
+        for column, ca, cb in itertools.zip_longest(header, ra, rb, fillvalue=""):
             try:
                 close = ca == cb or _close(float(ca), float(cb), rel_tol, column in _P_COLUMNS)
             except ValueError:
