@@ -263,7 +263,7 @@ def _bundle(cfg: RunConfig, base: _BaseRun) -> report.ReportBundle:
 # --- subcommands -------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    from . import synth   # the generator and its scipy load only for this command
+    from . import synth   # the generator loads only for this command
     cfg = synth.DGPConfig(seed=args.seed, n_firms=args.n_firms, n_years=args.n_years)
     result = synth.generate_panel(cfg)
     os.makedirs(args.out, exist_ok=True)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import _cephes_ndtr, _ndtri
 from .errors import InfeasibleTargets, ModelMismatch
 from .ingest import (fundamentals_to_csv, parse_fundamentals, parse_riskfree,
                      prices_to_csv, riskfree_to_csv)
@@ -105,6 +106,8 @@ class DGPConfig:
         default_factory=lambda: dict(DEFAULT_MOMENT_TARGETS))
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise InfeasibleTargets("seed must be a non-negative integer")
         if self.n_firms < 2:
             raise InfeasibleTargets("panel estimation needs a cross-section (n_firms >= 2)")
         if self.n_firms * self.n_years < 30:
@@ -255,11 +258,10 @@ def _stratified_uniform(rng, n, low, high):
 
 
 def _stratified_normal(rng, n, mean, sd):
-    from scipy import special   # here, not at import: `verify` loads this module
     # quantiles clipped to the inner 99%: keeps firm-level draws bounded so
     # the planted linear price equation retains positive support
     q = np.clip((rng.permutation(n) + rng.random(n)) / n, 0.005, 0.995)
-    return mean + sd * special.ndtri(q)
+    return mean + sd * np.array([_ndtri(v) for v in q.tolist()])
 
 
 def _reflect(values, low, high):
@@ -277,23 +279,23 @@ def _fold_mean_lift(center, half, low, high, sd) -> float:
     a single fold at each bound shifts the mean by 2 E[(low - x)+] - 2 E[(x - high)+].
     Used to pre-compensate the grid center (analytic, seed independent).
     """
-    from scipy import special
     if sd <= 0:
         return 0.0
     mu = np.linspace(center - half, center + half, 201)
     z = np.stack([(mu - low) / sd, (high - mu) / sd])
-    lift = 2.0 * sd * (np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) - z * special.ndtr(-z))
+    tail = np.array([[_cephes_ndtr(-v) for v in row] for row in z.tolist()])
+    lift = 2.0 * sd * (np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) - z * tail)
     return float(np.mean(lift[0] - lift[1]))
 
 
 def _ar1_deviations(rng, rho, sd, n):
     """Stationary AR(1) deviations around zero."""
-    out = np.empty(n)
     prev = rng.normal(0.0, sd / np.sqrt(1.0 - rho * rho))
-    for t in range(n):
-        prev = rho * prev + rng.normal(0.0, sd)
-        out[t] = prev
-    return out
+    out = []
+    for innovation in rng.normal(0.0, sd, n).tolist():
+        prev = rho * prev + innovation
+        out.append(prev)
+    return np.array(out)
 
 
 def _design_spreads(targets, n_years: int) -> dict[str, float]:
@@ -411,9 +413,7 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
 
     # monthly market factor returns, pre-panel years included for beta windows
     first_year = cfg.start_year - _PRE_PANEL_YEARS
-    month_years = [y for y in range(first_year, cfg.start_year + cfg.n_years)
-                   for _ in range(12)]
-    n_months = len(month_years)
+    n_months = 12 * (_PRE_PANEL_YEARS + cfg.n_years)
     market_returns = {m: cfg.market_drift + cfg.market_vol * rng.standard_normal(n_months)
                       for m in market_ids}
 
@@ -480,10 +480,8 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
         size_full[i] = (ln_assets0[i]
                         + growth[i] * (np.arange(nfull) - _PRE_PANEL_YEARS)
                         + rng.normal(0, _LN_ASSETS_NOISE_SD, nfull))
-        book = book0[i]
-        for t in range(ny):
-            book *= 1.0 + rng.normal(_BOOK_GROWTH_MEAN, _BOOK_GROWTH_SD)
-            book_path[i, t] = book
+        book_path[i] = np.cumprod(np.concatenate(
+            [[book0[i]], 1.0 + rng.normal(_BOOK_GROWTH_MEAN, _BOOK_GROWTH_SD, ny)]))[1:]
         x_path[i] = x_mu[i] + rng.normal(0, spreads["x_within_sd"], ny)
         age_full[i] = age0[i] + np.arange(nfull) - _PRE_PANEL_YEARS
 
@@ -553,22 +551,28 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
         establishment_year=(np.array(years) - age_path).astype(np.int64).ravel(),
         book_value_prev=np.where(np.arange(ny) == 0, book0[:, None], np.nan).ravel())
 
+    # each market's 60-month window ending with each panel year, centred once
+    ends = [(year - first_year + 1) * 12 for year in years]
+    windows = {}
+    for market, mkt in market_returns.items():
+        for end in ends:
+            m = mkt[end - 60:end]
+            mc = m - m.mean()
+            windows[market, end] = m, mc, mc @ mc
+    idio = cfg.idio_vol * rng.standard_normal((n, n_months)) if cfg.idio_vol > 0 \
+        else np.zeros((n, n_months))
     # firm returns follow the year's true beta; the window beta is the 60-month estimator's target
     betas_true: dict[tuple[str, int], float] = {}
     betas_window: dict[tuple[str, int], float] = {}
     firm_monthly: dict[str, np.ndarray] = {}
     for i, firm in enumerate(firm_ids):
-        mkt = market_returns[firm_market[firm]]
-        beta_by_month = np.array([betas_full[i, y - first_year] for y in month_years])
-        idio = cfg.idio_vol * rng.standard_normal(n_months) if cfg.idio_vol > 0 \
-            else np.zeros(n_months)
-        firm_monthly[firm] = alpha[i] + beta_by_month * mkt + idio
-        for t, year in enumerate(years):
+        market = firm_market[firm]
+        beta_by_month = np.repeat(betas_full[i], 12)
+        firm_monthly[firm] = alpha[i] + beta_by_month * market_returns[market] + idio[i]
+        for t, (year, end) in enumerate(zip(years, ends)):
             betas_true[(firm, year)] = float(betas_true_mat[i, t])
-            end = (year - first_year + 1) * 12
-            m, b = mkt[end - 60:end], beta_by_month[end - 60:end]
-            mc = m - m.mean()
-            betas_window[(firm, year)] = float((mc @ (b * m)) / (mc @ mc))
+            m, mc, mcmc = windows[market, end]
+            betas_window[(firm, year)] = float((mc @ (beta_by_month[end - 60:end] * m)) / mcmc)
 
     # every series closes in every month, markets first, from 100 at the first month
     price_ids = tuple(market_ids) + tuple(firm_ids)

@@ -36,6 +36,45 @@ def src_env():
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
+def without_scipy(*commands):
+    """Run CLI commands in one subprocess that cannot import scipy; it exits
+    with the status of the first command that fails."""
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from marketpanel.cli import main\n"
+            f"for argv in {list(commands)!r}:\n"
+            "    status = main(argv)\n"
+            "    if status:\n"
+            "        sys.exit(status)")
+    return subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, timeout=300)
+
+
+# SHA-256 of the files `synth` writes, recorded before scipy left the generator;
+# a change to the generator that moves them on purpose updates them
+SYNTH_DIGESTS = {
+    ("7", "20", "10"): {
+        "fundamentals.csv": "6a0cfd96d46e9e1eb32828765e470a6bea0b88246bb494cfaf48b16c3be5f64a",
+        "prices.csv": "4f7ea9239dcaecc2c35c33d71ad4cccf2944e1b241f64b17372e0585f4833b44",
+        "riskfree.csv": "55f43529016c7871928ce61689aba812a79639cbc81dad6fc3f168a24c89d493",
+        "truth.json": "d67d35340892be1f62557ffdac08f0dedb6e01071bfa7411d17ffdc97beccfc9"},
+    ("9", "20", "10"): {
+        "fundamentals.csv": "70da5c2a6c037c68f38b25fa5249b5b1a29f97be53406bc023ea43a1b82efde7",
+        "prices.csv": "24d88507ef58f46a65cdeea69bf12df51a0b45652106217c1b26664f37972f11",
+        "riskfree.csv": "a4a8ff6f9ed6bfe79c4a36163cbc742d8f21a38b317bc311d7e205f17e252948",
+        "truth.json": "fdb49fb29607499452264eef7ebb25096590eb03297673d6b6175ca15ba5d0ae"},
+    ("11", "20", "10"): {
+        "fundamentals.csv": "9de00ea52f162d9fbde34950720c0a738596869fa48d358415517a0c4f773b87",
+        "prices.csv": "6a86b37e0e0d58bc028acfe1ec938f35df228fee0ccb2a72058c0e33a6206b2f",
+        "riskfree.csv": "47080683fe5cd85fa62e8f895643c8d91322554e0f983afca01d70f5769563a3",
+        "truth.json": "7b16857e56d42b54608eb30fb261c4f44240813b6a53574d29a138888ca7b8e5"},
+    ("9", "100", "30"): {
+        "fundamentals.csv": "03ab8756e6580243083c471cc501aaab484576f986f92935c6e04a8b07822148",
+        "prices.csv": "c8b0cbe075a6132e606ecba455fb0f4459b2c7560c50982fe4cd606bcf3a431f",
+        "riskfree.csv": "641f61fc1cb8e5fc69daf335d9aee788f52b84f65b98e8946c479fded8c17a2f",
+        "truth.json": "bb99aa4a128ec6de4708db321b3303462346d3abe688419f515e8cb629fa716b"},
+}
+
+
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("data")
@@ -71,6 +110,26 @@ class TestSynthCommand:
     def test_infeasible_config_exit_2(self, tmp_path):
         assert main(["synth", "--seed", "1", "--n-firms", "1",
                      "--out", str(tmp_path / "x")]) == 2
+
+    def test_negative_seed_exit_2(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-m", "marketpanel.cli", "synth", "--seed",
+                               "-1", "--out", str(tmp_path / "x")], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "ERROR seed must be a non-negative integer" in proc.stderr.splitlines()
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x").exists()
+
+    def test_files_keep_their_digests(self, tmp_path):
+        """The generator's bytes are pinned, with scipy unimportable."""
+        outs = {spec: tmp_path / "-".join(spec) for spec in SYNTH_DIGESTS}
+        proc = without_scipy(*(["synth", "--seed", seed, "--n-firms", firms, "--n-years",
+                                years, "--out", str(out)]
+                               for (seed, firms, years), out in outs.items()))
+        assert proc.returncode == 0, proc.stderr
+        for spec, digests in SYNTH_DIGESTS.items():
+            assert {name: hashlib.sha256((outs[spec] / name).read_bytes()).hexdigest()
+                    for name in sorted(os.listdir(outs[spec]))} == digests, spec
 
 
 class TestIngestCheck:
@@ -495,7 +554,9 @@ class TestRunId:
 
 
 class TestWithoutScipy:
-    """``run`` and ``verify`` never import scipy, not even inside a function."""
+    """No command imports scipy: importing the CLI loads neither scipy nor the
+    generator, and ``synth``, ``run`` and ``verify`` write the same bytes when
+    scipy cannot be imported."""
 
     def test_importing_the_cli_imports_neither_synth_nor_scipy(self):
         code = ("import sys, marketpanel.cli; "
@@ -505,23 +566,24 @@ class TestWithoutScipy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
-    def test_run_and_verify_with_scipy_unimportable(self, data_dir, run_dir, tmp_path):
-        def blocked(*argv):
-            code = ("import sys, runpy; sys.modules['scipy'] = None; "
-                    f"sys.argv = ['marketpanel', *{list(argv)!r}]; "
-                    "runpy.run_module('marketpanel.cli', run_name='__main__')")
-            return subprocess.run([sys.executable, "-c", code], env=src_env(),
-                                  capture_output=True, text=True, timeout=300)
+    def test_synth_with_scipy_unimportable(self, data_dir, tmp_path):
+        out = tmp_path / "data"
+        proc = without_scipy(["synth", "--seed", "7", "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(os.listdir(out)) == sorted(os.listdir(data_dir))
+        for name in os.listdir(data_dir):
+            assert (out / name).read_bytes() == (data_dir / name).read_bytes(), name
 
+    def test_run_and_verify_with_scipy_unimportable(self, data_dir, run_dir, tmp_path):
         out = tmp_path / "out"
-        proc = blocked("run", "--data", str(data_dir), "--out", str(out))
+        proc = without_scipy(["run", "--data", str(data_dir), "--out", str(out)])
         assert proc.returncode == 0, proc.stderr
         run_id = json.loads(proc.stdout)["run_id"]
         assert run_id == run_dir.name
         assert sorted(os.listdir(out / run_id)) == sorted(os.listdir(run_dir))
         for name in os.listdir(run_dir):
             assert (out / run_id / name).read_bytes() == (run_dir / name).read_bytes(), name
-        proc = blocked("verify", "--data", str(data_dir), "--run", str(out / run_id))
+        proc = without_scipy(["verify", "--data", str(data_dir), "--run", str(out / run_id)])
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["passed"] is True
 

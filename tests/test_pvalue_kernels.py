@@ -12,6 +12,9 @@ nan, zero and large degrees of freedom:
 
 Hypothesis properties draw degrees of freedom from 1 to 30 000 and p-values
 from 1 down to 1e-300, with the same checks.
+
+The generator's normal quantile and cdf, ports of Cephes' ``ndtri`` and
+``ndtr``, are held to scipy's bit for bit, and to 50-digit mpmath.
 """
 
 import math
@@ -243,6 +246,49 @@ def test_mackinnon_p_values_are_normal_cdf_values():
 def test_ndtr_matches_the_normal_cdf(x):
     exact = special.ndtr(x) if not np.isfinite(x) else mpmath.ncdf(x)
     assert_p(_kernels._ndtr(x), special.ndtr(x), exact)
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_ndtri_is_scipys_bit_for_bit():
+    e2 = math.exp(-2.0)
+    edges = [0.5, _kernels._EXP_M2, e2, 1.0 - _kernels._EXP_M2, 1.0 - e2]
+    edges += [np.nextafter(q, side) for q in edges for side in (0.0, 1.0)]
+    q = np.concatenate([np.linspace(0.005, 0.995, 100_001),
+                        np.random.default_rng(0).uniform(0.005, 0.995, 20_000), edges])
+    got = np.array([_kernels._ndtri(v) for v in q.tolist()])
+    assert np.array_equal(bits(got), bits(special.ndtri(q)))
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.1, -np.inf, np.inf, np.nan, 1e-300,
+                               1e-15, 1.0 - 1e-15, np.nextafter(1.0, 0.0)])
+def test_ndtri_raises_outside_its_two_branches(q):
+    with pytest.raises(ValueError):
+        _kernels._ndtri(q)
+
+
+def test_cephes_ndtr_is_scipys_bit_for_bit():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 100_001),
+                        np.random.default_rng(1).uniform(-40.0, 40.0, 20_000),
+                        [0.0, -0.0, np.inf, -np.inf, 1e300, -1e300]])
+    got = np.array([_kernels._cephes_ndtr(v) for v in x.tolist()])
+    assert np.array_equal(bits(got), bits(special.ndtr(x)))
+    assert math.isnan(_kernels._cephes_ndtr(math.nan))
+
+
+def test_ndtri_and_cephes_ndtr_against_mpmath():
+    rng = np.random.default_rng(2)
+    with mpmath.workdps(50):
+        for q in np.concatenate([np.linspace(0.005, 0.995, 1001),
+                                 rng.uniform(0.005, 0.995, 1000)]).tolist():
+            exact = -mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf(q))
+            assert abs(_kernels._ndtri(q) - exact) <= 1e-15, q
+        for x in np.concatenate([np.linspace(-12.0, 12.0, 1001),
+                                 rng.uniform(-12.0, 12.0, 1000)]).tolist():
+            exact = mpmath.ncdf(x)
+            assert abs(_kernels._cephes_ndtr(x) - exact) <= 5e-14 * exact, x
 
 
 def test_stratified_normal_matches_the_normal_quantiles():
