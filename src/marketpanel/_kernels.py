@@ -16,8 +16,8 @@ import numpy as np
 
 _EPS = 2.0 ** -52
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# sqrt(1/2) and ln 2 as two doubles each; _LN2_HI has 32 bits, so e * _LN2_HI is exact
-_SQRT_HALF, _SQRT_HALF_LO = math.sqrt(0.5), -4.833646656726457e-17
+_SQRT_HALF = math.sqrt(0.5)
+# ln 2 as two doubles; _LN2_HI has 32 bits, so e * _LN2_HI is exact
 _LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10
 # past this a the chi-square limit of Beta(a, b) is exact to rounding (its
 # error is O(1/a^2)) and the continued fraction would take ~sqrt(a) steps
@@ -71,16 +71,6 @@ def _erfc(t: float, t_lo: float) -> float:
     """erfc(t + t_lo) for t_lo within rounding of t > 0, by one Taylor step:
     erfc's relative condition number there is about 2 t^2."""
     return math.erfc(t) - t_lo * 1.1283791670955126 * math.exp(-t * t)   # 2 / sqrt(pi)
-
-
-def _ndtr(x: float) -> float:
-    """Standard normal cdf, with the erf/erfc split of cephes' ``ndtr``."""
-    t = x * _SQRT_HALF
-    if abs(t) < _SQRT_HALF or not abs(t) < 27.5:   # erfc(27.5) underflows
-        return 0.5 + 0.5 * math.erf(t)
-    t_lo = _prod_err(x, _SQRT_HALF, t) + x * _SQRT_HALF_LO
-    tail = 0.5 * _erfc(abs(t), t_lo if t > 0.0 else -t_lo)
-    return 1.0 - tail if t > 0.0 else tail
 
 
 # Cephes' rational approximations (Moshier 1989), the coefficients behind scipy's
@@ -173,8 +163,7 @@ def _cephes_erfc(x: float) -> float:
 def _cephes_ndtr(a: float) -> float:
     """The standard normal cdf, Cephes' ``ndtr`` with its ``erf`` and ``erfc``
     operation for operation, so it equals scipy's ``special.ndtr`` bit for bit.
-    :func:`_ndtr` is the more accurate in the tails; this one keeps the
-    generator's bytes."""
+    It serves the generator and the MacKinnon p-values of the Fisher combination."""
     x = a * _SQRT_HALF
     z = abs(x)
     if z < _SQRT_HALF:

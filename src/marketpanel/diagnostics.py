@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConstantSeries, SpecMismatch, TooFewGroups, TooShort
-from .panel_core import appearance_codes
+from .errors import ConstantSeries, TooFewGroups, TooShort
+from .panel_core import PanelCodes
 from .regress import _tall_r
 
 # MacKinnon (2010) response-surface coefficients, constant-only regression,
@@ -95,7 +95,7 @@ def _mackinnon_pvalues(stat: np.ndarray) -> np.ndarray:
     c, d = _P_SMALL, _P_LARGE
     small = c[0] + c[1] * stat + c[2] * stat**2
     large = d[0] + d[1] * stat + d[2] * stat**2 + d[3] * stat**3
-    p = [_kernels._ndtr(z) for z in np.where(stat <= _P_TAU_STAR, small, large).tolist()]
+    p = [_kernels._cephes_ndtr(z) for z in np.where(stat <= _P_TAU_STAR, small, large).tolist()]
     return np.where(stat <= _P_TAU_MIN, 0.0, np.where(stat >= _P_TAU_MAX, 1.0, p))
 
 
@@ -341,22 +341,14 @@ def _fisher_combination(name: str, y: np.ndarray, firm: np.ndarray) -> TestResul
 def hausman_test(fe, re) -> TestResult:
     """Hausman comparison of fixed- and random-effects slope vectors.
 
-    H = d' (V_FE - V_RE)^+ d over the slope coefficients common to both
-    fits (intercept excluded), df = rank of the covariance difference. A
-    non-positive-semidefinite difference is flagged in ``detail`` and
-    handled with the Moore-Penrose pseudo-inverse.
+    Both fits come from one design, so each holds ``C`` and then the same
+    slopes in the same order: the slopes are read by position.
+    H = d' (V_FE - V_RE)^+ d over the slopes, df = rank of the covariance
+    difference. A non-positive-semidefinite difference is flagged in
+    ``detail`` and handled with the Moore-Penrose pseudo-inverse.
     """
-    fe_slopes = [n for n in fe.column_names if n != "C"]
-    re_slopes = [n for n in re.column_names if n != "C"]
-    if set(fe_slopes) != set(re_slopes):
-        raise SpecMismatch(f"regressor sets differ: {fe_slopes} vs {re_slopes}")
-    names = fe_slopes
-
-    fe_idx = [fe.column_names.index(n) for n in names]
-    re_idx = [re.column_names.index(n) for n in names]
-    d = fe.coefficients[fe_idx] - re.coefficients[re_idx]
-    v_diff = (fe.covariance[np.ix_(fe_idx, fe_idx)]
-              - re.covariance[np.ix_(re_idx, re_idx)])
+    d = fe.coefficients[1:] - re.coefficients[1:]
+    v_diff = fe.covariance[1:, 1:] - re.covariance[1:, 1:]
     v_diff = (v_diff + v_diff.T) / 2.0
 
     eigvals = np.linalg.eigvalsh(v_diff)
@@ -369,30 +361,27 @@ def hausman_test(fe, re) -> TestResult:
     df = max(df, 1)
     p = _kernels._chdtrc(df, max(statistic, 0.0))
     decision = "reject" if p < 0.05 else "fail_to_reject"
-    detail = f"df={df}, slopes={names}"
+    detail = f"df={df}, slopes={list(fe.column_names[1:])}"
     if not psd:
         detail += "; covariance difference not PSD (pseudo-inverse used)"
     return TestResult(name="hausman", statistic=statistic, p_value=p,
                       critical_values=None, decision=decision, detail=detail)
 
 
-def lr_heteroskedasticity(residuals, groups) -> TestResult:
+def lr_heteroskedasticity(residuals, codes: PanelCodes) -> TestResult:
     """Likelihood-ratio test of equal residual variances across firms.
 
     LR = n ln(sigma2_pooled) - sum_g n_g ln(sigma2_g), compared to
     chi-squared with G-1 degrees of freedom. Group variances are maximum
-    likelihood second moments of the residuals. ``groups`` labels each
-    residual's firm; groups are numbered in order of first appearance.
+    likelihood second moments of the residuals. ``codes`` are the design's
+    panel codes, one firm per residual; groups are taken in firm-code order.
     """
     residuals = np.asarray(residuals, dtype=float)
-    if len(groups) != len(residuals):
-        raise ValueError("groups must align with residuals")
-    labels, codes = appearance_codes(groups)
-    g = len(labels)
+    g = len(codes.firm_ids)
     if g < 2:
         raise TooFewGroups(f"need at least 2 groups, got {g}")
-    sizes = np.bincount(codes, minlength=g)
-    small = [label for label, size in zip(labels.tolist(), sizes) if size < 3]
+    sizes = codes.firm_sizes
+    small = [codes.firm_ids[i] for i in np.flatnonzero(sizes < 3).tolist()]
     if small:
         raise TooFewGroups(f"groups with fewer than 3 residuals: {small}")
 
@@ -401,13 +390,12 @@ def lr_heteroskedasticity(residuals, groups) -> TestResult:
     if pooled == 0.0:
         statistic = 0.0
     else:
-        s2 = np.bincount(codes, weights=residuals * residuals, minlength=g) / sizes
+        s2 = np.bincount(codes.firm, weights=residuals * residuals, minlength=g) / sizes
         if np.any(s2 == 0.0):
             statistic = math.inf
         else:
             # a small difference of large sums, so its last digits depend on the
-            # order of the additions: subtract group by group, in order of first
-            # appearance
+            # order of the additions: subtract group by group, in firm-code order
             terms = np.concatenate([[n * math.log(pooled)], sizes * np.log(s2)])
             statistic = float(np.subtract.reduce(terms))
     df = g - 1

@@ -82,10 +82,6 @@ class ConstantSeries(MarketPanelError):
     pass
 
 
-class SpecMismatch(MarketPanelError):
-    pass
-
-
 class TooFewGroups(MarketPanelError):
     pass
 

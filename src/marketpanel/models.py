@@ -179,8 +179,7 @@ def estimate(panel: DerivedPanel, spec: ModelSpec, center: bool = False) -> Esti
         notes.append(f"hausman unavailable: {exc}")
 
     try:
-        firms = np.array(X.codes.firm_ids)[X.codes.firm]
-        diagnostics.append(lr_heteroskedasticity(fe_classical.residuals, firms))
+        diagnostics.append(lr_heteroskedasticity(fe_classical.residuals, X.codes))
     except MarketPanelError as exc:
         notes.append(f"lr check unavailable: {exc}")
 

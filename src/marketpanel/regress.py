@@ -77,12 +77,21 @@ class FitResult:
     df_resid: int
     cov_kind: str
     residuals: np.ndarray
-    theta: float | None = None
 
     def rows(self) -> list[tuple[str, float, float, float]]:
         """(name, coefficient, std_error, p_value) of each column, in column order."""
         return list(zip(self.column_names, self.coefficients.tolist(),
                         self.std_errors.tolist(), self.p_values.tolist()))
+
+
+@dataclass(frozen=True)
+class RandomEffects:
+    """Random-effects GLS coefficients, ``C`` then the design's columns, their
+    classical covariance and the mean quasi-demeaning weight ``theta``."""
+
+    coefficients: np.ndarray
+    covariance: np.ndarray
+    theta: float
 
 
 def _tall_r(a: np.ndarray) -> np.ndarray:
@@ -141,13 +150,10 @@ def _t_inference(beta, covariance, df_resid):
     return std, t, np.clip(p, 0.0, 1.0)
 
 
-def _r_squared(y, residuals, centered: bool):
+def _r_squared(y, residuals):
     rss = float(residuals @ residuals)
-    if centered:
-        dev = y - y.mean()
-        tss = float(dev @ dev)
-    else:
-        tss = float(y @ y)
+    dev = y - y.mean()
+    tss = float(dev @ dev)
     if tss <= 0.0:
         return 1.0 if rss <= 1e-30 else 0.0
     return max(0.0, min(1.0, 1.0 - rss / tss))
@@ -279,7 +285,7 @@ def fe_fit(X: DesignMatrix, y, cov_kind: str = "classical") -> FitResult:
     names = (INTERCEPT_NAME,) + Xw.column_names
     std, t, p = _t_inference(coefficients, covariance, df_resid)
 
-    r2 = _r_squared(yw, residuals, centered=True)
+    r2 = _r_squared(yw, residuals)
     f_stat, f_p = _f_statistic(r2, k, df_resid)
 
     return FitResult(coefficients=coefficients, covariance=covariance, std_errors=std,
@@ -289,12 +295,13 @@ def fe_fit(X: DesignMatrix, y, cov_kind: str = "classical") -> FitResult:
                      cov_kind=cov_kind, residuals=residuals)
 
 
-def re_fit(X: DesignMatrix, y) -> FitResult:
+def re_fit(X: DesignMatrix, y) -> RandomEffects:
     """Random-effects GLS with Swamy-Arora variance components.
 
     sigma2_e comes from the within residuals, sigma2_u from the between
     regression; a negative between component is clamped to zero with a
-    warning, which reduces the estimator to pooled OLS.
+    warning, which reduces the estimator to pooled OLS. Only what the Hausman
+    comparison reads is returned: no t, p, F, residuals or R-squared.
     """
     if X.codes is None:
         raise ValueError("random effects requires panel codes")
@@ -336,30 +343,13 @@ def re_fit(X: DesignMatrix, y) -> FitResult:
 
     theta_by_group = 1.0 - np.sqrt(sigma2_e / (sigma2_e + t_sizes * sigma2_u))
 
-    # quasi-demeaning, intercept included
-    values = np.column_stack([np.ones(n), X.values])
+    # quasi-demeaning, intercept included; df_within > 0 leaves n > k + 1
     y_star = y - (theta_by_group * ybar)[codes.firm]
-    v_star = values - (theta_by_group[:, None] * xbar)[codes.firm]
-
-    kk = k + 1
-    if n <= kk:
-        raise TooFewObservations(f"n={n} observations for k={kk} parameters")
+    v_star = (np.column_stack([np.ones(n), X.values])
+              - (theta_by_group[:, None] * xbar)[codes.firm])
     beta, xtx_inv = _pivoted_qr_solve(v_star, y_star, names)
     resid_star = y_star - v_star @ beta
-    df_resid = n - kk
-    sigma2 = float(resid_star @ resid_star) / df_resid
+    sigma2 = float(resid_star @ resid_star) / (n - k - 1)
     covariance = sigma2 * xtx_inv
-    covariance = (covariance + covariance.T) / 2.0
-
-    std, t, p = _t_inference(beta, covariance, df_resid)
-    residuals = y - values @ beta
-    r2 = _r_squared(y, residuals, centered=True)
-    f_stat, f_p = _f_statistic(_r_squared(y_star, resid_star, centered=True), k, df_resid)
-
-    return FitResult(coefficients=beta, covariance=covariance, std_errors=std,
-                     t_stats=t, p_values=p, column_names=names,
-                     r_squared=r2, r_squared_kind="overall",
-                     f_statistic=f_stat, f_pvalue=f_p, nobs=n, df_resid=df_resid,
-                     cov_kind="classical", residuals=residuals,
-                     theta=float(theta_by_group.mean()))
-
+    return RandomEffects(coefficients=beta, covariance=(covariance + covariance.T) / 2.0,
+                         theta=float(theta_by_group.mean()))

@@ -296,11 +296,13 @@ def _bundle_files(bundle: ReportBundle) -> dict[str, tuple]:
                   "correlations": bundle.correlation_table,
                   "stationarity": bundle.stationarity_table}
     files = {name: (name, (table,)) for name, table in diagnostic.items() if table is not None}
+    # a moderated base model's markdown pairs with its direct model; no direct
+    # model is estimated under the alternative measures, so robustness tables stand alone
     by_model = {r.model_id: r for r in bundle.estimation_tables}
-    named = [(r.model_id, r) for r in bundle.estimation_tables]
-    named += [(robustness_table_name(r), r) for r in bundle.robustness_tables]
-    for name, report in named:
-        companion = by_model.get(_COMPANIONS.get(report.model_id))
+    named = [(r.model_id, r, by_model.get(_COMPANIONS.get(r.model_id)))
+             for r in bundle.estimation_tables]
+    named += [(robustness_table_name(r), r, None) for r in bundle.robustness_tables]
+    for name, report, companion in named:
         files[name] = ("estimation", (report, name, companion))
     return files
 

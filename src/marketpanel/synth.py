@@ -17,7 +17,7 @@ within-window slope recorded as ``betas_window``.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .beta import PriceTable
 from .variables import ownership_concentration
 
 TRUTH_SCHEMA_VERSION = "1"
+# the (firm, year) maps, stored in truth.json as {firm: {year: value}}
+_NESTED_TRUTH = ("betas_true", "betas_window")
 
 DEFAULT_VALUE_COEFFICIENTS = {
     "B": 1.0, "X": 2.92, "Marin": 0.18, "Age": 0.012, "Size": -0.35,
@@ -78,6 +80,13 @@ _X_FIRM_SD, _X_NOISE_SD = 0.06, 0.07  # 6:7 between/within split, scaled to the 
 _ALPHA_MEAN, _ALPHA_SD = 0.001, 0.001
 _PRICE_FLOOR = 0.02
 _PRE_PANEL_YEARS = 5
+# the paper's four markets and first panel year, and the value equation's and
+# the market factor's scales, which no run varies
+START_YEAR = 2010
+N_MARKETS = 4
+_VALUE_EFFECT_SD = 0.20   # sigma_u of the value equation firm effects
+_VALUE_NOISE_SD = 0.25    # sigma_e of the value equation noise
+_MARKET_VOL, _MARKET_DRIFT = 0.05, 0.008   # monthly market factor returns
 
 
 @dataclass(frozen=True)
@@ -87,19 +96,13 @@ class DGPConfig:
     seed: int = 0
     n_firms: int = 20
     n_years: int = 10
-    start_year: int = 2010
-    n_markets: int = 4
     value_coefficients: dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_VALUE_COEFFICIENTS))
     risk_coefficients: dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_RISK_COEFFICIENTS))
-    effect_scale: float = 0.20        # sigma_u of the value equation firm effects
-    noise_scale: float = 0.25         # sigma_e of the value equation noise
     risk_effect_scale: float = 0.28
     risk_noise_scale: float = 0.04
     idio_vol: float = 0.028           # monthly idiosyncratic return volatility
-    market_vol: float = 0.05
-    market_drift: float = 0.008
     # values: mean or (mean, std); see DEFAULT_MOMENT_TARGETS for which stds
     # the design can honor
     moment_targets: dict = field(
@@ -108,14 +111,11 @@ class DGPConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise InfeasibleTargets("seed must be a non-negative integer")
-        if self.n_firms < 2:
-            raise InfeasibleTargets("panel estimation needs a cross-section (n_firms >= 2)")
+        if self.n_firms < N_MARKETS:
+            raise InfeasibleTargets(f"n_firms must be at least the {N_MARKETS} markets")
         if self.n_firms * self.n_years < 30:
             raise InfeasibleTargets("n_firms * n_years must be at least 30")
-        if self.n_markets < 1 or self.n_markets > self.n_firms:
-            raise InfeasibleTargets("n_markets must be between 1 and n_firms")
-        for name in ("effect_scale", "noise_scale", "risk_effect_scale",
-                     "risk_noise_scale", "market_vol"):
+        for name in ("risk_effect_scale", "risk_noise_scale"):
             if getattr(self, name) <= 0:
                 raise InfeasibleTargets(f"{name} must be positive")
         if self.idio_vol < 0:
@@ -147,7 +147,7 @@ class DGPConfig:
 
     @property
     def years(self) -> tuple[int, ...]:
-        return tuple(range(self.start_year, self.start_year + self.n_years))
+        return tuple(range(START_YEAR, START_YEAR + self.n_years))
 
 
 @dataclass
@@ -166,55 +166,26 @@ class TruthRecord:
     expected_moments: dict[str, float]
     price_redraws: int = 0
 
-    def to_dict(self) -> dict:
-        def nest(mapping):
-            out: dict[str, dict[str, float]] = {}
-            for (firm, year), value in sorted(mapping.items()):
-                out.setdefault(firm, {})[str(year)] = value
-            return out
-
-        return {
-            "schema_version": TRUTH_SCHEMA_VERSION,
-            "seed": self.seed,
-            "value_coefficients": self.value_coefficients,
-            "risk_coefficients": self.risk_coefficients,
-            "value_average_marin_effect": self.value_average_marin_effect,
-            "risk_average_marin_effect": self.risk_average_marin_effect,
-            "entity_effects_value": self.entity_effects_value,
-            "entity_effects_risk": self.entity_effects_risk,
-            "betas_true": nest(self.betas_true),
-            "betas_window": nest(self.betas_window),
-            "expected_moments": self.expected_moments,
-            "price_redraws": self.price_redraws,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TruthRecord":
-        def flatten(mapping):
-            return {(firm, int(year)): value
-                    for firm, by_year in mapping.items()
-                    for year, value in by_year.items()}
-
-        return cls(
-            seed=data["seed"],
-            value_coefficients=dict(data["value_coefficients"]),
-            risk_coefficients=dict(data["risk_coefficients"]),
-            value_average_marin_effect=data["value_average_marin_effect"],
-            risk_average_marin_effect=data["risk_average_marin_effect"],
-            entity_effects_value=dict(data["entity_effects_value"]),
-            entity_effects_risk=dict(data["entity_effects_risk"]),
-            betas_true=flatten(data["betas_true"]),
-            betas_window=flatten(data["betas_window"]),
-            expected_moments=dict(data["expected_moments"]),
-            price_redraws=data.get("price_redraws", 0),
-        )
+        """truth.json's text: every field, and the schema version, by sorted key."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in _NESTED_TRUTH:
+            by_firm: dict[str, dict[str, float]] = {}
+            for (firm, year), value in sorted(data[name].items()):
+                by_firm.setdefault(firm, {})[str(year)] = value
+            data[name] = by_firm
+        return json.dumps({"schema_version": TRUTH_SCHEMA_VERSION, **data},
+                          sort_keys=True, indent=1) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "TruthRecord":
-        return cls.from_dict(json.loads(text))
+        """The record of ``to_json``'s text; keys that are not fields are ignored."""
+        data = json.loads(text)
+        for name in _NESTED_TRUTH:
+            data[name] = {(firm, int(year)): value
+                          for firm, by_year in data[name].items()
+                          for year, value in by_year.items()}
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 @dataclass
@@ -400,8 +371,8 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
     risk_coefficients = {"C": c_risk, **cfg.risk_coefficients}
 
     firm_ids = [f"F{i + 1:03d}" for i in range(n)]
-    market_ids = [f"M{j + 1}" for j in range(cfg.n_markets)]
-    firm_market = {firm_ids[i]: market_ids[i % cfg.n_markets] for i in range(n)}
+    market_ids = [f"M{j + 1}" for j in range(N_MARKETS)]
+    firm_market = {firm_ids[i]: market_ids[i % N_MARKETS] for i in range(n)}
 
     # risk-free rates per market-year
     rf_series = []
@@ -412,9 +383,9 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
         rf_series.append(RiskFreeSeries(market_id=market, rates=rates))
 
     # monthly market factor returns, pre-panel years included for beta windows
-    first_year = cfg.start_year - _PRE_PANEL_YEARS
+    first_year = START_YEAR - _PRE_PANEL_YEARS
     n_months = 12 * (_PRE_PANEL_YEARS + cfg.n_years)
-    market_returns = {m: cfg.market_drift + cfg.market_vol * rng.standard_normal(n_months)
+    market_returns = {m: _MARKET_DRIFT + _MARKET_VOL * rng.standard_normal(n_months)
                       for m in market_ids}
 
     # firm-level characteristics (stratified across firms); grid centers are
@@ -442,7 +413,7 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
     book0 = moments["book0"] * np.exp(
         _stratified_normal(rng, n, -sigma_b**2 / 2.0, sigma_b))
     x_mu = _stratified_normal(rng, n, targets["X"][0], spreads["x_between_sd"])
-    u_value = _stratified_normal(rng, n, 0.0, cfg.effect_scale)
+    u_value = _stratified_normal(rng, n, 0.0, _VALUE_EFFECT_SD)
     u_risk = _stratified_normal(rng, n, 0.0, cfg.risk_effect_scale)
     alpha = rng.normal(_ALPHA_MEAN, _ALPHA_SD, size=n)
 
@@ -518,14 +489,14 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
                   + cfg.value_coefficients["OW"] * ow_path
                   + cfg.value_coefficients["OW*Marin"] * ow_path * marin_path
                   + u_value[:, None])
-    price_noise = rng.normal(0, cfg.noise_scale, size=(n, ny))
+    price_noise = rng.normal(0, _VALUE_NOISE_SD, size=(n, ny))
     price_path = systematic + price_noise
     redraws = 0
     for i in range(n):
         for t in range(ny):
             tries = 0
             while price_path[i, t] < _PRICE_FLOOR:
-                price_path[i, t] = systematic[i, t] + rng.normal(0, cfg.noise_scale)
+                price_path[i, t] = systematic[i, t] + rng.normal(0, _VALUE_NOISE_SD)
                 tries += 1
                 redraws += 1
                 if tries > 1000:

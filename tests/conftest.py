@@ -112,6 +112,12 @@ def panel_matrix(values, names, index):
     return DesignMatrix(values, names, codes)
 
 
+def firm_codes(labels) -> PanelCodes:
+    """The PanelCodes of rows whose firms are ``labels``, coded in sorted label order."""
+    firm_ids, firm = np.unique(np.asarray(labels, dtype=str), return_inverse=True)
+    return PanelCodes.from_codes(firm_ids.tolist(), firm, np.zeros(len(firm), dtype=np.int64))
+
+
 def row_labels(X):
     """The (firm, year) label of each row of a panel DesignMatrix."""
     codes = X.codes
@@ -191,7 +197,15 @@ def ols_fit(X: regress.DesignMatrix, y, intercept: bool = True) -> regress.FitRe
     covariance = (covariance + covariance.T) / 2.0
 
     std, t, p = regress._t_inference(beta, covariance, df_resid)
-    r2 = regress._r_squared(y, residuals, centered=intercept)
+    if intercept:
+        r2 = regress._r_squared(y, residuals)
+    else:
+        # without an intercept the R-squared is uncentred: 1 - RSS / y'y
+        rss, tss = float(residuals @ residuals), float(y @ y)
+        if tss <= 0.0:
+            r2 = 1.0 if rss <= 1e-30 else 0.0
+        else:
+            r2 = max(0.0, min(1.0, 1.0 - rss / tss))
     k_model = k - 1 if intercept else k
     f_stat, f_p = regress._f_statistic(r2, k_model, df_resid)
 

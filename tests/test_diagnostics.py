@@ -10,10 +10,10 @@ from marketpanel.diagnostics import (adf_test, correlation_matrix, descriptives,
                                      hausman_test, lr_heteroskedasticity,
                                      mackinnon_crit, mackinnon_pvalue,
                                      panel_stationarity)
-from marketpanel.errors import ConstantSeries, SpecMismatch, TooFewGroups, TooShort
+from marketpanel.errors import ConstantSeries, TooFewGroups, TooShort
 from marketpanel.regress import fe_fit, re_fit
 
-from conftest import panel_design, stacked
+from conftest import firm_codes, panel_design, stacked
 
 
 class TestAdf:
@@ -118,14 +118,6 @@ class TestHausman:
         result = hausman_test(fe, re)
         assert result.decision == "fail_to_reject"
 
-    def test_spec_mismatch(self):
-        X, y, _ = panel_design(n_firms=8, n_years=5, k=2, seed=2)
-        X1 = X.__class__(X.values[:, :1], ("x1",), X.codes)
-        fe = fe_fit(X1, y)
-        re = re_fit(X, y)
-        with pytest.raises(SpecMismatch):
-            hausman_test(fe, re)
-
     def test_size_calibration(self):
         """RE-consistent DGP rejects around the nominal 5% rate."""
         rejections = 0
@@ -167,7 +159,7 @@ class TestLrHeteroskedasticity:
     def test_identical_residuals_zero(self):
         residuals = np.tile([0.5, -0.5, 0.1, -0.1], 4)
         groups = np.repeat([f"F{i}" for i in range(4)], 4)
-        result = lr_heteroskedasticity(residuals, list(groups))
+        result = lr_heteroskedasticity(residuals, firm_codes(groups))
         assert result.statistic == pytest.approx(0.0, abs=1e-12)
         assert result.decision == "fail_to_reject"
 
@@ -176,7 +168,7 @@ class TestLrHeteroskedasticity:
         # variances equal the pooled one and the statistic rounds below 0
         residuals = np.tile([0.3, -0.1, 0.7, 0.2], 5)
         groups = list(np.repeat([f"F{i}" for i in range(5)], 4))
-        result = lr_heteroskedasticity(residuals, groups)
+        result = lr_heteroskedasticity(residuals, firm_codes(groups))
         assert -1e-12 < result.statistic < 0.0
         assert result.p_value == 1.0
         assert result.decision == "fail_to_reject"
@@ -186,7 +178,7 @@ class TestLrHeteroskedasticity:
         residuals = np.concatenate([rng.normal(0, 1, 30),
                                     rng.normal(0, 10, 30)])
         groups = ["A"] * 30 + ["B"] * 30
-        result = lr_heteroskedasticity(residuals, groups)
+        result = lr_heteroskedasticity(residuals, firm_codes(groups))
         assert result.decision == "reject"
         assert result.p_value < 0.001
 
@@ -196,24 +188,29 @@ class TestLrHeteroskedasticity:
         rng = np.random.default_rng(1)
         for _ in range(n_seeds):
             residuals = rng.normal(0, 1, 100)
-            groups = list(np.repeat([f"F{i}" for i in range(10)], 10))
+            groups = firm_codes(np.repeat([f"F{i}" for i in range(10)], 10))
             rejections += lr_heteroskedasticity(residuals, groups).p_value < 0.05
         assert 0.01 <= rejections / n_seeds <= 0.10
 
     def test_too_few_groups(self):
         with pytest.raises(TooFewGroups):
-            lr_heteroskedasticity(np.ones(5), ["A"] * 5)
+            lr_heteroskedasticity(np.ones(5), firm_codes(["A"] * 5))
         with pytest.raises(TooFewGroups):
-            lr_heteroskedasticity(np.arange(5.0), ["A", "A", "A", "B", "B"])
+            lr_heteroskedasticity(np.arange(5.0), firm_codes(["A", "A", "A", "B", "B"]))
 
-    def test_groups_in_order_of_first_appearance(self):
+    def test_groups_in_firm_code_order(self):
         residuals = np.array([1.0, -1.0, 2.0, 3.0, -3.0, 1.0, 0.5, -2.0, 1.5])
         labels = ["B", "A", "B", "A", "B", "A", "C", "C", "C"]
-        result = lr_heteroskedasticity(residuals, np.array(labels))
+        result = lr_heteroskedasticity(residuals, firm_codes(labels))
         assert result.detail == "groups=3, df=2"
-        assert result.statistic == lr_heteroskedasticity(residuals, labels).statistic
-        with pytest.raises(TooFewGroups, match=r"\['C', 'B'\]"):
-            lr_heteroskedasticity(residuals[:7], np.array(["C", "B", "A", "A", "A", "B", "C"]))
+        # n ln(pooled) less each firm's term, firms A, B, C in code order
+        terms = [9 * math.log(float(residuals @ residuals) / 9)]
+        terms += [3 * math.log(float(e @ e) / 3)
+                  for e in (residuals[[1, 3, 5]], residuals[[0, 2, 4]], residuals[6:])]
+        assert result.statistic == pytest.approx(float(np.subtract.reduce(terms)),
+                                                 rel=1e-12)
+        with pytest.raises(TooFewGroups, match=r"\['B', 'C'\]"):
+            lr_heteroskedasticity(residuals[:7], firm_codes(["C", "B", "A", "A", "A", "B", "C"]))
 
 
 class TestDescriptives:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from marketpanel import synth, variables
+from marketpanel import _kernels, synth, variables
 from marketpanel.errors import TooFewObservations
 from marketpanel.models import build_interaction, estimate, robustness_suite, spec_for
 
@@ -117,6 +117,18 @@ class TestEstimate:
         assert report.n_excluded == len(first) - 2
         assert (f"lr check unavailable: groups with fewer than 3 residuals: "
                 f"['{codes.firm_ids[0]}']") in report.notes
+
+    def test_only_the_fixed_effects_fits_compute_tails(self, panel, monkeypatch):
+        """t and F tails are computed for the two FE fits only, nine coefficients
+        each; the random-effects step computes none."""
+        calls = {"_stdtr": 0, "_fdtrc": 0}
+        for name, kernel in [(name, getattr(_kernels, name)) for name in calls]:
+            def counted(*args, name=name, kernel=kernel):
+                calls[name] += 1
+                return kernel(*args)
+            monkeypatch.setattr(_kernels, name, counted)
+        estimate(panel, spec_for("value_moderated"))
+        assert calls == {"_stdtr": 18, "_fdtrc": 2}
 
     def test_zero_moderator_reproduces_direct_slopes(self, panel):
         """OW identically zero degrades the moderated model to the direct one."""

@@ -242,6 +242,13 @@ def _lsdv_fit(X, y):
     return {name: coefficient(fit, name) for name in X.column_names}
 
 
+def re_slope(re, X, name):
+    """(coefficient, standard error) of the design column ``name`` in a random-effects fit,
+    whose coefficients are ``C`` then the design's columns."""
+    j = 1 + X.column_names.index(name)
+    return re.coefficients[j], float(np.sqrt(re.covariance[j, j]))
+
+
 class TestReFit:
     def test_zero_effect_variance_reduces_to_pooled(self):
         X, y, _ = panel_design(n_firms=30, n_years=6, k=2, seed=0,
@@ -252,8 +259,8 @@ class TestReFit:
         pooled = ols_fit(X, y)
         assert re.theta == pytest.approx(0.0, abs=0.25)
         for name in X.column_names:
-            assert coefficient(re, name) == pytest.approx(coefficient(pooled, name),
-                                                         abs=0.05)
+            assert re_slope(re, X, name)[0] == pytest.approx(coefficient(pooled, name),
+                                                             abs=0.05)
 
     def test_large_effect_variance_approaches_fe(self):
         X, y, _ = panel_design(n_firms=25, n_years=6, k=2, seed=1,
@@ -262,8 +269,8 @@ class TestReFit:
         fe = fe_fit(X, y)
         assert re.theta > 0.9
         for name in X.column_names:
-            assert coefficient(re, name) == pytest.approx(coefficient(fe, name),
-                                                         abs=0.02)
+            assert re_slope(re, X, name)[0] == pytest.approx(coefficient(fe, name),
+                                                             abs=0.02)
 
     def test_monte_carlo_recovery(self):
         hits = 0
@@ -271,8 +278,8 @@ class TestReFit:
             X, y, beta = panel_design(n_firms=20, n_years=8, k=2, seed=seed,
                                       beta=[1.0, -0.5], effect_sd=1.0, noise_sd=1.0)
             re = re_fit(X, y)
-            ok = all(abs(coefficient(re, f"x{j+1}") - beta[j])
-                     <= 3 * std_error(re, f"x{j+1}") for j in range(2))
+            slopes = [re_slope(re, X, f"x{j+1}") for j in range(2)]
+            ok = all(abs(coef - b) <= 3 * se for (coef, se), b in zip(slopes, beta))
             hits += ok
         assert hits >= 18
 

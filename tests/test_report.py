@@ -69,11 +69,11 @@ class TestEmit:
     def test_moderated_tables_pair_with_their_direct_model(self, bundle, tmp_path):
         emit(bundle, str(tmp_path))
         paired = "| Variable | Direct Model Coefficient | Direct Model Prob. |"
-        for stem in ("value_moderated", "risk_moderated", "robustness_value_assets",
-                     "robustness_value_log", "robustness_risk_assets",
-                     "robustness_risk_log"):
+        for stem in ("value_moderated", "risk_moderated"):
             assert (tmp_path / f"{stem}.md").read_text().splitlines()[2].startswith(paired)
-        for stem in ("value_direct", "risk_direct"):
+        # no direct model is estimated under the alternative marketing measures
+        for stem in ("value_direct", "risk_direct", "robustness_value_assets",
+                     "robustness_value_log", "robustness_risk_assets", "robustness_risk_log"):
             assert (tmp_path / f"{stem}.md").read_text().splitlines()[2] == \
                 "| Variable | Coefficient | Prob. |"
 

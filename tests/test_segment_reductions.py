@@ -19,7 +19,7 @@ from marketpanel.errors import SingletonGroupWarning
 from marketpanel.regress import (INTERCEPT_NAME, _pivoted_qr_solve, re_fit,
                                  robust_cov_white_cross_section, within_transform)
 
-from conftest import panel_matrix
+from conftest import firm_codes, panel_matrix
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -178,7 +178,7 @@ def test_lr_heteroskedasticity_equals_group_loop(seed, n_groups):
     labels = [f"G{g}" for g in range(n_groups) for _ in range(int(rng.integers(3, 12)))]
     labels = [labels[i] for i in rng.permutation(len(labels))]
     residuals = rng.normal(0, 1, len(labels)) * rng.uniform(0.5, 3.0, len(labels))
-    statistic = lr_heteroskedasticity(residuals, labels).statistic
+    statistic = lr_heteroskedasticity(residuals, firm_codes(labels)).statistic
     reference = loop_lr_statistic(residuals, labels)
     # the statistic is a difference of sums of about n terms of order one
     assert statistic == pytest.approx(reference, rel=1e-12, abs=1e-12 * len(labels))

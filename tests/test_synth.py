@@ -1,6 +1,7 @@
 """Tests for the synthetic generator and truth checking."""
 
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -39,9 +40,11 @@ class TestGeneratePanel:
             cols = variables.panel_columns(panel, ["Marin"])
             assert cols["Marin"].mean() == pytest.approx(0.2491, abs=0.03)
 
-    def test_single_firm_infeasible(self):
-        with pytest.raises(InfeasibleTargets):
-            generate_panel(DGPConfig(seed=0, n_firms=1))
+    @pytest.mark.parametrize("n_firms, n_years", [(1, 10), (3, 10)])
+    def test_single_firm_infeasible(self, n_firms, n_years):
+        # fewer firms than the four markets, with enough firm-years otherwise
+        with pytest.raises(InfeasibleTargets, match="at least the 4 markets"):
+            generate_panel(DGPConfig(seed=0, n_firms=n_firms, n_years=n_years))
 
     def test_tiny_panel_infeasible(self):
         with pytest.raises(InfeasibleTargets):
@@ -108,6 +111,10 @@ class TestGeneratePanel:
         loaded = TruthRecord.from_json(text)
         assert loaded.to_json() == text
         assert loaded.betas_true == default_result.truth.betas_true
+        # a record without price_redraws, or with a key that is not a field, still loads
+        data = json.loads(text)
+        del data["price_redraws"]
+        assert TruthRecord.from_json(json.dumps({**data, "extra": 1})).price_redraws == 0
 
     def test_abnormal_earnings_match_generator_target(self, default_result):
         """Derived X^a averages to the planted firm-level targets."""
