@@ -241,6 +241,13 @@ def test_mackinnon_p_values_are_normal_cdf_values():
         assert_p(got, w, w if w in (0.0, 1.0) else mpmath.ncdf(zi))
 
 
+@pytest.mark.parametrize("x", [-np.inf, -40.0, -37.5, -8.0, -1.0, -0.7, -1e-300, -0.0, 0.0,
+                               0.3, 0.7071, 1.0, 5.0, 9.0, np.inf, np.nan])
+def test_ndtr_matches_the_normal_cdf(x):
+    exact = special.ndtr(x) if not np.isfinite(x) else mpmath.ncdf(x)
+    assert_p(_kernels._cephes_ndtr(x), special.ndtr(x), exact)
+
+
 def bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.uint64)
 

@@ -40,11 +40,14 @@ class TestGeneratePanel:
             cols = variables.panel_columns(panel, ["Marin"])
             assert cols["Marin"].mean() == pytest.approx(0.2491, abs=0.03)
 
-    @pytest.mark.parametrize("n_firms, n_years", [(1, 10), (3, 10)])
-    def test_single_firm_infeasible(self, n_firms, n_years):
-        # fewer firms than the four markets, with enough firm-years otherwise
+    def test_single_firm_infeasible(self):
         with pytest.raises(InfeasibleTargets, match="at least the 4 markets"):
-            generate_panel(DGPConfig(seed=0, n_firms=n_firms, n_years=n_years))
+            generate_panel(DGPConfig(seed=0, n_firms=1))
+
+    def test_fewer_firms_than_markets_infeasible(self):
+        # three firms of ten years each: enough firm-years, too few firms
+        with pytest.raises(InfeasibleTargets, match="at least the 4 markets"):
+            generate_panel(DGPConfig(seed=0, n_firms=3, n_years=10))
 
     def test_tiny_panel_infeasible(self):
         with pytest.raises(InfeasibleTargets):
