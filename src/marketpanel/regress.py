@@ -189,12 +189,13 @@ def within_transform(X: DesignMatrix, y, warn: bool = True) -> tuple[DesignMatri
     return DesignMatrix(values, X.column_names, codes), y_out
 
 
-def robust_cov_white_cross_section(X: DesignMatrix, residuals) -> np.ndarray:
+def robust_cov_white_cross_section(X: DesignMatrix, residuals,
+                                   xtx_inv: np.ndarray) -> np.ndarray:
     """Period-clustered sandwich covariance (White cross-section).
 
     (X'X)^-1 (sum_t X_t' e_t e_t' X_t) (X'X)^-1 with periods taken from the
-    panel codes, scaled by n/(n - k). Robust to heteroskedasticity and to
-    contemporaneous cross-firm correlation.
+    panel codes and ``xtx_inv`` the fit's (X'X)^-1, scaled by n/(n - k).
+    Robust to heteroskedasticity and to contemporaneous cross-firm correlation.
     """
     if X.codes is None:
         raise ValueError("white cross-section covariance requires panel codes")
@@ -204,8 +205,6 @@ def robust_cov_white_cross_section(X: DesignMatrix, residuals) -> np.ndarray:
     if len(codes.years) < 2:
         raise TooFewClusters(f"need at least 2 periods, got {len(codes.years)}")
 
-    xtx = X.values.T @ X.values
-    bread = np.linalg.pinv(xtx)
     # period scores X_t' e_t, one matrix-vector product per period as a stack
     scores = np.empty((len(codes.years), k))
     for periods, rows in codes.period_blocks:
@@ -213,7 +212,7 @@ def robust_cov_white_cross_section(X: DesignMatrix, residuals) -> np.ndarray:
                                     residuals[rows][..., None])[..., 0]
     # sum_t s_t s_t', added period by period in order of first appearance
     meat = np.add.reduce(scores[:, :, None] * scores[:, None, :], axis=0)
-    cov = bread @ meat @ bread
+    cov = xtx_inv @ meat @ xtx_inv
     if n > k:
         cov *= n / (n - k)
     return (cov + cov.T) / 2.0
@@ -266,7 +265,7 @@ def fe_fit(X: DesignMatrix, y, cov_kind: str = "classical") -> FitResult:
     if cov_kind == "classical":
         slope_cov = sigma2 * xtx_inv
     else:
-        slope_cov = robust_cov_white_cross_section(Xw, residuals)
+        slope_cov = robust_cov_white_cross_section(Xw, residuals, xtx_inv)
     slope_cov = (slope_cov + slope_cov.T) / 2.0
 
     # average-effect intercept: C = ybar - xbar' beta; its grand-mean noise

@@ -43,12 +43,12 @@ DEFAULT_RISK_COEFFICIENTS = {
     "OW": -0.26, "OW*Marin": -0.40,
 }
 # (mean, std) calibration targets; a None std is emergent from the design.
-# Std targets are honored for Marin, X, Lev and B, whose designs expose a
-# direct dispersion knob; Age, OW, Bet and P stds follow from the remaining
-# structure. The default B, X and Lev stds sit below their published sample
-# values: with independently drawn fundamentals the planted linear price
-# equation needs the headroom to stay on positive support, and the published
-# B std is infeasible outright given its own min/max.
+# The stds of Marin, X, Lev and B set their designs' dispersion scales below;
+# Age, OW, Bet and P stds follow from the remaining structure. The B, X and
+# Lev stds sit below their published sample values: with independently drawn
+# fundamentals the planted linear price equation needs the headroom to stay
+# on positive support, and the published B std is infeasible outright given
+# its own min/max.
 DEFAULT_MOMENT_TARGETS = {
     "P": (1.708, None), "B": (1.2874, 0.35), "X": (0.1094, 0.10),
     "Marin": (0.2491, 0.1565), "Age": (19.6834, None), "Lev": (0.5288, 0.18),
@@ -56,11 +56,9 @@ DEFAULT_MOMENT_TARGETS = {
 }
 
 # fixed spread parameters of the cross-sectional design
-_MARIN_DEFAULT_HALF_WIDTH = 0.14
 _MARIN_AR_RHO = 0.6
 _MARIN_AR_SD = 0.055
 _MARIN_BOUNDS = (0.002, 0.60)
-_LEV_DEFAULT_HALF_WIDTH = 0.27
 _LEV_WALK_SD = 0.02
 _LEV_BOUNDS = (0.03, 0.97)
 _OW_DOMINANT_HALF_WIDTH = 0.18
@@ -73,10 +71,8 @@ _GROWTH_MEAN, _GROWTH_SD = 0.05, 0.02
 _LN_ASSETS_NOISE_SD = 0.03
 _TURNOVER_LOW, _TURNOVER_HIGH = 0.3, 0.9
 _RD_SHARE_HIGH = 0.04
-_BOOK_DEFAULT_SIGMA = 0.35
-_BOOK_SIGMA_CEILING = 0.6
 _BOOK_GROWTH_MEAN, _BOOK_GROWTH_SD = 0.03, 0.02
-_X_FIRM_SD, _X_NOISE_SD = 0.06, 0.07  # 6:7 between/within split, scaled to the std target
+_X_FIRM_SD, _X_NOISE_SD = 0.06, 0.07  # 6:7 between/within split, scaled below
 _ALPHA_MEAN, _ALPHA_SD = 0.001, 0.001
 _PRICE_FLOOR = 0.02
 _PRE_PANEL_YEARS = 5
@@ -87,6 +83,19 @@ N_MARKETS = 4
 _VALUE_EFFECT_SD = 0.20   # sigma_u of the value equation firm effects
 _VALUE_NOISE_SD = 0.25    # sigma_e of the value equation noise
 _MARKET_VOL, _MARKET_DRIFT = 0.05, 0.008   # monthly market factor returns
+
+# the std targets as dispersion scales: Marin's between-firm half width net
+# of the AR(1) within variance, X's between/within scales, and B's lognormal
+# sigma from its coefficient of variation (Lev's depends on n_years)
+_MARIN_HALF_WIDTH = math.sqrt(3.0 * (DEFAULT_MOMENT_TARGETS["Marin"][1]**2
+                                     - _MARIN_AR_SD**2 / (1.0 - _MARIN_AR_RHO**2)))
+_X_SCALE = DEFAULT_MOMENT_TARGETS["X"][1] / math.hypot(_X_FIRM_SD, _X_NOISE_SD)
+_X_BETWEEN_SD, _X_WITHIN_SD = _X_FIRM_SD * _X_SCALE, _X_NOISE_SD * _X_SCALE
+_BOOK_CV = DEFAULT_MOMENT_TARGETS["B"][1] / DEFAULT_MOMENT_TARGETS["B"][0]
+_BOOK_SIGMA = math.sqrt(math.log(1.0 + _BOOK_CV * _BOOK_CV))
+# E[count] * E[s ; s >= 0.05] for count ~ U{0..2}, s ~ U(0.02, 0.09)
+_OW_MINOR_EXPECTATION = (_OW_MINOR_MAX_COUNT / 2.0) * (
+    (_OW_MINOR_HIGH**2 - 0.05**2) / (2.0 * (_OW_MINOR_HIGH - _OW_MINOR_LOW)))
 
 
 @dataclass(frozen=True)
@@ -103,10 +112,6 @@ class DGPConfig:
     risk_effect_scale: float = 0.28
     risk_noise_scale: float = 0.04
     idio_vol: float = 0.028           # monthly idiosyncratic return volatility
-    # values: mean or (mean, std); see DEFAULT_MOMENT_TARGETS for which stds
-    # the design can honor
-    moment_targets: dict = field(
-        default_factory=lambda: dict(DEFAULT_MOMENT_TARGETS))
 
     def validate(self) -> None:
         if self.seed < 0:
@@ -120,30 +125,6 @@ class DGPConfig:
                 raise InfeasibleTargets(f"{name} must be positive")
         if self.idio_vol < 0:
             raise InfeasibleTargets("idio_vol must be non-negative")
-        targets = self.targets()
-        if not 0.05 <= targets["Marin"][0] <= 0.5:
-            raise InfeasibleTargets("Marin mean target outside the feasible band [0.05, 0.5]")
-        dom_center = targets["OW"][0] - _ow_minor_expectation()
-        lo = dom_center - _OW_DOMINANT_HALF_WIDTH
-        hi = dom_center + _OW_DOMINANT_HALF_WIDTH
-        if lo < 0.05:
-            raise InfeasibleTargets("OW target too low: dominant stake would fall below 5%")
-        if hi + _OW_WALK_SD + _OW_MINOR_MAX_COUNT * _OW_MINOR_HIGH > 1.0:
-            raise InfeasibleTargets("OW target too high: stakes could exceed 100%")
-        if not 0.08 <= targets["Lev"][0] <= 0.92:
-            raise InfeasibleTargets("Lev mean target outside the feasible band")
-        _design_spreads(targets, self.n_years)  # std feasibility
-
-    def targets(self) -> dict[str, tuple[float, float | None]]:
-        """Merged (mean, std) targets; scalar overrides carry no std."""
-        merged = dict(DEFAULT_MOMENT_TARGETS)
-        for name, value in self.moment_targets.items():
-            if isinstance(value, (tuple, list)):
-                mean, std = value
-                merged[name] = (float(mean), None if std is None else float(std))
-            else:
-                merged[name] = (float(value), None)
-        return merged
 
     @property
     def years(self) -> tuple[int, ...]:
@@ -213,14 +194,6 @@ class TruthCheckResult:
     passed: bool
 
 
-def _ow_minor_expectation() -> float:
-    # E[count] * E[s ; s >= 0.05] for count ~ U{0..2}, s ~ U(0.02, 0.09)
-    e_count = _OW_MINOR_MAX_COUNT / 2.0
-    width = _OW_MINOR_HIGH - _OW_MINOR_LOW
-    e_counted = (_OW_MINOR_HIGH**2 - 0.05**2) / (2.0 * width)
-    return e_count * e_counted
-
-
 def _stratified_uniform(rng, n, low, high):
     """One draw per bin of an n-bin partition, in random bin order."""
     perm = rng.permutation(n)
@@ -269,79 +242,37 @@ def _ar1_deviations(rng, rho, sd, n):
     return np.array(out)
 
 
-def _design_spreads(targets, n_years: int) -> dict[str, float]:
-    """Translate std targets into the dispersion knobs of the design.
+def _lev_half_width(n_years: int) -> float:
+    """Lev's between-firm half width net of the walk's within variance.
 
-    Honored stds: Marin (between-firm half width net of the AR within
-    variance), X (between/within scales), Lev (between half width net of
-    the walk variance), B (lognormal sigma from the coefficient of
-    variation). Raises :class:`InfeasibleTargets` when a requested std
-    cannot coexist with the mean and support constraints.
+    Raises :class:`InfeasibleTargets` when the walk alone exceeds the Lev
+    std target (161 or more years). The widest case, one year, gives 0.31,
+    which keeps the grid around the Lev mean inside ``_LEV_BOUNDS``.
     """
-    out = {}
-
-    marin_mean, marin_std = targets["Marin"]
-    if marin_std is None:
-        out["marin_half"] = _MARIN_DEFAULT_HALF_WIDTH
-    else:
-        ar_var = _MARIN_AR_SD**2 / (1.0 - _MARIN_AR_RHO**2)
-        between = marin_std**2 - ar_var
-        if between <= 0:
-            raise InfeasibleTargets("Marin std target below the within-firm variation")
-        out["marin_half"] = math.sqrt(3.0 * between)
-    if marin_mean - out["marin_half"] < _MARIN_BOUNDS[0]:
-        raise InfeasibleTargets("Marin dispersion incompatible with positive "
-                                "marketing expense at the requested mean")
-
-    lev_mean, lev_std = targets["Lev"]
-    if lev_std is None:
-        out["lev_half"] = _LEV_DEFAULT_HALF_WIDTH
-    else:
-        walk_var = _LEV_WALK_SD**2 * (n_years + 1) / 2.0
-        between = lev_std**2 - walk_var
-        if between <= 0:
-            raise InfeasibleTargets("Lev std target below the within-firm variation")
-        out["lev_half"] = math.sqrt(3.0 * between)
-    if not (_LEV_BOUNDS[0] < lev_mean - out["lev_half"]
-            and lev_mean + out["lev_half"] < _LEV_BOUNDS[1]):
-        raise InfeasibleTargets("Lev dispersion leaves the (0, 1) leverage band")
-
-    x_std = targets["X"][1]
-    scale = 1.0 if x_std is None else x_std / math.hypot(_X_FIRM_SD, _X_NOISE_SD)
-    out["x_between_sd"] = _X_FIRM_SD * scale
-    out["x_within_sd"] = _X_NOISE_SD * scale
-
-    b_mean, b_std = targets["B"]
-    if b_std is None:
-        out["book_sigma"] = _BOOK_DEFAULT_SIGMA
-    else:
-        cv = b_std / b_mean
-        sigma = math.sqrt(math.log(1.0 + cv * cv))
-        if sigma > _BOOK_SIGMA_CEILING:
-            raise InfeasibleTargets("B std target implies an implausible book-value "
-                                    "spread (positive-price support would break)")
-        out["book_sigma"] = sigma
-    return out
+    between = DEFAULT_MOMENT_TARGETS["Lev"][1]**2 - _LEV_WALK_SD**2 * (n_years + 1) / 2.0
+    if between <= 0:
+        raise InfeasibleTargets("Lev std target below the within-firm variation")
+    return math.sqrt(3.0 * between)
 
 
-def _expected_moments(cfg: DGPConfig) -> dict[str, float]:
-    targets = cfg.targets()
-    half_span = (cfg.n_years - 1) / 2.0
-    age0_hi = max(_AGE0_LOW, round(2 * (targets["Age"][0] - half_span) - _AGE0_LOW))
+def _expected_moments(n_years: int) -> dict[str, float]:
+    mean = {name: m for name, (m, _) in DEFAULT_MOMENT_TARGETS.items()}
+    half_span = (n_years - 1) / 2.0
+    age0_hi = max(_AGE0_LOW, round(2 * (mean["Age"] - half_span) - _AGE0_LOW))
     e_age = (_AGE0_LOW + age0_hi) / 2.0 + half_span
     e_size = _LN_ASSETS_MEAN + _GROWTH_MEAN * half_span
     growth = 1.0 + _BOOK_GROWTH_MEAN
-    avg_growth = np.mean([growth ** k for k in range(1, cfg.n_years + 1)])
+    avg_growth = np.mean([growth ** k for k in range(1, n_years + 1)])
     return {
-        "Marin": targets["Marin"][0],
+        "Marin": mean["Marin"],
         "Age": e_age,
         "Size": e_size,
-        "Lev": targets["Lev"][0],
-        "OW": targets["OW"][0],
-        "OW*Marin": targets["OW"][0] * targets["Marin"][0],
-        "X": targets["X"][0],
-        "B": targets["B"][0],
-        "book0": targets["B"][0] / float(avg_growth),
+        "Lev": mean["Lev"],
+        "OW": mean["OW"],
+        "OW*Marin": mean["OW"] * mean["Marin"],
+        "X": mean["X"],
+        "B": mean["B"],
+        "book0": mean["B"] / float(avg_growth),
         "age0_hi": float(age0_hi),
     }
 
@@ -359,14 +290,13 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
     bypassed.
     """
     cfg.validate()
+    lev_half = _lev_half_width(cfg.n_years)
     rng = np.random.default_rng(cfg.seed)
-    targets = cfg.targets()
-    spreads = _design_spreads(targets, cfg.n_years)
-    moments = _expected_moments(cfg)
+    moments = _expected_moments(cfg.n_years)
     n, years = cfg.n_firms, cfg.years
 
-    c_value = _solve_intercept(targets["P"][0], cfg.value_coefficients, moments)
-    c_risk = _solve_intercept(targets["Bet"][0], cfg.risk_coefficients, moments)
+    c_value = _solve_intercept(DEFAULT_MOMENT_TARGETS["P"][0], cfg.value_coefficients, moments)
+    c_risk = _solve_intercept(DEFAULT_MOMENT_TARGETS["Bet"][0], cfg.risk_coefficients, moments)
     value_coefficients = {"C": c_value, **cfg.value_coefficients}
     risk_coefficients = {"C": c_risk, **cfg.risk_coefficients}
 
@@ -391,16 +321,15 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
     # firm-level characteristics (stratified across firms); grid centers are
     # pre-compensated for the mean shift the boundary reflection induces
     marin_ar_sd = _MARIN_AR_SD / math.sqrt(1.0 - _MARIN_AR_RHO**2)
-    marin_center = targets["Marin"][0] - _fold_mean_lift(
-        targets["Marin"][0], spreads["marin_half"], *_MARIN_BOUNDS, sd=marin_ar_sd)
-    marin_mu = _stratified_uniform(rng, n, marin_center - spreads["marin_half"],
-                                   marin_center + spreads["marin_half"])
+    marin_center = moments["Marin"] - _fold_mean_lift(
+        moments["Marin"], _MARIN_HALF_WIDTH, *_MARIN_BOUNDS, sd=marin_ar_sd)
+    marin_mu = _stratified_uniform(rng, n, marin_center - _MARIN_HALF_WIDTH,
+                                   marin_center + _MARIN_HALF_WIDTH)
     lev_walk_sd = _LEV_WALK_SD * math.sqrt((cfg.n_years + 1) / 2.0)
-    lev_center = targets["Lev"][0] - _fold_mean_lift(
-        targets["Lev"][0], spreads["lev_half"], *_LEV_BOUNDS, sd=lev_walk_sd)
-    lev_base = _stratified_uniform(rng, n, lev_center - spreads["lev_half"],
-                                   lev_center + spreads["lev_half"])
-    dom_center = targets["OW"][0] - _ow_minor_expectation()
+    lev_center = moments["Lev"] - _fold_mean_lift(
+        moments["Lev"], lev_half, *_LEV_BOUNDS, sd=lev_walk_sd)
+    lev_base = _stratified_uniform(rng, n, lev_center - lev_half, lev_center + lev_half)
+    dom_center = moments["OW"] - _OW_MINOR_EXPECTATION
     ow_base = _stratified_uniform(rng, n, dom_center - _OW_DOMINANT_HALF_WIDTH,
                                   dom_center + _OW_DOMINANT_HALF_WIDTH)
     age0 = np.floor(_stratified_uniform(rng, n, _AGE0_LOW,
@@ -409,10 +338,9 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
     growth = _stratified_normal(rng, n, _GROWTH_MEAN, _GROWTH_SD)
     turnover = _stratified_uniform(rng, n, _TURNOVER_LOW, _TURNOVER_HIGH)
     rd_share = _stratified_uniform(rng, n, 0.0, _RD_SHARE_HIGH)
-    sigma_b = spreads["book_sigma"]
     book0 = moments["book0"] * np.exp(
-        _stratified_normal(rng, n, -sigma_b**2 / 2.0, sigma_b))
-    x_mu = _stratified_normal(rng, n, targets["X"][0], spreads["x_between_sd"])
+        _stratified_normal(rng, n, -_BOOK_SIGMA**2 / 2.0, _BOOK_SIGMA))
+    x_mu = _stratified_normal(rng, n, moments["X"], _X_BETWEEN_SD)
     u_value = _stratified_normal(rng, n, 0.0, _VALUE_EFFECT_SD)
     u_risk = _stratified_normal(rng, n, 0.0, cfg.risk_effect_scale)
     alpha = rng.normal(_ALPHA_MEAN, _ALPHA_SD, size=n)
@@ -453,7 +381,7 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
                         + rng.normal(0, _LN_ASSETS_NOISE_SD, nfull))
         book_path[i] = np.cumprod(np.concatenate(
             [[book0[i]], 1.0 + rng.normal(_BOOK_GROWTH_MEAN, _BOOK_GROWTH_SD, ny)]))[1:]
-        x_path[i] = x_mu[i] + rng.normal(0, spreads["x_within_sd"], ny)
+        x_path[i] = x_mu[i] + rng.normal(0, _X_WITHIN_SD, ny)
         age_full[i] = age0[i] + np.arange(nfull) - _PRE_PANEL_YEARS
 
     offsets_full = np.concatenate([[0], np.cumsum(stake_counts_full)])
@@ -530,8 +458,7 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
             m = mkt[end - 60:end]
             mc = m - m.mean()
             windows[market, end] = m, mc, mc @ mc
-    idio = cfg.idio_vol * rng.standard_normal((n, n_months)) if cfg.idio_vol > 0 \
-        else np.zeros((n, n_months))
+    idio = cfg.idio_vol * rng.standard_normal((n, n_months))
     # firm returns follow the year's true beta; the window beta is the 60-month estimator's target
     betas_true: dict[tuple[str, int], float] = {}
     betas_window: dict[tuple[str, int], float] = {}

@@ -24,6 +24,11 @@ def random_system(n, k, seed):
     return DesignMatrix(x, names), y
 
 
+def bread(X):
+    """(X'X)^-1 of the design, the sandwich's outer factor."""
+    return np.linalg.pinv(X.values.T @ X.values)
+
+
 class TestOlsFit:
     def test_exact_fit(self):
         x = np.arange(1.0, 11.0).reshape(-1, 1)
@@ -295,13 +300,13 @@ class TestReFit:
 class TestWhiteCrossSection:
     def test_zero_residuals_zero_matrix(self):
         X, y, _ = panel_design(n_firms=4, n_years=5, k=2, seed=0)
-        cov = robust_cov_white_cross_section(X, np.zeros(len(X.values)))
+        cov = robust_cov_white_cross_section(X, np.zeros(len(X.values)), bread(X))
         assert np.max(np.abs(cov)) == 0.0
 
     def test_symmetric_psd(self):
         X, y, _ = panel_design(n_firms=6, n_years=5, k=3, seed=1)
         rng = np.random.default_rng(2)
-        cov = robust_cov_white_cross_section(X, rng.normal(0, 1, len(X.values)))
+        cov = robust_cov_white_cross_section(X, rng.normal(0, 1, len(X.values)), bread(X))
         np.testing.assert_allclose(cov, cov.T, atol=1e-14)
         assert np.linalg.eigvalsh(cov).min() >= -1e-12 * np.trace(cov)
 
@@ -312,7 +317,7 @@ class TestWhiteCrossSection:
             X, y, _ = panel_design(n_firms=10, n_years=10, k=2, seed=seed,
                                    effect_sd=0.0, noise_sd=1.0)
             fit = ols_fit(X, y, intercept=False)
-            robust = robust_cov_white_cross_section(X, fit.residuals)
+            robust = robust_cov_white_cross_section(X, fit.residuals, bread(X))
             ratios.append(np.sqrt(np.diag(robust))
                           / np.sqrt(np.diag(fit.covariance)))
         mean_ratio = np.mean(ratios)
@@ -323,7 +328,7 @@ class TestWhiteCrossSection:
         index = tuple((f"F{i}", 2000) for i in range(6))
         X = panel_matrix(values, ("x",), index)
         with pytest.raises(TooFewClusters):
-            robust_cov_white_cross_section(X, np.ones(6))
+            robust_cov_white_cross_section(X, np.ones(6), bread(X))
 
     def test_fe_white_covariance_changes_inference(self):
         X, y, _ = panel_design(n_firms=8, n_years=6, k=2, seed=9)

@@ -153,7 +153,8 @@ def test_period_clustered_covariance_equals_period_loop(seed, n_firms, max_size,
     X, y, index = _panel(seed, n_firms, max_size, k)
     assume(len({year for _, year in index}) >= 2 and len(X.values) > k)
     residuals = np.random.default_rng(seed).normal(0, 1, len(X.values))
-    np.testing.assert_allclose(robust_cov_white_cross_section(X, residuals),
+    bread = np.linalg.pinv(X.values.T @ X.values)
+    np.testing.assert_allclose(robust_cov_white_cross_section(X, residuals, bread),
                                loop_white_cross_section(X, residuals, index),
                                rtol=1e-12, atol=1e-14)
 

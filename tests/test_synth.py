@@ -53,38 +53,19 @@ class TestGeneratePanel:
         with pytest.raises(InfeasibleTargets):
             generate_panel(DGPConfig(seed=0, n_firms=4, n_years=5))
 
-    def test_infeasible_ownership_target(self):
-        with pytest.raises(InfeasibleTargets):
-            generate_panel(DGPConfig(seed=0, moment_targets={"OW": 0.95}))
+    def test_lev_std_target_bounds_the_years(self):
+        """From 161 years the walk alone exceeds the Lev std target; 160 generate."""
+        with pytest.raises(InfeasibleTargets, match="Lev std target below"):
+            generate_panel(DGPConfig(seed=0, n_firms=4, n_years=161))
+        assert len(generate_panel(DGPConfig(seed=0, n_firms=4, n_years=160)).dataset) == 640
 
     def test_std_targets_honored(self):
-        """(mean, std) targets steer the sample dispersion of Marin and X."""
-        wide = DGPConfig(seed=4, moment_targets={"Marin": (0.2491, 0.155),
-                                                 "X": (0.1094, 0.18)})
-        narrow = DGPConfig(seed=4, moment_targets={"Marin": (0.2491, 0.09),
-                                                   "X": (0.1094, 0.08)})
-        stds = {}
-        for name, cfg in (("wide", wide), ("narrow", narrow)):
-            result = generate_panel(cfg)
-            panel = variables.derive_all(result.dataset, result.truth.betas_true)
-            cols = variables.panel_columns(panel, ["Marin", "X"])
-            stds[name] = (float(np.std(cols["Marin"], ddof=1)),
-                          float(np.std(cols["X"], ddof=1)))
-        assert stds["wide"][0] > stds["narrow"][0] * 1.4
-        assert stds["wide"][1] > stds["narrow"][1] * 1.5
-        assert stds["wide"][0] == pytest.approx(0.155, rel=0.25)
-        assert stds["narrow"][1] == pytest.approx(0.08, rel=0.25)
-
-    def test_infeasible_std_targets(self):
-        # dispersion below the within-firm variation cannot be produced
-        with pytest.raises(InfeasibleTargets):
-            generate_panel(DGPConfig(seed=0, moment_targets={"Marin": (0.2491, 0.05)}))
-        # spread wide enough to cross zero marketing expense
-        with pytest.raises(InfeasibleTargets):
-            generate_panel(DGPConfig(seed=0, moment_targets={"Marin": (0.10, 0.25)}))
-        # book-value spread implying broken positive-price support
-        with pytest.raises(InfeasibleTargets):
-            generate_panel(DGPConfig(seed=0, moment_targets={"B": (1.2874, 1.6355)}))
+        """The default panel's Marin, X, Lev and B stds sit near their targets."""
+        result = generate_panel(DGPConfig(seed=4))
+        panel = variables.derive_all(result.dataset, result.truth.betas_true)
+        cols = variables.panel_columns(panel, ["Marin", "X", "Lev", "B"])
+        for name, target in (("Marin", 0.1565), ("X", 0.10), ("Lev", 0.18), ("B", 0.35)):
+            assert float(np.std(cols[name], ddof=1)) == pytest.approx(target, rel=0.25)
 
     def test_same_seed_byte_identical(self):
         a = generate_panel(DGPConfig(seed=11))
