@@ -59,6 +59,29 @@ class TestGeneratePanel:
             generate_panel(DGPConfig(seed=0, n_firms=4, n_years=161))
         assert len(generate_panel(DGPConfig(seed=0, n_firms=4, n_years=160)).dataset) == 640
 
+    def test_lev_grid_stays_inside_its_bounds(self):
+        """Every feasible length keeps Lev's firm grid inside the leverage bounds."""
+        mean = synth.DEFAULT_MOMENT_TARGETS["Lev"][0]
+        low, high = synth._LEV_BOUNDS
+        halves = [synth._lev_half_width(n_years) for n_years in range(1, 161)]
+        assert all(a > b for a, b in zip(halves, halves[1:]))
+        for n_years, half in enumerate(halves, start=1):
+            walk_sd = synth._LEV_WALK_SD * np.sqrt((n_years + 1) / 2.0)
+            center = mean - synth._fold_mean_lift(mean, half, low, high, sd=walk_sd)
+            assert low < center - half and center + half < high
+
+    def test_dispersion_constants_carry_the_std_targets(self):
+        """Marin's, X's and B's design scales reproduce their std targets exactly."""
+        targets = synth.DEFAULT_MOMENT_TARGETS
+        ar_var = synth._MARIN_AR_SD**2 / (1.0 - synth._MARIN_AR_RHO**2)
+        assert np.sqrt(synth._MARIN_HALF_WIDTH**2 / 3.0 + ar_var) == pytest.approx(
+            targets["Marin"][1], rel=1e-12)
+        assert np.hypot(synth._X_BETWEEN_SD, synth._X_WITHIN_SD) == pytest.approx(
+            targets["X"][1], rel=1e-12)
+        # a mean-one lognormal with sigma s has coefficient of variation sqrt(e^(s^2) - 1)
+        assert np.sqrt(np.expm1(synth._BOOK_SIGMA**2)) == pytest.approx(
+            targets["B"][1] / targets["B"][0], rel=1e-12)
+
     def test_std_targets_honored(self):
         """The default panel's Marin, X, Lev and B stds sit near their targets."""
         result = generate_panel(DGPConfig(seed=4))
