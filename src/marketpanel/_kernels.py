@@ -140,36 +140,41 @@ def _ndtri(q: float) -> float:
     return -x if q <= 1.0 - _EXP_M2 else x
 
 
-def _cephes_erf(x: float) -> float:
-    """Cephes' ``erf`` for |x| <= 1, the only arguments ``ndtr`` gives it
-    (its odd symmetry is exact there)."""
-    z = x * x
-    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+def _cephes_ndtr(a) -> np.ndarray:
+    """The standard normal cdf of an array, Cephes' ``ndtr`` with the parts of
+    its ``erf`` (|x| < 1) and ``erfc`` (x >= 1/sqrt(2)) that it reaches,
+    operation for operation, so it equals scipy's ``special.ndtr`` bit for bit:
+    numpy's +, -, x and / round as Python's do, and exp is ``math.exp`` per
+    element, because numpy's own exp loops may round otherwise. It serves the
+    generator and the MacKinnon p-values of the Fisher combination."""
+    x = np.asarray(a, dtype=float) * _SQRT_HALF
+    z = np.abs(x)
+    central = z < _SQRT_HALF
+    inner = ~central & (z < 1.0)
+    outer = ~(z < 1.0)   # and NaN
 
+    def erf(v):   # Cephes' erf for |v| < 1
+        w = v * v
+        return v * _polevl(w, _ERF_T) / _p1evl(w, _ERF_U)
 
-def _cephes_erfc(x: float) -> float:
-    """Cephes' ``erfc`` for x >= 0, the only arguments ``ndtr`` gives it."""
-    if x < 1.0:
-        return 1.0 - _cephes_erf(x)
-    z = -x * x
-    if z < -_MAXLOG:
-        return 0.0
-    z = math.exp(z)
-    if x < 8.0:
-        return (z * _polevl(x, _ERFC_P)) / _p1evl(x, _ERFC_Q)
-    return (z * _polevl(x, _ERFC_R)) / _p1evl(x, _ERFC_S)
-
-
-def _cephes_ndtr(a: float) -> float:
-    """The standard normal cdf, Cephes' ``ndtr`` with its ``erf`` and ``erfc``
-    operation for operation, so it equals scipy's ``special.ndtr`` bit for bit.
-    It serves the generator and the MacKinnon p-values of the Fisher combination."""
-    x = a * _SQRT_HALF
-    z = abs(x)
-    if z < _SQRT_HALF:
-        return 0.5 + 0.5 * _cephes_erf(x)
-    y = 0.5 * _cephes_erfc(z)
-    return 1.0 - y if x > 0 else y
+    out = np.empty_like(x)
+    out[central] = 0.5 + 0.5 * erf(x[central])
+    out[inner] = 0.5 * (1.0 - erf(z[inner]))
+    # erfc(v) = exp(-v^2) P(v) / Q(v), with R and S from 8; 0 once -v^2 < -_MAXLOG
+    v = z[outer]
+    with np.errstate(over="ignore"):
+        w = -v * v
+    erfc = np.zeros_like(v)
+    live = ~(w < -_MAXLOG)
+    v = v[live]
+    w = np.array([math.exp(e) for e in w[live].tolist()])
+    near = v < 8.0
+    erfc[live] = (np.where(near, w * _polevl(v, _ERFC_P), w * _polevl(v, _ERFC_R))
+                  / np.where(near, _p1evl(v, _ERFC_Q), _p1evl(v, _ERFC_S)))
+    out[outer] = 0.5 * erfc
+    upper = ~central & (x > 0)
+    out[upper] = 1.0 - out[upper]
+    return out
 
 
 def _stirling_rest(z: float) -> float:

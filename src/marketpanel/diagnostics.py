@@ -1,11 +1,14 @@
-"""Diagnostic battery: ADF unit roots, Hausman specification test,
+"""Diagnostic battery: panel unit roots, Hausman specification test,
 likelihood-ratio heteroskedasticity check, descriptive statistics and the
 significance-annotated correlation matrix.
 
-ADF critical values use the MacKinnon (2010) response surface for the
-constant-only regression; approximate continuous p-values (MacKinnon 1994)
-are used only inside the Fisher panel combination. Headline ADF p-values are
-reported as interval brackets to avoid false precision.
+The panel unit-root rows are Harris-Tzavalis (1999) tests, which hold for a
+fixed number of years as the number of firms grows; their p-values are normal
+and the markdown shows them as brackets. Beside them, per-firm lag-0 ADF tests
+are combined by Fisher's method (Maddala & Wu 1999), with the approximate
+continuous MacKinnon (1994) p-values. The single-series ``adf_test`` compares
+its statistic to the MacKinnon (2010) response surface for the constant-only
+regression.
 """
 
 import math
@@ -31,6 +34,9 @@ _P_LARGE = (1.7339, 0.93202, -0.12745, -0.010368)
 _P_TAU_STAR = -1.61
 _P_TAU_MIN = -18.83
 _P_TAU_MAX = 2.74
+# normal critical values of the Harris-Tzavalis z statistic (a left-tail test)
+_NORMAL_CRIT = {level: _kernels._ndtri(q) for level, q in
+                (("1%", 0.01), ("5%", 0.05), ("10%", 0.10))}
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ class CorrelationResult:
 @dataclass(frozen=True)
 class StationarityRow:
     variable: str
-    level: TestResult
+    level: TestResult | None
     difference: TestResult | None
     order: str
     fisher: TestResult | None
@@ -95,7 +101,7 @@ def _mackinnon_pvalues(stat: np.ndarray) -> np.ndarray:
     c, d = _P_SMALL, _P_LARGE
     small = c[0] + c[1] * stat + c[2] * stat**2
     large = d[0] + d[1] * stat + d[2] * stat**2 + d[3] * stat**3
-    p = [_kernels._cephes_ndtr(z) for z in np.where(stat <= _P_TAU_STAR, small, large).tolist()]
+    p = _kernels._cephes_ndtr(np.where(stat <= _P_TAU_STAR, small, large))
     return np.where(stat <= _P_TAU_MIN, 0.0, np.where(stat >= _P_TAU_MAX, 1.0, p))
 
 
@@ -132,21 +138,6 @@ def _adf_df(nobs: int, lags: int) -> int:
     if df <= 0:
         raise TooShort(f"{nobs} observations for {lags + 2} ADF regressors")
     return df
-
-
-def _adf_stat(y: np.ndarray, lags: int) -> tuple[float, int]:
-    """t statistic on the lagged level in the ADF regression with a constant.
-
-    One QR of [1, dy_{t-1}, ..., dy_{t-lags}, y_{t-1}, dy_t], built from row
-    blocks by ``regress._tall_r``.
-    """
-    dy = np.diff(y)
-    rows = np.arange(lags + 1, len(y))
-    nobs = len(rows)
-    df = _adf_df(nobs, lags)
-    cols = [np.ones(nobs)] + [dy[rows - 1 - j] for j in range(1, lags + 1)]
-    cols += [y[rows - 1], dy[rows - 1]]
-    return _adf_t(_tall_r(np.column_stack(cols)), df), nobs
 
 
 def _adf_search(y: np.ndarray, max_lags: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -188,9 +179,8 @@ def _adf_searched_stat(y: np.ndarray, max_lags: int) -> tuple[int, float, int]:
     square root of the RSS below them as dy_t's residual entry, stacked on
     those rows (a QR row update, Golub & Van Loan, Matrix Computations 6.5):
     one small QR in place of a second QR over every row. A fit whose residual
-    is below 1e-12 of |dy_t| is exact (an exact trend): its statistic is
-    rounding residue, whose value depends on the order of operations, so it
-    is taken from ``_adf_stat`` whichever route runs.
+    is below 1e-12 of |dy_t| is exact (an exact trend): its statistic would be
+    rounding residue, so it raises :class:`ConstantSeries`.
     """
     lags, r, rss_from = _adf_search(y, max_lags)
     nobs = len(y) - 1 - lags
@@ -205,11 +195,11 @@ def _adf_searched_stat(y: np.ndarray, max_lags: int) -> tuple[int, float, int]:
     dropped = np.column_stack([np.ones(len(rows)), y[rows - 1],
                                *(dy[rows - 1 - j] for j in range(1, lags + 1)),
                                dy[rows - 1]])
-    # the order of _adf_stat: [1, dy lags, y_{t-1}, dy_t]
+    # the order _adf_t reads: [1, dy lags, y_{t-1}, dy_t]
     order = [0, *range(2, k), 1, k]
     r = np.linalg.qr(np.vstack([search, dropped])[:, order], mode="r")
     if r[-1, -1] ** 2 <= 1e-24 * float(r[:, -1] @ r[:, -1]):
-        return lags, *_adf_stat(y, lags)
+        raise ConstantSeries("the ADF regression fits exactly")
     return lags, _adf_t(r, df), nobs
 
 
@@ -247,32 +237,92 @@ def panel_stationarity(columns: dict[str, np.ndarray], firm: np.ndarray) -> list
 
     ``columns`` maps each variable to a column of panel rows and ``firm``
     gives each row's firm code; a firm's rows are adjacent and in year
-    order. A variable's NaNs are left out. The rest of its column is the
-    pooled series for a headline ADF statistic; a per-firm ADF (lag 0,
-    relaxed length) combined by Fisher's method is reported alongside.
-    Variables whose level test fails are retried in first differences,
-    taken between adjacent values of one firm, and classified I(1) when the
-    differenced test rejects.
+    order. A variable's NaNs are left out, and its remaining values are
+    tested by :func:`_harris_tzavalis`; a per-firm ADF (lag 0, relaxed
+    length) combined by Fisher's method is reported alongside. Variables
+    whose level test fails are retried in first differences, taken between
+    adjacent values of one firm, and classified I(1) when the differenced
+    test rejects. A level test that cannot run leaves the row without one:
+    its order is "degenerate" when the fit is exact or the lagged level
+    constant (an exact trend such as firm age), "unavailable" when too few
+    firms or years remain.
     """
     out = []
     for name, column in columns.items():
         present = ~np.isnan(column)
         y, groups = column[present], firm[present]
-        level = adf_test(y)
-
-        difference = None
-        order = "I(0)"
-        if level.decision != "reject":
-            try:
-                difference = adf_test(np.diff(y)[groups[1:] == groups[:-1]])
-                order = "I(1)" if difference.decision == "reject" else "I(2+)"
-            except (TooShort, ConstantSeries):
-                order = "I(1?)"
+        level = difference = None
+        try:
+            level = _harris_tzavalis(y, groups)
+        except ConstantSeries:
+            order = "degenerate"
+        except TooShort:
+            order = "unavailable"
+        else:
+            order = "I(0)"
+            if level.decision != "reject":
+                within = groups[1:] == groups[:-1]
+                try:
+                    difference = _harris_tzavalis(np.diff(y)[within], groups[1:][within])
+                    order = "I(1)" if difference.decision == "reject" else "I(2+)"
+                except (TooShort, ConstantSeries):
+                    order = "I(1?)"
 
         fisher = _fisher_combination(name, y, groups)
         out.append(StationarityRow(variable=name, level=level, difference=difference,
                                    order=order, fisher=fisher))
     return out
+
+
+def _firm_sizes(firm: np.ndarray) -> np.ndarray:
+    """The number of rows of each firm, in row order; a firm's rows are adjacent."""
+    starts = np.flatnonzero(np.r_[True, firm[1:] != firm[:-1]])
+    return np.diff(np.r_[starts, len(firm)])
+
+
+def _harris_tzavalis(y: np.ndarray, firm: np.ndarray) -> TestResult:
+    """Harris & Tzavalis (1999) panel unit-root test with firm intercepts.
+
+    ``y`` holds each firm's values one firm after another, in year order, and
+    ``firm`` their firm codes. The test needs one length for every firm, so it
+    uses the firms with the modal number of values (the longer length on a
+    tie): N firms with T + 1 values each, T regression periods. rho is the
+    pooled within-firm slope of y_t on y_{t-1}, and under a unit root with
+    i.i.d. errors, as N grows with T fixed,
+    z = sqrt(N) (rho - 1 + 3/(T+1)) / sqrt(3 (17T^2 - 20T + 17) / (5 (T-1) (T+1)^3))
+    is standard normal; p = Phi(z), and the test rejects when p < 0.05.
+    Raises :class:`TooShort` below 2 firms or 2 periods, and
+    :class:`ConstantSeries` when the demeaned lagged level does not vary
+    (Sxx at most 1e-24 sum x^2) or the fit is exact (RSS at most 1e-24 of
+    the demeaned y_t's sum of squares), as ``_lag0_adf_stats`` rules.
+    """
+    sizes = _firm_sizes(firm)
+    lengths, counts = np.unique(sizes, return_counts=True)
+    length = int(lengths[counts == counts.max()][-1])
+    keep = sizes == length
+    n, t = int(np.count_nonzero(keep)), length - 1
+    if n < 2 or t < 2:
+        raise TooShort(f"{n} firms with {t} regression periods; "
+                       "Harris-Tzavalis needs 2 of each")
+    v = y[np.repeat(keep, sizes)].reshape(n, length)
+    x, yt = v[:, :-1], v[:, 1:]
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = yt - yt.mean(axis=1, keepdims=True)
+    sxx = float(np.sum(xc * xc))
+    if not sxx > 1e-24 * float(np.sum(x * x)):
+        raise ConstantSeries("the lagged level does not vary within firms")
+    rho = float(np.sum(xc * yc)) / sxx
+    resid = yc - rho * xc
+    if not float(np.sum(resid * resid)) > 1e-24 * float(np.sum(yc * yc)):
+        raise ConstantSeries("the Harris-Tzavalis regression fits exactly")
+    variance = 3.0 * (17 * t * t - 20 * t + 17) / (5.0 * (t - 1) * (t + 1) ** 3)
+    z = math.sqrt(n) * (rho - 1.0 + 3.0 / (t + 1)) / math.sqrt(variance)
+    p = float(_kernels._cephes_ndtr(z))
+    decision = "reject" if p < 0.05 else "fail_to_reject"
+    detail = (f"lag 0, i.i.d. errors, N → ∞ with T fixed; N={n}, T={t}, "
+              f"rho={rho:.6g}; firms left out: {len(sizes) - n}")
+    return TestResult(name="harris_tzavalis", statistic=z, p_value=p,
+                      critical_values=dict(_NORMAL_CRIT), decision=decision, detail=detail)
 
 
 def _lag0_adf_stats(y: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,8 +367,7 @@ def _fisher_combination(name: str, y: np.ndarray, firm: np.ndarray) -> TestResul
     an exactly fitting regression (an exact trend such as age) are skipped
     and counted.
     """
-    starts = np.flatnonzero(np.r_[True, firm[1:] != firm[:-1]])
-    sizes = np.diff(np.r_[starts, len(firm)])
+    sizes = _firm_sizes(firm)
     long_enough = sizes >= 8
     skipped = len(sizes) - int(np.count_nonzero(long_enough))
     if not long_enough.any():

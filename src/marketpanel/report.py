@@ -164,7 +164,7 @@ def _stationarity_csv(rows: list[StationarityRow]) -> str:
             "fisher_statistic", "fisher_p"]]
     for r in rows:
         out.append([
-            r.variable, _fmt_cell(r.level.statistic),
+            r.variable, _fmt_cell(r.level.statistic if r.level else None),
             _fmt_cell(r.difference.statistic if r.difference else None),
             r.order,
             _fmt_cell(r.fisher.statistic if r.fisher else None),
@@ -178,12 +178,15 @@ def _stationarity_md(rows: list[StationarityRow]) -> str:
              "| Variable | Level | 1 Difference | Order |",
              "| --- | --- | --- | --- |"]
     for r in rows:
-        level = _fmt4(r.level.statistic)
-        bracket = _pvalue_bracket(r.level.statistic, r.level.critical_values)
+        level = "-"
+        if r.level:
+            bracket = _pvalue_bracket(r.level.statistic, r.level.critical_values)
+            level = f"{_fmt4(r.level.statistic)} ({bracket})"
         diff = _fmt4(r.difference.statistic) if r.difference else "-"
-        lines.append(f"| {r.variable} | {level} ({bracket}) | {diff} | {r.order} |")
-    lines += ["", "Pooled per-firm series; Fisher combination reported in the "
-              "machine-readable formats."]
+        lines.append(f"| {r.variable} | {level} | {diff} | {r.order} |")
+    lines += ["", "Harris-Tzavalis z on the firms of the modal length (lag 0, i.i.d. "
+              "errors, N large with T fixed), brackets from normal critical values; "
+              "per-firm ADF Fisher combination reported in the machine-readable formats."]
     return "\n".join(lines) + "\n"
 
 

@@ -227,7 +227,7 @@ def _fold_mean_lift(center, half, low, high, sd) -> float:
         return 0.0
     mu = np.linspace(center - half, center + half, 201)
     z = np.stack([(mu - low) / sd, (high - mu) / sd])
-    tail = np.array([[_cephes_ndtr(-v) for v in row] for row in z.tolist()])
+    tail = _cephes_ndtr(-z)
     lift = 2.0 * sd * (np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) - z * tail)
     return float(np.mean(lift[0] - lift[1]))
 

@@ -3,17 +3,36 @@
 At the chosen lag, ``_adf_searched_stat`` stacks the rows the lag search's
 common sample dropped under that search's R and factors the small result; the
 reference is the route that refits every row,
-``_adf_stat(y, _adf_search(y, max_lags)[0])``. Both must give the same lags,
+``adf_stat(y, _adf_search(y, max_lags)[0])``. Both must give the same lags,
 nobs, decision, p-bracket and exception, and statistics equal to rounding.
+Both raise ``ConstantSeries`` for a regression that fits exactly (residual
+below 1e-12 of |dy_t|), whose statistic would be rounding residue.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from marketpanel.diagnostics import (_adf_search, _adf_searched_stat, _adf_stat,
+from marketpanel.diagnostics import (_adf_df, _adf_search, _adf_searched_stat, _adf_t,
                                      _pvalue_bracket, mackinnon_crit)
-from marketpanel.errors import MarketPanelError
+from marketpanel.errors import ConstantSeries, MarketPanelError, TooShort
+from marketpanel.regress import _tall_r
+
+
+def adf_stat(y, lags):
+    """t statistic on the lagged level in the ADF regression with a constant,
+    and its nobs: one QR of [1, dy_{t-1}, ..., dy_{t-lags}, y_{t-1}, dy_t] over
+    every row, built from row blocks by ``regress._tall_r``."""
+    dy = np.diff(y)
+    rows = np.arange(lags + 1, len(y))
+    nobs = len(rows)
+    df = _adf_df(nobs, lags)
+    cols = [np.ones(nobs)] + [dy[rows - 1 - j] for j in range(1, lags + 1)]
+    cols += [y[rows - 1], dy[rows - 1]]
+    r = _tall_r(np.column_stack(cols))
+    if r[-1, -1] ** 2 <= 1e-24 * float(r[:, -1] @ r[:, -1]):
+        raise ConstantSeries("the ADF regression fits exactly")
+    return _adf_t(r, df), nobs
 
 
 def series(seed, length, kind):
@@ -37,7 +56,7 @@ def series(seed, length, kind):
 def two_qr(y, max_lags):
     """(lags, statistic, nobs) from the lag search and a second QR over every row."""
     lags = _adf_search(y, max_lags)[0]
-    stat, nobs = _adf_stat(y, lags)
+    stat, nobs = adf_stat(y, lags)
     return lags, stat, nobs
 
 
@@ -61,6 +80,9 @@ def test_one_qr_statistic_equals_two(seed, length, kind, lag_share):
     max_lags = round(lag_share * min(length, 60))
     want = outcome(lambda: two_qr(y, max_lags))
     got = outcome(lambda: _adf_searched_stat(y, max_lags))
+    if kind in ("steps", "trend"):
+        # an exact trend: both routes refuse it, unless too short to fit
+        assert want in (ConstantSeries, TooShort) and got is want, (want, got)
     if isinstance(want, type):
         assert got is want
         return

@@ -1,25 +1,26 @@
-"""Property test: the unit-root battery on panel columns against the per-firm
-list code it replaces.
+"""Property test: the unit-root battery on panel columns against per-firm lists.
 
-``reference_panel_stationarity`` is the list-based battery the package ran
-before it read columns: each variable came as a list of per-firm arrays, in
-year order with NaNs left out and firms without values left out, and the
-pooled series, first differences and Fisher segment sums were built by
-concatenating those arrays. ``panel_stationarity(columns, firm)`` must give
-the same rows, field by field and bit for bit.
+``reference_panel_stationarity`` reads each variable as a list of per-firm
+arrays, in year order with NaNs left out and firms without values left out,
+and builds the Harris-Tzavalis sums firm by firm in a loop, and the Fisher
+segment sums by concatenating those arrays. ``panel_stationarity(columns,
+firm)`` must give the same rows: the Harris-Tzavalis statistics to a relative
+1e-12, every other field bit for bit, and the Fisher p-value to 1e-13 of the
+50-digit value.
 """
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import mpmath
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from marketpanel import diagnostics
-from marketpanel.diagnostics import (StationarityRow, _mackinnon_pvalues, adf_test,
-                                     panel_stationarity)
-from marketpanel.errors import ConstantSeries, MarketPanelError, TooShort
+from marketpanel import _kernels, diagnostics
+from marketpanel.diagnostics import StationarityRow, _mackinnon_pvalues, panel_stationarity
+from marketpanel.errors import ConstantSeries, TooShort
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -29,17 +30,19 @@ PROPERTY = settings(max_examples=80, deadline=None)
 def reference_panel_stationarity(variable_panels):
     out = []
     for name, series_list in variable_panels.items():
-        pooled = np.concatenate([np.asarray(s, dtype=float) for s in series_list])
-        level = adf_test(pooled)
-
-        difference = None
-        order = "I(0)"
-        if level.decision != "reject":
-            diffs = [np.diff(np.asarray(s, dtype=float)) for s in series_list
-                     if len(s) >= 2]
-            pooled_diff = np.concatenate(diffs)
+        series_list = [np.asarray(s, dtype=float) for s in series_list]
+        level = difference = None
+        try:
+            level = reference_harris_tzavalis(series_list)
+            order = "I(0)"
+        except ConstantSeries:
+            order = "degenerate"
+        except TooShort:
+            order = "unavailable"
+        if level is not None and level.decision != "reject":
+            diffs = [np.diff(s) for s in series_list if len(s) >= 2]
             try:
-                difference = adf_test(pooled_diff)
+                difference = reference_harris_tzavalis(diffs)
                 order = "I(1)" if difference.decision == "reject" else "I(2+)"
             except (TooShort, ConstantSeries):
                 order = "I(1?)"
@@ -48,6 +51,44 @@ def reference_panel_stationarity(variable_panels):
         out.append(StationarityRow(variable=name, level=level, difference=difference,
                                    order=order, fisher=fisher))
     return out
+
+
+def reference_harris_tzavalis(series_list):
+    """Harris-Tzavalis from the firms of the modal length, one firm at a time."""
+    counts = Counter(len(s) for s in series_list)
+    top = max(counts.values(), default=0)
+    length = max((size for size, count in counts.items() if count == top), default=0)
+    chosen = [s for s in series_list if len(s) == length]
+    n, t = len(chosen), length - 1
+    if n < 2 or t < 2:
+        raise TooShort("too few firms or periods")
+    sxx = sxy = syy = xx = 0.0
+    for s in chosen:
+        x, y = s[:-1], s[1:]
+        xc, yc = x - x.mean(), y - y.mean()
+        sxx += xc @ xc
+        sxy += xc @ yc
+        syy += yc @ yc
+        xx += x @ x
+    if not sxx > 1e-24 * xx:
+        raise ConstantSeries("constant lagged level")
+    rho = sxy / sxx
+    rss = 0.0
+    for s in chosen:
+        x, y = s[:-1], s[1:]
+        resid = (y - y.mean()) - rho * (x - x.mean())
+        rss += resid @ resid
+    if not rss > 1e-24 * syy:
+        raise ConstantSeries("exact fit")
+    variance = 3.0 * (17 * t * t - 20 * t + 17) / (5.0 * (t - 1) * (t + 1) ** 3)
+    z = math.sqrt(n) * (rho - 1.0 + 3.0 / (t + 1)) / math.sqrt(variance)
+    return diagnostics.TestResult(
+        name="harris_tzavalis", statistic=z, p_value=None,
+        critical_values={level: _kernels._ndtri(q)
+                         for level, q in (("1%", 0.01), ("5%", 0.05), ("10%", 0.10))},
+        decision="reject" if z < _kernels._ndtri(0.05) else "fail_to_reject",
+        detail=(f"lag 0, i.i.d. errors, N → ∞ with T fixed; N={n}, T={t}, "
+                f"rho={rho:.6g}; firms left out: {len(series_list) - n}"))
 
 
 def reference_lag0_adf_stats(series):
@@ -132,51 +173,39 @@ def unbalanced_panels(draw):
     return columns, firm
 
 
-def bits(row):
-    """A row's every field, floats by their exact repr, except the Fisher
-    p-value, which the reference takes from mpmath: ``fisher_p`` holds it."""
-    if row.fisher is not None:
-        row = dataclasses.replace(row, fisher=dataclasses.replace(row.fisher, p_value=None))
-    return repr(dataclasses.astuple(row))
+def same_test(got, want):
+    """A Harris-Tzavalis result against the reference's: z to rounding, p as
+    the normal cdf of z, and every other field bit for bit."""
+    if got is None or want is None:
+        assert got is want
+        return
+    # z is a difference of terms near one: its rounding is absolute near zero
+    assert got.statistic == pytest.approx(want.statistic, rel=1e-12, abs=1e-12)
+    assert got.p_value == float(_kernels._cephes_ndtr(got.statistic))
+    assert dataclasses.replace(got, statistic=None, p_value=None) == dataclasses.replace(
+        want, statistic=None, p_value=None)
 
 
-def fisher_p(battery, *args):
-    (row,) = battery(*args)
-    return row.fisher.p_value if row.fisher is not None else None
-
-
-def outcome(battery, *args):
-    try:
-        (row,) = battery(*args)
-        return bits(row)
-    except (MarketPanelError, ValueError) as exc:
-        return type(exc)
+def same_row(got, want):
+    assert (got.variable, got.order) == (want.variable, want.order)
+    same_test(got.level, want.level)
+    same_test(got.difference, want.difference)
+    if want.fisher is None:
+        assert got.fisher is None
+        return
+    # the reference takes the Fisher p-value from mpmath
+    assert dataclasses.replace(got.fisher, p_value=None) == dataclasses.replace(
+        want.fisher, p_value=None)
+    assert abs(got.fisher.p_value - want.fisher.p_value) <= 1e-13 * want.fisher.p_value, (
+        got.fisher.p_value, want.fisher.p_value)
 
 
 @PROPERTY
 @given(unbalanced_panels())
 def test_columns_equal_the_per_firm_lists(panel):
     columns, firm = panel
-    for name, column in columns.items():
-        want = outcome(reference_panel_stationarity, {name: firm_lists(column, firm)})
-        got = outcome(panel_stationarity, {name: column}, firm)
-        if want is ValueError:
-            # the reference concatenated nothing: a column without values is
-            # too short, and one-value firms leave no first difference
-            if np.isnan(column).all():
-                assert got is TooShort
-            else:
-                (row,) = panel_stationarity({name: column}, firm)
-                assert (row.order, row.difference) == ("I(1?)", None)
-            continue
-        assert got == want, name
-        if isinstance(got, str):
-            want_p = fisher_p(reference_panel_stationarity, {name: firm_lists(column, firm)})
-            got_p = fisher_p(panel_stationarity, {name: column}, firm)
-            assert (got_p is None and want_p is None) or abs(got_p - want_p) <= 1e-13 * want_p, (
-                got_p, want_p)
-    if all(isinstance(outcome(panel_stationarity, {n: c}, firm), str)
-           for n, c in columns.items()):
-        rows = panel_stationarity(columns, firm)
-        assert [bits(r) for r in rows] == [
-            outcome(panel_stationarity, {n: c}, firm) for n, c in columns.items()]
+    rows = panel_stationarity(columns, firm)
+    assert [r.variable for r in rows] == list(columns)
+    for row, (name, column) in zip(rows, columns.items()):
+        (want,) = reference_panel_stationarity({name: firm_lists(column, firm)})
+        same_row(row, want)

@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from marketpanel.diagnostics import (adf_test, correlation_matrix, descriptives,
-                                     hausman_test, lr_heteroskedasticity,
+from marketpanel.diagnostics import (_harris_tzavalis, adf_test, correlation_matrix,
+                                     descriptives, hausman_test, lr_heteroskedasticity,
                                      mackinnon_crit, mackinnon_pvalue,
                                      panel_stationarity)
 from marketpanel.errors import ConstantSeries, TooFewGroups, TooShort
@@ -107,6 +108,84 @@ class TestPanelStationarity:
         b = panel_stationarity({"V": column}, firm)
         assert a[0].level.statistic == b[0].level.statistic
         assert a[0].fisher.statistic == b[0].fisher.statistic
+
+
+def ar1_panels(rng, reps, n_firms, n_values, rho, mean_sd):
+    """reps panels of AR(1) firm series around firm means drawn with sd mean_sd,
+    started in their stationary law (a random walk from 0 at rho = 1):
+    an array (reps, n_firms, n_values)."""
+    shocks = rng.standard_normal((reps, n_firms, n_values))
+    y = np.empty_like(shocks)
+    y[..., 0] = shocks[..., 0] / math.sqrt(1.0 - rho * rho) if rho < 1.0 else 0.0
+    for t in range(1, n_values):
+        y[..., t] = rho * y[..., t - 1] + shocks[..., t]
+    return y + rng.normal(0.0, mean_sd, (reps, n_firms, 1))
+
+
+def ht_rejections(panels):
+    firm = np.repeat(np.arange(panels.shape[1]), panels.shape[2])
+    return sum(_harris_tzavalis(p.ravel(), firm).decision == "reject" for p in panels)
+
+
+class TestHarrisTzavalis:
+    def test_size_on_random_walks(self):
+        """N = 500, T = 9: the 5% test rejects inside the binomial 99% band."""
+        reps = 1000
+        low, high = stats.binom.ppf([0.005, 0.995], reps, 0.05)
+        rejections = ht_rejections(ar1_panels(np.random.default_rng(11), reps, 500, 10,
+                                              1.0, 5.0))
+        assert low <= rejections <= high, (rejections, low, high)
+
+    def test_power_at_rho_one_half(self):
+        """rho = 0.5 around spread-out firm means, N = 50, T = 9: it rejects
+        in at least 198 of 200 panels."""
+        panels = ar1_panels(np.random.default_rng(12), 200, 50, 10, 0.5, 5.0)
+        assert ht_rejections(panels) >= 198
+
+    def test_firm_means_do_not_hide_stationarity(self):
+        """200 stationary 20 x 10 panels (rho = 0.5) with firm means of sd 5:
+        Harris-Tzavalis rejects at least 190 times, and at least 40 times
+        more often than the ADF of the pooled column, whose lags read
+        across firms."""
+        panels = ar1_panels(np.random.default_rng(13), 200, 20, 10, 0.5, 5.0)
+        ht = ht_rejections(panels)
+        pooled = sum(adf_test(p.ravel()).decision == "reject" for p in panels)
+        assert ht >= 190 and ht - pooled >= 40, (ht, pooled)
+
+    def test_exact_trend_is_degenerate(self):
+        ages = [np.arange(10.0) + 2010 - start for start in range(1950, 2000, 2)]
+        column, firm = stacked(ages)
+        (row,) = panel_stationarity({"Age": column}, firm)
+        assert (row.order, row.level, row.difference, row.fisher) == (
+            "degenerate", None, None, None)
+        with pytest.raises(ConstantSeries):
+            _harris_tzavalis(column, firm)
+
+    def test_balanced_subset_of_the_modal_length(self):
+        rng = np.random.default_rng(14)
+        series = [rng.normal(0, 1, 10) for _ in range(20)]
+        series[7] = series[7][:6]
+        column, firm = stacked(series)
+        (row,) = panel_stationarity({"V": column}, firm)
+        assert "N=19, T=9," in row.level.detail
+        assert row.level.detail.endswith("; firms left out: 1")
+        assert row.level.detail.startswith("lag 0, i.i.d. errors, N → ∞ with T fixed;")
+        assert row.level.name == "harris_tzavalis"
+        assert row.level.critical_values == pytest.approx(
+            {"1%": stats.norm.ppf(0.01), "5%": stats.norm.ppf(0.05),
+             "10%": stats.norm.ppf(0.10)}, rel=1e-15)
+        assert row.level.p_value == pytest.approx(stats.norm.cdf(row.level.statistic),
+                                                  rel=1e-13)
+        # a tie between lengths takes the longer one
+        column, firm = stacked([rng.normal(0, 1, n) for n in (5, 8, 5, 8, 5, 8, 3)])
+        assert "N=3, T=7," in _harris_tzavalis(column, firm).detail
+        # one firm, or one regression period per firm, is too little
+        for series in ([rng.normal(0, 1, 10)], [rng.normal(0, 1, 2) for _ in range(30)]):
+            column, firm = stacked(series)
+            with pytest.raises(TooShort):
+                _harris_tzavalis(column, firm)
+            (row,) = panel_stationarity({"V": column}, firm)
+            assert (row.order, row.level) == ("unavailable", None)
 
 
 class TestHausman:

@@ -14,7 +14,9 @@ Hypothesis properties draw degrees of freedom from 1 to 30 000 and p-values
 from 1 down to 1e-300, with the same checks.
 
 The normal quantile and cdf, ports of Cephes' ``ndtri`` and
-``ndtr``, are held to scipy's bit for bit, and to 50-digit mpmath.
+``ndtr``, are held to scipy's bit for bit, and to 50-digit mpmath. The cdf
+takes an array; it is also held, bit for bit, to a per-element copy of the
+scalar port it replaced, on both sides of each of its branch edges.
 """
 
 import math
@@ -245,7 +247,7 @@ def test_mackinnon_p_values_are_normal_cdf_values():
                                0.3, 0.7071, 1.0, 5.0, 9.0, np.inf, np.nan])
 def test_ndtr_matches_the_normal_cdf(x):
     exact = special.ndtr(x) if not np.isfinite(x) else mpmath.ncdf(x)
-    assert_p(_kernels._cephes_ndtr(x), special.ndtr(x), exact)
+    assert_p(_kernels._cephes_ndtr(np.array([x]))[0], special.ndtr(x), exact)
 
 
 def bits(values) -> np.ndarray:
@@ -273,9 +275,9 @@ def test_cephes_ndtr_is_scipys_bit_for_bit():
     x = np.concatenate([np.linspace(-40.0, 40.0, 100_001),
                         np.random.default_rng(1).uniform(-40.0, 40.0, 20_000),
                         [0.0, -0.0, np.inf, -np.inf, 1e300, -1e300]])
-    got = np.array([_kernels._cephes_ndtr(v) for v in x.tolist()])
+    got = _kernels._cephes_ndtr(x)
     assert np.array_equal(bits(got), bits(special.ndtr(x)))
-    assert math.isnan(_kernels._cephes_ndtr(math.nan))
+    assert math.isnan(_kernels._cephes_ndtr(np.array([math.nan]))[0])
 
 
 def test_ndtri_and_cephes_ndtr_against_mpmath():
@@ -285,10 +287,59 @@ def test_ndtri_and_cephes_ndtr_against_mpmath():
                                  rng.uniform(0.005, 0.995, 1000)]).tolist():
             exact = -mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf(q))
             assert abs(_kernels._ndtri(q) - exact) <= 1e-15, q
-        for x in np.concatenate([np.linspace(-12.0, 12.0, 1001),
-                                 rng.uniform(-12.0, 12.0, 1000)]).tolist():
-            exact = mpmath.ncdf(x)
-            assert abs(_kernels._cephes_ndtr(x) - exact) <= 5e-14 * exact, x
+        x = np.concatenate([np.linspace(-12.0, 12.0, 1001), rng.uniform(-12.0, 12.0, 1000)])
+        for xi, got in zip(x.tolist(), _kernels._cephes_ndtr(x).tolist()):
+            exact = mpmath.ncdf(xi)
+            assert abs(got - exact) <= 5e-14 * exact, xi
+
+
+def scalar_erf(x):
+    z = x * x
+    return x * _kernels._polevl(z, _kernels._ERF_T) / _kernels._p1evl(z, _kernels._ERF_U)
+
+
+def scalar_erfc(x):
+    if x < 1.0:
+        return 1.0 - scalar_erf(x)
+    z = -x * x
+    if z < -_kernels._MAXLOG:
+        return 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        return (z * _kernels._polevl(x, _kernels._ERFC_P)) / _kernels._p1evl(x, _kernels._ERFC_Q)
+    return (z * _kernels._polevl(x, _kernels._ERFC_R)) / _kernels._p1evl(x, _kernels._ERFC_S)
+
+
+def scalar_ndtr(a):
+    """The scalar port of Cephes' ``ndtr`` the array kernel replaced, verbatim."""
+    x = a * _kernels._SQRT_HALF
+    z = abs(x)
+    if z < _kernels._SQRT_HALF:
+        return 0.5 + 0.5 * scalar_erf(x)
+    y = 0.5 * scalar_erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+def test_array_ndtr_equals_the_scalar_port_bit_for_bit():
+    # the branch edges of |a|: 1 (erf to erfc), sqrt 2 (erfc's polynomial to its
+    # exponential form), 8 sqrt 2 (P/Q to R/S), sqrt(2 _MAXLOG) (the zero tail) and 0
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+             math.sqrt(2.0 * _kernels._MAXLOG), 0.0]
+    near = [v for e in edges for s in (1.0, -1.0)
+            for v in (s * e, np.nextafter(s * e, -np.inf), np.nextafter(s * e, np.inf))]
+    near += [e / _kernels._SQRT_HALF for e in (1.0, 8.0, math.sqrt(_kernels._MAXLOG))]
+    x = np.concatenate([np.random.default_rng(3).uniform(-20.0, 5.0, 20_000),
+                        np.linspace(-40.0, 40.0, 8001), near,
+                        [np.inf, -np.inf, 1e300, -1e300, 5e-324, -5e-324]])
+    got = _kernels._cephes_ndtr(x)
+    want = np.array([scalar_ndtr(v) for v in x.tolist()])
+    assert np.array_equal(bits(got), bits(want))
+    # each branch was reached
+    z = np.abs(x * _kernels._SQRT_HALF)
+    for low, high in ((0.0, _kernels._SQRT_HALF), (_kernels._SQRT_HALF, 1.0), (1.0, 8.0),
+                      (8.0, math.sqrt(_kernels._MAXLOG)), (math.sqrt(_kernels._MAXLOG), np.inf)):
+        assert np.any((z >= low) & (z < high)), (low, high)
+    assert math.isnan(_kernels._cephes_ndtr(np.array([np.nan]))[0])
 
 
 def test_stratified_normal_matches_the_normal_quantiles():

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from marketpanel.diagnostics import (_adf_search, _adf_stat, _lag0_adf_stats,
+from marketpanel.diagnostics import (_adf_search, _lag0_adf_stats,
                                      lr_heteroskedasticity)
 from marketpanel.errors import SingletonGroupWarning
 from marketpanel.regress import (INTERCEPT_NAME, _pivoted_qr_solve, re_fit,
                                  robust_cov_white_cross_section, within_transform)
 
 from conftest import firm_codes, panel_matrix
+from test_adf_row_update import adf_stat
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -214,5 +215,5 @@ def test_batched_lag0_adf_equals_per_series_regressions(seed, n_series):
               for _ in range(n_series)]
     stat, usable = _lag0_adf_stats(np.concatenate(series), np.array([len(s) for s in series]))
     assert usable.all()
-    reference = np.array([_adf_stat(s, 0)[0] for s in series])
+    reference = np.array([adf_stat(s, 0)[0] for s in series])
     np.testing.assert_allclose(stat, reference, rtol=1e-9, atol=1e-9)
