@@ -1,4 +1,5 @@
-"""Distribution tails and k x k triangular algebra in numpy and ``math`` only.
+"""Distribution tails, k x k triangular algebra and a byte-stable log in numpy
+and ``math`` only.
 
 These kernels keep scipy out of ``run`` and ``verify``, and out of ``synth`` too:
 its normal quantile and cdf are Cephes' own, ported so that every generated
@@ -22,6 +23,10 @@ _LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10
 # past this a the chi-square limit of Beta(a, b) is exact to rounding (its
 # error is O(1/a^2)) and the continued fraction would take ~sqrt(a) steps
 _LARGE_A = 1e10
+
+# math.log, not np.log: numpy's vectorised log can differ from the C
+# library's in the last bit, and the derived columns and statistics are byte-stable
+_log = np.vectorize(math.log, otypes=[float])
 
 
 def _prod_err(a: float, b: float, p: float) -> float:

@@ -103,9 +103,10 @@ def monthly_returns(prices: PriceTable) -> ReturnPanel:
         year, month = _index_month(int(return_months[overflow[0]]))
         raise SchemaMismatch(f"prices: the return of {prices.series_ids[series[overflow[0]]]} "
                              f"in {year}-{month:02d} is not finite (the close ratio overflows)")
-    axis = np.unique(return_months)
+    # with return_inverse, np.unique does not import numpy.ma (a plain call does)
+    axis, column = np.unique(return_months, return_inverse=True)
     values = np.full((len(kept), len(axis)), np.nan)
-    values[row_of_code[series], np.searchsorted(axis, return_months)] = returns
+    values[row_of_code[series], column] = returns
     return ReturnPanel(series_ids=tuple(prices.series_ids[c] for c in kept),
                        months=axis, values=values)
 
@@ -134,7 +135,8 @@ def _window_betas(firm: np.ndarray, market: np.ndarray, min_months: int) -> np.n
     counts = paired.sum(axis=1)
     betas = np.full(len(firm), np.nan)
     # an empty window is never estimated (its market variance is zero)
-    for n in np.unique(counts[counts >= max(min_months, 1)]):
+    # sorted(set()), not np.unique: a plain np.unique imports numpy.ma
+    for n in sorted(set(counts[counts >= max(min_months, 1)].tolist())):
         group = np.flatnonzero(counts == n)
         mask = paired[group]
         ri = firm[group][mask].reshape(len(group), n)

@@ -153,21 +153,21 @@ class _BaseRun:
 
     inputs: dict[str, str]   # input file name -> SHA-256 of its text
     dataset: PanelDataset
-    ingest_report: ingest.IngestReport
+    ingest_rejections: tuple[tuple[int, str], ...]   # (file line, reason) per row left out
     beta_exclusions: list
     panel: variables.DerivedPanel
     estimates: list[models.EstimationReport]
 
 
 def _dataset(fundamentals_csv: str, prices_csv: str, riskfree_csv: str):
-    table, ingest_report = ingest.parse_fundamentals(fundamentals_csv)
-    for line_no, reason in ingest_report.rejections:
+    table, rejections = ingest.parse_fundamentals(fundamentals_csv)
+    for line_no, reason in rejections:
         log.warning("fundamentals line %d rejected: %s", line_no, reason)
     prices = ingest.parse_prices(prices_csv)
     dataset = build_dataset(table, ingest.parse_riskfree(riskfree_csv))
     log.info("dataset: %d observations, %d firms, years %d-%d",
              len(dataset), len(dataset.firms), dataset.years[0], dataset.years[-1])
-    return dataset, prices, ingest_report
+    return dataset, prices, rejections
 
 
 def _betas(cfg: RunConfig, dataset: PanelDataset, prices: beta.PriceTable):
@@ -205,16 +205,16 @@ def _base_estimates(cfg: RunConfig, panel) -> list[models.EstimationReport]:
 def _inputs_and_betas(cfg: RunConfig):
     # the CSV texts and the price table die on return, before the estimates
     texts = _load_inputs(cfg.data)
-    dataset, prices, ingest_report = _dataset(*texts)
+    dataset, prices, rejections = _dataset(*texts)
     betas, beta_exclusions = _betas(cfg, dataset, prices)
-    return (dict(zip(_INPUT_FILES, map(_sha256, texts))), dataset, ingest_report,
+    return (dict(zip(_INPUT_FILES, map(_sha256, texts))), dataset, rejections,
             betas, beta_exclusions)
 
 
 def _run_to_base_estimates(cfg: RunConfig) -> _BaseRun:
-    inputs, dataset, ingest_report, betas, beta_exclusions = _inputs_and_betas(cfg)
+    inputs, dataset, rejections, betas, beta_exclusions = _inputs_and_betas(cfg)
     panel = _derived_panel(dataset, betas)
-    return _BaseRun(inputs, dataset, ingest_report, beta_exclusions, panel,
+    return _BaseRun(inputs, dataset, rejections, beta_exclusions, panel,
                     _base_estimates(cfg, panel))
 
 
@@ -248,7 +248,7 @@ def _bundle(cfg: RunConfig, base: _BaseRun) -> report.ReportBundle:
         "inputs": base.inputs,
         "n_observations": len(base.dataset),
         "n_derived_rows": len(base.panel),
-        "ingest_rejections": list(base.ingest_report.rejections),
+        "ingest_rejections": list(base.ingest_rejections),
         "derive_exclusions": len(base.panel.exclusions),
         "beta_exclusions": len(base.beta_exclusions),
         "baseline_nobs": {r.model_id: r.fit.nobs for r in base.estimates},
@@ -288,18 +288,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest_check(args) -> int:
-    dataset, prices, rep = _dataset(*_load_inputs(args.data))
+    dataset, prices, rejections = _dataset(*_load_inputs(args.data))
     beta.monthly_returns(prices)   # an overflowing close ratio fails here as in `run`
     summary = {
         "command": "ingest-check",
-        "rows_accepted": rep.rows_accepted,
-        "rows_rejected": rep.rows_rejected,
-        "rejections": [list(r) for r in rep.rejections],
+        "rows_accepted": len(dataset),
+        "rows_rejected": len(rejections),
+        "rejections": [list(r) for r in rejections],
         "price_series": len(prices.series_ids),
         "riskfree_series": len(dataset.risk_free),
     }
     print(json.dumps(summary, sort_keys=True))
-    return 0 if rep.rows_rejected == 0 else 1
+    return 0 if not rejections else 1
 
 
 def cmd_run(args) -> int:
@@ -345,7 +345,7 @@ def cmd_verify(args) -> int:
     base = _run_to_base_estimates(cfg)
     recomputed = report.render(report.ReportBundle(base.estimates))
     emitted = {name: ingest._read_text(os.path.join(args.run, name)) for name in recomputed}
-    failures = report.compare_tables(emitted, recomputed, rel_tol=1e-12).lines
+    failures = report.compare_tables(emitted, recomputed, rel_tol=1e-12)
 
     panel = variables.derive_all(base.dataset, truth.betas_true)
     checks = {}
@@ -354,10 +354,8 @@ def cmd_verify(args) -> int:
         spec = models.spec_for(model_id,
                                constrain_book_unit=cfg.constrain_book_unit)
         outcome = synth.truth_check(models.estimate(panel, spec), truth)
-        checks[model_id] = [
-            {"variable": c.variable, "estimate": c.estimate, "truth": c.truth,
-             "std_error": c.std_error, "passed": c.passed} for c in outcome.checks]
-        for c in outcome.checks:
+        checks[model_id] = list(map(dataclasses.asdict, outcome))
+        for c in outcome:
             if not c.passed:
                 failures.append(f"{model_id}/{c.variable}: estimate {c.estimate:.6g} "
                                 f"vs truth {c.truth:.6g} (se {c.std_error:.3g})")
@@ -372,10 +370,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report_diff(args) -> int:
-    diff = report.golden_compare(args.a, args.b, rel_tol=args.rel_tol)
-    print(json.dumps({"command": "report-diff", "passed": diff.passed,
-                      "differences": diff.lines}, sort_keys=True))
-    return 0 if diff.passed else 1
+    differences = report.golden_compare(args.a, args.b, rel_tol=args.rel_tol)
+    print(json.dumps({"command": "report-diff", "passed": not differences,
+                      "differences": differences}, sort_keys=True))
+    return 0 if not differences else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -133,21 +133,13 @@ def _adf_t(r: np.ndarray, df: int) -> float:
     return float(np.sign(level) * r[-2, -1] * math.sqrt(df) / abs(resid))
 
 
-def _adf_df(nobs: int, lags: int) -> int:
-    df = nobs - (lags + 2)
-    if df <= 0:
-        raise TooShort(f"{nobs} observations for {lags + 2} ADF regressors")
-    return df
-
-
-def _adf_search(y: np.ndarray, max_lags: int) -> tuple[int, np.ndarray, np.ndarray]:
+def _adf_search(y: np.ndarray, max_lags: int) -> int:
     """AIC lag choice on the common sample implied by ``max_lags``.
 
     One QR of [1, y_{t-1}, dy_{t-1}, ..., dy_{t-max_lags}, dy_t], built from
     row blocks by ``regress._tall_r``, serves every nested regression: the
     RSS on the first m columns is the squared norm of the last column of R
-    below row m. Returns the lag, R (square, zero rows where a saturated fit
-    has fewer rows than columns) and the RSS on the first m columns by m.
+    below row m (zero rows where a saturated fit has fewer rows than columns).
     """
     dy = np.diff(y)
     rows = np.arange(max_lags + 1, len(y))
@@ -163,51 +155,22 @@ def _adf_search(y: np.ndarray, max_lags: int) -> tuple[int, np.ndarray, np.ndarr
     for p in range(max_lags + 1):
         rss = float(rss_from[p + 2])
         if rss <= 0:
-            return p, r, rss_from
+            return p
         aic = nobs * math.log(rss / nobs) + 2 * (p + 2)
         if aic < best_aic - 1e-12:
             best_aic, best_lag = aic, p
-    return best_lag, r, rss_from
-
-
-def _adf_searched_stat(y: np.ndarray, max_lags: int) -> tuple[int, float, int]:
-    """The lag AIC chooses, the ADF statistic at that lag and its nobs.
-
-    The statistic's regression adds, to the common sample of the lag search,
-    the max_lags - lag leading rows that sample dropped. Its R factor is that
-    of the search's R restricted to the chosen columns and dy_t, with the
-    square root of the RSS below them as dy_t's residual entry, stacked on
-    those rows (a QR row update, Golub & Van Loan, Matrix Computations 6.5):
-    one small QR in place of a second QR over every row. A fit whose residual
-    is below 1e-12 of |dy_t| is exact (an exact trend): its statistic would be
-    rounding residue, so it raises :class:`ConstantSeries`.
-    """
-    lags, r, rss_from = _adf_search(y, max_lags)
-    nobs = len(y) - 1 - lags
-    df = _adf_df(nobs, lags)
-    k = lags + 2   # the constant, y_{t-1} and the lags, in the search's order
-    search = np.zeros((k + 1, k + 1))
-    search[:k, :k] = r[:k, :k]
-    search[:k, k] = r[:k, -1]
-    search[k, k] = math.sqrt(rss_from[k])
-    dy = np.diff(y)
-    rows = np.arange(lags + 1, min(max_lags + 1, len(y)))
-    dropped = np.column_stack([np.ones(len(rows)), y[rows - 1],
-                               *(dy[rows - 1 - j] for j in range(1, lags + 1)),
-                               dy[rows - 1]])
-    # the order _adf_t reads: [1, dy lags, y_{t-1}, dy_t]
-    order = [0, *range(2, k), 1, k]
-    r = np.linalg.qr(np.vstack([search, dropped])[:, order], mode="r")
-    if r[-1, -1] ** 2 <= 1e-24 * float(r[:, -1] @ r[:, -1]):
-        raise ConstantSeries("the ADF regression fits exactly")
-    return lags, _adf_t(r, df), nobs
+    return best_lag
 
 
 def adf_test(series) -> TestResult:
     """Augmented Dickey-Fuller unit-root test with a constant.
 
-    The lag count is chosen by AIC up to floor(12 * (T/100)^0.25). The
-    statistic is compared to MacKinnon finite-sample critical values; the
+    The lag count is chosen by AIC up to floor(12 * (T/100)^0.25); the
+    statistic then comes from one QR of [1, dy_{t-1}, ..., dy_{t-lags},
+    y_{t-1}, dy_t] over every row that has the chosen lags. A fit whose
+    residual is below 1e-12 of |dy_t| is exact (an exact trend): its
+    statistic would be rounding residue, so it raises :class:`ConstantSeries`.
+    The statistic is compared to MacKinnon finite-sample critical values; the
     decision is taken at 5%. p-values appear only as interval brackets in
     ``detail``.
     """
@@ -216,6 +179,7 @@ def adf_test(series) -> TestResult:
         raise ValueError("series must be one-dimensional")
     T = len(y)
     max_lags = int(math.floor(12.0 * (T / 100.0) ** 0.25))
+    # at most (T-1)//2 - 2 lags leave every fit at least 2 residual degrees of freedom
     max_lags = max(0, min(max_lags, (T - 1) // 2 - 2))
     # a series of 28 or more values passes, and has at least 8 lags to search
     if T < 20 + max_lags:
@@ -223,7 +187,15 @@ def adf_test(series) -> TestResult:
     if float(np.std(y)) == 0.0:
         raise ConstantSeries("series has zero variance")
 
-    lags, stat, nobs = _adf_searched_stat(y, max_lags)
+    lags = _adf_search(y, max_lags)
+    dy = np.diff(y)
+    rows = np.arange(lags + 1, T)
+    nobs = len(rows)
+    r = _tall_r(np.column_stack([np.ones(nobs), *(dy[rows - 1 - j] for j in range(1, lags + 1)),
+                                 y[rows - 1], dy[rows - 1]]))
+    if r[-1, -1] ** 2 <= 1e-24 * float(r[:, -1] @ r[:, -1]):
+        raise ConstantSeries("the ADF regression fits exactly")
+    stat = _adf_t(r, nobs - (lags + 2))
     crit = mackinnon_crit(nobs)
     decision = "reject" if stat < crit["5%"] else "fail_to_reject"
     detail = (f"lags={lags}, nobs={nobs}, p-bracket={_pvalue_bracket(stat, crit)}, "
@@ -377,7 +349,7 @@ def _fisher_combination(name: str, y: np.ndarray, firm: np.ndarray) -> TestResul
     pvalues = np.clip(_mackinnon_pvalues(stat[usable]), 1e-6, 1 - 1e-6)
     if len(pvalues) == 0:
         return None
-    statistic = -2.0 * float(np.sum(np.log(pvalues)))
+    statistic = -2.0 * float(np.sum(_kernels._log(pvalues)))
     df = 2 * len(pvalues)
     p = _kernels._chdtrc(df, statistic)
     decision = "reject" if p < 0.05 else "fail_to_reject"
@@ -445,7 +417,7 @@ def lr_heteroskedasticity(residuals, codes: PanelCodes) -> TestResult:
         else:
             # a small difference of large sums, so its last digits depend on the
             # order of the additions: subtract group by group, in firm-code order
-            terms = np.concatenate([[n * math.log(pooled)], sizes * np.log(s2)])
+            terms = np.concatenate([[n * math.log(pooled)], sizes * _kernels._log(s2)])
             statistic = float(np.subtract.reduce(terms))
     df = g - 1
     # equal group variances can leave a statistic just below 0, where the

@@ -4,9 +4,9 @@ The dialect is strict so the contract is bit-exact: comma separated, UTF-8,
 header required, and in every file a number is what ``numpy.loadtxt`` reads
 (see ``_number``). One reader serves the three files, and a row fails with
 the first of its parser's checks it fails. Fundamentals rows that fail are
-left out and reported in an :class:`IngestReport`; in prices and risk-free
-rates the first failing row fails hard. A missing or renamed column means
-the wrong file and fails hard.
+left out and returned with their line numbers and reasons; in prices and
+risk-free rates the first failing row fails hard. A missing or renamed
+column means the wrong file and fails hard.
 """
 
 import contextlib
@@ -14,7 +14,6 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -52,15 +51,6 @@ try:
     _INTS_THROUGH_FLOATS = True
 except ValueError:
     _INTS_THROUGH_FLOATS = False
-
-
-@dataclass(frozen=True)
-class IngestReport:
-    """Outcome of a soft-fail parse: accepted/rejected row counts."""
-
-    rows_accepted: int
-    rows_rejected: int
-    rejections: tuple[tuple[int, str], ...]
 
 
 def _text_newlines(text: str) -> str:
@@ -267,11 +257,11 @@ def _keyed(raw_ids: np.ndarray, keys: np.ndarray):
     return tuple(ids), codes, repeat, order
 
 
-def parse_fundamentals(csv_text: str) -> tuple[FundamentalsTable, IngestReport]:
+def parse_fundamentals(csv_text: str) -> tuple[FundamentalsTable, tuple[tuple[int, str], ...]]:
     """Parse fundamentals.csv into one columnar table, soft-failing per row.
 
-    Returns the accepted rows, in file order, and an :class:`IngestReport`
-    whose ``rejections`` carry 1-based file line numbers and reasons. Each
+    Returns the accepted rows, in file order, and the rejected rows as
+    (1-based file line number, reason) pairs in line order. Each
     check runs once over whole columns; a rejected row reports the first it
     fails: field count, a cell that is not a number (the lagged book value
     first), empty ids, then the field invariants. Rows whose cells are all
@@ -316,10 +306,8 @@ def parse_fundamentals(csv_text: str) -> tuple[FundamentalsTable, IngestReport]:
         _failing(~np.isnan(prev) & ~(prev > 0), "lagged book value must be positive"),
     ]
     first = _first_failures((None, check) for check in checks)
-    report = IngestReport(rows_accepted=n_rows - len(first), rows_rejected=len(first),
-                          rejections=tuple(sorted((line_nos[r], why)
-                                                  for r, (_, why) in first.items())))
-    return t.take([r for r in range(n_rows) if r not in first]), report
+    rejections = tuple(sorted((line_nos[r], why) for r, (_, why) in first.items()))
+    return t.take([r for r in range(n_rows) if r not in first]), rejections
 
 
 def parse_prices(csv_text: str) -> PriceTable:

@@ -117,7 +117,8 @@ def _size_blocks(codes: np.ndarray, n_groups: int):
     order = np.argsort(codes, kind="stable")
     starts = np.cumsum(sizes) - sizes
     blocks = []
-    for m in np.unique(sizes):
+    # sorted(set()), not np.unique: a plain np.unique imports numpy.ma
+    for m in sorted(set(sizes.tolist())):
         groups = np.flatnonzero(sizes == m)
         blocks.append((groups, order[starts[groups][:, None] + np.arange(m)]))
     return tuple(blocks)
@@ -158,7 +159,14 @@ class PanelCodes:
                    period_blocks=_size_blocks(period, len(years)))
 
     def select(self, rows) -> "PanelCodes":
-        """The codes of ``rows`` (a mask or row numbers); firms left without rows drop out."""
+        """The codes of ``rows`` (a mask or row numbers); firms left without rows drop out.
+
+        A mask that keeps every row gives these codes themselves: ``from_codes``
+        would rebuild them equal, and they are frozen.
+        """
+        rows = np.asarray(rows)
+        if rows.dtype == bool and len(rows) == len(self.firm) and rows.all():
+            return self
         return self.from_codes(self.firm_ids, self.firm[rows], self.years[self.period[rows]])
 
     def firm_means(self, values: np.ndarray) -> np.ndarray:
@@ -248,7 +256,8 @@ def build_dataset(table: FundamentalsTable, rf: list[RiskFreeSeries]) -> PanelDa
 
     table = table.take(order)
     codes = PanelCodes.from_codes(table.firm_ids, table.firm, table.year)
-    years = tuple(np.unique(table.year).tolist())
+    # sorted(set()), not np.unique: a plain np.unique imports numpy.ma
+    years = tuple(sorted(set(table.year.tolist())))
     row_rates = row_rates[order]
     row_rates.flags.writeable = False
     return PanelDataset(table=table, codes=codes, row_rates=row_rates,

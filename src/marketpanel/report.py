@@ -42,12 +42,6 @@ class ReportBundle:
     metadata: dict = field(default_factory=dict)
 
 
-@dataclass
-class DiffReport:
-    lines: list[str]
-    passed: bool
-
-
 def _num(value):
     """JSON-safe number: NaN/inf become null."""
     if value is None:
@@ -186,7 +180,9 @@ def _stationarity_md(rows: list[StationarityRow]) -> str:
         lines.append(f"| {r.variable} | {level} | {diff} | {r.order} |")
     lines += ["", "Harris-Tzavalis z on the firms of the modal length (lag 0, i.i.d. "
               "errors, N large with T fixed), brackets from normal critical values; "
-              "per-firm ADF Fisher combination reported in the machine-readable formats."]
+              "per-firm ADF Fisher combination reported in the machine-readable formats. "
+              "With few firms the normal limit over-rejects: at N = 20 and T = 9, 7.3-7.8% "
+              "of 10 000 simulated random-walk panels were rejected at the nominal 5%."]
     return "\n".join(lines) + "\n"
 
 
@@ -424,8 +420,9 @@ def _compare_csv(name: str, a_text: str, b_text: str, rel_tol: float, lines: lis
                 lines.append(f"{loc}/{column}: {ca!r} vs {cb!r}")
 
 
-def compare_tables(a: dict[str, str], b: dict[str, str], rel_tol: float) -> DiffReport:
-    """Cell-by-cell comparison of two sets of table texts, each file name -> text.
+def compare_tables(a: dict[str, str], b: dict[str, str], rel_tol: float) -> list[str]:
+    """Cell-by-cell comparison of two sets of table texts, each file name -> text;
+    returns the differences, one line each, and none when the tables agree.
 
     json and csv numbers pass when :func:`_close` holds at ``rel_tol`` (the
     Hausman entry at ``rel_tol`` * 1e4); markdown must be the same text. A
@@ -454,10 +451,10 @@ def compare_tables(a: dict[str, str], b: dict[str, str], rel_tol: float) -> Diff
             pairs = itertools.zip_longest(a_text.split("\n"), b_text.split("\n"))
             n = next(n for n, (la, lb) in enumerate(pairs, start=1) if la != lb)
             lines.append(f"{name}:line {n}: differs")
-    return DiffReport(lines=lines, passed=not lines)
+    return lines
 
 
-def golden_compare(a_dir: str, b_dir: str, rel_tol: float = 0.0) -> DiffReport:
+def golden_compare(a_dir: str, b_dir: str, rel_tol: float = 0.0) -> list[str]:
     """:func:`compare_tables` over the table files of two run directories.
 
     ``manifest.json`` is metadata and is skipped.

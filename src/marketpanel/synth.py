@@ -187,13 +187,6 @@ class CoefficientCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class TruthCheckResult:
-    model_id: str
-    checks: tuple[CoefficientCheck, ...]
-    passed: bool
-
-
 def _stratified_uniform(rng, n, low, high):
     """One draw per bin of an n-bin partition, in random bin order."""
     perm = rng.permutation(n)
@@ -485,9 +478,9 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
     prices_csv = prices_to_csv(prices)
     riskfree_csv = riskfree_to_csv(rf_series)
 
-    parsed, report = parse_fundamentals(fundamentals_csv)
-    if report.rows_rejected:
-        raise InfeasibleTargets(f"generator produced invalid rows: {report.rejections[:3]}")
+    parsed, rejections = parse_fundamentals(fundamentals_csv)
+    if rejections:
+        raise InfeasibleTargets(f"generator produced invalid rows: {rejections[:3]}")
     dataset = build_dataset(parsed, parse_riskfree(riskfree_csv))
 
     e_ow = moments["OW"]
@@ -510,12 +503,13 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
                        prices_csv=prices_csv, riskfree_csv=riskfree_csv, truth=truth)
 
 
-def truth_check(report: EstimationReport, truth: TruthRecord) -> TruthCheckResult:
+def truth_check(report: EstimationReport, truth: TruthRecord) -> tuple[CoefficientCheck, ...]:
     """Flag each reported slope pass/fail against the planted truth.
 
     A coefficient passes when it lies within 3 robust standard errors of its
-    planted value. Only coefficients present in both the report and the
-    truth are compared; the intercept is skipped.
+    planted value, and a model when every check passes. Only coefficients
+    present in both the report and the truth are compared; the intercept is
+    skipped.
     """
     model_id, variant = report.model_id, report.marin_variant
     if model_id.startswith("value"):
@@ -537,5 +531,4 @@ def truth_check(report: EstimationReport, truth: TruthRecord) -> TruthCheckResul
                                        passed=passed))
     if not checks:
         raise ModelMismatch(f"no comparable coefficients for model {model_id!r}")
-    return TruthCheckResult(model_id=model_id, checks=tuple(checks),
-                            passed=all(c.passed for c in checks))
+    return tuple(checks)

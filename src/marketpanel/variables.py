@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import _log
 from .panel_core import PanelCodes, PanelDataset, row_sums
 
 OWNERSHIP_THRESHOLD = 0.05
@@ -20,11 +21,6 @@ OWNERSHIP_THRESHOLD = 0.05
 DESCRIPTIVES_ORDER = ("P", "B", "X", "Marin", "Age", "TotalAssets", "Lev", "Bet", "OW", "P/B")
 CORRELATION_ORDER = ("P", "X", "B", "Marin", "Bet", "Lev", "OW", "Size", "Age")
 STATIONARITY_ORDER = ("P", "X", "Marin", "Age", "Size", "Lev", "Bet", "OW")
-
-
-# math.log, not np.log: numpy's vectorised log can differ from the C
-# library's in the last bit, and the derived columns are byte-stable
-_log = np.vectorize(math.log, otypes=[float])
 
 
 def abnormal_earnings(eps_t, r, book_prev):

@@ -588,6 +588,27 @@ class TestWithoutScipy:
         assert json.loads(proc.stdout)["passed"] is True
 
 
+def test_synth_run_and_verify_leave_numpy_ma_unloaded(tmp_path):
+    """A plain ``np.unique(a)`` imports numpy.ma (about 10 ms and 1 MiB a
+    process); no command needs it."""
+    def loaded_after(code):
+        proc = subprocess.run([sys.executable, "-c", f"import sys\n{code}\n"
+                               "print('numpy.ma' in sys.modules)"],
+                              env=src_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    if loaded_after("import numpy") == "True":
+        pytest.skip("importing numpy loads numpy.ma (numpy < 2)")
+    data, out = str(tmp_path / "data"), str(tmp_path / "out")
+    commands = [["synth", "--seed", "7", "--n-firms", "20", "--n-years", "10", "--out", data],
+                ["run", "--data", data, "--out", out, "--run-id", "r"],
+                ["verify", "--data", data, "--run", os.path.join(out, "r")]]
+    assert loaded_after("from marketpanel.cli import main\n"
+                        f"for argv in {commands!r}:\n"
+                        "    assert main(argv) == 0, argv") == "False"
+
+
 class TestVerifyCommand:
     def test_clean_run_verifies(self, data_dir, run_dir, capsys):
         code, out = run_cli("verify", "--data", str(data_dir), "--run",

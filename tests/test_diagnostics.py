@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from marketpanel.diagnostics import (_harris_tzavalis, adf_test, correlation_matrix,
-                                     descriptives, hausman_test, lr_heteroskedasticity,
-                                     mackinnon_crit, mackinnon_pvalue,
-                                     panel_stationarity)
+from marketpanel.diagnostics import (_harris_tzavalis, _lag0_adf_stats, _mackinnon_pvalues,
+                                     adf_test, correlation_matrix, descriptives,
+                                     hausman_test, lr_heteroskedasticity, mackinnon_crit,
+                                     mackinnon_pvalue, panel_stationarity)
 from marketpanel.errors import ConstantSeries, TooFewGroups, TooShort
 from marketpanel.regress import fe_fit, re_fit
 
@@ -25,6 +25,26 @@ class TestAdf:
     def test_too_short(self):
         with pytest.raises(TooShort):
             adf_test(np.arange(10.0))
+
+    def test_integer_trend_fits_exactly(self):
+        """An exact trend fits its ADF regression exactly: its statistic would
+        be rounding residue."""
+        with pytest.raises(ConstantSeries):
+            adf_test(3 + 2 * np.arange(100.0))
+
+    @pytest.mark.parametrize("length", [28, 40, 100, 300, 3000])
+    @pytest.mark.parametrize("kind", ["steps", "trend"])
+    def test_exact_trends_fit_exactly(self, kind, length):
+        """Integer steps, where every value is exact, and float trends, whose
+        differences carry rounding, at lengths whose lag searches reach 8 to 28 lags."""
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            if kind == "steps":
+                y = float(rng.integers(-50, 50)) + float(rng.integers(1, 5)) * np.arange(length)
+            else:
+                y = rng.uniform(-5, 5) + rng.uniform(0.1, 3) * np.arange(length)
+            with pytest.raises(ConstantSeries):
+                adf_test(y)
 
     def test_scale_invariance(self):
         """The t-ratio does not depend on the series scale."""
@@ -108,6 +128,19 @@ class TestPanelStationarity:
         b = panel_stationarity({"V": column}, firm)
         assert a[0].level.statistic == b[0].level.statistic
         assert a[0].fisher.statistic == b[0].fisher.statistic
+
+    def test_fisher_statistic_takes_the_math_log(self):
+        """numpy's vectorised log can miss the C library's by one ulp: put firms
+        whose p-value is where it does on this machine through, one at a time,
+        so that the statistic is -2 ln p of that firm's p."""
+        rng = np.random.default_rng(7)
+        column, firm = stacked([np.cumsum(rng.normal(0, 1, 10)) for _ in range(3000)])
+        stat, usable = _lag0_adf_stats(column, np.full(3000, 10))
+        p = np.clip(_mackinnon_pvalues(stat), 1e-6, 1 - 1e-6)
+        differ = np.flatnonzero(usable & (np.log(p) != [math.log(v) for v in p.tolist()]))
+        for g in [0, *differ[:10].tolist()]:
+            row = panel_stationarity({"V": column[10 * g:10 * g + 10]}, firm[:10])[0]
+            assert row.fisher.statistic == -2.0 * math.log(p[g])
 
 
 def ar1_panels(rng, reps, n_firms, n_values, rho, mean_sd):
@@ -270,6 +303,21 @@ class TestLrHeteroskedasticity:
             groups = firm_codes(np.repeat([f"F{i}" for i in range(10)], 10))
             rejections += lr_heteroskedasticity(residuals, groups).p_value < 0.05
         assert 0.01 <= rejections / n_seeds <= 0.10
+
+    def test_statistic_takes_the_math_log(self):
+        """numpy's vectorised log can miss the C library's by one ulp: put group
+        variances where it does on this machine through, so the statistic
+        equals n ln(pooled) less each firm's math.log term bit for bit."""
+        x = np.random.default_rng(2).uniform(0.5, 3.0, 100_000)
+        s2 = x * x / 4.0   # the variance of residuals [x, 0, 0, 0]
+        differ = x[np.log(s2) != [math.log(v) for v in s2.tolist()]]
+        codes = firm_codes(["A"] * 4 + ["B"] * 4)
+        for v in [1.5, *differ[:10].tolist()]:
+            residuals = np.array([v, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
+            terms = [8 * math.log(float(residuals @ residuals) / 8),
+                     4 * math.log(v * v / 4.0), 4 * math.log(1.0)]
+            assert lr_heteroskedasticity(residuals, codes).statistic == \
+                float(np.subtract.reduce(terms))
 
     def test_too_few_groups(self):
         with pytest.raises(TooFewGroups):

@@ -16,27 +16,26 @@ ROW = "F1,M1,2015,2.0,1.5,0.2,12.0,2.0,40.0,100.0,55.0,2000,0.22;0.10;0.07"
 
 class TestParseFundamentals:
     def test_single_valid_row(self):
-        table, report = ingest.parse_fundamentals(f"{HEADER}\n{ROW}\n")
+        table, rejections = ingest.parse_fundamentals(f"{HEADER}\n{ROW}\n")
         assert len(table) == 1
-        assert report.rows_accepted == 1
-        assert report.rows_rejected == 0
+        assert rejections == ()
         assert table.stakes.tolist() == [0.22, 0.10, 0.07]
         assert table_rows(table) == [make_row(stakes=(0.22, 0.10, 0.07))]
 
     def test_zero_sales_rejected(self):
         row = ROW.replace(",40.0,", ",0.0,")
-        table, report = ingest.parse_fundamentals(f"{HEADER}\n{row}\n")
+        table, rejections = ingest.parse_fundamentals(f"{HEADER}\n{row}\n")
         assert len(table) == 0 and table.firm_ids == ()
-        assert report.rows_rejected == 1
-        line_no, reason = report.rejections[0]
+        assert len(rejections) == 1
+        line_no, reason = rejections[0]
         assert line_no == 2
         assert "sales must be positive" in reason
 
     def test_rd_above_sga_rejected(self):
         row = "F1,M1,2015,2.0,1.5,0.2,5.0,6.0,40.0,100.0,55.0,2000,"
-        _, report = ingest.parse_fundamentals(f"{HEADER}\n{row}\n")
-        assert report.rows_rejected == 1
-        assert "SG&A minus R&D negative" in report.rejections[0][1]
+        _, rejections = ingest.parse_fundamentals(f"{HEADER}\n{row}\n")
+        assert len(rejections) == 1
+        assert "SG&A minus R&D negative" in rejections[0][1]
 
     def test_missing_column_is_fatal(self):
         bad = HEADER.replace(",sales", "")
@@ -54,8 +53,8 @@ class TestParseFundamentals:
 
     def test_optional_lagged_book_value_column(self):
         text = f"{HEADER},book_value_2009\n{ROW},1.25\n"
-        table, report = ingest.parse_fundamentals(text)
-        assert report.rows_rejected == 0
+        table, rejections = ingest.parse_fundamentals(text)
+        assert rejections == ()
         assert table.book_value_prev.tolist() == [1.25]
 
     def test_count_invariant_on_mixed_input(self):
@@ -63,19 +62,19 @@ class TestParseFundamentals:
                 ROW.replace("F1", "F2").replace(",40.0,", ",0.0,"),
                 ROW.replace("F1", "F3"),
                 "F4,M1,not_a_year,2.0,1.5,0.2,12,2,40,100,55,2000,"]
-        _, report = ingest.parse_fundamentals(HEADER + "\n" + "\n".join(rows) + "\n")
-        assert report.rows_accepted + report.rows_rejected == 4
-        assert report.rows_accepted == 2
+        table, rejections = ingest.parse_fundamentals(HEADER + "\n" + "\n".join(rows) + "\n")
+        assert len(table) + len(rejections) == 4
+        assert len(table) == 2
 
     def test_thousands_separator_rejected(self):
         row = ROW.replace("100.0", '"1,000.0"')
-        _, report = ingest.parse_fundamentals(f"{HEADER}\n{row}\n")
-        assert report.rows_rejected == 1
+        _, rejections = ingest.parse_fundamentals(f"{HEADER}\n{row}\n")
+        assert len(rejections) == 1
 
     def test_empty_stakes_allowed(self):
         row = ROW.rsplit(",", 1)[0] + ","
-        table, report = ingest.parse_fundamentals(f"{HEADER}\n{row}\n")
-        assert report.rows_accepted == 1
+        table, rejections = ingest.parse_fundamentals(f"{HEADER}\n{row}\n")
+        assert len(table) == 1 and rejections == ()
         assert table.stakes.tolist() == [] and table.stake_offsets.tolist() == [0, 0]
 
 
@@ -84,8 +83,8 @@ class TestRowChecks:
 
     @staticmethod
     def _reasons(*rows):
-        _, report = ingest.parse_fundamentals(ingest.fundamentals_to_csv(make_table(rows)))
-        return list(report.rejections)
+        _, rejections = ingest.parse_fundamentals(ingest.fundamentals_to_csv(make_table(rows)))
+        return list(rejections)
 
     @pytest.mark.parametrize("field,value,fragment", [
         ("price", 0.0, "price"),
@@ -125,8 +124,8 @@ class TestRowChecks:
         lines = text.splitlines()
         lines[2] = lines[2].replace("0.3;0.1", "0.3;x;2")
         lines.append(lines[1].replace("F1", "F3").replace("0.1;0.2;0.3", "0.1;;0.3"))
-        _, report = ingest.parse_fundamentals("\n".join(lines))
-        assert list(report.rejections) == [(3, "could not convert string to float: 'x'"),
+        _, rejections = ingest.parse_fundamentals("\n".join(lines))
+        assert list(rejections) == [(3, "could not convert string to float: 'x'"),
                                            (4, "could not convert string to float: ''")]
 
     def test_first_reason_of_a_row_wins(self):
@@ -146,8 +145,8 @@ class TestRoundTrip:
         """Serializing an accepted table and re-parsing is the identity."""
         ds = make_panel(n_firms=5, n_years=4, seed=11)
         text = ingest.fundamentals_to_csv(ds.table)
-        parsed, report = ingest.parse_fundamentals(text)
-        assert report.rows_rejected == 0
+        parsed, rejections = ingest.parse_fundamentals(text)
+        assert rejections == ()
         assert table_rows(parsed) == table_rows(ds.table)
         assert ingest.fundamentals_to_csv(parsed) == text
 

@@ -116,6 +116,22 @@ class TestPanelCodes:
         assert sub.firm.tolist() == [0, 0, 1]
         assert sub.firm_sizes.tolist() == [2, 1]
 
+    def test_select_of_every_row_reuses_the_codes(self):
+        codes = make_panel(n_firms=5, n_years=4).codes
+        assert codes.select(np.ones(len(codes.firm), dtype=bool)) is codes
+        rng = np.random.default_rng(0)
+        for mask in (rng.random(len(codes.firm)) < 0.7, np.arange(len(codes.firm)) % 4 != 1):
+            want = PanelCodes.from_codes(codes.firm_ids, codes.firm[mask],
+                                         codes.years[codes.period[mask]])
+            got = codes.select(mask)
+            assert got is not codes
+            assert (got.firm_ids, got.years.tolist()) == (want.firm_ids, want.years.tolist())
+            for name in ("firm", "firm_sizes", "period"):
+                assert getattr(got, name).tolist() == getattr(want, name).tolist()
+            for name in ("firm_blocks", "period_blocks"):
+                assert [(g.tolist(), r.tolist()) for g, r in getattr(got, name)] == \
+                    [(g.tolist(), r.tolist()) for g, r in getattr(want, name)]
+
 
 def test_row_sums_add_left_to_right():
     values = np.array([0.1, 0.2, 0.3, 1e16, 1.0, -1e16, 5.0])

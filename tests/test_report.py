@@ -139,9 +139,7 @@ class TestGoldenCompare:
         a, b = tmp_path / "a", tmp_path / "b"
         emit(bundle, str(a))
         emit(bundle, str(b))
-        diff = golden_compare(str(a), str(b), rel_tol=0.0)
-        assert diff.passed
-        assert diff.lines == []
+        assert golden_compare(str(a), str(b), rel_tol=0.0) == []
 
     def test_single_perturbed_cell_single_diff(self, bundle, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -152,10 +150,9 @@ class TestGoldenCompare:
         payload["rows"][1]["coefficient"] *= 1.5
         path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
         diff = golden_compare(str(a), str(b), rel_tol=0.1)
-        assert not diff.passed
-        assert len(diff.lines) == 1
-        assert "value_direct.json" in diff.lines[0]
-        assert "coefficient" in diff.lines[0]
+        assert len(diff) == 1
+        assert "value_direct.json" in diff[0]
+        assert "coefficient" in diff[0]
 
     def test_tolerance_respected(self, bundle, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -165,8 +162,8 @@ class TestGoldenCompare:
         payload = json.loads(path.read_text())
         payload["rows"][0]["mean"] *= 1.0 + 1e-9
         path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        assert golden_compare(str(a), str(b), rel_tol=1e-6).passed
-        assert not golden_compare(str(a), str(b), rel_tol=1e-12).passed
+        assert golden_compare(str(a), str(b), rel_tol=1e-6) == []
+        assert golden_compare(str(a), str(b), rel_tol=1e-12) != []
 
     def test_schema_version_mismatch(self, bundle, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -194,8 +191,7 @@ class TestGoldenCompare:
         emit(bundle, str(b))
         os.remove(b / "stationarity.csv")
         diff = golden_compare(str(a), str(b))
-        assert not diff.passed
-        assert any("stationarity.csv" in line for line in diff.lines)
+        assert any("stationarity.csv" in line for line in diff)
 
 
 def _edited(tmp_path, name, edit):
@@ -234,17 +230,16 @@ def _table_texts(cells):
 class TestComparisonRule:
     def test_argument_order_does_not_matter(self):
         one, two = _table_texts([(1.0, 0.5)]), _table_texts([(2.0, 0.5)])
-        assert compare_tables(one, two, 0.6).passed and compare_tables(two, one, 0.6).passed
-        assert not compare_tables(one, two, 0.4).passed
-        assert not compare_tables(two, one, 0.4).passed
+        assert compare_tables(one, two, 0.6) == [] and compare_tables(two, one, 0.6) == []
+        assert compare_tables(one, two, 0.4) != []
+        assert compare_tables(two, one, 0.4) != []
 
     @given(st.lists(st.tuples(_CELL, _CELL), min_size=1, max_size=4),
            st.sampled_from([0.0, 1e-12, 1e-6, 0.6, 2.0]))
     def test_swapping_the_trees_never_changes_the_result(self, pairs, rel_tol):
         a, b = _table_texts([pa for pa, _ in pairs]), _table_texts([pb for _, pb in pairs])
         forward, backward = compare_tables(a, b, rel_tol), compare_tables(b, a, rel_tol)
-        assert forward.passed == backward.passed
-        assert len(forward.lines) == len(backward.lines)
+        assert len(forward) == len(backward)
 
     def test_mid_range_p_moved_1e_10_fails(self, tmp_path):
         edit = _scaled("C", "prob", 1 + 1e-10)
@@ -252,29 +247,29 @@ class TestComparisonRule:
         assert 0.28 < _row(table, "C")["prob"] < 0.31
         diff = golden_compare(str(GOLDEN), str(_edited(tmp_path, "risk_moderated.json", edit)),
                               rel_tol=1e-12)
-        assert diff.lines and diff.lines[0].startswith("risk_moderated.json:/rows[C]/prob:")
+        assert diff and diff[0].startswith("risk_moderated.json:/rows[C]/prob:")
 
     def test_far_tail_p_moved_1e_10_passes(self, tmp_path):
         table = json.loads((GOLDEN / "value_direct.json").read_text())
         assert _row(table, "X")["prob"] == pytest.approx(8.97e-51, rel=1e-3)
         tree = _edited(tmp_path, "value_direct.json", _scaled("X", "prob", 1 + 1e-10))
-        assert golden_compare(str(GOLDEN), str(tree), rel_tol=1e-12).passed
-        assert not golden_compare(str(GOLDEN), str(tree), rel_tol=0).passed
+        assert golden_compare(str(GOLDEN), str(tree), rel_tol=1e-12) == []
+        assert golden_compare(str(GOLDEN), str(tree), rel_tol=0) != []
 
     def test_hausman_statistic_is_compared_1e4_looser(self, tmp_path):
         def edit(table):
             table["diagnostics"]["hausman"]["statistic"] *= 1 + 5e-9
         tree = _edited(tmp_path, "risk_moderated.json", edit)
-        assert golden_compare(str(GOLDEN), str(tree), rel_tol=1e-12).passed
+        assert golden_compare(str(GOLDEN), str(tree), rel_tol=1e-12) == []
         diff = golden_compare(str(GOLDEN), str(tree), rel_tol=0)
-        assert [line.split(": ")[0] for line in diff.lines] == \
+        assert [line.split(": ")[0] for line in diff] == \
             ["risk_moderated.json:/diagnostics/hausman/statistic"]
 
     def test_nudged_golden_coefficient_names_its_cell(self, tmp_path):
         tree = _edited(tmp_path, "value_moderated.json", _scaled("Marin", "coefficient", 1 + 1e-9))
         diff = golden_compare(str(GOLDEN), str(tree), rel_tol=1e-12)
-        assert len(diff.lines) == 1
-        assert diff.lines[0].startswith("value_moderated.json:/rows[Marin]/coefficient:")
+        assert len(diff) == 1
+        assert diff[0].startswith("value_moderated.json:/rows[Marin]/coefficient:")
 
     def test_csv_and_markdown_differences_name_the_cell(self):
         texts = {name: (GOLDEN / name).read_text()
@@ -287,6 +282,6 @@ class TestComparisonRule:
         edited["value_moderated.md"] = texts["value_moderated.md"].replace("| X |", "| X | 9", 1)
         diff = compare_tables(texts, edited, rel_tol=1e-12)
         a, b = texts["correlations.csv"].split("\n")[4].split(",")[:2]
-        assert [line.split(": ")[0] for line in diff.lines] == [
+        assert [line.split(": ")[0] for line in diff] == [
             f"correlations.csv:[{a},{b}]/r", "risk_direct.csv:[Marin]/coefficient",
             "value_moderated.md:line 6"]

@@ -13,14 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from marketpanel.diagnostics import (_adf_search, _lag0_adf_stats,
-                                     lr_heteroskedasticity)
+from marketpanel.diagnostics import _adf_search, _adf_t, _lag0_adf_stats, lr_heteroskedasticity
 from marketpanel.errors import SingletonGroupWarning
 from marketpanel.regress import (INTERCEPT_NAME, _pivoted_qr_solve, re_fit,
                                  robust_cov_white_cross_section, within_transform)
 
 from conftest import firm_codes, panel_matrix
-from test_adf_row_update import adf_stat
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -128,6 +126,14 @@ def loop_aic_lag(y, max_lags):
     return best_lag
 
 
+def lag0_adf_stat(y):
+    """t statistic on the lagged level in the lag-0 ADF regression with a
+    constant, from one QR of [1, y_{t-1}, dy_t]."""
+    dy = np.diff(y)
+    r = np.linalg.qr(np.column_stack([np.ones(len(dy)), y[:-1], dy]), mode="r")
+    return _adf_t(r, len(dy) - 2)
+
+
 # --- properties --------------------------------------------------------------------------
 
 @PROPERTY
@@ -201,7 +207,7 @@ def test_nested_qr_lag_choice_equals_per_lag_lstsq(seed, length, kind):
     else:
         y = shocks
     max_lags = min(int(rng.integers(0, 12)), (length - 1) // 2 - 2)
-    assert _adf_search(y, max_lags)[0] == loop_aic_lag(y, max_lags)
+    assert _adf_search(y, max_lags) == loop_aic_lag(y, max_lags)
 
 
 @PROPERTY
@@ -215,5 +221,5 @@ def test_batched_lag0_adf_equals_per_series_regressions(seed, n_series):
               for _ in range(n_series)]
     stat, usable = _lag0_adf_stats(np.concatenate(series), np.array([len(s) for s in series]))
     assert usable.all()
-    reference = np.array([adf_stat(s, 0)[0] for s in series])
+    reference = np.array([lag0_adf_stat(s) for s in series])
     np.testing.assert_allclose(stat, reference, rtol=1e-9, atol=1e-9)

@@ -105,8 +105,8 @@ class TestGeneratePanel:
 
     def test_validated_through_build_dataset(self, default_result):
         """The returned dataset equals a fresh parse of the emitted CSVs."""
-        table, report = ingest.parse_fundamentals(default_result.fundamentals_csv)
-        assert report.rows_rejected == 0
+        table, rejections = ingest.parse_fundamentals(default_result.fundamentals_csv)
+        assert rejections == ()
         rf = ingest.parse_riskfree(default_result.riskfree_csv)
         from marketpanel.panel_core import build_dataset
         rebuilt = build_dataset(table, rf)
@@ -192,7 +192,7 @@ class TestTruthCheck:
             result = generate_panel(DGPConfig(seed=seed))
             panel = variables.derive_all(result.dataset, result.truth.betas_true)
             report = models.estimate(panel, models.spec_for("value_moderated"))
-            passes += truth_check(report, result.truth).passed
+            passes += all(c.passed for c in truth_check(report, result.truth))
         assert passes >= int(0.8 * n_seeds)
 
     def test_planted_zero_effect_interval_covers_zero(self):
@@ -204,7 +204,7 @@ class TestTruthCheck:
             panel = variables.derive_all(result.dataset, result.truth.betas_true)
             report = models.estimate(panel, models.spec_for("value_moderated"))
             outcome = truth_check(report, result.truth)
-            marin = next(c for c in outcome.checks if c.variable == "Marin")
+            marin = next(c for c in outcome if c.variable == "Marin")
             covered += abs(marin.estimate) <= 3 * marin.std_error
         assert covered >= 8
 
@@ -220,7 +220,7 @@ class TestTruthCheck:
             panel = variables.derive_all(result.dataset, result.truth.betas_true)
             report = models.estimate(panel, models.spec_for("value_direct"))
             outcome = truth_check(report, result.truth)
-            marin = next(c for c in outcome.checks if c.variable == "Marin")
+            marin = next(c for c in outcome if c.variable == "Marin")
             failures += not marin.passed
         assert failures > n_seeds / 2
 
