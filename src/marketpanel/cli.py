@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, beta, diagnostics, ingest, models, report, variables
 from .errors import (CollinearityProximityWarning, ConfigError, InputError, IoFailure,
-                     MarketPanelError)
+                     MarketPanelError, SchemaMismatch)
 from .panel_core import PanelDataset, build_dataset
 
 log = logging.getLogger("marketpanel")
@@ -224,10 +224,9 @@ def _diagnostics_and_robustness(cfg: RunConfig, panel) -> dict:
     corr_columns = variables.panel_columns(panel, variables.CORRELATION_ORDER)
     return {
         "descriptives_table": diagnostics.descriptives(desc_columns),
-        "correlation_table": diagnostics.correlation_matrix(
-            corr_columns, variables.CORRELATION_ORDER),
+        "correlation_table": diagnostics.correlation_matrix(corr_columns),
         "stationarity_table": diagnostics.panel_stationarity(
-            variables.panel_columns(panel, variables.STATIONARITY_ORDER), panel.codes.firm),
+            variables.panel_columns(panel, variables.STATIONARITY_ORDER), panel.codes),
         "robustness_tables": models.robustness_suite(
             panel, center=cfg.center, constrain_book_unit=cfg.constrain_book_unit),
     }
@@ -317,6 +316,26 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _recorded_config(path: str) -> dict:
+    """The ``RunConfig`` fields that the manifest at ``path`` records, each of
+    its field's JSON type; keys that are no longer fields (an older tree) are ignored."""
+    try:
+        manifest = json.loads(ingest._read_text(path))
+    except json.JSONDecodeError as exc:
+        raise SchemaMismatch(f"{path} is not JSON: {exc}")
+    effective = manifest.get("effective_config", {}) if isinstance(manifest, dict) else None
+    if not isinstance(effective, dict):
+        raise SchemaMismatch(f"{path}: no effective_config object in a JSON object")
+    kinds = _config_kinds()
+    recorded = {key: value for key, value in effective.items() if key in kinds}
+    for key, value in recorded.items():
+        # so that neither "false" is read as true nor 48.9 as 48
+        if type(value) is not kinds[key]:
+            raise ConfigError(f"{path}: effective_config {key!r} must be a JSON "
+                              f"{kinds[key].__name__}, got {json.dumps(value)}")
+    return recorded
+
+
 def cmd_verify(args) -> int:
     """Two-stage verification of an emitted run against its truth record.
 
@@ -332,14 +351,14 @@ def cmd_verify(args) -> int:
     """
     from . import synth
     # a missing or undecodable file fails in _read_text, naming the path (exit 2)
-    truth = synth.TruthRecord.from_json(
-        ingest._read_text(os.path.join(args.data, "truth.json")))
-    effective = json.loads(ingest._read_text(os.path.join(args.run, "manifest.json"))
-                           ).get("effective_config", {})
-    # keys that are no longer fields (a tree written by an older version) are ignored
-    kinds = _config_kinds()
-    recorded = {key: kinds[key](value) for key, value in effective.items() if key in kinds}
-    cfg = RunConfig(**{**recorded, "data": args.data})
+    truth_path = os.path.join(args.data, "truth.json")
+    try:
+        truth = synth.TruthRecord.from_json(ingest._read_text(truth_path))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # not JSON (a ValueError), a missing field, or a value of another shape
+        raise SchemaMismatch(f"{truth_path} is not a truth record: {exc!r}")
+    cfg = RunConfig(**{**_recorded_config(os.path.join(args.run, "manifest.json")),
+                       "data": args.data})
     cfg.validate()
 
     base = _run_to_base_estimates(cfg)

@@ -6,9 +6,7 @@ The panel unit-root rows are Harris-Tzavalis (1999) tests, which hold for a
 fixed number of years as the number of firms grows; their p-values are normal
 and the markdown shows them as brackets. Beside them, per-firm lag-0 ADF tests
 are combined by Fisher's method (Maddala & Wu 1999), with the approximate
-continuous MacKinnon (1994) p-values. The single-series ``adf_test`` compares
-its statistic to the MacKinnon (2010) response surface for the constant-only
-regression.
+continuous MacKinnon (1994) p-values.
 """
 
 import math
@@ -19,15 +17,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConstantSeries, TooFewGroups, TooShort
 from .panel_core import PanelCodes
-from .regress import _tall_r
 
-# MacKinnon (2010) response-surface coefficients, constant-only regression,
-# one variable: cv = b0 + b1/T + b2/T^2 + b3/T^3
-_MACKINNON_CRIT = {
-    "1%": (-3.43035, -6.5393, -16.786, -79.433),
-    "5%": (-2.86154, -2.8903, -4.234, -40.040),
-    "10%": (-2.56677, -1.5384, -2.809, 0.0),
-}
 # MacKinnon (1994) approximate asymptotic p-value surface, constant-only
 _P_SMALL = (2.1659, 1.4412, 0.038269)     # tau <= tau_star
 _P_LARGE = (1.7339, 0.93202, -0.12745, -0.010368)
@@ -43,8 +33,8 @@ _NORMAL_CRIT = {level: _kernels._ndtri(q) for level, q in
 class TestResult:
     """A named diagnostic outcome.
 
-    Exactly one of ``p_value`` / ``critical_values`` drives ``decision``;
-    decisions are taken at the 5% level.
+    ``p_value``, or the 5% critical value where there is none, drives
+    ``decision``; decisions are taken at the 5% level.
     """
 
     name: str
@@ -89,25 +79,12 @@ class StationarityRow:
     fisher: TestResult | None
 
 
-def mackinnon_crit(nobs: int) -> dict[str, float]:
-    """Finite-sample ADF critical values (constant-only regression)."""
-    out = {}
-    for level, (b0, b1, b2, b3) in _MACKINNON_CRIT.items():
-        out[level] = b0 + b1 / nobs + b2 / nobs**2 + b3 / nobs**3
-    return out
-
-
 def _mackinnon_pvalues(stat: np.ndarray) -> np.ndarray:
     c, d = _P_SMALL, _P_LARGE
     small = c[0] + c[1] * stat + c[2] * stat**2
     large = d[0] + d[1] * stat + d[2] * stat**2 + d[3] * stat**3
     p = _kernels._cephes_ndtr(np.where(stat <= _P_TAU_STAR, small, large))
     return np.where(stat <= _P_TAU_MIN, 0.0, np.where(stat >= _P_TAU_MAX, 1.0, p))
-
-
-def mackinnon_pvalue(stat: float) -> float:
-    """Approximate asymptotic p-value for the constant-only ADF t statistic."""
-    return float(_mackinnon_pvalues(np.array([stat], dtype=float))[0])
 
 
 def _pvalue_bracket(stat: float, crit: dict[str, float]) -> str:
@@ -120,112 +97,33 @@ def _pvalue_bracket(stat: float, crit: dict[str, float]) -> str:
     return ">=0.10"
 
 
-def _adf_t(r: np.ndarray, df: int) -> float:
-    """The ADF t statistic from the R factor of [..., y_{t-1}, dy_t].
-
-    With the lagged level as the last regressor, its coefficient is
-    r[-2, -1] / r[-2, -2], its standard error sigma / |r[-2, -2]|, and
-    sigma = |r[-1, -1]| / sqrt(df).
-    """
-    level, resid = r[-2, -2], r[-1, -1]
-    if level == 0.0 or resid == 0.0:
-        raise ConstantSeries("degenerate ADF regression")
-    return float(np.sign(level) * r[-2, -1] * math.sqrt(df) / abs(resid))
-
-
-def _adf_search(y: np.ndarray, max_lags: int) -> int:
-    """AIC lag choice on the common sample implied by ``max_lags``.
-
-    One QR of [1, y_{t-1}, dy_{t-1}, ..., dy_{t-max_lags}, dy_t], built from
-    row blocks by ``regress._tall_r``, serves every nested regression: the
-    RSS on the first m columns is the squared norm of the last column of R
-    below row m (zero rows where a saturated fit has fewer rows than columns).
-    """
-    dy = np.diff(y)
-    rows = np.arange(max_lags + 1, len(y))
-    nobs = len(rows)
-    cols = [np.ones(nobs), y[rows - 1]]
-    cols += [dy[rows - 1 - j] for j in range(1, max_lags + 1)]
-    cols.append(dy[rows - 1])
-    r = np.zeros((len(cols), len(cols)))
-    tall = _tall_r(np.column_stack(cols))
-    r[:len(tall)] = tall
-    rss_from = np.cumsum(r[::-1, -1] ** 2)[::-1]
-    best_lag, best_aic = 0, math.inf
-    for p in range(max_lags + 1):
-        rss = float(rss_from[p + 2])
-        if rss <= 0:
-            return p
-        aic = nobs * math.log(rss / nobs) + 2 * (p + 2)
-        if aic < best_aic - 1e-12:
-            best_aic, best_lag = aic, p
-    return best_lag
-
-
-def adf_test(series) -> TestResult:
-    """Augmented Dickey-Fuller unit-root test with a constant.
-
-    The lag count is chosen by AIC up to floor(12 * (T/100)^0.25); the
-    statistic then comes from one QR of [1, dy_{t-1}, ..., dy_{t-lags},
-    y_{t-1}, dy_t] over every row that has the chosen lags. A fit whose
-    residual is below 1e-12 of |dy_t| is exact (an exact trend): its
-    statistic would be rounding residue, so it raises :class:`ConstantSeries`.
-    The statistic is compared to MacKinnon finite-sample critical values; the
-    decision is taken at 5%. p-values appear only as interval brackets in
-    ``detail``.
-    """
-    y = np.asarray(series, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    T = len(y)
-    max_lags = int(math.floor(12.0 * (T / 100.0) ** 0.25))
-    # at most (T-1)//2 - 2 lags leave every fit at least 2 residual degrees of freedom
-    max_lags = max(0, min(max_lags, (T - 1) // 2 - 2))
-    # a series of 28 or more values passes, and has at least 8 lags to search
-    if T < 20 + max_lags:
-        raise TooShort(f"series length {T} below required {20 + max_lags}")
-    if float(np.std(y)) == 0.0:
-        raise ConstantSeries("series has zero variance")
-
-    lags = _adf_search(y, max_lags)
-    dy = np.diff(y)
-    rows = np.arange(lags + 1, T)
-    nobs = len(rows)
-    r = _tall_r(np.column_stack([np.ones(nobs), *(dy[rows - 1 - j] for j in range(1, lags + 1)),
-                                 y[rows - 1], dy[rows - 1]]))
-    if r[-1, -1] ** 2 <= 1e-24 * float(r[:, -1] @ r[:, -1]):
-        raise ConstantSeries("the ADF regression fits exactly")
-    stat = _adf_t(r, nobs - (lags + 2))
-    crit = mackinnon_crit(nobs)
-    decision = "reject" if stat < crit["5%"] else "fail_to_reject"
-    detail = (f"lags={lags}, nobs={nobs}, p-bracket={_pvalue_bracket(stat, crit)}, "
-              f"approx_p={mackinnon_pvalue(stat):.4g}")
-    return TestResult(name="adf", statistic=stat, p_value=None,
-                      critical_values=crit, decision=decision, detail=detail)
-
-
-def panel_stationarity(columns: dict[str, np.ndarray], firm: np.ndarray) -> list[StationarityRow]:
+def panel_stationarity(columns: dict[str, np.ndarray], codes: PanelCodes) -> list[StationarityRow]:
     """Unit-root battery per panel variable.
 
-    ``columns`` maps each variable to a column of panel rows and ``firm``
-    gives each row's firm code; a firm's rows are adjacent and in year
+    ``columns`` maps each variable to a column of panel rows and ``codes``
+    are those rows' panel codes; a firm's rows are adjacent and in year
     order. A variable's NaNs are left out, and its remaining values are
-    tested by :func:`_harris_tzavalis`; a per-firm ADF (lag 0, relaxed
-    length) combined by Fisher's method is reported alongside. Variables
-    whose level test fails are retried in first differences, taken between
-    adjacent values of one firm, and classified I(1) when the differenced
-    test rejects. A level test that cannot run leaves the row without one:
-    its order is "degenerate" when the fit is exact or the lagged level
-    constant (an exact trend such as firm age), "unavailable" when too few
-    firms or years remain.
+    tested by :func:`_harris_tzavalis` on the firms of the modal length; a
+    per-firm ADF (lag 0, relaxed length) combined by Fisher's method is
+    reported alongside. Variables whose level test fails are retried in
+    first differences, taken between adjacent values of one firm, and
+    classified I(1) when the differenced test rejects. A level test that
+    cannot run leaves the row without one: its order is "degenerate" when
+    the fit is exact or the lagged level constant (an exact trend such as
+    firm age), "unavailable" when too few firms or years remain.
     """
     out = []
     for name, column in columns.items():
         present = ~np.isnan(column)
-        y, groups = column[present], firm[present]
+        y, kept = column[present], codes.select(present)
+        # the rows of the firms of the modal length (the longer one on a tie);
+        # a firm's rows are adjacent, so sorting each column orders the firms by row
+        _, rows = max(kept.firm_blocks, key=lambda b: (len(b[0]), b[1].shape[1]),
+                      default=(None, np.empty((0, 0), dtype=np.int64)))
+        block = y[np.sort(rows, axis=0)]
         level = difference = None
         try:
-            level = _harris_tzavalis(y, groups)
+            level = _harris_tzavalis(block, len(kept.firm_ids))
         except ConstantSeries:
             order = "degenerate"
         except TooShort:
@@ -233,34 +131,29 @@ def panel_stationarity(columns: dict[str, np.ndarray], firm: np.ndarray) -> list
         else:
             order = "I(0)"
             if level.decision != "reject":
-                within = groups[1:] == groups[:-1]
+                # with 3 or more values, the level's length stays modal among the
+                # firms with 2 or more, which are the differenced series' firms
                 try:
-                    difference = _harris_tzavalis(np.diff(y)[within], groups[1:][within])
+                    difference = _harris_tzavalis(
+                        np.diff(block, axis=1), int(np.count_nonzero(kept.firm_sizes >= 2)))
                     order = "I(1)" if difference.decision == "reject" else "I(2+)"
                 except (TooShort, ConstantSeries):
                     order = "I(1?)"
 
-        fisher = _fisher_combination(name, y, groups)
+        fisher = _fisher_combination(name, y, kept.firm)
         out.append(StationarityRow(variable=name, level=level, difference=difference,
                                    order=order, fisher=fisher))
     return out
 
 
-def _firm_sizes(firm: np.ndarray) -> np.ndarray:
-    """The number of rows of each firm, in row order; a firm's rows are adjacent."""
-    starts = np.flatnonzero(np.r_[True, firm[1:] != firm[:-1]])
-    return np.diff(np.r_[starts, len(firm)])
-
-
-def _harris_tzavalis(y: np.ndarray, firm: np.ndarray) -> TestResult:
+def _harris_tzavalis(block: np.ndarray, n_firms: int) -> TestResult:
     """Harris & Tzavalis (1999) panel unit-root test with firm intercepts.
 
-    ``y`` holds each firm's values one firm after another, in year order, and
-    ``firm`` their firm codes. The test needs one length for every firm, so it
-    uses the firms with the modal number of values (the longer length on a
-    tie): N firms with T + 1 values each, T regression periods. rho is the
-    pooled within-firm slope of y_t on y_{t-1}, and under a unit root with
-    i.i.d. errors, as N grows with T fixed,
+    ``block`` holds N firms' values, one firm per row in year order: T + 1
+    values each, T regression periods. They are the firms of one length
+    out of ``n_firms``, because the test needs one length for every firm.
+    rho is the pooled within-firm slope of y_t on y_{t-1}, and under a unit
+    root with i.i.d. errors, as N grows with T fixed,
     z = sqrt(N) (rho - 1 + 3/(T+1)) / sqrt(3 (17T^2 - 20T + 17) / (5 (T-1) (T+1)^3))
     is standard normal; p = Phi(z), and the test rejects when p < 0.05.
     Raises :class:`TooShort` below 2 firms or 2 periods, and
@@ -268,16 +161,11 @@ def _harris_tzavalis(y: np.ndarray, firm: np.ndarray) -> TestResult:
     (Sxx at most 1e-24 sum x^2) or the fit is exact (RSS at most 1e-24 of
     the demeaned y_t's sum of squares), as ``_lag0_adf_stats`` rules.
     """
-    sizes = _firm_sizes(firm)
-    lengths, counts = np.unique(sizes, return_counts=True)
-    length = int(lengths[counts == counts.max()][-1])
-    keep = sizes == length
-    n, t = int(np.count_nonzero(keep)), length - 1
+    n, t = block.shape[0], block.shape[1] - 1
     if n < 2 or t < 2:
         raise TooShort(f"{n} firms with {t} regression periods; "
                        "Harris-Tzavalis needs 2 of each")
-    v = y[np.repeat(keep, sizes)].reshape(n, length)
-    x, yt = v[:, :-1], v[:, 1:]
+    x, yt = block[:, :-1], block[:, 1:]
     xc = x - x.mean(axis=1, keepdims=True)
     yc = yt - yt.mean(axis=1, keepdims=True)
     sxx = float(np.sum(xc * xc))
@@ -292,7 +180,7 @@ def _harris_tzavalis(y: np.ndarray, firm: np.ndarray) -> TestResult:
     p = float(_kernels._cephes_ndtr(z))
     decision = "reject" if p < 0.05 else "fail_to_reject"
     detail = (f"lag 0, i.i.d. errors, N → ∞ with T fixed; N={n}, T={t}, "
-              f"rho={rho:.6g}; firms left out: {len(sizes) - n}")
+              f"rho={rho:.6g}; firms left out: {n_firms - n}")
     return TestResult(name="harris_tzavalis", statistic=z, p_value=p,
                       critical_values=dict(_NORMAL_CRIT), decision=decision, detail=detail)
 
@@ -339,7 +227,9 @@ def _fisher_combination(name: str, y: np.ndarray, firm: np.ndarray) -> TestResul
     an exactly fitting regression (an exact trend such as age) are skipped
     and counted.
     """
-    sizes = _firm_sizes(firm)
+    # each firm's number of values, in row order: a firm's rows are adjacent
+    starts = np.flatnonzero(np.r_[True, firm[1:] != firm[:-1]])
+    sizes = np.diff(np.r_[starts, len(firm)])
     long_enough = sizes >= 8
     skipped = len(sizes) - int(np.count_nonzero(long_enough))
     if not long_enough.any():
@@ -451,14 +341,14 @@ def descriptives(columns: dict[str, np.ndarray]) -> list[VariableSummary]:
     return out
 
 
-def correlation_matrix(columns: dict[str, np.ndarray],
-                       variables: tuple[str, ...] | None = None) -> CorrelationResult:
+def correlation_matrix(columns: dict[str, np.ndarray]) -> CorrelationResult:
     """Pearson correlations with two-sided p-values, pairwise deletion.
 
-    p comes from t = r sqrt((n-2)/(1-r^2)) with n-2 degrees of freedom.
-    Constant variables (or pairs with fewer than 3 complete rows) report NaN.
+    The variables are the columns, in their order. p comes from
+    t = r sqrt((n-2)/(1-r^2)) with n-2 degrees of freedom. Constant
+    variables (or pairs with fewer than 3 complete rows) report NaN.
     """
-    names = tuple(variables) if variables is not None else tuple(columns)
+    names = tuple(columns)
     k = len(names)
     data = [np.asarray(columns[n], dtype=float) for n in names]
     r = np.full((k, k), np.nan)

@@ -29,16 +29,16 @@ _BLOCK_ELEMENTS = 4096
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """An n x k regressor stack with named columns and optional panel codes.
+    """An n x k regressor stack with named columns and the rows' panel codes.
 
-    ``codes`` give each row's firm and period; the panel transformations and
-    the period-clustered covariance require them. A transformed copy of the
-    same rows passes its source's ``codes`` along.
+    ``codes`` give each row's firm and period, which the panel
+    transformations and the period-clustered covariance read. A transformed
+    copy of the same rows passes its source's ``codes`` along.
     """
 
     values: np.ndarray
     column_names: tuple[str, ...]
-    codes: PanelCodes | None = field(default=None, repr=False, compare=False)
+    codes: PanelCodes = field(repr=False, compare=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(np.asarray(self.values, dtype=float))
@@ -55,7 +55,7 @@ class DesignMatrix:
             bad = [names[j] for j in range(values.shape[1])
                    if not np.all(np.isfinite(values[:, j]))]
             raise ValueError(f"non-finite values in columns: {bad}")
-        if self.codes is not None and len(self.codes.firm) != values.shape[0]:
+        if len(self.codes.firm) != values.shape[0]:
             raise ValueError("codes length does not match matrix height")
 
 
@@ -175,8 +175,6 @@ def within_transform(X: DesignMatrix, y, warn: bool = True) -> tuple[DesignMatri
     :class:`SingletonGroupWarning` (suppressed with ``warn=False`` for
     internal re-transforms).
     """
-    if X.codes is None:
-        raise ValueError("within transform requires panel codes")
     y = np.asarray(y, dtype=float)
     codes = X.codes
     singletons = [codes.firm_ids[g] for g in np.flatnonzero(codes.firm_sizes == 1)]
@@ -197,8 +195,6 @@ def robust_cov_white_cross_section(X: DesignMatrix, residuals,
     panel codes and ``xtx_inv`` the fit's (X'X)^-1, scaled by n/(n - k).
     Robust to heteroskedasticity and to contemporaneous cross-firm correlation.
     """
-    if X.codes is None:
-        raise ValueError("white cross-section covariance requires panel codes")
     residuals = np.asarray(residuals, dtype=float)
     n, k = X.values.shape
     codes = X.codes
@@ -302,8 +298,6 @@ def re_fit(X: DesignMatrix, y) -> RandomEffects:
     warning, which reduces the estimator to pooled OLS. Only what the Hausman
     comparison reads is returned: no t, p, F, residuals or R-squared.
     """
-    if X.codes is None:
-        raise ValueError("random effects requires panel codes")
     y = np.asarray(y, dtype=float)
     n, k = X.values.shape
     codes = X.codes

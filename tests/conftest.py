@@ -9,9 +9,12 @@ import pytest
 from marketpanel import regress, variables
 from marketpanel.beta import (DEFAULT_MIN_MONTHS, DEFAULT_WINDOW_MONTHS, ReturnPanel,
                               _index_month, _row)
-from marketpanel.errors import MarketPanelError, TooFewObservations, TooShort, UnknownMarket
+from marketpanel.diagnostics import TestResult, _mackinnon_pvalues, _pvalue_bracket
+from marketpanel.errors import (ConstantSeries, MarketPanelError, TooFewObservations, TooShort,
+                                UnknownMarket)
 from marketpanel.panel_core import (FundamentalsTable, PanelCodes, RiskFreeSeries,
                                     build_dataset)
+from marketpanel.regress import _tall_r
 
 ROW_DEFAULTS = dict(firm_id="F1", market_id="M1", year=2015, price=2.0, book_value=1.5,
                     eps=0.2, sga=12.0, rd=2.0, sales=40.0, total_assets=100.0,
@@ -110,6 +113,11 @@ def panel_matrix(values, names, index):
     firm_ids, firm = np.unique([f for f, _ in index], return_inverse=True)
     codes = PanelCodes.from_codes(firm_ids.tolist(), firm, [y for _, y in index])
     return DesignMatrix(values, names, codes)
+
+
+def pooled_matrix(values, names):
+    """A DesignMatrix of rows without panel structure: one firm, one period."""
+    return regress.DesignMatrix(values, names, firm_codes(["pooled"] * len(values)))
 
 
 def firm_codes(labels) -> PanelCodes:
@@ -306,3 +314,111 @@ def beta_for_year(returns: ReturnPanel, firm_id: str, market_id: str, year: int,
     start = int(returns.months[lo + int(np.argmax(paired))])
     return BetaEstimate(firm_id=firm_id, year=year, beta=beta,
                         n_months=n, window_start=_index_month(start))
+
+
+# --- the single-series ADF: the reference of acceptance criterion 6 -------------
+
+# MacKinnon (2010) response-surface coefficients, constant-only regression,
+# one variable: cv = b0 + b1/T + b2/T^2 + b3/T^3
+_MACKINNON_CRIT = {
+    "1%": (-3.43035, -6.5393, -16.786, -79.433),
+    "5%": (-2.86154, -2.8903, -4.234, -40.040),
+    "10%": (-2.56677, -1.5384, -2.809, 0.0),
+}
+
+
+def mackinnon_crit(nobs: int) -> dict[str, float]:
+    """Finite-sample ADF critical values (constant-only regression)."""
+    out = {}
+    for level, (b0, b1, b2, b3) in _MACKINNON_CRIT.items():
+        out[level] = b0 + b1 / nobs + b2 / nobs**2 + b3 / nobs**3
+    return out
+
+
+def mackinnon_pvalue(stat: float) -> float:
+    """Approximate asymptotic p-value for the constant-only ADF t statistic."""
+    return float(_mackinnon_pvalues(np.array([stat], dtype=float))[0])
+
+
+def _adf_t(r: np.ndarray, df: int) -> float:
+    """The ADF t statistic from the R factor of [..., y_{t-1}, dy_t].
+
+    With the lagged level as the last regressor, its coefficient is
+    r[-2, -1] / r[-2, -2], its standard error sigma / |r[-2, -2]|, and
+    sigma = |r[-1, -1]| / sqrt(df).
+    """
+    level, resid = r[-2, -2], r[-1, -1]
+    if level == 0.0 or resid == 0.0:
+        raise ConstantSeries("degenerate ADF regression")
+    return float(np.sign(level) * r[-2, -1] * math.sqrt(df) / abs(resid))
+
+
+def _adf_search(y: np.ndarray, max_lags: int) -> int:
+    """AIC lag choice on the common sample implied by ``max_lags``.
+
+    One QR of [1, y_{t-1}, dy_{t-1}, ..., dy_{t-max_lags}, dy_t], built from
+    row blocks by ``regress._tall_r``, serves every nested regression: the
+    RSS on the first m columns is the squared norm of the last column of R
+    below row m (zero rows where a saturated fit has fewer rows than columns).
+    """
+    dy = np.diff(y)
+    rows = np.arange(max_lags + 1, len(y))
+    nobs = len(rows)
+    cols = [np.ones(nobs), y[rows - 1]]
+    cols += [dy[rows - 1 - j] for j in range(1, max_lags + 1)]
+    cols.append(dy[rows - 1])
+    r = np.zeros((len(cols), len(cols)))
+    tall = _tall_r(np.column_stack(cols))
+    r[:len(tall)] = tall
+    rss_from = np.cumsum(r[::-1, -1] ** 2)[::-1]
+    best_lag, best_aic = 0, math.inf
+    for p in range(max_lags + 1):
+        rss = float(rss_from[p + 2])
+        if rss <= 0:
+            return p
+        aic = nobs * math.log(rss / nobs) + 2 * (p + 2)
+        if aic < best_aic - 1e-12:
+            best_aic, best_lag = aic, p
+    return best_lag
+
+
+def adf_test(series) -> TestResult:
+    """Augmented Dickey-Fuller unit-root test with a constant.
+
+    The lag count is chosen by AIC up to floor(12 * (T/100)^0.25); the
+    statistic then comes from one QR of [1, dy_{t-1}, ..., dy_{t-lags},
+    y_{t-1}, dy_t] over every row that has the chosen lags. A fit whose
+    residual is below 1e-12 of |dy_t| is exact (an exact trend): its
+    statistic would be rounding residue, so it raises :class:`ConstantSeries`.
+    The statistic is compared to MacKinnon finite-sample critical values; the
+    decision is taken at 5%. p-values appear only as interval brackets in
+    ``detail``.
+    """
+    y = np.asarray(series, dtype=float)
+    if y.ndim != 1:
+        raise ValueError("series must be one-dimensional")
+    T = len(y)
+    max_lags = int(math.floor(12.0 * (T / 100.0) ** 0.25))
+    # at most (T-1)//2 - 2 lags leave every fit at least 2 residual degrees of freedom
+    max_lags = max(0, min(max_lags, (T - 1) // 2 - 2))
+    # a series of 28 or more values passes, and has at least 8 lags to search
+    if T < 20 + max_lags:
+        raise TooShort(f"series length {T} below required {20 + max_lags}")
+    if float(np.std(y)) == 0.0:
+        raise ConstantSeries("series has zero variance")
+
+    lags = _adf_search(y, max_lags)
+    dy = np.diff(y)
+    rows = np.arange(lags + 1, T)
+    nobs = len(rows)
+    r = _tall_r(np.column_stack([np.ones(nobs), *(dy[rows - 1 - j] for j in range(1, lags + 1)),
+                                 y[rows - 1], dy[rows - 1]]))
+    if r[-1, -1] ** 2 <= 1e-24 * float(r[:, -1] @ r[:, -1]):
+        raise ConstantSeries("the ADF regression fits exactly")
+    stat = _adf_t(r, nobs - (lags + 2))
+    crit = mackinnon_crit(nobs)
+    decision = "reject" if stat < crit["5%"] else "fail_to_reject"
+    detail = (f"lags={lags}, nobs={nobs}, p-bracket={_pvalue_bracket(stat, crit)}, "
+              f"approx_p={mackinnon_pvalue(stat):.4g}")
+    return TestResult(name="adf", statistic=stat, p_value=None,
+                      critical_values=crit, decision=decision, detail=detail)

@@ -15,11 +15,12 @@ import pytest
 
 from marketpanel import beta, models, synth, variables
 from marketpanel.cli import main
-from marketpanel.diagnostics import adf_test, hausman_test
+from marketpanel.diagnostics import hausman_test
 from marketpanel.regress import DesignMatrix, fe_fit, re_fit
 
-from conftest import (InsufficientWindow, beta_for_year, coefficient, monthly_points,
-                      normal_equations_oracle, p_value, std_error, ols_fit, panel_design, return_panel, row_labels)
+from conftest import (InsufficientWindow, adf_test, beta_for_year, coefficient, monthly_points,
+                      normal_equations_oracle, p_value, std_error, ols_fit, panel_design,
+                      pooled_matrix, return_panel, row_labels)
 
 warnings.filterwarnings("ignore")
 
@@ -56,7 +57,8 @@ def test_criterion_1_fe_equals_lsdv_oracle():
             for firm in firms[1:]])
         lsdv = ols_fit(DesignMatrix(np.column_stack([X.values, dummies]),
                                     X.column_names + tuple(f"d{j}" for j in
-                                                           range(len(firms) - 1))), y)
+                                                           range(len(firms) - 1)),
+                                    X.codes), y)
         for name in X.column_names:
             worst = max(worst, abs(coefficient(fe, name) - coefficient(lsdv, name)))
     elapsed = time.monotonic() - t0
@@ -75,7 +77,7 @@ def test_criterion_2_ols_normal_equations_oracle():
         x = rng.normal(0, 1, (n, k)) * rng.uniform(0.1, 10, k)
         beta_true = rng.normal(0, 2, k)
         y = x @ beta_true + rng.normal(0, 1, n)
-        X = DesignMatrix(x, tuple(f"x{j}" for j in range(k)))
+        X = pooled_matrix(x, tuple(f"x{j}" for j in range(k)))
         fit = ols_fit(X, y)
         oracle = normal_equations_oracle(X, y)
         scale = np.maximum(np.abs(oracle), 1e-12)

@@ -636,6 +636,43 @@ class TestVerifyCommand:
         empty.mkdir()
         assert main(["verify", "--data", str(empty), "--run", str(run_dir)]) == 2
 
+    @pytest.mark.parametrize("name, text, reason", [
+        ("truth.json", "{}\n", "KeyError('betas_true')"),
+        ("truth.json", "[]\n", "TypeError("),
+        ("truth.json", "not json\n", "JSONDecodeError("),
+        ("manifest.json", "[]\n", "no effective_config object"),
+        ("manifest.json", "not json\n", "is not JSON: "),
+    ])
+    def test_malformed_json_file_exit_2(self, data_dir, run_dir, tmp_path, caplog,
+                                        name, text, reason):
+        data, run = tmp_path / "data", tmp_path / "run"
+        shutil.copytree(data_dir, data)
+        shutil.copytree(run_dir, run)
+        path = (data if name == "truth.json" else run) / name
+        path.write_text(text)
+        with caplog.at_level(logging.ERROR, logger="marketpanel"):
+            assert main(["verify", "--data", str(data), "--run", str(run)]) == 2
+        message = caplog.records[-1].getMessage()
+        assert message.startswith(str(path)) and reason in message, message
+
+    @pytest.mark.parametrize("key, value", [("beta_min", "x"), ("beta_min", None),
+                                            ("center", "false"), ("beta_min", 48.9)])
+    def test_recorded_config_of_another_type_exit_2(self, data_dir, run_dir, tmp_path,
+                                                    caplog, key, value):
+        """A recorded value is read only with its field's JSON type: "false" is
+        not read as true, nor 48.9 as 48."""
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        path = run / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["effective_config"][key] = value
+        path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+        with caplog.at_level(logging.ERROR, logger="marketpanel"):
+            assert main(["verify", "--data", str(data_dir), "--run", str(run)]) == 2
+        assert caplog.records[-1].getMessage() == (
+            f"{path}: effective_config {key!r} must be a JSON "
+            f"{'bool' if key == 'center' else 'int'}, got {json.dumps(value)}")
+
     def test_tampered_coefficient_detected(self, data_dir, run_dir, tmp_path, capsys):
         import shutil
         tampered = tmp_path / "tampered"

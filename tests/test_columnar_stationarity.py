@@ -4,7 +4,7 @@
 arrays, in year order with NaNs left out and firms without values left out,
 and builds the Harris-Tzavalis sums firm by firm in a loop, and the Fisher
 segment sums by concatenating those arrays. ``panel_stationarity(columns,
-firm)`` must give the same rows: the Harris-Tzavalis statistics to a relative
+codes)`` must give the same rows: the Harris-Tzavalis statistics to a relative
 1e-12, every other field bit for bit, and the Fisher p-value to 1e-13 of the
 50-digit value.
 """
@@ -21,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 from marketpanel import _kernels, diagnostics
 from marketpanel.diagnostics import StationarityRow, _mackinnon_pvalues, panel_stationarity
 from marketpanel.errors import ConstantSeries, TooShort
+
+from conftest import firm_codes
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -123,7 +125,8 @@ def reference_fisher_combination(name, series_list):
     pvalues = np.clip(_mackinnon_pvalues(stat[usable]), 1e-6, 1 - 1e-6)
     if len(pvalues) == 0:
         return None
-    statistic = -2.0 * float(np.sum(np.log(pvalues)))
+    # the C library's log, as the package takes it: np.log can differ in the last bit
+    statistic = -2.0 * float(np.sum([math.log(p) for p in pvalues.tolist()]))
     df = 2 * len(pvalues)
     with mpmath.workdps(50):
         p = float(mpmath.gammainc(df / 2, statistic / 2, mpmath.inf, regularized=True))
@@ -204,7 +207,7 @@ def same_row(got, want):
 @given(unbalanced_panels())
 def test_columns_equal_the_per_firm_lists(panel):
     columns, firm = panel
-    rows = panel_stationarity(columns, firm)
+    rows = panel_stationarity(columns, firm_codes(firm))
     assert [r.variable for r in rows] == list(columns)
     for row, (name, column) in zip(rows, columns.items()):
         (want,) = reference_panel_stationarity({name: firm_lists(column, firm)})

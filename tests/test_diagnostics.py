@@ -8,13 +8,13 @@ import pytest
 from scipy import stats
 
 from marketpanel.diagnostics import (_harris_tzavalis, _lag0_adf_stats, _mackinnon_pvalues,
-                                     adf_test, correlation_matrix, descriptives,
-                                     hausman_test, lr_heteroskedasticity, mackinnon_crit,
-                                     mackinnon_pvalue, panel_stationarity)
+                                     correlation_matrix, descriptives, hausman_test,
+                                     lr_heteroskedasticity, panel_stationarity)
 from marketpanel.errors import ConstantSeries, TooFewGroups, TooShort
 from marketpanel.regress import fe_fit, re_fit
 
-from conftest import firm_codes, panel_design, stacked
+from conftest import (adf_test, firm_codes, mackinnon_crit, mackinnon_pvalue, panel_design,
+                      stacked)
 
 
 class TestAdf:
@@ -94,7 +94,7 @@ class TestPanelStationarity:
     def test_stationary_variable_classified_i0(self):
         rng = np.random.default_rng(3)
         column, firm = stacked([rng.normal(0, 1, 10) for _ in range(20)])
-        rows = panel_stationarity({"V": column}, firm)
+        rows = panel_stationarity({"V": column}, firm_codes(firm))
         assert rows[0].variable == "V"
         assert rows[0].order == "I(0)"
         assert rows[0].difference is None
@@ -104,7 +104,7 @@ class TestPanelStationarity:
         rng = np.random.default_rng(4)
         column, firm = stacked([np.cumsum(rng.normal(0, 1, 10)) + 100.0 * i
                                 for i in range(20)])
-        rows = panel_stationarity({"V": column}, firm)
+        rows = panel_stationarity({"V": column}, firm_codes(firm))
         assert rows[0].order in ("I(1)", "I(2+)")
         assert rows[0].difference is not None
 
@@ -112,20 +112,20 @@ class TestPanelStationarity:
         """An exact trend (firm age) fits its lag-0 ADF regression exactly: no p-value."""
         trends = [np.arange(10.0) + 3.0 * i + 0.1 for i in range(20)]
         column, firm = stacked(trends)
-        rows = panel_stationarity({"Age": column}, firm)
+        rows = panel_stationarity({"Age": column}, firm_codes(firm))
         assert rows[0].fisher is None
 
         rng = np.random.default_rng(6)
         noise = [rng.normal(0, 1, 10) for _ in range(12)]
         column, firm = stacked(noise + trends[:5])
-        rows = panel_stationarity({"V": column}, firm)
+        rows = panel_stationarity({"V": column}, firm_codes(firm))
         assert rows[0].fisher.detail.startswith("V: Fisher chi2(24) over 12 firms (5 skipped)")
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         column, firm = stacked([rng.normal(0, 1, 10) for _ in range(10)])
-        a = panel_stationarity({"V": column}, firm)
-        b = panel_stationarity({"V": column}, firm)
+        a = panel_stationarity({"V": column}, firm_codes(firm))
+        b = panel_stationarity({"V": column}, firm_codes(firm))
         assert a[0].level.statistic == b[0].level.statistic
         assert a[0].fisher.statistic == b[0].fisher.statistic
 
@@ -139,7 +139,8 @@ class TestPanelStationarity:
         p = np.clip(_mackinnon_pvalues(stat), 1e-6, 1 - 1e-6)
         differ = np.flatnonzero(usable & (np.log(p) != [math.log(v) for v in p.tolist()]))
         for g in [0, *differ[:10].tolist()]:
-            row = panel_stationarity({"V": column[10 * g:10 * g + 10]}, firm[:10])[0]
+            (row,) = panel_stationarity({"V": column[10 * g:10 * g + 10]},
+                                        firm_codes(firm[:10]))
             assert row.fisher.statistic == -2.0 * math.log(p[g])
 
 
@@ -156,8 +157,7 @@ def ar1_panels(rng, reps, n_firms, n_values, rho, mean_sd):
 
 
 def ht_rejections(panels):
-    firm = np.repeat(np.arange(panels.shape[1]), panels.shape[2])
-    return sum(_harris_tzavalis(p.ravel(), firm).decision == "reject" for p in panels)
+    return sum(_harris_tzavalis(p, len(p)).decision == "reject" for p in panels)
 
 
 class TestHarrisTzavalis:
@@ -188,18 +188,18 @@ class TestHarrisTzavalis:
     def test_exact_trend_is_degenerate(self):
         ages = [np.arange(10.0) + 2010 - start for start in range(1950, 2000, 2)]
         column, firm = stacked(ages)
-        (row,) = panel_stationarity({"Age": column}, firm)
+        (row,) = panel_stationarity({"Age": column}, firm_codes(firm))
         assert (row.order, row.level, row.difference, row.fisher) == (
             "degenerate", None, None, None)
         with pytest.raises(ConstantSeries):
-            _harris_tzavalis(column, firm)
+            _harris_tzavalis(np.array(ages), len(ages))
 
     def test_balanced_subset_of_the_modal_length(self):
         rng = np.random.default_rng(14)
         series = [rng.normal(0, 1, 10) for _ in range(20)]
         series[7] = series[7][:6]
         column, firm = stacked(series)
-        (row,) = panel_stationarity({"V": column}, firm)
+        (row,) = panel_stationarity({"V": column}, firm_codes(firm))
         assert "N=19, T=9," in row.level.detail
         assert row.level.detail.endswith("; firms left out: 1")
         assert row.level.detail.startswith("lag 0, i.i.d. errors, N → ∞ with T fixed;")
@@ -211,14 +211,23 @@ class TestHarrisTzavalis:
                                                   rel=1e-13)
         # a tie between lengths takes the longer one
         column, firm = stacked([rng.normal(0, 1, n) for n in (5, 8, 5, 8, 5, 8, 3)])
-        assert "N=3, T=7," in _harris_tzavalis(column, firm).detail
+        (row,) = panel_stationarity({"V": column}, firm_codes(firm))
+        assert "N=3, T=7," in row.level.detail
+        assert row.level.detail.endswith("; firms left out: 4")
         # one firm, or one regression period per firm, is too little
         for series in ([rng.normal(0, 1, 10)], [rng.normal(0, 1, 2) for _ in range(30)]):
-            column, firm = stacked(series)
             with pytest.raises(TooShort):
-                _harris_tzavalis(column, firm)
-            (row,) = panel_stationarity({"V": column}, firm)
+                _harris_tzavalis(np.array(series), len(series))
+            column, firm = stacked(series)
+            (row,) = panel_stationarity({"V": column}, firm_codes(firm))
             assert (row.order, row.level) == ("unavailable", None)
+
+    @pytest.mark.parametrize("column", [np.full(20, np.nan), np.empty(0)])
+    def test_no_values_is_unavailable(self, column):
+        """An all-NaN column and an empty one leave no firm to test."""
+        (row,) = panel_stationarity({"V": column}, firm_codes(np.arange(len(column)) // 10))
+        assert (row.order, row.level, row.difference, row.fisher) == (
+            "unavailable", None, None, None)
 
 
 class TestHausman:
@@ -378,7 +387,7 @@ class TestCorrelationMatrix:
 
     def test_perfect_negative(self):
         x = np.arange(20.0)
-        c = correlation_matrix({"x": x, "y": -x}, ("x", "y"))
+        c = correlation_matrix({"x": x, "y": -x})
         assert c.r[0, 1] == pytest.approx(-1.0)
         assert c.p[0, 1] == pytest.approx(0.0, abs=1e-12)
 
@@ -386,7 +395,7 @@ class TestCorrelationMatrix:
         """Pearson r matches the direct covariance/stdev computation."""
         rng = np.random.default_rng(1)
         x, y = rng.normal(0, 1, 50), rng.normal(0, 1, 50)
-        c = correlation_matrix({"x": x, "y": y}, ("x", "y"))
+        c = correlation_matrix({"x": x, "y": y})
         xc, yc = x - x.mean(), y - y.mean()
         oracle = float((xc @ yc) / math.sqrt((xc @ xc) * (yc @ yc)))
         assert c.r[0, 1] == pytest.approx(oracle, abs=1e-12)
@@ -396,7 +405,7 @@ class TestCorrelationMatrix:
         rng = np.random.default_rng(2)
         x = rng.normal(0, 1, 40)
         y = 0.4 * x + rng.normal(0, 1, 40)
-        c = correlation_matrix({"x": x, "y": y}, ("x", "y"))
+        c = correlation_matrix({"x": x, "y": y})
         r = c.r[0, 1]
         t = r * math.sqrt(38 / (1 - r * r))
         assert c.p[0, 1] == pytest.approx(2 * stats.t.sf(abs(t), 38), rel=1e-10)
@@ -411,14 +420,13 @@ class TestCorrelationMatrix:
 
     def test_constant_variable_reported_absent(self):
         rng = np.random.default_rng(4)
-        c = correlation_matrix({"x": rng.normal(0, 1, 20), "k": np.full(20, 2.0)},
-                               ("x", "k"))
+        c = correlation_matrix({"x": rng.normal(0, 1, 20), "k": np.full(20, 2.0)})
         assert math.isnan(c.r[0, 1])
         assert math.isnan(c.p[0, 1])
 
     def test_pairwise_deletion_counts(self):
         x = np.array([1.0, 2.0, np.nan, 4.0, 5.0])
         y = np.array([2.0, np.nan, 3.0, 5.0, 6.0])
-        c = correlation_matrix({"x": x, "y": y}, ("x", "y"))
+        c = correlation_matrix({"x": x, "y": y})
         assert c.n[0, 1] == 3
         assert math.isfinite(c.r[0, 1])

@@ -12,7 +12,7 @@ from marketpanel.regress import (DesignMatrix, fe_fit, re_fit, robust_cov_white_
                                  within_transform)
 
 from conftest import (coefficient, normal_equations_oracle, ols_fit, panel_design, panel_matrix,
-                      row_labels, std_error)
+                      pooled_matrix, row_labels, std_error)
 
 
 def random_system(n, k, seed):
@@ -21,7 +21,7 @@ def random_system(n, k, seed):
     beta = rng.normal(0, 2, k)
     y = 1.5 + x @ beta + rng.normal(0, 0.7, n)
     names = tuple(f"x{j+1}" for j in range(k))
-    return DesignMatrix(x, names), y
+    return pooled_matrix(x, names), y
 
 
 def bread(X):
@@ -32,7 +32,7 @@ def bread(X):
 class TestOlsFit:
     def test_exact_fit(self):
         x = np.arange(1.0, 11.0).reshape(-1, 1)
-        fit = ols_fit(DesignMatrix(x, ("x",)), 2.0 * x[:, 0])
+        fit = ols_fit(pooled_matrix(x, ("x",)), 2.0 * x[:, 0])
         assert coefficient(fit, "x") == pytest.approx(2.0, abs=1e-12)
         assert coefficient(fit, "C") == pytest.approx(0.0, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0)
@@ -41,7 +41,7 @@ class TestOlsFit:
     def test_constant_dependent(self):
         rng = np.random.default_rng(0)
         x = rng.normal(0, 1, (20, 1))
-        fit = ols_fit(DesignMatrix(x, ("x",)), np.full(20, 3.25))
+        fit = ols_fit(pooled_matrix(x, ("x",)), np.full(20, 3.25))
         assert coefficient(fit, "x") == pytest.approx(0.0, abs=1e-12)
         assert coefficient(fit, "C") == pytest.approx(3.25)
 
@@ -67,7 +67,7 @@ class TestOlsFit:
         X, y = random_system(60, 3, 4)
         fit = ols_fit(X, y)
         scale = np.array([100.0, 0.01, 7.0])
-        X2 = DesignMatrix(X.values * scale, X.column_names)
+        X2 = DesignMatrix(X.values * scale, X.column_names, X.codes)
         fit2 = ols_fit(X2, y)
         np.testing.assert_allclose(fit2.coefficients[1:] * scale,
                                    fit.coefficients[1:], rtol=1e-10)
@@ -78,7 +78,7 @@ class TestOlsFit:
         y = x[:, 0] + rng.normal(0, 1, 50)
         r2 = []
         for k in range(1, 4):
-            fit = ols_fit(DesignMatrix(x[:, :k], tuple(f"x{j}" for j in range(k))), y)
+            fit = ols_fit(pooled_matrix(x[:, :k], tuple(f"x{j}" for j in range(k))), y)
             r2.append(fit.r_squared)
         assert r2[0] <= r2[1] + 1e-12 <= r2[2] + 2e-12
 
@@ -87,7 +87,7 @@ class TestOlsFit:
         a = rng.normal(0, 1, 30)
         x = np.column_stack([a, 2.0 * a, rng.normal(0, 1, 30)])
         with pytest.raises(RankDeficient) as err:
-            ols_fit(DesignMatrix(x, ("a", "a2", "b")), rng.normal(0, 1, 30))
+            ols_fit(pooled_matrix(x, ("a", "a2", "b")), rng.normal(0, 1, 30))
         assert set(err.value.columns) & {"a", "a2"}
 
     def test_too_few_observations(self):
@@ -110,7 +110,7 @@ class TestOlsFit:
 
     def test_no_intercept(self):
         x = np.arange(1.0, 9.0).reshape(-1, 1)
-        fit = ols_fit(DesignMatrix(x, ("x",)), 3.0 * x[:, 0], intercept=False)
+        fit = ols_fit(pooled_matrix(x, ("x",)), 3.0 * x[:, 0], intercept=False)
         assert fit.column_names == ("x",)
         assert coefficient(fit, "x") == pytest.approx(3.0)
 
@@ -161,8 +161,8 @@ class TestWithinTransform:
         assert Xw.codes is X.codes
         with pytest.raises(ValueError):
             DesignMatrix(np.zeros((3, 1)), ("x",), X.codes)
-        with pytest.raises(ValueError, match="requires panel codes"):
-            within_transform(DesignMatrix(np.zeros((4, 1)), ("x",)), np.zeros(4))
+        with pytest.raises(TypeError, match="codes"):
+            DesignMatrix(np.zeros((4, 1)), ("x",))
 
 
 class TestFeFit:
@@ -243,7 +243,7 @@ def _lsdv_fit(X, y):
         for firm in firms[1:]])
     values = np.column_stack([X.values, dummies])
     names = X.column_names + tuple(f"d_{f}" for f in firms[1:])
-    fit = ols_fit(DesignMatrix(values, names), y)
+    fit = ols_fit(DesignMatrix(values, names, X.codes), y)
     return {name: coefficient(fit, name) for name in X.column_names}
 
 

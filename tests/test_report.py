@@ -29,14 +29,13 @@ def bundle():
         desc_cols = variables.panel_columns(panel, variables.DESCRIPTIVES_ORDER)
         corr_cols = variables.panel_columns(panel, variables.CORRELATION_ORDER)
         stationarity = diagnostics.panel_stationarity(
-            variables.panel_columns(panel, variables.STATIONARITY_ORDER), panel.codes.firm)
+            variables.panel_columns(panel, variables.STATIONARITY_ORDER), panel.codes)
         estimation = [models.estimate(panel, models.spec_for(m))
                       for m in models.MODEL_IDS]
         robustness = models.robustness_suite(panel)
     return ReportBundle(
         descriptives_table=diagnostics.descriptives(desc_cols),
-        correlation_table=diagnostics.correlation_matrix(corr_cols,
-                                                         variables.CORRELATION_ORDER),
+        correlation_table=diagnostics.correlation_matrix(corr_cols),
         stationarity_table=stationarity,
         estimation_tables=estimation,
         robustness_tables=robustness,

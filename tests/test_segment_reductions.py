@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from marketpanel.diagnostics import _adf_search, _adf_t, _lag0_adf_stats, lr_heteroskedasticity
+from marketpanel.diagnostics import _lag0_adf_stats, lr_heteroskedasticity
 from marketpanel.errors import SingletonGroupWarning
 from marketpanel.regress import (INTERCEPT_NAME, _pivoted_qr_solve, re_fit,
                                  robust_cov_white_cross_section, within_transform)
 
-from conftest import firm_codes, panel_matrix
+from conftest import _adf_search, _adf_t, firm_codes, panel_matrix
 
 PROPERTY = settings(max_examples=60, deadline=None)
 

@@ -24,7 +24,7 @@ from marketpanel import _kernels, diagnostics, models, regress, variables
 from marketpanel.errors import RankDeficient
 from marketpanel.panel_core import PanelCodes
 
-from conftest import derived_column_names
+from conftest import derived_column_names, firm_codes
 
 PROPERTY = settings(max_examples=100, deadline=None)
 SCIPY_QR = scipy.linalg.qr
@@ -233,7 +233,7 @@ def test_stationarity_factors_no_call_over_all_rows(linalg_shapes):
     rng = np.random.default_rng(1)
     walk = np.cumsum(rng.standard_normal(N_FIRMS * N_YEARS))
     firm = np.repeat(np.arange(N_FIRMS), N_YEARS)
-    (row,) = diagnostics.panel_stationarity({"P": walk}, firm)
+    (row,) = diagnostics.panel_stationarity({"P": walk}, firm_codes(firm))
     assert row.difference is not None   # both the level and the difference test ran
     # the Harris-Tzavalis tests and the Fisher combination use segment sums only
     assert linalg_shapes == {"qr": [], "norm": [], "kernels": []}
