@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__, beta, diagnostics, ingest, models, report, variables
 from .errors import (CollinearityProximityWarning, ConfigError, InputError, IoFailure,
                      MarketPanelError, SchemaMismatch)
-from .panel_core import PanelDataset, build_dataset
+from .panel_core import build_dataset
 
 log = logging.getLogger("marketpanel")
 
@@ -147,18 +147,6 @@ def _load_inputs(data: str) -> tuple[str, str, str]:
     return tuple(ingest._read_text(os.path.join(data, name)) for name in _INPUT_FILES)
 
 
-@dataclasses.dataclass
-class _BaseRun:
-    """The pipeline up to the four base estimates: all that ``verify`` recomputes."""
-
-    inputs: dict[str, str]   # input file name -> SHA-256 of its text
-    dataset: PanelDataset
-    ingest_rejections: tuple[tuple[int, str], ...]   # (file line, reason) per row left out
-    beta_exclusions: list
-    panel: variables.DerivedPanel
-    estimates: list[models.EstimationReport]
-
-
 def _dataset(fundamentals_csv: str, prices_csv: str, riskfree_csv: str):
     table, rejections = ingest.parse_fundamentals(fundamentals_csv)
     for line_no, reason in rejections:
@@ -170,7 +158,16 @@ def _dataset(fundamentals_csv: str, prices_csv: str, riskfree_csv: str):
     return dataset, prices, rejections
 
 
-def _betas(cfg: RunConfig, dataset: PanelDataset, prices: beta.PriceTable):
+def _base_run(cfg: RunConfig):
+    """The pipeline up to the four base estimates: all that ``verify`` recomputes.
+
+    Returns the dataset, the four estimates, the derived panel, the SHA-256
+    of each input file's text, the ingest rejections ((file line, reason)
+    per row left out) and the beta exclusions.
+    """
+    texts = _load_inputs(cfg.data)
+    inputs = dict(zip(_INPUT_FILES, map(_sha256, texts)))
+    dataset, prices, rejections = _dataset(*texts)
     returns = beta.monthly_returns(prices)
     # a firm with fewer than two closes has no window at all, hence no exclusions
     firms = [f for f in dataset.firms if f in returns.series_index]
@@ -179,18 +176,12 @@ def _betas(cfg: RunConfig, dataset: PanelDataset, prices: beta.PriceTable):
         window_months=cfg.beta_window, min_months=cfg.beta_min)
     for firm_id, year, reason in beta_exclusions:
         log.warning("beta excluded for (%s, %d): %s", firm_id, year, reason)
-    return betas, beta_exclusions
-
-
-def _derived_panel(dataset: PanelDataset, betas) -> variables.DerivedPanel:
+    # nothing past the betas reads these, so they are freed before the estimates
+    del texts, prices, returns
     panel = variables.derive_all(dataset, betas)
     for firm_id, year, reason in panel.exclusions:
         log.warning("row excluded (%s, %d): %s", firm_id, year, reason)
     log.info("derived panel: %d rows (%d excluded)", len(panel), len(panel.exclusions))
-    return panel
-
-
-def _base_estimates(cfg: RunConfig, panel) -> list[models.EstimationReport]:
     estimates = []
     for model_id in models.MODEL_IDS:
         spec = models.spec_for(model_id, marin_variant=cfg.marin_variant,
@@ -199,30 +190,14 @@ def _base_estimates(cfg: RunConfig, panel) -> list[models.EstimationReport]:
         log.info("%s: nobs=%d, R2(%s)=%.4f, hausman=%s", model_id, est.fit.nobs,
                  est.fit.r_squared_kind, est.fit.r_squared, est.hausman_decision)
         estimates.append(est)
-    return estimates
+    return dataset, estimates, panel, inputs, rejections, beta_exclusions
 
 
-def _inputs_and_betas(cfg: RunConfig):
-    # the CSV texts and the price table die on return, before the estimates
-    texts = _load_inputs(cfg.data)
-    dataset, prices, rejections = _dataset(*texts)
-    betas, beta_exclusions = _betas(cfg, dataset, prices)
-    return (dict(zip(_INPUT_FILES, map(_sha256, texts))), dataset, rejections,
-            betas, beta_exclusions)
-
-
-def _run_to_base_estimates(cfg: RunConfig) -> _BaseRun:
-    inputs, dataset, rejections, betas, beta_exclusions = _inputs_and_betas(cfg)
-    panel = _derived_panel(dataset, betas)
-    return _BaseRun(inputs, dataset, rejections, beta_exclusions, panel,
-                    _base_estimates(cfg, panel))
-
-
-def _diagnostics_and_robustness(cfg: RunConfig, panel) -> dict:
-    """The tables of a run besides the base estimates, as ``ReportBundle`` fields."""
+def _bundle(cfg: RunConfig) -> report.ReportBundle:
+    dataset, estimates, panel, inputs, rejections, beta_exclusions = _base_run(cfg)
     desc_columns = variables.panel_columns(panel, variables.DESCRIPTIVES_ORDER)
     corr_columns = variables.panel_columns(panel, variables.CORRELATION_ORDER)
-    return {
+    tables = {
         "descriptives_table": diagnostics.descriptives(desc_columns),
         "correlation_table": diagnostics.correlation_matrix(corr_columns),
         "stationarity_table": diagnostics.panel_stationarity(
@@ -230,12 +205,8 @@ def _diagnostics_and_robustness(cfg: RunConfig, panel) -> dict:
         "robustness_tables": models.robustness_suite(
             panel, center=cfg.center, constrain_book_unit=cfg.constrain_book_unit),
     }
-
-
-def _bundle(cfg: RunConfig, base: _BaseRun) -> report.ReportBundle:
-    tables = _diagnostics_and_robustness(cfg, base.panel)
     effective = cfg.effective()
-    config_hash = _config_hash(effective, base.inputs)
+    config_hash = _config_hash(effective, inputs)
     metadata = {
         "run_id": cfg.run_id or f"run-{config_hash[:12]}",
         "config_hash": config_hash,
@@ -244,19 +215,18 @@ def _bundle(cfg: RunConfig, base: _BaseRun) -> report.ReportBundle:
                      "python": ".".join(map(str, sys.version_info[:3])),
                      "numpy": np.__version__},
         "effective_config": effective,
-        "inputs": base.inputs,
-        "n_observations": len(base.dataset),
-        "n_derived_rows": len(base.panel),
-        "ingest_rejections": list(base.ingest_rejections),
-        "derive_exclusions": len(base.panel.exclusions),
-        "beta_exclusions": len(base.beta_exclusions),
-        "baseline_nobs": {r.model_id: r.fit.nobs for r in base.estimates},
+        "inputs": inputs,
+        "n_observations": len(dataset),
+        "n_derived_rows": len(panel),
+        "ingest_rejections": list(rejections),
+        "derive_exclusions": len(panel.exclusions),
+        "beta_exclusions": len(beta_exclusions),
+        "baseline_nobs": {r.model_id: r.fit.nobs for r in estimates},
         "robustness_nobs": {report.robustness_table_name(r): r.fit.nobs
                             for r in tables["robustness_tables"]},
-        "notes": base.panel.notes,
+        "notes": panel.notes,
     }
-    return report.ReportBundle(estimation_tables=base.estimates, metadata=metadata,
-                               **tables)
+    return report.ReportBundle(estimation_tables=estimates, metadata=metadata, **tables)
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -303,7 +273,7 @@ def cmd_ingest_check(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _resolve_run_config(args)
-    bundle = _bundle(cfg, _run_to_base_estimates(cfg))
+    bundle = _bundle(cfg)
     metadata = bundle.metadata
     out_dir = os.path.join(cfg.out, metadata["run_id"])
     written = report.emit(bundle, out_dir)
@@ -361,12 +331,12 @@ def cmd_verify(args) -> int:
                        "data": args.data})
     cfg.validate()
 
-    base = _run_to_base_estimates(cfg)
-    recomputed = report.render(report.ReportBundle(base.estimates))
+    dataset, estimates, *_ = _base_run(cfg)
+    recomputed = report.render(report.ReportBundle(estimates))
     emitted = {name: ingest._read_text(os.path.join(args.run, name)) for name in recomputed}
     failures = report.compare_tables(emitted, recomputed, rel_tol=1e-12)
 
-    panel = variables.derive_all(base.dataset, truth.betas_true)
+    panel = variables.derive_all(dataset, truth.betas_true)
     checks = {}
     for model_id in ("value_moderated", "risk_moderated"):
         # raw parameterization: the planted coefficients are uncentered

@@ -140,7 +140,7 @@ def panel_stationarity(columns: dict[str, np.ndarray], codes: PanelCodes) -> lis
                 except (TooShort, ConstantSeries):
                     order = "I(1?)"
 
-        fisher = _fisher_combination(name, y, kept.firm)
+        fisher = _fisher_combination(name, y, kept)
         out.append(StationarityRow(variable=name, level=level, difference=difference,
                                    order=order, fisher=fisher))
     return out
@@ -185,58 +185,56 @@ def _harris_tzavalis(block: np.ndarray, n_firms: int) -> TestResult:
                       critical_values=dict(_NORMAL_CRIT), decision=decision, detail=detail)
 
 
-def _lag0_adf_stats(y: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lag-0 ADF t statistics of many series at once, from segment sums.
+def _lag0_adf_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lag-0 ADF t statistics of many series of one length at once.
 
-    ``y`` holds the series one after another and ``sizes`` their lengths.
-    Per series, dy_t is regressed on [y_{t-1}, 1]; with x = y_{t-1} and d = dy_t
-    centred per series, beta = Sxd / Sxx and se^2 = RSS / ((n - 2) Sxx).
-    Returns the statistics and a mask of the usable ones: the lagged level
-    must vary (Sxx above 1e-24 sum x^2) and the fit must not be exact (RSS
-    above 1e-24 sum d^2), because an exact fit leaves only rounding residue.
+    ``block`` holds one series per row. Per series, dy_t is regressed on [y_{t-1}, 1];
+    with x = y_{t-1} and d = dy_t centred per series, beta = Sxd / Sxx and
+    se^2 = RSS / ((n - 2) Sxx), each sum adding a row's values left to right.
+    Returns the statistics and a mask of the usable ones: the lagged level must
+    vary (Sxx above 1e-24 sum x^2) and the fit must not be exact (RSS above
+    1e-24 sum d^2), because an exact fit leaves only rounding residue.
     """
-    series = np.repeat(np.arange(len(sizes)), sizes)
-    within = series[1:] == series[:-1]
-    codes = series[1:][within]
-    x = y[:-1][within]
-    d = np.diff(y)[within]
-    n_obs = sizes - 1
+    x, d = block[:, :-1], np.diff(block, axis=1)
+    n_obs = x.shape[1]
 
     def sums(v):
-        return np.bincount(codes, weights=v, minlength=len(sizes))
+        total = np.zeros(len(v))
+        for column in v.T:
+            total += column
+        return total
 
-    xc = x - (sums(x) / n_obs)[codes]
-    dc = d - (sums(d) / n_obs)[codes]
+    xc = x - (sums(x) / n_obs)[:, None]
+    dc = d - (sums(d) / n_obs)[:, None]
     sxx = sums(xc * xc)
     with np.errstate(divide="ignore", invalid="ignore"):
         beta = sums(xc * dc) / sxx
-        resid = dc - beta[codes] * xc
+        resid = dc - beta[:, None] * xc
         rss = sums(resid * resid)
         stat = beta / np.sqrt(rss / (n_obs - 2) / sxx)
     usable = (sxx > 1e-24 * sums(x * x)) & (rss > 1e-24 * sums(d * d))
     return stat, usable
 
 
-def _fisher_combination(name: str, y: np.ndarray, firm: np.ndarray) -> TestResult | None:
+def _fisher_combination(name: str, y: np.ndarray, codes: PanelCodes) -> TestResult | None:
     """Combine per-firm ADF p-values: -2 sum(ln p_i) ~ chi2(2G).
 
-    ``y`` holds each firm's values one firm after another and ``firm`` their
-    firm codes. Per-firm series are short, so lag 0 is forced and the
+    ``y`` holds the values of the rows of ``codes``, each firm's in year
+    order. Per-firm series are short, so lag 0 is forced and the
     approximate MacKinnon p-values are used; the result is labelled
     approximate. Firms with fewer than 8 values, a constant lagged level or
     an exactly fitting regression (an exact trend such as age) are skipped
     and counted.
     """
-    # each firm's number of values, in row order: a firm's rows are adjacent
-    starts = np.flatnonzero(np.r_[True, firm[1:] != firm[:-1]])
-    sizes = np.diff(np.r_[starts, len(firm)])
-    long_enough = sizes >= 8
-    skipped = len(sizes) - int(np.count_nonzero(long_enough))
-    if not long_enough.any():
+    blocks = [(rows[:, 0], *_lag0_adf_stats(y[rows]))
+              for _, rows in codes.firm_blocks if rows.shape[1] >= 8]
+    if not blocks:
         return None
-    stat, usable = _lag0_adf_stats(y[np.repeat(long_enough, sizes)], sizes[long_enough])
-    skipped += int(np.count_nonzero(~usable))
-    pvalues = np.clip(_mackinnon_pvalues(stat[usable]), 1e-6, 1 - 1e-6)
+    first, stat, usable = map(np.concatenate, zip(*blocks))
+    # the usable statistics in the order of each firm's first row
+    stat = stat[usable][np.argsort(first[usable])]
+    skipped = len(codes.firm_ids) - len(stat)
+    pvalues = np.clip(_mackinnon_pvalues(stat), 1e-6, 1 - 1e-6)
     if len(pvalues) == 0:
         return None
     statistic = -2.0 * float(np.sum(_kernels._log(pvalues)))

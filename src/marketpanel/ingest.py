@@ -9,11 +9,9 @@ risk-free rates the first failing row fails hard. A missing or renamed
 column means the wrong file and fails hard.
 """
 
-import contextlib
 import csv
 import io
 import math
-import warnings
 from itertools import chain
 
 import numpy as np
@@ -39,18 +37,6 @@ _LAYOUTS = {
 }
 _DTYPES = {str: object, int: np.int64, float: np.float64}
 _MAX_YEAR = np.iinfo(np.int64).max // 12 - 1   # beyond it the month index overflows
-
-
-# Whether this numpy's loadtxt reads "2010.0" into an int column: numpy < 2 does, with
-# only a DeprecationWarning, and the loadtxt pass must then make that warning an error.
-# Decided once, as each exit from catch_warnings() clears every module's warning registry.
-try:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        np.loadtxt(["1.0"], dtype=np.int64)
-    _INTS_THROUGH_FLOATS = True
-except ValueError:
-    _INTS_THROUGH_FLOATS = False
 
 
 def _text_newlines(text: str) -> str:
@@ -158,12 +144,9 @@ def _loadtxt_pass(body: str, names: list[str], kinds: tuple[type, ...]):
         else range(2, len(lines) + 2)
     dtype = np.dtype([(f"c{j}", _DTYPES[kind]) for j, kind in enumerate(kinds)])
     try:
-        with warnings.catch_warnings() if _INTS_THROUGH_FLOATS else contextlib.nullcontext():
-            if _INTS_THROUGH_FLOATS:
-                warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar=None,
-                              comments=None, ndmin=1)
-    except (ValueError, OverflowError, DeprecationWarning):
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar=None,
+                          comments=None, ndmin=1)
+    except (ValueError, OverflowError):
         return None
     columns = [rows[f"c{j}"] for j in range(len(kinds))]
     reasons = []

@@ -160,12 +160,20 @@ class TruthRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "TruthRecord":
-        """The record of ``to_json``'s text; keys that are not fields are ignored."""
+        """The record of ``to_json``'s text; keys that are not fields are ignored.
+        A planted coefficient or true beta that is no finite JSON number raises ValueError."""
         data = json.loads(text)
         for name in _NESTED_TRUTH:
             data[name] = {(firm, int(year)): value
                           for firm, by_year in data[name].items()
                           for year, value in by_year.items()}
+        for name in ("value_coefficients", "risk_coefficients", "betas_true"):
+            if not isinstance(data[name], dict):
+                raise ValueError(f"{name} is not a JSON object")
+            for key, value in data[name].items():
+                # not a bool (true would read as 1.0), not null (as NaN), not a string
+                if type(value) not in (int, float) or not math.isfinite(value):
+                    raise ValueError(f"{name} {key!r}: {json.dumps(value)} is not a finite number")
         return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 

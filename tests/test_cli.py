@@ -673,6 +673,35 @@ class TestVerifyCommand:
             f"{path}: effective_config {key!r} must be a JSON "
             f"{'bool' if key == 'center' else 'int'}, got {json.dumps(value)}")
 
+    @pytest.mark.parametrize("field, key, value", [
+        ("betas_true", ("F001", "2015"), "x"), ("value_coefficients", "Marin", "x"),
+        ("risk_coefficients", "Marin", None), ("betas_true", ("F001", "2015"), None),
+        ("betas_true", ("F001", "2015"), True), ("value_coefficients", "Marin", True),
+        ("value_coefficients", None, [1.0]),
+    ])
+    def test_truth_value_of_another_type_exit_2(self, data_dir, run_dir, tmp_path, caplog,
+                                                field, key, value):
+        """A planted coefficient or true beta is read only as a finite JSON number:
+        null is not read as NaN, nor true as 1.0."""
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        path = data / "truth.json"
+        truth = json.loads(path.read_text())
+        if key is None:
+            truth[field] = value
+        elif field == "betas_true":
+            truth[field][key[0]][key[1]] = value
+        else:
+            truth[field][key] = value
+        path.write_text(json.dumps(truth, sort_keys=True, indent=1) + "\n")
+        with caplog.at_level(logging.ERROR, logger="marketpanel"):
+            assert main(["verify", "--data", str(data), "--run", str(run_dir)]) == 2
+        message = caplog.records[-1].getMessage()
+        reason = ("is not a JSON object" if key is None else
+                  f"{json.dumps(value)} is not a finite number")
+        assert message.startswith(f"{path} is not a truth record: ValueError(") \
+            and field in message and reason in message, message
+
     def test_tampered_coefficient_detected(self, data_dir, run_dir, tmp_path, capsys):
         import shutil
         tampered = tmp_path / "tampered"

@@ -574,25 +574,6 @@ def test_each_parser_reads_carriage_returns_as_newlines(text, newline):
     assert_same_result(parse(lf_text.replace("\n", newline)), parse(lf_text))
 
 
-def test_a_loadtxt_that_reads_ints_through_floats_hands_over_on_its_warning(monkeypatch):
-    """Where numpy's loadtxt reads "2010.0" into an int column with only a
-    DeprecationWarning (numpy < 2), that warning ends the loadtxt pass and the
-    csv reader reads the body, giving the "not an integer" reason."""
-    loadtxt = np.loadtxt
-
-    def warning_loadtxt(*args, **kwargs):
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                      DeprecationWarning)
-        return loadtxt(*args, **kwargs)
-
-    monkeypatch.setattr(ingest, "_INTS_THROUGH_FLOATS", True)
-    monkeypatch.setattr(ingest.np, "loadtxt", warning_loadtxt)
-    loaded, read = passes("riskfree", f"{GOOD_LINES['riskfree']}\nM1,2015,0.03\n")
-    assert loaded is None and read[0] == [2, 3]
-    assert parsed("riskfree", f"{GOOD_LINES['riskfree']}\nM1,2015.0,0.03\n") == (
-        SchemaMismatch, "riskfree line 3: year: not an integer")
-
-
 def loadtxt_number(cell, kind):
     """``cell`` as ``numpy.loadtxt`` reads it, quoted, into a column of ``kind``; None if it
     does not read, or reads as a float that is not finite. A cell that is not ASCII once

@@ -135,7 +135,7 @@ class TestPanelStationarity:
         so that the statistic is -2 ln p of that firm's p."""
         rng = np.random.default_rng(7)
         column, firm = stacked([np.cumsum(rng.normal(0, 1, 10)) for _ in range(3000)])
-        stat, usable = _lag0_adf_stats(column, np.full(3000, 10))
+        stat, usable = _lag0_adf_stats(column.reshape(3000, 10))
         p = np.clip(_mackinnon_pvalues(stat), 1e-6, 1 - 1e-6)
         differ = np.flatnonzero(usable & (np.log(p) != [math.log(v) for v in p.tolist()]))
         for g in [0, *differ[:10].tolist()]:

@@ -196,7 +196,8 @@ def test_fisher_p_value_is_the_chi2_tail_of_its_statistic():
     for n_firms in (1, 3, 20, 500):
         series = [np.cumsum(rng.normal(size=10)) + 0.5 * rng.normal(size=10)
                   for _ in range(n_firms)]
-        result = diagnostics._fisher_combination("v", *stacked(series))
+        column, firm = stacked(series)
+        result = diagnostics._fisher_combination("v", column, firm_codes(firm))
         df = int(result.detail.split("chi2(")[1].split(")")[0])
         assert_p(result.p_value, stats.chi2.sf(result.statistic, df),
                  mp_chi2_sf(df, result.statistic))

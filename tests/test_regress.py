@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from marketpanel.errors import (NegativeVarianceComponentWarning, RankDeficient,
-                                SingletonGroupWarning, TooFewClusters,
+from marketpanel.errors import (CollinearityProximityWarning, NegativeVarianceComponentWarning,
+                                RankDeficient, SingletonGroupWarning, TooFewClusters,
                                 TooFewObservations)
 from marketpanel.regress import (DesignMatrix, fe_fit, re_fit, robust_cov_white_cross_section,
                                  within_transform)
@@ -232,6 +232,26 @@ class TestFeFit:
         with pytest.raises(RankDeficient) as err:
             fe_fit(X2, y)
         assert "firm_level" in err.value.columns
+
+    def test_warns_on_a_column_collinear_with_the_common_trend(self):
+        """An exact firm age, a per-firm constant plus the year, is the common
+        trend once demeaned: fe_fit warns, naming it; without it, no warning."""
+        X, y, _ = panel_design(n_firms=6, n_years=5, k=2, seed=8)
+        labels = row_labels(X)
+        founded = {f: 1950.0 + 7 * i for i, f in enumerate(sorted({f for f, _ in labels}))}
+        age = np.array([year - founded[f] for f, year in labels])
+        with_age = DesignMatrix(np.column_stack([X.values, age]), X.column_names + ("Age",),
+                                X.codes)
+        with pytest.warns(CollinearityProximityWarning) as record:
+            fe_fit(with_age, y)
+        messages = [str(w.message) for w in record
+                    if issubclass(w.category, CollinearityProximityWarning)]
+        assert len(messages) == 1
+        assert messages[0].startswith("column 'Age' is within-collinear with a common linear "
+                                      "trend (|corr|=1.000000)"), messages
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CollinearityProximityWarning)
+            fe_fit(X, y)
 
 
 def _lsdv_fit(X, y):
