@@ -7,9 +7,8 @@ simple arithmetic returns on closing prices; a missing month breaks the
 return chain so no return ever spans a gap.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,14 +23,13 @@ def _read_only(*arrays: np.ndarray) -> None:
         array.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class PriceTable:
+class PriceTable(NamedTuple):
     """Monthly closing prices of firms and market indices, one row per close.
 
     ``codes`` index ``series_ids``; ``months`` are month indices
     ``year * 12 + month - 1``; closes are positive. Rows are sorted by
-    (code, month) with unique months within a series. The arrays are
-    read-only.
+    (code, month) with unique months within a series. ``ingest.parse_prices``
+    makes the arrays read-only.
     """
 
     series_ids: tuple[str, ...]
@@ -39,30 +37,21 @@ class PriceTable:
     months: np.ndarray
     closes: np.ndarray
 
-    def __post_init__(self):
-        _read_only(self.codes, self.months, self.closes)
 
-
-@dataclass(frozen=True)
-class ReturnPanel:
+class ReturnPanel(NamedTuple):
     """Simple monthly returns as a dense series x month matrix.
 
     ``values[s, j]`` is the return of ``series_ids[s]`` in month index
     ``months[j]``, NaN where the series has none. ``months`` is sorted and
-    holds every month in which some series has a return. Read-only.
+    holds every month in which some series has a return. ``series_index``
+    maps each series id to its row. :func:`monthly_returns` makes the arrays
+    read-only.
     """
 
     series_ids: tuple[str, ...]
     months: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        _read_only(self.months, self.values)
-
-    @cached_property
-    def series_index(self) -> dict[str, int]:
-        """Row of each series id."""
-        return {series_id: row for row, series_id in enumerate(self.series_ids)}
+    series_index: dict[str, int]
 
     def window(self, rows, year: int, window_months: int) -> tuple[np.ndarray, int]:
         """The rows' returns in the window ending Dec ``year``, and its first column."""
@@ -107,8 +96,10 @@ def monthly_returns(prices: PriceTable) -> ReturnPanel:
     axis, column = np.unique(return_months, return_inverse=True)
     values = np.full((len(kept), len(axis)), np.nan)
     values[row_of_code[series], column] = returns
-    return ReturnPanel(series_ids=tuple(prices.series_ids[c] for c in kept),
-                       months=axis, values=values)
+    _read_only(axis, values)
+    series_ids = tuple(prices.series_ids[c] for c in kept)
+    return ReturnPanel(series_ids=series_ids, months=axis, values=values,
+                       series_index={series_id: row for row, series_id in enumerate(series_ids)})
 
 
 def _row(returns: ReturnPanel, series_id: str, error, what: str) -> int:

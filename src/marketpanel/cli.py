@@ -20,7 +20,6 @@ never freed.
 """
 
 import argparse
-import dataclasses
 import datetime
 import gc
 import hashlib
@@ -29,6 +28,7 @@ import logging
 import os
 import sys
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ _INPUT_FILES = ("fundamentals.csv", "prices.csv", "riskfree.csv")
 _VARIANT_NAMES = {short: name for name, (short, _) in models.MARIN_VARIANTS.items()}
 
 
-@dataclasses.dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Effective configuration of one pipeline run.
 
     Each field is a config-file key and the ``run`` flag of the same name.
@@ -66,19 +65,23 @@ class RunConfig:
             raise ConfigError(f"unknown marin variant {self.marin_variant!r}")
         if not (self.beta_window >= self.beta_min >= 12):
             raise ConfigError("beta window must satisfy max >= min >= 12")
+        # the run directory is out joined with the id: one component keeps it inside out
+        if self.run_id and (self.run_id in (".", "..")
+                            or any(sep in self.run_id for sep in ("/", os.sep, os.altsep) if sep)):
+            raise ConfigError(f"run id {self.run_id!r} must be a single path component")
 
     def effective(self) -> dict:
         # analytical configuration only; input and output locations are
         # deployment details and would break byte-reproducibility across
         # directories (the inputs enter the run id through their digests)
-        return {key: value for key, value in dataclasses.asdict(self).items()
+        return {key: value for key, value in self._asdict().items()
                 if key not in ("data", "out", "run_id")}
 
 
 def _config_kinds() -> dict[str, type]:
     """Config key -> the type of its value; a ``str | None`` field takes a string."""
-    return {f.name: str if f.type == str | None else f.type
-            for f in dataclasses.fields(RunConfig)}
+    return {name: str if kind == str | None else kind
+            for name, kind in RunConfig.__annotations__.items()}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -115,7 +118,7 @@ def _resolve_run_config(args) -> RunConfig:
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
     cfg = RunConfig(**values)
-    cfg.marin_variant = _VARIANT_NAMES.get(cfg.marin_variant, cfg.marin_variant)
+    cfg = cfg._replace(marin_variant=_VARIANT_NAMES.get(cfg.marin_variant, cfg.marin_variant))
     cfg.validate()
     _timestamp()   # a malformed SOURCE_DATE_EPOCH fails here, before any input is read
     return cfg
@@ -154,7 +157,7 @@ def _dataset(fundamentals_csv: str, prices_csv: str, riskfree_csv: str):
     prices = ingest.parse_prices(prices_csv)
     dataset = build_dataset(table, ingest.parse_riskfree(riskfree_csv))
     log.info("dataset: %d observations, %d firms, years %d-%d",
-             len(dataset), len(dataset.firms), dataset.years[0], dataset.years[-1])
+             len(dataset.table.year), len(dataset.firms), dataset.years[0], dataset.years[-1])
     return dataset, prices, rejections
 
 
@@ -181,7 +184,8 @@ def _base_run(cfg: RunConfig):
     panel = variables.derive_all(dataset, betas)
     for firm_id, year, reason in panel.exclusions:
         log.warning("row excluded (%s, %d): %s", firm_id, year, reason)
-    log.info("derived panel: %d rows (%d excluded)", len(panel), len(panel.exclusions))
+    log.info("derived panel: %d rows (%d excluded)", len(panel.codes.firm),
+             len(panel.exclusions))
     estimates = []
     for model_id in models.MODEL_IDS:
         spec = models.spec_for(model_id, marin_variant=cfg.marin_variant,
@@ -216,8 +220,8 @@ def _bundle(cfg: RunConfig) -> report.ReportBundle:
                      "numpy": np.__version__},
         "effective_config": effective,
         "inputs": inputs,
-        "n_observations": len(dataset),
-        "n_derived_rows": len(panel),
+        "n_observations": len(dataset.table.year),
+        "n_derived_rows": len(panel.codes.firm),
         "ingest_rejections": list(rejections),
         "derive_exclusions": len(panel.exclusions),
         "beta_exclusions": len(beta_exclusions),
@@ -251,7 +255,7 @@ def cmd_synth(args) -> int:
         raise IoFailure(f"cannot write to {args.out}: {exc}")
     log.info("wrote %d files to %s", len(files), args.out)
     print(json.dumps({"command": "synth", "out": args.out, "seed": args.seed,
-                      "n_observations": len(result.dataset),
+                      "n_observations": len(result.dataset.table.year),
                       "files": sorted(files)}, sort_keys=True))
     return 0
 
@@ -261,7 +265,7 @@ def cmd_ingest_check(args) -> int:
     beta.monthly_returns(prices)   # an overflowing close ratio fails here as in `run`
     summary = {
         "command": "ingest-check",
-        "rows_accepted": len(dataset),
+        "rows_accepted": len(dataset.table.year),
         "rows_rejected": len(rejections),
         "rejections": [list(r) for r in rejections],
         "price_series": len(prices.series_ids),
@@ -343,7 +347,7 @@ def cmd_verify(args) -> int:
         spec = models.spec_for(model_id,
                                constrain_book_unit=cfg.constrain_book_unit)
         outcome = synth.truth_check(models.estimate(panel, spec), truth)
-        checks[model_id] = list(map(dataclasses.asdict, outcome))
+        checks[model_id] = [c._asdict() for c in outcome]
         for c in outcome:
             if not c.passed:
                 failures.append(f"{model_id}/{c.variable}: estimate {c.estimate:.6g} "
@@ -363,6 +367,16 @@ def cmd_report_diff(args) -> int:
     print(json.dumps({"command": "report-diff", "passed": not differences,
                       "differences": differences}, sort_keys=True))
     return 0 if not differences else 1
+
+
+def _tolerance(text: str) -> float:
+    """A ``--rel-tol`` value: a number >= 0, inf included."""
+    try:
+        if float(text) >= 0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -407,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diff = sub.add_parser("report-diff", help="compare two emitted report sets")
     p_diff.add_argument("a")
     p_diff.add_argument("b")
-    p_diff.add_argument("--rel-tol", type=float, default=0.0)
+    p_diff.add_argument("--rel-tol", type=_tolerance, default=0.0)
     p_diff.set_defaults(func=cmd_report_diff)
     return parser
 

@@ -10,7 +10,7 @@ continuous MacKinnon (1994) p-values.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ _NORMAL_CRIT = {level: _kernels._ndtri(q) for level, q in
                 (("1%", 0.01), ("5%", 0.05), ("10%", 0.10))}
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     """A named diagnostic outcome.
 
     ``p_value``, or the 5% critical value where there is none, drives
@@ -45,8 +44,7 @@ class TestResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VariableSummary:
+class VariableSummary(NamedTuple):
     name: str
     n: int
     minimum: float
@@ -56,8 +54,7 @@ class VariableSummary:
     flag: str = ""
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     """Pairwise Pearson correlations with two-sided p-values.
 
     Cells are NaN where a variable is constant or fewer than three complete
@@ -70,8 +67,7 @@ class CorrelationResult:
     n: np.ndarray
 
 
-@dataclass(frozen=True)
-class StationarityRow:
+class StationarityRow(NamedTuple):
     variable: str
     level: TestResult | None
     difference: TestResult | None

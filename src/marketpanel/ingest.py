@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .beta import PriceTable
+from .beta import PriceTable, _read_only
 from .errors import (DuplicateMonth, IoFailure, NonPositivePrice, RateOutOfRange,
                      SchemaMismatch)
 from .panel_core import STAKE_SUM_TOL, FundamentalsTable, RiskFreeSeries, row_sums
@@ -327,8 +327,9 @@ def parse_prices(csv_text: str) -> PriceTable:
         (NonPositivePrice, failing(closes <= 0, "close {close!r} not positive")),
         (DuplicateMonth, failing(duplicate, "duplicate month ({id}, {year}, {month})")),
     ])
-    return PriceTable(series_ids=series_ids, codes=codes[order], months=months[order],
-                      closes=closes[order])
+    codes, months, closes = codes[order], months[order], closes[order]
+    _read_only(codes, months, closes)
+    return PriceTable(series_ids=series_ids, codes=codes, months=months, closes=closes)
 
 
 def parse_riskfree(csv_text: str) -> list[RiskFreeSeries]:

@@ -8,14 +8,14 @@ comparison for the record and then fits entity fixed effects with a White
 cross-section covariance, mirroring the reported workflow.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import regress
 from .diagnostics import TestResult, hausman_test, lr_heteroskedasticity
 from .errors import MarketPanelError, TooFewObservations
-from .regress import DesignMatrix, FitResult
+from .regress import DesignMatrix, FitResult, design_matrix
 from .variables import DerivedPanel, panel_columns
 
 MODEL_IDS = ("value_direct", "value_moderated", "risk_direct", "risk_moderated")
@@ -27,8 +27,7 @@ MARIN_VARIANTS = {"sales_ratio": ("sales", "Marin"),
 INTERACTION_NAME = "OW*Marin"
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     """Declarative description of one regression."""
 
     model_id: str
@@ -39,8 +38,7 @@ class ModelSpec:
     constrain_book_unit: bool = False
 
 
-@dataclass
-class EstimationReport:
+class EstimationReport(NamedTuple):
     """Publication-style record of one estimated model; its table is ``fit.rows()``."""
 
     model_id: str
@@ -49,9 +47,9 @@ class EstimationReport:
     diagnostics: list[TestResult]
     n_input_rows: int
     n_excluded: int
-    dropped_columns: tuple[str, ...] = ()
-    hausman_decision: str = ""
-    notes: list[str] = field(default_factory=list)
+    dropped_columns: tuple[str, ...]
+    hausman_decision: str
+    notes: list[str]
 
 
 def spec_for(model_id: str, marin_variant: str = "sales_ratio",
@@ -108,7 +106,7 @@ def _assemble_design(panel: DerivedPanel, spec: ModelSpec, center: bool):
     def col(name: str) -> np.ndarray:
         return columns[resolved.get(name, name)]
 
-    mask = np.ones(len(panel), dtype=bool)
+    mask = np.ones(len(panel.codes.firm), dtype=bool)
     for name in needed:
         mask &= np.isfinite(col(name))
     n_excluded = int((~mask).sum())
@@ -126,7 +124,7 @@ def _assemble_design(panel: DerivedPanel, spec: ModelSpec, center: bool):
                                                    centering=center)
 
     values = np.column_stack([data[n] for n in spec.regressors])
-    X = DesignMatrix(values, spec.regressors, panel.codes.select(mask))
+    X = design_matrix(values, spec.regressors, panel.codes.select(mask))
     return X, y, n_excluded, len(mask)
 
 
@@ -148,7 +146,7 @@ def _drop_within_degenerate(X: DesignMatrix, y):
         return X, ()
     values = X.values[:, keep]
     names = tuple(X.column_names[j] for j in keep)
-    return DesignMatrix(values, names, X.codes), tuple(dropped)
+    return design_matrix(values, names, X.codes), tuple(dropped)
 
 
 def estimate(panel: DerivedPanel, spec: ModelSpec, center: bool = False) -> EstimationReport:

@@ -6,7 +6,7 @@ parsed; the dataset sorts them by (firm, year), checks their keys and rates,
 and derives their firm and period codes once. It is immutable afterwards.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ def row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return sums
 
 
-@dataclass(frozen=True)
-class FundamentalsTable:
+class FundamentalsTable(NamedTuple):
     """Firm-year fundamentals as read-only columns, one row per observation.
 
     ``firm`` and ``market`` are codes into the sorted ``firm_ids`` and
@@ -42,7 +41,8 @@ class FundamentalsTable:
     is the optional lagged book value of a firm's first panel year, NaN where
     not given. Row ``i`` holds the raw ownership fractions
     ``stakes[stake_offsets[i]:stake_offsets[i + 1]]`` of all its reported
-    shareholders; thresholding happens downstream.
+    shareholders; thresholding happens downstream. :meth:`from_labels` and
+    :meth:`take` build a table and make its columns read-only.
     """
 
     firm_ids: tuple[str, ...]
@@ -63,10 +63,6 @@ class FundamentalsTable:
     stakes: np.ndarray
     stake_offsets: np.ndarray
 
-    def __post_init__(self):
-        for name in ROW_COLUMNS + ("stakes", "stake_offsets"):
-            getattr(self, name).flags.writeable = False
-
     @classmethod
     def from_labels(cls, firms, markets, stakes, stake_counts, **columns) -> "FundamentalsTable":
         """A table whose row ``i`` belongs to firm ``firms[i]`` in market ``markets[i]``.
@@ -76,15 +72,13 @@ class FundamentalsTable:
         """
         firm_ids, firm = np.unique(np.asarray(firms, dtype=str), return_inverse=True)
         market_ids, market = np.unique(np.asarray(markets, dtype=str), return_inverse=True)
-        return cls(firm_ids=tuple(firm_ids.tolist()), firm=firm,
-                   market_ids=tuple(market_ids.tolist()), market=market,
-                   stakes=np.asarray(stakes, dtype=float),
-                   stake_offsets=np.cumsum([0, *stake_counts], dtype=np.int64),
-                   **{name: np.asarray(values, dtype=np.int64 if name.endswith("year") else float)
-                      for name, values in columns.items()})
-
-    def __len__(self) -> int:
-        return len(self.year)
+        return _frozen(cls(
+            firm_ids=tuple(firm_ids.tolist()), firm=firm,
+            market_ids=tuple(market_ids.tolist()), market=market,
+            stakes=np.asarray(stakes, dtype=float),
+            stake_offsets=np.cumsum([0, *stake_counts], dtype=np.int64),
+            **{name: np.asarray(values, dtype=np.int64 if name.endswith("year") else float)
+               for name, values in columns.items()}))
 
     def take(self, rows) -> "FundamentalsTable":
         """The table of ``rows`` (row numbers, in their order); ids left without rows drop out."""
@@ -95,9 +89,17 @@ class FundamentalsTable:
         counts = np.diff(self.stake_offsets)[rows]
         offsets = np.cumsum([0, *counts], dtype=np.int64)
         items = np.repeat(self.stake_offsets[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
-        return FundamentalsTable(firm_ids=tuple(self.firm_ids[c] for c in firms.tolist()),
-                                 market_ids=tuple(self.market_ids[c] for c in markets.tolist()),
-                                 stakes=self.stakes[items], stake_offsets=offsets, **columns)
+        return _frozen(FundamentalsTable(
+            firm_ids=tuple(self.firm_ids[c] for c in firms.tolist()),
+            market_ids=tuple(self.market_ids[c] for c in markets.tolist()),
+            stakes=self.stakes[items], stake_offsets=offsets, **columns))
+
+
+def _frozen(table: FundamentalsTable) -> FundamentalsTable:
+    """``table``, its columns made read-only."""
+    for name in ROW_COLUMNS + ("stakes", "stake_offsets"):
+        getattr(table, name).flags.writeable = False
+    return table
 
 
 def appearance_codes(labels) -> tuple[np.ndarray, np.ndarray]:
@@ -124,8 +126,7 @@ def _size_blocks(codes: np.ndarray, n_groups: int):
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
-class PanelCodes:
+class PanelCodes(NamedTuple):
     """Integer firm and period codes of a panel's rows, derived once.
 
     Row ``i`` belongs to firm ``firm_ids[firm[i]]`` (sorted ids) and to
@@ -182,16 +183,14 @@ class PanelCodes:
         return out
 
 
-@dataclass(frozen=True)
-class RiskFreeSeries:
+class RiskFreeSeries(NamedTuple):
     """Annual risk-free rates (10-year government bond yield) for one market."""
 
     market_id: str
     rates: dict[int, float]
 
 
-@dataclass(frozen=True)
-class PanelDataset:
+class PanelDataset(NamedTuple):
     """Validated panel: ``table`` holds one row per (firm, year), sorted by firm then year.
 
     ``codes`` are the rows' firm and period codes and ``row_rates`` the
@@ -215,9 +214,6 @@ class PanelDataset:
         markets = self.table.market_ids
         return dict(zip(self.firms, (markets[m] for m in self.table.market[last].tolist())))
 
-    def __len__(self) -> int:
-        return len(self.table)
-
 
 def build_dataset(table: FundamentalsTable, rf: list[RiskFreeSeries]) -> PanelDataset:
     """Assemble a :class:`PanelDataset` from parsed, validated fundamentals.
@@ -229,14 +225,14 @@ def build_dataset(table: FundamentalsTable, rf: list[RiskFreeSeries]) -> PanelDa
     rates are taken as given: ``ingest.parse_riskfree`` keeps them in
     [0, 0.5].
     """
-    if not len(table):
+    if not len(table.year):
         raise EmptyInput("no observations supplied")
 
     rates = {(series.market_id, year): rate for series in rf
              for year, rate in series.rates.items()}
 
     order = np.lexsort((table.year, table.firm))
-    duplicate = np.zeros(len(table), dtype=bool)
+    duplicate = np.zeros(len(table.year), dtype=bool)
     # lexsort is stable: of two rows with one key, the later row follows
     duplicate[order[1:][(np.diff(table.firm[order]) == 0)
                         & (np.diff(table.year[order]) == 0)]] = True

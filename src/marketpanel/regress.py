@@ -11,7 +11,7 @@ distribution at all sample sizes.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,40 +27,44 @@ INTERCEPT_NAME = "C"
 _BLOCK_ELEMENTS = 4096
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
+class DesignMatrix(NamedTuple):
     """An n x k regressor stack with named columns and the rows' panel codes.
 
     ``codes`` give each row's firm and period, which the panel
     transformations and the period-clustered covariance read. A transformed
     copy of the same rows passes its source's ``codes`` along.
+    :func:`design_matrix` builds and checks one from raw values.
     """
 
     values: np.ndarray
     column_names: tuple[str, ...]
-    codes: PanelCodes = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if values.ndim != 2:
-            raise ValueError("design matrix must be two-dimensional")
-        object.__setattr__(self, "values", values)
-        names = tuple(self.column_names)
-        object.__setattr__(self, "column_names", names)
-        if len(names) != values.shape[1]:
-            raise ValueError("column_names length does not match matrix width")
-        if len(set(names)) != len(names):
-            raise ValueError("column_names must be unique")
-        if not np.all(np.isfinite(values)):
-            bad = [names[j] for j in range(values.shape[1])
-                   if not np.all(np.isfinite(values[:, j]))]
-            raise ValueError(f"non-finite values in columns: {bad}")
-        if len(self.codes.firm) != values.shape[0]:
-            raise ValueError("codes length does not match matrix height")
+    codes: PanelCodes
 
 
-@dataclass(frozen=True)
-class FitResult:
+def design_matrix(values, column_names, codes: PanelCodes) -> DesignMatrix:
+    """The design of ``values`` (n x k) as C-contiguous floats, checked.
+
+    Raises ValueError unless the values are two-dimensional with one row per
+    code and one unique name per column, and every value is finite.
+    """
+    values = np.ascontiguousarray(np.asarray(values, dtype=float))
+    if values.ndim != 2:
+        raise ValueError("design matrix must be two-dimensional")
+    names = tuple(column_names)
+    if len(names) != values.shape[1]:
+        raise ValueError("column_names length does not match matrix width")
+    if len(set(names)) != len(names):
+        raise ValueError("column_names must be unique")
+    if not np.all(np.isfinite(values)):
+        bad = [names[j] for j in range(values.shape[1])
+               if not np.all(np.isfinite(values[:, j]))]
+        raise ValueError(f"non-finite values in columns: {bad}")
+    if len(codes.firm) != values.shape[0]:
+        raise ValueError("codes length does not match matrix height")
+    return DesignMatrix(values, names, codes)
+
+
+class FitResult(NamedTuple):
     """Coefficients with covariance and fit statistics for one estimation."""
 
     coefficients: np.ndarray
@@ -84,8 +88,7 @@ class FitResult:
                         self.std_errors.tolist(), self.p_values.tolist()))
 
 
-@dataclass(frozen=True)
-class RandomEffects:
+class RandomEffects(NamedTuple):
     """Random-effects GLS coefficients, ``C`` then the design's columns, their
     classical covariance and the mean quasi-demeaning weight ``theta``."""
 

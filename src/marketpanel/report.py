@@ -13,7 +13,8 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .diagnostics import (CorrelationResult, StationarityRow, TestResult, VariableSummary,
                           _pvalue_bracket)
@@ -30,16 +31,15 @@ _RISK_LABELS = {"C": "C", "Marin": "Marin", "Age": "AGE", "Size": "SIZ",
                 "Lev": "LEVR", "OW": "OW", "OW*Marin": "OW*Marin"}
 
 
-@dataclass
-class ReportBundle:
+class ReportBundle(NamedTuple):
     """The tables of one pipeline run plus run metadata; a table left out is not rendered."""
 
     estimation_tables: list[EstimationReport]
-    robustness_tables: list[EstimationReport] = field(default_factory=list)
+    robustness_tables: list[EstimationReport] = ()
     descriptives_table: list[VariableSummary] | None = None
     correlation_table: CorrelationResult | None = None
     stationarity_table: list[StationarityRow] | None = None
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = MappingProxyType({})
 
 
 def _num(value):

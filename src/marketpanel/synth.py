@@ -17,7 +17,8 @@ within-window slope recorded as ``betas_window``.
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,17 +99,14 @@ _OW_MINOR_EXPECTATION = (_OW_MINOR_MAX_COUNT / 2.0) * (
     (_OW_MINOR_HIGH**2 - 0.05**2) / (2.0 * (_OW_MINOR_HIGH - _OW_MINOR_LOW)))
 
 
-@dataclass(frozen=True)
-class DGPConfig:
+class DGPConfig(NamedTuple):
     """Configuration of the data-generating process."""
 
     seed: int = 0
     n_firms: int = 20
     n_years: int = 10
-    value_coefficients: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_VALUE_COEFFICIENTS))
-    risk_coefficients: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_RISK_COEFFICIENTS))
+    value_coefficients: dict[str, float] = MappingProxyType(DEFAULT_VALUE_COEFFICIENTS)
+    risk_coefficients: dict[str, float] = MappingProxyType(DEFAULT_RISK_COEFFICIENTS)
     risk_effect_scale: float = 0.28
     risk_noise_scale: float = 0.04
     idio_vol: float = 0.028           # monthly idiosyncratic return volatility
@@ -131,8 +129,7 @@ class DGPConfig:
         return tuple(range(START_YEAR, START_YEAR + self.n_years))
 
 
-@dataclass
-class TruthRecord:
+class TruthRecord(NamedTuple):
     """Every planted parameter of one generated panel."""
 
     seed: int
@@ -149,7 +146,7 @@ class TruthRecord:
 
     def to_json(self) -> str:
         """truth.json's text: every field, and the schema version, by sorted key."""
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data = self._asdict()
         for name in _NESTED_TRUTH:
             by_firm: dict[str, dict[str, float]] = {}
             for (firm, year), value in sorted(data[name].items()):
@@ -174,11 +171,10 @@ class TruthRecord:
                 # not a bool (true would read as 1.0), not null (as NaN), not a string
                 if type(value) not in (int, float) or not math.isfinite(value):
                     raise ValueError(f"{name} {key!r}: {json.dumps(value)} is not a finite number")
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
+        return cls(**{name: data[name] for name in cls._fields if name in data})
 
 
-@dataclass
-class SynthResult:
+class SynthResult(NamedTuple):
     dataset: PanelDataset
     fundamentals_csv: str
     prices_csv: str
@@ -186,8 +182,7 @@ class SynthResult:
     truth: TruthRecord
 
 
-@dataclass(frozen=True)
-class CoefficientCheck:
+class CoefficientCheck(NamedTuple):
     variable: str
     estimate: float
     truth: float

@@ -9,7 +9,7 @@ codes. The formula helpers work elementwise on columns.
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ def ownership_concentration(stakes, offsets):
     return row_sums(np.where(stakes >= OWNERSHIP_THRESHOLD, stakes, 0.0), np.asarray(offsets))
 
 
-@dataclass(frozen=True)
-class DerivedPanel:
+class DerivedPanel(NamedTuple):
     """The derived variables of every usable firm-year, as read-only columns.
 
     Rows are sorted by (firm, year) and ``codes`` are their firm and period
@@ -67,11 +66,8 @@ class DerivedPanel:
 
     codes: PanelCodes
     columns: dict[str, np.ndarray]
-    exclusions: list[tuple[str, int, str]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.codes.firm)
+    exclusions: list[tuple[str, int, str]]
+    notes: list[str]
 
 
 def derive_all(ds: PanelDataset, betas: dict[tuple[str, int], float]) -> DerivedPanel:
@@ -86,7 +82,7 @@ def derive_all(ds: PanelDataset, betas: dict[tuple[str, int], float]) -> Derived
     """
     t, codes = ds.table, ds.codes
     firm_ids, firm, year = codes.firm_ids, codes.firm, t.year
-    follows = np.zeros(len(t), dtype=bool)
+    follows = np.zeros(len(year), dtype=bool)
     follows[1:] = (firm[1:] == firm[:-1]) & (year[1:] == year[:-1] + 1)
     book_prev = t.book_value_prev.copy()
     book_prev[follows] = t.book_value[:-1][follows[1:]]

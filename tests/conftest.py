@@ -1,7 +1,7 @@
 """Shared builders for panel fixtures used across the test suite."""
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -44,7 +44,7 @@ def table_rows(table):
     """A table's rows as ``make_row`` dicts, in row order."""
     off = table.stake_offsets.tolist()
     rows = []
-    for i in range(len(table)):
+    for i in range(len(table.year)):
         prev = float(table.book_value_prev[i])
         rows.append(make_row(
             firm_id=table.firm_ids[table.firm[i]], market_id=table.market_ids[table.market[i]],
@@ -108,16 +108,14 @@ def p_value(fit: regress.FitResult, name: str) -> float:
 
 def panel_matrix(values, names, index):
     """A DesignMatrix whose row i is labelled ``index[i] = (firm, year)``."""
-    from marketpanel.regress import DesignMatrix
-
     firm_ids, firm = np.unique([f for f, _ in index], return_inverse=True)
     codes = PanelCodes.from_codes(firm_ids.tolist(), firm, [y for _, y in index])
-    return DesignMatrix(values, names, codes)
+    return regress.design_matrix(values, names, codes)
 
 
 def pooled_matrix(values, names):
     """A DesignMatrix of rows without panel structure: one firm, one period."""
-    return regress.DesignMatrix(values, names, firm_codes(["pooled"] * len(values)))
+    return regress.design_matrix(values, names, firm_codes(["pooled"] * len(values)))
 
 
 def firm_codes(labels) -> PanelCodes:
@@ -256,7 +254,7 @@ def return_panel(points: dict):
         for year, month, value in pts:
             values[row, column[year * 12 + month - 1]] = value
     return ReturnPanel(series_ids=tuple(points), months=np.array(months, dtype=np.int64),
-                       values=values)
+                       values=values, series_index={s: row for row, s in enumerate(points)})
 
 
 def monthly_points(start_year, start_month, values):
@@ -275,8 +273,7 @@ class ZeroMarketVariance(MarketPanelError):
     pass
 
 
-@dataclass(frozen=True)
-class BetaEstimate:
+class BetaEstimate(NamedTuple):
     firm_id: str
     year: int
     beta: float

@@ -16,7 +16,7 @@ import pytest
 from marketpanel import beta, models, synth, variables
 from marketpanel.cli import main
 from marketpanel.diagnostics import hausman_test
-from marketpanel.regress import DesignMatrix, fe_fit, re_fit
+from marketpanel.regress import design_matrix, fe_fit, re_fit
 
 from conftest import (InsufficientWindow, adf_test, beta_for_year, coefficient, monthly_points,
                       normal_equations_oracle, p_value, std_error, ols_fit, panel_design,
@@ -55,10 +55,10 @@ def test_criterion_1_fe_equals_lsdv_oracle():
         dummies = np.column_stack([
             np.array([1.0 if f == firm else 0.0 for f, _ in labels])
             for firm in firms[1:]])
-        lsdv = ols_fit(DesignMatrix(np.column_stack([X.values, dummies]),
-                                    X.column_names + tuple(f"d{j}" for j in
-                                                           range(len(firms) - 1)),
-                                    X.codes), y)
+        lsdv = ols_fit(design_matrix(np.column_stack([X.values, dummies]),
+                                      X.column_names + tuple(f"d{j}" for j in
+                                                             range(len(firms) - 1)),
+                                      X.codes), y)
         for name in X.column_names:
             worst = max(worst, abs(coefficient(fe, name) - coefficient(lsdv, name)))
     elapsed = time.monotonic() - t0

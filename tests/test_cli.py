@@ -552,6 +552,25 @@ class TestRunId:
             if name != "manifest.json":
                 assert (out / run_id / name).read_bytes() == (run_dir / name).read_bytes()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("run_id", ["../x", "a/b", "absolute", ".", ".."])
+    def test_run_id_must_be_one_path_component(self, data_dir, tmp_path, caplog, run_id, via):
+        """The tree goes to --out joined with the id: an id of more than one
+        path component could put it anywhere. Exit 2, nothing written."""
+        if run_id == "absolute":
+            run_id = str(tmp_path / "abs")
+        argv = ["run", "--data", str(data_dir), "--out", str(tmp_path / "o" / "out")]
+        if via == "flag":
+            argv += ["--run-id", run_id]
+        else:
+            (tmp_path / "run.cfg").write_text(f"run_id = {run_id}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        with caplog.at_level(logging.ERROR, logger="marketpanel"):
+            assert main(argv) == 2
+        assert caplog.records[-1].getMessage() == (
+            f"run id {run_id!r} must be a single path component")
+        assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if via == "config" else [])
+
 
 class TestWithoutScipy:
     """No command imports scipy: importing the CLI loads neither scipy nor the
@@ -560,7 +579,7 @@ class TestWithoutScipy:
 
     def test_importing_the_cli_imports_neither_synth_nor_scipy(self):
         code = ("import sys, marketpanel.cli; "
-                "print(sorted({'marketpanel.synth', 'scipy'} & set(sys.modules)))")
+                "print(sorted({'marketpanel.synth', 'scipy', 'dataclasses'} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -590,15 +609,17 @@ class TestWithoutScipy:
 
 def test_synth_run_and_verify_leave_numpy_ma_unloaded(tmp_path):
     """A plain ``np.unique(a)`` imports numpy.ma (about 10 ms and 1 MiB a
-    process); no command needs it."""
+    process), and the package's records are NamedTuples, which need no
+    dataclasses; no command imports either beyond what numpy does."""
     def loaded_after(code):
         proc = subprocess.run([sys.executable, "-c", f"import sys\n{code}\n"
-                               "print('numpy.ma' in sys.modules)"],
+                               "print(sorted({'numpy.ma', 'dataclasses'} & set(sys.modules)))"],
                               env=src_env(), capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()[-1]
 
-    if loaded_after("import numpy") == "True":
+    by_numpy = loaded_after("import numpy")
+    if "numpy.ma" in by_numpy:
         pytest.skip("importing numpy loads numpy.ma (numpy < 2)")
     data, out = str(tmp_path / "data"), str(tmp_path / "out")
     commands = [["synth", "--seed", "7", "--n-firms", "20", "--n-years", "10", "--out", data],
@@ -606,7 +627,7 @@ def test_synth_run_and_verify_leave_numpy_ma_unloaded(tmp_path):
                 ["verify", "--data", data, "--run", os.path.join(out, "r")]]
     assert loaded_after("from marketpanel.cli import main\n"
                         f"for argv in {commands!r}:\n"
-                        "    assert main(argv) == 0, argv") == "False"
+                        "    assert main(argv) == 0, argv") == by_numpy
 
 
 class TestVerifyCommand:
@@ -813,6 +834,21 @@ class TestReportDiff:
         assert code == 1
         assert any("descriptives" in line
                    for line in json.loads(out)["differences"])
+
+    @pytest.mark.parametrize("rel_tol", ["-1", "nan"])
+    def test_tolerance_must_be_a_number_at_least_0(self, run_dir, tmp_path, capsys, rel_tol):
+        """A negative or NaN tolerance is refused (exit 2), not read as 0; inf passes all cells."""
+        other = tmp_path / "mutated"
+        shutil.copytree(run_dir, other)
+        path = other / "descriptives.json"
+        payload = json.loads(path.read_text())
+        payload["rows"][0]["mean"] = 123.456
+        path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        with pytest.raises(SystemExit) as err:
+            main(["report-diff", str(run_dir), str(other), "--rel-tol", rel_tol])
+        assert err.value.code == 2
+        assert f"--rel-tol: must be a number >= 0, got {rel_tol!r}" in capsys.readouterr().err
+        assert main(["report-diff", str(run_dir), str(other), "--rel-tol", "inf"]) == 0
 
 
 class TestUndecodableFiles:

@@ -13,20 +13,19 @@ every file, where ``numpy.loadtxt`` reads it, or in none.
 """
 
 import csv
-import dataclasses
 import io
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from marketpanel import ingest, variables
+from marketpanel.beta import PriceTable
 from marketpanel.errors import (DuplicateKey, DuplicateMonth, MissingRiskFree, NonPositivePrice,
                                RateOutOfRange, SchemaMismatch)
-from marketpanel.panel_core import STAKE_SUM_TOL, RiskFreeSeries, build_dataset
+from marketpanel.panel_core import STAKE_SUM_TOL, FundamentalsTable, RiskFreeSeries, build_dataset
 
 from conftest import ROW_DEFAULTS, make_row, make_table, table_rows
 
@@ -276,7 +275,7 @@ def test_parse_fundamentals_equals_the_per_row_parser(text):
     expected_rows, expected_rejections = reference_parse_fundamentals(text)
     table, rejections = ingest.parse_fundamentals(text)
     assert list(rejections) == expected_rejections
-    assert len(expected_rows) == len(table)
+    assert len(expected_rows) == len(table.year)
     assert table_rows(table) == expected_rows
     assert table.firm_ids == tuple(sorted({r["firm_id"] for r in expected_rows}))
 
@@ -406,16 +405,17 @@ def assert_same_read(got, want):
 
 
 def assert_same_result(got, want):
-    """Equal parser results: tuples item by item, dataclasses (tables)
-    field by field, arrays in dtype and bytes, anything else by ``==``."""
-    if isinstance(want, tuple):
-        assert len(got) == len(want)
+    """Equal parser results: records (tables, rate series) of one type field by
+    field, then tuples and lists item by item, arrays in dtype and bytes,
+    anything else by ``==``. Records are tuples too, so they are told apart first."""
+    if isinstance(want, (FundamentalsTable, PriceTable, RiskFreeSeries)):
+        assert type(got) is type(want)
+        for name, value in zip(want._fields, want):
+            assert_same_result(getattr(got, name), value)
+    elif isinstance(want, (tuple, list)):
+        assert type(got) is type(want) and len(got) == len(want)
         for got_item, want_item in zip(got, want):
             assert_same_result(got_item, want_item)
-    elif dataclasses.is_dataclass(want):
-        assert type(got) is type(want)
-        for name, value in vars(want).items():
-            assert_same_result(getattr(got, name), value)
     elif isinstance(want, np.ndarray):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     else:
@@ -550,7 +550,7 @@ def test_what_the_csv_reader_must_read_keeps_its_reasons(case):
     if what == "fundamentals":
         assert list(got[1]) == want
     else:   # the table, or the error as (class, message)
-        assert (got if isinstance(got, tuple) else None) == want
+        assert (None if isinstance(got, (PriceTable, list)) else got) == want
 
 
 # one text per parser (and per fundamentals reader), its lines ending in "\n"
@@ -582,11 +582,9 @@ def loadtxt_number(cell, kind):
     if kind is int and not cell.strip().isascii():
         return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            [value] = np.loadtxt([_quoted(cell)], dtype=np.float64 if kind is float else np.int64,
-                                 delimiter=",", quotechar='"', comments=None, ndmin=1).tolist()
-    except (ValueError, OverflowError, DeprecationWarning):
+        [value] = np.loadtxt([_quoted(cell)], dtype=np.float64 if kind is float else np.int64,
+                             delimiter=",", quotechar='"', comments=None, ndmin=1).tolist()
+    except (ValueError, OverflowError):
         return None
     return value if kind is int or math.isfinite(value) else None
 
@@ -672,7 +670,7 @@ def test_a_number_is_a_number_in_every_file_or_in_none(case):
     prices, riskfree = parsed("prices", texts[1]), parsed("riskfree", texts[2])
     if value is None:
         [(line, reason)] = rejections
-        assert line == 2 and reason and len(table) == 0
+        assert line == 2 and reason and len(table.year) == 0
         assert prices[0] is SchemaMismatch and prices[1].startswith("prices line 2: ")
         assert riskfree[0] is SchemaMismatch and riskfree[1].startswith("riskfree line 2: ")
         return

@@ -9,7 +9,6 @@ codes)`` must give the same rows: the Harris-Tzavalis statistics to a relative
 50-digit value.
 """
 
-import dataclasses
 import math
 from collections import Counter
 
@@ -185,8 +184,9 @@ def same_test(got, want):
     # z is a difference of terms near one: its rounding is absolute near zero
     assert got.statistic == pytest.approx(want.statistic, rel=1e-12, abs=1e-12)
     assert got.p_value == float(_kernels._cephes_ndtr(got.statistic))
-    assert dataclasses.replace(got, statistic=None, p_value=None) == dataclasses.replace(
-        want, statistic=None, p_value=None)
+    assert type(got) is type(want)
+    assert got._replace(statistic=None, p_value=None) == want._replace(statistic=None,
+                                                                       p_value=None)
 
 
 def same_row(got, want):
@@ -197,8 +197,8 @@ def same_row(got, want):
         assert got.fisher is None
         return
     # the reference takes the Fisher p-value from mpmath
-    assert dataclasses.replace(got.fisher, p_value=None) == dataclasses.replace(
-        want.fisher, p_value=None)
+    assert type(got.fisher) is type(want.fisher)
+    assert got.fisher._replace(p_value=None) == want.fisher._replace(p_value=None)
     assert abs(got.fisher.p_value - want.fisher.p_value) <= 1e-13 * want.fisher.p_value, (
         got.fisher.p_value, want.fisher.p_value)
 

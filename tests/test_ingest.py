@@ -17,7 +17,7 @@ ROW = "F1,M1,2015,2.0,1.5,0.2,12.0,2.0,40.0,100.0,55.0,2000,0.22;0.10;0.07"
 class TestParseFundamentals:
     def test_single_valid_row(self):
         table, rejections = ingest.parse_fundamentals(f"{HEADER}\n{ROW}\n")
-        assert len(table) == 1
+        assert len(table.year) == 1
         assert rejections == ()
         assert table.stakes.tolist() == [0.22, 0.10, 0.07]
         assert table_rows(table) == [make_row(stakes=(0.22, 0.10, 0.07))]
@@ -25,7 +25,7 @@ class TestParseFundamentals:
     def test_zero_sales_rejected(self):
         row = ROW.replace(",40.0,", ",0.0,")
         table, rejections = ingest.parse_fundamentals(f"{HEADER}\n{row}\n")
-        assert len(table) == 0 and table.firm_ids == ()
+        assert len(table.year) == 0 and table.firm_ids == ()
         assert len(rejections) == 1
         line_no, reason = rejections[0]
         assert line_no == 2
@@ -63,8 +63,8 @@ class TestParseFundamentals:
                 ROW.replace("F1", "F3"),
                 "F4,M1,not_a_year,2.0,1.5,0.2,12,2,40,100,55,2000,"]
         table, rejections = ingest.parse_fundamentals(HEADER + "\n" + "\n".join(rows) + "\n")
-        assert len(table) + len(rejections) == 4
-        assert len(table) == 2
+        assert len(table.year) + len(rejections) == 4
+        assert len(table.year) == 2
 
     def test_thousands_separator_rejected(self):
         row = ROW.replace("100.0", '"1,000.0"')
@@ -74,7 +74,7 @@ class TestParseFundamentals:
     def test_empty_stakes_allowed(self):
         row = ROW.rsplit(",", 1)[0] + ","
         table, rejections = ingest.parse_fundamentals(f"{HEADER}\n{row}\n")
-        assert len(table) == 1 and rejections == ()
+        assert len(table.year) == 1 and rejections == ()
         assert table.stakes.tolist() == [] and table.stake_offsets.tolist() == [0, 0]
 
 

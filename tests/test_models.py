@@ -1,6 +1,5 @@
 """Tests for the declarative model layer and estimation driver."""
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -90,10 +89,11 @@ class TestEstimate:
 
     def test_design_without_rows_is_a_typed_error(self, panel):
         """Every row missing the variant's marketing measure leaves no design."""
-        blank = np.full(len(panel), np.nan)
-        thinned = dataclasses.replace(panel, columns={**panel.columns, "MarinLog": blank})
+        n_rows = len(panel.codes.firm)
+        blank = np.full(n_rows, np.nan)
+        thinned = panel._replace(columns={**panel.columns, "MarinLog": blank})
         with pytest.raises(TooFewObservations,
-                           match=rf"^value_moderated: .*\({len(panel)} of {len(panel)} "):
+                           match=rf"^value_moderated: .*\({n_rows} of {n_rows} "):
             estimate(thinned, spec_for("value_moderated", marin_variant="log_level"))
 
     def test_reparameterization_identity(self, panel):
@@ -112,7 +112,7 @@ class TestEstimate:
         first = np.flatnonzero(codes.firm == 0)
         x = panel.columns["X"].copy()
         x[first[2:]] = np.nan
-        thinned = dataclasses.replace(panel, columns={**panel.columns, "X": x})
+        thinned = panel._replace(columns={**panel.columns, "X": x})
         report = estimate(thinned, spec_for("value_direct"))
         assert report.n_excluded == len(first) - 2
         assert (f"lr check unavailable: groups with fewer than 3 residuals: "
@@ -132,8 +132,7 @@ class TestEstimate:
 
     def test_zero_moderator_reproduces_direct_slopes(self, panel):
         """OW identically zero degrades the moderated model to the direct one."""
-        zeroed = dataclasses.replace(
-            panel, columns={**panel.columns, "OW": np.zeros(len(panel))})
+        zeroed = panel._replace(columns={**panel.columns, "OW": np.zeros(len(panel.codes.firm))})
         direct = estimate(zeroed, spec_for("value_direct"))
         moderated = estimate(zeroed, spec_for("value_moderated"))
         assert set(moderated.dropped_columns) == {"OW", "OW*Marin"}

@@ -15,7 +15,7 @@ class TestBuildDataset:
     def test_full_panel_has_all_observations(self):
         """20 firms x 10 years of valid rows come through untouched."""
         ds = make_panel(n_firms=20, n_years=10)
-        assert len(ds) == 200
+        assert len(ds.table.year) == 200
         assert len(ds.firms) == 20
         assert ds.years == tuple(range(2011, 2021))
 
@@ -74,7 +74,7 @@ class TestBuildDataset:
         ds = make_panel(n_firms=3, n_years=3)
         rows = [r for r in table_rows(ds.table) if (r["firm_id"], r["year"]) != ("F1", 2011)]
         ds2 = build_dataset(make_table(rows), list(ds.risk_free))
-        assert len(ds2) == 8
+        assert len(ds2.table.year) == 8
 
     def test_firm_markets_from_the_last_year(self):
         rows = [make_row(firm_id="F1", market_id="M2", year=2015),

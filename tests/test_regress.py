@@ -8,8 +8,8 @@ import pytest
 from marketpanel.errors import (CollinearityProximityWarning, NegativeVarianceComponentWarning,
                                 RankDeficient, SingletonGroupWarning, TooFewClusters,
                                 TooFewObservations)
-from marketpanel.regress import (DesignMatrix, fe_fit, re_fit, robust_cov_white_cross_section,
-                                 within_transform)
+from marketpanel.regress import (DesignMatrix, design_matrix, fe_fit, re_fit,
+                                 robust_cov_white_cross_section, within_transform)
 
 from conftest import (coefficient, normal_equations_oracle, ols_fit, panel_design, panel_matrix,
                       pooled_matrix, row_labels, std_error)
@@ -67,7 +67,7 @@ class TestOlsFit:
         X, y = random_system(60, 3, 4)
         fit = ols_fit(X, y)
         scale = np.array([100.0, 0.01, 7.0])
-        X2 = DesignMatrix(X.values * scale, X.column_names, X.codes)
+        X2 = design_matrix(X.values * scale, X.column_names, X.codes)
         fit2 = ols_fit(X2, y)
         np.testing.assert_allclose(fit2.coefficients[1:] * scale,
                                    fit.coefficients[1:], rtol=1e-10)
@@ -128,8 +128,8 @@ class TestWithinTransform:
     def test_firm_constant_column_becomes_zero(self):
         X, y, _ = panel_design(n_firms=4, n_years=3, k=2, seed=2)
         const = np.repeat(np.arange(4.0), 3)
-        X2 = DesignMatrix(np.column_stack([X.values, const]),
-                          X.column_names + ("establishment",), X.codes)
+        X2 = design_matrix(np.column_stack([X.values, const]),
+                            X.column_names + ("establishment",), X.codes)
         Xw, _ = within_transform(X2, y)
         establishment = Xw.values[:, Xw.column_names.index("establishment")]
         assert np.max(np.abs(establishment)) < 1e-12
@@ -159,10 +159,30 @@ class TestWithinTransform:
         assert X.codes.period.tolist() == [0, 0, 1, 2]
         Xw, _ = within_transform(X, np.zeros(4))
         assert Xw.codes is X.codes
-        with pytest.raises(ValueError):
-            DesignMatrix(np.zeros((3, 1)), ("x",), X.codes)
+        with pytest.raises(ValueError, match="codes length does not match matrix height"):
+            design_matrix(np.zeros((3, 1)), ("x",), X.codes)
+        with pytest.raises(TypeError, match="codes"):
+            design_matrix(np.zeros((4, 1)), ("x",))
         with pytest.raises(TypeError, match="codes"):
             DesignMatrix(np.zeros((4, 1)), ("x",))
+
+    @pytest.mark.parametrize("values, names, message", [
+        (np.zeros(4), ("x",), "two-dimensional"),
+        (np.zeros((4, 2)), ("x",), "column_names length"),
+        (np.zeros((4, 2)), ("x", "x"), "must be unique"),
+        (np.array([[0.0, 1.0], [np.inf, 1.0], [0.0, np.nan], [0.0, 1.0]]), ("x", "z"),
+         r"non-finite values in columns: \['x', 'z'\]"),
+    ])
+    def test_design_matrix_rejects(self, values, names, message):
+        X = panel_matrix(np.zeros((4, 1)), ("x",), (("A", 1), ("A", 2), ("B", 1), ("B", 2)))
+        with pytest.raises(ValueError, match=message):
+            design_matrix(values, names, X.codes)
+
+    def test_design_matrix_holds_contiguous_floats(self):
+        X = panel_matrix(np.zeros((4, 1)), ("x",), (("A", 1), ("A", 2), ("B", 1), ("B", 2)))
+        D = design_matrix(np.arange(8).reshape(2, 4).T, ["a", "b"], X.codes)
+        assert D.values.dtype == float and D.values.flags.c_contiguous
+        assert D.column_names == ("a", "b") and D.codes is X.codes
 
 
 class TestFeFit:
@@ -227,8 +247,8 @@ class TestFeFit:
     def test_rank_deficient_after_within(self):
         X, y, _ = panel_design(n_firms=4, n_years=3, k=1, seed=7)
         const = np.repeat([1.0, 2.0, 3.0, 4.0], 3).reshape(-1, 1)
-        X2 = DesignMatrix(np.column_stack([X.values, const]),
-                          ("x1", "firm_level"), X.codes)
+        X2 = design_matrix(np.column_stack([X.values, const]),
+                            ("x1", "firm_level"), X.codes)
         with pytest.raises(RankDeficient) as err:
             fe_fit(X2, y)
         assert "firm_level" in err.value.columns
@@ -240,8 +260,8 @@ class TestFeFit:
         labels = row_labels(X)
         founded = {f: 1950.0 + 7 * i for i, f in enumerate(sorted({f for f, _ in labels}))}
         age = np.array([year - founded[f] for f, year in labels])
-        with_age = DesignMatrix(np.column_stack([X.values, age]), X.column_names + ("Age",),
-                                X.codes)
+        with_age = design_matrix(np.column_stack([X.values, age]), X.column_names + ("Age",),
+                                  X.codes)
         with pytest.warns(CollinearityProximityWarning) as record:
             fe_fit(with_age, y)
         messages = [str(w.message) for w in record
@@ -263,7 +283,7 @@ def _lsdv_fit(X, y):
         for firm in firms[1:]])
     values = np.column_stack([X.values, dummies])
     names = X.column_names + tuple(f"d_{f}" for f in firms[1:])
-    fit = ols_fit(DesignMatrix(values, names, X.codes), y)
+    fit = ols_fit(design_matrix(values, names, X.codes), y)
     return {name: coefficient(fit, name) for name in X.column_names}
 
 

@@ -1,6 +1,5 @@
 """Tests for the synthetic generator and truth checking."""
 
-import dataclasses
 import json
 import warnings
 
@@ -29,7 +28,7 @@ def default_result():
 class TestGeneratePanel:
     def test_default_shape(self, default_result):
         ds = default_result.dataset
-        assert len(ds) == 200
+        assert len(ds.table.year) == 200
         assert len(ds.firms) == 20
         assert ds.years == tuple(range(2010, 2020))
 
@@ -57,7 +56,8 @@ class TestGeneratePanel:
         """From 161 years the walk alone exceeds the Lev std target; 160 generate."""
         with pytest.raises(InfeasibleTargets, match="Lev std target below"):
             generate_panel(DGPConfig(seed=0, n_firms=4, n_years=161))
-        assert len(generate_panel(DGPConfig(seed=0, n_firms=4, n_years=160)).dataset) == 640
+        long = generate_panel(DGPConfig(seed=0, n_firms=4, n_years=160)).dataset
+        assert len(long.table.year) == 640
 
     def test_lev_grid_stays_inside_its_bounds(self):
         """Every feasible length keeps Lev's firm grid inside the leverage bounds."""
@@ -232,8 +232,7 @@ class TestTruthCheck:
         with pytest.raises(ModelMismatch):
             truth_check(report, default_result.truth)
         with pytest.raises(ModelMismatch):
-            truth_check(dataclasses.replace(report, model_id="hedonic",
-                                            marin_variant="sales_ratio"),
+            truth_check(report._replace(model_id="hedonic", marin_variant="sales_ratio"),
                         default_result.truth)
 
     def test_average_effect_fields(self, default_result):

@@ -207,7 +207,7 @@ def wide_panel(seed=0):
     codes = PanelCodes.from_codes([f"F{i:04d}" for i in range(N_FIRMS)], firm, years)
     columns = {name: rng.standard_normal(len(firm)) for name in derived_column_names()}
     columns["P"] = columns["X"] + 0.5 * columns["B"] + rng.standard_normal(len(firm))
-    return variables.DerivedPanel(codes=codes, columns=columns)
+    return variables.DerivedPanel(codes=codes, columns=columns, exclusions=[], notes=[])
 
 
 def assert_blocked_qr(shapes):

@@ -143,7 +143,7 @@ class TestDeriveAll:
     def test_full_history_yields_all_rows(self):
         ds = make_panel(n_firms=4, n_years=5)
         panel = derive_all(ds, _betas(ds, 1.0))
-        assert len(panel) == 20
+        assert len(panel.codes.firm) == 20
         assert panel.exclusions == []
 
     def test_missing_lag_excluded(self):
@@ -151,7 +151,7 @@ class TestDeriveAll:
         rows = [{**r, "book_value_prev": None} for r in table_rows(ds.table)]
         ds2 = build_dataset(make_table(rows), list(ds.risk_free))
         panel = derive_all(ds2, _betas(ds2, 1.0))
-        assert len(panel) == 4
+        assert len(panel.codes.firm) == 4
         reasons = {(f, y): r for f, y, r in panel.exclusions}
         assert reasons[("F1", 2011)] == "missing lagged book value"
 
