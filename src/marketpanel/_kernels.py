@@ -310,15 +310,15 @@ def _fdtrc(dfn: int, dfd: float, f: float) -> float:
     return _beta_cdf(dfd / 2.0, dfn / 2.0, f, dfn, dfd)
 
 
-def _qr_pivots(r: np.ndarray) -> np.ndarray:
-    """The column order of a Householder QR with column pivoting (Businger &
-    Golub 1965): each step brings forward the column of largest remaining
-    norm, the first of equals, as LAPACK's ``dgeqp3`` does; the norms are
-    recomputed rather than downdated."""
-    a = np.array(r, dtype=float)
-    piv = np.arange(a.shape[1])
-    for j in range(min(a.shape)):
-        norms = np.sqrt(np.add.reduce(a[j:, j:] * a[j:, j:]))
+def _pivoted_qr(r: np.ndarray, b: np.ndarray):
+    """Householder QR with column pivoting (Businger & Golub 1965) of r (m x k, m >= k), each
+    reflection applied to b too: piv, R (exact zeros below the diagonal) and Q'b, r[:, piv] = Q R.
+    Each step brings forward the column of largest remaining norm, the first of equals, as
+    LAPACK's ``dgeqp3`` does; the norms are recomputed rather than downdated."""
+    a = np.column_stack([r, b])
+    piv = np.arange(a.shape[1] - 1)
+    for j in range(len(piv)):
+        norms = np.sqrt(np.add.reduce(a[j:, j:-1] * a[j:, j:-1]))
         p = j + int(np.argmax(norms))
         a[:, [j, p]], piv[[j, p]] = a[:, [p, j]], piv[[p, j]]
         if norms[p - j] == 0.0:
@@ -326,7 +326,7 @@ def _qr_pivots(r: np.ndarray) -> np.ndarray:
         v = a[j:, j].copy()
         v[0] += math.copysign(norms[p - j], v[0])
         a[j:, j:] -= np.outer(v, (2.0 / (v @ v)) * (v @ a[j:, j:]))
-    return piv
+    return piv, np.triu(a[:, :-1]), a[:, -1]
 
 
 def _solve_upper(r: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -45,7 +45,8 @@ def _text_newlines(text: str) -> str:
 
 
 def _read_text(path: str) -> str:
-    """The text of the UTF-8 file at ``path``, its newlines read as text mode reads them.
+    """The text of the UTF-8 file at ``path``, a leading byte-order mark (Excel's "CSV UTF-8"
+    writes one) dropped and its newlines read as text mode reads them.
 
     Raises :class:`IoFailure` naming the file when it cannot be read or is not
     UTF-8, with the offset of the first byte that does not decode.
@@ -60,7 +61,7 @@ def _read_text(path: str) -> str:
     except UnicodeDecodeError as exc:
         raise IoFailure(f"{path} is not UTF-8 text: byte {data[exc.start]:#04x} "
                         f"at offset {exc.start} ({exc.reason})")
-    return _text_newlines(text)
+    return _text_newlines(text.removeprefix("\ufeff"))
 
 
 def _number(cell: str, name: str, kind: type):

@@ -4,10 +4,10 @@ estimator, random-effects GLS, and covariance estimators.
 All solvers go through a rank-revealing column-pivoted QR factorization with
 tolerance 1e-10 * ||X||; raw normal equations exist only as a test oracle.
 The factorization takes two steps: an unpivoted QR of the tall [X y], built
-from small row blocks, leaves a (k+1) x (k+1) triangle, and the pivoted QR
-runs on that triangle only. No LAPACK call sees all n rows at once, so
-OpenBLAS keeps each one on the calling thread. Inference uses the t
-distribution at all sample sizes.
+from small row blocks, leaves a (k+1) x (k+1) triangle, and the package's own
+pivoted Householder pass factors that triangle once. No LAPACK call sees all
+n rows at once, so OpenBLAS keeps each one on the calling thread. Inference
+uses the t distribution at all sample sizes.
 """
 
 import warnings
@@ -118,26 +118,24 @@ def _tall_r(a: np.ndarray) -> np.ndarray:
 def _pivoted_qr_solve(values: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     """Least-squares solve via column-pivoted QR; returns (beta, xtx_inv).
 
-    ``_tall_r`` factors [X y] as Q [R Q'y]. The pivoted QR of the k x k R
-    then gives X P = (Q Q2) R2: residual column norms do not change under the
-    left orthogonal factor Q, so the greedy pivot order and |diag R2| are
-    those of a pivoted QR of X itself. The rank tolerance is 1e-10 ||R||_F,
-    which equals 1e-10 ||X||_F. Raises :class:`RankDeficient` naming the
-    dependent columns when the numerical rank falls short of the column
-    count.
+    ``_tall_r`` factors [X y] as Q [R Q'y]. The pivoted Householder pass over
+    the k x k R, also applied to Q'y, gives X P = (Q Q2) R2 and Q2'Q'y:
+    residual column norms do not change under the left orthogonal factor Q,
+    so the greedy pivot order and |diag R2| are those of a pivoted QR of X
+    itself. The rank tolerance is 1e-10 ||R||_F, which equals 1e-10 ||X||_F.
+    Raises :class:`RankDeficient` naming the dependent columns when the
+    numerical rank falls short of the column count.
     """
     k = values.shape[1]
     r_xy = _tall_r(np.column_stack([values, y]))
     r_x = r_xy[:k, :k]
-    piv = _kernels._qr_pivots(r_x)
-    # LAPACK's QR of the reordered columns makes the reflections dgeqp3 makes
-    q, r = np.linalg.qr(r_x[:, piv])
+    piv, r, qty = _kernels._pivoted_qr(r_x, r_xy[:k, k])
     rank = int(np.sum(np.abs(np.diag(r)) > RANK_TOL_FACTOR * np.linalg.norm(r_x)))
     if rank < k:
         raise RankDeficient([names[j] for j in piv[rank:]])
 
     beta = np.empty(k)
-    beta[piv] = _kernels._solve_upper(r, q.T @ r_xy[:k, k])
+    beta[piv] = _kernels._solve_upper(r, qty)
     r_inv = _kernels._solve_upper(r, np.eye(k))
     xtx_inv = np.empty((k, k))
     xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T

@@ -552,6 +552,21 @@ class TestRunId:
             if name != "manifest.json":
                 assert (out / run_id / name).read_bytes() == (run_dir / name).read_bytes()
 
+    def test_byte_order_marks_read_as_nothing(self, data_dir, run_dir, tmp_path, capsys):
+        """Inputs that start with a UTF-8 byte-order mark, as Excel's "CSV UTF-8"
+        export writes them, give the run of the same files without it."""
+        marked = tmp_path / "marked"
+        marked.mkdir()
+        for name in ("fundamentals.csv", "prices.csv", "riskfree.csv"):
+            (marked / name).write_bytes(b"\xef\xbb\xbf" + (data_dir / name).read_bytes())
+        assert main(["ingest-check", "--data", str(marked)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", "--data", str(marked), "--out", str(out)]) == 0
+        assert os.listdir(out) == [run_dir.name]
+        code, diff = run_cli("report-diff", str(run_dir), str(out / run_dir.name),
+                             "--rel-tol", "0", capsys=capsys)
+        assert (code, json.loads(diff)["differences"]) == (0, [])
+
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("run_id", ["../x", "a/b", "absolute", ".", ".."])
     def test_run_id_must_be_one_path_component(self, data_dir, tmp_path, caplog, run_id, via):

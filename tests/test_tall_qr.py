@@ -1,14 +1,15 @@
-"""The blocked least-squares kernel: ``regress._tall_r`` and the two-step
-pivoted QR built on it.
+"""The blocked least-squares kernel: ``regress._tall_r`` and the one pivoted
+Householder pass on the tall factor's triangle built on it.
 
 ``reference_pivoted_qr`` is the full-matrix factorization the package used
 before: ``scipy.linalg.qr(values, pivoting=True)`` on all n rows with the rank
 tolerance 1e-10 ||X||_F. The blocked kernel must reproduce its pivot order,
-rank and ``RankDeficient`` names, and the package's own column pivoting
-(``_kernels._qr_pivots``) must pick the pivots and rank that LAPACK's does.
-The shape guard checks that no QR or norm call of an estimate sees all n
-rows, that only k x k arrays reach the kernels, and that the unit-root
-battery factors nothing.
+rank and ``RankDeficient`` names, and the package's own pivoted QR
+(``_kernels._pivoted_qr``) must pick the pivots, rank and |diag R| that
+LAPACK's does. ``_tall_r`` is the solve's only LAPACK QR. The shape guard
+checks that no QR or norm call of an estimate sees all n rows, that only
+k x k arrays reach the kernels, and that the unit-root battery factors
+nothing.
 """
 
 import types
@@ -108,14 +109,14 @@ def test_pivoted_qr_solve_keeps_the_full_matrix_rank_decisions(design):
     piv_ref, rank_ref, dependent_ref, solution = reference_pivoted_qr(values, y, names)
 
     seen = []
-    kernel_pivots = _kernels._qr_pivots
+    kernel_qr = _kernels._pivoted_qr
 
-    def recording_pivots(*args):
-        out = kernel_pivots(*args)
-        seen.append(out.tolist())
+    def recording_qr(*args):
+        out = kernel_qr(*args)
+        seen.append(out[0].tolist())
         return out
 
-    with mock.patch.object(_kernels, "_qr_pivots", recording_pivots):
+    with mock.patch.object(_kernels, "_pivoted_qr", recording_qr):
         try:
             beta, xtx_inv = regress._pivoted_qr_solve(values, y, names)
             dependent = ()
@@ -138,17 +139,42 @@ def rank_and_pivots(r, piv, scale):
 @given(collinear_designs())
 def test_pivoted_qr_kernel_picks_lapacks_pivots_and_rank(design):
     """On the full design and on the triangle the fits hand it, the kernel's
-    pivot order, and the rank of the QR of the reordered columns, are those
-    of ``scipy.linalg.qr(pivoting=True)``."""
+    pivot order, rank and |diag R| are those of
+    ``scipy.linalg.qr(pivoting=True)``; its R is exactly upper triangular and
+    its reflections keep the norm of the right-hand side."""
     values, y, _ = design
     k = values.shape[1]
-    r_x = regress._tall_r(np.column_stack([values, y]))[:k, :k]
-    for a in (values, r_x):
-        piv = _kernels._qr_pivots(a)
-        r = np.linalg.qr(a[:, piv], mode="r")
+    r_xy = regress._tall_r(np.column_stack([values, y]))
+    for a, b in ((values, y), (r_xy[:k, :k], r_xy[:k, k])):
+        piv, r, qtb = _kernels._pivoted_qr(a, b)
         _, r_ref, piv_ref = SCIPY_QR(a, mode="economic", pivoting=True)
         scale = np.linalg.norm(a)
         assert rank_and_pivots(r, piv, scale) == rank_and_pivots(r_ref, piv_ref, scale)
+        assert np.all(np.tril(r, -1) == 0.0)
+        diag, diag_ref = np.abs(np.diag(r)), np.abs(np.diag(r_ref))
+        assert np.max(np.abs(diag - diag_ref)) <= 1e-12 * scale
+        assert np.isclose(np.linalg.norm(qtb), np.linalg.norm(b), rtol=1e-12, atol=0.0)
+
+
+def test_pivoted_qr_solve_factors_with_lapack_only_in_tall_r(monkeypatch):
+    """The pivoted pass on the triangle is the package's own: with ``_tall_r``
+    stubbed, the solve makes no ``np.linalg.qr`` call."""
+    rng = np.random.default_rng(5)
+    values, y = rng.standard_normal((40, 4)), rng.standard_normal(40)
+    r_xy = regress._tall_r(np.column_stack([values, y]))
+    tall_calls, qr_calls = [], []
+    qr = np.linalg.qr
+
+    def counting_qr(*args, **kwargs):
+        qr_calls.append(np.shape(args[0]))
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(regress, "_tall_r", lambda a: tall_calls.append(a.shape) or r_xy)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    beta, _ = regress._pivoted_qr_solve(values, y, ("a", "b", "c", "d"))
+    assert tall_calls == [(40, 5)]
+    assert qr_calls == []
+    assert np.allclose(beta, np.linalg.lstsq(values, y, rcond=None)[0], rtol=1e-12, atol=0.0)
 
 
 def test_solve_upper_inverts_a_triangle():
