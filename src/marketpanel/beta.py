@@ -61,11 +61,12 @@ class ReturnPanel(NamedTuple):
         return self.values[rows, lo:hi], lo
 
 
-def _month_index(year: int, month: int) -> int:
+# a calendar month's index and back, elementwise on integer arrays too
+def _month_index(year, month):
     return year * 12 + (month - 1)
 
 
-def _index_month(index: int) -> tuple[int, int]:
+def _index_month(index):
     return index // 12, index % 12 + 1
 
 

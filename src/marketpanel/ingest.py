@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .beta import PriceTable, _read_only
+from .beta import PriceTable, _index_month, _month_index, _read_only
 from .errors import (DuplicateMonth, IoFailure, NonPositivePrice, RateOutOfRange,
                      SchemaMismatch)
 from .panel_core import STAKE_SUM_TOL, FundamentalsTable, RiskFreeSeries, row_sums
@@ -308,7 +308,7 @@ def parse_prices(csv_text: str) -> PriceTable:
     """
     line_nos, columns, widths, reasons = _read(csv_text, "prices")
     raw_ids, years, calendar_months, closes = columns
-    months = years * 12 + (calendar_months - 1)
+    months = _month_index(years, calendar_months)
     series_ids, codes, duplicate, order = _keyed(raw_ids, months)
     empty = series_ids.index("") if "" in series_ids else -1
 
@@ -366,43 +366,55 @@ def parse_riskfree(csv_text: str) -> list[RiskFreeSeries]:
 
 
 # --- serialization (round-trip partners of the parsers) -----------------------
+# Numbers are written as the repr of Python floats, which round-trips doubles exactly.
 
-def _fmt(value: float) -> str:
-    # repr round-trips doubles exactly, keeping re-parsed data identical
-    return repr(float(value))
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell: quoted, its quotes doubled, when it holds a comma, a
+    quote, CR or LF (RFC 4180 section 2), and as is otherwise."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_text(rows) -> str:
+    """The CSV text of ``rows``, the header first, each a sequence of cells made by
+    ``_csv_cell``: ``,`` between cells and ``\\n`` after every line."""
+    return "\n".join(map(",".join, rows)) + "\n"
 
 
 def fundamentals_to_csv(table: FundamentalsTable) -> str:
     prev = table.book_value_prev.tolist()
-    include_prev = not all(map(math.isnan, prev))
-    header = list(FUNDAMENTALS_COLUMNS)
-    if include_prev:
-        header.append(OPTIONAL_FUNDAMENTALS_COLUMN)
-    stakes = list(map(_fmt, table.stakes.tolist()))
+    firm_ids = list(map(_csv_cell, table.firm_ids))
+    market_ids = list(map(_csv_cell, table.market_ids))
+    stakes = list(map(repr, table.stakes.tolist()))
     offsets = table.stake_offsets.tolist()
-    columns = [map(table.firm_ids.__getitem__, table.firm.tolist()),
-               map(table.market_ids.__getitem__, table.market.tolist()),
+    header = FUNDAMENTALS_COLUMNS
+    columns = [map(firm_ids.__getitem__, table.firm.tolist()),
+               map(market_ids.__getitem__, table.market.tolist()),
                map(str, table.year.tolist()),
-               *(map(_fmt, getattr(table, name).tolist()) for name in FUNDAMENTALS_COLUMNS[3:11]),
+               *(map(repr, getattr(table, name).tolist()) for name in FUNDAMENTALS_COLUMNS[3:11]),
                map(str, table.establishment_year.tolist()),
                (";".join(stakes[a:b]) for a, b in zip(offsets, offsets[1:]))]
-    if include_prev:
-        columns.append("" if math.isnan(v) else _fmt(v) for v in prev)
-    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+    if not all(map(math.isnan, prev)):
+        header += (OPTIONAL_FUNDAMENTALS_COLUMN,)
+        columns.append("" if math.isnan(v) else repr(v) for v in prev)
+    return _csv_text(chain([header], zip(*columns)))
 
 
 def prices_to_csv(prices: PriceTable) -> str:
-    ids = prices.series_ids
-    lines = [",".join(PRICES_COLUMNS)]
-    for code, month, close in zip(prices.codes.tolist(), prices.months.tolist(),
-                                  prices.closes.tolist()):
-        lines.append(f"{ids[code]},{month // 12},{month % 12 + 1},{_fmt(close)}")
-    return "\n".join(lines) + "\n"
+    ids = list(map(_csv_cell, prices.series_ids))
+    axis, at = np.unique(prices.months, return_inverse=True)   # each month decoded once
+    years, months = (list(map(str, column.tolist())) for column in _index_month(axis))
+    at = at.tolist()
+    return _csv_text(chain([PRICES_COLUMNS], zip(
+        map(ids.__getitem__, prices.codes.tolist()), map(years.__getitem__, at),
+        map(months.__getitem__, at), map(repr, prices.closes.tolist()))))
 
 
 def riskfree_to_csv(series: list[RiskFreeSeries]) -> str:
-    lines = [",".join(RISKFREE_COLUMNS)]
+    rows = [RISKFREE_COLUMNS]
     for s in series:
-        for year in sorted(s.rates):
-            lines.append(f"{s.market_id},{year},{_fmt(s.rates[year])}")
-    return "\n".join(lines) + "\n"
+        market = _csv_cell(s.market_id)
+        # float(): a rate may be a numpy scalar, whose repr is not a number
+        rows += [(market, str(year), repr(float(s.rates[year]))) for year in sorted(s.rates)]
+    return _csv_text(rows)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .diagnostics import (CorrelationResult, StationarityRow, TestResult, VariableSummary,
                           _pvalue_bracket)
 from .errors import IoFailure, SchemaMismatch
-from .ingest import _read_text
+from .ingest import _csv_cell, _csv_text, _read_text
 from .models import MARIN_VARIANTS, EstimationReport
 
 SCHEMA_VERSION = "1"
@@ -50,12 +50,11 @@ def _num(value):
     return value if math.isfinite(value) else None
 
 
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
+def _csv_value(value) -> str:
+    """A table value as a csv cell: a float by its repr, None and a non-finite float empty."""
     if isinstance(value, float):
         return repr(value) if math.isfinite(value) else ""
-    return str(value)
+    return "" if value is None else _csv_cell(str(value))
 
 
 def _fmt4(value) -> str:
@@ -92,11 +91,8 @@ def _descriptives_json(rows: list[VariableSummary]) -> str:
 
 
 def _descriptives_csv(rows: list[VariableSummary]) -> str:
-    out = [["variable", "n", "minimum", "maximum", "mean", "std"]]
-    for r in rows:
-        out.append([r.name, str(r.n), _fmt_cell(r.minimum), _fmt_cell(r.maximum),
-                    _fmt_cell(r.mean), _fmt_cell(r.std)])
-    return _to_csv(out)
+    return _to_csv([["variable", "n", "minimum", "maximum", "mean", "std"],
+                    *([r.name, r.n, r.minimum, r.maximum, r.mean, r.std] for r in rows)])
 
 
 def _descriptives_md(rows: list[VariableSummary]) -> str:
@@ -124,8 +120,7 @@ def _correlations_csv(c: CorrelationResult) -> str:
     out = [["variable_a", "variable_b", "r", "p", "n"]]
     for i, a in enumerate(c.variables):
         for j, b in enumerate(c.variables[:i + 1]):
-            out.append([a, b, _fmt_cell(float(c.r[i, j])), _fmt_cell(float(c.p[i, j])),
-                        str(int(c.n[i, j]))])
+            out.append([a, b, float(c.r[i, j]), float(c.p[i, j]), int(c.n[i, j])])
     return _to_csv(out)
 
 
@@ -157,13 +152,10 @@ def _stationarity_csv(rows: list[StationarityRow]) -> str:
     out = [["variable", "level_statistic", "difference_statistic", "order",
             "fisher_statistic", "fisher_p"]]
     for r in rows:
-        out.append([
-            r.variable, _fmt_cell(r.level.statistic if r.level else None),
-            _fmt_cell(r.difference.statistic if r.difference else None),
-            r.order,
-            _fmt_cell(r.fisher.statistic if r.fisher else None),
-            _fmt_cell(r.fisher.p_value if r.fisher else None),
-        ])
+        out.append([r.variable, r.level.statistic if r.level else None,
+                    r.difference.statistic if r.difference else None, r.order,
+                    r.fisher.statistic if r.fisher else None,
+                    r.fisher.p_value if r.fisher else None])
     return _to_csv(out)
 
 
@@ -213,11 +205,8 @@ def _estimation_json(report: EstimationReport, name: str, companion=None) -> str
 
 
 def _estimation_csv(report: EstimationReport, name: str, companion=None) -> str:
-    fit = report.fit
-    out = [["variable", "coefficient", "std_error", "prob"]]
-    out += [[variable, *map(_fmt_cell, cells)] for variable, *cells in fit.rows()]
-    out.append(["R-squared", _fmt_cell(fit.r_squared), "", ""])
-    return _to_csv(out)
+    return _to_csv([["variable", "coefficient", "std_error", "prob"], *report.fit.rows(),
+                    ["R-squared", report.fit.r_squared, None, None]])
 
 
 def _estimation_md(report: EstimationReport, name: str,
@@ -267,11 +256,9 @@ def _estimation_md(report: EstimationReport, name: str,
     return "\n".join(lines + [""] + notes) + "\n"
 
 
-def _to_csv(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+def _to_csv(rows) -> str:
+    """The csv text of rows of table values, the header first."""
+    return _csv_text([map(_csv_value, row) for row in rows])
 
 
 def _json_text(payload: dict) -> str:
@@ -340,8 +327,7 @@ def emit(bundle: ReportBundle, path: str) -> list[str]:
     Returns the table paths in :func:`render`'s order.
     """
     texts = {os.path.join(path, name): text for name, text in render(bundle).items()}
-    manifest = json.dumps({"schema_version": SCHEMA_VERSION, **bundle.metadata},
-                          sort_keys=True, indent=1) + "\n"
+    manifest = _json_text({"schema_version": SCHEMA_VERSION, **bundle.metadata})
     try:
         os.makedirs(path, exist_ok=True)
         for file_path, text in [*texts.items(), (os.path.join(path, "manifest.json"), manifest)]:

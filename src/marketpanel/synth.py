@@ -28,7 +28,8 @@ from .ingest import (fundamentals_to_csv, parse_fundamentals, parse_riskfree,
                      prices_to_csv, riskfree_to_csv)
 from .models import EstimationReport
 from .panel_core import FundamentalsTable, PanelDataset, RiskFreeSeries, build_dataset
-from .beta import PriceTable
+from .beta import PriceTable, _month_index
+from .report import _json_text
 from .variables import ownership_concentration
 
 TRUTH_SCHEMA_VERSION = "1"
@@ -152,8 +153,7 @@ class TruthRecord(NamedTuple):
             for (firm, year), value in sorted(data[name].items()):
                 by_firm.setdefault(firm, {})[str(year)] = value
             data[name] = by_firm
-        return json.dumps({"schema_version": TRUTH_SCHEMA_VERSION, **data},
-                          sort_keys=True, indent=1) + "\n"
+        return _json_text({"schema_version": TRUTH_SCHEMA_VERSION, **data})
 
     @classmethod
     def from_json(cls, text: str) -> "TruthRecord":
@@ -474,7 +474,7 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
     prices = PriceTable(
         series_ids=price_ids,
         codes=np.repeat(np.arange(len(price_ids)), n_months),
-        months=np.tile(first_year * 12 + np.arange(n_months), len(price_ids)),
+        months=np.tile(_month_index(first_year, 1) + np.arange(n_months), len(price_ids)),
         closes=np.concatenate([100.0 * np.cumprod(1.0 + r) for r in paths]))
 
     fundamentals_csv = fundamentals_to_csv(table)

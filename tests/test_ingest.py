@@ -1,13 +1,24 @@
 """Tests for CSV parsing, soft-fail reporting and round-trip serialization."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from marketpanel import ingest
 from marketpanel.errors import (DuplicateMonth, NonPositivePrice, RateOutOfRange,
                                 SchemaMismatch)
 
 from conftest import make_panel, make_row, make_table, price_table, table_rows
+
+PROPERTY = settings(max_examples=80, deadline=None)
+# ids holding the cells a writer must quote: commas, quotes and LF. The readers strip
+# blanks at either end of a cell and read CR as LF, so no id starts or ends with a
+# blank and none holds CR.
+QUOTED_IDS = st.lists(st.text(alphabet='Ab9 ,"\n_\u00e9', min_size=1, max_size=6)
+                      .filter(lambda s: s == s.strip()), min_size=1, max_size=4, unique=True)
 
 HEADER = ("firm_id,market_id,year,price,book_value,eps,sga,rd,sales,"
           "total_assets,total_equity,establishment_year,stakes")
@@ -163,6 +174,63 @@ class TestRoundTrip:
                   RiskFreeSeries("M2", {2015: 0.04})]
         text = ingest.riskfree_to_csv(series)
         assert ingest.parse_riskfree(text) == series
+
+    @PROPERTY
+    @given(QUOTED_IDS)
+    @example(["A,B"])
+    def test_prices_round_trip_ids_that_need_quotes(self, ids):
+        table = price_table({id_: [(2015, m, 100.0 + m / 7.0) for m in range(1, 4)]
+                             for id_ in sorted(ids)})
+        parsed = ingest.parse_prices(ingest.prices_to_csv(table))
+        assert parsed.series_ids == table.series_ids
+        for column in ("codes", "months", "closes"):
+            assert np.array_equal(getattr(parsed, column), getattr(table, column))
+
+    @PROPERTY
+    @given(QUOTED_IDS)
+    @example(["M,1"])
+    def test_riskfree_round_trip_ids_that_need_quotes(self, ids):
+        from marketpanel.panel_core import RiskFreeSeries
+        series = [RiskFreeSeries(m, {2015: 0.031, 2016: 0.0287}) for m in sorted(ids)]
+        assert ingest.parse_riskfree(ingest.riskfree_to_csv(series)) == series
+
+    @PROPERTY
+    @given(QUOTED_IDS, QUOTED_IDS)
+    @example(["F0,01"], ["M1"])
+    def test_fundamentals_round_trip_ids_that_need_quotes(self, firms, markets):
+        table = make_table([make_row(firm_id=firm, market_id=markets[i % len(markets)])
+                            for i, firm in enumerate(firms)])
+        parsed, rejections = ingest.parse_fundamentals(ingest.fundamentals_to_csv(table))
+        assert rejections == ()
+        assert table_rows(parsed) == table_rows(table)
+
+
+def csv_rows(alphabet):
+    """Rows of text cells over ``alphabet``, empty cells among them."""
+    return st.lists(st.lists(st.text(alphabet=alphabet, max_size=5), min_size=2, max_size=4),
+                    min_size=1, max_size=5)
+
+
+def writer_text(rows):
+    return ingest._csv_text([list(map(ingest._csv_cell, row)) for row in rows])
+
+
+class TestCsvWriter:
+    @PROPERTY
+    @given(csv_rows('ab ,"\r\n'))
+    def test_csv_reader_reads_back_the_rows(self, rows):
+        # two cells a row at least: a row of one empty cell is an empty line, which
+        # csv.reader skips
+        assert list(csv.reader(io.StringIO(writer_text(rows), newline=""))) == rows
+
+    @PROPERTY
+    @given(csv_rows('ab ,"\n'))
+    def test_text_equals_csv_writer_without_cr(self, rows):
+        # csv.writer quotes a lone CR on Python 3.13 but, with lineterminator="\n",
+        # not on 3.10-3.12, so cells holding CR have no reference to compare with
+        reference = io.StringIO()
+        csv.writer(reference, lineterminator="\n").writerows(rows)
+        assert writer_text(rows) == reference.getvalue()
 
 
 class TestParsePrices:
