@@ -27,14 +27,12 @@ import json
 import logging
 import os
 import sys
-import warnings
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, beta, diagnostics, ingest, models, report, variables
-from .errors import (CollinearityProximityWarning, ConfigError, InputError, IoFailure,
-                     MarketPanelError, SchemaMismatch)
+from .errors import ConfigError, InputError, IoFailure, MarketPanelError, SchemaMismatch
 from .panel_core import build_dataset
 
 log = logging.getLogger("marketpanel")
@@ -226,7 +224,7 @@ def _bundle(cfg: RunConfig) -> report.ReportBundle:
         "derive_exclusions": len(panel.exclusions),
         "beta_exclusions": len(beta_exclusions),
         "baseline_nobs": {r.model_id: r.fit.nobs for r in estimates},
-        "robustness_nobs": {report.robustness_table_name(r): r.fit.nobs
+        "robustness_nobs": {models.robustness_table_name(r): r.fit.nobs
                             for r in tables["robustness_tables"]},
         "notes": panel.notes,
     }
@@ -434,8 +432,6 @@ def main(argv=None) -> int:
         gc.freeze()
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
-    # the warning fires identically on every fit of the same panel
-    warnings.filterwarnings("once", category=CollinearityProximityWarning)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

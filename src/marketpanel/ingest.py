@@ -376,6 +376,15 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+def _id_cells(ids) -> list[str]:
+    """Each id as a CSV cell; ValueError names the first id that the readers would not
+    return as written (they strip whitespace at a cell's ends and read CR as LF)."""
+    unreadable = [id_ for id_ in ids if id_ != id_.strip() or "\r" in id_]
+    if unreadable:
+        raise ValueError(f"id {unreadable[0]!r} would not read back: outer whitespace or CR")
+    return list(map(_csv_cell, ids))
+
+
 def _csv_text(rows) -> str:
     """The CSV text of ``rows``, the header first, each a sequence of cells made by
     ``_csv_cell``: ``,`` between cells and ``\\n`` after every line."""
@@ -384,8 +393,7 @@ def _csv_text(rows) -> str:
 
 def fundamentals_to_csv(table: FundamentalsTable) -> str:
     prev = table.book_value_prev.tolist()
-    firm_ids = list(map(_csv_cell, table.firm_ids))
-    market_ids = list(map(_csv_cell, table.market_ids))
+    firm_ids, market_ids = _id_cells(table.firm_ids), _id_cells(table.market_ids)
     stakes = list(map(repr, table.stakes.tolist()))
     offsets = table.stake_offsets.tolist()
     header = FUNDAMENTALS_COLUMNS
@@ -402,7 +410,7 @@ def fundamentals_to_csv(table: FundamentalsTable) -> str:
 
 
 def prices_to_csv(prices: PriceTable) -> str:
-    ids = list(map(_csv_cell, prices.series_ids))
+    ids = _id_cells(prices.series_ids)
     axis, at = np.unique(prices.months, return_inverse=True)   # each month decoded once
     years, months = (list(map(str, column.tolist())) for column in _index_month(axis))
     at = at.tolist()
@@ -413,8 +421,7 @@ def prices_to_csv(prices: PriceTable) -> str:
 
 def riskfree_to_csv(series: list[RiskFreeSeries]) -> str:
     rows = [RISKFREE_COLUMNS]
-    for s in series:
-        market = _csv_cell(s.market_id)
+    for s, market in zip(series, _id_cells([s.market_id for s in series])):
         # float(): a rate may be a numpy scalar, whose repr is not a number
         rows += [(market, str(year), repr(float(s.rates[year]))) for year in sorted(s.rates)]
     return _csv_text(rows)

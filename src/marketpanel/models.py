@@ -8,13 +8,15 @@ comparison for the record and then fits entity fixed effects with a White
 cross-section covariance, mirroring the reported workflow.
 """
 
+import warnings
 from typing import NamedTuple
 
 import numpy as np
 
 from . import regress
 from .diagnostics import TestResult, hausman_test, lr_heteroskedasticity
-from .errors import MarketPanelError, TooFewObservations
+from .errors import (CollinearityProximityWarning, MarketPanelError, SingletonGroupWarning,
+                     TooFewObservations)
 from .regress import DesignMatrix, FitResult, design_matrix
 from .variables import DerivedPanel, panel_columns
 
@@ -94,11 +96,9 @@ def build_interaction(marin, ow, centering: bool = False) -> np.ndarray:
 
 def _assemble_design(panel: DerivedPanel, spec: ModelSpec, center: bool):
     base_names = [n for n in spec.regressors if n != INTERACTION_NAME]
-    needed = set(base_names) | {spec.dependent}
+    needed = {*base_names, spec.dependent, *(spec.interaction or ())}
     if spec.constrain_book_unit:
         needed.add("B")
-    if spec.interaction is not None:
-        needed.update(spec.interaction)
 
     resolved = {"Marin": MARIN_VARIANTS[spec.marin_variant][1]}
     columns = panel_columns(panel, sorted({resolved.get(n, n) for n in needed}))
@@ -106,68 +106,96 @@ def _assemble_design(panel: DerivedPanel, spec: ModelSpec, center: bool):
     def col(name: str) -> np.ndarray:
         return columns[resolved.get(name, name)]
 
-    mask = np.ones(len(panel.codes.firm), dtype=bool)
-    for name in needed:
-        mask &= np.isfinite(col(name))
+    mask = np.logical_and.reduce([np.isfinite(col(name)) for name in needed])
     n_excluded = int((~mask).sum())
 
     y = col(spec.dependent)[mask]
     if spec.constrain_book_unit:
         y = y - col("B")[mask]
 
-    data = {}
-    for name in base_names:
-        data[name] = col(name)[mask]
+    data = {name: col(name)[mask] for name in base_names}
     if spec.interaction is not None:
         a, b = spec.interaction
-        data[INTERACTION_NAME] = build_interaction(col(b)[mask], col(a)[mask],
-                                                   centering=center)
+        data[INTERACTION_NAME] = build_interaction(col(b)[mask], col(a)[mask], centering=center)
 
     values = np.column_stack([data[n] for n in spec.regressors])
     X = design_matrix(values, spec.regressors, panel.codes.select(mask))
     return X, y, n_excluded, len(mask)
 
 
-def _drop_within_degenerate(X: DesignMatrix, y):
-    """Drop columns with no within variation (for example OW identically zero).
+def robustness_table_name(refit: ModelSpec | EstimationReport) -> str:
+    """The name of a robustness refit's table."""
+    family = "value" if refit.model_id.startswith("value") else "risk"
+    return f"robustness_{family}_{MARIN_VARIANTS[refit.marin_variant][0]}"
 
-    Keeps estimation going when a moderated specification degenerates to the
-    direct one; the dropped names are reported.
+
+def _check_design(X: DesignMatrix, y):
+    """The design without the columns that have no within variation, and their names.
+
+    Dropping them (OW identically zero, say) keeps estimation going when a
+    moderated specification degenerates to the direct one. The one within
+    transform also serves two warnings: firms with one row add no within
+    variation, and a column that is nearly a common linear trend once demeaned,
+    as an exact firm age is, is estimable only because no time effects are included.
     """
-    Xw, _ = regress.within_transform(X, y, warn=False)
-    keep, dropped = [], []
-    for j, name in enumerate(X.column_names):
-        scale = max(1.0, float(np.max(np.abs(X.values[:, j]))))
-        if float(np.max(np.abs(Xw.values[:, j]))) <= 1e-12 * scale:
-            dropped.append(name)
-        else:
-            keep.append(j)
-    if not dropped:
+    Xw, _ = regress.within_transform(X, y)
+    codes = X.codes
+    singletons = [codes.firm_ids[g] for g in np.flatnonzero(codes.firm_sizes == 1)]
+    if singletons:
+        warnings.warn(f"groups with one row contribute no within variation: {singletons}",
+                      SingletonGroupWarning, stacklevel=2)
+    keep = (np.max(np.abs(Xw.values), axis=0)
+            > 1e-12 * np.maximum(1.0, np.max(np.abs(X.values), axis=0))).tolist()
+    years = codes.years[codes.period].astype(float)
+    trend = years - codes.firm_means(years)[codes.firm]
+    # norms by reduction: np.linalg.norm of a vector is a BLAS dot over all n rows
+    t_norm = np.sqrt(np.add.reduce(trend * trend))
+    x_norms = np.sqrt(np.add.reduce(Xw.values * Xw.values))
+    # a zero trend (no firm spans two years) gives 0/0: NaN, which warns of nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = np.abs(trend @ Xw.values) / (x_norms * t_norm)
+    for j in np.flatnonzero((corr > 0.999) & keep):
+        warnings.warn(
+            f"column {X.column_names[j]!r} is within-collinear with a common linear trend "
+            f"(|corr|={corr[j]:.6f}); estimable only because no time effects are included",
+            CollinearityProximityWarning, stacklevel=2)
+    if all(keep):
         return X, ()
-    values = X.values[:, keep]
-    names = tuple(X.column_names[j] for j in keep)
-    return design_matrix(values, names, X.codes), tuple(dropped)
+    names = X.column_names
+    return (design_matrix(X.values[:, keep], [n for n, k in zip(names, keep) if k], X.codes),
+            tuple(n for n, k in zip(names, keep) if not k))
 
 
-def estimate(panel: DerivedPanel, spec: ModelSpec, center: bool = False) -> EstimationReport:
-    """Estimate one model: Hausman record, LR check, FE fit with robust covariance.
+def estimate(panel: DerivedPanel, spec: ModelSpec, center: bool = False,
+             table: str | None = None) -> EstimationReport:
+    """Estimate one model: design check, Hausman record, LR check, FE fit with
+    robust covariance.
 
     Per-row exclusions (missing variant values) never abort the panel; they
     are counted on the report. A design without rows raises
-    :class:`TooFewObservations`. Identical inputs produce identical reports.
+    :class:`TooFewObservations`. Each error starts with ``table``, the name of
+    the estimate's table (the model id by default). Identical inputs produce
+    identical reports.
     """
+    table = table or spec.model_id
     X, y, n_excluded, n_input = _assemble_design(panel, spec, center)
     if not len(y):
-        raise TooFewObservations(f"{spec.model_id}: no complete rows in the design "
+        raise TooFewObservations(f"{table}: no complete rows in the design "
                                  f"({n_excluded} of {n_input} panel rows incomplete)")
-    X, dropped = _drop_within_degenerate(X, y)
+    X, dropped = _check_design(X, y)
     notes = []
     if dropped:
         notes.append(f"dropped columns without within variation: {list(dropped)}")
 
+    try:
+        fe_classical = regress.fe_fit(X, y, cov_kind="classical")
+        fit = regress.fe_fit(X, y, cov_kind="white_cross_section")
+    except MarketPanelError as exc:
+        exc.args = (f"{table}: {exc}",)   # its class, and any fields, stay
+        raise
+
     diagnostics: list[TestResult] = []
     hausman_decision = "unavailable"
-    fe_classical = regress.fe_fit(X, y, cov_kind="classical")
     try:
         re = regress.re_fit(X, y)
         hausman = hausman_test(fe_classical, re)
@@ -182,9 +210,8 @@ def estimate(panel: DerivedPanel, spec: ModelSpec, center: bool = False) -> Esti
         notes.append(f"lr check unavailable: {exc}")
 
     return EstimationReport(
-        model_id=spec.model_id, marin_variant=spec.marin_variant,
-        fit=regress.fe_fit(X, y, cov_kind="white_cross_section"), diagnostics=diagnostics,
-        n_input_rows=n_input, n_excluded=n_excluded,
+        model_id=spec.model_id, marin_variant=spec.marin_variant, fit=fit,
+        diagnostics=diagnostics, n_input_rows=n_input, n_excluded=n_excluded,
         dropped_columns=dropped, hausman_decision=hausman_decision, notes=notes)
 
 
@@ -200,5 +227,5 @@ def robustness_suite(panel: DerivedPanel, center: bool = False,
         for variant in ("assets_ratio", "log_level"):
             spec = spec_for(model_id, marin_variant=variant,
                             constrain_book_unit=constrain_book_unit)
-            out.append(estimate(panel, spec, center=center))
+            out.append(estimate(panel, spec, center=center, table=robustness_table_name(spec)))
     return out

@@ -16,8 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import (CollinearityProximityWarning, NegativeVarianceComponentWarning,
-                     RankDeficient, SingletonGroupWarning, TooFewClusters,
+from .errors import (NegativeVarianceComponentWarning, RankDeficient, TooFewClusters,
                      TooFewObservations)
 from .panel_core import PanelCodes
 
@@ -169,20 +168,13 @@ def _f_statistic(r2, k_model, df_resid):
     return float(f), _kernels._fdtrc(k_model, df_resid, f)
 
 
-def within_transform(X: DesignMatrix, y, warn: bool = True) -> tuple[DesignMatrix, np.ndarray]:
+def within_transform(X: DesignMatrix, y) -> tuple[DesignMatrix, np.ndarray]:
     """Demean every column and y by its firm-group mean.
 
-    Firms with a single row contribute zero within variation and trigger a
-    :class:`SingletonGroupWarning` (suppressed with ``warn=False`` for
-    internal re-transforms).
+    A firm with a single row demeans to zeros: it contributes no within variation.
     """
     y = np.asarray(y, dtype=float)
     codes = X.codes
-    singletons = [codes.firm_ids[g] for g in np.flatnonzero(codes.firm_sizes == 1)]
-    if singletons and warn:
-        warnings.warn(f"groups with one row contribute no within variation: {singletons}",
-                      SingletonGroupWarning, stacklevel=2)
-
     values = X.values - codes.firm_means(X.values)[codes.firm]
     y_out = y - codes.firm_means(y)[codes.firm]
     return DesignMatrix(values, X.column_names, codes), y_out
@@ -215,25 +207,6 @@ def robust_cov_white_cross_section(X: DesignMatrix, residuals,
     return (cov + cov.T) / 2.0
 
 
-def _trend_collinearity_check(Xw: DesignMatrix):
-    """Warn when a demeaned column is nearly a common linear trend."""
-    codes = Xw.codes
-    years = codes.years[codes.period].astype(float)
-    trend = years - codes.firm_means(years)[codes.firm]
-    # norms by reduction: np.linalg.norm of a vector is a BLAS dot over all n rows
-    t_norm = np.sqrt(np.add.reduce(trend * trend))
-    if t_norm == 0:
-        return
-    x_norms = np.sqrt(np.add.reduce(Xw.values * Xw.values))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.abs(trend @ Xw.values) / (x_norms * t_norm)
-    for j in np.flatnonzero(corr > 0.999):
-        warnings.warn(
-            f"column {Xw.column_names[j]!r} is within-collinear with a common linear trend "
-            f"(|corr|={corr[j]:.6f}); estimable only because no time effects are included",
-            CollinearityProximityWarning, stacklevel=3)
-
-
 def fe_fit(X: DesignMatrix, y, cov_kind: str = "classical") -> FitResult:
     """Entity fixed-effects (within) estimator.
 
@@ -246,7 +219,6 @@ def fe_fit(X: DesignMatrix, y, cov_kind: str = "classical") -> FitResult:
         raise ValueError(f"unknown cov_kind {cov_kind!r}")
     y = np.asarray(y, dtype=float)
     Xw, yw = within_transform(X, y)
-    _trend_collinearity_check(Xw)
 
     n, k = Xw.values.shape
     codes = Xw.codes
@@ -305,7 +277,7 @@ def re_fit(X: DesignMatrix, y) -> RandomEffects:
     g = len(codes.firm_ids)
 
     # within step
-    Xw, yw = within_transform(X, y, warn=False)
+    Xw, yw = within_transform(X, y)
     beta_w, _ = _pivoted_qr_solve(Xw.values, yw, Xw.column_names)
     resid_w = yw - Xw.values @ beta_w
     df_within = n - k - g

@@ -20,7 +20,7 @@ from .diagnostics import (CorrelationResult, StationarityRow, TestResult, Variab
                           _pvalue_bracket)
 from .errors import IoFailure, SchemaMismatch
 from .ingest import _csv_cell, _csv_text, _read_text
-from .models import MARIN_VARIANTS, EstimationReport
+from .models import EstimationReport, robustness_table_name
 
 SCHEMA_VERSION = "1"
 
@@ -266,12 +266,6 @@ def _json_text(payload: dict) -> str:
 
 
 # --- emission -----------------------------------------------------------------
-
-def robustness_table_name(report: EstimationReport) -> str:
-    family = "value" if report.model_id.startswith("value") else "risk"
-    variant = MARIN_VARIANTS[report.marin_variant][0]
-    return f"robustness_{family}_{variant}"
-
 
 _COMPANIONS = {"value_moderated": "value_direct", "risk_moderated": "risk_direct"}
 

@@ -131,6 +131,16 @@ def row_labels(X):
             for f, p in zip(codes.firm.tolist(), codes.period.tolist())]
 
 
+def with_exact_age(X):
+    """``X`` with an exact firm age: the year less a per-firm founding year, which
+    firm demeaning turns into the common linear trend."""
+    labels = row_labels(X)
+    founded = {f: 1950.0 + 7 * i for i, f in enumerate(sorted({f for f, _ in labels}))}
+    age = np.array([year - founded[f] for f, year in labels])
+    return regress.design_matrix(np.column_stack([X.values, age]), X.column_names + ("Age",),
+                                 X.codes)
+
+
 @pytest.fixture
 def small_panel():
     return make_panel()

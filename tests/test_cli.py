@@ -493,6 +493,46 @@ class TestEmptyDesign:
         assert not (tmp_path / "o").exists()
 
 
+class TestErrorsNameTheirTable:
+    """An estimate that cannot run aborts the run with exit 1 and one ERROR line
+    that names its table, without a traceback or any table written."""
+
+    @staticmethod
+    def _errors(data_dir, tmp_path, edit):
+        """The ERROR lines of a run on ``data_dir`` with ``edit`` applied to each
+        fundamentals row, a dict from column name to cell."""
+        edited = tmp_path / "edited"
+        shutil.copytree(data_dir, edited)
+        header, *lines = (edited / "fundamentals.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        for row in rows:
+            edit(row)
+        (edited / "fundamentals.csv").write_text(
+            "\n".join([header] + [",".join(row.values()) for row in rows]) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "marketpanel.cli", "run", "--data", str(edited),
+             "--out", str(tmp_path / "o")], env=src_env(), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+        return [line for line in proc.stderr.splitlines() if line.startswith("ERROR")]
+
+    def test_a_robustness_refit_without_complete_rows(self, data_dir, tmp_path):
+        """SG&A equal to R&D on every row leaves no marketing spend, whose log is
+        undefined: the value model's refit on the log measure has no complete row."""
+        sga_is_rd = self._errors(data_dir, tmp_path, lambda row: row.update(sga=row["rd"]))
+        assert sga_is_rd == ["ERROR robustness_value_log: no complete rows in the design "
+                             "(200 of 200 panel rows incomplete)"]
+
+    def test_a_rank_deficient_base_estimate(self, data_dir, tmp_path):
+        """One stake of 1 on every row: OW has no within variation and is dropped,
+        and OW*Marin equals Marin."""
+        ow_is_1 = self._errors(data_dir, tmp_path, lambda row: row.update(stakes="1.0"))
+        assert ow_is_1 == ["ERROR value_moderated: rank deficient design; "
+                           "dependent columns: ['OW*Marin']"]
+
+
 class TestGcFreeze:
     """Only a process the CLI owns freezes the objects its imports left."""
 

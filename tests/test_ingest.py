@@ -14,11 +14,22 @@ from marketpanel.errors import (DuplicateMonth, NonPositivePrice, RateOutOfRange
 from conftest import make_panel, make_row, make_table, price_table, table_rows
 
 PROPERTY = settings(max_examples=80, deadline=None)
-# ids holding the cells a writer must quote: commas, quotes and LF. The readers strip
-# blanks at either end of a cell and read CR as LF, so no id starts or ends with a
-# blank and none holds CR.
-QUOTED_IDS = st.lists(st.text(alphabet='Ab9 ,"\n_\u00e9', min_size=1, max_size=6)
-                      .filter(lambda s: s == s.strip()), min_size=1, max_size=4, unique=True)
+# ids holding the cells a writer must quote: commas, quotes, CR and LF, and blanks.
+# The readers strip whitespace at either end of a cell and read CR as LF, so the
+# writers refuse an id that starts or ends with whitespace or holds CR.
+QUOTED_IDS = st.lists(st.text(alphabet='Ab9 ,"\r\n\t_\u00e9', min_size=1, max_size=6),
+                      min_size=1, max_size=4, unique=True)
+
+
+def round_trips(ids, write):
+    """Whether every id reads back as written; if not, ``write()`` must refuse the
+    first one that would not, naming it."""
+    unsafe = [i for i in ids if i != i.strip() or "\r" in i]
+    if unsafe:
+        with pytest.raises(ValueError, match="would not read back") as err:
+            write()
+        assert repr(unsafe[0]) in str(err.value)
+    return not unsafe
 
 HEADER = ("firm_id,market_id,year,price,book_value,eps,sga,rd,sales,"
           "total_assets,total_equity,establishment_year,stakes")
@@ -178,9 +189,13 @@ class TestRoundTrip:
     @PROPERTY
     @given(QUOTED_IDS)
     @example(["A,B"])
+    @example([" A"])
+    @example(["B\rC"])
     def test_prices_round_trip_ids_that_need_quotes(self, ids):
         table = price_table({id_: [(2015, m, 100.0 + m / 7.0) for m in range(1, 4)]
                              for id_ in sorted(ids)})
+        if not round_trips(table.series_ids, lambda: ingest.prices_to_csv(table)):
+            return
         parsed = ingest.parse_prices(ingest.prices_to_csv(table))
         assert parsed.series_ids == table.series_ids
         for column in ("codes", "months", "closes"):
@@ -189,17 +204,24 @@ class TestRoundTrip:
     @PROPERTY
     @given(QUOTED_IDS)
     @example(["M,1"])
+    @example(["M1", "M2\t"])
     def test_riskfree_round_trip_ids_that_need_quotes(self, ids):
         from marketpanel.panel_core import RiskFreeSeries
         series = [RiskFreeSeries(m, {2015: 0.031, 2016: 0.0287}) for m in sorted(ids)]
+        if not round_trips(sorted(ids), lambda: ingest.riskfree_to_csv(series)):
+            return
         assert ingest.parse_riskfree(ingest.riskfree_to_csv(series)) == series
 
     @PROPERTY
     @given(QUOTED_IDS, QUOTED_IDS)
     @example(["F0,01"], ["M1"])
+    @example(["F1"], ["M\r1 "])
     def test_fundamentals_round_trip_ids_that_need_quotes(self, firms, markets):
         table = make_table([make_row(firm_id=firm, market_id=markets[i % len(markets)])
                             for i, firm in enumerate(firms)])
+        if not round_trips(table.firm_ids + table.market_ids,
+                           lambda: ingest.fundamentals_to_csv(table)):
+            return
         parsed, rejections = ingest.parse_fundamentals(ingest.fundamentals_to_csv(table))
         assert rejections == ()
         assert table_rows(parsed) == table_rows(table)

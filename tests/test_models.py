@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from marketpanel import _kernels, synth, variables
-from marketpanel.errors import TooFewObservations
-from marketpanel.models import build_interaction, estimate, robustness_suite, spec_for
+from marketpanel.errors import (CollinearityProximityWarning, SingletonGroupWarning,
+                                TooFewObservations)
+from marketpanel.models import (MODEL_IDS, _check_design, build_interaction, estimate,
+                                robustness_suite, spec_for)
 
-from conftest import coefficient
+from conftest import coefficient, panel_design, with_exact_age
 
 
 def derived_panel(seed=0, **cfg_kwargs):
@@ -151,6 +153,56 @@ class TestEstimate:
         sales = estimate(panel, spec_for("risk_direct"))
         assets = estimate(panel, spec_for("risk_direct", marin_variant="assets_ratio"))
         assert coefficient(sales.fit, "Marin") != coefficient(assets.fit, "Marin")
+
+
+class TestDesignCheck:
+    """Each estimate checks its design once, before the fits: one warning per
+    fact and call, raised in models, and none from the fit functions."""
+
+    @staticmethod
+    def _caught(panel, model_id):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            estimate(panel, spec_for(model_id))
+        design = (SingletonGroupWarning, CollinearityProximityWarning)
+        found = [w for w in caught if issubclass(w.category, design)]
+        assert all(w.filename.endswith("models.py") for w in found), found
+        return ([str(w.message) for w in found if w.category is SingletonGroupWarning],
+                [str(w.message) for w in found if w.category is CollinearityProximityWarning])
+
+    @pytest.mark.parametrize("model_id", MODEL_IDS)
+    def test_one_trend_warning_per_estimate(self, model_id):
+        singletons, trends = self._caught(derived_panel(seed=9), model_id)
+        assert singletons == []
+        assert len(trends) == 1 and trends[0].startswith("column 'Age' is within-collinear"), \
+            trends
+
+    @pytest.mark.parametrize("model_id", MODEL_IDS)
+    def test_one_singleton_warning_per_estimate(self, model_id):
+        """F001 keeps a beta in 2015 only, so the panel holds one row of it."""
+        result = synth.generate_panel(synth.DGPConfig(seed=9))
+        betas = {(firm, year): b for (firm, year), b in result.truth.betas_true.items()
+                 if firm != "F001" or year == 2015}
+        singletons, trends = self._caught(variables.derive_all(result.dataset, betas), model_id)
+        assert singletons == ["groups with one row contribute no within variation: ['F001']"]
+        assert len(trends) == 1
+
+    def test_warns_on_a_column_collinear_with_the_common_trend(self):
+        """An exact firm age is the common trend once demeaned: the check warns,
+        naming it, and keeps it; without it, no warning."""
+        X, y, _ = panel_design(n_firms=6, n_years=5, k=2, seed=8)
+        with_age = with_exact_age(X)
+        with pytest.warns(CollinearityProximityWarning) as record:
+            checked, dropped = _check_design(with_age, y)
+        messages = [str(w.message) for w in record
+                    if issubclass(w.category, CollinearityProximityWarning)]
+        assert len(messages) == 1
+        assert messages[0].startswith("column 'Age' is within-collinear with a common linear "
+                                      "trend (|corr|=1.000000)"), messages
+        assert checked is with_age and dropped == ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _check_design(X, y) == (X, ())
 
 
 class TestRobustnessSuite:

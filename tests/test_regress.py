@@ -5,14 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from marketpanel.errors import (CollinearityProximityWarning, NegativeVarianceComponentWarning,
-                                RankDeficient, SingletonGroupWarning, TooFewClusters,
+from marketpanel.errors import (NegativeVarianceComponentWarning, RankDeficient, TooFewClusters,
                                 TooFewObservations)
 from marketpanel.regress import (DesignMatrix, design_matrix, fe_fit, re_fit,
                                  robust_cov_white_cross_section, within_transform)
 
 from conftest import (coefficient, normal_equations_oracle, ols_fit, panel_design, panel_matrix,
-                      pooled_matrix, row_labels, std_error)
+                      pooled_matrix, row_labels, std_error, with_exact_age)
 
 
 def random_system(n, k, seed):
@@ -143,12 +142,15 @@ class TestWithinTransform:
         Xw, _ = within_transform(X, np.zeros(6))
         np.testing.assert_allclose(Xw.values[:3], Xw.values[3:], atol=1e-12)
 
-    def test_singleton_group_warning(self):
+    def test_singleton_groups_demean_to_zero_without_a_warning(self):
+        """A one-row firm demeans to zero; ``models.estimate`` warns of it, not the transform."""
         values = np.arange(5.0).reshape(-1, 1)
         index = (("A", 2000), ("A", 2001), ("A", 2002), ("B", 2000), ("C", 2000))
         X = panel_matrix(values, ("x",), index)
-        with pytest.warns(SingletonGroupWarning):
-            within_transform(X, np.zeros(5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Xw, yw = within_transform(X, np.arange(5.0))
+        assert Xw.values[3:, 0].tolist() == [0.0, 0.0] and yw[3:].tolist() == [0.0, 0.0]
 
     def test_codes_follow_the_row_labels(self):
         index = (("B", 2001), ("A", 2001), ("B", 2000), ("A", 2003))
@@ -253,25 +255,16 @@ class TestFeFit:
             fe_fit(X2, y)
         assert "firm_level" in err.value.columns
 
-    def test_warns_on_a_column_collinear_with_the_common_trend(self):
-        """An exact firm age, a per-firm constant plus the year, is the common
-        trend once demeaned: fe_fit warns, naming it; without it, no warning."""
+    def test_fits_a_column_collinear_with_the_common_trend_without_a_warning(self):
+        """An exact firm age is the common trend once demeaned; ``models.estimate``
+        warns of it once, so neither fit does."""
         X, y, _ = panel_design(n_firms=6, n_years=5, k=2, seed=8)
-        labels = row_labels(X)
-        founded = {f: 1950.0 + 7 * i for i, f in enumerate(sorted({f for f, _ in labels}))}
-        age = np.array([year - founded[f] for f, year in labels])
-        with_age = design_matrix(np.column_stack([X.values, age]), X.column_names + ("Age",),
-                                  X.codes)
-        with pytest.warns(CollinearityProximityWarning) as record:
-            fe_fit(with_age, y)
-        messages = [str(w.message) for w in record
-                    if issubclass(w.category, CollinearityProximityWarning)]
-        assert len(messages) == 1
-        assert messages[0].startswith("column 'Age' is within-collinear with a common linear "
-                                      "trend (|corr|=1.000000)"), messages
+        with_age = with_exact_age(X)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", CollinearityProximityWarning)
-            fe_fit(X, y)
+            warnings.simplefilter("error")
+            fit = fe_fit(with_age, y)
+            re_fit(with_age, y)
+        assert fit.column_names[-1] == "Age"
 
 
 def _lsdv_fit(X, y):

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from marketpanel.diagnostics import _lag0_adf_stats, lr_heteroskedasticity
-from marketpanel.errors import SingletonGroupWarning
 from marketpanel.regress import (INTERCEPT_NAME, _pivoted_qr_solve, re_fit,
                                  robust_cov_white_cross_section, within_transform)
 
@@ -141,12 +140,10 @@ def lag0_adf_stat(y):
        max_size=st.integers(1, 20), k=st.integers(1, 5))
 def test_within_transform_equals_group_loop(seed, n_firms, max_size, k):
     X, y, index = _panel(seed, n_firms, max_size, k)
-    has_singleton = any(len(idx) == 1 for idx in _groups([f for f, _ in index]).values())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         Xw, yw = within_transform(X, y)
-    raised = any(issubclass(w.category, SingletonGroupWarning) for w in caught)
-    assert raised == has_singleton
+    assert caught == []   # one-row firms are warned of once per estimate, in models
     values, y_out = loop_within(X, y, index)
     assert np.array_equal(Xw.values, values)
     assert np.array_equal(yw, y_out)
