@@ -30,18 +30,18 @@ _NORMAL_CRIT = {level: _kernels._ndtri(q) for level, q in
 
 
 class TestResult(NamedTuple):
-    """A named diagnostic outcome.
-
-    ``p_value``, or the 5% critical value where there is none, drives
-    ``decision``; decisions are taken at the 5% level.
-    """
+    """A named diagnostic outcome; its ``decision`` is taken from ``p_value``
+    at the 5% level."""
 
     name: str
     statistic: float
-    p_value: float | None
+    p_value: float
     critical_values: dict[str, float] | None
-    decision: str  # "reject" | "fail_to_reject"
     detail: str = ""
+
+    @property
+    def decision(self) -> str:
+        return "reject" if self.p_value < 0.05 else "fail_to_reject"
 
 
 class VariableSummary(NamedTuple):
@@ -174,11 +174,10 @@ def _harris_tzavalis(block: np.ndarray, n_firms: int) -> TestResult:
     variance = 3.0 * (17 * t * t - 20 * t + 17) / (5.0 * (t - 1) * (t + 1) ** 3)
     z = math.sqrt(n) * (rho - 1.0 + 3.0 / (t + 1)) / math.sqrt(variance)
     p = float(_kernels._cephes_ndtr(z))
-    decision = "reject" if p < 0.05 else "fail_to_reject"
     detail = (f"lag 0, i.i.d. errors, N → ∞ with T fixed; N={n}, T={t}, "
               f"rho={rho:.6g}; firms left out: {n_firms - n}")
     return TestResult(name="harris_tzavalis", statistic=z, p_value=p,
-                      critical_values=dict(_NORMAL_CRIT), decision=decision, detail=detail)
+                      critical_values=dict(_NORMAL_CRIT), detail=detail)
 
 
 def _lag0_adf_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,11 +235,10 @@ def _fisher_combination(name: str, y: np.ndarray, codes: PanelCodes) -> TestResu
     statistic = -2.0 * float(np.sum(_kernels._log(pvalues)))
     df = 2 * len(pvalues)
     p = _kernels._chdtrc(df, statistic)
-    decision = "reject" if p < 0.05 else "fail_to_reject"
     detail = (f"{name}: Fisher chi2({df}) over {len(pvalues)} firms "
               f"({skipped} skipped), approximate small-sample p-values")
     return TestResult(name="adf_fisher", statistic=statistic, p_value=p,
-                      critical_values=None, decision=decision, detail=detail)
+                      critical_values=None, detail=detail)
 
 
 def hausman_test(fe, re) -> TestResult:
@@ -265,12 +263,11 @@ def hausman_test(fe, re) -> TestResult:
     df = int(np.linalg.matrix_rank(v_diff, tol=1e-12 * scale))
     df = max(df, 1)
     p = _kernels._chdtrc(df, max(statistic, 0.0))
-    decision = "reject" if p < 0.05 else "fail_to_reject"
     detail = f"df={df}, slopes={list(fe.column_names[1:])}"
     if not psd:
         detail += "; covariance difference not PSD (pseudo-inverse used)"
     return TestResult(name="hausman", statistic=statistic, p_value=p,
-                      critical_values=None, decision=decision, detail=detail)
+                      critical_values=None, detail=detail)
 
 
 def lr_heteroskedasticity(residuals, codes: PanelCodes) -> TestResult:
@@ -307,10 +304,8 @@ def lr_heteroskedasticity(residuals, codes: PanelCodes) -> TestResult:
     # equal group variances can leave a statistic just below 0, where the
     # tail has no value: clamp the argument only
     p = _kernels._chdtrc(df, max(statistic, 0.0)) if math.isfinite(statistic) else 0.0
-    decision = "reject" if p < 0.05 else "fail_to_reject"
     return TestResult(name="lr_heteroskedasticity", statistic=statistic, p_value=p,
-                      critical_values=None, decision=decision,
-                      detail=f"groups={g}, df={df}")
+                      critical_values=None, detail=f"groups={g}, df={df}")
 
 
 def descriptives(columns: dict[str, np.ndarray]) -> list[VariableSummary]:

@@ -41,17 +41,25 @@ class ModelSpec(NamedTuple):
 
 
 class EstimationReport(NamedTuple):
-    """Publication-style record of one estimated model; its table is ``fit.rows()``."""
+    """Publication-style record of one estimated model; ``rows`` and ``f_test``
+    are its fit's ``rows()`` and ``f_test()``, derived once for its tables."""
 
     model_id: str
     marin_variant: str
     fit: FitResult
+    rows: list[tuple[str, float, float, float]]
+    f_test: tuple[float, float]
     diagnostics: list[TestResult]
     n_input_rows: int
     n_excluded: int
     dropped_columns: tuple[str, ...]
-    hausman_decision: str
     notes: list[str]
+
+    @property
+    def hausman_decision(self) -> str:
+        """The Hausman test's decision, or "unavailable" when it could not run."""
+        return next((t.decision for t in self.diagnostics if t.name == "hausman"),
+                    "unavailable")
 
 
 def spec_for(model_id: str, marin_variant: str = "sales_ratio",
@@ -195,12 +203,8 @@ def estimate(panel: DerivedPanel, spec: ModelSpec, center: bool = False,
         raise
 
     diagnostics: list[TestResult] = []
-    hausman_decision = "unavailable"
     try:
-        re = regress.re_fit(X, y)
-        hausman = hausman_test(fe_classical, re)
-        diagnostics.append(hausman)
-        hausman_decision = hausman.decision
+        diagnostics.append(hausman_test(fe_classical, regress.re_fit(X, y)))
     except MarketPanelError as exc:
         notes.append(f"hausman unavailable: {exc}")
 
@@ -210,9 +214,9 @@ def estimate(panel: DerivedPanel, spec: ModelSpec, center: bool = False,
         notes.append(f"lr check unavailable: {exc}")
 
     return EstimationReport(
-        model_id=spec.model_id, marin_variant=spec.marin_variant, fit=fit,
-        diagnostics=diagnostics, n_input_rows=n_input, n_excluded=n_excluded,
-        dropped_columns=dropped, hausman_decision=hausman_decision, notes=notes)
+        model_id=spec.model_id, marin_variant=spec.marin_variant, fit=fit, rows=fit.rows(),
+        f_test=fit.f_test(), diagnostics=diagnostics, n_input_rows=n_input,
+        n_excluded=n_excluded, dropped_columns=dropped, notes=notes)
 
 
 def robustness_suite(panel: DerivedPanel, center: bool = False,

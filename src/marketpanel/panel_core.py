@@ -236,11 +236,9 @@ def build_dataset(table: FundamentalsTable, rf: list[RiskFreeSeries]) -> PanelDa
     # lexsort is stable: of two rows with one key, the later row follows
     duplicate[order[1:][(np.diff(table.firm[order]) == 0)
                         & (np.diff(table.year[order]) == 0)]] = True
-    pairs, pair_of_row = np.unique(np.stack([table.market, table.year]), axis=1,
-                                   return_inverse=True)
-    pair_rates = np.array([rates.get((table.market_ids[m], y), np.nan)
-                           for m, y in pairs.T.tolist()])
-    row_rates = pair_rates[pair_of_row.reshape(-1)]
+    row_rates = np.array([rates.get(key, np.nan) for key in
+                          zip(map(table.market_ids.__getitem__, table.market.tolist()),
+                              table.year.tolist())], dtype=float)
     failed = duplicate | np.isnan(row_rates)
     if failed.any():
         r = int(np.argmax(failed))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (NegativeVarianceComponentWarning, RankDeficient, TooFewClusters,
-                     TooFewObservations)
+                     TooFewGroups, TooFewObservations)
 from .panel_core import PanelCodes
 
 RANK_TOL_FACTOR = 1e-10
@@ -64,27 +64,29 @@ def design_matrix(values, column_names, codes: PanelCodes) -> DesignMatrix:
 
 
 class FitResult(NamedTuple):
-    """Coefficients with covariance and fit statistics for one estimation."""
+    """One estimation's estimates: ``C`` then the slopes, their covariance, the
+    R-squared and the residuals; :meth:`rows` and :meth:`f_test` derive inference."""
 
     coefficients: np.ndarray
     covariance: np.ndarray
-    std_errors: np.ndarray
-    t_stats: np.ndarray
-    p_values: np.ndarray
     column_names: tuple[str, ...]
     r_squared: float
     r_squared_kind: str
-    f_statistic: float
-    f_pvalue: float
     nobs: int
     df_resid: int
     cov_kind: str
     residuals: np.ndarray
 
     def rows(self) -> list[tuple[str, float, float, float]]:
-        """(name, coefficient, std_error, p_value) of each column, in column order."""
-        return list(zip(self.column_names, self.coefficients.tolist(),
-                        self.std_errors.tolist(), self.p_values.tolist()))
+        """(name, coefficient, std_error, p_value) of each column, in column order,
+        with two-sided t-distribution p-values on ``df_resid`` degrees of freedom."""
+        std, _, p = _t_inference(self.coefficients, self.covariance, self.df_resid)
+        return list(zip(self.column_names, self.coefficients.tolist(), std.tolist(),
+                        p.tolist()))
+
+    def f_test(self) -> tuple[float, float]:
+        """F statistic and p-value of the hypothesis that every slope is zero."""
+        return _f_statistic(self.r_squared, len(self.coefficients) - 1, self.df_resid)
 
 
 class RandomEffects(NamedTuple):
@@ -251,16 +253,9 @@ def fe_fit(X: DesignMatrix, y, cov_kind: str = "classical") -> FitResult:
 
     coefficients = np.concatenate([[const], beta])
     names = (INTERCEPT_NAME,) + Xw.column_names
-    std, t, p = _t_inference(coefficients, covariance, df_resid)
-
-    r2 = _r_squared(yw, residuals)
-    f_stat, f_p = _f_statistic(r2, k, df_resid)
-
-    return FitResult(coefficients=coefficients, covariance=covariance, std_errors=std,
-                     t_stats=t, p_values=p, column_names=names,
-                     r_squared=r2, r_squared_kind="within",
-                     f_statistic=f_stat, f_pvalue=f_p, nobs=n, df_resid=df_resid,
-                     cov_kind=cov_kind, residuals=residuals)
+    return FitResult(coefficients=coefficients, covariance=covariance, column_names=names,
+                     r_squared=_r_squared(yw, residuals), r_squared_kind="within",
+                     nobs=n, df_resid=df_resid, cov_kind=cov_kind, residuals=residuals)
 
 
 def re_fit(X: DesignMatrix, y) -> RandomEffects:
@@ -268,8 +263,10 @@ def re_fit(X: DesignMatrix, y) -> RandomEffects:
 
     sigma2_e comes from the within residuals, sigma2_u from the between
     regression; a negative between component is clamped to zero with a
-    warning, which reduces the estimator to pooled OLS. Only what the Hausman
-    comparison reads is returned: no t, p, F, residuals or R-squared.
+    warning, which reduces the estimator to pooled OLS. Raises
+    :class:`TooFewGroups` when the between regression has no residual degrees
+    of freedom (G <= k + 1). Only what the Hausman comparison reads is
+    returned: no t, p, F, residuals or R-squared.
     """
     y = np.asarray(y, dtype=float)
     n, k = X.values.shape
@@ -294,18 +291,16 @@ def re_fit(X: DesignMatrix, y) -> RandomEffects:
 
     df_between = g - k - 1
     if df_between <= 0:
-        warnings.warn("too few groups for the between regression; using theta = 0",
+        raise TooFewGroups(f"groups={g}, k={k}: the between regression has no residual "
+                           "degrees of freedom")
+    beta_b, _ = _pivoted_qr_solve(xbar, ybar, names)
+    resid_b = ybar - xbar @ beta_b
+    sigma2_b = float(resid_b @ resid_b) / df_between
+    sigma2_u = sigma2_b - sigma2_e / t_bar
+    if sigma2_u < 0:
+        warnings.warn(f"negative between variance component ({sigma2_u:.3g}) clamped to 0",
                       NegativeVarianceComponentWarning, stacklevel=2)
         sigma2_u = 0.0
-    else:
-        beta_b, _ = _pivoted_qr_solve(xbar, ybar, names)
-        resid_b = ybar - xbar @ beta_b
-        sigma2_b = float(resid_b @ resid_b) / df_between
-        sigma2_u = sigma2_b - sigma2_e / t_bar
-        if sigma2_u < 0:
-            warnings.warn(f"negative between variance component ({sigma2_u:.3g}) clamped to 0",
-                          NegativeVarianceComponentWarning, stacklevel=2)
-            sigma2_u = 0.0
 
     theta_by_group = 1.0 - np.sqrt(sigma2_e / (sigma2_e + t_sizes * sigma2_u))
 

@@ -182,8 +182,9 @@ def _estimation_json(report: EstimationReport, name: str, companion=None) -> str
     fit = report.fit
     rows = [{"variable": variable, "coefficient": _num(coefficient),
              "std_error": _num(std_error), "prob": _num(prob)}
-            for variable, coefficient, std_error, prob in fit.rows()]
+            for variable, coefficient, std_error, prob in report.rows]
     diagnostics = {t.name: _test_dict(t) for t in report.diagnostics}
+    f_statistic, f_pvalue = report.f_test
     return _json_text({
         "schema_version": SCHEMA_VERSION,
         "table": name,
@@ -191,8 +192,8 @@ def _estimation_json(report: EstimationReport, name: str, companion=None) -> str
         "marin_variant": report.marin_variant,
         "r_squared": _num(fit.r_squared),
         "r_squared_label": fit.r_squared_kind,
-        "f_statistic": _num(fit.f_statistic),
-        "f_pvalue": _num(fit.f_pvalue),
+        "f_statistic": _num(f_statistic),
+        "f_pvalue": _num(f_pvalue),
         "nobs": fit.nobs,
         "n_input_rows": report.n_input_rows,
         "n_excluded": report.n_excluded,
@@ -205,7 +206,7 @@ def _estimation_json(report: EstimationReport, name: str, companion=None) -> str
 
 
 def _estimation_csv(report: EstimationReport, name: str, companion=None) -> str:
-    return _to_csv([["variable", "coefficient", "std_error", "prob"], *report.fit.rows(),
+    return _to_csv([["variable", "coefficient", "std_error", "prob"], *report.rows,
                     ["R-squared", report.fit.r_squared, None, None]])
 
 
@@ -217,8 +218,8 @@ def _estimation_md(report: EstimationReport, name: str,
     two-model layout with blanks where the direct model has no row.
     """
     labels = _VALUE_LABELS if report.model_id.startswith("value") else _RISK_LABELS
-    main = {v: (c, p) for v, c, _, p in report.fit.rows()}
-    other = {v: (c, p) for v, c, _, p in companion.fit.rows()} if companion else None
+    main = {v: (c, p) for v, c, _, p in report.rows}
+    other = {v: (c, p) for v, c, _, p in companion.rows} if companion else None
 
     lines = [f"# {_MD_TITLES.get(name, name)}", ""]
     if other is not None:
@@ -251,8 +252,7 @@ def _estimation_md(report: EstimationReport, name: str,
         b_coef, b_prob = main["B"]
         notes.append(f"Book value entered as a free regressor: "
                      f"coefficient {_fmt4(b_coef)} (prob {_fmt4(b_prob)}).")
-    if report.hausman_decision:
-        notes.append(f"Hausman decision: {report.hausman_decision}.")
+    notes.append(f"Hausman decision: {report.hausman_decision}.")
     return "\n".join(lines + [""] + notes) + "\n"
 
 

@@ -525,7 +525,7 @@ def truth_check(report: EstimationReport, truth: TruthRecord) -> tuple[Coefficie
         raise ModelMismatch(f"no planted truth for marketing variant {variant!r}")
 
     checks = []
-    for name, coef, se, _ in report.fit.rows():
+    for name, coef, se, _ in report.rows:
         if name == "C" or name not in planted:
             continue
         passed = abs(coef - planted[name]) <= 3.0 * se

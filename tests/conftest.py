@@ -9,7 +9,7 @@ import pytest
 from marketpanel import regress, variables
 from marketpanel.beta import (DEFAULT_MIN_MONTHS, DEFAULT_WINDOW_MONTHS, ReturnPanel,
                               _index_month, _row)
-from marketpanel.diagnostics import TestResult, _mackinnon_pvalues, _pvalue_bracket
+from marketpanel.diagnostics import _mackinnon_pvalues, _pvalue_bracket
 from marketpanel.errors import (ConstantSeries, MarketPanelError, TooFewObservations, TooShort,
                                 UnknownMarket)
 from marketpanel.panel_core import (FundamentalsTable, PanelCodes, RiskFreeSeries,
@@ -104,6 +104,12 @@ def std_error(fit: regress.FitResult, name: str) -> float:
 
 def p_value(fit: regress.FitResult, name: str) -> float:
     return fit_cells(fit, name)[2]
+
+
+def t_stat(fit: regress.FitResult, name: str) -> float:
+    """The t statistic of ``fit``'s column ``name``: its coefficient over its std_error."""
+    coef, se, _ = fit_cells(fit, name)
+    return coef / se
 
 
 def panel_matrix(values, names, index):
@@ -212,7 +218,6 @@ def ols_fit(X: regress.DesignMatrix, y, intercept: bool = True) -> regress.FitRe
     covariance = sigma2 * xtx_inv
     covariance = (covariance + covariance.T) / 2.0
 
-    std, t, p = regress._t_inference(beta, covariance, df_resid)
     if intercept:
         r2 = regress._r_squared(y, residuals)
     else:
@@ -222,14 +227,10 @@ def ols_fit(X: regress.DesignMatrix, y, intercept: bool = True) -> regress.FitRe
             r2 = 1.0 if rss <= 1e-30 else 0.0
         else:
             r2 = max(0.0, min(1.0, 1.0 - rss / tss))
-    k_model = k - 1 if intercept else k
-    f_stat, f_p = regress._f_statistic(r2, k_model, df_resid)
 
-    return regress.FitResult(coefficients=beta, covariance=covariance, std_errors=std,
-                             t_stats=t, p_values=p, column_names=names,
-                             r_squared=r2, r_squared_kind="ordinary",
-                             f_statistic=f_stat, f_pvalue=f_p, nobs=n, df_resid=df_resid,
-                             cov_kind="classical", residuals=residuals)
+    return regress.FitResult(coefficients=beta, covariance=covariance, column_names=names,
+                             r_squared=r2, r_squared_kind="ordinary", nobs=n,
+                             df_resid=df_resid, cov_kind="classical", residuals=residuals)
 
 
 def normal_equations_oracle(X, y, intercept: bool = True) -> np.ndarray:
@@ -389,7 +390,18 @@ def _adf_search(y: np.ndarray, max_lags: int) -> int:
     return best_lag
 
 
-def adf_test(series) -> TestResult:
+class CriticalValueTest(NamedTuple):
+    """A unit-root test decided by its 5% critical value: it has no p-value."""
+
+    name: str
+    statistic: float
+    p_value: None
+    critical_values: dict[str, float]
+    decision: str  # "reject" | "fail_to_reject"
+    detail: str
+
+
+def adf_test(series) -> CriticalValueTest:
     """Augmented Dickey-Fuller unit-root test with a constant.
 
     The lag count is chosen by AIC up to floor(12 * (T/100)^0.25); the
@@ -427,5 +439,5 @@ def adf_test(series) -> TestResult:
     decision = "reject" if stat < crit["5%"] else "fail_to_reject"
     detail = (f"lags={lags}, nobs={nobs}, p-bracket={_pvalue_bracket(stat, crit)}, "
               f"approx_p={mackinnon_pvalue(stat):.4g}")
-    return TestResult(name="adf", statistic=stat, p_value=None,
-                      critical_values=crit, decision=decision, detail=detail)
+    return CriticalValueTest(name="adf", statistic=stat, p_value=None,
+                             critical_values=crit, decision=decision, detail=detail)

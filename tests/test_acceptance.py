@@ -20,7 +20,7 @@ from marketpanel.regress import design_matrix, fe_fit, re_fit
 
 from conftest import (InsufficientWindow, adf_test, beta_for_year, coefficient, monthly_points,
                       normal_equations_oracle, p_value, std_error, ols_fit, panel_design,
-                      pooled_matrix, return_panel, row_labels)
+                      pooled_matrix, return_panel, row_labels, t_stat)
 
 warnings.filterwarnings("ignore")
 
@@ -206,9 +206,7 @@ def test_criterion_8_moderation_reparameterization():
                               center=False)
         cen = models.estimate(panel, models.spec_for("value_moderated"),
                               center=True)
-        idx_r = raw.fit.column_names.index("OW*Marin")
-        idx_c = cen.fit.column_names.index("OW*Marin")
-        worst_t = max(worst_t, abs(raw.fit.t_stats[idx_r] - cen.fit.t_stats[idx_c]))
+        worst_t = max(worst_t, abs(t_stat(raw.fit, "OW*Marin") - t_stat(cen.fit, "OW*Marin")))
         worst_fit = max(worst_fit,
                         float(np.max(np.abs(raw.fit.residuals - cen.fit.residuals))))
     report_line(8, "moderation-reparameterization",

@@ -493,6 +493,34 @@ class TestEmptyDesign:
         assert not (tmp_path / "o").exists()
 
 
+class TestOneFirm:
+    def test_hausman_is_unavailable_and_the_run_goes_on(self, tmp_path):
+        """Seed 9 cut down to firm F001: one group leaves the Hausman comparison's
+        between regression no degrees of freedom, so every estimation table
+        records it as unavailable instead of comparing the within fit with itself."""
+        data, one = tmp_path / "data", tmp_path / "one"
+        assert main(["synth", "--seed", "9", "--out", str(data)]) == 0
+        one.mkdir()
+        for name, kept in (("fundamentals.csv", ("F001,M1,",)),
+                           ("prices.csv", ("F001,", "M1,")),
+                           ("riskfree.csv", ("",))):
+            header, *lines = (data / name).read_text().splitlines()
+            lines = [line for line in lines if line.startswith(kept)]
+            assert lines
+            (one / name).write_text("\n".join([header] + lines) + "\n")
+        assert main(["run", "--data", str(one), "--out", str(tmp_path / "out")]) == 0
+        (run_id,) = os.listdir(tmp_path / "out")
+        tables = [json.loads(path.read_text())
+                  for path in sorted((tmp_path / "out" / run_id).glob("*.json"))]
+        estimates = [t for t in tables if "hausman_decision" in t]
+        assert len(estimates) == 8
+        for table in estimates:
+            assert table["hausman_decision"] == "unavailable", table["table"]
+            assert "hausman" not in table["diagnostics"]
+            assert any(note.startswith("hausman unavailable: groups=1, k=")
+                       for note in table["notes"]), table["notes"]
+
+
 class TestErrorsNameTheirTable:
     """An estimate that cannot run aborts the run with exit 1 and one ERROR line
     that names its table, without a traceback or any table written."""

@@ -21,7 +21,7 @@ from marketpanel import _kernels, diagnostics
 from marketpanel.diagnostics import StationarityRow, _mackinnon_pvalues, panel_stationarity
 from marketpanel.errors import ConstantSeries, TooShort
 
-from conftest import firm_codes
+from conftest import CriticalValueTest, firm_codes
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -83,7 +83,7 @@ def reference_harris_tzavalis(series_list):
         raise ConstantSeries("exact fit")
     variance = 3.0 * (17 * t * t - 20 * t + 17) / (5.0 * (t - 1) * (t + 1) ** 3)
     z = math.sqrt(n) * (rho - 1.0 + 3.0 / (t + 1)) / math.sqrt(variance)
-    return diagnostics.TestResult(
+    return CriticalValueTest(
         name="harris_tzavalis", statistic=z, p_value=None,
         critical_values={level: _kernels._ndtri(q)
                          for level, q in (("1%", 0.01), ("5%", 0.05), ("10%", 0.10))},
@@ -129,11 +129,10 @@ def reference_fisher_combination(name, series_list):
     df = 2 * len(pvalues)
     with mpmath.workdps(50):
         p = float(mpmath.gammainc(df / 2, statistic / 2, mpmath.inf, regularized=True))
-    decision = "reject" if p < 0.05 else "fail_to_reject"
     detail = (f"{name}: Fisher chi2({df}) over {len(pvalues)} firms "
               f"({skipped} skipped), approximate small-sample p-values")
     return diagnostics.TestResult(name="adf_fisher", statistic=statistic, p_value=p,
-                                  critical_values=None, decision=decision, detail=detail)
+                                  critical_values=None, detail=detail)
 
 
 def firm_lists(column, firm):
@@ -184,9 +183,9 @@ def same_test(got, want):
     # z is a difference of terms near one: its rounding is absolute near zero
     assert got.statistic == pytest.approx(want.statistic, rel=1e-12, abs=1e-12)
     assert got.p_value == float(_kernels._cephes_ndtr(got.statistic))
-    assert type(got) is type(want)
-    assert got._replace(statistic=None, p_value=None) == want._replace(statistic=None,
-                                                                       p_value=None)
+    assert type(got) is diagnostics.TestResult
+    assert ((got.name, got.critical_values, got.decision, got.detail)
+            == (want.name, want.critical_values, want.decision, want.detail))
 
 
 def same_row(got, want):
@@ -199,6 +198,7 @@ def same_row(got, want):
     # the reference takes the Fisher p-value from mpmath
     assert type(got.fisher) is type(want.fisher)
     assert got.fisher._replace(p_value=None) == want.fisher._replace(p_value=None)
+    assert got.fisher.decision == want.fisher.decision
     assert abs(got.fisher.p_value - want.fisher.p_value) <= 1e-13 * want.fisher.p_value, (
         got.fisher.p_value, want.fisher.p_value)
 

@@ -11,7 +11,7 @@ from marketpanel.errors import (CollinearityProximityWarning, SingletonGroupWarn
 from marketpanel.models import (MODEL_IDS, _check_design, build_interaction, estimate,
                                 robustness_suite, spec_for)
 
-from conftest import coefficient, panel_design, with_exact_age
+from conftest import coefficient, panel_design, t_stat, with_exact_age
 
 
 def derived_panel(seed=0, **cfg_kwargs):
@@ -81,7 +81,9 @@ class TestEstimate:
         assert {t.name for t in report.diagnostics} == {"hausman",
                                                         "lr_heteroskedasticity"}
         assert report.hausman_decision in ("reject", "fail_to_reject")
-        assert all(0 <= row[3] <= 1 for row in report.fit.rows())
+        assert report.rows == report.fit.rows()
+        assert report.f_test == report.fit.f_test()
+        assert all(0 <= row[3] <= 1 for row in report.rows)
 
     def test_deterministic(self, panel):
         a = estimate(panel, spec_for("risk_moderated"))
@@ -102,8 +104,8 @@ class TestEstimate:
         """Interaction t-statistic and fitted values are centering-invariant."""
         raw = estimate(panel, spec_for("value_moderated"), center=False)
         centered = estimate(panel, spec_for("value_moderated"), center=True)
-        t_raw = raw.fit.t_stats[raw.fit.column_names.index("OW*Marin")]
-        t_cen = centered.fit.t_stats[centered.fit.column_names.index("OW*Marin")]
+        t_raw = t_stat(raw.fit, "OW*Marin")
+        t_cen = t_stat(centered.fit, "OW*Marin")
         assert t_cen == pytest.approx(t_raw, abs=1e-8)
         np.testing.assert_allclose(raw.fit.residuals, centered.fit.residuals,
                                    atol=1e-10)
@@ -120,9 +122,10 @@ class TestEstimate:
         assert (f"lr check unavailable: groups with fewer than 3 residuals: "
                 f"['{codes.firm_ids[0]}']") in report.notes
 
-    def test_only_the_fixed_effects_fits_compute_tails(self, panel, monkeypatch):
-        """t and F tails are computed for the two FE fits only, nine coefficients
-        each; the random-effects step computes none."""
+    def test_only_the_reported_fit_computes_tails(self, panel, monkeypatch):
+        """t and F tails are computed for the reported white-cross-section fit
+        only, once for each of its nine coefficients; the classical fit that the
+        Hausman and LR checks read and the random-effects step compute none."""
         calls = {"_stdtr": 0, "_fdtrc": 0}
         for name, kernel in [(name, getattr(_kernels, name)) for name in calls]:
             def counted(*args, name=name, kernel=kernel):
@@ -130,7 +133,7 @@ class TestEstimate:
                 return kernel(*args)
             monkeypatch.setattr(_kernels, name, counted)
         estimate(panel, spec_for("value_moderated"))
-        assert calls == {"_stdtr": 18, "_fdtrc": 2}
+        assert calls == {"_stdtr": 9, "_fdtrc": 1}
 
     def test_zero_moderator_reproduces_direct_slopes(self, panel):
         """OW identically zero degrades the moderated model to the direct one."""

@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from marketpanel.errors import (NegativeVarianceComponentWarning, RankDeficient, TooFewClusters,
-                                TooFewObservations)
+                                TooFewGroups, TooFewObservations)
 from marketpanel.regress import (DesignMatrix, design_matrix, fe_fit, re_fit,
                                  robust_cov_white_cross_section, within_transform)
 
@@ -97,13 +98,13 @@ class TestOlsFit:
     def test_inference_consistency(self):
         X, y = random_system(90, 3, 8)
         fit = ols_fit(X, y)
-        np.testing.assert_allclose(fit.std_errors,
-                                   np.sqrt(np.diag(fit.covariance)), rtol=1e-12)
-        mask = fit.std_errors > 0
-        np.testing.assert_allclose(fit.t_stats[mask],
-                                   fit.coefficients[mask] / fit.std_errors[mask],
+        _, coefficients, std_errors, p_values = map(np.array, zip(*fit.rows()))
+        np.testing.assert_array_equal(coefficients, fit.coefficients)
+        np.testing.assert_allclose(std_errors, np.sqrt(np.diag(fit.covariance)), rtol=1e-12)
+        t = coefficients / std_errors
+        np.testing.assert_allclose(p_values, 2.0 * special.stdtr(fit.df_resid, -np.abs(t)),
                                    rtol=1e-12)
-        assert np.all((fit.p_values >= 0) & (fit.p_values <= 1))
+        assert np.all((p_values >= 0) & (p_values <= 1))
         eigvals = np.linalg.eigvalsh(fit.covariance)
         assert eigvals.min() >= -1e-10 * np.trace(fit.covariance)
 
@@ -329,6 +330,16 @@ class TestReFit:
             re = re_fit(X, y)
         assert re.theta == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n_firms", [1, 3])
+    def test_too_few_groups_for_the_between_regression(self, n_firms):
+        """G <= k + 1 leaves the between regression no residual degrees of
+        freedom: a typed error, and no variance-component warning."""
+        X, y, _ = panel_design(n_firms=n_firms, n_years=8, k=2, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TooFewGroups, match=rf"^groups={n_firms}, k=2: "):
+                re_fit(X, y)
+
 
 class TestWhiteCrossSection:
     def test_zero_residuals_zero_matrix(self):
@@ -370,4 +381,5 @@ class TestWhiteCrossSection:
         np.testing.assert_allclose(robust.coefficients, classical.coefficients,
                                    rtol=1e-12)
         assert robust.cov_kind == "white_cross_section"
-        assert not np.allclose(robust.std_errors, classical.std_errors)
+        assert not np.allclose([se for _, _, se, _ in robust.rows()],
+                               [se for _, _, se, _ in classical.rows()])
