@@ -267,7 +267,7 @@ def cmd_ingest_check(args) -> int:
         "rows_rejected": len(rejections),
         "rejections": [list(r) for r in rejections],
         "price_series": len(prices.series_ids),
-        "riskfree_series": len(dataset.risk_free),
+        "riskfree_series": len({market for market, _ in dataset.risk_free}),
     }
     print(json.dumps(summary, sort_keys=True))
     return 0 if not rejections else 1

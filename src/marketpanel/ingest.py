@@ -13,13 +13,14 @@ import csv
 import io
 import math
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
 from .beta import PriceTable, _index_month, _month_index, _read_only
 from .errors import (DuplicateMonth, IoFailure, NonPositivePrice, RateOutOfRange,
                      SchemaMismatch)
-from .panel_core import STAKE_SUM_TOL, FundamentalsTable, RiskFreeSeries, row_sums
+from .panel_core import STAKE_SUM_TOL, FundamentalsTable, id_codes, key_order, row_sums
 
 FUNDAMENTALS_COLUMNS = ("firm_id", "market_id", "year", "price", "book_value", "eps",
                         "sga", "rd", "sales", "total_assets", "total_equity",
@@ -222,23 +223,9 @@ def _fail_hard(what: str, line_nos, checks) -> None:
         raise error(f"{what} line {line_nos[r]}: {why}")
 
 
-def _keyed(raw_ids: np.ndarray, keys: np.ndarray):
-    """The sorted distinct stripped ids, each row's code into them, whether the row
-    repeats an earlier row's (id, key), and the rows in (id, key) order."""
-    # the rows of one id usually come together: code each run of one raw id once
-    new_run = np.ones(len(raw_ids), dtype=bool)
-    new_run[1:] = raw_ids[1:] != raw_ids[:-1]
-    starts = np.flatnonzero(new_run)
-    run_ids = [raw.strip() for raw in raw_ids[starts].tolist()]
-    ids = sorted(set(run_ids))
-    code_of = {id_: code for code, id_ in enumerate(ids)}
-    run_codes = np.array([code_of[id_] for id_ in run_ids], dtype=np.int64)
-    codes = np.repeat(run_codes, np.diff(np.append(starts, len(raw_ids))))
-    order = np.lexsort((keys, codes))
-    repeat = np.zeros(len(codes), dtype=bool)
-    # lexsort is stable: of two rows with one (id, key), the later line follows
-    repeat[order[1:][(np.diff(codes[order]) == 0) & (np.diff(keys[order]) == 0)]] = True
-    return tuple(ids), codes, repeat, order
+def _empty_id(ids: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
+    """Which rows have the empty id, which sorted ``ids`` hold first if at all."""
+    return (codes == 0) & (ids[:1] == ("",))
 
 
 def parse_fundamentals(csv_text: str) -> tuple[FundamentalsTable, tuple[tuple[int, str], ...]]:
@@ -267,12 +254,11 @@ def parse_fundamentals(csv_text: str) -> tuple[FundamentalsTable, tuple[tuple[in
     part_row = np.repeat(np.arange(n_rows), counts).tolist()
     checks.append([(part_row[i], reason) for i, reason in why])
 
-    firms = np.array([cell.strip() for cell in columns[0]], dtype=str)
-    markets = np.array([cell.strip() for cell in columns[1]], dtype=str)
-    t = FundamentalsTable.from_labels(firms, markets, stakes, counts, book_value_prev=prev,
+    t = FundamentalsTable.from_labels(*columns[:2], stakes, counts, book_value_prev=prev,
                                       **dict(zip(FUNDAMENTALS_COLUMNS[2:12], columns[2:12])))
     checks += [
-        _failing((firms == "") | (markets == ""), "firm_id and market_id must be non-empty"),
+        _failing(_empty_id(t.firm_ids, t.firm) | _empty_id(t.market_ids, t.market),
+                 "firm_id and market_id must be non-empty"),
         _failing(~(t.price > 0), "price must be positive"),
         _failing(~(t.book_value > 0), "book value must be positive"),
         _failing(~(t.total_assets > 0), "total assets must be positive"),
@@ -309,8 +295,8 @@ def parse_prices(csv_text: str) -> PriceTable:
     line_nos, columns, widths, reasons = _read(csv_text, "prices")
     raw_ids, years, calendar_months, closes = columns
     months = _month_index(years, calendar_months)
-    series_ids, codes, duplicate, order = _keyed(raw_ids, months)
-    empty = series_ids.index("") if "" in series_ids else -1
+    series_ids, codes = id_codes(raw_ids)
+    order, duplicate = key_order(codes, months)
 
     def failing(mask, reason):
         return [(r, reason.format(id=series_ids[codes[r]], year=int(years[r]),
@@ -319,7 +305,7 @@ def parse_prices(csv_text: str) -> PriceTable:
 
     _fail_hard("prices", line_nos, [
         (SchemaMismatch, widths),
-        (SchemaMismatch, failing(codes == empty, "empty series_id")),
+        (SchemaMismatch, failing(_empty_id(series_ids, codes), "empty series_id")),
         *((SchemaMismatch, why) for why in reasons[1:]),
         (SchemaMismatch, failing((years < -_MAX_YEAR) | (years > _MAX_YEAR),
                                  "year {year} out of range")),
@@ -333,9 +319,10 @@ def parse_prices(csv_text: str) -> PriceTable:
     return PriceTable(series_ids=series_ids, codes=codes, months=months, closes=closes)
 
 
-def parse_riskfree(csv_text: str) -> list[RiskFreeSeries]:
-    """Parse riskfree.csv into one :class:`RiskFreeSeries` per market.
+def parse_riskfree(csv_text: str) -> MappingProxyType:
+    """Parse riskfree.csv into a read-only {(market_id, year): rate} mapping.
 
+    Rows may arrive in any order; the mapping is in (market, year) order.
     Rows whose cells are all blank are skipped. The first offending row
     fails hard, naming its 1-based file line: a wrong field count, an empty
     id, a year or rate that is not a number or a repeated (market, year)
@@ -343,8 +330,8 @@ def parse_riskfree(csv_text: str) -> list[RiskFreeSeries]:
     :class:`RateOutOfRange`.
     """
     line_nos, (raw_ids, years, rates), widths, reasons = _read(csv_text, "riskfree")
-    market_ids, codes, duplicate, order = _keyed(raw_ids, years)
-    empty = market_ids.index("") if "" in market_ids else -1
+    market_ids, codes = id_codes(raw_ids)
+    order, duplicate = key_order(codes, years)
 
     def failing(mask, reason):
         return [(r, reason.format(id=market_ids[codes[r]], year=int(years[r]),
@@ -353,16 +340,14 @@ def parse_riskfree(csv_text: str) -> list[RiskFreeSeries]:
 
     _fail_hard("riskfree", line_nos, [
         (SchemaMismatch, widths),
-        (SchemaMismatch, failing(codes == empty, "empty market_id")),
+        (SchemaMismatch, failing(_empty_id(market_ids, codes), "empty market_id")),
         *((SchemaMismatch, why) for why in reasons[1:]),
         (RateOutOfRange, failing(~((rates >= 0) & (rates <= 0.5)),
                                  "rate {rate!r} outside [0, 0.5]")),
         (SchemaMismatch, failing(duplicate, "duplicate (market, year) ({id}, {year})")),
     ])
-    years, rates = years[order].tolist(), rates[order].tolist()
-    bounds = np.searchsorted(codes[order], np.arange(len(market_ids) + 1)).tolist()
-    return [RiskFreeSeries(market_id=m, rates=dict(zip(years[a:b], rates[a:b])))
-            for m, a, b in zip(market_ids, bounds, bounds[1:])]
+    keys = zip(map(market_ids.__getitem__, codes[order].tolist()), years[order].tolist())
+    return MappingProxyType(dict(zip(keys, rates[order].tolist())))
 
 
 # --- serialization (round-trip partners of the parsers) -----------------------
@@ -378,10 +363,10 @@ def _csv_cell(text: str) -> str:
 
 def _id_cells(ids) -> list[str]:
     """Each id as a CSV cell; ValueError names the first id that the readers would not
-    return as written (they strip whitespace at a cell's ends and read CR as LF)."""
-    unreadable = [id_ for id_ in ids if id_ != id_.strip() or "\r" in id_]
+    return as written (they refuse an empty id, strip a cell's ends and read CR as LF)."""
+    unreadable = [id_ for id_ in ids if not id_ or id_ != id_.strip() or "\r" in id_]
     if unreadable:
-        raise ValueError(f"id {unreadable[0]!r} would not read back: outer whitespace or CR")
+        raise ValueError(f"id {unreadable[0]!r} would not read back: empty, outer blanks or CR")
     return list(map(_csv_cell, ids))
 
 
@@ -419,9 +404,10 @@ def prices_to_csv(prices: PriceTable) -> str:
         map(months.__getitem__, at), map(repr, prices.closes.tolist()))))
 
 
-def riskfree_to_csv(series: list[RiskFreeSeries]) -> str:
-    rows = [RISKFREE_COLUMNS]
-    for s, market in zip(series, _id_cells([s.market_id for s in series])):
-        # float(): a rate may be a numpy scalar, whose repr is not a number
-        rows += [(market, str(year), repr(float(s.rates[year]))) for year in sorted(s.rates)]
-    return _csv_text(rows)
+def riskfree_to_csv(risk_free) -> str:
+    """riskfree.csv of a {(market_id, year): rate} mapping, in (market, year) order."""
+    keys = sorted(risk_free)
+    cells = _id_cells([market for market, _ in keys])
+    # float(): a rate may be a numpy scalar, whose repr is not a number
+    return _csv_text(chain([RISKFREE_COLUMNS], (
+        (cell, str(key[1]), repr(float(risk_free[key]))) for cell, key in zip(cells, keys))))

@@ -1,17 +1,18 @@
 """Domain types and the validated panel container consumed by every other module.
 
-A panel is a columnar table of firm-year fundamentals plus per-market
-risk-free rate series. Fundamentals rows are validated once, when they are
+A panel is a columnar table of firm-year fundamentals plus risk-free rates
+by (market, year). Fundamentals rows are validated once, when they are
 parsed; the dataset sorts them by (firm, year), checks their keys and rates,
 and derives their firm and period codes once. It is immutable afterwards.
 """
 
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import DuplicateKey, EmptyInput, MissingRiskFree
 
+# absolute: stakes are ownership fractions, which have no unit to scale with
 STAKE_SUM_TOL = 1e-9
 
 # the per-row columns of a FundamentalsTable, besides the ragged stakes
@@ -67,14 +68,14 @@ class FundamentalsTable(NamedTuple):
     def from_labels(cls, firms, markets, stakes, stake_counts, **columns) -> "FundamentalsTable":
         """A table whose row ``i`` belongs to firm ``firms[i]`` in market ``markets[i]``.
 
-        ``stakes`` concatenates the rows' stakes, ``stake_counts[i]`` of them
-        for row ``i``; ``columns`` gives the other columns by name.
+        The ids are coded by :func:`id_codes`. ``stakes`` concatenates the
+        rows' stakes, ``stake_counts[i]`` of them for row ``i``; ``columns``
+        gives the other columns by name.
         """
-        firm_ids, firm = np.unique(np.asarray(firms, dtype=str), return_inverse=True)
-        market_ids, market = np.unique(np.asarray(markets, dtype=str), return_inverse=True)
+        firm_ids, firm = id_codes(firms)
+        market_ids, market = id_codes(markets)
         return _frozen(cls(
-            firm_ids=tuple(firm_ids.tolist()), firm=firm,
-            market_ids=tuple(market_ids.tolist()), market=market,
+            firm_ids=firm_ids, firm=firm, market_ids=market_ids, market=market,
             stakes=np.asarray(stakes, dtype=float),
             stake_offsets=np.cumsum([0, *stake_counts], dtype=np.int64),
             **{name: np.asarray(values, dtype=np.int64 if name.endswith("year") else float)
@@ -100,6 +101,32 @@ def _frozen(table: FundamentalsTable) -> FundamentalsTable:
     for name in ROW_COLUMNS + ("stakes", "stake_offsets"):
         getattr(table, name).flags.writeable = False
     return table
+
+
+def id_codes(raw_ids) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct ids, each raw id stripped at its ends, and each row's code into them.
+
+    Nothing else is dropped: ``"F1"`` and ``"F1\\x00"`` are two ids.
+    """
+    raw_ids = np.asarray(raw_ids, dtype=object)
+    # the rows of one id usually come together: strip and code each run of one raw id once
+    new_run = np.ones(len(raw_ids), dtype=bool)
+    new_run[1:] = raw_ids[1:] != raw_ids[:-1]
+    starts = np.flatnonzero(new_run)
+    run_ids = [raw.strip() for raw in raw_ids[starts].tolist()]
+    ids = sorted(set(run_ids))
+    code_of = {id_: code for code, id_ in enumerate(ids)}
+    run_codes = np.array([code_of[id_] for id_ in run_ids], dtype=np.int64)
+    return tuple(ids), np.repeat(run_codes, np.diff(np.append(starts, len(raw_ids))))
+
+
+def key_order(codes: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows in (code, key) order, and whether each row repeats an earlier row's (code, key)."""
+    order = np.lexsort((keys, codes))
+    repeat = np.zeros(len(codes), dtype=bool)
+    # lexsort is stable: of two rows with one (code, key), the later row follows
+    repeat[order[1:][(np.diff(codes[order]) == 0) & (np.diff(keys[order]) == 0)]] = True
+    return order, repeat
 
 
 def appearance_codes(labels) -> tuple[np.ndarray, np.ndarray]:
@@ -183,25 +210,18 @@ class PanelCodes(NamedTuple):
         return out
 
 
-class RiskFreeSeries(NamedTuple):
-    """Annual risk-free rates (10-year government bond yield) for one market."""
-
-    market_id: str
-    rates: dict[int, float]
-
-
 class PanelDataset(NamedTuple):
     """Validated panel: ``table`` holds one row per (firm, year), sorted by firm then year.
 
-    ``codes`` are the rows' firm and period codes and ``row_rates`` the
-    risk-free rate of each row's market and year. Immutable after
-    construction; the panel need not be balanced.
+    ``codes`` are the rows' firm and period codes, ``risk_free`` the read-only
+    {(market_id, year): 10-year government bond yield} mapping and ``row_rates``
+    each row's rate. Immutable after construction; the panel need not be balanced.
     """
 
     table: FundamentalsTable
     codes: PanelCodes
     row_rates: np.ndarray
-    risk_free: tuple[RiskFreeSeries, ...]
+    risk_free: Mapping[tuple[str, int], float]
     years: tuple[int, ...]
 
     @property
@@ -215,7 +235,7 @@ class PanelDataset(NamedTuple):
         return dict(zip(self.firms, (markets[m] for m in self.table.market[last].tolist())))
 
 
-def build_dataset(table: FundamentalsTable, rf: list[RiskFreeSeries]) -> PanelDataset:
+def build_dataset(table: FundamentalsTable, risk_free: Mapping) -> PanelDataset:
     """Assemble a :class:`PanelDataset` from parsed, validated fundamentals.
 
     Deterministic and order-independent: permuting the table's rows yields
@@ -228,15 +248,8 @@ def build_dataset(table: FundamentalsTable, rf: list[RiskFreeSeries]) -> PanelDa
     if not len(table.year):
         raise EmptyInput("no observations supplied")
 
-    rates = {(series.market_id, year): rate for series in rf
-             for year, rate in series.rates.items()}
-
-    order = np.lexsort((table.year, table.firm))
-    duplicate = np.zeros(len(table.year), dtype=bool)
-    # lexsort is stable: of two rows with one key, the later row follows
-    duplicate[order[1:][(np.diff(table.firm[order]) == 0)
-                        & (np.diff(table.year[order]) == 0)]] = True
-    row_rates = np.array([rates.get(key, np.nan) for key in
+    order, duplicate = key_order(table.firm, table.year)
+    row_rates = np.array([risk_free.get(key, np.nan) for key in
                           zip(map(table.market_ids.__getitem__, table.market.tolist()),
                               table.year.tolist())], dtype=float)
     failed = duplicate | np.isnan(row_rates)
@@ -254,5 +267,5 @@ def build_dataset(table: FundamentalsTable, rf: list[RiskFreeSeries]) -> PanelDa
     years = tuple(sorted(set(table.year.tolist())))
     row_rates = row_rates[order]
     row_rates.flags.writeable = False
-    return PanelDataset(table=table, codes=codes, row_rates=row_rates,
-                        risk_free=tuple(sorted(rf, key=lambda s: s.market_id)), years=years)
+    return PanelDataset(table=table, codes=codes, row_rates=row_rates, risk_free=risk_free,
+                        years=years)

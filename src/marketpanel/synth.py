@@ -27,7 +27,7 @@ from .errors import InfeasibleTargets, ModelMismatch
 from .ingest import (fundamentals_to_csv, parse_fundamentals, parse_riskfree,
                      prices_to_csv, riskfree_to_csv)
 from .models import EstimationReport
-from .panel_core import FundamentalsTable, PanelDataset, RiskFreeSeries, build_dataset
+from .panel_core import FundamentalsTable, PanelDataset, build_dataset
 from .beta import PriceTable, _month_index
 from .report import _json_text
 from .variables import ownership_concentration
@@ -301,12 +301,11 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
     firm_market = {firm_ids[i]: market_ids[i % N_MARKETS] for i in range(n)}
 
     # risk-free rates per market-year
-    rf_series = []
+    risk_free = {}
     for market in market_ids:
         base = rng.uniform(0.02, 0.045)
-        rates = {y: float(np.clip(base + rng.normal(0.0, 0.003), 0.001, 0.49))
-                 for y in years}
-        rf_series.append(RiskFreeSeries(market_id=market, rates=rates))
+        for y in years:
+            risk_free[market, y] = float(np.clip(base + rng.normal(0.0, 0.003), 0.001, 0.49))
 
     # monthly market factor returns, pre-panel years included for beta windows
     first_year = START_YEAR - _PRE_PANEL_YEARS
@@ -429,8 +428,7 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
                         "lower the noise scale or raise the price target")
 
     # fundamentals rows, firm by firm
-    rf_by_market = {s.market_id: s.rates for s in rf_series}
-    rates = np.array([[rf_by_market[firm_market[firm]][year] for year in years]
+    rates = np.array([[risk_free[firm_market[firm], year] for year in years]
                       for firm in firm_ids])
     assets = np.exp(size_path)
     sales = assets * turnover[:, None]
@@ -479,7 +477,7 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
 
     fundamentals_csv = fundamentals_to_csv(table)
     prices_csv = prices_to_csv(prices)
-    riskfree_csv = riskfree_to_csv(rf_series)
+    riskfree_csv = riskfree_to_csv(risk_free)
 
     parsed, rejections = parse_fundamentals(fundamentals_csv)
     if rejections:

@@ -12,8 +12,7 @@ from marketpanel.beta import (DEFAULT_MIN_MONTHS, DEFAULT_WINDOW_MONTHS, ReturnP
 from marketpanel.diagnostics import _mackinnon_pvalues, _pvalue_bracket
 from marketpanel.errors import (ConstantSeries, MarketPanelError, TooFewObservations, TooShort,
                                 UnknownMarket)
-from marketpanel.panel_core import (FundamentalsTable, PanelCodes, RiskFreeSeries,
-                                    build_dataset)
+from marketpanel.panel_core import FundamentalsTable, PanelCodes, build_dataset
 from marketpanel.regress import _tall_r
 
 ROW_DEFAULTS = dict(firm_id="F1", market_id="M1", year=2015, price=2.0, book_value=1.5,
@@ -77,9 +76,8 @@ def make_panel(n_firms=4, n_years=5, start_year=2011, seed=0, market_id="M1"):
                 establishment_year=1990 + i,
                 stakes=(0.25 + 0.02 * i, 0.08),
                 book_value_prev=1.0 if t == 0 else None))
-    rf = [RiskFreeSeries(market_id=market_id,
-                         rates={start_year + t: 0.03 for t in range(n_years)})]
-    return build_dataset(make_table(rows), rf)
+    return build_dataset(make_table(rows),
+                         {(market_id, start_year + t): 0.03 for t in range(n_years)})
 
 
 def derived_column_names() -> tuple[str, ...]:

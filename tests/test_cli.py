@@ -186,8 +186,9 @@ class TestIngestCheck:
         (data / "fundamentals.csv").write_text("\n".join(lines) + "\n")
         (data / "prices.csv").write_text("series_id,year,month,close\n"
                                          "F1,2015,1,10.0\nM1,2015,1,100.0\n")
-        (data / "riskfree.csv").write_text("market_id,year,rate\nM1,2015,0.03\n"
-                                           "M1,2016,0.031\n")
+        # M9 has rates but no firms: it is a risk-free series all the same
+        (data / "riskfree.csv").write_text("market_id,year,rate\nM9,2016,0.02\n"
+                                           "M1,2015,0.03\nM1,2016,0.031\n")
         capsys.readouterr()
         code = main(["ingest-check", "--data", str(data)])
         assert code == 1
@@ -204,7 +205,7 @@ class TestIngestCheck:
             '[13, "stakes sum exceeds 1"], '
             '[14, "establishment year after observation year"], '
             '[15, "lagged book value must be positive"]], '
-            '"riskfree_series": 1, "rows_accepted": 2, "rows_rejected": 11}\n')
+            '"riskfree_series": 2, "rows_accepted": 2, "rows_rejected": 11}\n')
 
 
 class TestRunCommand:

@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import random
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from marketpanel import ingest, variables
 from marketpanel.beta import PriceTable
 from marketpanel.errors import (DuplicateKey, DuplicateMonth, MissingRiskFree, NonPositivePrice,
                                RateOutOfRange, SchemaMismatch)
-from marketpanel.panel_core import STAKE_SUM_TOL, FundamentalsTable, RiskFreeSeries, build_dataset
+from marketpanel.panel_core import STAKE_SUM_TOL, FundamentalsTable, build_dataset
 
 from conftest import ROW_DEFAULTS, make_row, make_table, table_rows
 
@@ -119,17 +120,16 @@ def reference_parse_fundamentals(csv_text):
 
 def reference_build_dataset(rows, rf):
     """{(firm, year): row} in key order, or the (error class, message) of the first bad row."""
-    rates = {(s.market_id, year): rate for s in rf for year, rate in s.rates.items()}
     by_key = {}
     for row in rows:
         key = (row["firm_id"], row["year"])
         if key in by_key:
             return DuplicateKey, f"duplicate observation for firm {key[0]}, year {key[1]}"
-        if (row["market_id"], row["year"]) not in rates:
+        if (row["market_id"], row["year"]) not in rf:
             return MissingRiskFree, (f"no risk-free rate for market {row['market_id']}, "
                                      f"year {row['year']} (firm {row['firm_id']})")
         by_key[key] = row
-    return {k: by_key[k] for k in sorted(by_key)}, rates
+    return {k: by_key[k] for k in sorted(by_key)}, rf
 
 
 def reference_derive(by_key, rates, betas, names):
@@ -405,10 +405,10 @@ def assert_same_read(got, want):
 
 
 def assert_same_result(got, want):
-    """Equal parser results: records (tables, rate series) of one type field by
+    """Equal parser results: records (tables) of one type field by
     field, then tuples and lists item by item, arrays in dtype and bytes,
     anything else by ``==``. Records are tuples too, so they are told apart first."""
-    if isinstance(want, (FundamentalsTable, PriceTable, RiskFreeSeries)):
+    if isinstance(want, (FundamentalsTable, PriceTable)):
         assert type(got) is type(want)
         for name, value in zip(want._fields, want):
             assert_same_result(getattr(got, name), value)
@@ -550,7 +550,7 @@ def test_what_the_csv_reader_must_read_keeps_its_reasons(case):
     if what == "fundamentals":
         assert list(got[1]) == want
     else:   # the table, or the error as (class, message)
-        assert (None if isinstance(got, (PriceTable, list)) else got) == want
+        assert (None if isinstance(got, (PriceTable, MappingProxyType)) else got) == want
 
 
 # one text per parser (and per fundamentals reader), its lines ending in "\n"
@@ -682,7 +682,7 @@ def test_a_number_is_a_number_in_every_file_or_in_none(case):
         else:
             assert prices[0] is NonPositivePrice
         if 0 <= value <= 0.5:
-            assert repr(riskfree[0].rates[2015]) == repr(value)
+            assert repr(riskfree["M1", 2015]) == repr(value)
         else:
             assert riskfree[0] is RateOutOfRange
     else:
@@ -691,7 +691,7 @@ def test_a_number_is_a_number_in_every_file_or_in_none(case):
             assert prices.months.tolist() == [value * 12]
         else:   # its month index would overflow
             assert prices[0] is SchemaMismatch
-        assert riskfree[0].rates == {value: 0.03}
+        assert riskfree == {("M1", value): 0.03}
 
 
 # --- dataset and derived columns --------------------------------------------------------
@@ -718,9 +718,8 @@ def panels(draw):
     if rng.random() < 0.2:
         rows.insert(rng.randint(0, len(rows)), dict(rng.choice(rows)))
     rng.shuffle(rows)
-    rf = [RiskFreeSeries(m, {y: rng.uniform(0.0, 0.5) for y in range(2000, 2012)
-                             if rng.random() < 0.97})
-          for m in ("M1", "M2")]
+    rf = {(m, y): rng.uniform(0.0, 0.5) for m in ("M1", "M2") for y in range(2000, 2012)
+          if rng.random() < 0.97}
     betas = {(r["firm_id"], r["year"]): rng.uniform(-1.0, 3.0) for r in rows
              if rng.random() < 0.9}
     return rows, rf, betas

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from marketpanel import ingest
 from marketpanel.errors import (DuplicateMonth, NonPositivePrice, RateOutOfRange,
                                 SchemaMismatch)
+from marketpanel.panel_core import build_dataset
 
 from conftest import make_panel, make_row, make_table, price_table, table_rows
 
@@ -24,7 +25,7 @@ QUOTED_IDS = st.lists(st.text(alphabet='Ab9 ,"\r\n\t_\u00e9', min_size=1, max_si
 def round_trips(ids, write):
     """Whether every id reads back as written; if not, ``write()`` must refuse the
     first one that would not, naming it."""
-    unsafe = [i for i in ids if i != i.strip() or "\r" in i]
+    unsafe = [i for i in ids if i != i.strip() or "\r" in i or not i]
     if unsafe:
         with pytest.raises(ValueError, match="would not read back") as err:
             write()
@@ -180,11 +181,11 @@ class TestRoundTrip:
             assert np.array_equal(getattr(parsed, column), getattr(table, column))
 
     def test_riskfree_round_trip(self):
-        from marketpanel.panel_core import RiskFreeSeries
-        series = [RiskFreeSeries("M1", {2015: 0.031, 2016: 0.0287}),
-                  RiskFreeSeries("M2", {2015: 0.04})]
-        text = ingest.riskfree_to_csv(series)
-        assert ingest.parse_riskfree(text) == series
+        rates = {("M2", 2015): 0.04, ("M1", 2016): 0.0287, ("M1", 2015): 0.031}
+        text = ingest.riskfree_to_csv(rates)
+        # written in (market, year) order, whatever the mapping's order
+        assert text == "market_id,year,rate\nM1,2015,0.031\nM1,2016,0.0287\nM2,2015,0.04\n"
+        assert ingest.parse_riskfree(text) == rates
 
     @PROPERTY
     @given(QUOTED_IDS)
@@ -206,16 +207,16 @@ class TestRoundTrip:
     @example(["M,1"])
     @example(["M1", "M2\t"])
     def test_riskfree_round_trip_ids_that_need_quotes(self, ids):
-        from marketpanel.panel_core import RiskFreeSeries
-        series = [RiskFreeSeries(m, {2015: 0.031, 2016: 0.0287}) for m in sorted(ids)]
-        if not round_trips(sorted(ids), lambda: ingest.riskfree_to_csv(series)):
+        rates = {(m, year): rate for m in ids for year, rate in ((2015, 0.031), (2016, 0.0287))}
+        if not round_trips(sorted(ids), lambda: ingest.riskfree_to_csv(rates)):
             return
-        assert ingest.parse_riskfree(ingest.riskfree_to_csv(series)) == series
+        assert ingest.parse_riskfree(ingest.riskfree_to_csv(rates)) == rates
 
     @PROPERTY
     @given(QUOTED_IDS, QUOTED_IDS)
     @example(["F0,01"], ["M1"])
     @example(["F1"], ["M\r1 "])
+    @example(["F1"], [" "])   # a blank id reads as the empty id, which no reader accepts
     def test_fundamentals_round_trip_ids_that_need_quotes(self, firms, markets):
         table = make_table([make_row(firm_id=firm, market_id=markets[i % len(markets)])
                             for i, firm in enumerate(firms)])
@@ -287,11 +288,24 @@ class TestParsePrices:
         assert table.series_ids == ("F1", "M1")
 
 
+def test_an_id_with_a_trailing_nul_is_its_own_id_in_every_file():
+    """One rule codes the ids of every file: stripped of whitespace at their ends,
+    nothing else dropped, so F1 and F1 followed by NUL are two firms and two series."""
+    fundamentals = "\n".join([HEADER, ROW, ROW.replace("F1,", "F1\x00,", 1)]) + "\n"
+    table, rejections = ingest.parse_fundamentals(fundamentals)
+    assert rejections == ()
+    assert table.firm_ids == ("F1", "F1\x00")
+    assert build_dataset(table, {("M1", 2015): 0.03}).firms == ("F1", "F1\x00")
+    prices = ingest.parse_prices("series_id,year,month,close\nF1,2015,1,10.0\n"
+                                 "F1\x00,2015,1,11.0\n")
+    assert prices.series_ids == ("F1", "F1\x00")
+    assert prices.codes.tolist() == [0, 1]
+
+
 class TestParseRiskfree:
     def test_single_rate(self):
-        series = ingest.parse_riskfree("market_id,year,rate\nQA,2015,0.032\n")
-        assert series[0].market_id == "QA"
-        assert series[0].rates[2015] == 0.032
+        assert ingest.parse_riskfree("market_id,year,rate\nQA,2015,0.032\n") == {
+            ("QA", 2015): 0.032}
 
     def test_negative_rate(self):
         with pytest.raises(RateOutOfRange):
@@ -306,6 +320,8 @@ class TestParseRiskfree:
     def test_two_markets_interleaved(self):
         text = ("market_id,year,rate\n"
                 "QA,2015,0.03\nKW,2015,0.028\nQA,2016,0.031\nKW,2016,0.029\n")
-        series = ingest.parse_riskfree(text)
-        assert [s.market_id for s in series] == ["KW", "QA"]
-        assert series[1].rates == {2015: 0.03, 2016: 0.031}
+        rates = ingest.parse_riskfree(text)
+        assert list(rates.items()) == [(("KW", 2015), 0.028), (("KW", 2016), 0.029),
+                                       (("QA", 2015), 0.03), (("QA", 2016), 0.031)]
+        with pytest.raises(TypeError):   # read-only
+            rates["KW", 2017] = 0.03

@@ -4,9 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from marketpanel.errors import DuplicateKey, EmptyInput, MissingRiskFree
-from marketpanel.panel_core import PanelCodes, RiskFreeSeries, build_dataset, row_sums
+from marketpanel.panel_core import PanelCodes, build_dataset, id_codes, key_order, row_sums
 
 from conftest import make_panel, make_row, make_table, table_rows
 
@@ -21,17 +22,17 @@ class TestBuildDataset:
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            build_dataset(make_table([]), [RiskFreeSeries("M1", {2015: 0.03})])
+            build_dataset(make_table([]), {("M1", 2015): 0.03})
 
     def test_duplicate_firm_year(self):
         rows = [make_row(), make_row()]
-        rf = [RiskFreeSeries("M1", {2015: 0.03})]
+        rf = {("M1", 2015): 0.03}
         with pytest.raises(DuplicateKey):
             build_dataset(make_table(rows), rf)
 
     def test_missing_risk_free_rate(self):
         rows = [make_row(year=2015)]
-        rf = [RiskFreeSeries("M1", {2014: 0.03})]
+        rf = {("M1", 2014): 0.03}
         with pytest.raises(MissingRiskFree):
             build_dataset(make_table(rows), rf)
 
@@ -46,7 +47,7 @@ class TestBuildDataset:
     ])
     def test_first_faulty_row_raises(self, rows, error, message):
         table = make_table([make_row(firm_id=f, year=y) for f, y in rows])
-        rf = [RiskFreeSeries("M1", {2015: 0.03, 2016: 0.03})]
+        rf = {("M1", 2015): 0.03, ("M1", 2016): 0.03}
         with pytest.raises(error, match=message.replace("(", r"\(").replace(")", r"\)")):
             build_dataset(table, rf)
 
@@ -55,7 +56,7 @@ class TestBuildDataset:
         ds_a = make_panel(n_firms=5, n_years=4, seed=3)
         rows = table_rows(ds_a.table)
         random.Random(1).shuffle(rows)
-        ds_b = build_dataset(make_table(rows), list(ds_a.risk_free))
+        ds_b = build_dataset(make_table(rows), ds_a.risk_free)
         assert table_rows(ds_a.table) == table_rows(ds_b.table)
         assert ds_a.codes.firm.tolist() == ds_b.codes.firm.tolist()
         assert ds_a.row_rates.tolist() == ds_b.row_rates.tolist()
@@ -63,7 +64,7 @@ class TestBuildDataset:
     def test_rows_sorted_by_firm_then_year(self):
         rows = [make_row(firm_id=f, year=y) for f, y in
                 [("F2", 2016), ("F10", 2015), ("F2", 2015), ("F10", 2016)]]
-        ds = build_dataset(make_table(rows), [RiskFreeSeries("M1", {2015: 0.03, 2016: 0.04})])
+        ds = build_dataset(make_table(rows), {("M1", 2015): 0.03, ("M1", 2016): 0.04})
         assert [(r["firm_id"], r["year"]) for r in table_rows(ds.table)] == [
             ("F10", 2015), ("F10", 2016), ("F2", 2015), ("F2", 2016)]
         assert ds.firms == ("F10", "F2")
@@ -73,14 +74,14 @@ class TestBuildDataset:
     def test_unbalanced_panel_recorded(self):
         ds = make_panel(n_firms=3, n_years=3)
         rows = [r for r in table_rows(ds.table) if (r["firm_id"], r["year"]) != ("F1", 2011)]
-        ds2 = build_dataset(make_table(rows), list(ds.risk_free))
+        ds2 = build_dataset(make_table(rows), ds.risk_free)
         assert len(ds2.table.year) == 8
 
     def test_firm_markets_from_the_last_year(self):
         rows = [make_row(firm_id="F1", market_id="M2", year=2015),
                 make_row(firm_id="F1", market_id="M1", year=2016),
                 make_row(firm_id="F2", market_id="M2", year=2015)]
-        rf = [RiskFreeSeries(m, {2015: 0.03, 2016: 0.03}) for m in ("M1", "M2")]
+        rf = {(m, y): 0.03 for m in ("M1", "M2") for y in (2015, 2016)}
         ds = build_dataset(make_table(rows), rf)
         assert ds.firm_markets() == {"F1": "M1", "F2": "M2"}
 
@@ -139,3 +140,38 @@ def test_row_sums_add_left_to_right():
     expected = [sum(values[a:b].tolist()) for a, b in zip(offsets[:-1], offsets[1:])]
     assert row_sums(values, offsets).tolist() == expected
     assert row_sums(np.array([]), np.array([0, 0])).tolist() == [0.0]
+
+
+# raw id cells: outer blanks around a core that may be empty or hold NUL characters,
+# each repeated in a run of rows
+RAW_ID_RUNS = st.lists(st.tuples(st.text(alphabet=" \t\n", max_size=2),
+                                 st.text(alphabet="F1 \x00\u00e9", max_size=4),
+                                 st.text(alphabet=" \t\n", max_size=2),
+                                 st.integers(1, 3)), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RAW_ID_RUNS)
+@example([("", "F1", "", 1), ("", "F1\x00", "", 1), (" ", "F1", "\t", 2)])
+def test_id_codes_code_stripped_ids_as_np_unique_does(runs):
+    raw = [head + core + tail for head, core, tail, n in runs for _ in range(n)]
+    # an object array, so that numpy keeps trailing NUL characters
+    want_ids, want_codes = np.unique(np.array([r.strip() for r in raw], dtype=object),
+                                     return_inverse=True)
+    ids, codes = id_codes(raw)
+    assert ids == tuple(want_ids.tolist())
+    assert codes.dtype == np.int64 and codes.tolist() == want_codes.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2)), max_size=30))
+def test_key_order_keeps_the_first_row_of_each_key(rows):
+    codes = np.array([c for c, _ in rows], dtype=np.int64)
+    keys = np.array([k for _, k in rows], dtype=np.int64)
+    order, repeat = key_order(codes, keys)
+    seen, want = set(), []
+    for row in rows:
+        want.append(row in seen)
+        seen.add(row)
+    assert repeat.tolist() == want
+    assert order.tolist() == sorted(range(len(rows)), key=lambda r: (rows[r], r))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketpanel import variables
-from marketpanel.panel_core import RiskFreeSeries, build_dataset
+from marketpanel.panel_core import build_dataset
 from marketpanel.variables import (abnormal_earnings, derive_all, marin, marin_alt_assets,
                                    marin_alt_log, ownership_concentration)
 
@@ -72,7 +72,7 @@ class TestMarinAlternates:
 class TestControlVariables:
     @staticmethod
     def _derived(**fields):
-        rf = [RiskFreeSeries("M1", {2019: 0.03})]
+        rf = {("M1", 2019): 0.03}
         ds = build_dataset(make_table([make_row(year=2019, book_value_prev=1.0, **fields)]), rf)
         return derive_all(ds, {("F1", 2019): 1.0}).columns
 
@@ -93,7 +93,7 @@ class TestControlVariables:
         assets = [1.5 * 10.0 ** k for k in range(-3, 12)] + differ[:40].tolist()
         rows = [make_row(year=2000 + i, total_assets=a, total_equity=0.1, sga=a,
                          rd=0.0, book_value_prev=1.0) for i, a in enumerate(assets)]
-        rf = [RiskFreeSeries("M1", {2000 + i: 0.03 for i in range(len(assets))})]
+        rf = {("M1", 2000 + i): 0.03 for i in range(len(assets))}
         panel = derive_all(build_dataset(make_table(rows), rf),
                            {("F1", 2000 + i): 1.0 for i in range(len(assets))})
         logs = [math.log(a) for a in assets]
@@ -149,7 +149,7 @@ class TestDeriveAll:
     def test_missing_lag_excluded(self):
         ds = make_panel(n_firms=2, n_years=3)
         rows = [{**r, "book_value_prev": None} for r in table_rows(ds.table)]
-        ds2 = build_dataset(make_table(rows), list(ds.risk_free))
+        ds2 = build_dataset(make_table(rows), ds.risk_free)
         panel = derive_all(ds2, _betas(ds2, 1.0))
         assert len(panel.codes.firm) == 4
         reasons = {(f, y): r for f, y, r in panel.exclusions}
@@ -158,7 +158,7 @@ class TestDeriveAll:
     def test_gap_year_has_no_lag(self):
         ds = make_panel(n_firms=1, n_years=4)
         rows = [r for r in table_rows(ds.table) if r["year"] != 2012]
-        ds2 = build_dataset(make_table(rows), list(ds.risk_free))
+        ds2 = build_dataset(make_table(rows), ds.risk_free)
         panel = derive_all(ds2, _betas(ds2, 1.0))
         assert panel.exclusions == [("F1", 2013, "missing lagged book value")]
         assert _keys(panel) == [("F1", 2011), ("F1", 2014)]
@@ -178,7 +178,7 @@ class TestDeriveAll:
         import random
         rows = table_rows(ds.table)
         random.Random(9).shuffle(rows)
-        b = derive_all(build_dataset(make_table(rows), list(ds.risk_free)), betas)
+        b = derive_all(build_dataset(make_table(rows), ds.risk_free), betas)
         assert _keys(a) == _keys(b)
         assert a.columns.keys() == b.columns.keys()
         for name in a.columns:
@@ -200,7 +200,7 @@ class TestDeriveAll:
     def test_zero_marketing_flagged(self):
         rows = [make_row(year=2011, sga=5.0, rd=5.0, book_value_prev=1.0),
                 make_row(year=2012)]
-        ds = build_dataset(make_table(rows), [RiskFreeSeries("M1", {2011: 0.03, 2012: 0.03})])
+        ds = build_dataset(make_table(rows), {("M1", 2011): 0.03, ("M1", 2012): 0.03})
         panel = derive_all(ds, _betas(ds, 1.0))
         assert panel.columns["Marin"][0] == 0.0
         assert np.isnan(panel.columns["MarinLog"][0])
@@ -220,7 +220,7 @@ def _keys(panel):
 class TestPanelColumns:
     def test_log_column_nan_for_zero_expense(self):
         rows = [make_row(year=2011, sga=5.0, rd=5.0, book_value_prev=1.0)]
-        ds = build_dataset(make_table(rows), [RiskFreeSeries("M1", {2011: 0.03})])
+        ds = build_dataset(make_table(rows), {("M1", 2011): 0.03})
         panel = derive_all(ds, {("F1", 2011): 1.0})
         cols = variables.panel_columns(panel, ["MarinLog", "Marin"])
         assert np.isnan(cols["MarinLog"][0])
