@@ -7,12 +7,13 @@ simple arithmetic returns on closing prices; a missing month breaks the
 return chain so no return ever spans a gap.
 """
 
-from itertools import compress, product
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SchemaMismatch, TooShort, UnknownMarket
+from .errors import SchemaMismatch, UnknownMarket
+from .panel_core import PanelCodes
 
 DEFAULT_WINDOW_MONTHS = 60
 DEFAULT_MIN_MONTHS = 48
@@ -103,13 +104,6 @@ def monthly_returns(prices: PriceTable) -> ReturnPanel:
                        series_index={series_id: row for row, series_id in enumerate(series_ids)})
 
 
-def _row(returns: ReturnPanel, series_id: str, error, what: str) -> int:
-    row = returns.series_index.get(series_id)
-    if row is None:
-        raise error(f"{what} {series_id} has no return series")
-    return row
-
-
 def _batched_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # one (1, n) @ (n, 1) product per row: BLAS ddot, as ``a[g] @ b[g]``
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
@@ -141,40 +135,45 @@ def _window_betas(firm: np.ndarray, market: np.ndarray, min_months: int) -> np.n
     return betas
 
 
-def all_betas(returns: ReturnPanel, firms, years, firm_market: dict[str, str],
+def all_betas(returns: ReturnPanel, codes: PanelCodes, firm_market: dict[str, str],
               window_months: int = DEFAULT_WINDOW_MONTHS,
               min_months: int = DEFAULT_MIN_MONTHS,
               ) -> tuple[dict[tuple[str, int], float], list[tuple[str, int, str]]]:
-    """Estimate the beta of every (firm, year); report the rest as exclusions.
+    """Estimate the beta of each firm-year of ``codes``; report the rest as exclusions.
 
-    ``firms`` are series ids of ``returns``; ``firm_market`` maps each firm
-    to its market index id. Returns {(firm, year): beta} in firm then year
-    order, each value equal bit for bit to ``beta_for_year(...).beta`` (the
+    ``firm_market`` maps each firm to its market index id. Returns
+    {(firm, year): beta} in the codes' row order (a dataset's: firm then
+    year), each value equal bit for bit to ``beta_for_year(...).beta`` (the
     one-window reference in ``tests/conftest.py``), and the (firm, year,
     reason) of every window it rejects (too few paired months, constant
-    market). Output is deterministic under permutation of the inputs.
+    market). A firm without a return series has no window at all: it gets
+    neither a beta nor an exclusion. A firm with one raises
+    :class:`UnknownMarket` when its market has no mapping or no return series.
     """
-    firms = sorted(firms)
-    firm_rows, market_rows = [], []
-    for firm_id in firms:
+    index = returns.series_index
+    # each firm's rows of ``returns``, its own and its market's; -1 without a series
+    series = np.full((2, len(codes.firm_ids)), -1, dtype=np.int64)
+    for g, firm_id in enumerate(codes.firm_ids):
+        if firm_id not in index:
+            continue
         market_id = firm_market.get(firm_id)
         if market_id is None:
             raise UnknownMarket(f"firm {firm_id} has no market mapping")
-        if market_id not in returns.series_index:
+        if market_id not in index:
             raise UnknownMarket(f"market {market_id} (firm {firm_id}) has no return series")
-        firm_rows.append(_row(returns, firm_id, TooShort, "firm"))
-        market_rows.append(returns.series_index[market_id])
-    if not firms:
-        return {}, []
+        series[:, g] = index[firm_id], index[market_id]
 
-    years = list(years)
-    betas = np.empty((len(firms), len(years)))
-    for j, year in enumerate(years):
-        (firm, market), _ = returns.window([firm_rows, market_rows], year, window_months)
-        betas[:, j] = _window_betas(firm, market, min_months)
+    rows = np.flatnonzero(series[0, codes.firm] >= 0)
+    firm, period = codes.firm[rows], codes.period[rows]
+    betas = np.empty(len(rows))
+    for p, year in enumerate(codes.years.tolist()):
+        at = period == p
+        (firm_window, market_window), _ = returns.window(series[:, firm[at]], year,
+                                                         window_months)
+        betas[at] = _window_betas(firm_window, market_window, min_months)
 
-    keys, flat = list(product(firms, years)), betas.ravel()
-    estimated = ~np.isnan(flat)
+    keys = list(zip(map(codes.firm_ids.__getitem__, firm.tolist()), codes.years[period].tolist()))
+    estimated = ~np.isnan(betas)
     exclusions = [(firm_id, year, "insufficient return history")
                   for firm_id, year in compress(keys, ~estimated)]
-    return dict(zip(compress(keys, estimated), flat[estimated].tolist())), exclusions
+    return dict(zip(compress(keys, estimated), betas[estimated].tolist())), exclusions

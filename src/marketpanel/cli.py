@@ -154,8 +154,9 @@ def _dataset(fundamentals_csv: str, prices_csv: str, riskfree_csv: str):
         log.warning("fundamentals line %d rejected: %s", line_no, reason)
     prices = ingest.parse_prices(prices_csv)
     dataset = build_dataset(table, ingest.parse_riskfree(riskfree_csv))
+    codes = dataset.codes
     log.info("dataset: %d observations, %d firms, years %d-%d",
-             len(dataset.table.year), len(dataset.firms), dataset.years[0], dataset.years[-1])
+             len(codes.firm), len(codes.firm_ids), codes.years[0], codes.years[-1])
     return dataset, prices, rejections
 
 
@@ -169,16 +170,13 @@ def _base_run(cfg: RunConfig):
     texts = _load_inputs(cfg.data)
     inputs = dict(zip(_INPUT_FILES, map(_sha256, texts)))
     dataset, prices, rejections = _dataset(*texts)
-    returns = beta.monthly_returns(prices)
-    # a firm with fewer than two closes has no window at all, hence no exclusions
-    firms = [f for f in dataset.firms if f in returns.series_index]
     betas, beta_exclusions = beta.all_betas(
-        returns, firms, dataset.years, dataset.firm_markets(),
+        beta.monthly_returns(prices), dataset.codes, dataset.firm_markets(),
         window_months=cfg.beta_window, min_months=cfg.beta_min)
     for firm_id, year, reason in beta_exclusions:
         log.warning("beta excluded for (%s, %d): %s", firm_id, year, reason)
     # nothing past the betas reads these, so they are freed before the estimates
-    del texts, prices, returns
+    del texts, prices
     panel = variables.derive_all(dataset, betas)
     for firm_id, year, reason in panel.exclusions:
         log.warning("row excluded (%s, %d): %s", firm_id, year, reason)

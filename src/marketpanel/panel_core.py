@@ -129,16 +129,6 @@ def key_order(codes: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return order, repeat
 
 
-def appearance_codes(labels) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct labels in order of first appearance, and each row's code into them."""
-    distinct, first, codes = np.unique(np.asarray(labels), return_index=True,
-                                       return_inverse=True)
-    appearance = np.argsort(first)
-    rank = np.empty_like(appearance)
-    rank[appearance] = np.arange(len(appearance))
-    return distinct[appearance], rank[codes]
-
-
 def _size_blocks(codes: np.ndarray, n_groups: int):
     """For each distinct group size m: the groups of that size and their
     (groups, m) row numbers, each group's rows in row order."""
@@ -157,7 +147,7 @@ class PanelCodes(NamedTuple):
     """Integer firm and period codes of a panel's rows, derived once.
 
     Row ``i`` belongs to firm ``firm_ids[firm[i]]`` (sorted ids) and to
-    period ``years[period[i]]`` (years in order of first appearance).
+    period ``years[period[i]]`` (sorted years).
     ``firm_sizes`` counts the rows of each firm. The blocks group firms, and
     periods, of equal size m with their (groups, m) row numbers, so that one
     numpy call reduces every group of that size.
@@ -179,7 +169,8 @@ class PanelCodes(NamedTuple):
         """
         present, firm = np.unique(firm, return_inverse=True)
         firm_ids = tuple(firm_ids[g] for g in present.tolist())
-        years, period = appearance_codes(np.asarray(row_years, dtype=np.int64))
+        # with return_inverse, np.unique does not import numpy.ma (a plain call does)
+        years, period = np.unique(np.asarray(row_years, dtype=np.int64), return_inverse=True)
         return cls(firm_ids=firm_ids, firm=firm,
                    firm_sizes=np.bincount(firm, minlength=len(firm_ids)),
                    firm_blocks=_size_blocks(firm, len(firm_ids)),
@@ -222,17 +213,12 @@ class PanelDataset(NamedTuple):
     codes: PanelCodes
     row_rates: np.ndarray
     risk_free: Mapping[tuple[str, int], float]
-    years: tuple[int, ...]
-
-    @property
-    def firms(self) -> tuple[str, ...]:
-        return self.codes.firm_ids
 
     def firm_markets(self) -> dict[str, str]:
         """Each firm's market, as recorded in its last panel year."""
-        last = np.cumsum(self.codes.firm_sizes) - 1
-        markets = self.table.market_ids
-        return dict(zip(self.firms, (markets[m] for m in self.table.market[last].tolist())))
+        codes, markets = self.codes, self.table.market_ids
+        last = np.cumsum(codes.firm_sizes) - 1
+        return dict(zip(codes.firm_ids, (markets[m] for m in self.table.market[last].tolist())))
 
 
 def build_dataset(table: FundamentalsTable, risk_free: Mapping) -> PanelDataset:
@@ -263,9 +249,6 @@ def build_dataset(table: FundamentalsTable, risk_free: Mapping) -> PanelDataset:
 
     table = table.take(order)
     codes = PanelCodes.from_codes(table.firm_ids, table.firm, table.year)
-    # sorted(set()), not np.unique: a plain np.unique imports numpy.ma
-    years = tuple(sorted(set(table.year.tolist())))
     row_rates = row_rates[order]
     row_rates.flags.writeable = False
-    return PanelDataset(table=table, codes=codes, row_rates=row_rates, risk_free=risk_free,
-                        years=years)
+    return PanelDataset(table=table, codes=codes, row_rates=row_rates, risk_free=risk_free)

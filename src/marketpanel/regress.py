@@ -201,7 +201,7 @@ def robust_cov_white_cross_section(X: DesignMatrix, residuals,
     for periods, rows in codes.period_blocks:
         scores[periods] = np.matmul(X.values[rows].transpose(0, 2, 1),
                                     residuals[rows][..., None])[..., 0]
-    # sum_t s_t s_t', added period by period in order of first appearance
+    # sum_t s_t s_t', added period by period in calendar order
     meat = np.add.reduce(scores[:, :, None] * scores[:, None, :], axis=0)
     cov = xtx_inv @ meat @ xtx_inv
     if n > k:
@@ -273,13 +273,14 @@ def re_fit(X: DesignMatrix, y) -> RandomEffects:
     codes = X.codes
     g = len(codes.firm_ids)
 
+    df_within = n - k - g
+    if df_within <= 0:
+        raise TooFewObservations(f"n={n}, k={k}, groups={g}: no residual degrees of freedom")
+
     # within step
     Xw, yw = within_transform(X, y)
     beta_w, _ = _pivoted_qr_solve(Xw.values, yw, Xw.column_names)
     resid_w = yw - Xw.values @ beta_w
-    df_within = n - k - g
-    if df_within <= 0:
-        raise TooFewObservations(f"n={n}, k={k}, groups={g}: within step has no df")
     sigma2_e = float(resid_w @ resid_w) / df_within
 
     # between step on group means, intercept included

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from marketpanel import regress, variables
-from marketpanel.beta import (DEFAULT_MIN_MONTHS, DEFAULT_WINDOW_MONTHS, ReturnPanel,
-                              _index_month, _row)
+from marketpanel.beta import DEFAULT_MIN_MONTHS, DEFAULT_WINDOW_MONTHS, ReturnPanel, _index_month
 from marketpanel.diagnostics import _mackinnon_pvalues, _pvalue_bracket
 from marketpanel.errors import (ConstantSeries, MarketPanelError, TooFewObservations, TooShort,
                                 UnknownMarket)
@@ -110,11 +109,15 @@ def t_stat(fit: regress.FitResult, name: str) -> float:
     return coef / se
 
 
+def panel_codes(index) -> PanelCodes:
+    """The PanelCodes of rows labelled ``index[i] = (firm, year)``, firms in sorted order."""
+    firm_ids, firm = np.unique([f for f, _ in index], return_inverse=True)
+    return PanelCodes.from_codes(firm_ids.tolist(), firm, [y for _, y in index])
+
+
 def panel_matrix(values, names, index):
     """A DesignMatrix whose row i is labelled ``index[i] = (firm, year)``."""
-    firm_ids, firm = np.unique([f for f, _ in index], return_inverse=True)
-    codes = PanelCodes.from_codes(firm_ids.tolist(), firm, [y for _, y in index])
-    return regress.design_matrix(values, names, codes)
+    return regress.design_matrix(values, names, panel_codes(index))
 
 
 def pooled_matrix(values, names):
@@ -288,6 +291,13 @@ class BetaEstimate(NamedTuple):
     beta: float
     n_months: int
     window_start: tuple[int, int]
+
+
+def _row(returns: ReturnPanel, series_id: str, error, what: str) -> int:
+    row = returns.series_index.get(series_id)
+    if row is None:
+        raise error(f"{what} {series_id} has no return series")
+    return row
 
 
 def beta_for_year(returns: ReturnPanel, firm_id: str, market_id: str, year: int,

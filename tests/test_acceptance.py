@@ -259,8 +259,7 @@ def test_criterion_10_calibration_fidelity():
     result = synth.generate_panel(synth.DGPConfig(seed=0))
     returns = beta.monthly_returns(parse_prices(result.prices_csv))
     ds = result.dataset
-    firm_market = ds.firm_markets()
-    betas, _ = beta.all_betas(returns, ds.firms, ds.years, firm_market)
+    betas, _ = beta.all_betas(returns, ds.codes, ds.firm_markets())
     panel = variables.derive_all(ds, betas)
     cols = variables.panel_columns(panel, ["Marin", "Bet", "OW"])
     marin_mean = float(cols["Marin"].mean())

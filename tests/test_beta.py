@@ -1,13 +1,15 @@
 """Tests for monthly returns and rolling-window beta estimation."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from marketpanel.beta import all_betas, monthly_returns
-from marketpanel.errors import SchemaMismatch, TooShort, UnknownMarket
+from marketpanel.errors import SchemaMismatch, UnknownMarket
 
 from conftest import (InsufficientWindow, ZeroMarketVariance, beta_for_year, monthly_points,
-                      price_table, return_panel)
+                      panel_codes, price_table, return_panel)
 
 
 def returned_months(returns, series_id):
@@ -55,12 +57,12 @@ class TestMonthlyReturns:
             monthly_returns(prices)
 
     def test_too_short(self):
-        """A single close has no return series, so the firm cannot be estimated."""
+        """A single close has no return series: the firm has no window, so it gets
+        neither a beta nor an exclusion."""
         rs = monthly_returns(price_table({"F1": [(2015, 1, 100.0)],
                                           "M1": [(2015, 1, 50.0), (2015, 2, 51.0)]}))
         assert rs.series_ids == ("M1",)
-        with pytest.raises(TooShort):
-            all_betas(rs, ["F1"], [2015], {"F1": "M1"})
+        assert all_betas(rs, panel_codes([("F1", 2015)]), {"F1": "M1"}) == ({}, [])
 
 
 class TestBetaForYear:
@@ -133,6 +135,11 @@ class TestBetaForYear:
             beta_of(firm, market)
 
 
+def grid(firms, years):
+    """The codes of every (firm, year) of ``firms`` x ``years``."""
+    return panel_codes(list(product(firms, years)))
+
+
 class TestAllBetas:
     def _fixture(self, n_months=120, n_firms=3, seed=0):
         rng = np.random.default_rng(seed)
@@ -146,7 +153,7 @@ class TestAllBetas:
     def test_years_with_enough_history(self):
         returns, firms = self._fixture()
         firm_market = {f: "M1" for f in firms}
-        betas, exclusions = all_betas(returns, firms, range(2010, 2020), firm_market)
+        betas, exclusions = all_betas(returns, grid(firms, range(2010, 2020)), firm_market)
         years_with = {y for _, y in betas}
         # 48 paired months first available in the window ending Dec 2013
         assert min(years_with) == 2013
@@ -159,20 +166,30 @@ class TestAllBetas:
         m = rng.normal(0.008, 0.05, 36)
         returns = return_panel({"M1": monthly_points(2017, 1, m),
                                 "F1": monthly_points(2017, 1, m)})
-        betas, exclusions = all_betas(returns, ["F1"], range(2017, 2020), {"F1": "M1"})
+        betas, exclusions = all_betas(returns, grid(["F1"], range(2017, 2020)), {"F1": "M1"})
         assert betas == {}
         assert all(r == "insufficient return history" for _, _, r in exclusions)
 
     def test_deterministic_under_permutation(self):
         returns, firms = self._fixture(seed=7)
         firm_market = {f: "M1" for f in firms}
-        a, _ = all_betas(returns, firms, range(2013, 2020), firm_market)
-        b, _ = all_betas(returns, list(reversed(firms)), range(2013, 2020), firm_market)
+        index = list(product(firms, range(2013, 2020)))
+        a, _ = all_betas(returns, panel_codes(index), firm_market)
+        b, _ = all_betas(returns, panel_codes(index[::-1]), firm_market)
         assert a == b
 
     def test_unknown_market(self):
         returns, firms = self._fixture()
         with pytest.raises(UnknownMarket):
-            all_betas(returns, firms, range(2014, 2015), {f: "M9" for f in firms})
+            all_betas(returns, grid(firms, [2014]), {f: "M9" for f in firms})
         with pytest.raises(UnknownMarket):
-            all_betas(returns, firms, range(2014, 2015), {})
+            all_betas(returns, grid(firms, [2014]), {})
+
+    def test_only_the_panels_firm_years(self):
+        """A late listing is estimated and excluded in its own years only, and a
+        firm without a return series needs no market."""
+        returns, _ = self._fixture()
+        index = [("F1", year) for year in range(2012, 2020)] + [("F2", 2019), ("F9", 2015)]
+        betas, exclusions = all_betas(returns, panel_codes(index), {"F1": "M1", "F2": "M1"})
+        assert list(betas) == [("F1", year) for year in range(2013, 2020)] + [("F2", 2019)]
+        assert exclusions == [("F1", 2012, "insufficient return history")]

@@ -75,6 +75,25 @@ SYNTH_DIGESTS = {
 }
 
 
+def write_late_listing(data_dir, out):
+    """The synth data of ``data_dir`` with F001 listed in 2013, written to ``out``:
+    its 2010-2012 fundamentals rows go, the 2012 book value becomes the 2013 row's
+    lagged book value, and its closes before 2012 go."""
+    out.mkdir()
+    header, *lines = (data_dir / "fundamentals.csv").read_text().splitlines()
+    year, book, lag = map(header.split(",").index, ("year", "book_value", "book_value_2009"))
+    rows = [line.split(",") for line in lines]
+    f001 = {int(row[year]): row for row in rows if row[0] == "F001"}
+    f001[2013][lag] = f001[2012][book]
+    rows = [row for row in rows if row[0] != "F001" or int(row[year]) >= 2013]
+    (out / "fundamentals.csv").write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+    header, *lines = (data_dir / "prices.csv").read_text().splitlines()
+    lines = [line for line in lines
+             if not (line.startswith("F001,") and int(line.split(",")[1]) < 2012)]
+    (out / "prices.csv").write_text("\n".join([header, *lines]) + "\n")
+    shutil.copy(data_dir / "riskfree.csv", out / "riskfree.csv")
+
+
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("data")
@@ -350,6 +369,25 @@ class TestRunCommand:
         changed = [name for name in trees["60"] if name != "manifest.json"
                    and trees["60"][name] != trees["48"][name]]
         assert changed, "no table depends on --beta-min"
+
+
+    def test_a_late_listing_is_estimated_in_its_own_years(self, data_dir, tmp_path, caplog):
+        """F001 listed in 2013, its closes from 2012 on: the windows ending 2013-2015
+        hold fewer than 48 months. Those three firm-years are the only beta
+        exclusions and the only derive exclusions; no year before the listing is
+        estimated, excluded or logged."""
+        write_late_listing(data_dir, tmp_path / "late")
+        caplog.set_level(logging.WARNING, logger="marketpanel")
+        out = tmp_path / "out"
+        assert main(["run", "--data", str(tmp_path / "late"), "--out", str(out)]) == 0
+        (run_id,) = os.listdir(out)
+        manifest = json.loads((out / run_id / "manifest.json").read_text())
+        assert (manifest["n_observations"], manifest["n_derived_rows"]) == (197, 194)
+        assert manifest["beta_exclusions"] == manifest["derive_exclusions"] == 3
+        reason = "insufficient return history"
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            f"beta excluded for (F001, {year}): {reason}" for year in (2013, 2014, 2015)] + [
+            f"row excluded (F001, {year}): {reason}" for year in (2013, 2014, 2015)]
 
 
 class TestInputErrors:

@@ -737,7 +737,7 @@ def test_dataset_and_derived_columns_equal_the_per_row_join(panel):
         return
     ds = build_dataset(make_table(rows), rf)
     assert table_rows(ds.table) == list(by_key.values())
-    assert ds.firms == tuple(sorted({f for f, _ in by_key}))
+    assert ds.codes.firm_ids == tuple(sorted({f for f, _ in by_key}))
     derived = variables.derive_all(ds, betas)
     columns, exclusions, notes = reference_derive(by_key, rates, betas, derived.columns)
     assert derived.exclusions == exclusions

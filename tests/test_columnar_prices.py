@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from marketpanel import beta, ingest
 from marketpanel.errors import DuplicateMonth, NonPositivePrice, SchemaMismatch
 
-from conftest import InsufficientWindow, ZeroMarketVariance, beta_for_year
+from conftest import InsufficientWindow, ZeroMarketVariance, beta_for_year, panel_codes
 
 PROPERTY = settings(max_examples=80, deadline=None)
 HEADER = "series_id,year,month,close"
@@ -103,11 +103,11 @@ def reference_beta(firm_map, market_map, year, window_months, min_months):
     return beta_value, len(paired), (paired[0] // 12, paired[0] % 12 + 1)
 
 
-def loop_all_betas(returns, firms, years, firm_market, window_months, min_months):
-    """``beta_for_year`` once per firm-year, in the order ``all_betas`` reports."""
+def loop_all_betas(returns, index, firm_market, window_months, min_months):
+    """``beta_for_year`` once per (firm, year) of ``index`` whose firm has a return series."""
     estimates, exclusions = {}, []
-    for firm_id in sorted(firms):
-        for year in years:
+    for firm_id, year in index:
+        if firm_id in returns.series_index:
             try:
                 estimates[(firm_id, year)] = beta_for_year(
                     returns, firm_id, firm_market[firm_id], year, window_months, min_months)
@@ -266,7 +266,8 @@ def test_header_only_and_blank_bodies_give_an_empty_table():
 
 @st.composite
 def price_panels(draw):
-    """Seeded monthly prices: gaps, late listings, short series, flat market stretches."""
+    """Seeded monthly prices: gaps, late listings, short series, flat market stretches;
+    and an unbalanced panel of firm-years, in firm then year order."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_markets, n_firms = draw(st.integers(1, 2)), draw(st.integers(1, 8))
     span = draw(st.integers(2, 100))
@@ -295,13 +296,16 @@ def price_panels(draw):
     order = rng.permutation(len(rows))
     text = "\n".join([HEADER] + [",".join(map(str, rows[i])) for i in order]) + "\n"
     years = range(2000, 2000 + span // 12 + 2)
-    return text, firm_market, years, window, min_months
+    density = draw(st.sampled_from((1.0, 0.6, 0.2)))
+    index = [(firm_id, year) for firm_id in sorted(firm_market) for year in years
+             if rng.random() < density]
+    return text, firm_market, index, window, min_months
 
 
 @PROPERTY
 @given(price_panels())
 def test_batched_betas_equal_the_window_loops(panel):
-    text, firm_market, years, window, min_months = panel
+    text, firm_market, index, window, min_months = panel
     points = reference_parse_prices(text)
     maps = {s: reference_returns(p) for s, p in points.items() if len(p) >= 2}
     returns = beta.monthly_returns(ingest.parse_prices(text))
@@ -314,16 +318,14 @@ def test_batched_betas_equal_the_window_loops(panel):
     markets = {m for m in firm_market.values()}
     if not markets <= set(maps):
         return   # a market without returns fails the run; covered in test_beta
-    firms = [f for f in firm_market if f in maps]
-    estimates, exclusions = beta.all_betas(returns, list(reversed(firms)), years,
-                                           firm_market, window, min_months)
-    loop, loop_exclusions = loop_all_betas(returns, firms, years, firm_market, window,
+    estimates, exclusions = beta.all_betas(returns, panel_codes(index), firm_market, window,
                                            min_months)
+    loop, loop_exclusions = loop_all_betas(returns, index, firm_market, window, min_months)
     assert list(estimates.items()) == [(key, est.beta) for key, est in loop.items()]
     assert exclusions == loop_exclusions
 
-    for firm_id in sorted(firms):
-        for year in years:
+    for firm_id, year in index:
+        if firm_id in maps:
             ref = reference_beta(maps[firm_id], maps[firm_market[firm_id]], year,
                                  window, min_months)
             est = loop.get((firm_id, year))
@@ -338,7 +340,8 @@ def test_flat_market_windows_are_excluded():
     lines = [HEADER] + [f"M1,{y},{m},{100 * 1.01 ** i!r}" for i, (y, m) in enumerate(months)]
     lines += [f"F1,{y},{m},{100 + i % 5}" for i, (y, m) in enumerate(months)]
     returns = beta.monthly_returns(ingest.parse_prices("\n".join(lines)))
-    estimates, exclusions = beta.all_betas(returns, ["F1"], [2014, 2015], {"F1": "M1"})
+    estimates, exclusions = beta.all_betas(returns, panel_codes([("F1", 2014), ("F1", 2015)]),
+                                           {"F1": "M1"})
     assert estimates == {}
     assert exclusions == [("F1", 2014, "insufficient return history"),
                           ("F1", 2015, "insufficient return history")]

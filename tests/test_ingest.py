@@ -295,7 +295,7 @@ def test_an_id_with_a_trailing_nul_is_its_own_id_in_every_file():
     table, rejections = ingest.parse_fundamentals(fundamentals)
     assert rejections == ()
     assert table.firm_ids == ("F1", "F1\x00")
-    assert build_dataset(table, {("M1", 2015): 0.03}).firms == ("F1", "F1\x00")
+    assert build_dataset(table, {("M1", 2015): 0.03}).codes.firm_ids == ("F1", "F1\x00")
     prices = ingest.parse_prices("series_id,year,month,close\nF1,2015,1,10.0\n"
                                  "F1\x00,2015,1,11.0\n")
     assert prices.series_ids == ("F1", "F1\x00")

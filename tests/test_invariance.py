@@ -4,6 +4,7 @@ on every table is known in advance."""
 import csv
 import io
 import json
+import math
 import os
 import re
 
@@ -67,24 +68,31 @@ def test_input_transformation_moves_no_table_byte(tmp_path, transform):
 
 
 PER_SHARE = ("price", "book_value", "eps", "book_value_2009")
+MONEY = ("sga", "rd", "sales", "total_assets", "total_equity")
 VALUE_TABLES = ("value_direct", "value_moderated", "robustness_value_assets",
                 "robustness_value_log")
-UNSCALED_TABLES = ("risk_direct", "risk_moderated", "robustness_risk_assets",
-                   "robustness_risk_log", "correlations", "stationarity")
+RISK_TABLES = ("risk_direct", "risk_moderated", "robustness_risk_assets",
+               "robustness_risk_log")
+UNSCALED_TABLES = RISK_TABLES + ("correlations", "stationarity")
 # relative; a p cell's bound is widened as report-diff widens it
 SCALING_TOL = 1e-11
 
 
-def per_share_scaled(text, c):
-    """fundamentals.csv with its per-share cells (price, book value, eps and the
-    lagged book value where given) multiplied by ``c``."""
-    header, *rows = csv.reader(io.StringIO(text))
-    columns = [header.index(name) for name in PER_SHARE]
-    for row in rows:
-        for j in columns:
-            if row[j]:
-                row[j] = repr(float(row[j]) * c)
-    return "".join(",".join(row) + "\n" for row in [header, *rows])
+def scaled_run(data, out, columns, c):
+    """The run tree of ``data`` with the fundamentals.csv cells of ``columns``
+    multiplied by ``c`` where given; the scaled inputs are written under ``out``."""
+    (out / "data").mkdir()
+    for name in INPUTS:
+        text = (data / name).read_text()
+        if name == "fundamentals.csv":
+            header, *rows = csv.reader(io.StringIO(text))
+            for row in rows:
+                for j in map(header.index, columns):
+                    if row[j]:
+                        row[j] = repr(float(row[j]) * c)
+            text = "".join(",".join(row) + "\n" for row in [header, *rows])
+        (out / "data" / name).write_text(text)
+    return run_tree(out / "data", out / "out")
 
 
 @pytest.fixture(scope="module")
@@ -110,13 +118,7 @@ def test_per_share_unit_scales_what_the_model_says(seed_9, tmp_path, c):
     Hausman is left out: its rank tolerance is absolute in the fits' units, so at
     c = 1e5 its df falls from 8 to 6 (ROADMAP item 8)."""
     data, tree = seed_9
-    scaled_data = tmp_path / "data"
-    scaled_data.mkdir()
-    for name in INPUTS:
-        text = (data / name).read_text()
-        (scaled_data / name).write_text(per_share_scaled(text, c)
-                                        if name == "fundamentals.csv" else text)
-    scaled = run_tree(scaled_data, tmp_path / "out")
+    scaled = scaled_run(data, tmp_path, PER_SHARE, c)
 
     for name in VALUE_TABLES:
         got, want = json.loads(scaled[f"{name}.json"]), json.loads(tree[f"{name}.json"])
@@ -148,5 +150,49 @@ def test_per_share_unit_scales_what_the_model_says(seed_9, tmp_path, c):
         assert (got_row["variable"], got_row["n"], got_row["flag"]) == (
             want_row["variable"], want_row["n"], want_row["flag"])
         scale = c if want_row["variable"] in ("P", "B", "X") else 1.0
+        for key in ("minimum", "maximum", "mean", "std"):
+            assert_close(got_row[key], scale * want_row[key], (want_row, key))
+
+
+def test_money_unit_shifts_what_the_model_says(seed_9, tmp_path):
+    """SG&A, R&D, sales, total assets and total equity all multiplied by c = 1e3.
+    Marin, MarinAssets and Lev are ratios and stay; Size = ln(total assets) and, in
+    the log tables, Marin = ln(SG&A - R&D) move by ln c. The firm effects absorb a
+    shift, so every slope with its SE and p, R², F, LR and Hausman stay, and the
+    average effect C = ybar - xbar'b moves by -ln c (b_Size + b_Marin), b_Marin in
+    the log tables only. There OW*Marin moves by ln c * OW, so OW moves by
+    -ln c * b_OW*Marin. The SE and p of a moved coefficient are left out: the
+    xbar behind them moves. The correlations and the stationarity tests do not
+    move, and of the descriptives only TotalAssets does, scaled by c."""
+    c = 1e3
+    data, tree = seed_9
+    scaled = scaled_run(data, tmp_path, MONEY, c)
+
+    for name in VALUE_TABLES + RISK_TABLES:
+        got, want = json.loads(scaled[f"{name}.json"]), json.loads(tree[f"{name}.json"])
+        slope = {row["variable"]: row["coefficient"] for row in want["rows"]}
+        shift = {"C": -math.log(c) * slope["Size"]}
+        if name.endswith("_log"):
+            shift = {"C": -math.log(c) * (slope["Size"] + slope["Marin"]),
+                     "OW": -math.log(c) * slope["OW*Marin"]}
+        for got_row, want_row in zip(got["rows"], want["rows"], strict=True):
+            if want_row["variable"] in shift:
+                want_row["coefficient"] += shift[want_row["variable"]]
+                got_row.update(std_error=want_row["std_error"], prob=want_row["prob"])
+        # every other cell at SCALING_TOL, Hausman at compare_tables' wider bound
+        file = f"{name}.json"
+        assert report.compare_tables({file: json.dumps(got)}, {file: json.dumps(want)},
+                                     SCALING_TOL) == []
+
+    unscaled = [f"{name}.{ext}" for name in ("correlations", "stationarity")
+                for ext in ("json", "csv", "md")]
+    assert report.compare_tables({n: scaled[n] for n in unscaled},
+                                 {n: tree[n] for n in unscaled}, SCALING_TOL) == []
+
+    got, want = (json.loads(t["descriptives.json"])["rows"] for t in (scaled, tree))
+    for got_row, want_row in zip(got, want, strict=True):
+        assert (got_row["variable"], got_row["n"], got_row["flag"]) == (
+            want_row["variable"], want_row["n"], want_row["flag"])
+        scale = c if want_row["variable"] == "TotalAssets" else 1.0
         for key in ("minimum", "maximum", "mean", "std"):
             assert_close(got_row[key], scale * want_row[key], (want_row, key))

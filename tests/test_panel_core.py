@@ -17,8 +17,8 @@ class TestBuildDataset:
         """20 firms x 10 years of valid rows come through untouched."""
         ds = make_panel(n_firms=20, n_years=10)
         assert len(ds.table.year) == 200
-        assert len(ds.firms) == 20
-        assert ds.years == tuple(range(2011, 2021))
+        assert len(ds.codes.firm_ids) == 20
+        assert ds.codes.years.tolist() == list(range(2011, 2021))
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -67,7 +67,7 @@ class TestBuildDataset:
         ds = build_dataset(make_table(rows), {("M1", 2015): 0.03, ("M1", 2016): 0.04})
         assert [(r["firm_id"], r["year"]) for r in table_rows(ds.table)] == [
             ("F10", 2015), ("F10", 2016), ("F2", 2015), ("F2", 2016)]
-        assert ds.firms == ("F10", "F2")
+        assert ds.codes.firm_ids == ("F10", "F2")
         assert ds.codes.firm.tolist() == [0, 0, 1, 1]
         assert ds.row_rates.tolist() == [0.03, 0.04, 0.03, 0.04]
 
@@ -110,12 +110,21 @@ class TestPanelCodes:
         assert codes.firm_ids == ("A", "B", "C")
         sub = codes.select(np.array([False, True, True, False, True]))
         assert sub.firm_ids == ("A", "B", "C")
-        assert sub.years.tolist() == [2002, 2000]
-        assert sub.period.tolist() == [0, 1, 0]
+        assert sub.years.tolist() == [2000, 2002]
+        assert sub.period.tolist() == [1, 0, 1]
         sub = codes.select(np.array([True, True, False, False, True]))
         assert sub.firm_ids == ("A", "C")
         assert sub.firm.tolist() == [0, 0, 1]
         assert sub.firm_sizes.tolist() == [2, 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1990, 2030)), min_size=1,
+                    max_size=30))
+    def test_periods_are_coded_in_year_order(self, rows):
+        firm, year = (np.array(column) for column in zip(*rows))
+        codes = PanelCodes.from_codes(("A", "B", "C", "D"), firm, year)
+        assert codes.years.tolist() == sorted(set(year.tolist()))
+        assert codes.years[codes.period].tolist() == year.tolist()
 
     def test_select_of_every_row_reuses_the_codes(self):
         codes = make_panel(n_firms=5, n_years=4).codes

@@ -158,8 +158,8 @@ class TestWithinTransform:
         X = panel_matrix(np.arange(4.0).reshape(-1, 1), ("x",), index)
         assert X.codes.firm_ids == ("A", "B")
         assert X.codes.firm.tolist() == [1, 0, 1, 0]
-        assert X.codes.years.tolist() == [2001, 2000, 2003]
-        assert X.codes.period.tolist() == [0, 0, 1, 2]
+        assert X.codes.years.tolist() == [2000, 2001, 2003]
+        assert X.codes.period.tolist() == [1, 1, 0, 2]
         Xw, _ = within_transform(X, np.zeros(4))
         assert Xw.codes is X.codes
         with pytest.raises(ValueError, match="codes length does not match matrix height"):
@@ -339,6 +339,16 @@ class TestReFit:
             warnings.simplefilter("error")
             with pytest.raises(TooFewGroups, match=rf"^groups={n_firms}, k=2: "):
                 re_fit(X, y)
+
+    def test_too_few_observations_before_the_within_solve(self):
+        """2 firms x 2 years with k = 3 leave n - k - G = -1: both estimators raise
+        TooFewObservations with one message, before a solve could find the rank short."""
+        X, y, _ = panel_design(n_firms=2, n_years=2, k=3, seed=4)
+        message = r"^n=4, k=3, groups=2: no residual degrees of freedom$"
+        with pytest.raises(TooFewObservations, match=message):
+            fe_fit(X, y)
+        with pytest.raises(TooFewObservations, match=message):
+            re_fit(X, y)
 
 
 class TestWhiteCrossSection:

@@ -62,7 +62,9 @@ def loop_white_cross_section(X, residuals, index):
     n, k = X.values.shape
     bread = np.linalg.pinv(X.values.T @ X.values)
     meat = np.zeros((k, k))
-    for idx in _groups([year for _, year in index]).values():
+    periods = _groups([year for _, year in index])
+    for year in sorted(periods):
+        idx = periods[year]
         score = X.values[idx].T @ residuals[idx]
         meat += np.outer(score, score)
     cov = bread @ meat @ bread * (n / (n - k))

@@ -29,8 +29,8 @@ class TestGeneratePanel:
     def test_default_shape(self, default_result):
         ds = default_result.dataset
         assert len(ds.table.year) == 200
-        assert len(ds.firms) == 20
-        assert ds.years == tuple(range(2010, 2020))
+        assert len(ds.codes.firm_ids) == 20
+        assert ds.codes.years.tolist() == list(range(2010, 2020))
 
     def test_marin_mean_near_target_across_seeds(self):
         for seed in range(5):
@@ -178,8 +178,7 @@ class TestBetaRecovery:
     def _estimate(result):
         returns = beta.monthly_returns(ingest.parse_prices(result.prices_csv))
         ds = result.dataset
-        firm_market = ds.firm_markets()
-        estimates, exclusions = beta.all_betas(returns, ds.firms, ds.years, firm_market)
+        estimates, exclusions = beta.all_betas(returns, ds.codes, ds.firm_markets())
         assert not exclusions
         return estimates
 
