@@ -84,7 +84,7 @@ def _config_kinds() -> dict[str, type]:
 
 def _parse_config_file(path: str) -> dict:
     kinds = _config_kinds()
-    values = {}
+    values, key_lines = {}, {}
     for line_no, raw in enumerate(ingest._read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -95,6 +95,10 @@ def _parse_config_file(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in kinds:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in key_lines:
+            raise ConfigError(f"{path}:{line_no}: key {key!r} already set on line "
+                              f"{key_lines[key]}")
+        key_lines[key] = line_no
         kind = kinds[key]
         if kind is bool:
             if value.lower() not in ("true", "false", "1", "0", "yes", "no"):
@@ -202,9 +206,9 @@ def _bundle(cfg: RunConfig) -> report.ReportBundle:
         "correlation_table": diagnostics.correlation_matrix(corr_columns),
         "stationarity_table": diagnostics.panel_stationarity(
             variables.panel_columns(panel, variables.STATIONARITY_ORDER), panel.codes),
-        "robustness_tables": models.robustness_suite(
-            panel, center=cfg.center, constrain_book_unit=cfg.constrain_book_unit),
     }
+    refits = models.robustness_suite(panel, center=cfg.center,
+                                     constrain_book_unit=cfg.constrain_book_unit)
     effective = cfg.effective()
     config_hash = _config_hash(effective, inputs)
     metadata = {
@@ -221,12 +225,11 @@ def _bundle(cfg: RunConfig) -> report.ReportBundle:
         "ingest_rejections": list(rejections),
         "derive_exclusions": len(panel.exclusions),
         "beta_exclusions": len(beta_exclusions),
-        "baseline_nobs": {r.model_id: r.fit.nobs for r in estimates},
-        "robustness_nobs": {models.robustness_table_name(r): r.fit.nobs
-                            for r in tables["robustness_tables"]},
+        "baseline_nobs": {r.table: r.fit.nobs for r in estimates},
+        "robustness_nobs": {r.table: r.fit.nobs for r in refits},
         "notes": panel.notes,
     }
-    return report.ReportBundle(estimation_tables=estimates, metadata=metadata, **tables)
+    return report.ReportBundle([*estimates, *refits], metadata=metadata, **tables)
 
 
 # --- subcommands -------------------------------------------------------------------

@@ -121,9 +121,12 @@ def _check_header(header: list[str], expected: tuple[str, ...], what: str,
     if tuple(cleaned[:len(expected)]) != expected:
         raise SchemaMismatch(f"{what}: expected header {','.join(expected)!r}, "
                              f"got {','.join(cleaned)!r}")
-    for col in cleaned[len(expected):]:
+    extra = cleaned[len(expected):]
+    for i, col in enumerate(extra):
         if col not in optional:
             raise SchemaMismatch(f"{what}: unexpected column {col!r}")
+        if col in extra[:i]:
+            raise SchemaMismatch(f"{what}: repeated column {col!r}")
     return cleaned
 
 

@@ -41,9 +41,10 @@ class ModelSpec(NamedTuple):
 
 
 class EstimationReport(NamedTuple):
-    """Publication-style record of one estimated model; ``rows`` and ``f_test``
-    are its fit's ``rows()`` and ``f_test()``, derived once for its tables."""
+    """Publication-style record of one estimated model, written as ``table``; ``rows``
+    and ``f_test`` are its fit's ``rows()`` and ``f_test()``, derived once for that table."""
 
+    table: str
     model_id: str
     marin_variant: str
     fit: FitResult
@@ -131,12 +132,6 @@ def _assemble_design(panel: DerivedPanel, spec: ModelSpec, center: bool):
     return X, y, n_excluded, len(mask)
 
 
-def robustness_table_name(refit: ModelSpec | EstimationReport) -> str:
-    """The name of a robustness refit's table."""
-    family = "value" if refit.model_id.startswith("value") else "risk"
-    return f"robustness_{family}_{MARIN_VARIANTS[refit.marin_variant][0]}"
-
-
 def _check_design(X: DesignMatrix, y):
     """The design without the columns that have no within variation, and their names.
 
@@ -182,9 +177,9 @@ def estimate(panel: DerivedPanel, spec: ModelSpec, center: bool = False,
 
     Per-row exclusions (missing variant values) never abort the panel; they
     are counted on the report. A design without rows raises
-    :class:`TooFewObservations`. Each error starts with ``table``, the name of
-    the estimate's table (the model id by default). Identical inputs produce
-    identical reports.
+    :class:`TooFewObservations`. ``table`` names the estimate's table (the
+    model id by default): the report carries it, and each error starts with
+    it. Identical inputs produce identical reports.
     """
     table = table or spec.model_id
     X, y, n_excluded, n_input = _assemble_design(panel, spec, center)
@@ -215,8 +210,8 @@ def estimate(panel: DerivedPanel, spec: ModelSpec, center: bool = False,
         notes.append(f"lr check unavailable: {exc}")
 
     return EstimationReport(
-        model_id=spec.model_id, marin_variant=spec.marin_variant, fit=fit, rows=fit.rows(),
-        f_test=fit.f_test(), diagnostics=diagnostics, n_input_rows=n_input,
+        table=table, model_id=spec.model_id, marin_variant=spec.marin_variant, fit=fit,
+        rows=fit.rows(), f_test=fit.f_test(), diagnostics=diagnostics, n_input_rows=n_input,
         n_excluded=n_excluded, dropped_columns=dropped, notes=notes)
 
 
@@ -224,13 +219,14 @@ def robustness_suite(panel: DerivedPanel, center: bool = False,
                      constrain_book_unit: bool = False) -> list[EstimationReport]:
     """Re-estimate both moderated models under the two alternate marketing measures.
 
-    Returns four reports in a fixed order: (value, assets), (value, log),
-    (risk, assets), (risk, log).
+    Returns four reports, each of table ``robustness_<family>_<short measure name>``,
+    in a fixed order: (value, assets), (value, log), (risk, assets), (risk, log).
     """
     out = []
-    for model_id in ("value_moderated", "risk_moderated"):
+    for family in ("value", "risk"):
         for variant in ("assets_ratio", "log_level"):
-            spec = spec_for(model_id, marin_variant=variant,
+            spec = spec_for(f"{family}_moderated", marin_variant=variant,
                             constrain_book_unit=constrain_book_unit)
-            out.append(estimate(panel, spec, center=center, table=robustness_table_name(spec)))
+            table = f"robustness_{family}_{MARIN_VARIANTS[variant][0]}"
+            out.append(estimate(panel, spec, center=center, table=table))
     return out

@@ -20,7 +20,7 @@ from .diagnostics import (CorrelationResult, StationarityRow, TestResult, Variab
                           _pvalue_bracket)
 from .errors import IoFailure, SchemaMismatch
 from .ingest import _csv_cell, _csv_text, _read_text
-from .models import EstimationReport, robustness_table_name
+from .models import EstimationReport
 
 SCHEMA_VERSION = "1"
 
@@ -34,8 +34,7 @@ _RISK_LABELS = {"C": "C", "Marin": "Marin", "Age": "AGE", "Size": "SIZ",
 class ReportBundle(NamedTuple):
     """The tables of one pipeline run plus run metadata; a table left out is not rendered."""
 
-    estimation_tables: list[EstimationReport]
-    robustness_tables: list[EstimationReport] = ()
+    estimates: list[EstimationReport]
     descriptives_table: list[VariableSummary] | None = None
     correlation_table: CorrelationResult | None = None
     stationarity_table: list[StationarityRow] | None = None
@@ -178,7 +177,7 @@ def _stationarity_md(rows: list[StationarityRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _estimation_json(report: EstimationReport, name: str, companion=None) -> str:
+def _estimation_json(report: EstimationReport, companion=None) -> str:
     fit = report.fit
     rows = [{"variable": variable, "coefficient": _num(coefficient),
              "std_error": _num(std_error), "prob": _num(prob)}
@@ -187,7 +186,7 @@ def _estimation_json(report: EstimationReport, name: str, companion=None) -> str
     f_statistic, f_pvalue = report.f_test
     return _json_text({
         "schema_version": SCHEMA_VERSION,
-        "table": name,
+        "table": report.table,
         "model_id": report.model_id,
         "marin_variant": report.marin_variant,
         "r_squared": _num(fit.r_squared),
@@ -205,13 +204,12 @@ def _estimation_json(report: EstimationReport, name: str, companion=None) -> str
     })
 
 
-def _estimation_csv(report: EstimationReport, name: str, companion=None) -> str:
+def _estimation_csv(report: EstimationReport, companion=None) -> str:
     return _to_csv([["variable", "coefficient", "std_error", "prob"], *report.rows,
                     ["R-squared", report.fit.r_squared, None, None]])
 
 
-def _estimation_md(report: EstimationReport, name: str,
-                   companion: EstimationReport | None = None) -> str:
+def _estimation_md(report: EstimationReport, companion: EstimationReport | None = None) -> str:
     """Markdown estimation table in Coefficient/Prob column pairs.
 
     When a companion (direct) report is supplied the table mirrors the
@@ -221,7 +219,7 @@ def _estimation_md(report: EstimationReport, name: str,
     main = {v: (c, p) for v, c, _, p in report.rows}
     other = {v: (c, p) for v, c, _, p in companion.rows} if companion else None
 
-    lines = [f"# {_MD_TITLES.get(name, name)}", ""]
+    lines = [f"# {_MD_TITLES.get(report.table, report.table)}", ""]
     if other is not None:
         lines += ["| Variable | Direct Model Coefficient | Direct Model Prob. "
                   "| Moderating Model Coefficient | Moderating Model Prob. |",
@@ -276,14 +274,11 @@ def _bundle_files(bundle: ReportBundle) -> dict[str, tuple]:
                   "correlations": bundle.correlation_table,
                   "stationarity": bundle.stationarity_table}
     files = {name: (name, (table,)) for name, table in diagnostic.items() if table is not None}
-    # a moderated base model's markdown pairs with its direct model; no direct
-    # model is estimated under the alternative measures, so robustness tables stand alone
-    by_model = {r.model_id: r for r in bundle.estimation_tables}
-    named = [(r.model_id, r, by_model.get(_COMPANIONS.get(r.model_id)))
-             for r in bundle.estimation_tables]
-    named += [(robustness_table_name(r), r, None) for r in bundle.robustness_tables]
-    for name, report, companion in named:
-        files[name] = ("estimation", (report, name, companion))
+    # a moderated base model's markdown pairs with its direct model; no direct model
+    # is estimated under the alternative measures, so a refit's table stands alone
+    by_table = {r.table: r for r in bundle.estimates}
+    for r in bundle.estimates:
+        files[r.table] = ("estimation", (r, by_table.get(_COMPANIONS.get(r.table))))
     return files
 
 

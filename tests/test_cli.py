@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import marketpanel
-from marketpanel import errors, report
+from marketpanel import errors, models, report
 from marketpanel.cli import main
 
 
@@ -240,6 +240,21 @@ class TestRunCommand:
         assert "manifest.json" in names
         assert len(names) == 3 * len(stems) + 1
 
+    def test_each_estimate_is_written_under_its_table_name(self, run_dir):
+        """Each estimation table's json names its file and its markdown title is the
+        publication title of that name; the manifest's nobs are keyed by the same names."""
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        base, refits = manifest["baseline_nobs"], manifest["robustness_nobs"]
+        stems = {path.stem for path in run_dir.glob("*.json")} - {
+            "manifest", "descriptives", "correlations", "stationarity"}
+        assert sorted(base) == sorted(models.MODEL_IDS)
+        assert sorted(refits) == sorted(s for s in stems if s.startswith("robustness_"))
+        assert len(refits) == 4 and set(base) | set(refits) == stems
+        for stem in stems:
+            assert json.loads((run_dir / f"{stem}.json").read_text())["table"] == stem
+            title = (run_dir / f"{stem}.md").read_text().split("\n", 1)[0]
+            assert title == f"# {report._MD_TITLES[stem]}", stem
+
     def test_manifest_records_effective_config(self, run_dir):
         manifest = json.loads((run_dir / "manifest.json").read_text())
         cfg = manifest["effective_config"]
@@ -300,6 +315,16 @@ class TestRunCommand:
         with caplog.at_level(logging.ERROR, logger="marketpanel"):
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert caplog.records[-1].getMessage() == f"{cfg}:2: unknown key {key!r}"
+        assert not (tmp_path / "o").exists()
+
+    def test_config_file_repeated_key_exit_2(self, data_dir, tmp_path, caplog):
+        """A key set twice is refused, naming both lines, not read as the later value."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {data_dir}\nbeta_window = 60\n# again\nbeta_window = 72\n")
+        with caplog.at_level(logging.ERROR, logger="marketpanel"):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert caplog.records[-1].getMessage() == \
+            f"{cfg}:4: key 'beta_window' already set on line 2"
         assert not (tmp_path / "o").exists()
 
     def test_config_file_unknown_marin_variant_exit_2(self, data_dir, tmp_path):

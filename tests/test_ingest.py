@@ -80,6 +80,12 @@ class TestParseFundamentals:
         assert rejections == ()
         assert table.book_value_prev.tolist() == [1.25]
 
+    def test_repeated_optional_column_is_fatal(self):
+        """A second book_value_2009 column is refused, not read over the first."""
+        text = f"{HEADER},book_value_2009,book_value_2009\n{ROW},0.8,0.9\n"
+        with pytest.raises(SchemaMismatch, match="repeated column 'book_value_2009'"):
+            ingest.parse_fundamentals(text)
+
     def test_count_invariant_on_mixed_input(self):
         rows = [ROW,
                 ROW.replace("F1", "F2").replace(",40.0,", ",0.0,"),

@@ -30,15 +30,13 @@ def bundle():
         corr_cols = variables.panel_columns(panel, variables.CORRELATION_ORDER)
         stationarity = diagnostics.panel_stationarity(
             variables.panel_columns(panel, variables.STATIONARITY_ORDER), panel.codes)
-        estimation = [models.estimate(panel, models.spec_for(m))
-                      for m in models.MODEL_IDS]
-        robustness = models.robustness_suite(panel)
+        estimates = [models.estimate(panel, models.spec_for(m)) for m in models.MODEL_IDS]
+        estimates += models.robustness_suite(panel)
     return ReportBundle(
         descriptives_table=diagnostics.descriptives(desc_cols),
         correlation_table=diagnostics.correlation_matrix(corr_cols),
         stationarity_table=stationarity,
-        estimation_tables=estimation,
-        robustness_tables=robustness,
+        estimates=estimates,
         metadata={"run_id": "test", "config_hash": "0" * 64, "timestamp": None})
 
 
