@@ -16,7 +16,11 @@ script, both ``main()`` without arguments), the CLI freezes the objects its
 imports left to the garbage collector, so neither its full collections nor
 the one at exit walk them again. ``main(argv)`` called from Python code does
 not freeze, because the caller's own pending garbage would be frozen too and
-never freed.
+never freed. A process run as a program also has numpy's OpenBLAS start one
+thread, not one per CPU, unless the caller set ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``
+(:func:`marketpanel.one_blas_thread_unless_chosen`); imported, the CLI keeps
+numpy's default.
 """
 
 import argparse
@@ -28,6 +32,10 @@ import logging
 import os
 import sys
 from typing import NamedTuple
+
+if __name__ == "__main__":   # python -m marketpanel.cli: before numpy loads OpenBLAS
+    from . import one_blas_thread_unless_chosen
+    one_blas_thread_unless_chosen()
 
 import numpy as np
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line pipeline."""
 
 import gc
+import glob
 import hashlib
 import json
 import logging
@@ -635,7 +636,8 @@ class TestGcFreeze:
 
     @pytest.mark.parametrize("entry", [
         "import runpy; runpy.run_module('marketpanel.cli', run_name='__main__')",  # -m
-        "from marketpanel.cli import main; sys.exit(main())",   # the console script
+        "from marketpanel.cli import main; sys.exit(main())",   # main() without arguments
+        "from marketpanel.__main__ import main; sys.exit(main())",   # the console script
     ])
     def test_program_entry_freezes(self, run_dir, entry):
         code = ("import atexit, gc, sys; "
@@ -648,6 +650,83 @@ class TestGcFreeze:
         assert json.loads(proc.stdout.splitlines()[0])["passed"] is True
         label, count = proc.stdout.splitlines()[-1].split()
         assert label == "frozen" and int(count) > 0
+
+
+# the variables OpenBLAS reads its thread count from
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+class TestBlasThreads:
+    """A process the CLI owns has numpy's OpenBLAS start one thread unless the
+    caller chose a count; importing the CLI keeps numpy's default."""
+
+    ENTRIES = {
+        "module": ["-m", "marketpanel.cli", "--help"],
+        "script": ["-c", "import sys; from marketpanel.__main__ import main; sys.exit(main())",
+                   "--help"],
+    }
+
+    @pytest.fixture(scope="class")
+    def threads(self, tmp_path_factory):
+        """Runs Python with the given arguments, none of the three variables set
+        unless given, and returns OpenBLAS's thread count at exit, read through
+        ctypes from numpy's bundled library by a sitecustomize hook."""
+        import numpy
+        libs = glob.glob(str(Path(numpy.__file__).resolve().parents[1] / "numpy.libs"
+                             / "libscipy_openblas64_*.so"))
+        if len(libs) != 1:
+            pytest.skip("not exercised: numpy's bundled OpenBLAS is absent")
+        probe = tmp_path_factory.mktemp("blas-probe")
+        # the library is opened at exit: opened at start-up, it would read the
+        # thread count before the entry point could set it
+        (probe / "sitecustomize.py").write_text(
+            "import atexit, ctypes\n"
+            "def report():\n"
+            f"    get = ctypes.CDLL({libs[0]!r}).scipy_openblas_get_num_threads64_\n"
+            "    get.argtypes, get.restype = [], ctypes.c_int\n"
+            "    print('threads', get())\n"
+            "atexit.register(report)\n")
+        env = {k: v for k, v in src_env().items() if k not in BLAS_THREAD_VARIABLES}
+        env["PYTHONPATH"] = os.pathsep.join([str(probe), env["PYTHONPATH"]])
+
+        def count(args, **caller):
+            proc = subprocess.run([sys.executable, *args], env={**env, **caller},
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            label, value = proc.stdout.splitlines()[-1].split()
+            assert label == "threads"
+            return int(value)
+
+        if count(["-c", "import numpy"]) < 2:
+            pytest.skip("not exercised: OpenBLAS starts one thread on this host")
+        return count
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("caller, expected", [
+        ({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "2"}, 2),
+    ], ids=["unset", "OPENBLAS_NUM_THREADS=2", "OMP_NUM_THREADS=2"])
+    def test_program_entry(self, threads, entry, caller, expected):
+        assert threads(self.ENTRIES[entry], **caller) == expected
+
+    def test_import_keeps_numpys_default_and_the_environment(self, threads):
+        code = ("import os; environ = dict(os.environ); import marketpanel, marketpanel.cli; "
+                "assert dict(os.environ) == environ")
+        assert threads(["-c", code]) == threads(["-c", "import numpy"])
+
+    def test_a_callers_variable_is_kept(self, monkeypatch):
+        """OpenBLAS reads OPENBLAS_NUM_THREADS first: a default of 1 set beside
+        a caller's GOTO_NUM_THREADS or OMP_NUM_THREADS would override it."""
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        marketpanel.one_blas_thread_unless_chosen()
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        for name in BLAS_THREAD_VARIABLES:
+            for other in BLAS_THREAD_VARIABLES:
+                monkeypatch.delenv(other, raising=False)
+            monkeypatch.setenv(name, "3")
+            marketpanel.one_blas_thread_unless_chosen()
+            assert {k: os.environ.get(k) for k in BLAS_THREAD_VARIABLES} == {
+                k: "3" if k == name else None for k in BLAS_THREAD_VARIABLES}
 
 
 class TestRunId:

@@ -10,6 +10,7 @@ from marketpanel.errors import (CollinearityProximityWarning, SingletonGroupWarn
                                 TooFewObservations)
 from marketpanel.models import (MODEL_IDS, _check_design, build_interaction, estimate,
                                 robustness_suite, spec_for)
+from marketpanel.variables import panel_columns
 
 from conftest import coefficient, panel_design, t_stat, with_exact_age
 
@@ -110,6 +111,25 @@ class TestEstimate:
         np.testing.assert_allclose(raw.fit.residuals, centered.fit.residuals,
                                    atol=1e-10)
 
+    def test_centering_moves_the_main_effects_by_the_reparameterization_law(self, panel):
+        """(Marin - m)(OW - o) = Marin*OW - o*Marin - m*OW + m*o, with m and o the
+        means over the estimate's rows: centering adds b(OW*Marin)*o to the Marin
+        coefficient and b(OW*Marin)*m to the OW coefficient, and moves no other slope."""
+        spec = spec_for("value_moderated")
+        raw = estimate(panel, spec, center=False)
+        centered = estimate(panel, spec, center=True)
+        names = (spec.dependent, *spec.regressors[:-1])
+        columns = panel_columns(panel, names)
+        rows = np.logical_and.reduce([np.isfinite(columns[name]) for name in names])
+        mean_marin, mean_ow = columns["Marin"][rows].mean(), columns["OW"][rows].mean()
+        b_interaction = coefficient(raw.fit, "OW*Marin")
+        shifted = {"Marin": b_interaction * mean_ow, "OW": b_interaction * mean_marin}
+        for name in spec.regressors:
+            expected = coefficient(raw.fit, name) + shifted.get(name, 0.0)
+            assert coefficient(centered.fit, name) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert shifted["Marin"] != pytest.approx(0.0, abs=1e-6)
+        assert shifted["OW"] != pytest.approx(0.0, abs=1e-6)
+
     def test_lr_note_names_firms_with_too_few_rows(self, panel):
         """A firm left with two rows in the design is named in the LR note."""
         codes = panel.codes
@@ -151,6 +171,17 @@ class TestEstimate:
                                                constrain_book_unit=True))
         assert "B" not in [row[0] for row in constrained.fit.rows()]
         assert constrained.fit.nobs == free.fit.nobs
+
+    def test_constrain_book_unit_regresses_price_less_book(self, panel):
+        """The constrained estimate is the free fit of P - B on the other regressors."""
+        spec = spec_for("value_direct", constrain_book_unit=True)
+        constrained = estimate(panel, spec)
+        price_less_book = panel._replace(
+            columns={**panel.columns, "P": panel.columns["P"] - panel.columns["B"]})
+        free = estimate(price_less_book, spec._replace(constrain_book_unit=False))
+        assert constrained.fit.column_names == free.fit.column_names
+        np.testing.assert_array_equal(constrained.fit.coefficients, free.fit.coefficients)
+        np.testing.assert_array_equal(constrained.fit.covariance, free.fit.covariance)
 
     def test_marin_variant_selects_column(self, panel):
         sales = estimate(panel, spec_for("risk_direct"))

@@ -350,6 +350,16 @@ class TestReFit:
         with pytest.raises(TooFewObservations, match=message):
             re_fit(X, y)
 
+    def test_too_few_observations_at_zero_residual_degrees_of_freedom(self):
+        """2 firms x 3 years with k = 4 leave n - k - G = 0: no variance can be
+        estimated, and both estimators raise as at a negative count."""
+        X, y, _ = panel_design(n_firms=2, n_years=3, k=4, seed=4)
+        message = r"^n=6, k=4, groups=2: no residual degrees of freedom$"
+        with pytest.raises(TooFewObservations, match=message):
+            fe_fit(X, y)
+        with pytest.raises(TooFewObservations, match=message):
+            re_fit(X, y)
+
 
 class TestWhiteCrossSection:
     def test_zero_residuals_zero_matrix(self):
