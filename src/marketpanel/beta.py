@@ -54,12 +54,12 @@ class ReturnPanel(NamedTuple):
     values: np.ndarray
     series_index: dict[str, int]
 
-    def window(self, rows, year: int, window_months: int) -> tuple[np.ndarray, int]:
-        """The rows' returns in the window ending Dec ``year``, and its first column."""
+    def window(self, rows, year: int, window_months: int) -> np.ndarray:
+        """The rows' returns in the window ending Dec ``year``."""
         end = _month_index(year, 12)
         lo = int(np.searchsorted(self.months, end - window_months + 1, side="left"))
         hi = int(np.searchsorted(self.months, end, side="right"))
-        return self.values[rows, lo:hi], lo
+        return self.values[rows, lo:hi]
 
 
 # a calendar month's index and back, elementwise on integer arrays too
@@ -168,8 +168,7 @@ def all_betas(returns: ReturnPanel, codes: PanelCodes, firm_market: dict[str, st
     betas = np.empty(len(rows))
     for p, year in enumerate(codes.years.tolist()):
         at = period == p
-        (firm_window, market_window), _ = returns.window(series[:, firm[at]], year,
-                                                         window_months)
+        firm_window, market_window = returns.window(series[:, firm[at]], year, window_months)
         betas[at] = _window_betas(firm_window, market_window, min_months)
 
     keys = list(zip(map(codes.firm_ids.__getitem__, firm.tolist()), codes.years[period].tolist()))

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import ConstantSeries, TooFewGroups, TooShort
+from .errors import ConstantSeries, NotPositiveDefinite, TooFewGroups, TooShort
 from .panel_core import PanelCodes
 
 # MacKinnon (1994) approximate asymptotic p-value surface, constant-only
@@ -242,31 +242,25 @@ def _fisher_combination(name: str, y: np.ndarray, codes: PanelCodes) -> TestResu
 
 
 def hausman_test(fe, re) -> TestResult:
-    """Hausman comparison of fixed- and random-effects slope vectors.
+    """Hausman (1978) comparison of fixed- and random-effects slope vectors.
 
     Both fits come from one design, so each holds ``C`` and then the same
-    slopes in the same order: the slopes are read by position.
-    H = d' (V_FE - V_RE)^+ d over the slopes, df = rank of the covariance
-    difference. A non-positive-semidefinite difference is flagged in
-    ``detail`` and handled with the Moore-Penrose pseudo-inverse.
+    slopes in the same order: the slopes are read by position. Both
+    covariances carry the within sigma2_e (Stata's ``hausman, sigmaless``),
+    so V = V_FE - V_RE is positive definite, and H = d' V^-1 d over the k
+    slopes, solved through V's Cholesky factor (read from its lower triangle),
+    is Mundlak's (1978) augmented-regression Wald statistic, chi2 with df = k.
+    Raises :class:`NotPositiveDefinite` when rounding leaves V without one.
     """
     d = fe.coefficients[1:] - re.coefficients[1:]
-    v_diff = fe.covariance[1:, 1:] - re.covariance[1:, 1:]
-    v_diff = (v_diff + v_diff.T) / 2.0
-
-    eigvals = np.linalg.eigvalsh(v_diff)
-    scale = max(abs(float(np.trace(v_diff))), 1e-300)
-    psd = eigvals.min() >= -1e-10 * scale
-
-    pinv = np.linalg.pinv(v_diff)
-    statistic = float(d @ pinv @ d)
-    df = int(np.linalg.matrix_rank(v_diff, tol=1e-12 * scale))
-    df = max(df, 1)
-    p = _kernels._chdtrc(df, max(statistic, 0.0))
-    detail = f"df={df}, slopes={list(fe.column_names[1:])}"
-    if not psd:
-        detail += "; covariance difference not PSD (pseudo-inverse used)"
-    return TestResult(name="hausman", statistic=statistic, p_value=p,
+    try:
+        lower = np.linalg.cholesky(fe.covariance[1:, 1:] - re.covariance[1:, 1:])
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("V_FE - V_RE is not positive definite") from None
+    z = np.linalg.solve(lower, d)
+    statistic, df = float(z @ z), len(d)
+    detail = f"df={df}, slopes={list(fe.column_names[1:])}; the within sigma2_e in V_FE and V_RE"
+    return TestResult(name="hausman", statistic=statistic, p_value=_kernels._chdtrc(df, statistic),
                       critical_values=None, detail=detail)
 
 

@@ -86,6 +86,10 @@ class TooFewGroups(MarketPanelError):
     pass
 
 
+class NotPositiveDefinite(MarketPanelError):
+    """The Hausman covariance difference V_FE - V_RE has no Cholesky factor."""
+
+
 # --- synthetic generator ------------------------------------------------------------
 
 class InfeasibleTargets(InputError):

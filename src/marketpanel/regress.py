@@ -91,7 +91,7 @@ class FitResult(NamedTuple):
 
 class RandomEffects(NamedTuple):
     """Random-effects GLS coefficients, ``C`` then the design's columns, their
-    classical covariance and the mean quasi-demeaning weight ``theta``."""
+    covariance on the within sigma2_e and the mean quasi-demeaning weight ``theta``."""
 
     coefficients: np.ndarray
     covariance: np.ndarray
@@ -203,9 +203,7 @@ def robust_cov_white_cross_section(X: DesignMatrix, residuals,
                                     residuals[rows][..., None])[..., 0]
     # sum_t s_t s_t', added period by period in calendar order
     meat = np.add.reduce(scores[:, :, None] * scores[:, None, :], axis=0)
-    cov = xtx_inv @ meat @ xtx_inv
-    if n > k:
-        cov *= n / (n - k)
+    cov = xtx_inv @ meat @ xtx_inv * (n / (n - k))
     return (cov + cov.T) / 2.0
 
 
@@ -265,8 +263,10 @@ def re_fit(X: DesignMatrix, y) -> RandomEffects:
     regression; a negative between component is clamped to zero with a
     warning, which reduces the estimator to pooled OLS. Raises
     :class:`TooFewGroups` when the between regression has no residual degrees
-    of freedom (G <= k + 1). Only what the Hausman comparison reads is
-    returned: no t, p, F, residuals or R-squared.
+    of freedom (G <= k + 1). The covariance sigma2_e (X*'X*)^-1 of the quasi-demeaned
+    X* takes the within sigma2_e, as the fixed-effects one does, so the Hausman
+    difference of the two is positive definite. Only what that comparison reads
+    is returned: no t, p, F, residuals or R-squared.
     """
     y = np.asarray(y, dtype=float)
     n, k = X.values.shape
@@ -305,13 +305,11 @@ def re_fit(X: DesignMatrix, y) -> RandomEffects:
 
     theta_by_group = 1.0 - np.sqrt(sigma2_e / (sigma2_e + t_sizes * sigma2_u))
 
-    # quasi-demeaning, intercept included; df_within > 0 leaves n > k + 1
+    # quasi-demeaning, intercept included
     y_star = y - (theta_by_group * ybar)[codes.firm]
     v_star = (np.column_stack([np.ones(n), X.values])
               - (theta_by_group[:, None] * xbar)[codes.firm])
     beta, xtx_inv = _pivoted_qr_solve(v_star, y_star, names)
-    resid_star = y_star - v_star @ beta
-    sigma2 = float(resid_star @ resid_star) / (n - k - 1)
-    covariance = sigma2 * xtx_inv
+    covariance = sigma2_e * xtx_inv
     return RandomEffects(coefficients=beta, covariance=(covariance + covariance.T) / 2.0,
                          theta=float(theta_by_group.mean()))

@@ -357,7 +357,7 @@ def _compare_json(name: str, a, b, rel_tol: float, loc: str, key: str, lines: li
             else:
                 # the Hausman statistic inverts a difference of two covariance
                 # matrices, which magnifies last-bit moves in either fit
-                tol = rel_tol * 1e4 if k == "hausman" else rel_tol
+                tol = rel_tol * 1e2 if k == "hausman" else rel_tol
                 _compare_json(name, a[k], b[k], tol, f"{loc}/{k}", k, lines)
     elif isinstance(a, list) and isinstance(b, list) and len(a) != len(b):
         lines.append(f"{name}:{loc}: length {len(a)} vs {len(b)}")
@@ -400,7 +400,7 @@ def compare_tables(a: dict[str, str], b: dict[str, str], rel_tol: float) -> list
     returns the differences, one line each, and none when the tables agree.
 
     json and csv numbers pass when :func:`_close` holds at ``rel_tol`` (the
-    Hausman entry at ``rel_tol`` * 1e4); markdown must be the same text. A
+    Hausman entry at ``rel_tol`` * 1e2); markdown must be the same text. A
     difference names its file and cell, or the first differing markdown line.
     Differing json schema versions raise :class:`SchemaMismatch`.
     """

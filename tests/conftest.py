@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from marketpanel import regress, variables
-from marketpanel.beta import DEFAULT_MIN_MONTHS, DEFAULT_WINDOW_MONTHS, ReturnPanel, _index_month
+from marketpanel.beta import (DEFAULT_MIN_MONTHS, DEFAULT_WINDOW_MONTHS, ReturnPanel, _index_month,
+                             _month_index)
 from marketpanel.diagnostics import _mackinnon_pvalues, _pvalue_bracket
 from marketpanel.errors import (ConstantSeries, MarketPanelError, TooFewObservations, TooShort,
                                 UnknownMarket)
@@ -311,7 +312,7 @@ def beta_for_year(returns: ReturnPanel, firm_id: str, market_id: str, year: int,
     """
     rows = [_row(returns, firm_id, TooShort, "firm"),
             _row(returns, market_id, UnknownMarket, "market")]
-    (firm, market), lo = returns.window(rows, year, window_months)
+    firm, market = returns.window(rows, year, window_months)
     paired = ~np.isnan(firm) & ~np.isnan(market)
 
     n = int(paired.sum())
@@ -327,6 +328,9 @@ def beta_for_year(returns: ReturnPanel, firm_id: str, market_id: str, year: int,
         raise ZeroMarketVariance(f"{market_id}: market returns constant in window")
     beta = float(rm_centered @ (ri - ri.mean())) / var_m
 
+    # the window's first column, found as ReturnPanel.window finds it
+    lo = int(np.searchsorted(returns.months, _month_index(year, 12) - window_months + 1,
+                             side="left"))
     start = int(returns.months[lo + int(np.argmax(paired))])
     return BetaEstimate(firm_id=firm_id, year=year, beta=beta,
                         n_months=n, window_start=_index_month(start))

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from marketpanel.diagnostics import (_harris_tzavalis, _lag0_adf_stats, _mackinnon_pvalues,
@@ -14,7 +15,7 @@ from marketpanel.errors import ConstantSeries, TooFewGroups, TooShort
 from marketpanel.regress import fe_fit, re_fit
 
 from conftest import (adf_test, firm_codes, mackinnon_crit, mackinnon_pvalue, panel_design,
-                      stacked)
+                      panel_matrix, stacked)
 
 
 class TestAdf:
@@ -267,13 +268,69 @@ class TestHausman:
             rejections += result.p_value < 0.05
         assert rejections / n_seeds >= 0.8
 
-    def test_statistic_nonnegative_or_flagged(self):
+    def test_statistic_nonnegative_on_k_degrees_of_freedom(self):
         for seed in range(20):
             X, y, _ = panel_design(n_firms=12, n_years=5, k=3, seed=seed)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 result = hausman_test(fe_fit(X, y), re_fit(X, y))
-            assert result.statistic >= 0 or "not PSD" in result.detail
+            assert result.statistic >= 0
+            assert result.detail.startswith("df=3, ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_extra=st.integers(3, 15), k=st.integers(1, 4),
+           tilt=st.floats(0.0, 2.0))
+    def test_statistic_is_the_mundlak_wald_on_unbalanced_panels(self, seed, n_extra, k, tilt):
+        """On a random unbalanced panel, the covariance difference V is positive
+        definite and H = d' V^-1 d equals Mundlak's augmented-regression Wald
+        statistic W built with the same theta_g and sigma2_e.
+
+        Both routes round. To first order, rounding in V moves H by its relative
+        size times cond(V), taken as 1e-12 cond(V) W (4500 ulps of cond(V)); and
+        rounding in d = b_FE - b_RE, up to 1e-13 of the slopes' size s, moves it
+        by at most 2 sqrt(W h) + h, with h = 1e-26 |s|^2 / min eig(V)."""
+        rng = np.random.default_rng(seed)
+        g = k + n_extra
+        sizes = rng.integers(2, 9, g)
+        firm = np.repeat(np.arange(g), sizes)
+        index = [(f"F{f:02d}", 2000 + t) for f, size in enumerate(sizes) for t in range(size)]
+        x = (rng.normal(0, 1, (len(firm), k)) + rng.normal(0, 1, (g, k))[firm]) \
+            * 10.0 ** rng.uniform(-1, 1, k)
+        effects = rng.normal(0, 1, g) + tilt * np.bincount(firm, x[:, 0]) / sizes
+        y = x @ rng.normal(0, 1, k) + effects[firm] + rng.normal(0, 1, len(firm))
+        X = panel_matrix(x, tuple(f"x{j}" for j in range(k)), index)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fe, re = fe_fit(X, y), re_fit(X, y)
+        v = fe.covariance[1:, 1:] - re.covariance[1:, 1:]
+        smallest = np.linalg.eigvalsh(v).min()
+        assert smallest > 0
+        statistic = hausman_test(fe, re).statistic
+
+        # Swamy-Arora components, the weights theta_g and the quasi-demeaned rows
+        n = len(firm)
+        xbar = np.column_stack([np.bincount(firm, c) for c in x.T]) / sizes[:, None]
+        ybar = np.bincount(firm, y) / sizes
+        xw, yw = x - xbar[firm], y - ybar[firm]
+        resid_w = yw - xw @ np.linalg.lstsq(xw, yw, rcond=None)[0]
+        sigma2_e = resid_w @ resid_w / (n - k - g)
+        between = np.column_stack([np.ones(g), xbar])
+        resid_b = ybar - between @ np.linalg.lstsq(between, ybar, rcond=None)[0]
+        sigma2_u = max(resid_b @ resid_b / (g - k - 1) - sigma2_e * g / n, 0.0)
+        theta = 1.0 - np.sqrt(sigma2_e / (sigma2_e + sizes * sigma2_u))
+        assert theta.mean() == pytest.approx(re.theta, rel=1e-9, abs=1e-12)
+        # y* = (1 - theta_g) c + x* b + (1 - theta_g) xbar_g gamma; Wald of gamma = 0
+        z = np.column_stack([1.0 - theta, xbar * (1.0 - theta)[:, None]])[firm]
+        z = np.column_stack([z[:, 0], x - (theta[:, None] * xbar)[firm], z[:, 1:]])
+        q, r = np.linalg.qr(z)
+        gamma = np.linalg.solve(r, q.T @ (y - (theta * ybar)[firm]))[k + 1:]
+        r_inv = np.linalg.inv(r)
+        v_gamma = sigma2_e * (r_inv @ r_inv.T)[k + 1:, k + 1:]
+        wald = float(gamma @ np.linalg.solve(v_gamma, gamma))
+        size = np.abs(fe.coefficients[1:]) + np.abs(re.coefficients[1:])
+        h = 1e-26 * float(size @ size) / smallest
+        assert abs(statistic - wald) <= 1e-12 * np.linalg.cond(v) * wald \
+            + 2 * math.sqrt(wald * h) + h
 
 
 class TestLrHeteroskedasticity:

@@ -107,16 +107,23 @@ def assert_close(got, want, what, is_p=False):
     assert report._close(got, want, SCALING_TOL, is_p), (what, got, want)
 
 
-@pytest.mark.parametrize("c", [1e3, 2**10])
+def assert_same_test(got, want, what):
+    """Two recorded diagnostics agree: statistic and p within SCALING_TOL, and the
+    rest (name, decision and detail, which holds the df) equal."""
+    got, want = dict(got), dict(want)
+    assert_close(got.pop("statistic"), want.pop("statistic"), what)
+    assert_close(got.pop("p_value"), want.pop("p_value"), what, is_p=True)
+    assert got == want, what
+
+
+@pytest.mark.parametrize("c", [1e3, 2**10, 1e5, 1e6])
 def test_per_share_unit_scales_what_the_model_says(seed_9, tmp_path, c):
     """P, B, eps and the lagged book value all multiplied by c, so X = eps - r*B(t-1)
     is too. In P = C + b_B*B + b_X*X + the per-firm controls, b_B, b_X, every
     statistic and p-value stay; the other coefficients and their SEs scale by c.
     The risk models, the correlations and the stationarity tests do not move, and
-    the descriptives of P, B and X scale by c while P/B stays.
-
-    Hausman is left out: its rank tolerance is absolute in the fits' units, so at
-    c = 1e5 its df falls from 8 to 6 (ROADMAP item 8)."""
+    the descriptives of P, B and X scale by c while P/B stays. The Hausman and LR
+    statistics, their p-values and dfs stay too."""
     data, tree = seed_9
     scaled = scaled_run(data, tmp_path, PER_SHARE, c)
 
@@ -131,13 +138,10 @@ def test_per_share_unit_scales_what_the_model_says(seed_9, tmp_path, c):
         for key in ("r_squared", "f_statistic"):
             assert_close(got[key], want[key], (name, key))
         assert_close(got["f_pvalue"], want["f_pvalue"], (name, "f_pvalue"), is_p=True)
-        got_lr = got["diagnostics"]["lr_heteroskedasticity"]
-        want_lr = want["diagnostics"]["lr_heteroskedasticity"]
-        assert_close(got_lr.pop("statistic"), want_lr.pop("statistic"), (name, "LR"))
-        assert_close(got_lr.pop("p_value"), want_lr.pop("p_value"), (name, "LR p"), is_p=True)
-        assert got_lr == want_lr
-        compared = ("rows", "r_squared", "f_statistic", "f_pvalue", "diagnostics",
-                    "hausman_decision")
+        assert sorted(got["diagnostics"]) == ["hausman", "lr_heteroskedasticity"]
+        for test, recorded in got["diagnostics"].items():
+            assert_same_test(recorded, want["diagnostics"][test], (name, test))
+        compared = ("rows", "r_squared", "f_statistic", "f_pvalue", "diagnostics")
         assert {k: v for k, v in got.items() if k not in compared} == {
             k: v for k, v in want.items() if k not in compared}
 
@@ -179,7 +183,9 @@ def test_money_unit_shifts_what_the_model_says(seed_9, tmp_path):
             if want_row["variable"] in shift:
                 want_row["coefficient"] += shift[want_row["variable"]]
                 got_row.update(std_error=want_row["std_error"], prob=want_row["prob"])
-        # every other cell at SCALING_TOL, Hausman at compare_tables' wider bound
+        # Hausman at SCALING_TOL itself, not at compare_tables' wider bound
+        assert_same_test(got["diagnostics"]["hausman"], want["diagnostics"]["hausman"],
+                         (name, "hausman"))
         file = f"{name}.json"
         assert report.compare_tables({file: json.dumps(got)}, {file: json.dumps(want)},
                                      SCALING_TOL) == []

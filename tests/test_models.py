@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from marketpanel import _kernels, synth, variables
+from marketpanel import _kernels, regress, synth, variables
 from marketpanel.errors import (CollinearityProximityWarning, SingletonGroupWarning,
                                 TooFewObservations)
 from marketpanel.models import (MODEL_IDS, _check_design, build_interaction, estimate,
@@ -142,6 +142,22 @@ class TestEstimate:
         assert (f"lr check unavailable: groups with fewer than 3 residuals: "
                 f"['{codes.firm_ids[0]}']") in report.notes
 
+    def test_hausman_without_a_positive_definite_difference_is_unavailable(self, panel,
+                                                                          monkeypatch):
+        """A random-effects covariance ten times its size leaves V_FE - V_RE
+        without a Cholesky factor: the estimate records no Hausman statistic,
+        only a note."""
+        re_fit = regress.re_fit
+
+        def inflated(X, y):
+            re = re_fit(X, y)
+            return re._replace(covariance=10.0 * re.covariance)
+        monkeypatch.setattr(regress, "re_fit", inflated)
+        report = estimate(panel, spec_for("risk_direct"))
+        assert report.hausman_decision == "unavailable"
+        assert [t.name for t in report.diagnostics] == ["lr_heteroskedasticity"]
+        assert "hausman unavailable: V_FE - V_RE is not positive definite" in report.notes
+
     def test_only_the_reported_fit_computes_tails(self, panel, monkeypatch):
         """t and F tails are computed for the reported white-cross-section fit
         only, once for each of its nine coefficients; the classical fit that the
@@ -237,6 +253,27 @@ class TestDesignCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _check_design(X, y) == (X, ())
+
+    @pytest.mark.parametrize("level", [1024.0, 0.5])
+    @pytest.mark.parametrize("factor", [1.01, 0.99])
+    def test_drop_threshold_from_both_sides(self, level, factor):
+        """A column at ``level`` wiggles by +-a within each firm, a = factor * 1e-12
+        * max(1, level): kept just above the threshold 1e-12 max(1, max|x|), dropped
+        just below. At level 0.5 every |x| < 1, so the floor 1 sets the threshold."""
+        X, y, _ = panel_design(n_firms=6, n_years=4, k=2, seed=3)
+        a = factor * 1e-12 * max(1.0, level)
+        wiggle = level + a * np.tile([1.0, -1.0, 1.0, -1.0], 6)
+        with_w = regress.design_matrix(np.column_stack([X.values, wiggle]),
+                                       X.column_names + ("W",), X.codes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checked, dropped = _check_design(with_w, y)
+        if factor > 1:
+            assert checked is with_w and dropped == ()
+        else:
+            assert dropped == ("W",)
+            assert checked.column_names == X.column_names
+            np.testing.assert_array_equal(checked.values, X.values)
 
 
 class TestRobustnessSuite:

@@ -34,6 +34,7 @@ from scipy import special, stats
 
 import marketpanel
 from marketpanel import _kernels, diagnostics, regress, synth
+from marketpanel.errors import NotPositiveDefinite
 
 from conftest import firm_codes, stacked
 
@@ -178,17 +179,23 @@ def test_hausman_p_value_is_the_chi2_tail_of_its_statistic():
     for trial in range(40):
         a = rng.normal(size=(3, 3))
         v_re = a @ a.T
-        # every fourth difference is not PSD, so the statistic may be negative
+        # every fourth difference is indefinite, which has no statistic
         shift = rng.normal(size=(3, 3)) if trial % 4 == 0 else 0.1 * a @ a.T
         v_fe = v_re + (shift + shift.T) / 2.0
         cov = [np.pad(v, ((1, 0), (1, 0))) for v in (v_fe, v_re)]
         coef = [np.concatenate([[0.0], rng.normal(size=3)]) for _ in range(2)]
         fe, re = (SimpleNamespace(column_names=names, coefficients=c, covariance=v)
                   for c, v in zip(coef, cov))
+        if trial % 4 == 0:
+            assert np.linalg.eigvalsh(v_fe - v_re).min() < 0
+            with pytest.raises(NotPositiveDefinite):
+                diagnostics.hausman_test(fe, re)
+            continue
         result = diagnostics.hausman_test(fe, re)
-        df = int(result.detail.split(",")[0].removeprefix("df="))
-        x = max(result.statistic, 0.0)
-        assert_p(result.p_value, stats.chi2.sf(x, df), mp_chi2_sf(df, x))
+        assert result.detail.startswith("df=3, ")
+        x = result.statistic
+        assert x >= 0
+        assert_p(result.p_value, stats.chi2.sf(x, 3), mp_chi2_sf(3, x))
 
 
 def test_fisher_p_value_is_the_chi2_tail_of_its_statistic():

@@ -253,11 +253,12 @@ class TestComparisonRule:
         assert golden_compare(str(GOLDEN), str(tree), rel_tol=1e-12) == []
         assert golden_compare(str(GOLDEN), str(tree), rel_tol=0) != []
 
-    def test_hausman_statistic_is_compared_1e4_looser(self, tmp_path):
+    @pytest.mark.parametrize("factor, passes", [(1 + 5e-11, True), (1 + 5e-10, False)])
+    def test_hausman_statistic_is_compared_1e2_looser(self, tmp_path, factor, passes):
         def edit(table):
-            table["diagnostics"]["hausman"]["statistic"] *= 1 + 5e-9
+            table["diagnostics"]["hausman"]["statistic"] *= factor
         tree = _edited(tmp_path, "risk_moderated.json", edit)
-        assert golden_compare(str(GOLDEN), str(tree), rel_tol=1e-12) == []
+        assert (golden_compare(str(GOLDEN), str(tree), rel_tol=1e-12) == []) is passes
         diff = golden_compare(str(GOLDEN), str(tree), rel_tol=0)
         assert [line.split(": ")[0] for line in diff] == \
             ["risk_moderated.json:/diagnostics/hausman/statistic"]
