@@ -297,15 +297,15 @@ def _beta_cdf(a: float, b: float, p: float, q: float, d: float) -> float:
 
 def _stdtr(df: float, t: float) -> float:
     """Student t cdf with 0 < df < inf degrees of freedom."""
-    if not df > 0.0 or math.isnan(t):
+    if math.isnan(t):
         return math.nan
     tail = 0.5 * _beta_cdf(df / 2.0, 0.5, abs(t), abs(t), df)
     return tail if t <= 0.0 else 1.0 - tail
 
 
 def _fdtrc(dfn: int, dfd: float, f: float) -> float:
-    """Upper tail of the F(dfn, dfd) distribution for an integer dfn > 0."""
-    if not (dfn > 0 and dfd > 0.0 and f >= 0.0):
+    """Upper tail of the F(dfn, dfd) distribution for integer dfn, dfd > 0 and f >= 0."""
+    if math.isnan(f):
         return math.nan
     return _beta_cdf(dfd / 2.0, dfn / 2.0, f, dfn, dfd)
 

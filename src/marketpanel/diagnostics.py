@@ -5,8 +5,8 @@ significance-annotated correlation matrix.
 The panel unit-root rows are Harris-Tzavalis (1999) tests, which hold for a
 fixed number of years as the number of firms grows; their p-values are normal
 and the markdown shows them as brackets. Beside them, per-firm lag-0 ADF tests
-are combined by Fisher's method (Maddala & Wu 1999), with the approximate
-continuous MacKinnon (1994) p-values.
+are combined by Fisher's method (Maddala & Wu 1999), with MacKinnon's (1994)
+asymptotic p-values and firms assumed independent.
 """
 
 import math
@@ -215,11 +215,11 @@ def _fisher_combination(name: str, y: np.ndarray, codes: PanelCodes) -> TestResu
     """Combine per-firm ADF p-values: -2 sum(ln p_i) ~ chi2(2G).
 
     ``y`` holds the values of the rows of ``codes``, each firm's in year
-    order. Per-firm series are short, so lag 0 is forced and the
-    approximate MacKinnon p-values are used; the result is labelled
-    approximate. Firms with fewer than 8 values, a constant lagged level or
-    an exactly fitting regression (an exact trend such as age) are skipped
-    and counted.
+    order. Per-firm series are short, so lag 0 is forced; the p-values are
+    MacKinnon's (1994) asymptotic ones and the firms are assumed independent,
+    as ``detail`` says. Firms with fewer than 8 values, a constant lagged
+    level or an exactly fitting regression (an exact trend such as age) are
+    skipped and counted.
     """
     blocks = [(rows[:, 0], *_lag0_adf_stats(y[rows]))
               for _, rows in codes.firm_blocks if rows.shape[1] >= 8]
@@ -235,8 +235,8 @@ def _fisher_combination(name: str, y: np.ndarray, codes: PanelCodes) -> TestResu
     statistic = -2.0 * float(np.sum(_kernels._log(pvalues)))
     df = 2 * len(pvalues)
     p = _kernels._chdtrc(df, statistic)
-    detail = (f"{name}: Fisher chi2({df}) over {len(pvalues)} firms "
-              f"({skipped} skipped), approximate small-sample p-values")
+    detail = (f"{name}: Fisher chi2({df}) over {len(pvalues)} firms ({skipped} skipped), "
+              "asymptotic MacKinnon (1994) p-values, firms assumed independent")
     return TestResult(name="adf_fisher", statistic=statistic, p_value=p,
                       critical_values=None, detail=detail)
 
@@ -296,8 +296,8 @@ def lr_heteroskedasticity(residuals, codes: PanelCodes) -> TestResult:
             statistic = float(np.subtract.reduce(terms))
     df = g - 1
     # equal group variances can leave a statistic just below 0, where the
-    # tail has no value: clamp the argument only
-    p = _kernels._chdtrc(df, max(statistic, 0.0)) if math.isfinite(statistic) else 0.0
+    # tail has no value: clamp the argument only; an infinite one has tail 0
+    p = _kernels._chdtrc(df, max(statistic, 0.0))
     return TestResult(name="lr_heteroskedasticity", statistic=statistic, p_value=p,
                       critical_values=None, detail=f"groups={g}, df={df}")
 
@@ -353,12 +353,11 @@ def correlation_matrix(columns: dict[str, np.ndarray]) -> CorrelationResult:
                 r[i, i], p[i, i] = 1.0, 0.0
                 continue
             rij = float(np.corrcoef(x, yv)[0, 1])
-            rij = max(-1.0, min(1.0, rij))
             r[i, j] = r[j, i] = rij
             if abs(rij) >= 1.0:
                 pij = 0.0
             else:
                 t = rij * math.sqrt((n - 2) / (1.0 - rij * rij))
                 pij = 2.0 * _kernels._stdtr(n - 2, -abs(t))
-            p[i, j] = p[j, i] = min(pij, 1.0)
+            p[i, j] = p[j, i] = pij
     return CorrelationResult(variables=names, r=r, p=p, n=n_mat)

@@ -149,20 +149,20 @@ def _t_inference(beta, covariance, df_resid):
         t = np.where(std > 0, beta / std, np.inf * np.sign(beta))
     t = np.where((std == 0) & (beta == 0), 0.0, t)
     p = 2.0 * np.array([_kernels._stdtr(df_resid, -abs(v)) for v in t.tolist()])
-    return std, t, np.clip(p, 0.0, 1.0)
+    return std, t, p
 
 
 def _r_squared(y, residuals):
     rss = float(residuals @ residuals)
     dev = y - y.mean()
     tss = float(dev @ dev)
-    if tss <= 0.0:
-        return 1.0 if rss <= 1e-30 else 0.0
-    return max(0.0, min(1.0, 1.0 - rss / tss))
+    if tss <= 0.0:   # y has no variation: an exact fit, whatever rounding residue is left
+        return 1.0
+    return max(0.0, 1.0 - rss / tss)
 
 
 def _f_statistic(r2, k_model, df_resid):
-    if k_model <= 0 or df_resid <= 0:
+    if k_model <= 0:
         return 0.0, 1.0
     if r2 >= 1.0:
         return np.inf, 0.0

@@ -134,6 +134,18 @@ class TestBetaForYear:
         with pytest.raises(ZeroMarketVariance):
             beta_of(firm, market)
 
+    def test_market_variance_of_rounding_residue_only(self):
+        """Returns of 150 and the next double above it: the market's variance, about
+        1e-26, is rounding residue. The cut is relative, 1e-24 of the sum of squares
+        (about 1e6), so the market counts as constant."""
+        market = monthly_points(2010, 1, np.tile([150.0, np.nextafter(150.0, 200.0)], 30))
+        firm = monthly_points(2010, 1, np.random.default_rng(1).normal(0, 0.05, 60))
+        with pytest.raises(ZeroMarketVariance):
+            beta_of(firm, market)
+        returns = return_panel({"F": firm, "M": market})
+        assert all_betas(returns, panel_codes([("F", 2014)]), {"F": "M"}) == (
+            {}, [("F", 2014, "insufficient return history")])
+
 
 def grid(firms, years):
     """The codes of every (firm, year) of ``firms`` x ``years``."""

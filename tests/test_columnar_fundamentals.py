@@ -474,6 +474,10 @@ HANDED_OVER = {
         [(3, f"establishment_year: {NEW_DIGITS_REASON}")]),
     "a year beyond int64": ("fundamentals", _row_with("year", "99999999999999999999"),
                             [(3, "year: out of range")]),
+    "a year of 2**63": ("fundamentals", _row_with("year", str(2**63)),
+                        [(3, "year: out of range")]),
+    "a year of -2**63 - 1": ("fundamentals", _row_with("year", str(-2**63 - 1)),
+                             [(3, "year: out of range")]),
     "a quoted cell holding a comma": (
         "fundamentals", _row_with("sales", '"1,000.5"'),
         [(3, "sales: thousands separators not accepted")]),
@@ -525,6 +529,8 @@ READ_IN_ONE_CALL = {
     "a signed year with a leading zero": ("fundamentals", _row_with("year", "+02015"), []),
     "a non-finite close": ("prices", "F1,2015,2,inf",
                            (SchemaMismatch, "prices line 3: close: not a finite number")),
+    "the first year in range": ("prices", f"F1,{-ingest._MAX_YEAR},2,1.5", None),
+    "the last year in range": ("prices", f"F1,{ingest._MAX_YEAR},2,1.5", None),
     "a month out of range": ("prices", "F1,2015,13,1.5",
                              (SchemaMismatch, "prices line 3: month 13 outside 1..12")),
     "a repeated month": ("prices", " F1 ,2015,01,2.5",

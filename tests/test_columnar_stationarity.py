@@ -129,8 +129,8 @@ def reference_fisher_combination(name, series_list):
     df = 2 * len(pvalues)
     with mpmath.workdps(50):
         p = float(mpmath.gammainc(df / 2, statistic / 2, mpmath.inf, regularized=True))
-    detail = (f"{name}: Fisher chi2({df}) over {len(pvalues)} firms "
-              f"({skipped} skipped), approximate small-sample p-values")
+    detail = (f"{name}: Fisher chi2({df}) over {len(pvalues)} firms ({skipped} skipped), "
+              "asymptotic MacKinnon (1994) p-values, firms assumed independent")
     return diagnostics.TestResult(name="adf_fisher", statistic=statistic, p_value=p,
                                   critical_values=None, detail=detail)
 

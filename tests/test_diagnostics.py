@@ -122,6 +122,21 @@ class TestPanelStationarity:
         rows = panel_stationarity({"V": column}, firm_codes(firm))
         assert rows[0].fisher.detail.startswith("V: Fisher chi2(24) over 12 firms (5 skipped)")
 
+    def test_fisher_skips_a_constant_lagged_level_and_an_exact_fit(self):
+        """A firm whose lagged level is constant, and one on an exact trend, are
+        skipped and counted. Both sit near 1e6, so their Sxx or RSS is a rounding
+        residue far above 1e-24, but below the relative cut 1e-24 sum x^2."""
+        rng = np.random.default_rng(6)
+        noise = [rng.normal(0, 1, 10) for _ in range(12)]
+        flat = np.array([1e6 + 0.1] * 9 + [5.0])
+        trend = 1e6 * np.arange(10.0) + 0.1
+        column, firm = stacked(noise)
+        (alone,) = panel_stationarity({"V": column}, firm_codes(firm))
+        column, firm = stacked(noise + [flat, trend])
+        (row,) = panel_stationarity({"V": column}, firm_codes(firm))
+        assert row.fisher.detail.startswith("V: Fisher chi2(24) over 12 firms (2 skipped)")
+        assert row.fisher.statistic == alone.fisher.statistic
+
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         column, firm = stacked([rng.normal(0, 1, 10) for _ in range(10)])
@@ -194,6 +209,20 @@ class TestHarrisTzavalis:
             "degenerate", None, None, None)
         with pytest.raises(ConstantSeries):
             _harris_tzavalis(np.array(ages), len(ages))
+
+    @pytest.mark.parametrize("factor", [1.01, 0.99])
+    def test_constant_lagged_level_cut_from_both_sides(self, factor):
+        """Two firms at 1, one lagged value 1 + d: Sxx = 0.8 d^2 against the cut
+        1e-24 sum x^2, sum x^2 about 10. At ``factor`` times the cut the test
+        runs just above it and raises ConstantSeries just below."""
+        d = math.sqrt(factor * 1e-23 / 0.8)
+        block = np.array([[1.0, 1.0, 1.0, 1.0, 1.0 + d, 0.3],
+                          [1.0, 1.0, 1.0, 1.0, 1.0, 2.7]])
+        if factor > 1:
+            assert math.isfinite(_harris_tzavalis(block, 2).statistic)
+        else:
+            with pytest.raises(ConstantSeries, match="lagged level"):
+                _harris_tzavalis(block, 2)
 
     def test_balanced_subset_of_the_modal_length(self):
         rng = np.random.default_rng(14)
@@ -341,6 +370,16 @@ class TestLrHeteroskedasticity:
         assert result.statistic == pytest.approx(0.0, abs=1e-12)
         assert result.decision == "fail_to_reject"
 
+    def test_zero_residuals_give_zero(self):
+        result = lr_heteroskedasticity(np.zeros(8), firm_codes(["A"] * 4 + ["B"] * 4))
+        assert (result.statistic, result.p_value) == (0.0, 1.0)
+
+    def test_a_firm_with_zero_residuals_gives_infinity(self):
+        residuals = np.array([1.0, -0.5, 0.25, 2.0, 0.0, 0.0, 0.0, 0.0])
+        result = lr_heteroskedasticity(residuals, firm_codes(["A"] * 4 + ["B"] * 4))
+        assert (result.statistic, result.p_value) == (math.inf, 0.0)
+        assert result.decision == "reject"
+
     def test_equal_group_variances_give_p_one(self):
         # each firm holds the same residuals in the same order, so the group
         # variances equal the pooled one and the statistic rounds below 0
@@ -433,6 +472,8 @@ class TestDescriptives:
     def test_nan_dropped(self):
         row = descriptives({"v": np.array([1.0, np.nan, 3.0])})[0]
         assert row.n == 2
+        # two observations have a sample standard deviation
+        assert (row.std, row.flag) == (pytest.approx(math.sqrt(2.0)), "")
 
 
 class TestCorrelationMatrix:

@@ -119,7 +119,7 @@ class TestRowChecks:
         ("price", 0.0, "price"),
         ("price", -1.0, "price"),
         ("book_value", 0.0, "book value"),
-        ("total_assets", 0.0, "total assets"),
+        ("total_assets", 0.0, "total assets must be positive"),
         ("sales", 0.0, "sales must be positive"),
         ("rd", -0.5, "non-negative"),
         ("eps", float("nan"), "finite"),
@@ -140,12 +140,17 @@ class TestRowChecks:
     def test_equity_above_assets(self):
         assert self._reasons(make_row(total_assets=50.0, total_equity=60.0)) == [
             (2, "total equity exceeds total assets")]
+        assert self._reasons(make_row(total_assets=50.0, total_equity=50.0)) == []
 
     def test_stake_bounds(self):
         assert self._reasons(make_row(stakes=(0.3, 1.2, 1.5))) == [
             (2, "stake 1.2 outside (0, 1]")]
         assert self._reasons(make_row(stakes=(0.6, 0.6))) == [(2, "stakes sum exceeds 1")]
         assert self._reasons(make_row(stakes=(0.5, 0.5 + 5e-10))) == []
+        # exactly at 1 + 1e-9, then past it but inside twice it
+        assert self._reasons(make_row(stakes=(1e-9, 1.0))) == []
+        assert self._reasons(make_row(stakes=(0.5, 0.5 + 1.5e-9))) == [
+            (2, "stakes sum exceeds 1")]
 
     def test_unreadable_stake_names_its_row(self):
         text = ingest.fundamentals_to_csv(make_table([make_row(stakes=(0.1, 0.2, 0.3)),
@@ -276,6 +281,15 @@ class TestParsePrices:
         text = "series_id,year,month,close\nF1,2015,3,100\nF1,2015,3,101\n"
         with pytest.raises(DuplicateMonth):
             ingest.parse_prices(text)
+
+    def test_a_csv_reader_error_names_its_line(self):
+        """Lines 3 and 4 hold one row, and its close, on line 4, is past the csv
+        module's field limit."""
+        limit = csv.field_size_limit()
+        text = f'series_id,year,month,close\nF1,2015,1,10.0\n"F\n1",2015,2,{"x" * (limit + 1)}\n'
+        with pytest.raises(SchemaMismatch) as err:
+            ingest.parse_prices(text)
+        assert str(err.value) == f"prices line 4: field larger than field limit ({limit})"
 
     def test_out_of_order_months_sorted(self):
         text = ("series_id,year,month,close\n"

@@ -1,11 +1,12 @@
 """Tests for the declarative model layer and estimation driver."""
 
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
-from marketpanel import _kernels, regress, synth, variables
+from marketpanel import _kernels, models, regress, synth, variables
 from marketpanel.errors import (CollinearityProximityWarning, SingletonGroupWarning,
                                 TooFewObservations)
 from marketpanel.models import (MODEL_IDS, _check_design, build_interaction, estimate,
@@ -216,7 +217,10 @@ class TestDesignCheck:
             estimate(panel, spec_for(model_id))
         design = (SingletonGroupWarning, CollinearityProximityWarning)
         found = [w for w in caught if issubclass(w.category, design)]
-        assert all(w.filename.endswith("models.py") for w in found), found
+        # each points at estimate's _check_design call
+        lines, first = inspect.getsourcelines(models.estimate)
+        call = first + next(i for i, line in enumerate(lines) if "_check_design(" in line)
+        assert all((w.filename, w.lineno) == (models.__file__, call) for w in found), found
         return ([str(w.message) for w in found if w.category is SingletonGroupWarning],
                 [str(w.message) for w in found if w.category is CollinearityProximityWarning])
 
@@ -254,12 +258,13 @@ class TestDesignCheck:
             warnings.simplefilter("error")
             assert _check_design(X, y) == (X, ())
 
-    @pytest.mark.parametrize("level", [1024.0, 0.5])
-    @pytest.mark.parametrize("factor", [1.01, 0.99])
+    @pytest.mark.parametrize("level, factor", [(1024.0, 1.01), (1024.0, 0.99), (0.5, 1.01),
+                                               (0.5, 0.99), (0.0, 1.0)])
     def test_drop_threshold_from_both_sides(self, level, factor):
         """A column at ``level`` wiggles by +-a within each firm, a = factor * 1e-12
         * max(1, level): kept just above the threshold 1e-12 max(1, max|x|), dropped
-        just below. At level 0.5 every |x| < 1, so the floor 1 sets the threshold."""
+        just below. At level 0.5 every |x| < 1, so the floor 1 sets the threshold;
+        at level 0 the wiggle demeans to itself, exactly the threshold, and is dropped."""
         X, y, _ = panel_design(n_firms=6, n_years=4, k=2, seed=3)
         a = factor * 1e-12 * max(1.0, level)
         wiggle = level + a * np.tile([1.0, -1.0, 1.0, -1.0], 6)
@@ -274,6 +279,20 @@ class TestDesignCheck:
             assert dropped == ("W",)
             assert checked.column_names == X.column_names
             np.testing.assert_array_equal(checked.values, X.values)
+
+    def test_no_trend_warning_at_exactly_0999(self):
+        """Eight firms of three years have the trend (-1, 0, 1) each, norm 4. The
+        column 1498.5 (-1, 0, 1) + m (1, -2, 1), with m = 109, 8, 7 and then 0,
+        has firm means 0, norm 6000 and t'x = 23976, all exact, so |corr| is the
+        double 0.999: the warning needs more."""
+        X, y, _ = panel_design(n_firms=8, n_years=3, k=2, seed=5)
+        m = np.repeat([109.0, 8.0, 7.0, 0.0, 0.0, 0.0, 0.0, 0.0], 3)
+        column = 1498.5 * np.tile([-1.0, 0.0, 1.0], 8) + m * np.tile([1.0, -2.0, 1.0], 8)
+        with_c = regress.design_matrix(np.column_stack([X.values, column]),
+                                       X.column_names + ("C",), X.codes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _check_design(with_c, y) == (with_c, ())
 
 
 class TestRobustnessSuite:

@@ -40,7 +40,8 @@ from conftest import firm_codes, stacked
 
 STATISTICS = np.array([-np.inf, -40.0, -1.0, -1e-13, -0.0, 0.0, 1e-300, 1e-8, 0.5, 1.0,
                        3.0, 12.5, 40.0, 1e3, 1e300, np.inf, np.nan])
-DEGREES = (0, 1, 2, 3, 7, 38, 1920, 10**6, 1e20)
+# residual degrees of freedom: fe_fit raises TooFewObservations before one is 0
+DEGREES = (1, 2, 3, 7, 38, 1920, 10**6, 1e20)
 PROPERTY = settings(max_examples=60, deadline=None)
 mpmath.mp.dps = 60
 
@@ -377,6 +378,17 @@ def test_fold_mean_lift_matches_the_normal_density(sd):
                                         (0.0, 0.0, -1.0, 1.0), (2.0, 5.0, 0.0, 1.0)):
             assert same(synth._fold_mean_lift(center, half, low, high, sd),
                         old_fold_mean_lift(center, half, low, high, sd))
+
+
+@pytest.mark.parametrize("df", [10**5, 10**6, 10**7, 10**8])
+def test_t_tail_keeps_its_digits_at_large_df(df):
+    """The log of the tail's front factor holds about df/2 ln(1 + t^2/df), so the
+    low-order parts of the odds t^2/df and of their logs must survive: from t = -3
+    down to -37, p stays within 5e-15 of the exact tail, far inside the 1e-13
+    that the other tests allow."""
+    for t in -np.geomspace(3.0, 37.0, 20):
+        exact = float(mp_t_cdf(df, float(t)))
+        assert relative(_kernels._stdtr(df, float(t)), exact) <= 5e-15, (df, t)
 
 
 # --- properties: degrees of freedom 1 to 30 000, p-values down to 1e-300 -------------------

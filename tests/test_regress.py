@@ -90,6 +90,20 @@ class TestOlsFit:
             ols_fit(pooled_matrix(x, ("a", "a2", "b")), rng.normal(0, 1, 30))
         assert set(err.value.columns) & {"a", "a2"}
 
+    @pytest.mark.parametrize("factor", [1.01, 0.99])
+    def test_rank_tolerance_from_both_sides(self, factor):
+        """Orthogonal columns of norms 10, 5 and c: the pivoted |R_33| is c, kept
+        just above the tolerance 1e-10 ||X||_F and named just below it."""
+        q = np.linalg.qr(np.random.default_rng(4).normal(0, 1, (30, 3)))[0]
+        c = factor * 1e-10 * np.sqrt(125.0)
+        X = pooled_matrix(q * [10.0, 5.0, c], ("a", "b", "c"))
+        if factor > 1:
+            ols_fit(X, np.arange(30.0), intercept=False)
+        else:
+            with pytest.raises(RankDeficient) as err:
+                ols_fit(X, np.arange(30.0), intercept=False)
+            assert err.value.columns == ("c",)
+
     def test_too_few_observations(self):
         X, y = random_system(4, 4, 7)
         with pytest.raises(TooFewObservations):
@@ -255,6 +269,36 @@ class TestFeFit:
         with pytest.raises(RankDeficient) as err:
             fe_fit(X2, y)
         assert "firm_level" in err.value.columns
+        # alone it demeans to exact zeros, so ||X|| and the tolerance are 0 too
+        with pytest.raises(RankDeficient) as err:
+            fe_fit(design_matrix(const, ("firm_level",), X.codes), y)
+        assert err.value.columns == ("firm_level",)
+
+    def test_no_within_variation_in_y_is_an_exact_fit(self):
+        """y constant within each firm demeans to exact zeros: residuals 0, R-squared 1."""
+        X, _, _ = panel_design(n_firms=4, n_years=3, k=2, seed=9)
+        fit = fe_fit(X, np.repeat([1.0, 4.0, -2.0, 7.0], 3))
+        assert not np.any(fit.residuals)
+        assert fit.r_squared == 1.0
+
+    @pytest.mark.parametrize("level", [3.3, 1e6 + 0.3])
+    def test_firm_means_that_round_leave_r_squared_at_one(self, level):
+        """The firm means of three copies of ``level`` round, so every demeaned value
+        is the same residue: y still has no within variation, and R-squared is 1."""
+        X, _, _ = panel_design(n_firms=4, n_years=3, k=2, seed=9)
+        fit = fe_fit(X, np.full(12, level))
+        assert np.any(fit.residuals)
+        assert fit.r_squared == 1.0
+
+    @pytest.mark.parametrize("cov_kind", ["classical", "white_cross_section"])
+    def test_intercept_covariance_row(self, cov_kind):
+        """C = ybar - xbar'b, so its covariance with the slopes is -V xbar, in its row
+        and its column alike."""
+        X, y, _ = panel_design(n_firms=6, n_years=5, k=3, seed=2)
+        cov = fe_fit(X, y, cov_kind=cov_kind).covariance
+        np.testing.assert_array_equal(cov, cov.T)
+        np.testing.assert_allclose(cov[1:, 0], -(cov[1:, 1:] @ X.values.mean(axis=0)),
+                                   rtol=1e-12)
 
     def test_fits_a_column_collinear_with_the_common_trend_without_a_warning(self):
         """An exact firm age is the common trend once demeaned; ``models.estimate``
@@ -326,9 +370,10 @@ class TestReFit:
         # within noise dominates: between variance estimate goes negative
         X, y, _ = panel_design(n_firms=4, n_years=40, k=1, seed=2,
                                effect_sd=1e-10, noise_sd=5.0)
-        with pytest.warns(NegativeVarianceComponentWarning):
+        with pytest.warns(NegativeVarianceComponentWarning) as record:
             re = re_fit(X, y)
         assert re.theta == pytest.approx(0.0, abs=1e-9)
+        assert record[0].filename == __file__   # the warning points at re_fit's caller
 
     @pytest.mark.parametrize("n_firms", [1, 3])
     def test_too_few_groups_for_the_between_regression(self, n_firms):

@@ -1,6 +1,7 @@
 """Tests for table emission and golden comparison."""
 
 import json
+import math
 import os
 import shutil
 import struct
@@ -228,6 +229,8 @@ class TestComparisonRule:
     def test_argument_order_does_not_matter(self):
         one, two = _table_texts([(1.0, 0.5)]), _table_texts([(2.0, 0.5)])
         assert compare_tables(one, two, 0.6) == [] and compare_tables(two, one, 0.6) == []
+        # |1 - 2| is exactly 0.5 times the larger magnitude: the bound is inclusive
+        assert compare_tables(one, two, 0.5) == []
         assert compare_tables(one, two, 0.4) != []
         assert compare_tables(two, one, 0.4) != []
 
@@ -237,6 +240,22 @@ class TestComparisonRule:
         a, b = _table_texts([pa for pa, _ in pairs]), _table_texts([pb for _, pb in pairs])
         forward, backward = compare_tables(a, b, rel_tol), compare_tables(b, a, rel_tol)
         assert len(forward) == len(backward)
+
+    def test_huge_values_compare_by_their_difference(self):
+        """Their sum overflows; their difference is 1e-15 of them."""
+        big = 1.5e308
+        assert compare_tables(_table_texts([(big, 0.5)]),
+                              _table_texts([(big * (1 + 1e-15), 0.5)]), 1e-12) == []
+
+    @pytest.mark.parametrize("p, widening", [(0.9, 1.0), (math.exp(-20.0), 40.0)])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_p_bound_widening_from_both_sides(self, p, widening, factor):
+        """A p cell's bound is rel_tol max(1, 2|ln p|): 1 at p = 0.9, 40 at e^-20.
+        A p moved by ``factor`` times that passes just below it and fails just above."""
+        rel_tol = 1e-6
+        moved = p * (1 + factor * widening * rel_tol)
+        diff = compare_tables(_table_texts([(1.0, p)]), _table_texts([(1.0, moved)]), rel_tol)
+        assert (diff == []) is (factor < 1)
 
     def test_mid_range_p_moved_1e_10_fails(self, tmp_path):
         edit = _scaled("C", "prob", 1 + 1e-10)
