@@ -40,7 +40,7 @@ if __name__ == "__main__":   # python -m marketpanel.cli: before numpy loads Ope
 import numpy as np
 
 from . import __version__, beta, diagnostics, ingest, models, report, variables
-from .errors import ConfigError, InputError, IoFailure, MarketPanelError, SchemaMismatch
+from .errors import ConfigError, InputError, MarketPanelError, SchemaMismatch
 from .panel_core import build_dataset
 
 log = logging.getLogger("marketpanel")
@@ -246,20 +246,13 @@ def cmd_synth(args) -> int:
     from . import synth   # the generator loads only for this command
     cfg = synth.DGPConfig(seed=args.seed, n_firms=args.n_firms, n_years=args.n_years)
     result = synth.generate_panel(cfg)
-    os.makedirs(args.out, exist_ok=True)
     files = {
         "fundamentals.csv": result.fundamentals_csv,
         "prices.csv": result.prices_csv,
         "riskfree.csv": result.riskfree_csv,
         "truth.json": result.truth.to_json(),
     }
-    try:
-        for name, text in files.items():
-            with open(os.path.join(args.out, name), "w", encoding="utf-8",
-                      newline="\n") as handle:
-                handle.write(text)
-    except OSError as exc:
-        raise IoFailure(f"cannot write to {args.out}: {exc}")
+    report.write_files(args.out, files, "synth")
     log.info("wrote %d files to %s", len(files), args.out)
     print(json.dumps({"command": "synth", "out": args.out, "seed": args.seed,
                       "n_observations": len(result.dataset.table.year),

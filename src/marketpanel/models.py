@@ -147,9 +147,7 @@ def _check_design(X: DesignMatrix, y):
     if singletons:
         warnings.warn(f"groups with one row contribute no within variation: {singletons}",
                       SingletonGroupWarning, stacklevel=2)
-    # the floor max(1.0, max|x|) makes the rule absolute for a column with every |x| < 1
-    keep = (np.max(np.abs(Xw.values), axis=0)
-            > 1e-12 * np.maximum(1.0, np.max(np.abs(X.values), axis=0))).tolist()
+    keep = (~regress.no_within_variation(Xw.values, X.values)).tolist()
     years = codes.years[codes.period].astype(float)
     trend = years - codes.firm_means(years)[codes.firm]
     # norms by reduction: np.linalg.norm of a vector is a BLAS dot over all n rows

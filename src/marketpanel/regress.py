@@ -152,6 +152,13 @@ def _t_inference(beta, covariance, df_resid):
     return std, t, p
 
 
+def no_within_variation(demeaned: np.ndarray, values: np.ndarray):
+    """Whether the firm-demeaned ``values`` hold only rounding residue, per column: max|demeaned|
+    <= 1e-12 max(1, max|values|), the floor making the rule absolute for |values| < 1."""
+    return (np.max(np.abs(demeaned), axis=0)
+            <= 1e-12 * np.maximum(1.0, np.max(np.abs(values), axis=0)))
+
+
 def _r_squared(y, residuals):
     rss = float(residuals @ residuals)
     dev = y - y.mean()
@@ -251,8 +258,10 @@ def fe_fit(X: DesignMatrix, y, cov_kind: str = "classical") -> FitResult:
 
     coefficients = np.concatenate([[const], beta])
     names = (INTERCEPT_NAME,) + Xw.column_names
+    # y without within variation is fitted exactly, whatever residue its demeaning left
+    r_squared = 1.0 if no_within_variation(yw, y) else _r_squared(yw, residuals)
     return FitResult(coefficients=coefficients, covariance=covariance, column_names=names,
-                     r_squared=_r_squared(yw, residuals), r_squared_kind="within",
+                     r_squared=r_squared, r_squared_kind="within",
                      nobs=n, df_resid=df_resid, cov_kind=cov_kind, residuals=residuals)
 
 

@@ -80,8 +80,7 @@ def _test_dict(test: TestResult | None):
 # --- per-table builders -------------------------------------------------------
 
 def _descriptives_json(rows: list[VariableSummary]) -> str:
-    return _json_text({
-        "schema_version": SCHEMA_VERSION,
+    return _json_text(SCHEMA_VERSION, {
         "table": "descriptives",
         "rows": [{"variable": r.name, "n": r.n, "minimum": _num(r.minimum),
                   "maximum": _num(r.maximum), "mean": _num(r.mean),
@@ -95,18 +94,14 @@ def _descriptives_csv(rows: list[VariableSummary]) -> str:
 
 
 def _descriptives_md(rows: list[VariableSummary]) -> str:
-    lines = ["# Descriptive statistics", "",
-             "| Variable | N | Minimum | Maximum | Mean | Std. Deviation |",
-             "| --- | --- | --- | --- | --- | --- |"]
-    for r in rows:
-        lines.append(f"| {r.name} | {r.n} | {_fmt4(r.minimum)} | {_fmt4(r.maximum)} "
-                     f"| {_fmt4(r.mean)} | {_fmt4(r.std)} |")
-    return "\n".join(lines) + "\n"
+    return _md_table("Descriptive statistics",
+                     ["Variable", "N", "Minimum", "Maximum", "Mean", "Std. Deviation"],
+                     ([r.name, r.n, *map(_fmt4, (r.minimum, r.maximum, r.mean, r.std))]
+                      for r in rows))
 
 
 def _correlations_json(c: CorrelationResult) -> str:
-    return _json_text({
-        "schema_version": SCHEMA_VERSION,
+    return _json_text(SCHEMA_VERSION, {
         "table": "correlations",
         "variables": list(c.variables),
         "r": [[_num(v) for v in row] for row in c.r],
@@ -124,20 +119,16 @@ def _correlations_csv(c: CorrelationResult) -> str:
 
 
 def _correlations_md(c: CorrelationResult) -> str:
-    header = "| Probability | " + " | ".join(c.variables) + " |"
-    sep = "| --- |" + " --- |" * len(c.variables)
-    lines = ["# Variable correlation matrix", "", header, sep]
-    for i, name in enumerate(c.variables):
-        # the r row, then its probabilities under it; blank above the diagonal
-        for label, matrix in ((name, c.r), ("", c.p)):
-            cells = [_fmt4(float(matrix[i, j])) if j <= i else "" for j in range(len(c.variables))]
-            lines.append(f"| {label} | " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
+    # the r row, then its probabilities under it; blank above the diagonal
+    return _md_table("Variable correlation matrix", ["Probability", *c.variables],
+                     ([label, *(_fmt4(matrix[i, j]) if j <= i else ""
+                                for j in range(len(c.variables)))]
+                      for i, name in enumerate(c.variables)
+                      for label, matrix in ((name, c.r), ("", c.p))))
 
 
 def _stationarity_json(rows: list[StationarityRow]) -> str:
-    return _json_text({
-        "schema_version": SCHEMA_VERSION,
+    return _json_text(SCHEMA_VERSION, {
         "table": "stationarity",
         "rows": [{"variable": r.variable,
                   "level": _test_dict(r.level),
@@ -159,22 +150,16 @@ def _stationarity_csv(rows: list[StationarityRow]) -> str:
 
 
 def _stationarity_md(rows: list[StationarityRow]) -> str:
-    lines = ["# Unit-root tests", "",
-             "| Variable | Level | 1 Difference | Order |",
-             "| --- | --- | --- | --- |"]
-    for r in rows:
-        level = "-"
-        if r.level:
-            bracket = _pvalue_bracket(r.level.statistic, r.level.critical_values)
-            level = f"{_fmt4(r.level.statistic)} ({bracket})"
-        diff = _fmt4(r.difference.statistic) if r.difference else "-"
-        lines.append(f"| {r.variable} | {level} | {diff} | {r.order} |")
-    lines += ["", "Harris-Tzavalis z on the firms of the modal length (lag 0, i.i.d. "
-              "errors, N large with T fixed), brackets from normal critical values; "
-              "per-firm ADF Fisher combination reported in the machine-readable formats. "
-              "With few firms the normal limit over-rejects: at N = 20 and T = 9, 7.3-7.8% "
-              "of 10 000 simulated random-walk panels were rejected at the nominal 5%."]
-    return "\n".join(lines) + "\n"
+    def bracketed(test: TestResult) -> str:
+        return f"{_fmt4(test.statistic)} ({_pvalue_bracket(test.statistic, test.critical_values)})"
+    cells = [[r.variable, bracketed(r.level) if r.level else "-",
+              _fmt4(r.difference.statistic) if r.difference else "-", r.order] for r in rows]
+    return _md_table("Unit-root tests", ["Variable", "Level", "1 Difference", "Order"], cells, [
+        "Harris-Tzavalis z on the firms of the modal length (lag 0, i.i.d. "
+        "errors, N large with T fixed), brackets from normal critical values; "
+        "per-firm ADF Fisher combination reported in the machine-readable formats. "
+        "With few firms the normal limit over-rejects: at N = 20 and T = 9, 7.3-7.8% "
+        "of 10 000 simulated random-walk panels were rejected at the nominal 5%."])
 
 
 def _estimation_json(report: EstimationReport, companion=None) -> str:
@@ -184,8 +169,7 @@ def _estimation_json(report: EstimationReport, companion=None) -> str:
             for variable, coefficient, std_error, prob in report.rows]
     diagnostics = {t.name: _test_dict(t) for t in report.diagnostics}
     f_statistic, f_pvalue = report.f_test
-    return _json_text({
-        "schema_version": SCHEMA_VERSION,
+    return _json_text(SCHEMA_VERSION, {
         "table": report.table,
         "model_id": report.model_id,
         "marin_variant": report.marin_variant,
@@ -213,45 +197,39 @@ def _estimation_md(report: EstimationReport, companion: EstimationReport | None 
     """Markdown estimation table in Coefficient/Prob column pairs.
 
     When a companion (direct) report is supplied the table mirrors the
-    two-model layout with blanks where the direct model has no row.
+    two-model layout, the direct model's pair first, with blanks where a model
+    has no row. The estimate's own notes follow the fixed note lines.
     """
     labels = _VALUE_LABELS if report.model_id.startswith("value") else _RISK_LABELS
-    main = {v: (c, p) for v, c, _, p in report.rows}
-    other = {v: (c, p) for v, c, _, p in companion.rows} if companion else None
-
-    lines = [f"# {_MD_TITLES.get(report.table, report.table)}", ""]
-    if other is not None:
-        lines += ["| Variable | Direct Model Coefficient | Direct Model Prob. "
-                  "| Moderating Model Coefficient | Moderating Model Prob. |",
-                  "| --- | --- | --- | --- | --- |"]
-    else:
-        lines += ["| Variable | Coefficient | Prob. |", "| --- | --- | --- |"]
-
-    for key, label in labels.items():
-        if key not in main and (other is None or key not in other):
-            continue
-        main_c, main_p = main.get(key, (None, None))
-        if other is not None:
-            oc, op = other.get(key, (None, None))
-            lines.append(f"| {label} | {_fmt4(oc)} | {_fmt4(op)} "
-                         f"| {_fmt4(main_c)} | {_fmt4(main_p)} |")
-        else:
-            lines.append(f"| {label} | {_fmt4(main_c)} | {_fmt4(main_p)} |")
-
-    r2 = _fmt4(report.fit.r_squared)
-    if other is not None:
-        lines.append(f"| R-squared | {_fmt4(companion.fit.r_squared)} |  | {r2} |  |")
-    else:
-        lines.append(f"| R-squared | {r2} |  |")
+    shown = ([("Direct Model ", companion), ("Moderating Model ", report)] if companion
+             else [("", report)])
+    header, pairs, r_squared = ["Variable"], [], ["R-squared"]
+    for prefix, r in shown:
+        header += [f"{prefix}Coefficient", f"{prefix}Prob."]
+        pairs.append({v: (c, p) for v, c, _, p in r.rows})
+        r_squared += [_fmt4(r.fit.r_squared), ""]
+    rows = [[label, *(_fmt4(x) for pair in pairs for x in pair.get(key, (None, None)))]
+            for key, label in labels.items() if any(key in pair for pair in pairs)]
 
     notes = [f"R-squared is the {report.fit.r_squared_kind} R-squared; "
              f"covariance: {report.fit.cov_kind}; nobs = {report.fit.nobs}."]
-    if "B" in main:
-        b_coef, b_prob = main["B"]
+    if "B" in pairs[-1]:
+        b_coef, b_prob = pairs[-1]["B"]
         notes.append(f"Book value entered as a free regressor: "
                      f"coefficient {_fmt4(b_coef)} (prob {_fmt4(b_prob)}).")
     notes.append(f"Hausman decision: {report.hausman_decision}.")
-    return "\n".join(lines + [""] + notes) + "\n"
+    return _md_table(_MD_TITLES.get(report.table, report.table), header, [*rows, r_squared],
+                     [*notes, *report.notes])
+
+
+def _md_table(title: str, header, rows, notes=()) -> str:
+    """A markdown table under a level-one ``title``: the ``header`` cells, the ``| --- |``
+    row and one line of each row's cells, then the ``notes`` after a blank line."""
+    table = [header, ["---"] * len(header), *rows]
+    lines = [f"# {title}", "", *("| " + " | ".join(map(str, cells)) + " |" for cells in table)]
+    if notes:
+        lines += ["", *notes]
+    return "\n".join(lines) + "\n"
 
 
 def _to_csv(rows) -> str:
@@ -259,8 +237,10 @@ def _to_csv(rows) -> str:
     return _csv_text([map(_csv_value, row) for row in rows])
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n"
+def _json_text(schema_version: str, payload: dict) -> str:
+    """The json text of ``payload`` with its ``schema_version`` key, keys sorted."""
+    return json.dumps({"schema_version": schema_version, **payload}, sort_keys=True, indent=1,
+                      allow_nan=False) + "\n"
 
 
 # --- emission -----------------------------------------------------------------
@@ -315,16 +295,23 @@ def emit(bundle: ReportBundle, path: str) -> list[str]:
 
     Returns the table paths in :func:`render`'s order.
     """
-    texts = {os.path.join(path, name): text for name, text in render(bundle).items()}
-    manifest = _json_text({"schema_version": SCHEMA_VERSION, **bundle.metadata})
+    texts = render(bundle)
+    write_files(path, {**texts, "manifest.json": _json_text(SCHEMA_VERSION, bundle.metadata)},
+                "report")
+    return [os.path.join(path, name) for name in texts]
+
+
+def write_files(directory: str, texts: dict[str, str], kind: str) -> None:
+    """Write each text to its file name under ``directory``, made if missing, as UTF-8
+    with ``\\n`` line ends; any ``OSError`` raises one :class:`IoFailure` naming ``kind``."""
     try:
-        os.makedirs(path, exist_ok=True)
-        for file_path, text in [*texts.items(), (os.path.join(path, "manifest.json"), manifest)]:
-            with open(file_path, "w", encoding="utf-8", newline="\n") as handle:
+        os.makedirs(directory, exist_ok=True)
+        for name, text in texts.items():
+            with open(os.path.join(directory, name), "w", encoding="utf-8",
+                      newline="\n") as handle:
                 handle.write(text)
     except OSError as exc:
-        raise IoFailure(f"cannot write report files under {path}: {exc}")
-    return list(texts)
+        raise IoFailure(f"cannot write {kind} files under {directory}: {exc}")
 
 
 # --- table comparison -------------------------------------------------------------

@@ -153,7 +153,7 @@ class TruthRecord(NamedTuple):
             for (firm, year), value in sorted(data[name].items()):
                 by_firm.setdefault(firm, {})[str(year)] = value
             data[name] = by_firm
-        return _json_text({"schema_version": TRUTH_SCHEMA_VERSION, **data})
+        return _json_text(TRUTH_SCHEMA_VERSION, data)
 
     @classmethod
     def from_json(cls, text: str) -> "TruthRecord":

@@ -520,20 +520,24 @@ class TestExitCodes:
 
 
 class TestUnwritableOut:
-    def test_out_a_regular_file_is_an_input_error(self, data_dir, run_dir, tmp_path):
-        """The one writer of the run tree fails with exit 2 on one ERROR line."""
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_out_a_regular_file_is_an_input_error(self, command, data_dir, run_dir, tmp_path):
+        """The one file writer, under the run tree or the synth files, fails with
+        exit 2 on one ERROR line that names the directory it could not make."""
         regular = tmp_path / "regular"
         regular.write_text("not a directory\n")
+        args, message = {
+            "run": (["--data", str(data_dir)], f"report files under {regular / run_dir.name}"),
+            "synth": (["--seed", "7"], f"synth files under {regular}"),
+        }[command]
         proc = subprocess.run(
-            [sys.executable, "-m", "marketpanel.cli", "run", "--data", str(data_dir),
-             "--out", str(regular)], env=src_env(), capture_output=True, text=True,
-            timeout=120)
+            [sys.executable, "-m", "marketpanel.cli", command, *args, "--out", str(regular)],
+            env=src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if line.startswith("ERROR")]
         assert len(errors) == 1
-        assert errors[0].startswith("ERROR cannot write report files under "
-                                    f"{regular / run_dir.name}: ")
+        assert errors[0].startswith(f"ERROR cannot write {message}: ")
         assert regular.read_text() == "not a directory\n"
 
 
@@ -562,7 +566,8 @@ class TestOneFirm:
     def test_hausman_is_unavailable_and_the_run_goes_on(self, tmp_path):
         """Seed 9 cut down to firm F001: one group leaves the Hausman comparison's
         between regression no degrees of freedom, so every estimation table
-        records it as unavailable instead of comparing the within fit with itself."""
+        records it as unavailable instead of comparing the within fit with itself,
+        and its markdown ends with the table's notes."""
         data, one = tmp_path / "data", tmp_path / "one"
         assert main(["synth", "--seed", "9", "--out", str(data)]) == 0
         one.mkdir()
@@ -584,6 +589,8 @@ class TestOneFirm:
             assert "hausman" not in table["diagnostics"]
             assert any(note.startswith("hausman unavailable: groups=1, k=")
                        for note in table["notes"]), table["notes"]
+            md = (tmp_path / "out" / run_id / f"{table['table']}.md").read_text()
+            assert md.splitlines()[-len(table["notes"]):] == table["notes"], md
 
 
 class TestErrorsNameTheirTable:

@@ -9,7 +9,8 @@ BOOK_UNIT_TEST = ("tests/test_models.py::TestEstimate::"
 
 def test_the_sample_is_fixed_by_the_module_and_the_seed():
     assert mutate.sites("models") == mutate.sites("models")
-    assert mutate.sample("models", 23, 3) == mutate.sample("models", 23, 3)
+    n = len(mutate.sites("models"))
+    assert mutate.sample("models", n, 3) == mutate.sample("models", n, 3)
 
 
 def test_the_constrained_book_unit_mutant_is_killed(tmp_path):

@@ -281,12 +281,13 @@ class TestFeFit:
         assert not np.any(fit.residuals)
         assert fit.r_squared == 1.0
 
-    @pytest.mark.parametrize("level", [3.3, 1e6 + 0.3])
+    @pytest.mark.parametrize("level", [3.3, 1e6 + 0.3, (3.3, 1e6 + 0.3, 7.1, 0.2)])
     def test_firm_means_that_round_leave_r_squared_at_one(self, level):
-        """The firm means of three copies of ``level`` round, so every demeaned value
-        is the same residue: y still has no within variation, and R-squared is 1."""
+        """The firm means of three copies of ``level`` (one level, or one per firm)
+        round, so the demeaned values are residues, which differ by firm when the
+        levels do: y still has no within variation, and R-squared is 1."""
         X, _, _ = panel_design(n_firms=4, n_years=3, k=2, seed=9)
-        fit = fe_fit(X, np.full(12, level))
+        fit = fe_fit(X, np.repeat(level, 12 // np.size(level)))
         assert np.any(fit.residuals)
         assert fit.r_squared == 1.0
 
