@@ -1,9 +1,9 @@
-"""Distribution tails, k x k triangular algebra and a byte-stable log in numpy
-and ``math`` only.
+"""Distribution tails, the standard normal cdf, k x k triangular algebra and a
+byte-stable log and exp, in numpy and ``math`` only.
 
-These kernels keep scipy out of ``run`` and ``verify``, and out of ``synth`` too:
-its normal quantile and cdf are Cephes' own, ported so that every generated
-byte stays as scipy made it. Every name is private, so the fit and
+These kernels keep scipy out of every command. The log, the exp and the normal
+cdf of an array are the C library's, element by element, so their bytes do not
+move with numpy's SIMD paths. Every name is private, so the fit and
 diagnostics layers that call them keep their time. Each tail
 is summed on its own side. The log L of its leading factor is a list of terms
 (exact products, logs to about 1e-19) that ``math.fsum`` adds exactly, so that
@@ -24,9 +24,14 @@ _LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10
 # error is O(1/a^2)) and the continued fraction would take ~sqrt(a) steps
 _LARGE_A = 1e10
 
-# math.log, not np.log: numpy's vectorised log can differ from the C
-# library's in the last bit, and the derived columns and statistics are byte-stable
+# math.log and math.exp, not np.log and np.exp: numpy's vectorised loops can differ
+# from the C library's in the last bit, and the derived columns, the statistics
+# and synth's files are byte-stable
 _log = np.vectorize(math.log, otypes=[float])
+_exp = np.vectorize(math.exp, otypes=[float])
+# the standard normal cdf, 0.5 erfc(-x / sqrt 2) by the C library's erfc, which
+# keeps the lower tail's relative digits: within 5e-14 relative on [-12, 12]
+_ndtr = np.vectorize(lambda x: 0.5 * math.erfc(-x * _SQRT_HALF), otypes=[float])
 
 
 def _prod_err(a: float, b: float, p: float) -> float:
@@ -76,110 +81,6 @@ def _erfc(t: float, t_lo: float) -> float:
     """erfc(t + t_lo) for t_lo within rounding of t > 0, by one Taylor step:
     erfc's relative condition number there is about 2 t^2."""
     return math.erfc(t) - t_lo * 1.1283791670955126 * math.exp(-t * t)   # 2 / sqrt(pi)
-
-
-# Cephes' rational approximations (Moshier 1989), the coefficients behind scipy's
-# ``ndtri`` and ``ndtr``; P1/Q1 of ndtri cover exp(-32) < q <= exp(-2)
-_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
-             1.39312609387279679503E1, -1.23916583867381258016E0)
-_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
-             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
-             1.59056225126211695515E1, -1.18331621121330003142E0)
-_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
-             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
-             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
-             -8.57456785154685413611E-4)
-_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
-             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
-             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-_EXP_M2 = 0.13533528323661269189
-_SQRT_2PI = 2.50662827463100050242E0
-_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
-           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
-           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
-_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
-           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
-           1.65666309194161350182E3, 5.57535340817727675546E2)
-_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
-           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
-_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
-           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
-_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
-          7.00332514112805075473E3, 5.55923013010394962768E4)
-_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
-          2.26290000613890934246E4, 4.92673942608635921086E4)
-_MAXLOG = 7.09782712893383996843E2
-
-
-def _polevl(x: float, coef: tuple[float, ...]) -> float:
-    """coef[0] x^n + ... + coef[n] by Horner's rule, as Cephes' ``polevl``."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: float, coef: tuple[float, ...]) -> float:
-    """x^n + coef[0] x^(n-1) + ... + coef[n-1], as Cephes' ``p1evl``."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _ndtri(q: float) -> float:
-    """The standard normal quantile, Cephes' ``ndtri`` operation for operation,
-    so it equals scipy's ``special.ndtri`` bit for bit. Only the central branch
-    and the first tail branch are ported; the second starts where
-    sqrt(-2 log q) reaches 8, at about q = exp(-32), and there this raises."""
-    y = 1.0 - q if q > 1.0 - _EXP_M2 else q
-    if y > _EXP_M2:
-        y -= 0.5
-        y2 = y * y
-        return (y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))) * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y)) if y > 0.0 else math.inf
-    if not x < 8.0:
-        raise ValueError(f"_ndtri covers about exp(-32) < q < 1 - exp(-32), not {q!r}")
-    z = 1.0 / x
-    x = (x - math.log(x) / x) - z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
-    return -x if q <= 1.0 - _EXP_M2 else x
-
-
-def _cephes_ndtr(a) -> np.ndarray:
-    """The standard normal cdf of an array, Cephes' ``ndtr`` with the parts of
-    its ``erf`` (|x| < 1) and ``erfc`` (x >= 1/sqrt(2)) that it reaches,
-    operation for operation, so it equals scipy's ``special.ndtr`` bit for bit:
-    numpy's +, -, x and / round as Python's do, and exp is ``math.exp`` per
-    element, because numpy's own exp loops may round otherwise. It serves the
-    generator and the MacKinnon p-values of the Fisher combination."""
-    x = np.asarray(a, dtype=float) * _SQRT_HALF
-    z = np.abs(x)
-    central = z < _SQRT_HALF
-    inner = ~central & (z < 1.0)
-    outer = ~(z < 1.0)   # and NaN
-
-    def erf(v):   # Cephes' erf for |v| < 1
-        w = v * v
-        return v * _polevl(w, _ERF_T) / _p1evl(w, _ERF_U)
-
-    out = np.empty_like(x)
-    out[central] = 0.5 + 0.5 * erf(x[central])
-    out[inner] = 0.5 * (1.0 - erf(z[inner]))
-    # erfc(v) = exp(-v^2) P(v) / Q(v), with R and S from 8; 0 once -v^2 < -_MAXLOG
-    v = z[outer]
-    with np.errstate(over="ignore"):
-        w = -v * v
-    erfc = np.zeros_like(v)
-    live = ~(w < -_MAXLOG)
-    v = v[live]
-    w = np.array([math.exp(e) for e in w[live].tolist()])
-    near = v < 8.0
-    erfc[live] = (np.where(near, w * _polevl(v, _ERFC_P), w * _polevl(v, _ERFC_R))
-                  / np.where(near, _p1evl(v, _ERFC_Q), _p1evl(v, _ERFC_S)))
-    out[outer] = 0.5 * erfc
-    upper = ~central & (x > 0)
-    out[upper] = 1.0 - out[upper]
-    return out
 
 
 def _stirling_rest(z: float) -> float:

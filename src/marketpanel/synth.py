@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import _cephes_ndtr, _ndtri
+from ._kernels import _exp, _ndtr
 from .errors import InfeasibleTargets, ModelMismatch
 from .ingest import (fundamentals_to_csv, parse_fundamentals, parse_riskfree,
                      prices_to_csv, riskfree_to_csv)
@@ -198,10 +198,13 @@ def _stratified_uniform(rng, n, low, high):
 
 
 def _stratified_normal(rng, n, mean, sd):
+    # imported here, so that run and verify, which import this module, never load it
+    from statistics import NormalDist
+    quantile = NormalDist().inv_cdf
     # quantiles clipped to the inner 99%: keeps firm-level draws bounded so
     # the planted linear price equation retains positive support
     q = np.clip((rng.permutation(n) + rng.random(n)) / n, 0.005, 0.995)
-    return mean + sd * np.array([_ndtri(v) for v in q.tolist()])
+    return mean + sd * np.array([quantile(v) for v in q.tolist()])
 
 
 def _reflect(values, low, high):
@@ -223,8 +226,8 @@ def _fold_mean_lift(center, half, low, high, sd) -> float:
         return 0.0
     mu = np.linspace(center - half, center + half, 201)
     z = np.stack([(mu - low) / sd, (high - mu) / sd])
-    tail = _cephes_ndtr(-z)
-    lift = 2.0 * sd * (np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) - z * tail)
+    tail = _ndtr(-z)
+    lift = 2.0 * sd * (_exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) - z * tail)
     return float(np.mean(lift[0] - lift[1]))
 
 
@@ -333,7 +336,7 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
     growth = _stratified_normal(rng, n, _GROWTH_MEAN, _GROWTH_SD)
     turnover = _stratified_uniform(rng, n, _TURNOVER_LOW, _TURNOVER_HIGH)
     rd_share = _stratified_uniform(rng, n, 0.0, _RD_SHARE_HIGH)
-    book0 = moments["book0"] * np.exp(
+    book0 = moments["book0"] * _exp(
         _stratified_normal(rng, n, -_BOOK_SIGMA**2 / 2.0, _BOOK_SIGMA))
     x_mu = _stratified_normal(rng, n, moments["X"], _X_BETWEEN_SD)
     u_value = _stratified_normal(rng, n, 0.0, _VALUE_EFFECT_SD)
@@ -430,7 +433,7 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
     # fundamentals rows, firm by firm
     rates = np.array([[risk_free[firm_market[firm], year] for year in years]
                       for firm in firm_ids])
-    assets = np.exp(size_path)
+    assets = _exp(size_path)
     sales = assets * turnover[:, None]
     rd = rd_share[:, None] * sales
     book_prev = np.column_stack([book0, book_path[:, :-1]])
@@ -451,7 +454,7 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
         for end in ends:
             m = mkt[end - 60:end]
             mc = m - m.mean()
-            windows[market, end] = m, mc, mc @ mc
+            windows[market, end] = m, mc, np.add.reduce(mc * mc)
     idio = cfg.idio_vol * rng.standard_normal((n, n_months))
     # firm returns follow the year's true beta; the window beta is the 60-month estimator's target
     betas_true: dict[tuple[str, int], float] = {}
@@ -464,7 +467,8 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
         for t, (year, end) in enumerate(zip(years, ends)):
             betas_true[(firm, year)] = float(betas_true_mat[i, t])
             m, mc, mcmc = windows[market, end]
-            betas_window[(firm, year)] = float((mc @ (beta_by_month[end - 60:end] * m)) / mcmc)
+            cross = np.add.reduce(mc * (beta_by_month[end - 60:end] * m))
+            betas_window[(firm, year)] = float(cross / mcmc)
 
     # every series closes in every month, markets first, from 100 at the first month
     price_ids = tuple(market_ids) + tuple(firm_ids)

@@ -50,30 +50,38 @@ def without_scipy(*commands):
                           capture_output=True, text=True, timeout=300)
 
 
-# SHA-256 of the files `synth` writes, recorded before scipy left the generator;
-# a change to the generator that moves them on purpose updates them
+# SHA-256 of the files `synth` writes. No BLAS kernel or SIMD loop reaches them:
+# the generator's sums are numpy's plain reductions, and its exp, normal cdf and
+# quantile are the C library's and the standard library's. A change to the
+# generator that moves them on purpose updates them
 SYNTH_DIGESTS = {
     ("7", "20", "10"): {
-        "fundamentals.csv": "6a0cfd96d46e9e1eb32828765e470a6bea0b88246bb494cfaf48b16c3be5f64a",
-        "prices.csv": "4f7ea9239dcaecc2c35c33d71ad4cccf2944e1b241f64b17372e0585f4833b44",
+        "fundamentals.csv": "e0faa1187f2987c48946ebef9f2c5892be20120c2296d332a928bd750c8becc2",
+        "prices.csv": "2958fdcebe553efd011061757df6ba4968cd33fc40bc581bcfdf2e489d4978ce",
         "riskfree.csv": "55f43529016c7871928ce61689aba812a79639cbc81dad6fc3f168a24c89d493",
-        "truth.json": "d67d35340892be1f62557ffdac08f0dedb6e01071bfa7411d17ffdc97beccfc9"},
+        "truth.json": "5b5404d9f4356eb21dc308a027b4215ee576b307b3822615adf3a336dc0dcea2"},
     ("9", "20", "10"): {
-        "fundamentals.csv": "70da5c2a6c037c68f38b25fa5249b5b1a29f97be53406bc023ea43a1b82efde7",
-        "prices.csv": "24d88507ef58f46a65cdeea69bf12df51a0b45652106217c1b26664f37972f11",
+        "fundamentals.csv": "f7d6db550d6336f2e6e45f20fb159a8fc4e4aa3f0840bb18ec077ce46d8ff62c",
+        "prices.csv": "97afc782f24e101fb9c4d8adc372e9cb9142a5d6b9d4d921b0fbff8b17ba2d61",
         "riskfree.csv": "a4a8ff6f9ed6bfe79c4a36163cbc742d8f21a38b317bc311d7e205f17e252948",
-        "truth.json": "fdb49fb29607499452264eef7ebb25096590eb03297673d6b6175ca15ba5d0ae"},
+        "truth.json": "9cbe09c42d1e1268b8d0407bb210f332427228ee505185bd8e195444d631a72e"},
     ("11", "20", "10"): {
-        "fundamentals.csv": "9de00ea52f162d9fbde34950720c0a738596869fa48d358415517a0c4f773b87",
-        "prices.csv": "6a86b37e0e0d58bc028acfe1ec938f35df228fee0ccb2a72058c0e33a6206b2f",
+        "fundamentals.csv": "ecabfbc31b3de71b09fb0952e153b2054ec8f945035006e757a156e17ec17f0e",
+        "prices.csv": "9e339325317fe0a7f67fd42426be6f833d1c8cdf3590ddc6f699833bd6ad37a7",
         "riskfree.csv": "47080683fe5cd85fa62e8f895643c8d91322554e0f983afca01d70f5769563a3",
-        "truth.json": "7b16857e56d42b54608eb30fb261c4f44240813b6a53574d29a138888ca7b8e5"},
+        "truth.json": "b4e3ce015a0ce8ab449c2e19f8ff5f6133777fd67d2cb9597026d33017a19f2d"},
     ("9", "100", "30"): {
-        "fundamentals.csv": "03ab8756e6580243083c471cc501aaab484576f986f92935c6e04a8b07822148",
-        "prices.csv": "c8b0cbe075a6132e606ecba455fb0f4459b2c7560c50982fe4cd606bcf3a431f",
+        "fundamentals.csv": "6ce6d4ef45db22664f669be76ecd204927f9ef3b27c566d92891fcc8fbf551a4",
+        "prices.csv": "0785622c167e470684540304e45406395ac66da4946c2015b90ff7227edc29bb",
         "riskfree.csv": "641f61fc1cb8e5fc69daf335d9aee788f52b84f65b98e8946c479fded8c17a2f",
-        "truth.json": "bb99aa4a128ec6de4708db321b3303462346d3abe688419f515e8cb629fa716b"},
+        "truth.json": "9f199da97034c096e933fcf03ce5ebc743d67e9d859092a7629938f558db7bf5"},
 }
+
+
+def file_digests(directory):
+    """SHA-256 of each file in ``directory``, by name."""
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(directory))}
 
 
 def write_late_listing(data_dir, out):
@@ -148,8 +156,21 @@ class TestSynthCommand:
                                for (seed, firms, years), out in outs.items()))
         assert proc.returncode == 0, proc.stderr
         for spec, digests in SYNTH_DIGESTS.items():
-            assert {name: hashlib.sha256((outs[spec] / name).read_bytes()).hexdigest()
-                    for name in sorted(os.listdir(outs[spec]))} == digests, spec
+            assert file_digests(outs[spec]) == digests, spec
+
+    @pytest.mark.parametrize("setting", [
+        {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Sandybridge"},
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}],
+        ids=["haswell", "sandybridge", "no-avx512"])
+    def test_files_keep_their_digests_under_another_kernel(self, setting, tmp_path):
+        """Another OpenBLAS kernel or numpy without its AVX-512 loops, set in the
+        child's environment only, writes the same bytes."""
+        proc = subprocess.run([sys.executable, "-m", "marketpanel", "synth", "--seed", "7",
+                               "--n-firms", "20", "--n-years", "10", "--out", str(tmp_path)],
+                              env=src_env() | setting, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert file_digests(tmp_path) == SYNTH_DIGESTS["7", "20", "10"]
 
 
 class TestIngestCheck:
@@ -840,27 +861,44 @@ class TestWithoutScipy:
         assert json.loads(proc.stdout)["passed"] is True
 
 
+def loaded_after(code, modules):
+    """Which of ``modules`` a fresh process has loaded once it has run ``code``."""
+    proc = subprocess.run([sys.executable, "-c", f"import sys\n{code}\n"
+                           f"print(sorted({set(modules)!r} & set(sys.modules)))"],
+                          env=src_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def cli_code(commands):
+    """Python that runs each CLI command in turn and requires exit 0."""
+    return ("from marketpanel.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    assert main(argv) == 0, argv")
+
+
 def test_synth_run_and_verify_leave_numpy_ma_unloaded(tmp_path):
     """A plain ``np.unique(a)`` imports numpy.ma (about 10 ms and 1 MiB a
     process), and the package's records are NamedTuples, which need no
     dataclasses; no command imports either beyond what numpy does."""
-    def loaded_after(code):
-        proc = subprocess.run([sys.executable, "-c", f"import sys\n{code}\n"
-                               "print(sorted({'numpy.ma', 'dataclasses'} & set(sys.modules)))"],
-                              env=src_env(), capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()[-1]
-
-    by_numpy = loaded_after("import numpy")
+    modules = ("numpy.ma", "dataclasses")
+    by_numpy = loaded_after("import numpy", modules)
     if "numpy.ma" in by_numpy:
         pytest.skip("importing numpy loads numpy.ma (numpy < 2)")
     data, out = str(tmp_path / "data"), str(tmp_path / "out")
     commands = [["synth", "--seed", "7", "--n-firms", "20", "--n-years", "10", "--out", data],
                 ["run", "--data", data, "--out", out, "--run-id", "r"],
                 ["verify", "--data", data, "--run", os.path.join(out, "r")]]
-    assert loaded_after("from marketpanel.cli import main\n"
-                        f"for argv in {commands!r}:\n"
-                        "    assert main(argv) == 0, argv") == by_numpy
+    assert loaded_after(cli_code(commands), modules) == by_numpy
+
+
+def test_run_and_verify_leave_statistics_unloaded(data_dir, tmp_path):
+    """synth's normal quantile imports statistics where it draws, so run and
+    verify, which import synth, never load it."""
+    out = str(tmp_path / "out")
+    commands = [["run", "--data", str(data_dir), "--out", out, "--run-id", "r"],
+                ["verify", "--data", str(data_dir), "--run", os.path.join(out, "r")]]
+    assert loaded_after(cli_code(commands), ["statistics"]) == "[]"
 
 
 class TestVerifyCommand:

@@ -85,9 +85,8 @@ def reference_harris_tzavalis(series_list):
     z = math.sqrt(n) * (rho - 1.0 + 3.0 / (t + 1)) / math.sqrt(variance)
     return CriticalValueTest(
         name="harris_tzavalis", statistic=z, p_value=None,
-        critical_values={level: _kernels._ndtri(q)
-                         for level, q in (("1%", 0.01), ("5%", 0.05), ("10%", 0.10))},
-        decision="reject" if z < _kernels._ndtri(0.05) else "fail_to_reject",
+        critical_values=dict(diagnostics._NORMAL_CRIT),
+        decision="reject" if z < diagnostics._NORMAL_CRIT["5%"] else "fail_to_reject",
         detail=(f"lag 0, i.i.d. errors, N → ∞ with T fixed; N={n}, T={t}, "
                 f"rho={rho:.6g}; firms left out: {len(series_list) - n}"))
 
@@ -182,7 +181,7 @@ def same_test(got, want):
         return
     # z is a difference of terms near one: its rounding is absolute near zero
     assert got.statistic == pytest.approx(want.statistic, rel=1e-12, abs=1e-12)
-    assert got.p_value == float(_kernels._cephes_ndtr(got.statistic))
+    assert got.p_value == float(_kernels._ndtr(got.statistic))
     assert type(got) is diagnostics.TestResult
     assert ((got.name, got.critical_values, got.decision, got.detail)
             == (want.name, want.critical_values, want.decision, want.detail))

@@ -1,9 +1,10 @@
 """The committed golden trees: ``run`` on the committed inputs reproduces the
 committed tables through ``report.golden_compare`` at 1e-12.
 
-The inputs under ``golden/inputs`` are ``marketpanel synth --seed 9`` at 20
-firms x 10 years, committed so that the trees do not move with the random
-generator's library. Two cases are pinned: the inputs as generated
+The inputs under ``golden/inputs`` came from an earlier ``marketpanel synth
+--seed 9`` at 20 firms x 10 years. They stay committed as fixed inputs, not
+regenerated when the generator's bytes move, so that the trees move only with
+the pipeline. Two cases are pinned: the inputs as generated
 (``golden/balanced``), and an unbalanced panel derived from them here, F001
 without its first 12 monthly closes and run with ``--beta-min 60``, which
 excludes one beta and leaves 199 rows (``golden/unbalanced``).
