@@ -158,19 +158,29 @@ class TestSynthCommand:
         for spec, digests in SYNTH_DIGESTS.items():
             assert file_digests(outs[spec]) == digests, spec
 
-    @pytest.mark.parametrize("setting", [
+    @pytest.fixture(scope="class", params=[
         {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Sandybridge"},
         {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}],
         ids=["haswell", "sandybridge", "no-avx512"])
-    def test_files_keep_their_digests_under_another_kernel(self, setting, tmp_path):
-        """Another OpenBLAS kernel or numpy without its AVX-512 loops, set in the
-        child's environment only, writes the same bytes."""
-        proc = subprocess.run([sys.executable, "-m", "marketpanel", "synth", "--seed", "7",
-                               "--n-firms", "20", "--n-years", "10", "--out", str(tmp_path)],
-                              env=src_env() | setting, capture_output=True, text=True,
-                              timeout=300)
+    def synth_under_another_kernel(self, request, tmp_path_factory):
+        """Each pinned spec's synth directory, written by one child process whose
+        environment alone carries another OpenBLAS kernel or numpy without its
+        AVX-512 loops."""
+        root = tmp_path_factory.mktemp("kernel")
+        outs = {spec: root / "-".join(spec) for spec in SYNTH_DIGESTS}
+        commands = [["synth", "--seed", seed, "--n-firms", firms, "--n-years", years,
+                     "--out", str(out)] for (seed, firms, years), out in outs.items()]
+        proc = subprocess.run([sys.executable, "-c", cli_code(commands)],
+                              env=src_env() | request.param, capture_output=True,
+                              text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert file_digests(tmp_path) == SYNTH_DIGESTS["7", "20", "10"]
+        return outs
+
+    @pytest.mark.parametrize("spec", SYNTH_DIGESTS, ids="-".join)
+    def test_files_keep_their_digests_under_another_kernel(self, synth_under_another_kernel,
+                                                          spec):
+        """Another kernel or SIMD path writes the same bytes for every pinned spec."""
+        assert file_digests(synth_under_another_kernel[spec]) == SYNTH_DIGESTS[spec]
 
 
 class TestIngestCheck:
