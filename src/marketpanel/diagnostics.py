@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConstantSeries, NotPositiveDefinite, TooFewGroups, TooShort
-from .panel_core import PanelCodes
+from .panel_core import PanelCodes, _group_sums
 
 # MacKinnon (1994) approximate asymptotic p-value surface, constant-only
 _P_SMALL = (2.1659, 1.4412, 0.038269)     # tau <= tau_star
@@ -112,11 +112,11 @@ def panel_stationarity(columns: dict[str, np.ndarray], codes: PanelCodes) -> lis
     for name, column in columns.items():
         present = ~np.isnan(column)
         y, kept = column[present], codes.select(present)
-        # the rows of the firms of the modal length (the longer one on a tie);
-        # a firm's rows are adjacent, so sorting each column orders the firms by row
-        _, rows = max(kept.firm_blocks, key=lambda b: (len(b[0]), b[1].shape[1]),
-                      default=(None, np.empty((0, 0), dtype=np.int64)))
-        block = y[np.sort(rows, axis=0)]
+        # the firms of the modal length (the longer one on a tie), one per row of the block
+        first, sizes = _firm_runs(kept)
+        counts = np.bincount(sizes, minlength=1)
+        m = int(np.flatnonzero(counts == counts.max())[-1])
+        block = y[first[sizes == m][:, None] + np.arange(m)]
         level = difference = None
         try:
             level = _harris_tzavalis(block, len(kept.firm_ids))
@@ -140,6 +140,12 @@ def panel_stationarity(columns: dict[str, np.ndarray], codes: PanelCodes) -> lis
         out.append(StationarityRow(variable=name, level=level, difference=difference,
                                    order=order, fisher=fisher))
     return out
+
+
+def _firm_runs(codes: PanelCodes) -> tuple[np.ndarray, np.ndarray]:
+    """Each firm's first row and row count, in row order; a firm's rows must be adjacent."""
+    first = np.flatnonzero(np.diff(codes.firm, prepend=-1))
+    return first, codes.firm_sizes[codes.firm[first]]
 
 
 def _harris_tzavalis(block: np.ndarray, n_firms: int) -> TestResult:
@@ -214,24 +220,23 @@ def _lag0_adf_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _fisher_combination(name: str, y: np.ndarray, codes: PanelCodes) -> TestResult | None:
     """Combine per-firm ADF p-values: -2 sum(ln p_i) ~ chi2(2G).
 
-    ``y`` holds the values of the rows of ``codes``, each firm's in year
-    order. Per-firm series are short, so lag 0 is forced; the p-values are
-    MacKinnon's (1994) asymptotic ones and the firms are assumed independent,
-    as ``detail`` says. Firms with fewer than 8 values, a constant lagged
-    level or an exactly fitting regression (an exact trend such as age) are
-    skipped and counted.
+    ``y`` holds the values of the rows of ``codes``; a firm's rows are
+    adjacent and in year order, and the firms are combined in the order of
+    their first rows. Per-firm series are short, so lag 0 is forced; the
+    p-values are MacKinnon's (1994) asymptotic ones and the firms are assumed
+    independent, as ``detail`` says. Firms with fewer than 8 values, a
+    constant lagged level or an exactly fitting regression (an exact trend
+    such as age) are skipped and counted.
     """
-    blocks = [(rows[:, 0], *_lag0_adf_stats(y[rows]))
-              for _, rows in codes.firm_blocks if rows.shape[1] >= 8]
-    if not blocks:
+    first, sizes = _firm_runs(codes)
+    stat, usable = np.empty(len(sizes)), np.zeros(len(sizes), dtype=bool)
+    for m in set(sizes[sizes >= 8].tolist()):
+        of_m = sizes == m
+        stat[of_m], usable[of_m] = _lag0_adf_stats(y[first[of_m][:, None] + np.arange(m)])
+    if not usable.any():
         return None
-    first, stat, usable = map(np.concatenate, zip(*blocks))
-    # the usable statistics in the order of each firm's first row
-    stat = stat[usable][np.argsort(first[usable])]
-    skipped = len(codes.firm_ids) - len(stat)
-    pvalues = np.clip(_mackinnon_pvalues(stat), 1e-6, 1 - 1e-6)
-    if len(pvalues) == 0:
-        return None
+    skipped = len(codes.firm_ids) - int(np.count_nonzero(usable))
+    pvalues = np.clip(_mackinnon_pvalues(stat[usable]), 1e-6, 1 - 1e-6)
     statistic = -2.0 * float(np.sum(_kernels._log(pvalues)))
     df = 2 * len(pvalues)
     p = _kernels._chdtrc(df, statistic)
@@ -286,7 +291,7 @@ def lr_heteroskedasticity(residuals, codes: PanelCodes) -> TestResult:
     if pooled == 0.0:
         statistic = 0.0
     else:
-        s2 = np.bincount(codes.firm, weights=residuals * residuals, minlength=g) / sizes
+        s2 = _group_sums(codes.firm, g, residuals * residuals) / sizes
         if np.any(s2 == 0.0):
             statistic = math.inf
         else:

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import regress
 from .diagnostics import TestResult, hausman_test, lr_heteroskedasticity
-from .errors import (CollinearityProximityWarning, MarketPanelError, SingletonGroupWarning,
-                     TooFewObservations)
+from .errors import (CollinearityProximityWarning, MarketPanelError, RankDeficient,
+                     SingletonGroupWarning, TooFewObservations)
 from .regress import DesignMatrix, FitResult, design_matrix
 from .variables import DerivedPanel, panel_columns
 
@@ -136,8 +136,10 @@ def _check_design(X: DesignMatrix, y):
     """The design without the columns that have no within variation, and their names.
 
     Dropping them (OW identically zero, say) keeps estimation going when a
-    moderated specification degenerates to the direct one. The one within
-    transform also serves two warnings: firms with one row add no within
+    moderated specification degenerates to the direct one. A kept column whose
+    within values equal an earlier kept column's bit for bit raises
+    :class:`RankDeficient` naming it before any QR can round the tie. The one
+    within transform also serves two warnings: firms with one row add no within
     variation, and a column that is nearly a common linear trend once demeaned,
     as an exact firm age is, is estimable only because no time effects are included.
     """
@@ -153,6 +155,13 @@ def _check_design(X: DesignMatrix, y):
     # norms by reduction: np.linalg.norm of a vector is a BLAS dot over all n rows
     t_norm = np.sqrt(np.add.reduce(trend * trend))
     x_norms = np.sqrt(np.add.reduce(Xw.values * Xw.values))
+    # equal columns have equal norms: only pairs of equal norm are compared row by row
+    kept = np.flatnonzero(keep)
+    tied = [X.column_names[j] for j in kept
+            if any(x_norms[i] == x_norms[j] and np.array_equal(Xw.values[:, i], Xw.values[:, j])
+                   for i in kept[kept < j])]
+    if tied:
+        raise RankDeficient(tied)
     # a zero trend (no firm spans two years) gives 0/0: NaN, which warns of nothing
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.abs(trend @ Xw.values) / (x_norms * t_norm)
@@ -184,18 +193,15 @@ def estimate(panel: DerivedPanel, spec: ModelSpec, center: bool = False,
     if not len(y):
         raise TooFewObservations(f"{table}: no complete rows in the design "
                                  f"({n_excluded} of {n_input} panel rows incomplete)")
-    X, dropped = _check_design(X, y)
-    notes = []
-    if dropped:
-        notes.append(f"dropped columns without within variation: {list(dropped)}")
-
     try:
+        X, dropped = _check_design(X, y)
         fe_classical = regress.fe_fit(X, y, cov_kind="classical")
         fit = regress.fe_fit(X, y, cov_kind="white_cross_section")
     except MarketPanelError as exc:
         exc.args = (f"{table}: {exc}",)   # its class, and any fields, stay
         raise
 
+    notes = [f"dropped columns without within variation: {list(dropped)}"] if dropped else []
     diagnostics: list[TestResult] = []
     try:
         diagnostics.append(hausman_test(fe_classical, regress.re_fit(X, y)))

@@ -20,18 +20,24 @@ ROW_COLUMNS = ("firm", "market", "year", "price", "book_value", "eps", "sga", "r
                "total_assets", "total_equity", "establishment_year", "book_value_prev")
 
 
-def row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per row, ``values[offsets[i]:offsets[i + 1]]`` added left to right.
+def _group_sums(codes: np.ndarray, n_groups: int, values: np.ndarray) -> np.ndarray:
+    """Per group, its rows of ``values`` (n,) or (n, k) added in row order from 0.0.
 
-    The additions run in the order a loop over each row's items makes them,
-    so the sums equal that loop's bit for bit.
+    One ``np.bincount`` over ``codes * k + column``, so each sum equals that
+    loop's bit for bit. The sums are floats even without rows, where
+    ``np.bincount`` counts in integers; a group without rows sums to 0.0.
     """
+    k = int(np.prod(values.shape[1:]))
+    sums = np.bincount((codes[:, None] * k + np.arange(k)).ravel(), weights=values.ravel(),
+                       minlength=n_groups * k)
+    return sums.astype(float, copy=False).reshape((n_groups,) + values.shape[1:])
+
+
+def row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per row, ``values[offsets[i]:offsets[i + 1]]`` added left to right by
+    :func:`_group_sums`; ``offsets`` start at 0 and end at ``len(values)``."""
     counts = np.diff(offsets)
-    sums = np.zeros(len(counts))
-    for j in range(int(counts.max(initial=0))):
-        rows = np.flatnonzero(counts > j)
-        sums[rows] += values[offsets[rows] + j]
-    return sums
+    return _group_sums(np.repeat(np.arange(len(counts)), counts), len(counts), values)
 
 
 class FundamentalsTable(NamedTuple):
@@ -129,37 +135,20 @@ def key_order(codes: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return order, repeat
 
 
-def _size_blocks(codes: np.ndarray, n_groups: int):
-    """For each distinct group size m: the groups of that size and their
-    (groups, m) row numbers, each group's rows in row order."""
-    sizes = np.bincount(codes, minlength=n_groups)
-    order = np.argsort(codes, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    blocks = []
-    # sorted(set()), not np.unique: a plain np.unique imports numpy.ma
-    for m in sorted(set(sizes.tolist())):
-        groups = np.flatnonzero(sizes == m)
-        blocks.append((groups, order[starts[groups][:, None] + np.arange(m)]))
-    return tuple(blocks)
-
-
 class PanelCodes(NamedTuple):
     """Integer firm and period codes of a panel's rows, derived once.
 
     Row ``i`` belongs to firm ``firm_ids[firm[i]]`` (sorted ids) and to
     period ``years[period[i]]`` (sorted years).
-    ``firm_sizes`` counts the rows of each firm. The blocks group firms, and
-    periods, of equal size m with their (groups, m) row numbers, so that one
-    numpy call reduces every group of that size.
+    ``firm_sizes`` counts the rows of each firm. A sum per firm or per period
+    is one :func:`_group_sums` over these codes.
     """
 
     firm_ids: tuple[str, ...]
     firm: np.ndarray
     firm_sizes: np.ndarray
-    firm_blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     years: np.ndarray
     period: np.ndarray
-    period_blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @classmethod
     def from_codes(cls, firm_ids, firm, row_years) -> "PanelCodes":
@@ -173,9 +162,7 @@ class PanelCodes(NamedTuple):
         years, period = np.unique(np.asarray(row_years, dtype=np.int64), return_inverse=True)
         return cls(firm_ids=firm_ids, firm=firm,
                    firm_sizes=np.bincount(firm, minlength=len(firm_ids)),
-                   firm_blocks=_size_blocks(firm, len(firm_ids)),
-                   years=years, period=period,
-                   period_blocks=_size_blocks(period, len(years)))
+                   years=years, period=period)
 
     def select(self, rows) -> "PanelCodes":
         """The codes of ``rows`` (a mask or row numbers); firms left without rows drop out.
@@ -191,14 +178,10 @@ class PanelCodes(NamedTuple):
     def firm_means(self, values: np.ndarray) -> np.ndarray:
         """Per-firm means of a vector (G,) or of each matrix column (G, k).
 
-        A block's ``mean(axis=1)`` adds each firm's values in the order
-        ``values[rows].mean(axis=0)`` does, so the means equal a loop over
-        firms bit for bit.
+        Each mean is a firm's row-order sum (:func:`_group_sums`) divided by its
+        row count, so the means equal that loop over firms bit for bit.
         """
-        out = np.empty((len(self.firm_ids),) + values.shape[1:])
-        for firms, rows in self.firm_blocks:
-            out[firms] = values[rows].mean(axis=1)
-        return out
+        return (_group_sums(self.firm, len(self.firm_ids), values).T / self.firm_sizes).T
 
 
 class PanelDataset(NamedTuple):

@@ -18,7 +18,7 @@ import numpy as np
 from . import _kernels
 from .errors import (NegativeVarianceComponentWarning, RankDeficient, TooFewClusters,
                      TooFewGroups, TooFewObservations)
-from .panel_core import PanelCodes
+from .panel_core import PanelCodes, _group_sums
 
 RANK_TOL_FACTOR = 1e-10
 INTERCEPT_NAME = "C"
@@ -162,10 +162,7 @@ def no_within_variation(demeaned: np.ndarray, values: np.ndarray):
 def _r_squared(y, residuals):
     rss = float(residuals @ residuals)
     dev = y - y.mean()
-    tss = float(dev @ dev)
-    if tss <= 0.0:   # y has no variation: an exact fit, whatever rounding residue is left
-        return 1.0
-    return max(0.0, 1.0 - rss / tss)
+    return max(0.0, 1.0 - rss / float(dev @ dev))
 
 
 def _f_statistic(r2, k_model, df_resid):
@@ -203,11 +200,8 @@ def robust_cov_white_cross_section(X: DesignMatrix, residuals,
     if len(codes.years) < 2:
         raise TooFewClusters(f"need at least 2 periods, got {len(codes.years)}")
 
-    # period scores X_t' e_t, one matrix-vector product per period as a stack
-    scores = np.empty((len(codes.years), k))
-    for periods, rows in codes.period_blocks:
-        scores[periods] = np.matmul(X.values[rows].transpose(0, 2, 1),
-                                    residuals[rows][..., None])[..., 0]
+    # period scores X_t' e_t, each period's rows added in row order
+    scores = _group_sums(codes.period, len(codes.years), X.values * residuals[:, None])
     # sum_t s_t s_t', added period by period in calendar order
     meat = np.add.reduce(scores[:, :, None] * scores[:, None, :], axis=0)
     cov = xtx_inv @ meat @ xtx_inv * (n / (n - k))

@@ -126,6 +126,16 @@ def pooled_matrix(values, names):
     return regress.design_matrix(values, names, firm_codes(["pooled"] * len(values)))
 
 
+def row_order_sum(rows):
+    """The items of ``rows`` added one by one in their order, starting from 0.0.
+
+    Python's ``sum`` is no such loop: from 3.12 on it compensates its rounding."""
+    total = 0.0
+    for row in rows:
+        total = total + row
+    return total
+
+
 def firm_codes(labels) -> PanelCodes:
     """The PanelCodes of rows whose firms are ``labels``, coded in sorted label order."""
     firm_ids, firm = np.unique(np.asarray(labels, dtype=str), return_inverse=True)
@@ -221,7 +231,9 @@ def ols_fit(X: regress.DesignMatrix, y, intercept: bool = True) -> regress.FitRe
     covariance = (covariance + covariance.T) / 2.0
 
     if intercept:
-        r2 = regress._r_squared(y, residuals)
+        # a y without variation is fitted exactly, whatever rounding residue is left
+        dev = y - y.mean()
+        r2 = 1.0 if float(dev @ dev) <= 0.0 else regress._r_squared(y, residuals)
     else:
         # without an intercept the R-squared is uncentred: 1 - RSS / y'y
         rss, tss = float(residuals @ residuals), float(y @ y)

@@ -629,9 +629,10 @@ class TestErrorsNameTheirTable:
     that names its table, without a traceback or any table written."""
 
     @staticmethod
-    def _errors(data_dir, tmp_path, edit):
+    def _errors(data_dir, tmp_path, edit, env=None):
         """The ERROR lines of a run on ``data_dir`` with ``edit`` applied to each
-        fundamentals row, a dict from column name to cell."""
+        fundamentals row, a dict from column name to cell, in a child process whose
+        environment also carries ``env``."""
         edited = tmp_path / "edited"
         shutil.copytree(data_dir, edited)
         header, *lines = (edited / "fundamentals.csv").read_text().splitlines()
@@ -642,8 +643,8 @@ class TestErrorsNameTheirTable:
             "\n".join([header] + [",".join(row.values()) for row in rows]) + "\n")
         proc = subprocess.run(
             [sys.executable, "-m", "marketpanel.cli", "run", "--data", str(edited),
-             "--out", str(tmp_path / "o")], env=src_env(), capture_output=True, text=True,
-            timeout=120)
+             "--out", str(tmp_path / "o")], env=src_env() | (env or {}), capture_output=True,
+            text=True, timeout=120)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()
@@ -660,6 +661,15 @@ class TestErrorsNameTheirTable:
         """One stake of 1 on every row: OW has no within variation and is dropped,
         and OW*Marin equals Marin."""
         ow_is_1 = self._errors(data_dir, tmp_path, lambda row: row.update(stakes="1.0"))
+        assert ow_is_1 == ["ERROR value_moderated: rank deficient design; "
+                           "dependent columns: ['OW*Marin']"]
+
+    def test_a_rank_deficient_base_estimate_under_the_sandybridge_kernel(self, data_dir,
+                                                                         tmp_path):
+        """The exact tie of OW*Marin and Marin is decided before the QR, whose last
+        bits this OpenBLAS kernel moves: the error names the same column."""
+        ow_is_1 = self._errors(data_dir, tmp_path, lambda row: row.update(stakes="1.0"),
+                               {"OPENBLAS_CORETYPE": "Sandybridge"})
         assert ow_is_1 == ["ERROR value_moderated: rank deficient design; "
                            "dependent columns: ['OW*Marin']"]
 

@@ -28,7 +28,7 @@ from marketpanel.errors import (DuplicateKey, DuplicateMonth, MissingRiskFree, N
                                RateOutOfRange, SchemaMismatch)
 from marketpanel.panel_core import STAKE_SUM_TOL, FundamentalsTable, build_dataset
 
-from conftest import ROW_DEFAULTS, make_row, make_table, table_rows
+from conftest import ROW_DEFAULTS, make_row, make_table, row_order_sum, table_rows
 
 PROPERTY = settings(max_examples=80, deadline=None)
 HEADER = ",".join(ingest.FUNDAMENTALS_COLUMNS)
@@ -159,7 +159,7 @@ def reference_derive(by_key, rates, betas, names):
             "Age": float(year - row["establishment_year"]),
             "Size": math.log(row["total_assets"]),
             "Lev": row["total_equity"] / row["total_assets"], "Bet": float(beta),
-            "OW": float(sum(s for s in row["stakes"] if s >= variables.OWNERSHIP_THRESHOLD)),
+            "OW": row_order_sum(s for s in row["stakes"] if s >= variables.OWNERSHIP_THRESHOLD),
             "P/B": row["price"] / row["book_value"], "TotalAssets": row["total_assets"],
         }
         for name, value in values.items():

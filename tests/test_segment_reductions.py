@@ -1,9 +1,11 @@
 """Property tests: the segment reductions against the per-group loops they replace.
 
-Each reference below is the loop form the package computed before its group
-index: one pass per firm or per period over explicit row lists. Where the
-arithmetic is unchanged the results must be equal bit for bit; where only the
-summation order changed, within a tolerance fixed beforehand from float64.
+Each reference below is a loop over explicit row lists, one pass per firm or
+per period. Every per-firm, per-period and per-row sum of the package is one
+``np.bincount`` over the codes (``panel_core._group_sums``), which adds each
+group's rows in row order from 0.0: the within transform and the period
+scores are checked bit for bit against loops that add in that order. Where a
+reference sums in another order, the tolerance is fixed beforehand from float64.
 """
 
 import math
@@ -11,13 +13,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from marketpanel.diagnostics import _lag0_adf_stats, lr_heteroskedasticity
+from marketpanel.panel_core import _group_sums, row_sums
 from marketpanel.regress import (INTERCEPT_NAME, _pivoted_qr_solve, re_fit,
                                  robust_cov_white_cross_section, within_transform)
 
-from conftest import _adf_search, _adf_t, firm_codes, panel_matrix
+from conftest import _adf_search, _adf_t, firm_codes, panel_matrix, row_order_sum
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -51,23 +54,23 @@ def _panel(seed, n_firms, max_size, k, singletons=True):
 # --- loop references -------------------------------------------------------------------
 
 def loop_within(X, y, index):
+    """Each firm's values less its row-order sum divided by its size, for X and y."""
     values, y_out = X.values.copy(), np.asarray(y, dtype=float).copy()
     for idx in _groups([f for f, _ in index]).values():
-        values[idx] -= values[idx].mean(axis=0)
-        y_out[idx] -= y_out[idx].mean()
+        values[idx] -= row_order_sum(values[idx]) / len(idx)
+        y_out[idx] -= row_order_sum(y_out[idx]) / len(idx)
     return values, y_out
 
 
-def loop_white_cross_section(X, residuals, index):
+def loop_white_cross_section(X, residuals, xtx_inv, index):
+    """Each period's score X_t' e_t as a row-order loop in calendar order, then the
+    package's own meat and sandwich."""
     n, k = X.values.shape
-    bread = np.linalg.pinv(X.values.T @ X.values)
-    meat = np.zeros((k, k))
     periods = _groups([year for _, year in index])
-    for year in sorted(periods):
-        idx = periods[year]
-        score = X.values[idx].T @ residuals[idx]
-        meat += np.outer(score, score)
-    cov = bread @ meat @ bread * (n / (n - k))
+    scores = np.array([row_order_sum(X.values[i] * residuals[i] for i in periods[year])
+                       for year in sorted(periods)])
+    meat = np.add.reduce(scores[:, :, None] * scores[:, None, :], axis=0)
+    cov = xtx_inv @ meat @ xtx_inv * (n / (n - k))
     return (cov + cov.T) / 2.0
 
 
@@ -81,8 +84,8 @@ def loop_re_coefficients(X, y, index):
     resid_w = wy - wv @ beta_w
     sigma2_e = float(resid_w @ resid_w) / (n - k - g)
     ids = sorted(groups)
-    xbar = np.vstack([X.values[groups[f]].mean(axis=0) for f in ids])
-    ybar = np.array([y[groups[f]].mean() for f in ids])
+    xbar = np.vstack([row_order_sum(X.values[groups[f]]) / len(groups[f]) for f in ids])
+    ybar = np.array([row_order_sum(y[groups[f]]) / len(groups[f]) for f in ids])
     sizes = np.array([len(groups[f]) for f in ids], dtype=float)
     sigma2_u = 0.0
     if g - k - 1 > 0:
@@ -93,10 +96,10 @@ def loop_re_coefficients(X, y, index):
     theta = 1.0 - np.sqrt(sigma2_e / (sigma2_e + sizes * sigma2_u))
     values = np.column_stack([np.ones(n), X.values])
     y_star, v_star = y.copy(), values.copy()
-    for theta_i, f in zip(theta, ids):
+    for theta_i, f, xbar_i, ybar_i in zip(theta, ids, xbar, ybar):
         idx = groups[f]
-        y_star[idx] -= theta_i * y[idx].mean()
-        v_star[idx] -= theta_i * values[idx].mean(axis=0)
+        y_star[idx] -= theta_i * ybar_i
+        v_star[idx] -= theta_i * np.concatenate([[1.0], xbar_i])
     beta, _ = _pivoted_qr_solve(v_star, y_star, (INTERCEPT_NAME,) + X.column_names)
     return beta, float(theta.mean())
 
@@ -137,6 +140,35 @@ def lag0_adf_stat(y):
 
 # --- properties --------------------------------------------------------------------------
 
+# magnitudes far apart, so that another order of the additions would round differently
+VALUES = st.floats(-1e300, 1e300) | st.sampled_from([1e16, -1e16, 1.0, 0.1, 0.2, 0.3])
+
+
+@PROPERTY
+@given(data=st.data(), n_groups=st.integers(1, 6), shape=st.sampled_from([(), (1,), (3,)]))
+def test_group_sums_equal_a_row_loop(data, n_groups, shape):
+    """Unsorted, unbalanced codes, groups without rows, vectors and matrices, and no
+    rows at all; row_sums' ragged rows are groups of adjacent items."""
+    codes = np.array(data.draw(st.lists(st.integers(0, n_groups - 1), max_size=30)),
+                     dtype=np.int64)
+    values = np.array(data.draw(st.lists(VALUES, min_size=len(codes) * math.prod(shape),
+                                         max_size=len(codes) * math.prod(shape))),
+                      dtype=float).reshape((len(codes),) + shape)
+    sums = _group_sums(codes, n_groups, values)
+    assert sums.dtype == float and sums.shape == (n_groups,) + shape
+    assert np.array_equal(sums, [row_order_sum(values[codes == g]) + np.zeros(shape)
+                                 for g in range(n_groups)])
+
+    counts = data.draw(st.lists(st.integers(0, 4), max_size=8))
+    items = np.array(data.draw(st.lists(VALUES, min_size=sum(counts), max_size=sum(counts))),
+                     dtype=float)
+    offsets = np.cumsum([0, *counts])
+    totals = row_sums(items, offsets)
+    assert totals.dtype == float
+    assert np.array_equal(totals, [row_order_sum(items[a:b]) for a, b in
+                                   zip(offsets[:-1].tolist(), offsets[1:].tolist())])
+
+
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), n_firms=st.integers(1, 12),
        max_size=st.integers(1, 20), k=st.integers(1, 5))
@@ -160,14 +192,16 @@ def test_period_clustered_covariance_equals_period_loop(seed, n_firms, max_size,
     assume(len({year for _, year in index}) >= 2 and len(X.values) > k)
     residuals = np.random.default_rng(seed).normal(0, 1, len(X.values))
     bread = np.linalg.pinv(X.values.T @ X.values)
-    np.testing.assert_allclose(robust_cov_white_cross_section(X, residuals, bread),
-                               loop_white_cross_section(X, residuals, index),
-                               rtol=1e-12, atol=1e-14)
+    assert np.array_equal(robust_cov_white_cross_section(X, residuals, bread),
+                          loop_white_cross_section(X, residuals, bread, index))
 
 
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), n_firms=st.integers(5, 12),
        max_size=st.integers(3, 10), k=st.integers(1, 3))
+# two draws that failed while the reference took np.mean's firm means
+@example(seed=14470, n_firms=12, max_size=10, k=1)
+@example(seed=8745, n_firms=9, max_size=10, k=1)
 def test_random_effects_equals_group_loop(seed, n_firms, max_size, k):
     X, y, index = _panel(seed, n_firms, max_size, k, singletons=False)
     with warnings.catch_warnings():

@@ -12,7 +12,7 @@ from marketpanel.panel_core import build_dataset
 from marketpanel.variables import (abnormal_earnings, derive_all, marin, marin_alt_assets,
                                    marin_alt_log, ownership_concentration)
 
-from conftest import make_panel, make_row, make_table, table_rows
+from conftest import make_panel, make_row, make_table, row_order_sum, table_rows
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -136,7 +136,7 @@ class TestOwnershipConcentration:
     def test_rows_equal_a_loop_over_each_row(self, rows):
         offsets = np.cumsum([0] + [len(r) for r in rows])
         got = ownership_concentration([s for r in rows for s in r], offsets)
-        assert got.tolist() == [float(sum(s for s in r if s >= 0.05)) for r in rows]
+        assert got.tolist() == [row_order_sum(s for s in r if s >= 0.05) for r in rows]
 
 
 class TestDeriveAll:
