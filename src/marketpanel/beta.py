@@ -104,18 +104,13 @@ def monthly_returns(prices: PriceTable) -> ReturnPanel:
                        series_index={series_id: row for row, series_id in enumerate(series_ids)})
 
 
-def _batched_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # one (1, n) @ (n, 1) product per row: BLAS ddot, as ``a[g] @ b[g]``
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _window_betas(firm: np.ndarray, market: np.ndarray, min_months: int) -> np.ndarray:
     """Every firm's window beta at once, in the arithmetic of ``beta_for_year`` (tests/conftest.py).
 
     Windows are grouped by paired-month count, so each group is a dense
-    (windows, months) block whose row means and dot products reduce in the
-    same order as one window's. A window it rejects (too few paired months,
-    constant market) gets NaN.
+    (windows, months) block whose row means and sums are ``np.add.reduce`` along
+    each row, in the order of one window alone. A window it rejects (too few
+    paired months, constant market) gets NaN.
     """
     paired = ~np.isnan(firm) & ~np.isnan(market)
     counts = paired.sum(axis=1)
@@ -128,9 +123,9 @@ def _window_betas(firm: np.ndarray, market: np.ndarray, min_months: int) -> np.n
         ri = firm[group][mask].reshape(len(group), n)
         rm = market[group][mask].reshape(len(group), n)
         rm_centered = rm - rm.mean(axis=1, keepdims=True)
-        var_m = _batched_dot(rm_centered, rm_centered)
-        varies = ~(var_m <= 1e-24 * np.maximum(_batched_dot(rm, rm), 1e-300))
-        cov = _batched_dot(rm_centered, ri - ri.mean(axis=1, keepdims=True))
+        var_m = np.add.reduce(rm_centered * rm_centered, axis=1)
+        varies = ~(var_m <= 1e-24 * np.maximum(np.add.reduce(rm * rm, axis=1), 1e-300))
+        cov = np.add.reduce(rm_centered * (ri - ri.mean(axis=1, keepdims=True)), axis=1)
         betas[group[varies]] = cov[varies] / var_m[varies]
     return betas
 

@@ -191,29 +191,23 @@ def _lag0_adf_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``block`` holds one series per row. Per series, dy_t is regressed on [y_{t-1}, 1];
     with x = y_{t-1} and d = dy_t centred per series, beta = Sxd / Sxx and
-    se^2 = RSS / ((n - 2) Sxx), each sum adding a row's values left to right.
-    Returns the statistics and a mask of the usable ones: the lagged level must
-    vary (Sxx above 1e-24 sum x^2) and the fit must not be exact (RSS above
-    1e-24 sum d^2), because an exact fit leaves only rounding residue.
+    se^2 = RSS / ((n - 2) Sxx), each sum ``np.add.reduce`` along a row, in the order
+    of one series alone. Returns the statistics and a mask of the usable ones: the
+    lagged level must vary (Sxx above 1e-24 sum x^2) and the fit must not be exact
+    (RSS above 1e-24 sum d^2), because an exact fit leaves only rounding residue.
     """
     x, d = block[:, :-1], np.diff(block, axis=1)
     n_obs = x.shape[1]
-
-    def sums(v):
-        total = np.zeros(len(v))
-        for column in v.T:
-            total += column
-        return total
-
-    xc = x - (sums(x) / n_obs)[:, None]
-    dc = d - (sums(d) / n_obs)[:, None]
-    sxx = sums(xc * xc)
+    sums = np.add.reduce
+    xc = x - (sums(x, axis=1) / n_obs)[:, None]
+    dc = d - (sums(d, axis=1) / n_obs)[:, None]
+    sxx = sums(xc * xc, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        beta = sums(xc * dc) / sxx
+        beta = sums(xc * dc, axis=1) / sxx
         resid = dc - beta[:, None] * xc
-        rss = sums(resid * resid)
+        rss = sums(resid * resid, axis=1)
         stat = beta / np.sqrt(rss / (n_obs - 2) / sxx)
-    usable = (sxx > 1e-24 * sums(x * x)) & (rss > 1e-24 * sums(d * d))
+    usable = (sxx > 1e-24 * sums(x * x, axis=1)) & (rss > 1e-24 * sums(d * d, axis=1))
     return stat, usable
 
 
@@ -307,11 +301,18 @@ def lr_heteroskedasticity(residuals, codes: PanelCodes) -> TestResult:
                       critical_values=None, detail=f"groups={g}, df={df}")
 
 
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """``v`` times 2^-e, which brings its largest |value| into [0.5, 1), and e: moments
+    taken on it and scaled back by 2^e keep their bits, and its squares cannot overflow."""
+    e = int(np.frexp(np.max(np.abs(v)))[1])
+    return np.ldexp(v, -e), e
+
+
 def descriptives(columns: dict[str, np.ndarray]) -> list[VariableSummary]:
     """Per-variable N, min, max, mean and sample standard deviation (n-1).
 
     NaNs are dropped per variable; a single observation reports no standard
-    deviation and is flagged.
+    deviation and is flagged. The mean and std are taken on :func:`_scaled` values.
     """
     out = []
     for name, values in columns.items():
@@ -321,10 +322,11 @@ def descriptives(columns: dict[str, np.ndarray]) -> list[VariableSummary]:
             out.append(VariableSummary(name, 0, math.nan, math.nan, math.nan, None,
                                        flag="no observations"))
             continue
-        std = float(np.std(v, ddof=1)) if len(v) > 1 else None
+        w, e = _scaled(v)
+        std = float(np.ldexp(np.std(w, ddof=1), e)) if len(v) > 1 else None
         flag = "" if len(v) > 1 else "single observation"
         out.append(VariableSummary(name=name, n=int(len(v)), minimum=float(v.min()),
-                                   maximum=float(v.max()), mean=float(v.mean()),
+                                   maximum=float(v.max()), mean=float(np.ldexp(w.mean(), e)),
                                    std=std, flag=flag))
     return out
 
@@ -332,8 +334,9 @@ def descriptives(columns: dict[str, np.ndarray]) -> list[VariableSummary]:
 def correlation_matrix(columns: dict[str, np.ndarray]) -> CorrelationResult:
     """Pearson correlations with two-sided p-values, pairwise deletion.
 
-    The variables are the columns, in their order. p comes from
-    t = r sqrt((n-2)/(1-r^2)) with n-2 degrees of freedom. Constant
+    The variables are the columns, in their order. r = Sxy / (sqrt(Sxx) sqrt(Syy))
+    on the centred :func:`_scaled` values of a pair, each sum ``np.add.reduce``. p
+    comes from t = r sqrt((n-2)/(1-r^2)) with n-2 degrees of freedom. Constant
     variables (or pairs with fewer than 3 complete rows) report NaN.
     """
     names = tuple(columns)
@@ -350,14 +353,17 @@ def correlation_matrix(columns: dict[str, np.ndarray]) -> CorrelationResult:
             n_mat[i, j] = n_mat[j, i] = n
             if n < 3:
                 continue
-            x, yv = data[i][mask], data[j][mask]
-            sx, sy = float(np.std(x)), float(np.std(yv))
-            if sx == 0.0 or sy == 0.0:
+            x, yv = _scaled(data[i][mask])[0], _scaled(data[j][mask])[0]
+            xc, yc = x - x.mean(), yv - yv.mean()
+            sxx, syy = np.add.reduce(xc * xc), np.add.reduce(yc * yc)
+            if sxx == 0.0 or syy == 0.0:
                 continue
             if i == j:
                 r[i, i], p[i, i] = 1.0, 0.0
                 continue
-            rij = float(np.corrcoef(x, yv)[0, 1])
+            # np.clip keeps a NaN r NaN, where min(1, max(-1, r)) would make it -1
+            rij = float(np.clip(np.add.reduce(xc * yc) / (np.sqrt(sxx) * np.sqrt(syy)),
+                                -1.0, 1.0))
             r[i, j] = r[j, i] = rij
             if abs(rij) >= 1.0:
                 pij = 0.0

@@ -28,7 +28,7 @@ from .ingest import (fundamentals_to_csv, parse_fundamentals, parse_riskfree,
                      prices_to_csv, riskfree_to_csv)
 from .models import EstimationReport
 from .panel_core import FundamentalsTable, PanelDataset, build_dataset
-from .beta import PriceTable, _month_index
+from .beta import DEFAULT_WINDOW_MONTHS, PriceTable, _month_index
 from .report import _json_text
 from .variables import ownership_concentration
 
@@ -77,7 +77,7 @@ _BOOK_GROWTH_MEAN, _BOOK_GROWTH_SD = 0.03, 0.02
 _X_FIRM_SD, _X_NOISE_SD = 0.06, 0.07  # 6:7 between/within split, scaled below
 _ALPHA_MEAN, _ALPHA_SD = 0.001, 0.001
 _PRICE_FLOOR = 0.02
-_PRE_PANEL_YEARS = 5
+_PRE_PANEL_YEARS = -(-DEFAULT_WINDOW_MONTHS // 12)   # the years the first beta window needs
 # the paper's four markets and first panel year, and the value equation's and
 # the market factor's scales, which no run varies
 START_YEAR = 2010
@@ -281,6 +281,12 @@ def _solve_intercept(target: float, coefficients: dict[str, float],
     return target - sum(c * moments[name] for name, c in coefficients.items())
 
 
+def _by_firm_year(firm_ids, years, matrix: np.ndarray) -> dict[tuple[str, int], float]:
+    """A firms x years matrix as {(firm, year): value}, firm by firm."""
+    return {(firm, year): value for firm, row in zip(firm_ids, matrix.tolist())
+            for year, value in zip(years, row)}
+
+
 def generate_panel(cfg: DGPConfig) -> SynthResult:
     """Generate a synthetic panel, its CSV files and the truth record.
 
@@ -313,8 +319,7 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
     # monthly market factor returns, pre-panel years included for beta windows
     first_year = START_YEAR - _PRE_PANEL_YEARS
     n_months = 12 * (_PRE_PANEL_YEARS + cfg.n_years)
-    market_returns = {m: _MARKET_DRIFT + _MARKET_VOL * rng.standard_normal(n_months)
-                      for m in market_ids}
+    market_returns = _MARKET_DRIFT + _MARKET_VOL * rng.standard_normal((N_MARKETS, n_months))
 
     # firm-level characteristics (stratified across firms); grid centers are
     # pre-compensated for the mean shift the boundary reflection induces
@@ -402,7 +407,6 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
                   + cfg.risk_coefficients["OW"] * ow_full
                   + cfg.risk_coefficients["OW*Marin"] * ow_full * marin_full
                   + u_risk[:, None] + risk_noise)
-    betas_true_mat = betas_full[:, panel_slice]
 
     # planted value equation -> share prices, with tail redraws kept positive
     systematic = (c_value
@@ -447,37 +451,31 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
         establishment_year=(np.array(years) - age_path).astype(np.int64).ravel(),
         book_value_prev=np.where(np.arange(ny) == 0, book0[:, None], np.nan).ravel())
 
-    # each market's 60-month window ending with each panel year, centred once
-    ends = [(year - first_year + 1) * 12 for year in years]
-    windows = {}
-    for market, mkt in market_returns.items():
-        for end in ends:
-            m = mkt[end - 60:end]
-            mc = m - m.mean()
-            windows[market, end] = m, mc, np.add.reduce(mc * mc)
-    idio = cfg.idio_vol * rng.standard_normal((n, n_months))
-    # firm returns follow the year's true beta; the window beta is the 60-month estimator's target
-    betas_true: dict[tuple[str, int], float] = {}
-    betas_window: dict[tuple[str, int], float] = {}
-    firm_monthly: dict[str, np.ndarray] = {}
-    for i, firm in enumerate(firm_ids):
-        market = firm_market[firm]
-        beta_by_month = np.repeat(betas_full[i], 12)
-        firm_monthly[firm] = alpha[i] + beta_by_month * market_returns[market] + idio[i]
-        for t, (year, end) in enumerate(zip(years, ends)):
-            betas_true[(firm, year)] = float(betas_true_mat[i, t])
-            m, mc, mcmc = windows[market, end]
-            cross = np.add.reduce(mc * (beta_by_month[end - 60:end] * m))
-            betas_window[(firm, year)] = float(cross / mcmc)
+    # every series' monthly returns, markets first; firm i trades on market i mod N_MARKETS,
+    # so row N_MARKETS + i starts as its market's returns, and becomes the firm's own below
+    returns = market_returns[np.arange(N_MARKETS + n) % N_MARKETS]
+    firm_returns = returns[N_MARKETS:]
+    beta_by_month = np.repeat(betas_full, 12, axis=1)
+    # the window beta (the estimator's target): the within-window slope on the firm's market
+    betas_window = np.empty((n, ny))
+    for t, end in enumerate(range(12 * (_PRE_PANEL_YEARS + 1), n_months + 1, 12)):
+        window = slice(end - DEFAULT_WINDOW_MONTHS, end)
+        m = firm_returns[:, window]
+        mc = m - m.mean(axis=1, keepdims=True)
+        betas_window[:, t] = (np.add.reduce(mc * (beta_by_month[:, window] * m), axis=1)
+                              / np.add.reduce(mc * mc, axis=1))
+    # firm returns follow the year's true beta: alpha + beta * market + idiosyncratic noise
+    firm_returns *= beta_by_month
+    firm_returns += alpha[:, None]
+    firm_returns += cfg.idio_vol * rng.standard_normal((n, n_months))
 
-    # every series closes in every month, markets first, from 100 at the first month
+    # every series closes in every month, from 100 at the first month
     price_ids = tuple(market_ids) + tuple(firm_ids)
-    paths = [market_returns[m] for m in market_ids] + [firm_monthly[f] for f in firm_ids]
     prices = PriceTable(
         series_ids=price_ids,
         codes=np.repeat(np.arange(len(price_ids)), n_months),
         months=np.tile(_month_index(first_year, 1) + np.arange(n_months), len(price_ids)),
-        closes=np.concatenate([100.0 * np.cumprod(1.0 + r) for r in paths]))
+        closes=(100.0 * np.cumprod(1.0 + returns, axis=1)).ravel())
 
     fundamentals_csv = fundamentals_to_csv(table)
     prices_csv = prices_to_csv(prices)
@@ -499,8 +497,8 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
                                    + cfg.risk_coefficients["OW*Marin"] * e_ow),
         entity_effects_value={firm_ids[i]: float(u_value[i]) for i in range(n)},
         entity_effects_risk={firm_ids[i]: float(u_risk[i]) for i in range(n)},
-        betas_true=betas_true,
-        betas_window=betas_window,
+        betas_true=_by_firm_year(firm_ids, years, betas_full[:, panel_slice]),
+        betas_window=_by_firm_year(firm_ids, years, betas_window),
         expected_moments={k: float(v) for k, v in moments.items()},
         price_redraws=redraws,
     )

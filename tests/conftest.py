@@ -320,7 +320,8 @@ def beta_for_year(returns: ReturnPanel, firm_id: str, market_id: str, year: int,
 
     Months where either side is missing are dropped; the ``min_months`` rule
     applies to the paired months that remain. beta = cov(R_i, R_m)/var(R_m),
-    the OLS slope with intercept.
+    the OLS slope with intercept. Each sum is ``np.add.reduce`` of the
+    window's paired months, as the package's batched betas add each row.
     """
     rows = [_row(returns, firm_id, TooShort, "firm"),
             _row(returns, market_id, UnknownMarket, "market")]
@@ -334,11 +335,11 @@ def beta_for_year(returns: ReturnPanel, firm_id: str, market_id: str, year: int,
 
     ri, rm = firm[paired], market[paired]
     rm_centered = rm - rm.mean()
-    var_m = float(rm_centered @ rm_centered)
+    var_m = float(np.add.reduce(rm_centered * rm_centered))
     # relative guard: a constant series leaves only rounding residue behind
-    if var_m <= 1e-24 * max(float(rm @ rm), 1e-300):
+    if var_m <= 1e-24 * max(float(np.add.reduce(rm * rm)), 1e-300):
         raise ZeroMarketVariance(f"{market_id}: market returns constant in window")
-    beta = float(rm_centered @ (ri - ri.mean())) / var_m
+    beta = float(np.add.reduce(rm_centered * (ri - ri.mean()))) / var_m
 
     # the window's first column, found as ReturnPanel.window finds it
     lo = int(np.searchsorted(returns.months, _month_index(year, 12) - window_months + 1,

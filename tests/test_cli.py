@@ -78,6 +78,15 @@ SYNTH_DIGESTS = {
 }
 
 
+# the settings that move BLAS or SIMD arithmetic: two other OpenBLAS kernels, and numpy
+# without its AVX-512 loops, each set in a child process's environment only
+OTHER_KERNELS = {
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+    "no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+
 def file_digests(directory):
     """SHA-256 of each file in ``directory``, by name."""
     return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
@@ -158,10 +167,7 @@ class TestSynthCommand:
         for spec, digests in SYNTH_DIGESTS.items():
             assert file_digests(outs[spec]) == digests, spec
 
-    @pytest.fixture(scope="class", params=[
-        {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Sandybridge"},
-        {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}],
-        ids=["haswell", "sandybridge", "no-avx512"])
+    @pytest.fixture(scope="class", params=OTHER_KERNELS.values(), ids=OTHER_KERNELS)
     def synth_under_another_kernel(self, request, tmp_path_factory):
         """Each pinned spec's synth directory, written by one child process whose
         environment alone carries another OpenBLAS kernel or numpy without its
@@ -181,6 +187,37 @@ class TestSynthCommand:
                                                           spec):
         """Another kernel or SIMD path writes the same bytes for every pinned spec."""
         assert file_digests(synth_under_another_kernel[spec]) == SYNTH_DIGESTS[spec]
+
+
+def run_under(data_dir, out, setting):
+    """The run tree of ``data_dir`` written by one child process whose environment
+    carries ``setting`` and none of the caller's kernel or SIMD choices."""
+    env = {name: value for name, value in src_env().items()
+           if name not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    proc = subprocess.run([sys.executable, "-c", cli_code([["run", "--data", str(data_dir),
+                                                            "--out", str(out)]])],
+                          env=env | setting, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    (run_id,) = os.listdir(out)
+    return out / run_id
+
+
+class TestTablesNoKernelMoves:
+    """The descriptive, correlation and unit-root tables are sums that numpy adds
+    without BLAS, so no OpenBLAS kernel or SIMD path moves a byte of them."""
+
+    TABLES = [f"{table}.{ext}" for table in ("descriptives", "correlations", "stationarity")
+              for ext in ("json", "csv", "md")]
+
+    @pytest.fixture(scope="class")
+    def default_run(self, data_dir, tmp_path_factory):
+        return run_under(data_dir, tmp_path_factory.mktemp("default-kernel"), {})
+
+    @pytest.mark.parametrize("setting", OTHER_KERNELS.values(), ids=OTHER_KERNELS)
+    def test_tables_keep_their_bytes(self, data_dir, default_run, tmp_path, setting):
+        other = run_under(data_dir, tmp_path, setting)
+        for name in self.TABLES:
+            assert (other / name).read_bytes() == (default_run / name).read_bytes(), name
 
 
 class TestIngestCheck:

@@ -96,10 +96,10 @@ def reference_beta(firm_map, market_map, year, window_months, min_months):
     ri = np.array([firm_map[i] for i in paired], dtype=float)
     rm = np.array([market_map[i] for i in paired], dtype=float)
     rm_centered = rm - rm.mean()
-    var_m = float(rm_centered @ rm_centered)
-    if var_m <= 1e-24 * max(float(rm @ rm), 1e-300):
+    var_m = float(np.add.reduce(rm_centered * rm_centered))
+    if var_m <= 1e-24 * max(float(np.add.reduce(rm * rm)), 1e-300):
         return None
-    beta_value = float(rm_centered @ (ri - ri.mean())) / var_m
+    beta_value = float(np.add.reduce(rm_centered * (ri - ri.mean()))) / var_m
     return beta_value, len(paired), (paired[0] // 12, paired[0] % 12 + 1)
 
 

@@ -97,8 +97,11 @@ def reference_lag0_adf_stats(series):
     x = np.concatenate([s[:-1] for s in series])
     d = np.concatenate([np.diff(s) for s in series])
 
+    ends = np.cumsum(n_obs)
+
     def sums(v):
-        return np.bincount(codes, weights=v, minlength=len(series))
+        # each firm's slice added by np.add.reduce, as the package adds a block's rows
+        return np.array([np.add.reduce(v[end - n:end]) for n, end in zip(n_obs, ends)])
 
     xc = x - (sums(x) / n_obs)[codes]
     dc = d - (sums(d) / n_obs)[codes]

@@ -469,6 +469,14 @@ class TestDescriptives:
             row = descriptives({"v": rng.normal(0, 2, 50)})[0]
             assert row.minimum <= row.mean <= row.maximum
 
+    def test_a_column_whose_squares_overflow(self):
+        """The moments of x 1e200 are those of x, scaled: its squares overflow,
+        its mean and std do not."""
+        x = np.random.default_rng(5).lognormal(0.0, 0.5, 40)
+        small, large = descriptives({"x": x, "large": x * 1e200})
+        assert large.mean == pytest.approx(small.mean * 1e200, rel=1e-12)
+        assert large.std == pytest.approx(small.std * 1e200, rel=1e-12)
+
     def test_nan_dropped(self):
         row = descriptives({"v": np.array([1.0, np.nan, 3.0])})[0]
         assert row.n == 2
@@ -515,6 +523,18 @@ class TestCorrelationMatrix:
         np.testing.assert_allclose(c.r, c.r.T, atol=1e-14)
         finite = np.isfinite(c.r)
         assert np.all(np.abs(c.r[finite]) <= 1.0)
+
+    def test_columns_whose_squares_overflow(self):
+        """r is scale-free: a column scaled by 1e200, or two of them, keep the
+        correlations and p-values of the unscaled columns."""
+        rng = np.random.default_rng(6)
+        x = rng.normal(0, 1, 30)
+        y = 0.5 * x + rng.normal(0, 1, 30)
+        z = rng.normal(0, 1, 30)
+        small = correlation_matrix({"x": x, "y": y, "z": z})
+        large = correlation_matrix({"x": x * 1e200, "y": y * 1e200, "z": z})
+        np.testing.assert_allclose(large.r, small.r, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(large.p, small.p, rtol=1e-12, atol=0)
 
     def test_constant_variable_reported_absent(self):
         rng = np.random.default_rng(4)
