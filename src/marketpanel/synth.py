@@ -231,16 +231,6 @@ def _fold_mean_lift(center, half, low, high, sd) -> float:
     return float(np.mean(lift[0] - lift[1]))
 
 
-def _ar1_deviations(rng, rho, sd, n):
-    """Stationary AR(1) deviations around zero."""
-    prev = rng.normal(0.0, sd / np.sqrt(1.0 - rho * rho))
-    out = []
-    for innovation in rng.normal(0.0, sd, n).tolist():
-        prev = rho * prev + innovation
-        out.append(prev)
-    return np.array(out)
-
-
 def _lev_half_width(n_years: int) -> float:
     """Lev's between-firm half width net of the walk's within variance.
 
@@ -281,24 +271,27 @@ def _solve_intercept(target: float, coefficients: dict[str, float],
     return target - sum(c * moments[name] for name, c in coefficients.items())
 
 
-def _by_firm_year(firm_ids, years, matrix: np.ndarray) -> dict[tuple[str, int], float]:
-    """A firms x years matrix as {(firm, year): value}, firm by firm."""
-    return {(firm, year): value for firm, row in zip(firm_ids, matrix.tolist())
+def _by_id_year(ids, years, matrix: np.ndarray) -> dict[tuple[str, int], float]:
+    """An ids x years matrix as {(id, year): value}, row by row."""
+    return {(name, year): value for name, row in zip(ids, matrix.tolist())
             for year, value in zip(years, row)}
 
 
 def generate_panel(cfg: DGPConfig) -> SynthResult:
     """Generate a synthetic panel, its CSV files and the truth record.
 
-    The same (seed, config) produces byte-identical outputs. Fundamentals are
-    validated through :func:`build_dataset` via a CSV round trip, never
-    bypassed.
+    The same (seed, config) produces byte-identical outputs. The ``Generator``
+    calls come in a fixed order: the market draws, the firm-level draws, one
+    loop over firms that makes every per-firm draw, then the risk, price and
+    return noise; each firm-year path is computed from the draws as a whole
+    firms x years array. Fundamentals are validated through
+    :func:`build_dataset` via a CSV round trip, never bypassed.
     """
     cfg.validate()
     lev_half = _lev_half_width(cfg.n_years)
     rng = np.random.default_rng(cfg.seed)
     moments = _expected_moments(cfg.n_years)
-    n, years = cfg.n_firms, cfg.years
+    n, years, ny = cfg.n_firms, cfg.years, cfg.n_years
 
     c_value = _solve_intercept(DEFAULT_MOMENT_TARGETS["P"][0], cfg.value_coefficients, moments)
     c_risk = _solve_intercept(DEFAULT_MOMENT_TARGETS["Bet"][0], cfg.risk_coefficients, moments)
@@ -307,18 +300,16 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
 
     firm_ids = [f"F{i + 1:03d}" for i in range(n)]
     market_ids = [f"M{j + 1}" for j in range(N_MARKETS)]
-    firm_market = {firm_ids[i]: market_ids[i % N_MARKETS] for i in range(n)}
+    market = np.arange(n) % N_MARKETS   # firm i trades on market i mod N_MARKETS
 
-    # risk-free rates per market-year
-    risk_free = {}
-    for market in market_ids:
-        base = rng.uniform(0.02, 0.045)
-        for y in years:
-            risk_free[market, y] = float(np.clip(base + rng.normal(0.0, 0.003), 0.001, 0.49))
+    # risk-free rates per market-year: each market's level, then its yearly deviations
+    rates = np.empty((N_MARKETS, ny))
+    for j in range(N_MARKETS):
+        rates[j] = np.clip(rng.uniform(0.02, 0.045) + rng.normal(0.0, 0.003, ny), 0.001, 0.49)
 
     # monthly market factor returns, pre-panel years included for beta windows
     first_year = START_YEAR - _PRE_PANEL_YEARS
-    n_months = 12 * (_PRE_PANEL_YEARS + cfg.n_years)
+    n_months = 12 * (_PRE_PANEL_YEARS + ny)
     market_returns = _MARKET_DRIFT + _MARKET_VOL * rng.standard_normal((N_MARKETS, n_months))
 
     # firm-level characteristics (stratified across firms); grid centers are
@@ -328,7 +319,7 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
         moments["Marin"], _MARIN_HALF_WIDTH, *_MARIN_BOUNDS, sd=marin_ar_sd)
     marin_mu = _stratified_uniform(rng, n, marin_center - _MARIN_HALF_WIDTH,
                                    marin_center + _MARIN_HALF_WIDTH)
-    lev_walk_sd = _LEV_WALK_SD * math.sqrt((cfg.n_years + 1) / 2.0)
+    lev_walk_sd = _LEV_WALK_SD * math.sqrt((ny + 1) / 2.0)
     lev_center = moments["Lev"] - _fold_mean_lift(
         moments["Lev"], lev_half, *_LEV_BOUNDS, sd=lev_walk_sd)
     lev_base = _stratified_uniform(rng, n, lev_center - lev_half, lev_center + lev_half)
@@ -348,54 +339,56 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
     u_risk = _stratified_normal(rng, n, 0.0, cfg.risk_effect_scale)
     alpha = rng.normal(_ALPHA_MEAN, _ALPHA_SD, size=n)
 
-    # firm-year paths, extended over the pre-panel years that beta windows
-    # reach back into (index _PRE_PANEL_YEARS corresponds to the first panel year)
-    ny = cfg.n_years
+    # each firm's draws, firm by firm; the full columns are the extended years,
+    # whose index _PRE_PANEL_YEARS is the first panel year (beta windows reach
+    # back into the years before it)
     nfull = ny + _PRE_PANEL_YEARS
-    marin_full = np.empty((n, nfull))
-    lev_full = np.empty((n, nfull))
-    stakes_full, stake_counts_full = [], []   # every firm-year, pre-panel years included
-    stakes, stake_counts = [], []             # the panel's firm-years
-    size_full = np.empty((n, nfull))
-    book_path = np.empty((n, ny))
-    x_path = np.empty((n, ny))
-    age_full = np.empty((n, nfull))
-
-    ow_lo = dom_center - _OW_DOMINANT_HALF_WIDTH
-    ow_hi = dom_center + _OW_DOMINANT_HALF_WIDTH + _OW_WALK_SD
+    marin_ar = np.empty((n, 1 + nfull))   # the stationary start, then the innovations
+    lev_steps, ow_steps, size_noise = np.empty((3, n, nfull))
+    minor_counts = np.empty((n, nfull), dtype=np.int64)
+    minor_stakes = []   # every firm-year's minor stakes, one flat list
+    book_growth, x_noise = np.empty((2, n, ny))
     for i in range(n):
-        marin_full[i] = _reflect(marin_mu[i] + _ar1_deviations(rng, _MARIN_AR_RHO,
-                                                               _MARIN_AR_SD, nfull),
-                                 *_MARIN_BOUNDS)
-        lev_full[i] = _reflect(lev_base[i] + np.cumsum(rng.normal(0, _LEV_WALK_SD, nfull)),
-                               *_LEV_BOUNDS)
-        dominant = _reflect(ow_base[i] + np.cumsum(rng.normal(0, _OW_WALK_SD, nfull)),
-                            ow_lo, ow_hi)
+        marin_ar[i, 0] = rng.normal(0.0, marin_ar_sd)
+        marin_ar[i, 1:] = rng.normal(0.0, _MARIN_AR_SD, nfull)
+        lev_steps[i] = rng.normal(0, _LEV_WALK_SD, nfull)
+        ow_steps[i] = rng.normal(0, _OW_WALK_SD, nfull)
         for t in range(nfull):
-            count = int(rng.integers(0, _OW_MINOR_MAX_COUNT + 1))
-            firm_year = [dominant[t], *rng.uniform(_OW_MINOR_LOW, _OW_MINOR_HIGH, size=count)]
-            stakes_full += firm_year
-            stake_counts_full.append(len(firm_year))
-            if t >= _PRE_PANEL_YEARS:
-                stakes += firm_year
-                stake_counts.append(len(firm_year))
-        size_full[i] = (ln_assets0[i]
-                        + growth[i] * (np.arange(nfull) - _PRE_PANEL_YEARS)
-                        + rng.normal(0, _LN_ASSETS_NOISE_SD, nfull))
-        book_path[i] = np.cumprod(np.concatenate(
-            [[book0[i]], 1.0 + rng.normal(_BOOK_GROWTH_MEAN, _BOOK_GROWTH_SD, ny)]))[1:]
-        x_path[i] = x_mu[i] + rng.normal(0, _X_WITHIN_SD, ny)
-        age_full[i] = age0[i] + np.arange(nfull) - _PRE_PANEL_YEARS
+            minor_counts[i, t] = count = rng.integers(0, _OW_MINOR_MAX_COUNT + 1)
+            minor_stakes += rng.uniform(_OW_MINOR_LOW, _OW_MINOR_HIGH, size=count).tolist()
+        size_noise[i] = rng.normal(0, _LN_ASSETS_NOISE_SD, nfull)
+        book_growth[i] = rng.normal(_BOOK_GROWTH_MEAN, _BOOK_GROWTH_SD, ny)
+        x_noise[i] = rng.normal(0, _X_WITHIN_SD, ny)
 
-    offsets_full = np.concatenate([[0], np.cumsum(stake_counts_full)])
-    ow_full = ownership_concentration(stakes_full, offsets_full).reshape(n, nfull)
+    # the firm-year paths of those draws, as firms x years arrays
+    for t in range(1, 1 + nfull):   # Marin's stationary AR(1) deviations
+        marin_ar[:, t] += _MARIN_AR_RHO * marin_ar[:, t - 1]
+    marin_full = _reflect(marin_mu[:, None] + marin_ar[:, 1:], *_MARIN_BOUNDS)
+    lev_full = _reflect(lev_base[:, None] + np.cumsum(lev_steps, axis=1), *_LEV_BOUNDS)
+    dominant = _reflect(ow_base[:, None] + np.cumsum(ow_steps, axis=1),
+                        dom_center - _OW_DOMINANT_HALF_WIDTH,
+                        dom_center + _OW_DOMINANT_HALF_WIDTH + _OW_WALK_SD)
+    year_offset = np.arange(nfull) - _PRE_PANEL_YEARS   # years from the first panel year
+    size_full = ln_assets0[:, None] + growth[:, None] * year_offset + size_noise
+    book = np.cumprod(np.column_stack([book0, 1.0 + book_growth]), axis=1)
+    x_path = x_mu[:, None] + x_noise
+    age_full = age0[:, None] + year_offset
 
+    # every firm-year's stakes, its dominant stake first, in one ragged list
+    holders = 1 + minor_counts
+    stakes_full = np.insert(minor_stakes, np.cumsum(minor_counts) - minor_counts.ravel(),
+                            dominant.ravel())
+    ow_full = ownership_concentration(
+        stakes_full, np.concatenate([[0], np.cumsum(holders)])).reshape(n, nfull)
+    # the draws are spent: freed here, they do not add to the CSV writers' peak memory
+    del marin_ar, lev_steps, ow_steps, size_noise, minor_stakes, book_growth, x_noise
+
+    # the panel's firm-years: the last ny extended years, and their stakes
     panel_slice = slice(_PRE_PANEL_YEARS, nfull)
-    marin_path = marin_full[:, panel_slice]
-    lev_path = lev_full[:, panel_slice]
-    ow_path = ow_full[:, panel_slice]
-    size_path = size_full[:, panel_slice]
-    age_path = age_full[:, panel_slice]
+    marin_path, lev_path, ow_path, size_path, age_path = (
+        full[:, panel_slice] for full in (marin_full, lev_full, ow_full, size_full, age_full))
+    book_prev, book_path = book[:, :-1], book[:, 1:]
+    stakes = stakes_full[np.repeat(np.tile(year_offset >= 0, n), holders.ravel())]
 
     # planted risk equation -> true betas per firm-year, pre-panel years included
     risk_noise = rng.normal(0, cfg.risk_noise_scale, size=(n, nfull))
@@ -422,38 +415,34 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
     price_noise = rng.normal(0, _VALUE_NOISE_SD, size=(n, ny))
     price_path = systematic + price_noise
     redraws = 0
-    for i in range(n):
-        for t in range(ny):
-            tries = 0
-            while price_path[i, t] < _PRICE_FLOOR:
-                price_path[i, t] = systematic[i, t] + rng.normal(0, _VALUE_NOISE_SD)
-                tries += 1
-                redraws += 1
-                if tries > 1000:
-                    raise InfeasibleTargets(
-                        "value equation cannot keep prices positive; "
-                        "lower the noise scale or raise the price target")
+    for i, t in np.argwhere(price_path < _PRICE_FLOOR).tolist():   # in row-major order
+        tries = 0
+        while price_path[i, t] < _PRICE_FLOOR:
+            price_path[i, t] = systematic[i, t] + rng.normal(0, _VALUE_NOISE_SD)
+            tries += 1
+            redraws += 1
+            if tries > 1000:
+                raise InfeasibleTargets(
+                    "value equation cannot keep prices positive; "
+                    "lower the noise scale or raise the price target")
 
     # fundamentals rows, firm by firm
-    rates = np.array([[risk_free[firm_market[firm], year] for year in years]
-                      for firm in firm_ids])
     assets = _exp(size_path)
     sales = assets * turnover[:, None]
     rd = rd_share[:, None] * sales
-    book_prev = np.column_stack([book0, book_path[:, :-1]])
     table = FundamentalsTable.from_labels(
-        np.repeat(firm_ids, ny), np.repeat([firm_market[f] for f in firm_ids], ny),
-        stakes, stake_counts, year=np.tile(years, n),
+        np.repeat(firm_ids, ny), np.repeat(np.array(market_ids)[market], ny),
+        stakes, holders[:, panel_slice].ravel(), year=np.tile(years, n),
         price=price_path.ravel(), book_value=book_path.ravel(),
-        eps=(x_path + rates * book_prev).ravel(), sga=(rd + marin_path * sales).ravel(),
+        eps=(x_path + rates[market] * book_prev).ravel(), sga=(rd + marin_path * sales).ravel(),
         rd=rd.ravel(), sales=sales.ravel(), total_assets=assets.ravel(),
         total_equity=(lev_path * assets).ravel(),
         establishment_year=(np.array(years) - age_path).astype(np.int64).ravel(),
         book_value_prev=np.where(np.arange(ny) == 0, book0[:, None], np.nan).ravel())
 
-    # every series' monthly returns, markets first; firm i trades on market i mod N_MARKETS,
-    # so row N_MARKETS + i starts as its market's returns, and becomes the firm's own below
-    returns = market_returns[np.arange(N_MARKETS + n) % N_MARKETS]
+    # every series' monthly returns, markets first; row N_MARKETS + i starts as
+    # firm i's market's returns, and becomes the firm's own below
+    returns = market_returns[np.concatenate([np.arange(N_MARKETS), market])]
     firm_returns = returns[N_MARKETS:]
     beta_by_month = np.repeat(betas_full, 12, axis=1)
     # the window beta (the estimator's target): the within-window slope on the firm's market
@@ -479,7 +468,7 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
 
     fundamentals_csv = fundamentals_to_csv(table)
     prices_csv = prices_to_csv(prices)
-    riskfree_csv = riskfree_to_csv(risk_free)
+    riskfree_csv = riskfree_to_csv(_by_id_year(market_ids, years, rates))
 
     parsed, rejections = parse_fundamentals(fundamentals_csv)
     if rejections:
@@ -497,8 +486,8 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
                                    + cfg.risk_coefficients["OW*Marin"] * e_ow),
         entity_effects_value={firm_ids[i]: float(u_value[i]) for i in range(n)},
         entity_effects_risk={firm_ids[i]: float(u_risk[i]) for i in range(n)},
-        betas_true=_by_firm_year(firm_ids, years, betas_full[:, panel_slice]),
-        betas_window=_by_firm_year(firm_ids, years, betas_window),
+        betas_true=_by_id_year(firm_ids, years, betas_full[:, panel_slice]),
+        betas_window=_by_id_year(firm_ids, years, betas_window),
         expected_moments={k: float(v) for k, v in moments.items()},
         price_redraws=redraws,
     )

@@ -75,6 +75,11 @@ SYNTH_DIGESTS = {
         "prices.csv": "0785622c167e470684540304e45406395ac66da4946c2015b90ff7227edc29bb",
         "riskfree.csv": "641f61fc1cb8e5fc69daf335d9aee788f52b84f65b98e8946c479fded8c17a2f",
         "truth.json": "9f199da97034c096e933fcf03ce5ebc743d67e9d859092a7629938f558db7bf5"},
+    ("9", "1000", "10"): {
+        "fundamentals.csv": "5e143f38e3e83f0f72736168ff61dc87ced25cbb659912641a159fbb13ebcb14",
+        "prices.csv": "b805c604c1e622810d9d0cabaae141fca073377ec6ae9a747924f3e34ee8535e",
+        "riskfree.csv": "a4a8ff6f9ed6bfe79c4a36163cbc742d8f21a38b317bc311d7e205f17e252948",
+        "truth.json": "34a0b9286c1f661beb6c0cb8b62c9962d125ce5cbf17fc6497c813820bd70e57"},
 }
 
 
