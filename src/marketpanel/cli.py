@@ -342,16 +342,15 @@ def cmd_verify(args) -> int:
 
     panel = variables.derive_all(dataset, truth.betas_true)
     checks = {}
-    for model_id in ("value_moderated", "risk_moderated"):
+    for model_id, planted in (("value_moderated", truth.value_coefficients),
+                              ("risk_moderated", truth.risk_coefficients)):
         # raw parameterization: the planted coefficients are uncentered
         spec = models.spec_for(model_id,
                                constrain_book_unit=cfg.constrain_book_unit)
-        outcome = synth.truth_check(models.estimate(panel, spec), truth)
-        checks[model_id] = [c._asdict() for c in outcome]
-        for c in outcome:
-            if not c.passed:
-                failures.append(f"{model_id}/{c.variable}: estimate {c.estimate:.6g} "
-                                f"vs truth {c.truth:.6g} (se {c.std_error:.3g})")
+        checks[model_id] = synth.truth_check(planted, models.estimate(panel, spec).rows)
+        failures += [f"{model_id}/{c['variable']}: estimate {c['estimate']:.6g} "
+                     f"vs truth {c['truth']:.6g} (se {c['std_error']:.3g})"
+                     for c in checks[model_id] if not c["passed"]]
 
     print(json.dumps({"command": "verify", "passed": not failures,
                       "failures": failures, "truth_checks": checks}, sort_keys=True))

@@ -96,10 +96,6 @@ class InfeasibleTargets(InputError):
     pass
 
 
-class ModelMismatch(MarketPanelError):
-    pass
-
-
 # --- reporting -----------------------------------------------------------------------
 
 class IoFailure(InputError):

@@ -23,10 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import _exp, _ndtr
-from .errors import InfeasibleTargets, ModelMismatch
+from .errors import InfeasibleTargets
 from .ingest import (fundamentals_to_csv, parse_fundamentals, parse_riskfree,
                      prices_to_csv, riskfree_to_csv)
-from .models import EstimationReport
 from .panel_core import FundamentalsTable, PanelDataset, build_dataset
 from .beta import DEFAULT_WINDOW_MONTHS, PriceTable, _month_index
 from .report import _json_text
@@ -180,14 +179,6 @@ class SynthResult(NamedTuple):
     prices_csv: str
     riskfree_csv: str
     truth: TruthRecord
-
-
-class CoefficientCheck(NamedTuple):
-    variable: str
-    estimate: float
-    truth: float
-    std_error: float
-    passed: bool
 
 
 def _stratified_uniform(rng, n, low, high):
@@ -495,32 +486,14 @@ def generate_panel(cfg: DGPConfig) -> SynthResult:
                        prices_csv=prices_csv, riskfree_csv=riskfree_csv, truth=truth)
 
 
-def truth_check(report: EstimationReport, truth: TruthRecord) -> tuple[CoefficientCheck, ...]:
-    """Flag each reported slope pass/fail against the planted truth.
+def truth_check(planted: dict[str, float],
+                rows: list[tuple[str, float, float, float]]) -> list[dict]:
+    """Each slope of a table's ``rows`` that has a ``planted`` value, checked.
 
-    A coefficient passes when it lies within 3 robust standard errors of its
-    planted value, and a model when every check passes. Only coefficients
-    present in both the report and the truth are compared; the intercept is
-    skipped.
+    ``rows`` are (variable, coefficient, std_error, ...) rows; the intercept is
+    skipped. A slope passes when it lies within 3 robust standard errors of its
+    planted value.
     """
-    model_id, variant = report.model_id, report.marin_variant
-    if model_id.startswith("value"):
-        planted = truth.value_coefficients
-    elif model_id.startswith("risk"):
-        planted = truth.risk_coefficients
-    else:
-        raise ModelMismatch(f"unknown model_id {model_id!r}")
-    if variant != "sales_ratio":
-        raise ModelMismatch(f"no planted truth for marketing variant {variant!r}")
-
-    checks = []
-    for name, coef, se, _ in report.rows:
-        if name == "C" or name not in planted:
-            continue
-        passed = abs(coef - planted[name]) <= 3.0 * se
-        checks.append(CoefficientCheck(variable=name, estimate=coef,
-                                       truth=planted[name], std_error=se,
-                                       passed=passed))
-    if not checks:
-        raise ModelMismatch(f"no comparable coefficients for model {model_id!r}")
-    return tuple(checks)
+    return [{"variable": name, "estimate": coef, "truth": planted[name],
+             "std_error": se, "passed": abs(coef - planted[name]) <= 3.0 * se}
+            for name, coef, se, _ in rows if name != "C" and name in planted]

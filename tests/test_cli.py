@@ -381,6 +381,17 @@ class TestRunCommand:
         assert caplog.records[-1].getMessage() == f"{cfg}:3: integer expected"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("line, message", [("beta_min 48", "expected key = value"),
+                                               ("center = maybe", "boolean expected")])
+    def test_config_file_malformed_line_exit_2(self, data_dir, tmp_path, caplog, line,
+                                               message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {data_dir}\n{line}\n")
+        with caplog.at_level(logging.ERROR, logger="marketpanel"):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert caplog.records[-1].getMessage() == f"{cfg}:2: {message}"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key", ["synth", "seed", "n_firms", "n_years"])
     def test_config_file_unknown_key_exit_2(self, data_dir, tmp_path, caplog, key):
         """A key that is not a ``RunConfig`` field is a config error."""
@@ -551,6 +562,17 @@ class TestInputErrors:
             assert main(["ingest-check", "--data", str(edited)]) == 2
         assert [r.getMessage() for r in caplog.records] == [
             f"riskfree line {line}: empty market_id"] * 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["fundamentals", "prices", "riskfree"])
+    def test_empty_input_file(self, data_dir, tmp_path, caplog, name):
+        edited = tmp_path / "edited"
+        shutil.copytree(data_dir, edited)
+        (edited / f"{name}.csv").write_text("")
+        with caplog.at_level(logging.ERROR, logger="marketpanel"):
+            assert main(["run", "--data", str(edited), "--out", str(tmp_path / "o")]) == 2
+            assert main(["ingest-check", "--data", str(edited)]) == 2
+        assert [r.getMessage() for r in caplog.records] == [f"{name}: empty file"] * 2
         assert not (tmp_path / "o").exists()
 
     def test_malformed_rate_in_riskfree(self, data_dir, tmp_path, caplog):
@@ -1055,6 +1077,36 @@ class TestVerifyCommand:
                   f"{json.dumps(value)} is not a finite number")
         assert message.startswith(f"{path} is not a truth record: ValueError(") \
             and field in message and reason in message, message
+
+    def test_a_planted_slope_100_ses_away_is_the_one_failure(self, data_dir, run_dir,
+                                                             tmp_path, capsys):
+        """OW's planted value moved by 100 of its SEs: verify exits 1 with that slope's
+        line as its one failure and still lists every planted slope of both models."""
+        code, out = run_cli("verify", "--data", str(data_dir), "--run", str(run_dir),
+                            capsys=capsys)
+        assert code == 0
+        checks = json.loads(out)["truth_checks"]
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        path = data / "truth.json"
+        truth = json.loads(path.read_text())
+        ow = next(c for c in checks["value_moderated"] if c["variable"] == "OW")
+        truth["value_coefficients"]["OW"] += 100 * ow["std_error"]
+        path.write_text(json.dumps(truth, sort_keys=True, indent=1) + "\n")
+        ow.update(truth=truth["value_coefficients"]["OW"], passed=False)
+        code, out = run_cli("verify", "--data", str(data), "--run", str(run_dir),
+                            capsys=capsys)
+        assert code == 1
+        summary = json.loads(out)
+        assert summary["failures"] == [
+            f"value_moderated/OW: estimate {ow['estimate']:.6g} vs truth {ow['truth']:.6g} "
+            f"(se {ow['std_error']:.3g})"]
+        assert summary["truth_checks"] == checks
+        for model_id, planted in (("value_moderated", "value_coefficients"),
+                                  ("risk_moderated", "risk_coefficients")):
+            # every planted slope; the planted intercept C is not compared
+            assert sorted(c["variable"] for c in checks[model_id]) == \
+                sorted(set(truth[planted]) - {"C"})
 
     def test_tampered_coefficient_detected(self, data_dir, run_dir, tmp_path, capsys):
         import shutil

@@ -440,6 +440,11 @@ class TestWhiteCrossSection:
         with pytest.raises(TooFewClusters):
             robust_cov_white_cross_section(X, np.ones(6), bread(X))
 
+    def test_fe_unknown_cov_kind(self):
+        X, y, _ = panel_design(n_firms=4, n_years=3, k=1)
+        with pytest.raises(ValueError, match="unknown cov_kind 'robust'"):
+            fe_fit(X, y, cov_kind="robust")
+
     def test_fe_white_covariance_changes_inference(self):
         X, y, _ = panel_design(n_firms=8, n_years=6, k=2, seed=9)
         classical = fe_fit(X, y, cov_kind="classical")

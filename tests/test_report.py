@@ -225,6 +225,29 @@ def _table_texts(cells):
     return {"t.json": json.dumps({"schema_version": "1", "rows": rows}), "t.csv": csv_text}
 
 
+def _json_edit(edit):
+    """A text edit that applies ``edit`` to the parsed json table."""
+    def text_edit(text):
+        table = json.loads(text)
+        edit(table)
+        return json.dumps(table)
+    return text_edit
+
+
+def _csv_edit(edit):
+    """A text edit that applies ``edit`` to the csv table's lines, split into cells."""
+    def text_edit(text):
+        rows = [line.split(",") for line in text.split("\n")]
+        edit(rows)
+        return "\n".join(map(",".join, rows))
+    return text_edit
+
+
+# the lines of a golden csv table (the last is empty) and the line of its Marin row
+_CSV_LINES = (GOLDEN / "value_moderated.csv").read_text().split("\n")
+_MARIN = next(i for i, line in enumerate(_CSV_LINES) if line.startswith("Marin,"))
+
+
 class TestComparisonRule:
     def test_argument_order_does_not_matter(self):
         one, two = _table_texts([(1.0, 0.5)]), _table_texts([(2.0, 0.5)])
@@ -287,6 +310,31 @@ class TestComparisonRule:
         diff = golden_compare(str(GOLDEN), str(tree), rel_tol=1e-12)
         assert len(diff) == 1
         assert diff[0].startswith("value_moderated.json:/rows[Marin]/coefficient:")
+
+    @pytest.mark.parametrize("name, edit, line", [
+        ("value_moderated.json", _json_edit(lambda t: t.update(extra=1)),
+         "value_moderated.json:/extra: present on one side only"),
+        ("value_moderated.json", _json_edit(lambda t: t["rows"].pop()),
+         "value_moderated.json:/rows: length 9 vs 8"),
+        ("value_moderated.json", _json_edit(lambda t: t.update(hausman_decision="reject")),
+         "value_moderated.json:/hausman_decision: 'fail_to_reject' vs 'reject'"),
+        ("value_moderated.csv", _csv_edit(lambda rows: rows.pop(_MARIN)),
+         f"value_moderated.csv: row count {len(_CSV_LINES) - 1} vs {len(_CSV_LINES) - 2}"),
+        ("value_moderated.csv", _csv_edit(lambda rows: rows[_MARIN].append("0")),
+         "value_moderated.csv:[Marin]: cell count 4 vs 5"),
+        ("value_moderated.csv", _csv_edit(lambda rows: rows[_MARIN].__setitem__(1, "abc")),
+         f"value_moderated.csv:[Marin]/coefficient: "
+         f"{_CSV_LINES[_MARIN].split(',')[1]!r} vs 'abc'"),
+    ], ids=["json-key", "json-list-length", "json-string", "csv-row-dropped",
+            "csv-extra-cell", "csv-text-in-number"])
+    def test_each_structural_tamper_is_one_line(self, tmp_path, name, edit, line):
+        """A key on one side only, a list of another length, a changed string, a
+        dropped csv row, an extra csv cell or text in a number cell: one line,
+        naming the file and where in it."""
+        tree = tmp_path / "edited"
+        shutil.copytree(GOLDEN, tree)
+        (tree / name).write_text(edit((tree / name).read_text()))
+        assert golden_compare(str(GOLDEN), str(tree), rel_tol=1e-12) == [line]
 
     def test_csv_and_markdown_differences_name_the_cell(self):
         texts = {name: (GOLDEN / name).read_text()

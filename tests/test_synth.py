@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from marketpanel import beta, ingest, models, synth, variables
-from marketpanel.errors import InfeasibleTargets, ModelMismatch
+from marketpanel.errors import InfeasibleTargets
 from marketpanel.synth import DGPConfig, TruthRecord, generate_panel, truth_check
 
 from conftest import table_rows
@@ -191,7 +191,8 @@ class TestTruthCheck:
             result = generate_panel(DGPConfig(seed=seed))
             panel = variables.derive_all(result.dataset, result.truth.betas_true)
             report = models.estimate(panel, models.spec_for("value_moderated"))
-            passes += all(c.passed for c in truth_check(report, result.truth))
+            passes += all(c["passed"] for c in truth_check(result.truth.value_coefficients,
+                                                            report.rows))
         assert passes >= int(0.8 * n_seeds)
 
     def test_planted_zero_effect_interval_covers_zero(self):
@@ -202,9 +203,9 @@ class TestTruthCheck:
             result = generate_panel(DGPConfig(seed=seed, value_coefficients=coeffs))
             panel = variables.derive_all(result.dataset, result.truth.betas_true)
             report = models.estimate(panel, models.spec_for("value_moderated"))
-            outcome = truth_check(report, result.truth)
-            marin = next(c for c in outcome if c.variable == "Marin")
-            covered += abs(marin.estimate) <= 3 * marin.std_error
+            outcome = truth_check(result.truth.value_coefficients, report.rows)
+            marin = next(c for c in outcome if c["variable"] == "Marin")
+            covered += abs(marin["estimate"]) <= 3 * marin["std_error"]
         assert covered >= 8
 
     def test_omitted_moderator_biases_marin(self):
@@ -218,21 +219,10 @@ class TestTruthCheck:
             result = generate_panel(DGPConfig(seed=seed, value_coefficients=coeffs))
             panel = variables.derive_all(result.dataset, result.truth.betas_true)
             report = models.estimate(panel, models.spec_for("value_direct"))
-            outcome = truth_check(report, result.truth)
-            marin = next(c for c in outcome if c.variable == "Marin")
-            failures += not marin.passed
+            outcome = truth_check(result.truth.value_coefficients, report.rows)
+            marin = next(c for c in outcome if c["variable"] == "Marin")
+            failures += not marin["passed"]
         assert failures > n_seeds / 2
-
-    def test_model_mismatch_cases(self, default_result):
-        panel = variables.derive_all(default_result.dataset,
-                                     default_result.truth.betas_true)
-        report = models.estimate(panel, models.spec_for("value_moderated",
-                                                        marin_variant="log_level"))
-        with pytest.raises(ModelMismatch):
-            truth_check(report, default_result.truth)
-        with pytest.raises(ModelMismatch):
-            truth_check(report._replace(model_id="hedonic", marin_variant="sales_ratio"),
-                        default_result.truth)
 
     def test_average_effect_fields(self, default_result):
         truth = default_result.truth
