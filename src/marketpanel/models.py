@@ -18,7 +18,7 @@ from .diagnostics import TestResult, hausman_test, lr_heteroskedasticity
 from .errors import (CollinearityProximityWarning, MarketPanelError, RankDeficient,
                      SingletonGroupWarning, TooFewObservations)
 from .regress import DesignMatrix, FitResult, design_matrix
-from .variables import DerivedPanel, panel_columns
+from .variables import DerivedPanel
 
 MODEL_IDS = ("value_direct", "value_moderated", "risk_direct", "risk_moderated")
 # marketing measure -> (short name on the command line and in robustness
@@ -30,12 +30,12 @@ INTERACTION_NAME = "OW*Marin"
 
 
 class ModelSpec(NamedTuple):
-    """Declarative description of one regression."""
+    """Declarative description of one regression. ``Marin`` is the column of
+    ``marin_variant``; a regressor ``OW*Marin`` is ``OW`` times it and needs both."""
 
     model_id: str
     dependent: str
     regressors: tuple[str, ...]
-    interaction: tuple[str, str] | None
     marin_variant: str = "sales_ratio"
     constrain_book_unit: bool = False
 
@@ -78,14 +78,11 @@ def spec_for(model_id: str, marin_variant: str = "sales_ratio",
         regressors = ["Marin", "Age", "Size", "Lev"]
         constrain_book_unit = False
 
-    interaction = None
     if model_id.endswith("_moderated"):
         regressors += ["OW", INTERACTION_NAME]
-        interaction = ("OW", "Marin")
 
     return ModelSpec(model_id=model_id, dependent=dependent,
-                     regressors=tuple(regressors), interaction=interaction,
-                     marin_variant=marin_variant,
+                     regressors=tuple(regressors), marin_variant=marin_variant,
                      constrain_book_unit=constrain_book_unit)
 
 
@@ -105,15 +102,12 @@ def build_interaction(marin, ow, centering: bool = False) -> np.ndarray:
 
 def _assemble_design(panel: DerivedPanel, spec: ModelSpec, center: bool):
     base_names = [n for n in spec.regressors if n != INTERACTION_NAME]
-    needed = {*base_names, spec.dependent, *(spec.interaction or ())}
+    interacted = INTERACTION_NAME in spec.regressors
+    needed = {*base_names, spec.dependent, *(("OW", "Marin") if interacted else ())}
     if spec.constrain_book_unit:
         needed.add("B")
-
-    resolved = {"Marin": MARIN_VARIANTS[spec.marin_variant][1]}
-    columns = panel_columns(panel, sorted({resolved.get(n, n) for n in needed}))
-
-    def col(name: str) -> np.ndarray:
-        return columns[resolved.get(name, name)]
+    marin = panel.columns[MARIN_VARIANTS[spec.marin_variant][1]]
+    col = {**panel.columns, "Marin": marin}.__getitem__   # an unknown name is a KeyError
 
     mask = np.logical_and.reduce([np.isfinite(col(name)) for name in needed])
     n_excluded = int((~mask).sum())
@@ -123,9 +117,8 @@ def _assemble_design(panel: DerivedPanel, spec: ModelSpec, center: bool):
         y = y - col("B")[mask]
 
     data = {name: col(name)[mask] for name in base_names}
-    if spec.interaction is not None:
-        a, b = spec.interaction
-        data[INTERACTION_NAME] = build_interaction(col(b)[mask], col(a)[mask], centering=center)
+    if interacted:
+        data[INTERACTION_NAME] = build_interaction(col("Marin")[mask], col("OW")[mask], center)
 
     values = np.column_stack([data[n] for n in spec.regressors])
     X = design_matrix(values, spec.regressors, panel.codes.select(mask))

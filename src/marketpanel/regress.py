@@ -1,6 +1,9 @@
 """Estimation core: the least-squares solve, the within (entity fixed-effects)
 estimator, random-effects GLS, and covariance estimators.
 
+``fe_fit`` and ``re_fit`` share one within step, ``_within_least_squares``: the
+demeaning, the n - k - G residual-df check, the solve, the residuals and sigma2.
+
 All solvers go through a rank-revealing column-pivoted QR factorization with
 tolerance 1e-10 * ||X||; raw normal equations exist only as a test oracle.
 The factorization takes two steps: an unpivoted QR of the tall [X y], built
@@ -208,29 +211,36 @@ def robust_cov_white_cross_section(X: DesignMatrix, residuals,
     return (cov + cov.T) / 2.0
 
 
+def _within_least_squares(X: DesignMatrix, y: np.ndarray):
+    """Least squares of the firm-demeaned float ``y`` on the firm-demeaned ``X``.
+
+    Returns (sigma2, df, Xw, yw, beta, xtx_inv, residuals): sigma2 = e'e / df
+    on df = n - k - G (G firms), the demeaned design and y, the slopes,
+    (Xw'Xw)^-1 and the residuals. Raises :class:`TooFewObservations` when df <= 0.
+    """
+    Xw, yw = within_transform(X, y)
+    n, k = Xw.values.shape
+    g = len(X.codes.firm_ids)
+    df_resid = n - k - g
+    if df_resid <= 0:
+        raise TooFewObservations(f"n={n}, k={k}, groups={g}: no residual degrees of freedom")
+    beta, xtx_inv = _pivoted_qr_solve(Xw.values, yw, Xw.column_names)
+    residuals = yw - Xw.values @ beta
+    return float(residuals @ residuals) / df_resid, df_resid, Xw, yw, beta, xtx_inv, residuals
+
+
 def fe_fit(X: DesignMatrix, y, cov_kind: str = "classical") -> FitResult:
     """Entity fixed-effects (within) estimator.
 
-    OLS on firm-demeaned data; degrees of freedom are corrected for the
-    estimated entity effects (df = n - k - G). The reported R-squared is the
-    within R-squared. The intercept row ``"C"`` is the average effect
-    ybar - xbar' beta.
+    The within step ``_within_least_squares`` (df = n - k - G), plus the slope
+    covariance and the intercept row ``"C"``, the average effect ybar - xbar' beta.
+    The reported R-squared is the within R-squared.
     """
     if cov_kind not in ("classical", "white_cross_section"):
         raise ValueError(f"unknown cov_kind {cov_kind!r}")
     y = np.asarray(y, dtype=float)
-    Xw, yw = within_transform(X, y)
-
+    sigma2, df_resid, Xw, yw, beta, xtx_inv, residuals = _within_least_squares(X, y)
     n, k = Xw.values.shape
-    codes = Xw.codes
-    g = len(codes.firm_ids)
-    df_resid = n - k - g
-    if df_resid <= 0:
-        raise TooFewObservations(f"n={n}, k={k}, groups={g}: no residual degrees of freedom")
-
-    beta, xtx_inv = _pivoted_qr_solve(Xw.values, yw, Xw.column_names)
-    residuals = yw - Xw.values @ beta
-    sigma2 = float(residuals @ residuals) / df_resid
 
     if cov_kind == "classical":
         slope_cov = sigma2 * xtx_inv
@@ -262,9 +272,10 @@ def fe_fit(X: DesignMatrix, y, cov_kind: str = "classical") -> FitResult:
 def re_fit(X: DesignMatrix, y) -> RandomEffects:
     """Random-effects GLS with Swamy-Arora variance components.
 
-    sigma2_e comes from the within residuals, sigma2_u from the between
-    regression; a negative between component is clamped to zero with a
-    warning, which reduces the estimator to pooled OLS. Raises
+    sigma2_e comes from the within step that :func:`fe_fit` also takes
+    (``_within_least_squares``), sigma2_u from the between regression; a
+    negative between component is clamped to zero with a warning, which
+    reduces the estimator to pooled OLS. Raises
     :class:`TooFewGroups` when the between regression has no residual degrees
     of freedom (G <= k + 1). The covariance sigma2_e (X*'X*)^-1 of the quasi-demeaned
     X* takes the within sigma2_e, as the fixed-effects one does, so the Hausman
@@ -272,19 +283,10 @@ def re_fit(X: DesignMatrix, y) -> RandomEffects:
     is returned: no t, p, F, residuals or R-squared.
     """
     y = np.asarray(y, dtype=float)
+    sigma2_e, *_ = _within_least_squares(X, y)
     n, k = X.values.shape
     codes = X.codes
     g = len(codes.firm_ids)
-
-    df_within = n - k - g
-    if df_within <= 0:
-        raise TooFewObservations(f"n={n}, k={k}, groups={g}: no residual degrees of freedom")
-
-    # within step
-    Xw, yw = within_transform(X, y)
-    beta_w, _ = _pivoted_qr_solve(Xw.values, yw, Xw.column_names)
-    resid_w = yw - Xw.values @ beta_w
-    sigma2_e = float(resid_w @ resid_w) / df_within
 
     # between step on group means, intercept included
     names = (INTERCEPT_NAME,) + X.column_names

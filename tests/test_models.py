@@ -39,13 +39,11 @@ class TestSpecFor:
         assert spec.dependent == "P"
         assert len(spec.regressors) == 8
         assert spec.regressors[-1] == "OW*Marin"
-        assert spec.interaction == ("OW", "Marin")
 
     def test_risk_direct_shape(self):
         spec = spec_for("risk_direct")
         assert spec.dependent == "Bet"
         assert spec.regressors == ("Marin", "Age", "Size", "Lev")
-        assert spec.interaction is None
 
     def test_log_variant_same_shape(self):
         base = spec_for("value_direct")

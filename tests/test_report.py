@@ -131,6 +131,37 @@ class TestEmit:
         for cell in cells:
             assert len(cell.split(".")[1]) == 4
 
+    def test_a_column_without_finite_values(self, tmp_path):
+        """It is a "no observations" row: null in json, empty in csv, blank in markdown."""
+        rows = diagnostics.descriptives({"v": np.array([np.nan, np.inf, -np.inf])})
+        (row,) = rows
+        assert (row.name, row.n, row.std, row.flag) == ("v", 0, None, "no observations")
+        assert all(math.isnan(x) for x in (row.minimum, row.maximum, row.mean))
+        emit(ReportBundle(estimates=[], descriptives_table=rows), str(tmp_path))
+        texts = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        assert json.loads(texts["descriptives.json"])["rows"] == [
+            {"variable": "v", "n": 0, "minimum": None, "maximum": None, "mean": None,
+             "std": None, "flag": "no observations"}]
+        assert texts["descriptives.csv"].splitlines()[1] == "v,0,,,,"
+        assert texts["descriptives.md"].splitlines()[4] == "| v | 0 |  |  |  |  |"
+
+    def test_a_pair_with_fewer_than_three_complete_rows(self, tmp_path):
+        """Its r and p are NaN and its n the count of complete rows: null in json,
+        empty in csv, blank in markdown."""
+        c = diagnostics.correlation_matrix({"x": np.array([1.0, 2.0, np.nan, 4.0, 5.0]),
+                                            "y": np.array([2.0, np.nan, 3.0, np.nan, 6.0])})
+        assert math.isnan(c.r[0, 1]) and math.isnan(c.p[0, 1])
+        assert c.n.tolist() == [[4, 2], [2, 3]]
+        emit(ReportBundle(estimates=[], correlation_table=c), str(tmp_path))
+        texts = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        payload = json.loads(texts["correlations.json"])
+        assert (payload["r"], payload["p"]) == ([[1.0, None], [None, 1.0]],
+                                                [[0.0, None], [None, 0.0]])
+        assert payload["n"] == [[4, 2], [2, 3]]
+        assert texts["correlations.csv"].splitlines()[2] == "y,x,,,2"
+        assert texts["correlations.md"].splitlines()[6:8] == ["| y |  | 1.0000 |",
+                                                             "|  |  | 0.0000 |"]
+
 
 class TestGoldenCompare:
     def test_identical_sets_empty_diff(self, bundle, tmp_path):

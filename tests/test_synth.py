@@ -52,6 +52,19 @@ class TestGeneratePanel:
         with pytest.raises(InfeasibleTargets):
             generate_panel(DGPConfig(seed=0, n_firms=4, n_years=5))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("risk_effect_scale", 0.0, "risk_effect_scale must be positive"),
+        ("risk_effect_scale", -0.28, "risk_effect_scale must be positive"),
+        ("risk_noise_scale", 0.0, "risk_noise_scale must be positive"),
+        ("idio_vol", -1e-9, "idio_vol must be non-negative"),
+    ])
+    def test_out_of_range_scales_are_infeasible(self, field, value, message):
+        with pytest.raises(InfeasibleTargets, match=message):
+            DGPConfig(seed=0, **{field: value}).validate()
+
+    def test_a_zero_idiosyncratic_volatility_is_feasible(self):
+        DGPConfig(seed=0, idio_vol=0.0).validate()
+
     def test_lev_std_target_bounds_the_years(self):
         """From 161 years the walk alone exceeds the Lev std target; 160 generate."""
         with pytest.raises(InfeasibleTargets, match="Lev std target below"):
