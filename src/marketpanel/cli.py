@@ -172,13 +172,8 @@ def _dataset(fundamentals_csv: str, prices_csv: str, riskfree_csv: str):
     return dataset, prices, rejections
 
 
-def _base_run(cfg: RunConfig):
-    """The pipeline up to the four base estimates: all that ``verify`` recomputes.
-
-    Returns the dataset, the four estimates, the derived panel, the SHA-256
-    of each input file's text, the ingest rejections ((file line, reason)
-    per row left out) and the beta exclusions.
-    """
+def _bundle(cfg: RunConfig):
+    """The run's report bundle and the dataset it was estimated on."""
     texts = _load_inputs(cfg.data)
     inputs = dict(zip(_INPUT_FILES, map(_sha256, texts)))
     dataset, prices, rejections = _dataset(*texts)
@@ -194,19 +189,11 @@ def _base_run(cfg: RunConfig):
         log.warning("row excluded (%s, %d): %s", firm_id, year, reason)
     log.info("derived panel: %d rows (%d excluded)", len(panel.codes.firm),
              len(panel.exclusions))
-    estimates = []
-    for model_id in models.MODEL_IDS:
-        spec = models.spec_for(model_id, marin_variant=cfg.marin_variant,
-                               constrain_book_unit=cfg.constrain_book_unit)
-        est = models.estimate(panel, spec, center=cfg.center)
-        log.info("%s: nobs=%d, R2(%s)=%.4f, hausman=%s", model_id, est.fit.nobs,
+    estimates = models.estimate_plan(panel, cfg.marin_variant, cfg.constrain_book_unit,
+                                     cfg.center)
+    for est in estimates:
+        log.info("%s: nobs=%d, R2(%s)=%.4f, hausman=%s", est.table, est.fit.nobs,
                  est.fit.r_squared_kind, est.fit.r_squared, est.hausman_decision)
-        estimates.append(est)
-    return dataset, estimates, panel, inputs, rejections, beta_exclusions
-
-
-def _bundle(cfg: RunConfig) -> report.ReportBundle:
-    dataset, estimates, panel, inputs, rejections, beta_exclusions = _base_run(cfg)
     desc_columns = variables.panel_columns(panel, variables.DESCRIPTIVES_ORDER)
     corr_columns = variables.panel_columns(panel, variables.CORRELATION_ORDER)
     tables = {
@@ -215,10 +202,9 @@ def _bundle(cfg: RunConfig) -> report.ReportBundle:
         "stationarity_table": diagnostics.panel_stationarity(
             variables.panel_columns(panel, variables.STATIONARITY_ORDER), panel.codes),
     }
-    refits = models.robustness_suite(panel, center=cfg.center,
-                                     constrain_book_unit=cfg.constrain_book_unit)
     effective = cfg.effective()
     config_hash = _config_hash(effective, inputs)
+    nobs = {r.table: r.fit.nobs for r in estimates}
     metadata = {
         "run_id": cfg.run_id or f"run-{config_hash[:12]}",
         "config_hash": config_hash,
@@ -233,11 +219,11 @@ def _bundle(cfg: RunConfig) -> report.ReportBundle:
         "ingest_rejections": list(rejections),
         "derive_exclusions": len(panel.exclusions),
         "beta_exclusions": len(beta_exclusions),
-        "baseline_nobs": {r.table: r.fit.nobs for r in estimates},
-        "robustness_nobs": {r.table: r.fit.nobs for r in refits},
+        "baseline_nobs": {t: n for t, n in nobs.items() if t in models.MODEL_IDS},
+        "robustness_nobs": {t: n for t, n in nobs.items() if t not in models.MODEL_IDS},
         "notes": panel.notes,
     }
-    return report.ReportBundle([*estimates, *refits], metadata=metadata, **tables)
+    return report.ReportBundle(estimates, metadata=metadata, **tables), dataset
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -277,7 +263,7 @@ def cmd_ingest_check(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _resolve_run_config(args)
-    bundle = _bundle(cfg)
+    bundle, _ = _bundle(cfg)
     metadata = bundle.metadata
     out_dir = os.path.join(cfg.out, metadata["run_id"])
     written = report.emit(bundle, out_dir)
@@ -290,9 +276,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _recorded_config(path: str) -> dict:
-    """The ``RunConfig`` fields that the manifest at ``path`` records, each of
-    its field's JSON type; keys that are no longer fields (an older tree) are ignored."""
+def _recorded_config(path: str) -> tuple[dict, dict]:
+    """The manifest at ``path``, and the ``RunConfig`` fields it records, each of its
+    field's JSON type; keys that are no longer fields (an older tree) are ignored."""
     try:
         manifest = json.loads(ingest._read_text(path))
     except json.JSONDecodeError as exc:
@@ -307,18 +293,18 @@ def _recorded_config(path: str) -> dict:
         if type(value) is not kinds[key]:
             raise ConfigError(f"{path}: effective_config {key!r} must be a JSON "
                               f"{kinds[key].__name__}, got {json.dumps(value)}")
-    return recorded
+    return manifest, recorded
 
 
 def cmd_verify(args) -> int:
     """Two-stage verification of an emitted run against its truth record.
 
-    Stage 1 runs the pipeline up to the four base estimates, renders their
-    json, csv and markdown tables in memory and compares them with the
-    emitted files through :func:`report.compare_tables` at 1e-12 (tamper
-    detection). The descriptives, correlations, stationarity and robustness
-    tables are neither recomputed nor checked; ``report-diff`` against a
-    fresh ``run`` covers them. Stage 2 re-derives the panel of the same
+    Stage 1 reruns the whole pipeline under the manifest's configuration and
+    renders every table, 33 texts, in memory. It compares them with the run
+    tree's table files through :func:`report.compare_tables` at 1e-12, so a
+    file that differs, is missing or is extra is a failure line naming it
+    (tamper detection). The manifest's input digests and config hash must
+    equal the recomputed ones. Stage 2 re-derives the panel of the same
     dataset with the planted true betas and runs the truth check on both
     moderated models, the shapes the generator actually planted; the direct
     models are misspecified subsets by design and are only covered by stage 1.
@@ -331,14 +317,16 @@ def cmd_verify(args) -> int:
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         # not JSON (a ValueError), a missing field, or a value of another shape
         raise SchemaMismatch(f"{truth_path} is not a truth record: {exc!r}")
-    cfg = RunConfig(**{**_recorded_config(os.path.join(args.run, "manifest.json")),
-                       "data": args.data})
+    manifest, recorded = _recorded_config(os.path.join(args.run, "manifest.json"))
+    cfg = RunConfig(**{**recorded, "data": args.data})
     cfg.validate()
 
-    dataset, estimates, *_ = _base_run(cfg)
-    recomputed = report.render(report.ReportBundle(estimates))
-    emitted = {name: ingest._read_text(os.path.join(args.run, name)) for name in recomputed}
-    failures = report.compare_tables(emitted, recomputed, rel_tol=1e-12)
+    bundle, dataset = _bundle(cfg)
+    failures = report.compare_tables(report.table_texts(args.run), report.render(bundle),
+                                     rel_tol=1e-12)
+    recomputed = {key: bundle.metadata[key] for key in ("inputs", "config_hash")}
+    report._compare_json("manifest.json", {key: manifest.get(key) for key in recomputed},
+                         recomputed, 0.0, "", "", failures)
 
     panel = variables.derive_all(dataset, truth.betas_true)
     checks = {}

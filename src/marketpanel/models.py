@@ -6,6 +6,9 @@ equation (beta on marketing investment and controls), each in a direct and
 an ownership-moderated form. Estimation always runs the Hausman FE-vs-RE
 comparison for the record and then fits entity fixed effects with a White
 cross-section covariance, mirroring the reported workflow.
+
+:data:`RUN_PLAN` is the one list of a run's eight estimation tables; ``run``,
+``verify`` and the report read it.
 """
 
 import warnings
@@ -21,12 +24,45 @@ from .regress import DesignMatrix, FitResult, design_matrix
 from .variables import DerivedPanel
 
 MODEL_IDS = ("value_direct", "value_moderated", "risk_direct", "risk_moderated")
-# marketing measure -> (short name on the command line and in robustness
-# table names, derived panel column)
+# marketing measure -> (short name on the command line, derived panel column)
 MARIN_VARIANTS = {"sales_ratio": ("sales", "Marin"),
                   "assets_ratio": ("assets", "MarinAssets"),
                   "log_level": ("log", "MarinLog")}
 INTERACTION_NAME = "OW*Marin"
+
+
+class PlanEntry(NamedTuple):
+    """One estimation table of a run: its name and markdown title, its model, the
+    marketing measure it fixes (``None``: the run's) and the table whose estimate
+    its markdown shows beside its own (``None``: it stands alone)."""
+
+    table: str
+    title: str
+    model_id: str
+    marin_variant: str | None = None
+    companion: str | None = None
+
+
+RUN_PLAN = (
+    PlanEntry("value_direct", "Marketing investment and firm value: direct model",
+              "value_direct"),
+    PlanEntry("value_moderated", "Marketing investment and firm value: estimation results",
+              "value_moderated", companion="value_direct"),
+    PlanEntry("risk_direct", "Marketing investment and systematic risk: direct model",
+              "risk_direct"),
+    PlanEntry("risk_moderated", "Marketing investment and systematic risk: estimation results",
+              "risk_moderated", companion="risk_direct"),
+    PlanEntry("robustness_value_assets",
+              "Firm value, first alternative (marketing/total assets)",
+              "value_moderated", "assets_ratio"),
+    PlanEntry("robustness_value_log", "Firm value, second alternative (ln marketing)",
+              "value_moderated", "log_level"),
+    PlanEntry("robustness_risk_assets",
+              "Systematic risk, first alternative (marketing/total assets)",
+              "risk_moderated", "assets_ratio"),
+    PlanEntry("robustness_risk_log", "Systematic risk, second alternative (ln marketing)",
+              "risk_moderated", "log_level"),
+)
 
 
 class ModelSpec(NamedTuple):
@@ -212,18 +248,11 @@ def estimate(panel: DerivedPanel, spec: ModelSpec, center: bool = False,
         n_excluded=n_excluded, dropped_columns=dropped, notes=notes)
 
 
-def robustness_suite(panel: DerivedPanel, center: bool = False,
-                     constrain_book_unit: bool = False) -> list[EstimationReport]:
-    """Re-estimate both moderated models under the two alternate marketing measures.
-
-    Returns four reports, each of table ``robustness_<family>_<short measure name>``,
-    in a fixed order: (value, assets), (value, log), (risk, assets), (risk, log).
-    """
-    out = []
-    for family in ("value", "risk"):
-        for variant in ("assets_ratio", "log_level"):
-            spec = spec_for(f"{family}_moderated", marin_variant=variant,
-                            constrain_book_unit=constrain_book_unit)
-            table = f"robustness_{family}_{MARIN_VARIANTS[variant][0]}"
-            out.append(estimate(panel, spec, center=center, table=table))
-    return out
+def estimate_plan(panel: DerivedPanel, marin_variant: str = "sales_ratio",
+                  constrain_book_unit: bool = False,
+                  center: bool = False) -> list[EstimationReport]:
+    """One :func:`estimate` per :data:`RUN_PLAN` entry, its reports in plan order; an
+    entry that fixes no marketing measure takes ``marin_variant``."""
+    return [estimate(panel, spec_for(entry.model_id, entry.marin_variant or marin_variant,
+                                     constrain_book_unit), center=center, table=entry.table)
+            for entry in RUN_PLAN]

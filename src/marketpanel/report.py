@@ -13,14 +13,13 @@ import itertools
 import json
 import math
 import os
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .diagnostics import (CorrelationResult, StationarityRow, TestResult, VariableSummary,
                           _pvalue_bracket)
 from .errors import IoFailure, SchemaMismatch
 from .ingest import _csv_cell, _csv_text, _read_text
-from .models import EstimationReport
+from .models import RUN_PLAN, EstimationReport
 
 SCHEMA_VERSION = "1"
 
@@ -32,13 +31,13 @@ _RISK_LABELS = {"C": "C", "Marin": "Marin", "Age": "AGE", "Size": "SIZ",
 
 
 class ReportBundle(NamedTuple):
-    """The tables of one pipeline run plus run metadata; a table left out is not rendered."""
+    """The tables of one pipeline run plus run metadata: an estimate of each plan table."""
 
     estimates: list[EstimationReport]
-    descriptives_table: list[VariableSummary] | None = None
-    correlation_table: CorrelationResult | None = None
-    stationarity_table: list[StationarityRow] | None = None
-    metadata: dict = MappingProxyType({})
+    descriptives_table: list[VariableSummary]
+    correlation_table: CorrelationResult
+    stationarity_table: list[StationarityRow]
+    metadata: dict
 
 
 def _num(value):
@@ -162,7 +161,7 @@ def _stationarity_md(rows: list[StationarityRow]) -> str:
         "of 10 000 simulated random-walk panels were rejected at the nominal 5%."])
 
 
-def _estimation_json(report: EstimationReport, companion=None) -> str:
+def _estimation_json(report: EstimationReport, *_) -> str:
     fit = report.fit
     rows = [{"variable": variable, "coefficient": _num(coefficient),
              "std_error": _num(std_error), "prob": _num(prob)}
@@ -188,13 +187,13 @@ def _estimation_json(report: EstimationReport, companion=None) -> str:
     })
 
 
-def _estimation_csv(report: EstimationReport, companion=None) -> str:
+def _estimation_csv(report: EstimationReport, *_) -> str:
     return _to_csv([["variable", "coefficient", "std_error", "prob"], *report.rows,
                     ["R-squared", report.fit.r_squared, None, None]])
 
 
-def _estimation_md(report: EstimationReport, companion: EstimationReport | None = None) -> str:
-    """Markdown estimation table in Coefficient/Prob column pairs.
+def _estimation_md(report: EstimationReport, companion, title: str) -> str:
+    """Markdown estimation table in Coefficient/Prob column pairs under ``title``.
 
     When a companion (direct) report is supplied the table mirrors the
     two-model layout, the direct model's pair first, with blanks where a model
@@ -218,8 +217,7 @@ def _estimation_md(report: EstimationReport, companion: EstimationReport | None 
         notes.append(f"Book value entered as a free regressor: "
                      f"coefficient {_fmt4(b_coef)} (prob {_fmt4(b_prob)}).")
     notes.append(f"Hausman decision: {report.hausman_decision}.")
-    return _md_table(_MD_TITLES.get(report.table, report.table), header, [*rows, r_squared],
-                     [*notes, *report.notes])
+    return _md_table(title, header, [*rows, r_squared], [*notes, *report.notes])
 
 
 def _md_table(title: str, header, rows, notes=()) -> str:
@@ -245,33 +243,18 @@ def _json_text(schema_version: str, payload: dict) -> str:
 
 # --- emission -----------------------------------------------------------------
 
-_COMPANIONS = {"value_moderated": "value_direct", "risk_moderated": "risk_direct"}
-
-
 def _bundle_files(bundle: ReportBundle) -> dict[str, tuple]:
-    """File name -> (table kind, builder arguments), for each table the bundle holds."""
-    diagnostic = {"descriptives": bundle.descriptives_table,
-                  "correlations": bundle.correlation_table,
-                  "stationarity": bundle.stationarity_table}
-    files = {name: (name, (table,)) for name, table in diagnostic.items() if table is not None}
-    # a moderated base model's markdown pairs with its direct model; no direct model
-    # is estimated under the alternative measures, so a refit's table stands alone
+    """File name -> (table kind, builder arguments) of each table of the bundle; an
+    estimate's are its report, its companion's report (or None) and its title."""
+    files = {"descriptives": ("descriptives", (bundle.descriptives_table,)),
+             "correlations": ("correlations", (bundle.correlation_table,)),
+             "stationarity": ("stationarity", (bundle.stationarity_table,))}
     by_table = {r.table: r for r in bundle.estimates}
-    for r in bundle.estimates:
-        files[r.table] = ("estimation", (r, by_table.get(_COMPANIONS.get(r.table))))
+    for entry in RUN_PLAN:
+        files[entry.table] = ("estimation", (by_table[entry.table],
+                                             by_table.get(entry.companion), entry.title))
     return files
 
-
-_MD_TITLES = {
-    "value_direct": "Marketing investment and firm value: direct model",
-    "value_moderated": "Marketing investment and firm value: estimation results",
-    "risk_direct": "Marketing investment and systematic risk: direct model",
-    "risk_moderated": "Marketing investment and systematic risk: estimation results",
-    "robustness_value_assets": "Firm value, first alternative (marketing/total assets)",
-    "robustness_value_log": "Firm value, second alternative (ln marketing)",
-    "robustness_risk_assets": "Systematic risk, first alternative (marketing/total assets)",
-    "robustness_risk_log": "Systematic risk, second alternative (ln marketing)",
-}
 
 # table kind -> (json, csv, markdown) builder, writing .json, .csv and .md files
 _BUILDERS = {
@@ -416,17 +399,17 @@ def compare_tables(a: dict[str, str], b: dict[str, str], rel_tol: float) -> list
     return lines
 
 
+def table_texts(run_dir: str) -> dict[str, str]:
+    """File name -> text of each table file (.json, .csv or .md) in ``run_dir``;
+    ``manifest.json`` is metadata and is left out."""
+    try:
+        names = sorted(os.listdir(run_dir))
+    except OSError as exc:
+        raise IoFailure(f"cannot list {run_dir}: {exc}")
+    return {f: _read_text(os.path.join(run_dir, f)) for f in names if f != "manifest.json"
+            and f.rsplit(".", 1)[-1] in ("json", "csv", "md")}
+
+
 def golden_compare(a_dir: str, b_dir: str, rel_tol: float = 0.0) -> list[str]:
-    """:func:`compare_tables` over the table files of two run directories.
-
-    ``manifest.json`` is metadata and is skipped.
-    """
-    def table_texts(d):
-        try:
-            names = sorted(os.listdir(d))
-        except OSError as exc:
-            raise IoFailure(f"cannot list {d}: {exc}")
-        return {f: _read_text(os.path.join(d, f)) for f in names if f != "manifest.json"
-                and f.rsplit(".", 1)[-1] in ("json", "csv", "md")}
-
+    """:func:`compare_tables` over the :func:`table_texts` of two run directories."""
     return compare_tables(table_texts(a_dir), table_texts(b_dir), rel_tol)

@@ -324,10 +324,11 @@ class TestRunCommand:
         assert sorted(base) == sorted(models.MODEL_IDS)
         assert sorted(refits) == sorted(s for s in stems if s.startswith("robustness_"))
         assert len(refits) == 4 and set(base) | set(refits) == stems
+        titles = {entry.table: entry.title for entry in models.RUN_PLAN}
         for stem in stems:
             assert json.loads((run_dir / f"{stem}.json").read_text())["table"] == stem
             title = (run_dir / f"{stem}.md").read_text().split("\n", 1)[0]
-            assert title == f"# {report._MD_TITLES[stem]}", stem
+            assert title == f"# {titles[stem]}", stem
 
     def test_manifest_records_effective_config(self, run_dir):
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -1171,21 +1172,15 @@ class TestVerifyCommand:
         failures = json.loads(out)["failures"]
         assert len(failures) == 1 and failures[0].startswith(f"{name}:"), failures
 
-    def test_recomputes_only_the_base_estimates(self, data_dir, run_dir, capsys,
-                                                 monkeypatch):
-        from marketpanel import diagnostics, ingest, models, variables
+    def test_recomputes_every_table_once(self, data_dir, run_dir, capsys, monkeypatch):
+        from marketpanel import diagnostics, ingest, models
 
-        def unchecked(*args, **kwargs):
-            raise AssertionError("verify recomputed a table it does not check")
-
-        for module, name in ((diagnostics, "panel_stationarity"),
-                             (diagnostics, "descriptives"),
+        calls = {}
+        for module, name in ((ingest, "parse_fundamentals"), (ingest, "parse_prices"),
+                             (ingest, "parse_riskfree"), (diagnostics, "descriptives"),
                              (diagnostics, "correlation_matrix"),
-                             (models, "robustness_suite")):
-            monkeypatch.setattr(module, name, unchecked)
-        calls = {"parse_fundamentals": 0, "parse_riskfree": 0, "estimate": 0}
-        for module, name in ((ingest, "parse_fundamentals"), (ingest, "parse_riskfree"),
-                             (models, "estimate")):
+                             (diagnostics, "panel_stationarity"), (models, "estimate")):
+            calls[name] = 0
             def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
@@ -1193,8 +1188,82 @@ class TestVerifyCommand:
         code, out = run_cli("verify", "--data", str(data_dir), "--run",
                             str(run_dir), capsys=capsys)
         assert code == 0 and json.loads(out)["passed"] is True
-        # one parse of each input; four base estimates and two truth checks
-        assert calls == {"parse_fundamentals": 1, "parse_riskfree": 1, "estimate": 6}
+        # one parse of each input and one of each diagnostic table; the eight
+        # estimates of the run plan and two truth checks
+        assert calls == {"parse_fundamentals": 1, "parse_prices": 1, "parse_riskfree": 1,
+                         "descriptives": 1, "correlation_matrix": 1,
+                         "panel_stationarity": 1, "estimate": 10}
+
+
+# the table files besides the four base estimates' 12
+NON_BASE_FILES = [f"{stem}.{ext}" for stem in (
+    "descriptives", "correlations", "stationarity", "robustness_value_assets",
+    "robustness_value_log", "robustness_risk_assets", "robustness_risk_log")
+    for ext in ("json", "csv", "md")]
+
+
+@pytest.fixture(scope="module")
+def shared_tree(tmp_path_factory, run_dir):
+    """A copy of the run tree that each test of TestVerifyReadsTheWholeTree edits
+    in place and restores."""
+    tree = tmp_path_factory.mktemp("shared") / run_dir.name
+    shutil.copytree(run_dir, tree)
+    return tree
+
+
+class TestVerifyReadsTheWholeTree:
+    """Every table file and the manifest's input digests and config hash are
+    recomputed: an edit to any of them, or a missing or extra table file, exits 1
+    with a failure line that starts with the file's name."""
+
+    @staticmethod
+    def _verify_with(data_dir, tree, name, text, capsys):
+        """verify's exit code and failures with ``tree``'s file ``name`` holding
+        ``text`` (removed when None); the file is restored afterwards."""
+        path = tree / name
+        original = path.read_bytes() if path.exists() else None
+        try:
+            if text is None:
+                path.unlink()
+            else:
+                path.write_text(text)
+            code, out = run_cli("verify", "--data", str(data_dir), "--run", str(tree),
+                                capsys=capsys)
+        finally:
+            if original is None:
+                path.unlink(missing_ok=True)
+            else:
+                path.write_bytes(original)
+        return code, json.loads(out)["failures"]
+
+    @pytest.mark.parametrize("name", NON_BASE_FILES)
+    def test_one_digit_edited_after_the_first_line(self, data_dir, shared_tree, capsys, name):
+        text = (shared_tree / name).read_text()
+        at = next(i for i in range(text.index("\n"), len(text)) if text[i].isdigit())
+        edited = text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:]
+        code, failures = self._verify_with(data_dir, shared_tree, name, edited, capsys)
+        assert code == 1
+        assert any(f.startswith(f"{name}:") for f in failures), failures
+
+    @pytest.mark.parametrize("field", ["inputs/prices.csv", "config_hash"])
+    def test_an_edited_manifest_digest(self, data_dir, shared_tree, capsys, field):
+        manifest = json.loads((shared_tree / "manifest.json").read_text())
+        *outer, key = field.split("/")
+        holder = manifest[outer[0]] if outer else manifest
+        digest = holder[key]
+        holder[key] = ("1" if digest[0] == "0" else "0") + digest[1:]
+        code, failures = self._verify_with(
+            data_dir, shared_tree, "manifest.json",
+            json.dumps(manifest, sort_keys=True, indent=1) + "\n", capsys)
+        assert code == 1
+        assert failures == [f"manifest.json:/{field}: {holder[key]!r} vs {digest!r}"]
+
+    @pytest.mark.parametrize("name, text", [("stationarity.csv", None),
+                                            ("old_table.md", "# Old table\n")])
+    def test_a_missing_or_extra_table_file(self, data_dir, shared_tree, capsys, name, text):
+        code, failures = self._verify_with(data_dir, shared_tree, name, text, capsys)
+        assert code == 1
+        assert failures == [f"{name}: present on one side only"]
 
 
 class TestReportDiff:
@@ -1278,6 +1347,14 @@ class TestUndecodableFiles:
         proc = self._cli("verify", "--data", str(bad), "--run", str(run_dir))
         assert proc.returncode == 2
         assert "truth.json is not UTF-8 text: byte 0xff at offset 0" in proc.stderr
+
+    def test_verify_table(self, data_dir, run_dir, tmp_path):
+        bad = tmp_path / "bad"
+        shutil.copytree(run_dir, bad)
+        self._with_ff(bad / "stationarity.md", 5)
+        proc = self._cli("verify", "--data", str(data_dir), "--run", str(bad))
+        assert proc.returncode == 2
+        assert "stationarity.md is not UTF-8 text: byte 0xff at offset 5" in proc.stderr
 
     def test_report_diff(self, run_dir, tmp_path):
         other = tmp_path / "other"

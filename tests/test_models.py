@@ -9,8 +9,8 @@ import pytest
 from marketpanel import _kernels, models, regress, synth, variables
 from marketpanel.errors import (CollinearityProximityWarning, SingletonGroupWarning,
                                 TooFewObservations)
-from marketpanel.models import (MODEL_IDS, _check_design, build_interaction, estimate,
-                                robustness_suite, spec_for)
+from marketpanel.models import (MODEL_IDS, RUN_PLAN, _check_design, build_interaction,
+                                estimate, estimate_plan, spec_for)
 from marketpanel.variables import panel_columns
 
 from conftest import coefficient, panel_design, t_stat, with_exact_age
@@ -293,9 +293,14 @@ class TestDesignCheck:
             assert _check_design(with_c, y) == (with_c, ())
 
 
+def fixed_measure_reports(panel):
+    """The reports of the plan entries that fix their marketing measure, in plan order."""
+    return [r for entry, r in zip(RUN_PLAN, estimate_plan(panel)) if entry.marin_variant]
+
+
 class TestRobustnessSuite:
     def test_four_labeled_reports(self, panel):
-        reports = robustness_suite(panel)
+        reports = fixed_measure_reports(panel)
         labels = [(r.model_id, r.marin_variant) for r in reports]
         assert labels == [("value_moderated", "assets_ratio"),
                           ("value_moderated", "log_level"),
@@ -304,7 +309,7 @@ class TestRobustnessSuite:
 
     def test_log_variant_nobs_not_larger(self, panel):
         baseline = estimate(panel, spec_for("value_moderated"))
-        reports = robustness_suite(panel)
+        reports = fixed_measure_reports(panel)
         for r in reports:
             assert r.fit.nobs <= baseline.fit.nobs
 
@@ -317,7 +322,7 @@ class TestRobustnessSuite:
         for seed in range(n_seeds):
             panel = derived_panel(seed=seed, value_coefficients=coeffs)
             baseline = estimate(panel, spec_for("value_moderated"))
-            reports = robustness_suite(panel)
+            reports = fixed_measure_reports(panel)
             signs = [np.sign(coefficient(r.fit, "Marin")) for r in reports
                      if r.model_id == "value_moderated"]
             agree += all(s == np.sign(coefficient(baseline.fit, "Marin"))

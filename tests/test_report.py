@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from marketpanel import diagnostics, models, synth, variables
+from marketpanel import diagnostics, models, report, synth, variables
 from marketpanel.errors import SchemaMismatch
 from marketpanel.report import ReportBundle, compare_tables, emit, golden_compare
 
@@ -31,14 +31,19 @@ def bundle():
         corr_cols = variables.panel_columns(panel, variables.CORRELATION_ORDER)
         stationarity = diagnostics.panel_stationarity(
             variables.panel_columns(panel, variables.STATIONARITY_ORDER), panel.codes)
-        estimates = [models.estimate(panel, models.spec_for(m)) for m in models.MODEL_IDS]
-        estimates += models.robustness_suite(panel)
+        estimates = models.estimate_plan(panel)
     return ReportBundle(
         descriptives_table=diagnostics.descriptives(desc_cols),
         correlation_table=diagnostics.correlation_matrix(corr_cols),
         stationarity_table=stationarity,
         estimates=estimates,
         metadata={"run_id": "test", "config_hash": "0" * 64, "timestamp": None})
+
+
+def builder_texts(kind, table):
+    """File name -> text of one table of ``kind``, by its json, csv and markdown builders."""
+    return {f"{kind}.{ext}": build(table)
+            for ext, build in zip(("json", "csv", "md"), report._BUILDERS[kind])}
 
 
 def md_table_rows(text):
@@ -131,29 +136,27 @@ class TestEmit:
         for cell in cells:
             assert len(cell.split(".")[1]) == 4
 
-    def test_a_column_without_finite_values(self, tmp_path):
+    def test_a_column_without_finite_values(self):
         """It is a "no observations" row: null in json, empty in csv, blank in markdown."""
         rows = diagnostics.descriptives({"v": np.array([np.nan, np.inf, -np.inf])})
         (row,) = rows
         assert (row.name, row.n, row.std, row.flag) == ("v", 0, None, "no observations")
         assert all(math.isnan(x) for x in (row.minimum, row.maximum, row.mean))
-        emit(ReportBundle(estimates=[], descriptives_table=rows), str(tmp_path))
-        texts = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        texts = builder_texts("descriptives", rows)
         assert json.loads(texts["descriptives.json"])["rows"] == [
             {"variable": "v", "n": 0, "minimum": None, "maximum": None, "mean": None,
              "std": None, "flag": "no observations"}]
         assert texts["descriptives.csv"].splitlines()[1] == "v,0,,,,"
         assert texts["descriptives.md"].splitlines()[4] == "| v | 0 |  |  |  |  |"
 
-    def test_a_pair_with_fewer_than_three_complete_rows(self, tmp_path):
+    def test_a_pair_with_fewer_than_three_complete_rows(self):
         """Its r and p are NaN and its n the count of complete rows: null in json,
         empty in csv, blank in markdown."""
         c = diagnostics.correlation_matrix({"x": np.array([1.0, 2.0, np.nan, 4.0, 5.0]),
                                             "y": np.array([2.0, np.nan, 3.0, np.nan, 6.0])})
         assert math.isnan(c.r[0, 1]) and math.isnan(c.p[0, 1])
         assert c.n.tolist() == [[4, 2], [2, 3]]
-        emit(ReportBundle(estimates=[], correlation_table=c), str(tmp_path))
-        texts = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        texts = builder_texts("correlations", c)
         payload = json.loads(texts["correlations.json"])
         assert (payload["r"], payload["p"]) == ([[1.0, None], [None, 1.0]],
                                                 [[0.0, None], [None, 0.0]])
