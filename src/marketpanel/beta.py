@@ -7,8 +7,7 @@ simple arithmetic returns on closing prices; a missing month breaks the
 return chain so no return ever spans a gap.
 """
 
-from itertools import compress
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,44 +129,41 @@ def _window_betas(firm: np.ndarray, market: np.ndarray, min_months: int) -> np.n
     return betas
 
 
-def all_betas(returns: ReturnPanel, codes: PanelCodes, firm_market: dict[str, str],
+def all_betas(returns: ReturnPanel, codes: PanelCodes, firm_markets: Sequence[str],
               window_months: int = DEFAULT_WINDOW_MONTHS,
               min_months: int = DEFAULT_MIN_MONTHS,
-              ) -> tuple[dict[tuple[str, int], float], list[tuple[str, int, str]]]:
-    """Estimate the beta of each firm-year of ``codes``; report the rest as exclusions.
+              ) -> tuple[np.ndarray, list[tuple[str, int, str]]]:
+    """Estimate the beta of each row of ``codes``; report the rest as exclusions.
 
-    ``firm_market`` maps each firm to its market index id. Returns
-    {(firm, year): beta} in the codes' row order (a dataset's: firm then
-    year), each value equal bit for bit to ``beta_for_year(...).beta`` (the
-    one-window reference in ``tests/conftest.py``), and the (firm, year,
-    reason) of every window it rejects (too few paired months, constant
-    market). A firm without a return series has no window at all: it gets
-    neither a beta nor an exclusion. A firm with one raises
-    :class:`UnknownMarket` when its market has no mapping or no return series.
+    ``firm_markets[g]`` is the market index id of firm ``codes.firm_ids[g]``,
+    as :meth:`~marketpanel.panel_core.PanelDataset.firm_markets` gives them.
+    Returns one float per row of ``codes``, in its order, each equal bit for
+    bit to ``beta_for_year(...).beta`` (the one-window reference in
+    ``tests/conftest.py``) and NaN where the row has no beta, and the (firm,
+    year, reason) of every window it rejects (too few paired months, constant
+    market), in row order. A firm without a return series has no window at
+    all: its rows are NaN and it gets no exclusion. A firm with one raises
+    :class:`UnknownMarket` when its market has no return series.
     """
     index = returns.series_index
     # each firm's rows of ``returns``, its own and its market's; -1 without a series
     series = np.full((2, len(codes.firm_ids)), -1, dtype=np.int64)
-    for g, firm_id in enumerate(codes.firm_ids):
+    for g, (firm_id, market_id) in enumerate(zip(codes.firm_ids, firm_markets)):
         if firm_id not in index:
             continue
-        market_id = firm_market.get(firm_id)
-        if market_id is None:
-            raise UnknownMarket(f"firm {firm_id} has no market mapping")
         if market_id not in index:
             raise UnknownMarket(f"market {market_id} (firm {firm_id}) has no return series")
         series[:, g] = index[firm_id], index[market_id]
 
-    rows = np.flatnonzero(series[0, codes.firm] >= 0)
-    firm, period = codes.firm[rows], codes.period[rows]
-    betas = np.empty(len(rows))
+    has_series = series[0, codes.firm] >= 0
+    betas = np.full(len(codes.firm), np.nan)
     for p, year in enumerate(codes.years.tolist()):
-        at = period == p
-        firm_window, market_window = returns.window(series[:, firm[at]], year, window_months)
+        at = np.flatnonzero(has_series & (codes.period == p))
+        firm_window, market_window = returns.window(series[:, codes.firm[at]], year, window_months)
         betas[at] = _window_betas(firm_window, market_window, min_months)
 
-    keys = list(zip(map(codes.firm_ids.__getitem__, firm.tolist()), codes.years[period].tolist()))
-    estimated = ~np.isnan(betas)
-    exclusions = [(firm_id, year, "insufficient return history")
-                  for firm_id, year in compress(keys, ~estimated)]
-    return dict(zip(compress(keys, estimated), betas[estimated].tolist())), exclusions
+    rejected = np.flatnonzero(has_series & np.isnan(betas))
+    exclusions = [(codes.firm_ids[f], year, "insufficient return history")
+                  for f, year in zip(codes.firm[rejected].tolist(),
+                                     codes.years[codes.period[rejected]].tolist())]
+    return betas, exclusions

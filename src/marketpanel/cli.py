@@ -328,7 +328,11 @@ def cmd_verify(args) -> int:
     report._compare_json("manifest.json", {key: manifest.get(key) for key in recomputed},
                          recomputed, 0.0, "", "", failures)
 
-    panel = variables.derive_all(dataset, truth.betas_true)
+    # the planted betas as one column over the dataset's rows, as all_betas gives the run's
+    keys = zip(map(dataset.codes.firm_ids.__getitem__, dataset.codes.firm.tolist()),
+               dataset.table.year.tolist())
+    panel = variables.derive_all(dataset, np.array([truth.betas_true.get(key, np.nan)
+                                                    for key in keys]))
     checks = {}
     for model_id, planted in (("value_moderated", truth.value_coefficients),
                               ("risk_moderated", truth.risk_coefficients)):

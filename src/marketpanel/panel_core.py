@@ -197,11 +197,10 @@ class PanelDataset(NamedTuple):
     row_rates: np.ndarray
     risk_free: Mapping[tuple[str, int], float]
 
-    def firm_markets(self) -> dict[str, str]:
-        """Each firm's market, as recorded in its last panel year."""
-        codes, markets = self.codes, self.table.market_ids
-        last = np.cumsum(codes.firm_sizes) - 1
-        return dict(zip(codes.firm_ids, (markets[m] for m in self.table.market[last].tolist())))
+    def firm_markets(self) -> list[str]:
+        """Each firm's market in firm-code order, as recorded in its last panel year."""
+        last = np.cumsum(self.codes.firm_sizes) - 1
+        return [self.table.market_ids[m] for m in self.table.market[last].tolist()]
 
 
 def build_dataset(table: FundamentalsTable, risk_free: Mapping) -> PanelDataset:

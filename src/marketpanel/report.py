@@ -400,14 +400,14 @@ def compare_tables(a: dict[str, str], b: dict[str, str], rel_tol: float) -> list
 
 
 def table_texts(run_dir: str) -> dict[str, str]:
-    """File name -> text of each table file (.json, .csv or .md) in ``run_dir``;
-    ``manifest.json`` is metadata and is left out."""
+    """File name -> text of every entry of ``run_dir`` but ``manifest.json``, which is
+    metadata; an entry that is not a readable UTF-8 file, a directory say, raises
+    :class:`IoFailure` naming it."""
     try:
         names = sorted(os.listdir(run_dir))
     except OSError as exc:
         raise IoFailure(f"cannot list {run_dir}: {exc}")
-    return {f: _read_text(os.path.join(run_dir, f)) for f in names if f != "manifest.json"
-            and f.rsplit(".", 1)[-1] in ("json", "csv", "md")}
+    return {f: _read_text(os.path.join(run_dir, f)) for f in names if f != "manifest.json"}
 
 
 def golden_compare(a_dir: str, b_dir: str, rel_tol: float = 0.0) -> list[str]:

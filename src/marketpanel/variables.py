@@ -3,12 +3,11 @@
 Covers abnormal earnings, the marketing-investment ratio and its two
 robustness alternates, the control variables (age, size, leverage), the
 ownership-concentration measure, and the join of fundamentals, rates and
-the (firm, year) -> beta mapping into the columnar derived panel. The
-regressions and the diagnostics read that panel's columns with its firm
-codes. The formula helpers work elementwise on columns.
+the betas into the columnar derived panel. The regressions and the
+diagnostics read that panel's columns with its firm codes. The formula
+helpers work elementwise on columns.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -70,15 +69,15 @@ class DerivedPanel(NamedTuple):
     notes: list[str]
 
 
-def derive_all(ds: PanelDataset, betas: dict[tuple[str, int], float]) -> DerivedPanel:
+def derive_all(ds: PanelDataset, betas: np.ndarray) -> DerivedPanel:
     """Join fundamentals, risk-free rates and betas into the derived panel.
 
     The lagged book value is the previous row's if that is the firm's
     previous year, else the carry-in ``book_value_prev``. Rows lacking a
     lagged book value or a beta are excluded with a reason, never aborting
-    the panel. ``betas`` maps (firm, year) to the firm-year's beta, as
-    :func:`~marketpanel.beta.all_betas` returns them; a NaN beta counts as
-    missing.
+    the panel. ``betas`` holds one beta per row of ``ds``, in its order, NaN
+    where the row has none, as :func:`~marketpanel.beta.all_betas` returns
+    them.
     """
     t, codes = ds.table, ds.codes
     firm_ids, firm, year = codes.firm_ids, codes.firm, t.year
@@ -86,9 +85,7 @@ def derive_all(ds: PanelDataset, betas: dict[tuple[str, int], float]) -> Derived
     follows[1:] = (firm[1:] == firm[:-1]) & (year[1:] == year[:-1] + 1)
     book_prev = t.book_value_prev.copy()
     book_prev[follows] = t.book_value[:-1][follows[1:]]
-    beta = np.array([betas.get(key, math.nan) for key in
-                     zip(map(firm_ids.__getitem__, firm.tolist()), year.tolist())], dtype=float)
-    has_beta = ~np.isnan(beta)
+    has_beta = ~np.isnan(betas)
     has_lag = ~np.isnan(book_prev)
     keep = has_lag & has_beta
     exclusions = [(firm_ids[f], y, "missing lagged book value" if not lag
@@ -111,7 +108,7 @@ def derive_all(ds: PanelDataset, betas: dict[tuple[str, int], float]) -> Derived
         "Marin": m, "MarinAssets": marin_alt_assets(sga, rd, total_assets), "MarinLog": m_log,
         "Age": (kept(year) - kept(t.establishment_year)).astype(float),
         "Size": _log(total_assets), "Lev": kept(t.total_equity) / total_assets,
-        "Bet": kept(beta),
+        "Bet": kept(betas),
         "OW": kept(ownership_concentration(t.stakes, t.stake_offsets)),
         "P/B": price / book_value, "TotalAssets": total_assets,
     }

@@ -80,11 +80,19 @@ def make_panel(n_firms=4, n_years=5, start_year=2011, seed=0, market_id="M1"):
                          {(market_id, start_year + t): 0.03 for t in range(n_years)})
 
 
+def beta_column(ds, betas) -> np.ndarray:
+    """The (firm, year) -> beta mapping ``betas`` as the column ``derive_all`` takes: one beta
+    per row of the dataset ``ds``, in its order, NaN where the mapping has none."""
+    codes = ds.codes
+    return np.array([betas.get((codes.firm_ids[f], y), math.nan)
+                     for f, y in zip(codes.firm.tolist(), ds.table.year.tolist())], dtype=float)
+
+
 def derived_column_names() -> tuple[str, ...]:
     """The names of the columns ``derive_all`` builds."""
     ds = make_panel(n_firms=1, n_years=2)
     betas = {(row["firm_id"], row["year"]): 1.0 for row in table_rows(ds.table)}
-    return tuple(variables.derive_all(ds, betas).columns)
+    return tuple(variables.derive_all(ds, beta_column(ds, betas)).columns)
 
 
 def fit_cells(fit: regress.FitResult, name: str) -> tuple[float, float, float]:

@@ -18,9 +18,9 @@ from marketpanel.cli import main
 from marketpanel.diagnostics import hausman_test
 from marketpanel.regress import design_matrix, fe_fit, re_fit
 
-from conftest import (InsufficientWindow, adf_test, beta_for_year, coefficient, monthly_points,
-                      normal_equations_oracle, p_value, std_error, ols_fit, panel_design,
-                      pooled_matrix, return_panel, row_labels, t_stat)
+from conftest import (InsufficientWindow, adf_test, beta_column, beta_for_year, coefficient,
+                      monthly_points, normal_equations_oracle, p_value, std_error, ols_fit,
+                      panel_design, pooled_matrix, return_panel, row_labels, t_stat)
 
 warnings.filterwarnings("ignore")
 
@@ -122,7 +122,8 @@ def test_criterion_4_value_model_recovery():
     hits = 0
     for seed in range(100):
         result = synth.generate_panel(synth.DGPConfig(seed=seed))
-        panel = variables.derive_all(result.dataset, result.truth.betas_true)
+        panel = variables.derive_all(result.dataset,
+                                     beta_column(result.dataset, result.truth.betas_true))
         report = models.estimate(panel, models.spec_for("value_moderated"))
         est = coefficient(report.fit, "Marin")
         se = std_error(report.fit, "Marin")
@@ -144,7 +145,8 @@ def test_criterion_5_risk_model_sign_recovery():
         result = synth.generate_panel(synth.DGPConfig(seed=seed,
                                                       risk_coefficients=risk))
         assert result.truth.risk_average_marin_effect == pytest.approx(-0.20)
-        panel = variables.derive_all(result.dataset, result.truth.betas_true)
+        panel = variables.derive_all(result.dataset,
+                                     beta_column(result.dataset, result.truth.betas_true))
         report = models.estimate(panel, models.spec_for("risk_moderated"),
                                  center=True)
         est = coefficient(report.fit, "Marin")
@@ -201,7 +203,8 @@ def test_criterion_8_moderation_reparameterization():
     worst_fit = 0.0
     for seed in range(20):
         result = synth.generate_panel(synth.DGPConfig(seed=700 + seed))
-        panel = variables.derive_all(result.dataset, result.truth.betas_true)
+        panel = variables.derive_all(result.dataset,
+                                     beta_column(result.dataset, result.truth.betas_true))
         raw = models.estimate(panel, models.spec_for("value_moderated"),
                               center=False)
         cen = models.estimate(panel, models.spec_for("value_moderated"),

@@ -7,9 +7,11 @@ import pytest
 
 from marketpanel.beta import all_betas, monthly_returns
 from marketpanel.errors import SchemaMismatch, UnknownMarket
+from marketpanel.panel_core import build_dataset
+from marketpanel.variables import derive_all
 
-from conftest import (InsufficientWindow, ZeroMarketVariance, beta_for_year, monthly_points,
-                      panel_codes, price_table, return_panel)
+from conftest import (InsufficientWindow, ZeroMarketVariance, beta_for_year, make_row,
+                      make_table, monthly_points, panel_codes, price_table, return_panel)
 
 
 def returned_months(returns, series_id):
@@ -62,7 +64,9 @@ class TestMonthlyReturns:
         rs = monthly_returns(price_table({"F1": [(2015, 1, 100.0)],
                                           "M1": [(2015, 1, 50.0), (2015, 2, 51.0)]}))
         assert rs.series_ids == ("M1",)
-        assert all_betas(rs, panel_codes([("F1", 2015)]), {"F1": "M1"}) == ({}, [])
+        betas, exclusions = all_betas(rs, panel_codes([("F1", 2015)]), ["M1"])
+        assert np.isnan(betas).tolist() == [True]
+        assert exclusions == []
 
 
 class TestBetaForYear:
@@ -143,8 +147,9 @@ class TestBetaForYear:
         with pytest.raises(ZeroMarketVariance):
             beta_of(firm, market)
         returns = return_panel({"F": firm, "M": market})
-        assert all_betas(returns, panel_codes([("F", 2014)]), {"F": "M"}) == (
-            {}, [("F", 2014, "insufficient return history")])
+        betas, exclusions = all_betas(returns, panel_codes([("F", 2014)]), ["M"])
+        assert np.isnan(betas).tolist() == [True]
+        assert exclusions == [("F", 2014, "insufficient return history")]
 
 
 def grid(firms, years):
@@ -164,9 +169,10 @@ class TestAllBetas:
 
     def test_years_with_enough_history(self):
         returns, firms = self._fixture()
-        firm_market = {f: "M1" for f in firms}
-        betas, exclusions = all_betas(returns, grid(firms, range(2010, 2020)), firm_market)
-        years_with = {y for _, y in betas}
+        codes = grid(firms, range(2010, 2020))
+        betas, exclusions = all_betas(returns, codes, ["M1"] * len(firms))
+        assert len(betas) == len(codes.firm)
+        years_with = set(codes.years[codes.period[~np.isnan(betas)]].tolist())
         # 48 paired months first available in the window ending Dec 2013
         assert min(years_with) == 2013
         assert max(years_with) == 2019
@@ -178,30 +184,62 @@ class TestAllBetas:
         m = rng.normal(0.008, 0.05, 36)
         returns = return_panel({"M1": monthly_points(2017, 1, m),
                                 "F1": monthly_points(2017, 1, m)})
-        betas, exclusions = all_betas(returns, grid(["F1"], range(2017, 2020)), {"F1": "M1"})
-        assert betas == {}
+        betas, exclusions = all_betas(returns, grid(["F1"], range(2017, 2020)), ["M1"])
+        assert np.isnan(betas).tolist() == [True] * 3
         assert all(r == "insufficient return history" for _, _, r in exclusions)
 
     def test_deterministic_under_permutation(self):
         returns, firms = self._fixture(seed=7)
-        firm_market = {f: "M1" for f in firms}
+        firm_markets = ["M1"] * len(firms)
         index = list(product(firms, range(2013, 2020)))
-        a, _ = all_betas(returns, panel_codes(index), firm_market)
-        b, _ = all_betas(returns, panel_codes(index[::-1]), firm_market)
-        assert a == b
+        a, _ = all_betas(returns, panel_codes(index), firm_markets)
+        b, _ = all_betas(returns, panel_codes(index[::-1]), firm_markets)
+        assert not np.isnan(a).any()
+        assert a.tolist() == b[::-1].tolist()
 
     def test_unknown_market(self):
         returns, firms = self._fixture()
-        with pytest.raises(UnknownMarket):
-            all_betas(returns, grid(firms, [2014]), {f: "M9" for f in firms})
-        with pytest.raises(UnknownMarket):
-            all_betas(returns, grid(firms, [2014]), {})
+        with pytest.raises(UnknownMarket, match="market M9 .* has no return series"):
+            all_betas(returns, grid(firms, [2014]), ["M9"] * len(firms))
 
     def test_only_the_panels_firm_years(self):
-        """A late listing is estimated and excluded in its own years only, and a
-        firm without a return series needs no market."""
+        """A late listing is estimated and excluded in its own years only, and the
+        market of a firm without a return series is never looked up."""
         returns, _ = self._fixture()
         index = [("F1", year) for year in range(2012, 2020)] + [("F2", 2019), ("F9", 2015)]
-        betas, exclusions = all_betas(returns, panel_codes(index), {"F1": "M1", "F2": "M1"})
-        assert list(betas) == [("F1", year) for year in range(2013, 2020)] + [("F2", 2019)]
+        betas, exclusions = all_betas(returns, panel_codes(index), ["M1", "M1", "M9"])
+        assert [index[i] for i in np.flatnonzero(~np.isnan(betas))] == (
+            [("F1", year) for year in range(2013, 2020)] + [("F2", 2019)])
         assert exclusions == [("F1", 2012, "insufficient return history")]
+
+    def test_one_beta_per_row_of_an_unbalanced_dataset(self):
+        """The betas are one column over the dataset's rows, NaN at a late listing's
+        rejected windows and at every row of a firm without a return series; the
+        rejected windows alone are exclusions, and derive_all drops exactly the NaN rows."""
+        rng = np.random.default_rng(3)
+        m = rng.normal(0.008, 0.05, 84)
+        returns = return_panel({
+            "M1": monthly_points(2010, 1, m),
+            "A": monthly_points(2010, 1, 0.9 * m + rng.normal(0, 0.02, 84)),
+            # lists late: its first 48 paired months end in Jan 2016
+            "L": monthly_points(2012, 2, 1.2 * m[25:] + rng.normal(0, 0.02, 59))})
+        rows = [make_row(firm_id=firm, year=year, book_value_prev=1.0 if year == first else None)
+                for firm, first, last in (("A", 2013, 2016), ("L", 2013, 2016), ("N", 2014, 2015))
+                for year in range(first, last + 1)]
+        ds = build_dataset(make_table(rows), {("M1", year): 0.03 for year in range(2013, 2017)})
+        keys = [(r["firm_id"], r["year"]) for r in rows]
+        rejected = [("L", 2013), ("L", 2014), ("L", 2015)]
+        missing = rejected + [("N", 2014), ("N", 2015)]
+
+        betas, exclusions = all_betas(returns, ds.codes, ds.firm_markets())
+        assert len(betas) == len(ds.codes.firm) == len(keys)
+        assert [key for key, b in zip(keys, np.isnan(betas).tolist()) if b] == missing
+        assert exclusions == [(f, y, "insufficient return history") for f, y in rejected]
+
+        panel = derive_all(ds, betas)
+        assert panel.exclusions == [(f, y, "insufficient return history") for f, y in missing]
+        codes = panel.codes
+        assert [(codes.firm_ids[f], int(codes.years[p])) for f, p in
+                zip(codes.firm.tolist(), codes.period.tolist())] == [
+            key for key in keys if key not in missing]
+        assert panel.columns["Bet"].tolist() == betas[~np.isnan(betas)].tolist()

@@ -1213,8 +1213,8 @@ def shared_tree(tmp_path_factory, run_dir):
 
 class TestVerifyReadsTheWholeTree:
     """Every table file and the manifest's input digests and config hash are
-    recomputed: an edit to any of them, or a missing or extra table file, exits 1
-    with a failure line that starts with the file's name."""
+    recomputed: an edit to any of them, a missing table file or an extra file of any
+    name exits 1 with a failure line that starts with the file's name."""
 
     @staticmethod
     def _verify_with(data_dir, tree, name, text, capsys):
@@ -1259,11 +1259,23 @@ class TestVerifyReadsTheWholeTree:
         assert failures == [f"manifest.json:/{field}: {holder[key]!r} vs {digest!r}"]
 
     @pytest.mark.parametrize("name, text", [("stationarity.csv", None),
-                                            ("old_table.md", "# Old table\n")])
+                                            ("old_table.md", "# Old table\n"),
+                                            ("notes.txt", "stray\n")])
     def test_a_missing_or_extra_table_file(self, data_dir, shared_tree, capsys, name, text):
         code, failures = self._verify_with(data_dir, shared_tree, name, text, capsys)
         assert code == 1
         assert failures == [f"{name}: present on one side only"]
+
+    def test_a_subdirectory_is_an_input_error(self, data_dir, run_dir, tmp_path, caplog):
+        """A directory in the tree cannot be read as a table file: exit 2, naming it."""
+        tree = tmp_path / run_dir.name
+        shutil.copytree(run_dir, tree)
+        (tree / "sub").mkdir()
+        for argv in (["verify", "--data", str(data_dir), "--run", str(tree)],
+                     ["report-diff", str(run_dir), str(tree)]):
+            caplog.clear()
+            assert main(argv) == 2
+            assert f"cannot read {tree / 'sub'}: " in caplog.text
 
 
 class TestReportDiff:
@@ -1288,6 +1300,14 @@ class TestReportDiff:
         assert code == 1
         assert any("descriptives" in line
                    for line in json.loads(out)["differences"])
+
+    def test_a_stray_file_of_any_name_is_listed(self, run_dir, tmp_path, capsys):
+        other = tmp_path / "stray"
+        shutil.copytree(run_dir, other)
+        (other / "notes.txt").write_text("stray\n")
+        code, out = run_cli("report-diff", str(run_dir), str(other), capsys=capsys)
+        assert code == 1
+        assert json.loads(out)["differences"] == ["notes.txt: present on one side only"]
 
     @pytest.mark.parametrize("rel_tol", ["-1", "nan"])
     def test_tolerance_must_be_a_number_at_least_0(self, run_dir, tmp_path, capsys, rel_tol):

@@ -28,7 +28,7 @@ from marketpanel.errors import (DuplicateKey, DuplicateMonth, MissingRiskFree, N
                                RateOutOfRange, SchemaMismatch)
 from marketpanel.panel_core import STAKE_SUM_TOL, FundamentalsTable, build_dataset
 
-from conftest import ROW_DEFAULTS, make_row, make_table, row_order_sum, table_rows
+from conftest import ROW_DEFAULTS, beta_column, make_row, make_table, row_order_sum, table_rows
 
 PROPERTY = settings(max_examples=80, deadline=None)
 HEADER = ",".join(ingest.FUNDAMENTALS_COLUMNS)
@@ -744,7 +744,7 @@ def test_dataset_and_derived_columns_equal_the_per_row_join(panel):
     ds = build_dataset(make_table(rows), rf)
     assert table_rows(ds.table) == list(by_key.values())
     assert ds.codes.firm_ids == tuple(sorted({f for f, _ in by_key}))
-    derived = variables.derive_all(ds, betas)
+    derived = variables.derive_all(ds, beta_column(ds, betas))
     columns, exclusions, notes = reference_derive(by_key, rates, betas, derived.columns)
     assert derived.exclusions == exclusions
     assert derived.notes == notes

@@ -318,10 +318,16 @@ def test_batched_betas_equal_the_window_loops(panel):
     markets = {m for m in firm_market.values()}
     if not markets <= set(maps):
         return   # a market without returns fails the run; covered in test_beta
-    estimates, exclusions = beta.all_betas(returns, panel_codes(index), firm_market, window,
-                                           min_months)
+    codes = panel_codes(index)
+    estimates, exclusions = beta.all_betas(returns, codes, [firm_market[f] for f in codes.firm_ids],
+                                           window, min_months)
     loop, loop_exclusions = loop_all_betas(returns, index, firm_market, window, min_months)
-    assert list(estimates.items()) == [(key, est.beta) for key, est in loop.items()]
+    assert len(estimates) == len(index)
+    for key, value in zip(index, estimates.tolist()):
+        if key in loop:
+            assert value == loop[key].beta
+        else:
+            assert math.isnan(value)
     assert exclusions == loop_exclusions
 
     for firm_id, year in index:
@@ -341,7 +347,7 @@ def test_flat_market_windows_are_excluded():
     lines += [f"F1,{y},{m},{100 + i % 5}" for i, (y, m) in enumerate(months)]
     returns = beta.monthly_returns(ingest.parse_prices("\n".join(lines)))
     estimates, exclusions = beta.all_betas(returns, panel_codes([("F1", 2014), ("F1", 2015)]),
-                                           {"F1": "M1"})
-    assert estimates == {}
+                                           ["M1"])
+    assert np.isnan(estimates).tolist() == [True, True]
     assert exclusions == [("F1", 2014, "insufficient return history"),
                           ("F1", 2015, "insufficient return history")]

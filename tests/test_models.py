@@ -13,12 +13,13 @@ from marketpanel.models import (MODEL_IDS, RUN_PLAN, _check_design, build_intera
                                 estimate, estimate_plan, spec_for)
 from marketpanel.variables import panel_columns
 
-from conftest import coefficient, panel_design, t_stat, with_exact_age
+from conftest import beta_column, coefficient, panel_design, t_stat, with_exact_age
 
 
 def derived_panel(seed=0, **cfg_kwargs):
     result = synth.generate_panel(synth.DGPConfig(seed=seed, **cfg_kwargs))
-    return variables.derive_all(result.dataset, result.truth.betas_true)
+    return variables.derive_all(result.dataset,
+                                beta_column(result.dataset, result.truth.betas_true))
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +236,8 @@ class TestDesignCheck:
         result = synth.generate_panel(synth.DGPConfig(seed=9))
         betas = {(firm, year): b for (firm, year), b in result.truth.betas_true.items()
                  if firm != "F001" or year == 2015}
-        singletons, trends = self._caught(variables.derive_all(result.dataset, betas), model_id)
+        panel = variables.derive_all(result.dataset, beta_column(result.dataset, betas))
+        singletons, trends = self._caught(panel, model_id)
         assert singletons == ["groups with one row contribute no within variation: ['F001']"]
         assert len(trends) == 1
 

@@ -83,7 +83,7 @@ class TestBuildDataset:
                 make_row(firm_id="F2", market_id="M2", year=2015)]
         rf = {(m, y): 0.03 for m in ("M1", "M2") for y in (2015, 2016)}
         ds = build_dataset(make_table(rows), rf)
-        assert ds.firm_markets() == {"F1": "M1", "F2": "M2"}
+        assert ds.firm_markets() == ["M1", "M2"]
 
 
 class TestTable:

@@ -17,6 +17,8 @@ from marketpanel import diagnostics, models, report, synth, variables
 from marketpanel.errors import SchemaMismatch
 from marketpanel.report import ReportBundle, compare_tables, emit, golden_compare
 
+from conftest import beta_column
+
 # the committed seed-9 tree that tests/test_golden.py pins
 GOLDEN = Path(__file__).resolve().parent / "golden" / "balanced"
 
@@ -26,7 +28,8 @@ def bundle():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = synth.generate_panel(synth.DGPConfig(seed=3))
-        panel = variables.derive_all(result.dataset, result.truth.betas_true)
+        panel = variables.derive_all(result.dataset,
+                                     beta_column(result.dataset, result.truth.betas_true))
         desc_cols = variables.panel_columns(panel, variables.DESCRIPTIVES_ORDER)
         corr_cols = variables.panel_columns(panel, variables.CORRELATION_ORDER)
         stationarity = diagnostics.panel_stationarity(

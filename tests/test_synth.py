@@ -10,7 +10,7 @@ from marketpanel import beta, ingest, models, synth, variables
 from marketpanel.errors import InfeasibleTargets
 from marketpanel.synth import DGPConfig, TruthRecord, generate_panel, truth_check
 
-from conftest import table_rows
+from conftest import beta_column, table_rows
 
 
 @pytest.fixture(autouse=True)
@@ -35,7 +35,8 @@ class TestGeneratePanel:
     def test_marin_mean_near_target_across_seeds(self):
         for seed in range(5):
             result = generate_panel(DGPConfig(seed=seed))
-            panel = variables.derive_all(result.dataset, result.truth.betas_true)
+            panel = variables.derive_all(result.dataset,
+                                         beta_column(result.dataset, result.truth.betas_true))
             cols = variables.panel_columns(panel, ["Marin"])
             assert cols["Marin"].mean() == pytest.approx(0.2491, abs=0.03)
 
@@ -98,7 +99,8 @@ class TestGeneratePanel:
     def test_std_targets_honored(self):
         """The default panel's Marin, X, Lev and B stds sit near their targets."""
         result = generate_panel(DGPConfig(seed=4))
-        panel = variables.derive_all(result.dataset, result.truth.betas_true)
+        panel = variables.derive_all(result.dataset,
+                                     beta_column(result.dataset, result.truth.betas_true))
         cols = variables.panel_columns(panel, ["Marin", "X", "Lev", "B"])
         for name, target in (("Marin", 0.1565), ("X", 0.10), ("Lev", 0.18), ("B", 0.35)):
             assert float(np.std(cols[name], ddof=1)) == pytest.approx(target, rel=0.25)
@@ -138,8 +140,8 @@ class TestGeneratePanel:
 
     def test_abnormal_earnings_match_generator_target(self, default_result):
         """Derived X^a averages to the planted firm-level targets."""
-        panel = variables.derive_all(default_result.dataset,
-                                     default_result.truth.betas_true)
+        ds = default_result.dataset
+        panel = variables.derive_all(ds, beta_column(ds, default_result.truth.betas_true))
         cols = variables.panel_columns(panel, ["X"])
         assert cols["X"].mean() == pytest.approx(0.1094, abs=0.03)
 
@@ -148,9 +150,10 @@ class TestBetaRecovery:
     def test_noiseless_recovery_matches_window_truth(self):
         result = generate_panel(DGPConfig(seed=5, idio_vol=1e-14))
         estimates = self._estimate(result)
-        for key, est in estimates.items():
-            assert est == pytest.approx(result.truth.betas_window[key], abs=1e-9)
-            assert abs(est - result.truth.betas_true[key]) <= 0.35
+        window = beta_column(result.dataset, result.truth.betas_window)
+        assert estimates.tolist() == pytest.approx(window.tolist(), abs=1e-9)
+        assert np.all(np.abs(estimates - beta_column(result.dataset, result.truth.betas_true))
+                      <= 0.35)
 
     def test_noiseless_recovery_constant_betas(self):
         """With firm-constant planted betas the per-year recovery is exact."""
@@ -161,34 +164,32 @@ class TestBetaRecovery:
                                           risk_noise_scale=1e-12,
                                           risk_effect_scale=0.3373))
         estimates = self._estimate(result)
-        for key, est in estimates.items():
-            assert abs(est - result.truth.betas_true[key]) <= 0.15
+        assert np.all(np.abs(estimates - beta_column(result.dataset, result.truth.betas_true))
+                      <= 0.15)
 
     def test_realistic_noise_within_band(self):
         result = generate_panel(DGPConfig(seed=5))
         estimates = self._estimate(result)
-        errors = [abs(est - result.truth.betas_true[key])
-                  for key, est in estimates.items()]
-        assert max(errors) <= 0.35
+        errors = np.abs(estimates - beta_column(result.dataset, result.truth.betas_true))
+        assert errors.max() <= 0.35
 
     def test_cross_firm_dispersion_near_target(self):
         result = generate_panel(DGPConfig(seed=5))
-        estimates = self._estimate(result)
-        values = np.array(list(estimates.values()))
+        values = self._estimate(result)
         assert values.std(ddof=1) == pytest.approx(0.3373, abs=0.08)
 
     def test_estimates_in_plausible_band(self):
         """Estimated betas stay inside the published sample's plausible band."""
         for seed in range(3):
             result = generate_panel(DGPConfig(seed=seed))
-            estimates = self._estimate(result)
-            values = np.array(list(estimates.values()))
+            values = self._estimate(result)
             assert 0.7 <= values.mean() <= 1.1
             assert values.min() >= -1.0
             assert values.max() <= 2.8
 
     @staticmethod
     def _estimate(result):
+        """The betas of ``result``'s dataset, one per row; the synthetic firms reject none."""
         returns = beta.monthly_returns(ingest.parse_prices(result.prices_csv))
         ds = result.dataset
         estimates, exclusions = beta.all_betas(returns, ds.codes, ds.firm_markets())
@@ -202,7 +203,8 @@ class TestTruthCheck:
         n_seeds = 15
         for seed in range(n_seeds):
             result = generate_panel(DGPConfig(seed=seed))
-            panel = variables.derive_all(result.dataset, result.truth.betas_true)
+            panel = variables.derive_all(result.dataset,
+                                         beta_column(result.dataset, result.truth.betas_true))
             report = models.estimate(panel, models.spec_for("value_moderated"))
             passes += all(c["passed"] for c in truth_check(result.truth.value_coefficients,
                                                             report.rows))
@@ -214,7 +216,8 @@ class TestTruthCheck:
         covered = 0
         for seed in range(10):
             result = generate_panel(DGPConfig(seed=seed, value_coefficients=coeffs))
-            panel = variables.derive_all(result.dataset, result.truth.betas_true)
+            panel = variables.derive_all(result.dataset,
+                                         beta_column(result.dataset, result.truth.betas_true))
             report = models.estimate(panel, models.spec_for("value_moderated"))
             outcome = truth_check(result.truth.value_coefficients, report.rows)
             marin = next(c for c in outcome if c["variable"] == "Marin")
@@ -230,7 +233,8 @@ class TestTruthCheck:
         n_seeds = 12
         for seed in range(n_seeds):
             result = generate_panel(DGPConfig(seed=seed, value_coefficients=coeffs))
-            panel = variables.derive_all(result.dataset, result.truth.betas_true)
+            panel = variables.derive_all(result.dataset,
+                                         beta_column(result.dataset, result.truth.betas_true))
             report = models.estimate(panel, models.spec_for("value_direct"))
             outcome = truth_check(result.truth.value_coefficients, report.rows)
             marin = next(c for c in outcome if c["variable"] == "Marin")

@@ -74,7 +74,7 @@ class TestControlVariables:
     def _derived(**fields):
         rf = {("M1", 2019): 0.03}
         ds = build_dataset(make_table([make_row(year=2019, book_value_prev=1.0, **fields)]), rf)
-        return derive_all(ds, {("F1", 2019): 1.0}).columns
+        return derive_all(ds, np.array([1.0])).columns
 
     def test_age_minimum_scale(self):
         assert self._derived(establishment_year=2016)["Age"].tolist() == [3.0]
@@ -94,8 +94,7 @@ class TestControlVariables:
         rows = [make_row(year=2000 + i, total_assets=a, total_equity=0.1, sga=a,
                          rd=0.0, book_value_prev=1.0) for i, a in enumerate(assets)]
         rf = {("M1", 2000 + i): 0.03 for i in range(len(assets))}
-        panel = derive_all(build_dataset(make_table(rows), rf),
-                           {("F1", 2000 + i): 1.0 for i in range(len(assets))})
+        panel = derive_all(build_dataset(make_table(rows), rf), np.ones(len(assets)))
         logs = [math.log(a) for a in assets]
         assert panel.columns["Size"].tolist() == logs
         assert panel.columns["MarinLog"].tolist() == logs
@@ -165,7 +164,7 @@ class TestDeriveAll:
 
     def test_missing_beta_excluded(self):
         ds = make_panel(n_firms=2, n_years=3)
-        betas = {k: 0.9 for k in _betas(ds, 0.9) if k[0] != "F2"}
+        betas = np.where(ds.codes.firm == ds.codes.firm_ids.index("F2"), np.nan, 0.9)
         panel = derive_all(ds, betas)
         assert all(f == "F2" for f, _, _ in panel.exclusions)
         assert all(r == "insufficient return history" for _, _, r in panel.exclusions)
@@ -208,7 +207,8 @@ class TestDeriveAll:
 
 
 def _betas(ds, value):
-    return {(r["firm_id"], r["year"]): value for r in table_rows(ds.table)}
+    """The beta ``value`` at every row of ``ds``."""
+    return np.full(len(ds.codes.firm), value)
 
 
 def _keys(panel):
@@ -221,7 +221,7 @@ class TestPanelColumns:
     def test_log_column_nan_for_zero_expense(self):
         rows = [make_row(year=2011, sga=5.0, rd=5.0, book_value_prev=1.0)]
         ds = build_dataset(make_table(rows), {("M1", 2011): 0.03})
-        panel = derive_all(ds, {("F1", 2011): 1.0})
+        panel = derive_all(ds, np.array([1.0]))
         cols = variables.panel_columns(panel, ["MarinLog", "Marin"])
         assert np.isnan(cols["MarinLog"][0])
         assert cols["Marin"][0] == 0.0
